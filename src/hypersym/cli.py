@@ -216,11 +216,8 @@ def _scope_actions(cfg: RunConfig) -> tuple[list[dict], bool]:
 
 
 def _scope_flows(cfg: RunConfig) -> tuple[list[dict], bool]:
-    rows = flow_suite(cfg.start_point(), cfg.alpha, cfg.step)
-    ok = all(r["max_deviation"] <= cfg.flow_tol for r in rows)
-    for r in rows:
-        r["status"] = "PASS" if r["max_deviation"] <= cfg.flow_tol else "FAIL"
-    return rows, ok
+    rows = flow_suite(cfg.start_point(), cfg.alpha, cfg.step, cfg.flow_tol)
+    return rows, all(r["status"] == "PASS" for r in rows)
 
 
 def _scope_commutators(cfg: RunConfig) -> tuple[dict, bool]:

@@ -85,19 +85,3 @@ def gamma_shift_ratio(a, k: int) -> Fraction:
         return pochhammer(a, k)
     return 1 / pochhammer(a + k, -k)
 
-
-def basis_constant_ratio(a, b, da: int, db: int) -> Fraction:
-    """Ratio of the gamma normalisation constant at shifted (a+da, b+db)
-    to the constant at (a, b), where the constant is
-    gamma(b-a) * gamma(a) / gamma(b).
-
-    Used to convert raw action coefficients on the gamma-normalised family
-    into coefficients on the bare product family.
-    """
-    a = as_rational(a)
-    b = as_rational(b)
-    return (
-        gamma_shift_ratio(b - a, db - da)
-        * gamma_shift_ratio(a, da)
-        / gamma_shift_ratio(b, db)
-    )

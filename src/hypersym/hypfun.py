@@ -6,6 +6,15 @@ Humbert series sums (a)_{m+n} x^m y^n / (m! n! (b)_m (c)_n), and its
 three-argument extension couples a third index into the same rising
 factorial, (a)_{l+m+n} x^m y^n z^l / (l! m! n! (b)_m (c)_n).
 
+All three are Horn series: the ratio of neighbouring coefficients is a
+rational function of the indices.  Stepping one index k -> k+1 multiplies a
+coefficient by (a + total) / ((k+1) * prod(lower + k)), where total is the
+sum of all indices before the step and lower lists that index's bottom
+parameters ([b] for x, [c] for y, none for the third index).  The exact
+series builders, the compositions and the truncated float sum all take
+their coefficients from running products of these ratios; ``f11_coeff`` and
+``psi2_coeff`` keep the closed Pochhammer form for single coefficients.
+
 Everything here is stateless; exact paths stay in Fractions, floating paths
 use a tail-domination stopping rule (terms can grow before they decay, so a
 single small term is not evidence of convergence).
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .exactnum import (
     DegenerateParameter,
@@ -75,6 +85,72 @@ class ParamsPsi2:
         return ParamsPsi2(self.a + da, self.b + db, self.c + dc)
 
 
+# -- Horn term-ratio kernel --------------------------------------------------
+
+def _horn_coefficients(
+    a: Fraction, axes: Sequence[tuple[int, tuple[Fraction, ...]]]
+) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero coefficients (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
+
+    ``axes`` gives each index's cap and bottom parameters, in the order the
+    index tuples are keyed.  The grid is walked in lexicographic order; each
+    coefficient is its predecessor times one term ratio, so no Pochhammer
+    product is ever rebuilt.  Once a coefficient vanishes (a is a
+    non-positive integer) every later one along that index and below it
+    vanishes too, so the walk stops there.
+    """
+    # ratios[i][o][k]: step k -> k+1 on index i while the indices before it
+    # sum to o (the indices after it are 0 at every step taken).
+    ratios = []
+    before = 0
+    for cap, lower in axes:
+        bottoms = []
+        for k in range(cap):
+            d = Fraction(k + 1)
+            for low in lower:
+                d *= low + k
+            bottoms.append(d)
+        ratios.append(
+            [[(a + o + k) / bottoms[k] for k in range(cap)] for o in range(before + 1)]
+        )
+        before += cap
+    out: dict[tuple[int, ...], Fraction] = {}
+    _horn_walk(ratios, [cap for cap, _ in axes], 0, Fraction(1), 0, (), out)
+    return out
+
+
+def _horn_walk(
+    ratios: list[list[list[Fraction]]],
+    caps: list[int],
+    i: int,
+    coeff: Fraction,
+    total: int,
+    prefix: tuple[int, ...],
+    out: dict[tuple[int, ...], Fraction],
+) -> None:
+    """Fill ``out`` below ``prefix``; ``coeff`` sits at (prefix, 0, ..., 0)."""
+    row = ratios[i][total]
+    for k in range(caps[i] + 1):
+        if i == len(caps) - 1:
+            out[prefix + (k,)] = coeff
+        else:
+            _horn_walk(ratios, caps, i + 1, coeff, total + k, prefix + (k,), out)
+        if k == caps[i]:
+            break
+        coeff = coeff * row[k]
+        if not coeff:
+            break
+
+
+def _horn_series(
+    a: Fraction, axes: Mapping[str, tuple[int, tuple[Fraction, ...]]]
+) -> MultiSeries:
+    """Horn series with named indices; exponent tuples follow sorted names."""
+    names = sorted(axes)
+    caps = {v: axes[v][0] for v in names}
+    return MultiSeries(caps, _horn_coefficients(a, [axes[v] for v in names]))
+
+
 # -- one-argument series -----------------------------------------------------
 
 def f11_coeff(p: Params1F1, s: int) -> Fraction:
@@ -83,13 +159,7 @@ def f11_coeff(p: Params1F1, s: int) -> Fraction:
 
 
 def f11_series(p: Params1F1, order: int, var: str = "x") -> MultiSeries:
-    caps = {var: order}
-    terms = {}
-    for s in range(order + 1):
-        c = f11_coeff(p, s)
-        if c != 0:
-            terms[(s,)] = c
-    return MultiSeries(caps, terms)
+    return _horn_series(p.a, {var: (order, (p.b,))})
 
 
 def f11_eval_exact(p: Params1F1, x, order: int) -> Fraction:
@@ -143,17 +213,7 @@ def psi2_coeff(p: ParamsPsi2, m: int, n: int) -> Fraction:
 def psi2_series(
     p: ParamsPsi2, order_x: int, order_y: int, var_x: str = "x", var_y: str = "y"
 ) -> MultiSeries:
-    caps = {var_x: order_x, var_y: order_y}
-    names = tuple(sorted(caps))
-    terms = {}
-    for m in range(order_x + 1):
-        for n in range(order_y + 1):
-            c = psi2_coeff(p, m, n)
-            if c == 0:
-                continue
-            exps = {var_x: m, var_y: n}
-            terms[tuple(exps[v] for v in names)] = c
-    return MultiSeries(caps, terms)
+    return _horn_series(p.a, {var_x: (order_x, (p.b,)), var_y: (order_y, (p.c,))})
 
 
 def psi2_3var_series(
@@ -164,24 +224,9 @@ def psi2_3var_series(
     var_z: str = "z",
 ) -> MultiSeries:
     """Triple series with the third index folded into the rising factorial."""
-    caps = {"x": order_x, "y": order_y, var_z: order_z}
-    names = tuple(sorted(caps))
-    terms = {}
-    for l in range(order_z + 1):
-        for m in range(order_x + 1):
-            for n in range(order_y + 1):
-                c = pochhammer(p.a, l + m + n) / (
-                    factorial(l)
-                    * factorial(m)
-                    * factorial(n)
-                    * pochhammer(p.b, m)
-                    * pochhammer(p.c, n)
-                )
-                if c == 0:
-                    continue
-                exps = {"x": m, "y": n, var_z: l}
-                terms[tuple(exps[v] for v in names)] = c
-    return MultiSeries(caps, terms)
+    return _horn_series(
+        p.a, {"x": (order_x, (p.b,)), "y": (order_y, (p.c,)), var_z: (order_z, ())}
+    )
 
 
 def psi2_eval_exact(p: ParamsPsi2, x, y, order_x: int, order_y: int) -> Fraction:
@@ -207,11 +252,10 @@ def psi2_eval_float(
     """
     a, c = float(p.a), float(p.c)
     if orders is not None:
-        mx, my = orders
+        coeffs = _horn_coefficients(p.a, [(orders[0], (p.b,)), (orders[1], (p.c,))])
         total = 0.0
-        for m in range(mx + 1):
-            for n in range(my + 1):
-                total += float(psi2_coeff(p, m, n)) * x**m * y**n
+        for (m, n), coeff in coeffs.items():
+            total += float(coeff) * x**m * y**n
         return total
     total = 0.0
     outer = 1.0  # (a)_n y^n / (n! (c)_n)
@@ -272,13 +316,16 @@ def f11_compose(p: Params1F1, argument: MultiSeries, max_power: int | None = Non
     caps = argument.cap_map()
     if max_power is None:
         max_power = sum(caps.values())
+    coeffs = _horn_coefficients(p.a, [(max_power, (p.b,))])
     out = MultiSeries.constant(1, caps)
     power = MultiSeries.constant(1, caps)
     for s in range(1, max_power + 1):
+        if (s,) not in coeffs:
+            break  # a is a non-positive integer: every later coefficient is 0
         power = power * argument
         if power.is_zero():
             break
-        out = out + power.scale(f11_coeff(p, s))
+        out = out + power.scale(coeffs[(s,)])
     return out
 
 
@@ -307,13 +354,15 @@ def psi2_compose(
         if nxt.is_zero():
             break
         y_powers.append(nxt)
+    coeffs = _horn_coefficients(
+        p.a, [(len(x_powers) - 1, (p.b,)), (len(y_powers) - 1, (p.c,))]
+    )
     out = MultiSeries.zero(caps)
-    for m, xp in enumerate(x_powers):
-        for n, yp in enumerate(y_powers):
-            prod = xp * yp
-            if prod.is_zero():
-                continue
-            out = out + prod.scale(psi2_coeff(p, m, n))
+    for (m, n), coeff in coeffs.items():
+        prod = x_powers[m] * y_powers[n]
+        if prod.is_zero():
+            continue
+        out = out + prod.scale(coeff)
     return out
 
 

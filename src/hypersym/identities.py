@@ -17,6 +17,7 @@ corrected candidate, otherwise the suite fails.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -605,16 +606,22 @@ def _record_catalogue() -> list[IdentityRecord]:
     return records
 
 
-def catalogue() -> list[IdentityRecord]:
-    """The full identity catalogue in fixed order."""
-    return _record_catalogue()
+@functools.cache
+def catalogue() -> tuple[IdentityRecord, ...]:
+    """The full identity catalogue in fixed order, built on first use."""
+    return tuple(_record_catalogue())
+
+
+@functools.cache
+def _records_by_id() -> dict[str, IdentityRecord]:
+    return {rec.rec_id: rec for rec in catalogue()}
 
 
 def get_record(rec_id: str) -> IdentityRecord:
-    for rec in catalogue():
-        if rec.rec_id == rec_id:
-            return rec
-    raise KeyError(f"unknown identity {rec_id!r}")
+    try:
+        return _records_by_id()[rec_id]
+    except KeyError:
+        raise KeyError(f"unknown identity {rec_id!r}") from None
 
 
 # -- verification -----------------------------------------------------------------

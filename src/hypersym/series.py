@@ -20,6 +20,7 @@ product rule across body and prefactor is implemented exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -295,16 +296,35 @@ class MultiSeries:
     # -- evaluation / rendering --------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation of the truncated polynomial at rational point."""
-        total = Q(0)
+        """Exact evaluation of the truncated polynomial at rational point.
+
+        The sum runs over integers on one common denominator: the lcm of the
+        coefficient denominators times each coordinate's denominator raised
+        to its cap.  Only the final quotient is reduced.
+        """
         vals = [as_rational(point[v]) for v in self.variables]
+        if not self.terms:
+            return Q(0)
+        common = math.lcm(*(c.denominator for c in self.terms.values()))
+        denominator = common
+        # powers[i][e] = p^e * q^(cap - e) for the coordinate p/q of variable i
+        powers = []
+        for val, cap in zip(vals, self.caps):
+            p, q = val.numerator, val.denominator
+            p_pows = [1]
+            q_pows = [1]
+            for _ in range(cap):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            powers.append([p_pows[e] * q_pows[cap - e] for e in range(cap + 1)])
+            denominator *= q_pows[cap]
+        total = 0
         for exps, c in self.terms.items():
-            term = c
-            for val, e in zip(vals, exps):
-                if e:
-                    term *= val ** e
+            term = c.numerator * (common // c.denominator)
+            for row, e in zip(powers, exps):
+                term *= row[e]
             total += term
-        return total
+        return Fraction(total, denominator)
 
     def render(self) -> str:
         """Canonical text form: graded-lex term order, exact rationals."""
@@ -327,18 +347,6 @@ class MultiSeries:
             else:
                 parts.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(parts)
-
-
-def add(s1: MultiSeries, s2: MultiSeries) -> MultiSeries:
-    return s1 + s2
-
-
-def mul(s1: MultiSeries, s2: MultiSeries) -> MultiSeries:
-    return s1 * s2
-
-
-def derivative(s: MultiSeries, v: str) -> MultiSeries:
-    return s.derivative(v)
 
 
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:

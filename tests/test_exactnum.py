@@ -5,7 +5,6 @@ import pytest
 
 from hypersym.exactnum import (
     DegenerateParameter,
-    basis_constant_ratio,
     gamma_shift_ratio,
     parse_rational,
     pochhammer,
@@ -64,27 +63,6 @@ def test_gamma_shift_ratio_rejects_poles():
         gamma_shift_ratio(Q(0), 1)
     with pytest.raises(DegenerateParameter):
         gamma_shift_ratio(Q(3), -5)  # lands on -2
-
-
-def test_basis_constant_ratio_identity():
-    assert basis_constant_ratio(Q(1, 2), Q(4, 3), 0, 0) == 1
-
-
-def test_basis_constant_ratio_raise_a():
-    # a/(b-a-1) at (1/2, 4/3), cross-checked by direct Pochhammer expansion
-    a, b = Q(1, 2), Q(4, 3)
-    assert basis_constant_ratio(a, b, 1, 0) == a / (b - a - 1) == -3
-
-
-def test_basis_constant_ratio_raise_ab():
-    a, b = Q(1, 2), Q(4, 3)
-    assert basis_constant_ratio(a, b, 1, 1) == a / b == Q(3, 8)
-
-
-def test_basis_constant_ratio_propagates_degeneracy():
-    # b - a = 1 makes the unshifted constant's gamma argument hit a pole
-    with pytest.raises(DegenerateParameter):
-        basis_constant_ratio(Q(1), Q(2), -1, 0)
 
 
 def test_parse_rational():

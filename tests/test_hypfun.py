@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypersym.exactnum import DegenerateParameter, pochhammer
+from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
 from hypersym.hypfun import (
     NoConvergence,
     Params1F1,
@@ -16,6 +18,7 @@ from hypersym.hypfun import (
     f11_eval_float,
     f11_series,
     psi2_3var_series,
+    psi2_compose,
     psi2_eval_exact,
     psi2_eval_float,
     psi2_series,
@@ -28,6 +31,104 @@ POINTS = [
     Params1F1(Q(3, 2), Q(7, 3)),
     Params1F1(Q(2, 5), Q(9, 4)),
 ]
+
+# Top parameters include non-positive integers, where the series terminate;
+# bottom parameters avoid them, as the parameter classes require.
+TOP = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    st.integers(min_value=-5, max_value=0).map(Q),
+)
+BOTTOM = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(
+    lambda q: not (q.denominator == 1 and q <= 0)
+)
+ORDER = st.integers(min_value=0, max_value=6)
+KERNEL = settings(max_examples=40, deadline=None)
+
+
+def f11_formula(p, s):
+    return pochhammer(p.a, s) / (factorial(s) * pochhammer(p.b, s))
+
+
+def psi2_formula(p, m, n, l=0):
+    return pochhammer(p.a, l + m + n) / (
+        factorial(l) * factorial(m) * factorial(n)
+        * pochhammer(p.b, m) * pochhammer(p.c, n)
+    )
+
+
+class TestTermRatioKernel:
+    """Every coefficient the running products build equals the closed
+    Pochhammer form at every index of the grid."""
+
+    @KERNEL
+    @given(TOP, BOTTOM, st.integers(min_value=0, max_value=12))
+    def test_f11_series(self, a, b, order):
+        p = Params1F1(a, b)
+        s = f11_series(p, order, var="t")
+        assert s.cap_map() == {"t": order}
+        for k in range(order + 1):
+            assert s.coefficient({"t": k}) == f11_formula(p, k)
+
+    @KERNEL
+    @given(TOP, BOTTOM, BOTTOM, ORDER, ORDER)
+    def test_psi2_series(self, a, b, c, mx, my):
+        p = ParamsPsi2(a, b, c)
+        s = psi2_series(p, mx, my)
+        for m in range(mx + 1):
+            for n in range(my + 1):
+                assert s.coefficient({"x": m, "y": n}) == psi2_formula(p, m, n)
+
+    @KERNEL
+    @given(TOP, BOTTOM, BOTTOM, ORDER, ORDER, ORDER)
+    def test_psi2_3var_series(self, a, b, c, mx, my, mz):
+        p = ParamsPsi2(a, b, c)
+        s = psi2_3var_series(p, mx, my, mz)
+        for l in range(mz + 1):
+            for m in range(mx + 1):
+                for n in range(my + 1):
+                    got = s.coefficient({"x": m, "y": n, "z": l})
+                    assert got == psi2_formula(p, m, n, l)
+
+    def test_terminating_series(self):
+        # a = -3: every coefficient past total degree 3 vanishes
+        p = ParamsPsi2(-3, Q(4, 3), Q(5, 7))
+        s = psi2_3var_series(p, 4, 4, 4)
+        assert max(sum(e) for e in s.terms) == 3
+        for (m, n, l), coeff in s.terms.items():
+            assert coeff == psi2_formula(p, m, n, l)
+        assert f11_series(Params1F1(0, Q(1, 2)), 5) == MultiSeries.constant(1, {"x": 5})
+
+    def test_swapped_variable_names(self):
+        # x-slot (parameter b, cap 3) named y; y-slot (parameter c, cap 5) named x
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        s = psi2_series(p, 3, 5, var_x="y", var_y="x")
+        assert s.variables == ("x", "y")
+        assert s.cap_map() == {"y": 3, "x": 5}
+        for m in range(4):
+            for n in range(6):
+                assert s.coefficient({"y": m, "x": n}) == psi2_formula(p, m, n)
+
+    def test_renamed_third_variable(self):
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        s = psi2_3var_series(p, 2, 3, 4, var_z="chi")
+        assert s.variables == ("chi", "x", "y")
+        assert s.cap_map() == {"x": 2, "y": 3, "chi": 4}
+        for l in range(5):
+            for m in range(3):
+                for n in range(4):
+                    got = s.coefficient({"x": m, "y": n, "chi": l})
+                    assert got == psi2_formula(p, m, n, l)
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(-2)])
+    def test_float_orders_match_formula_sum(self, a):
+        p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
+        x, y = 0.5, -0.75
+        naive = sum(
+            float(psi2_formula(p, m, n)) * x**m * y**n
+            for m in range(7)
+            for n in range(9)
+        )
+        assert psi2_eval_float(p, x, y, orders=(6, 8)) == pytest.approx(naive, rel=1e-14)
 
 
 class TestParams:
@@ -206,6 +307,38 @@ class TestCompose:
         bad = MultiSeries.constant(1, {"x": 3})
         with pytest.raises(ValueError):
             f11_compose(p, bad)
+
+    @staticmethod
+    def _arguments():
+        caps = {"chi": 3, "x": 4}
+        x = MultiSeries.variable("x", caps)
+        chi = MultiSeries.variable("chi", caps)
+        return caps, x + chi.scale(Q(2, 3)), (x * chi + chi).scale(Q(-5, 4))
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(-7, 3), Q(-2)])
+    def test_f11_compose_matches_naive(self, a):
+        p = Params1F1(a, Q(4, 3))
+        caps, u, _ = self._arguments()
+        naive = MultiSeries.zero(caps)
+        for s in range(sum(caps.values()) + 1):
+            naive = naive + u.pow_int(s).scale(f11_formula(p, s))
+        assert f11_compose(p, u) == naive
+        assert f11_compose(p, u, max_power=2) == (
+            MultiSeries.constant(1, caps) + u.scale(f11_formula(p, 1))
+            + (u * u).scale(f11_formula(p, 2))
+        )
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(-7, 3), Q(-2)])
+    def test_psi2_compose_matches_naive(self, a):
+        p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
+        caps, u, v = self._arguments()
+        bound = sum(caps.values())
+        naive = MultiSeries.zero(caps)
+        for m in range(bound + 1):
+            for n in range(bound + 1):
+                term = u.pow_int(m) * v.pow_int(n)
+                naive = naive + term.scale(psi2_formula(p, m, n))
+        assert psi2_compose(p, u, v) == naive
 
 
 class TestRecursions:

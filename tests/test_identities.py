@@ -56,6 +56,12 @@ class TestCatalogue:
         with pytest.raises(KeyError):
             get_record("I-NOPE")
 
+    def test_built_once(self):
+        cat = catalogue()
+        assert isinstance(cat, tuple)
+        assert catalogue() is cat
+        assert all(get_record(r.rec_id) is r for r in cat)
+
     def test_chi0_consistency_every_record_and_variant(self):
         # at deformation order zero both sides are the undeformed function
         for rec in catalogue():

@@ -18,6 +18,7 @@ from hypersym.liealg import (
     family_operator_ids,
     flow_check,
     flow_spec,
+    flow_suite,
     realize,
     verify_action,
 )
@@ -311,3 +312,14 @@ class TestFlows:
         dev = flow_check(spec, START, 0.1, 1e-3)
         assert dev <= 1e-10
         assert spec.multiplier_text == "u/(u+alpha)"
+
+    def test_suite_applies_tolerance(self):
+        # a coarse step leaves deviations near 1e-5 on some flows: finite,
+        # but above the default tolerance of 1e-8
+        rows = flow_suite(START, 0.1, 0.05)
+        failed = [r for r in rows if r["status"] == "FAIL"]
+        assert failed
+        assert all(r["max_deviation"] > 1e-8 for r in failed)
+        assert all(r["max_deviation"] <= 1e-8 for r in rows if r["status"] == "PASS")
+        loose = flow_suite(START, 0.1, 0.05, tol=1e-3)
+        assert all(r["status"] == "PASS" for r in loose)

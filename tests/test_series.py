@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersym.series import (
     CapMismatch,
@@ -302,6 +304,61 @@ class TestShapeOps:
         # vars sorted (x, y): x + 2y + (1/3) x^2 y
         s = ms({"x": 2, "y": 1}, {(1, 0): 1, (0, 1): 2, (2, 1): Q(1, 3)})
         assert s.evaluate({"x": Q(1, 2), "y": Q(3)}) == Q(1, 2) + 6 + Q(1, 4)
+
+
+def naive_evaluate(s, point):
+    total = Q(0)
+    for exps, c in s.terms.items():
+        term = c
+        for v, e in zip(s.variables, exps):
+            term *= Q(point[v]) ** e
+        total += term
+    return total
+
+
+COORD = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+class TestEvaluate:
+    """The common-denominator integer sum equals a plain Fraction sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3),
+        st.lists(COORD, min_size=3, max_size=3),
+        st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_matches_naive_sum(self, seed, cap_list, coords, density):
+        names = ("chi", "x", "y")[: len(cap_list)]
+        caps = dict(zip(names, cap_list))
+        s = random_series(random.Random(seed), caps, density)
+        point = dict(zip(names, coords))
+        value = s.evaluate(point)
+        assert isinstance(value, Q)
+        assert value == naive_evaluate(s, point)
+
+    def test_empty_series(self):
+        assert MultiSeries.zero({"x": 3, "y": 0}).evaluate({"x": Q(-2, 3), "y": 5}) == 0
+
+    def test_caps_zero(self):
+        s = ms({"x": 0, "y": 0}, {(0, 0): Q(-7, 4)})
+        assert s.evaluate({"x": Q(9, 2), "y": Q(-1, 3)}) == Q(-7, 4)
+
+    def test_zero_and_negative_coordinates(self):
+        s = ms({"x": 3, "y": 2}, {(0, 0): 1, (3, 0): Q(1, 6), (1, 2): Q(-5, 9)})
+        assert s.evaluate({"x": Q(0), "y": Q(-2, 3)}) == 1
+        point = {"x": Q(-3, 2), "y": Q(-2, 3)}
+        assert s.evaluate(point) == 1 + Q(1, 6) * Q(-27, 8) + Q(-5, 9) * Q(-3, 2) * Q(4, 9)
+        assert s.evaluate(point) == naive_evaluate(s, point)
+
+    def test_integer_and_string_coordinates(self):
+        s = ms({"x": 2}, {(1,): Q(1, 2), (2,): 3})
+        assert s.evaluate({"x": 2}) == 13
+        assert s.evaluate({"x": "1/3"}) == Q(1, 6) + Q(1, 3)
 
 
 class TestIntegerPower:
