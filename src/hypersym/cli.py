@@ -7,7 +7,8 @@ All math lives in the library modules; this file only parses arguments,
 dispatches, and formats.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
-configuration error.
+configuration error, including flow settings that meet a singular flow
+denominator.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .identities import (
 from .liealg import (
     FLOW_IDS,
     OPERATOR_NOTES,
+    SingularFlow,
     action_suite,
     build_catalogue,
     commutator_suite,
@@ -399,7 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (SystemExit2, ValueError, KeyError, DegenerateParameter, OSError) as exc:
+    except (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergence as exc:

@@ -1,4 +1,4 @@
-"""Exact rational scalars, Pochhammer symbols and gamma-shift ratios.
+"""Exact rational scalars and Pochhammer symbols.
 
 Every coefficient in the engine is a ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms with positive denominator), so equality
@@ -67,21 +67,4 @@ def factorial(s: int) -> int:
     for k in range(2, s + 1):
         out *= k
     return out
-
-
-def gamma_shift_ratio(a, k: int) -> Fraction:
-    """Ratio of gamma at a+k to gamma at a, as an exact rational.
-
-    Equals ``pochhammer(a, k)`` for k >= 0 and ``1/pochhammer(a+k, -k)`` for
-    k < 0.  Both endpoints must avoid non-positive integers, where the ratio
-    would be zero or infinite.
-    """
-    a = as_rational(a)
-    if is_nonpositive_integer(a) or is_nonpositive_integer(a + k):
-        raise DegenerateParameter(
-            f"gamma ratio undefined between {a} and {a + k}"
-        )
-    if k >= 0:
-        return pochhammer(a, k)
-    return 1 / pochhammer(a + k, -k)
 

@@ -34,7 +34,7 @@ from .exactnum import (
     is_nonpositive_integer,
     pochhammer,
 )
-from .series import MultiSeries
+from .series import MultiSeries, linear_combination
 
 DEFAULT_TERM_CAP = 10000
 
@@ -146,9 +146,11 @@ def _horn_series(
     a: Fraction, axes: Mapping[str, tuple[int, tuple[Fraction, ...]]]
 ) -> MultiSeries:
     """Horn series with named indices; exponent tuples follow sorted names."""
-    names = sorted(axes)
-    caps = {v: axes[v][0] for v in names}
-    return MultiSeries(caps, _horn_coefficients(a, [axes[v] for v in names]))
+    names = tuple(sorted(axes))
+    caps = tuple(axes[v][0] for v in names)
+    if any(cap < 0 for cap in caps):
+        raise ValueError("negative series order")
+    return MultiSeries._trusted(names, caps, _horn_coefficients(a, [axes[v] for v in names]))
 
 
 # -- one-argument series -----------------------------------------------------
@@ -317,16 +319,19 @@ def f11_compose(p: Params1F1, argument: MultiSeries, max_power: int | None = Non
     if max_power is None:
         max_power = sum(caps.values())
     coeffs = _horn_coefficients(p.a, [(max_power, (p.b,))])
-    out = MultiSeries.constant(1, caps)
-    power = MultiSeries.constant(1, caps)
-    for s in range(1, max_power + 1):
-        if (s,) not in coeffs:
-            break  # a is a non-positive integer: every later coefficient is 0
-        power = power * argument
-        if power.is_zero():
-            break
-        out = out + power.scale(coeffs[(s,)])
-    return out
+
+    def terms():
+        power = MultiSeries.constant(1, caps)
+        yield 1, power
+        for s in range(1, max_power + 1):
+            if (s,) not in coeffs:
+                return  # a is a non-positive integer: every later coefficient is 0
+            power = power * argument
+            if power.is_zero():
+                return
+            yield coeffs[(s,)], power
+
+    return linear_combination(caps, terms())
 
 
 def psi2_compose(
@@ -357,13 +362,9 @@ def psi2_compose(
     coeffs = _horn_coefficients(
         p.a, [(len(x_powers) - 1, (p.b,)), (len(y_powers) - 1, (p.c,))]
     )
-    out = MultiSeries.zero(caps)
-    for (m, n), coeff in coeffs.items():
-        prod = x_powers[m] * y_powers[n]
-        if prod.is_zero():
-            continue
-        out = out + prod.scale(coeff)
-    return out
+    return linear_combination(
+        caps, ((coeff, x_powers[m] * y_powers[n]) for (m, n), coeff in coeffs.items())
+    )
 
 
 # -- differential recursion relations -----------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 from . import __version__ as ENGINE_VERSION
 from .exactnum import factorial, pochhammer
 from .hypfun import (
+    NoConvergence,
     Params1F1,
     ParamsPsi2,
     f11_compose,
@@ -40,7 +41,7 @@ from .hypfun import (
     psi2_eval_float,
     psi2_series,
 )
-from .series import MultiSeries, exp_series, pow_rational
+from .series import MultiSeries, exp_series, linear_combination, pow_rational
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
@@ -103,12 +104,11 @@ def _f11_sum(
     shift: Callable[[Params1F1, int], Params1F1],
 ) -> MultiSeries:
     """sum_l coeff(l) * series(shifted params)(x) * chi^l at the caps."""
-    out = MultiSeries.zero(caps)
-    for l in range(caps["chi"] + 1):
-        pl = shift(p, l)
-        base = f11_series(pl, caps["x"]).extend({"chi": caps["chi"]})
-        out = out + base.shift("chi", l).scale(coeff(p, l))
-    return out
+    chi = caps["chi"]
+    return linear_combination(caps, (
+        (coeff(p, l), f11_series(shift(p, l), caps["x"]).extend({"chi": chi}).shift("chi", l))
+        for l in range(chi + 1)
+    ))
 
 
 def _psi2_sum(
@@ -117,12 +117,12 @@ def _psi2_sum(
     coeff: Callable[[ParamsPsi2, int], Fraction],
     shift: Callable[[ParamsPsi2, int], ParamsPsi2],
 ) -> MultiSeries:
-    out = MultiSeries.zero(caps)
-    for l in range(caps["chi"] + 1):
-        pl = shift(p, l)
-        base = psi2_series(pl, caps["x"], caps["y"]).extend({"chi": caps["chi"]})
-        out = out + base.shift("chi", l).scale(coeff(p, l))
-    return out
+    chi = caps["chi"]
+    return linear_combination(caps, (
+        (coeff(p, l),
+         psi2_series(shift(p, l), caps["x"], caps["y"]).extend({"chi": chi}).shift("chi", l))
+        for l in range(chi + 1)
+    ))
 
 
 def _numeric_l_sum(
@@ -135,7 +135,7 @@ def _numeric_l_sum(
     max_terms: int = 400,
 ) -> float:
     """Floating l-sum with the same two-small-terms stopping rule used by
-    the series evaluators."""
+    the series evaluators; raises NoConvergence after ``max_terms`` terms."""
     total = 0.0
     small_streak = 0
     for l in range(max_terms):
@@ -147,7 +147,7 @@ def _numeric_l_sum(
             small_streak = 0
         if small_streak >= 2 and l >= 6:
             return total
-    return total
+    raise NoConvergence(f"chi-sum not converged in {max_terms} terms at chi={chi}")
 
 
 # -- record type -----------------------------------------------------------------

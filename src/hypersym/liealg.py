@@ -747,6 +747,9 @@ def _flow_specs() -> dict[str, FlowSpec]:
 
 FLOW_IDS = tuple(_flow_specs())
 
+# The coordinates the catalogued flows read from their start point.
+FLOW_COORDINATES = ("x", "y", "z", "u", "t")
+
 
 def flow_spec(op_id: str) -> FlowSpec:
     try:
@@ -816,7 +819,14 @@ def flow_suite(
     h: float = 1e-3,
     tol: float = 1e-8,
 ) -> list[dict]:
-    """One row per catalogued flow; PASS needs a finite deviation <= tol."""
+    """One row per catalogued flow; PASS needs a finite deviation <= tol.
+
+    Raises ValueError when ``start`` lacks a flow coordinate, and
+    SingularFlow when a flow meets a vanishing denominator.
+    """
+    missing = [v for v in FLOW_COORDINATES if v not in start]
+    if missing:
+        raise ValueError(f"flow start point lacks coordinates {', '.join(missing)}")
     rows = []
     for op_id in FLOW_IDS:
         spec = flow_spec(op_id)

@@ -13,6 +13,16 @@ Per-variable caps (rather than a total-degree cap) matter because the
 verification workloads pair a deformation order in one variable with an
 independent inner order in the others.
 
+The public constructor ``MultiSeries(caps, terms)`` is the entry point for
+outside input: it coerces every coefficient, rejects malformed exponent
+tuples and drops zero and over-cap terms.  Ring and reshape operations build
+their results with the private ``MultiSeries._trusted``, which takes terms
+that are clean by construction and checks nothing.  ``linear_combination``
+builds a sum of scaled series in one dict instead of copying a growing sum
+at every step, and the product scales each operand to integer numerators
+over the lcm of its denominators, so the Cauchy sum runs on integers and
+each output coefficient is one reduced ``Fraction``.
+
 :class:`PrefactorSeries` attaches a monomial prefactor with exact rational
 exponents (e.g. ``y^a z^b`` for non-integer a, b) to a body series; the
 product rule across body and prefactor is implemented exactly.
@@ -21,8 +31,9 @@ product rule across body and prefactor is implemented exactly.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .exactnum import Q, as_rational, factorial
 
@@ -77,6 +88,24 @@ class MultiSeries:
                 if c != 0:
                     cleaned[exps] = c
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(
+        cls,
+        variables: tuple[str, ...],
+        caps: tuple[int, ...],
+        terms: dict[tuple[int, ...], Fraction],
+    ) -> "MultiSeries":
+        """Series from sorted variables, their caps and clean terms.
+
+        Nothing is checked or copied: every key must be an int tuple inside
+        the caps and every value a nonzero ``Fraction``.
+        """
+        s = object.__new__(cls)
+        s.variables = variables
+        s.caps = caps
+        s.terms = terms
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -166,42 +195,56 @@ class MultiSeries:
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Q(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
+            s = out.get(exps)
+            if s is None:
+                out[exps] = c
+                continue
+            s += c
+            if s:
                 out[exps] = s
-        return MultiSeries(self.cap_map(), out)
+            else:
+                del out[exps]
+        return MultiSeries._trusted(self.variables, self.caps, out)
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries(self.cap_map(), {e: -c for e, c in self.terms.items()})
+        return MultiSeries._trusted(
+            self.variables, self.caps, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self + (-other)
 
     def scale(self, k) -> "MultiSeries":
         k = as_rational(k)
-        if k == 0:
-            return MultiSeries.zero(self.cap_map())
-        return MultiSeries(self.cap_map(), {e: c * k for e, c in self.terms.items()})
+        terms = {e: c * k for e, c in self.terms.items()} if k else {}
+        return MultiSeries._trusted(self.variables, self.caps, terms)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
+        """Truncated Cauchy product, summed on integer numerators.
+
+        Each operand is written as integer numerators over the lcm of its
+        denominators; the pair products are accumulated as integers and each
+        output coefficient is one ``Fraction(sum, da * db)``, which reduces
+        to the same value the ``Fraction`` sum would give.
+        """
         self._check_compatible(other)
         caps = self.caps
-        out: dict[tuple[int, ...], Fraction] = {}
         # Iterate the smaller operand outermost: sparse-friendly.
         a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
+        da = math.lcm(*(c.denominator for c in a.values()))
+        db = math.lcm(*(c.denominator for c in b.values()))
+        b_ints = [(e2, c2.numerator * (db // c2.denominator)) for e2, c2 in b.items()]
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exps = tuple(i + j for i, j in zip(e1, e2))
-                if any(e > c for e, c in zip(exps, caps)):
-                    continue
-                s = out.get(exps, Q(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return MultiSeries(self.cap_map(), out)
+            n1 = c1.numerator * (da // c1.denominator)
+            room = tuple(map(operator.sub, caps, e1))
+            for e2, n2 in b_ints:
+                if all(map(operator.le, e2, room)):
+                    exps = tuple(map(operator.add, e1, e2))
+                    out[exps] = out.get(exps, 0) + n1 * n2
+        d = da * db
+        terms = {e: Fraction(v, d) for e, v in out.items() if v}
+        return MultiSeries._trusted(self.variables, caps, terms)
 
     def pow_int(self, n: int) -> "MultiSeries":
         if n < 0:
@@ -228,7 +271,7 @@ class MultiSeries:
             if e > self.caps[i]:
                 continue
             out[exps[:i] + (e,) + exps[i + 1:]] = c
-        return MultiSeries(self.cap_map(), out)
+        return MultiSeries._trusted(self.variables, self.caps, out)
 
     def derivative(self, v: str) -> "MultiSeries":
         """Formal partial derivative; the cap of v drops by one because the
@@ -237,24 +280,27 @@ class MultiSeries:
         if v not in self.variables:
             raise UnknownVariable(v)
         i = self.variables.index(v)
-        caps = self.cap_map()
-        caps[v] = max(caps[v] - 1, 0)
+        caps = self.caps[:i] + (max(self.caps[i] - 1, 0),) + self.caps[i + 1:]
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
             out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-        return MultiSeries(caps, out)
+        return MultiSeries._trusted(self.variables, caps, out)
 
     # -- shape changes -----------------------------------------------------
 
     def truncate(self, caps: Mapping[str, int]) -> "MultiSeries":
         """Restrict to (possibly lower) caps; variable set must agree."""
-        names, _ = _normalize_caps(caps)
+        names, degs = _normalize_caps(caps)
         if names != self.variables:
             raise CapMismatch("truncate cannot change the variable set")
-        return MultiSeries(caps, self.terms)
+        terms = {
+            exps: c for exps, c in self.terms.items()
+            if all(map(operator.le, exps, degs))
+        }
+        return MultiSeries._trusted(names, degs, terms)
 
     def extend(self, extra_caps: Mapping[str, int]) -> "MultiSeries":
         """Embed into a larger variable set; new variables get degree 0."""
@@ -265,7 +311,7 @@ class MultiSeries:
                     raise CapMismatch(f"conflicting cap for {name!r}")
             else:
                 caps[name] = c
-        new_names = tuple(sorted(caps))
+        new_names, new_caps = _normalize_caps(caps)
         idx = [new_names.index(v) for v in self.variables]
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
@@ -273,7 +319,7 @@ class MultiSeries:
             for pos, e in zip(idx, exps):
                 full[pos] = e
             out[tuple(full)] = c
-        return MultiSeries(caps, out)
+        return MultiSeries._trusted(new_names, new_caps, out)
 
     def rename(self, old: str, new: str) -> "MultiSeries":
         if old not in self.variables:
@@ -291,7 +337,7 @@ class MultiSeries:
             for pos, e in zip(mapping, exps):
                 full[pos] = e
             out[tuple(full)] = c
-        return MultiSeries(caps, out)
+        return MultiSeries._trusted(new_names, tuple(caps[v] for v in new_names), out)
 
     # -- evaluation / rendering --------------------------------------------
 
@@ -349,6 +395,28 @@ class MultiSeries:
         return " ".join(parts)
 
 
+def linear_combination(
+    caps: Mapping[str, int], pairs: Iterable[tuple[object, MultiSeries]]
+) -> MultiSeries:
+    """The sum of k * s over ``(k, s)`` pairs, accumulated in one dict.
+
+    Every series must carry exactly ``caps``.  ``pairs`` is consumed lazily,
+    so a generator keeps only one summand alive at a time.
+    """
+    variables, degs = _normalize_caps(caps)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k, s in pairs:
+        if s.variables != variables or s.caps != degs:
+            raise CapMismatch(f"{dict(zip(variables, degs))} vs {s.cap_map()}")
+        k = as_rational(k)
+        if not k:
+            continue
+        for exps, c in s.terms.items():
+            old = out.get(exps)
+            out[exps] = c * k if old is None else old + c * k
+    return MultiSeries._trusted(variables, degs, {e: c for e, c in out.items() if c})
+
+
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
     """Generalized binomial power (1 + u)^gamma where u = s - 1.
 
@@ -359,21 +427,25 @@ def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
     if s.constant_term() != 1:
         raise NonUnitConstantTerm("pow_rational needs constant term 1")
     caps = s.cap_map()
-    u = s - MultiSeries.constant(1, caps)
-    out = MultiSeries.constant(1, caps)
-    power = MultiSeries.constant(1, caps)
-    binom = Q(1)
-    k = 0
-    while True:
-        power = power * u
-        if power.is_zero():
-            break
-        k += 1
-        binom *= (gamma - (k - 1)) / k
-        if binom == 0:
-            break  # gamma is a nonnegative integer: expansion terminates
-        out = out + power.scale(binom)
-    return out
+    one = MultiSeries.constant(1, caps)
+    u = s - one
+
+    def binomial_terms():
+        yield 1, one
+        power = one
+        binom = Q(1)
+        k = 0
+        while True:
+            power = power * u
+            if power.is_zero():
+                return
+            k += 1
+            binom *= (gamma - (k - 1)) / k
+            if binom == 0:
+                return  # gamma is a nonnegative integer: expansion terminates
+            yield binom, power
+
+    return linear_combination(caps, binomial_terms())
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
@@ -381,31 +453,19 @@ def exp_series(s: MultiSeries) -> MultiSeries:
     if s.constant_term() != 0:
         raise NonZeroConstantTerm("exp_series needs zero constant term")
     caps = s.cap_map()
-    out = MultiSeries.constant(1, caps)
-    power = MultiSeries.constant(1, caps)
-    k = 0
-    while True:
-        power = power * s
-        if power.is_zero():
-            break
-        k += 1
-        out = out + power.scale(Q(1, factorial(k)))
-    return out
 
+    def exponential_terms():
+        power = MultiSeries.constant(1, caps)
+        yield 1, power
+        k = 0
+        while True:
+            power = power * s
+            if power.is_zero():
+                return
+            k += 1
+            yield Q(1, factorial(k)), power
 
-def geometric_substitute(v: str, w: str, factor: MultiSeries) -> MultiSeries:
-    """The series v / factor, with the reciprocal taken geometrically.
-
-    ``factor`` must contain both v and the deformation variable w and have
-    constant term 1; the result carries factor's caps.
-    """
-    if v not in factor.variables:
-        raise UnknownVariable(v)
-    if w not in factor.variables:
-        raise UnknownVariable(w)
-    if factor.constant_term() != 1:
-        raise NonUnitConstantTerm("geometric_substitute needs constant term 1")
-    return pow_rational(factor, -1).shift(v, 1)
+    return linear_combination(caps, exponential_terms())
 
 
 class PrefactorSeries:
@@ -514,15 +574,8 @@ class PrefactorSeries:
                 for exps, c in self.body.terms.items()
                 if exps[i] + alpha != 0
             }
-            body = MultiSeries(self.body.cap_map(), terms)
+            body = MultiSeries._trusted(self.body.variables, self.body.caps, terms)
         else:
             body = self.body.scale(alpha)
         return PrefactorSeries(body, pf)
 
-
-def prefactor_multiply(p: PrefactorSeries, v: str, k) -> PrefactorSeries:
-    return p.multiply_prefactor(v, k)
-
-
-def prefactor_derivative(p: PrefactorSeries, v: str) -> PrefactorSeries:
-    return p.derivative(v)

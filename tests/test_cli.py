@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from hypersym.identities import strip_timing
 
@@ -114,20 +117,52 @@ class TestVerify:
         r = run_cli("verify", "--scope", "recursions", "--points", "0.5,4/3,5/7")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("--alpha", "1"),
+        ("--start", "x=1,y=0,z=3,u=1/2,t=1/3"),
+    ], ids=["alpha-reaches-pole", "start-on-pole"])
+    def test_singular_flow_exits_2(self, tmp_path, args):
+        r = run_cli("verify", "--scope", "flows", *args, "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and "denominator within margin" in r.stderr
+
+    def test_partial_start_names_missing_coordinates(self, tmp_path):
+        r = run_cli("verify", "--scope", "flows", "--start", "x=1,y=0", "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.strip() == "error: flow start point lacks coordinates z, u, t"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def assert_reports_match_golden(tmp_path, name, stem, *args):
+    """Two runs agree with each other and with the stripped reports in golden/."""
+    runs = []
+    for run in ("runA", "runB"):
+        r = run_cli("verify", *args, "--out", str(tmp_path / run))
+        assert r.returncode == 0, r.stderr
+        runs.append((
+            strip_timing((tmp_path / run / f"{stem}.json").read_text()),
+            (tmp_path / run / f"{stem}.md").read_text(),
+        ))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (GOLDEN / f"{name}.json").read_text()
+    assert runs[0][1] == (GOLDEN / f"{name}.md").read_text()
+
 
 class TestDeterminism:
     def test_scope_all_byte_identical_modulo_timing(self, tmp_path):
-        r1 = run_cli("verify", "--scope", "all", "--mode", "both",
-                     "--out", str(tmp_path / "runA"))
-        r2 = run_cli("verify", "--scope", "all", "--mode", "both",
-                     "--out", str(tmp_path / "runB"))
-        assert r1.returncode == 0 and r2.returncode == 0
-        a = strip_timing((tmp_path / "runA" / "verify_all.json").read_text())
-        b = strip_timing((tmp_path / "runB" / "verify_all.json").read_text())
-        assert a == b
-        am = (tmp_path / "runA" / "verify_all.md").read_text()
-        bm = (tmp_path / "runB" / "verify_all.md").read_text()
-        assert am == bm
+        assert_reports_match_golden(
+            tmp_path, "all_both", "verify_all", "--scope", "all", "--mode", "both"
+        )
+
+    def test_identities_deep_byte_identical_modulo_timing(self, tmp_path):
+        assert_reports_match_golden(
+            tmp_path, "identities_deep", "verify_identities",
+            "--scope", "identities", "--mode", "formal",
+            "--orders-f11", "8,16", "--orders-psi2", "5,8",
+        )
 
 
 class TestCatalogueCommand:

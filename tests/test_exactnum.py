@@ -3,12 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypersym.exactnum import (
-    DegenerateParameter,
-    gamma_shift_ratio,
-    parse_rational,
-    pochhammer,
-)
+from hypersym.exactnum import parse_rational, pochhammer
 
 
 def test_pochhammer_empty_product():
@@ -36,33 +31,6 @@ def test_pochhammer_splitting():
         l = rng.randint(0, 8)
         s = rng.randint(0, 8)
         assert pochhammer(a, l) * pochhammer(a + l, s) == pochhammer(a, l + s)
-
-
-def test_gamma_shift_ratio_values():
-    assert gamma_shift_ratio(Q(5, 2), 0) == 1
-    assert gamma_shift_ratio(Q(1, 2), 2) == Q(1, 2) * Q(3, 2) == Q(3, 4)
-    assert gamma_shift_ratio(Q(1, 2), -1) == 1 / Q(-1, 2) == -2
-
-
-def test_gamma_shift_ratio_composition():
-    rng = random.Random(3)
-    for _ in range(30):
-        a = Q(rng.randint(1, 30), rng.randint(2, 9))
-        j = rng.randint(-4, 4)
-        k = rng.randint(-4, 4)
-        try:
-            lhs = gamma_shift_ratio(a, j) * gamma_shift_ratio(a + j, k)
-            rhs = gamma_shift_ratio(a, j + k)
-        except DegenerateParameter:
-            continue
-        assert lhs == rhs
-
-
-def test_gamma_shift_ratio_rejects_poles():
-    with pytest.raises(DegenerateParameter):
-        gamma_shift_ratio(Q(0), 1)
-    with pytest.raises(DegenerateParameter):
-        gamma_shift_ratio(Q(3), -5)  # lands on -2
 
 
 def test_parse_rational():

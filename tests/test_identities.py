@@ -4,7 +4,14 @@ from fractions import Fraction as Q
 import pytest
 
 from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
-from hypersym.hypfun import Params1F1, ParamsPsi2, f11_coeff, f11_series, psi2_series
+from hypersym.hypfun import (
+    NoConvergence,
+    Params1F1,
+    ParamsPsi2,
+    f11_coeff,
+    f11_series,
+    psi2_series,
+)
 from hypersym.identities import (
     AS_STATED,
     CORRECTED,
@@ -12,6 +19,7 @@ from hypersym.identities import (
     DomainViolation,
     IdentityRecord,
     SuiteFailure,
+    _numeric_l_sum,
     catalogue,
     default_param_points,
     get_record,
@@ -209,6 +217,17 @@ class TestVerifyNumeric:
         assert row["status"] == "mismatch"
         fixed = verify_numeric(rec_id, CORRECTED, P, 0.25, 1e-8)
         assert fixed["status"] == "verified"
+
+    def test_chi_sum_converges(self):
+        # sum_l chi^l = 1 / (1 - chi)
+        value = _numeric_l_sum(lambda p, l: Q(1), lambda p, l: p, lambda q: 1.0, P, 0.5, 1e-12)
+        assert abs(value - 2.0) <= 1e-11
+
+    def test_chi_sum_raises_at_the_term_cap(self):
+        with pytest.raises(NoConvergence):
+            _numeric_l_sum(
+                lambda p, l: Q(1), lambda p, l: p, lambda q: 1.0, P, 0.5, 1e-12, max_terms=20
+            )
 
 
 class TestRunSuite:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series, psi2_series
 from hypersym.series import (
     CapMismatch,
     MultiSeries,
@@ -13,10 +14,8 @@ from hypersym.series import (
     PrefactorSeries,
     UnknownVariable,
     exp_series,
-    geometric_substitute,
+    linear_combination,
     pow_rational,
-    prefactor_derivative,
-    prefactor_multiply,
 )
 
 
@@ -158,6 +157,34 @@ class TestPowRational:
             assert pow_rational(base, n) == acc
             acc = acc * base
 
+    # x / factor: the reciprocal of a two-variable factor, shifted by x.
+
+    def test_simple_geometric(self):
+        factor = ms({"x": 1, "chi": 2}, {(0, 0): 1, (1, 0): -1})
+        out = pow_rational(factor, -1).shift("x", 1)
+        assert out == ms({"x": 1, "chi": 2}, {(0, 1): 1, (1, 1): 1, (2, 1): 1})
+
+    def test_unit_factor(self):
+        factor = MultiSeries.constant(1, {"x": 2, "chi": 2})
+        assert pow_rational(factor, -1).shift("x", 1) == ms(
+            {"x": 2, "chi": 2}, {(0, 1): 1}
+        )
+
+    def test_coupled_factor(self):
+        # 1 - chi*(1-x) at caps x<=2, chi<=2; vars sorted (chi, x)
+        factor = ms({"x": 2, "chi": 2}, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
+        out = pow_rational(factor, -1).shift("x", 1)
+        expected = ms(
+            {"x": 2, "chi": 2},
+            {(0, 1): 1, (1, 1): 1, (1, 2): -1, (2, 1): 1, (2, 2): -2},
+        )
+        assert out == expected
+
+    def test_round_trip(self):
+        factor = ms({"x": 2, "chi": 3}, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
+        out = pow_rational(factor, -1).shift("x", 1) * factor
+        assert out == ms({"x": 2, "chi": 3}, {(0, 1): 1})
+
 
 class TestExpSeries:
     def test_exponential_of_variable(self):
@@ -178,68 +205,35 @@ class TestExpSeries:
             exp_series(ms({"chi": 2}, {(0,): 1}))
 
 
-class TestGeometricSubstitute:
-    def test_simple_geometric(self):
-        factor = ms({"x": 1, "chi": 2}, {(0, 0): 1, (1, 0): -1})
-        out = geometric_substitute("x", "chi", factor)
-        assert out == ms({"x": 1, "chi": 2}, {(0, 1): 1, (1, 1): 1, (2, 1): 1})
-
-    def test_unit_factor(self):
-        factor = MultiSeries.constant(1, {"x": 2, "chi": 2})
-        assert geometric_substitute("x", "chi", factor) == ms(
-            {"x": 2, "chi": 2}, {(0, 1): 1}
-        )
-
-    def test_coupled_factor(self):
-        # 1 - chi*(1-x) at caps x<=2, chi<=2; vars sorted (chi, x)
-        factor = ms({"x": 2, "chi": 2}, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
-        out = geometric_substitute("x", "chi", factor)
-        expected = ms(
-            {"x": 2, "chi": 2},
-            {(0, 1): 1, (1, 1): 1, (1, 2): -1, (2, 1): 1, (2, 2): -2},
-        )
-        assert out == expected
-
-    def test_round_trip(self):
-        factor = ms({"x": 2, "chi": 3}, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
-        out = geometric_substitute("x", "chi", factor) * factor
-        assert out == ms({"x": 2, "chi": 3}, {(0, 1): 1})
-
-    def test_rejects_non_unit(self):
-        factor = ms({"x": 2, "chi": 2}, {(0, 0): 2})
-        with pytest.raises(NonUnitConstantTerm):
-            geometric_substitute("x", "chi", factor)
-
-
 class TestPrefactor:
     def body(self, terms=None):
         return ms({"x": 3}, terms or {(0,): 1})
 
     def test_multiply_exponent_bookkeeping(self):
         p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        q = prefactor_multiply(p, "y", -1)
+        q = p.multiply_prefactor("y", -1)
         assert q.exponent("y") == Q(-1, 2)
         assert q.body == p.body
 
     def test_multiply_zero_is_identity(self):
         p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        assert prefactor_multiply(p, "y", 0) == p
+        assert p.multiply_prefactor("y", 0) == p
 
     def test_multiply_inverse_pair(self):
         p = PrefactorSeries(self.body(), {"z": Q(4, 3)})
-        q = prefactor_multiply(prefactor_multiply(p, "z", 1), "z", -1)
+        q = p.multiply_prefactor("z", 1).multiply_prefactor("z", -1)
         assert q == p
 
     def test_derivative_pure_monomial(self):
         a = Q(1, 2)
         p = PrefactorSeries(self.body(), {"y": a})
-        d = prefactor_derivative(p, "y")
+        d = p.derivative("y")
         assert d.exponent("y") == a - 1
         assert d.body == self.body().scale(a)
 
     def test_derivative_body_only(self):
         p = PrefactorSeries(ms({"x": 3}, {(2,): 1}), {"y": Q(1, 2)})
-        d = prefactor_derivative(p, "x")
+        d = p.derivative("x")
         assert d.exponent("y") == Q(1, 2)
         assert d.body == ms({"x": 2}, {(1,): 2})
 
@@ -247,7 +241,7 @@ class TestPrefactor:
         # d/dz of (1+z) z^b = (b + (b+1) z) z^(b-1)
         b = Q(4, 3)
         p = PrefactorSeries(ms({"z": 2}, {(0,): 1, (1,): 1}), {"z": b})
-        d = prefactor_derivative(p, "z")
+        d = p.derivative("z")
         assert d.exponent("z") == b - 1
         assert d.body == ms({"z": 2}, {(0,): b, (1,): b + 1})
 
@@ -368,3 +362,189 @@ class TestIntegerPower:
         for n in range(6):
             assert base.pow_int(n) == acc
             acc = acc * base
+
+
+# -- the trusted construction and the integer-numerator product ----------------
+
+NAMES = ("chi", "x", "y")
+SMALL_COEFF = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def caps_strategy(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    return {v: draw(st.integers(min_value=0, max_value=4)) for v in NAMES[:n]}
+
+
+def series_at(draw, caps, max_size=12):
+    keys = st.tuples(*(st.integers(min_value=0, max_value=caps[v]) for v in sorted(caps)))
+    # zero coefficients are drawn too; the public constructor drops them
+    return MultiSeries(caps, draw(st.dictionaries(keys, SMALL_COEFF, max_size=max_size)))
+
+
+@st.composite
+def series_pair(draw):
+    caps = draw(caps_strategy())
+    return series_at(draw, caps), series_at(draw, caps)
+
+
+def naive_product(a, b):
+    """Truncated Cauchy product summed in Fractions, term pair by term pair."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(i + j for i, j in zip(e1, e2))
+            if all(e <= c for e, c in zip(exps, a.caps)):
+                out[exps] = out.get(exps, Q(0)) + c1 * c2
+    return MultiSeries(a.cap_map(), out)
+
+
+def assert_clean(s):
+    """The trusted-cap invariant: the public constructor would change nothing."""
+    assert MultiSeries(s.cap_map(), s.terms) == s
+    for exps, c in s.terms.items():
+        assert type(c) is Q and c != 0
+        assert len(exps) == len(s.variables)
+        assert all(type(e) is int and 0 <= e <= cap for e, cap in zip(exps, s.caps))
+
+
+class TestMulKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(series_pair())
+    def test_matches_naive_cauchy_product(self, pair):
+        a, b = pair
+        product = a * b
+        assert product == naive_product(a, b)
+        assert product == b * a
+        assert_clean(product)
+
+    def test_cancellation_drops_terms(self):
+        # (1 + x/2)(1 - x/2) = 1 - x^2/4: the x terms cancel to zero
+        a = ms({"x": 3}, {(0,): 1, (1,): Q(1, 2)})
+        b = ms({"x": 3}, {(0,): 1, (1,): Q(-1, 2)})
+        product = a * b
+        assert product.terms == {(0,): Q(1), (2,): Q(-1, 4)}
+        assert_clean(product)
+
+    def test_empty_operand(self):
+        caps = {"x": 2, "y": 3}
+        a = ms(caps, {(1, 2): Q(7, 3), (0, 0): -1})
+        zero = MultiSeries.zero(caps)
+        assert (a * zero).terms == {} and (zero * a).terms == {}
+        assert (zero * zero).cap_map() == caps
+
+
+def repeated_sum(caps, pairs):
+    out = MultiSeries.zero(caps)
+    for k, s in pairs:
+        out = out + s.scale(k)
+    return out
+
+
+class TestLinearCombination:
+    @settings(max_examples=80, deadline=None)
+    @given(series_pair(), st.lists(st.sampled_from([Q(0), Q(1), Q(-1), Q(2, 3), Q(-5, 2)]),
+                                   min_size=2, max_size=4))
+    def test_matches_repeated_add_and_scale(self, pair, weights):
+        a, b = pair
+        pairs = list(zip(weights, [a, b, -a, a + b]))
+        out = linear_combination(a.cap_map(), pairs)
+        assert out == repeated_sum(a.cap_map(), pairs)
+        assert_clean(out)
+
+    def test_zero_weights(self):
+        s = ms({"x": 2}, {(1,): Q(1, 3)})
+        out = linear_combination({"x": 2}, [(0, s), (Q(0), s)])
+        assert out == MultiSeries.zero({"x": 2})
+
+    def test_cancelling_terms(self):
+        caps = {"x": 2, "chi": 1}
+        a = ms(caps, {(0, 0): 1, (1, 2): Q(2, 5)})
+        b = ms(caps, {(1, 1): Q(-3, 7)})
+        assert linear_combination(caps, [(2, a), (1, b), (-2, a)]) == b
+        assert linear_combination(caps, [(Q(1, 2), a), (Q(-1, 2), a)]).terms == {}
+
+    def test_empty(self):
+        assert linear_combination({"x": 1}, []) == MultiSeries.zero({"x": 1})
+
+    def test_lazy_pairs(self):
+        s = ms({"x": 3}, {(1,): 1})
+        out = linear_combination({"x": 3}, ((k, s.pow_int(k)) for k in range(1, 4)))
+        assert out == ms({"x": 3}, {(1,): 1, (2,): 2, (3,): 3})
+
+    def test_cap_mismatch(self):
+        with pytest.raises(CapMismatch):
+            linear_combination({"x": 2}, [(1, ms({"x": 3}, {(0,): 1}))])
+        with pytest.raises(CapMismatch):
+            linear_combination({"x": 2}, [(1, ms({"y": 2}, {(0,): 1}))])
+
+    def test_rejects_float_weight(self):
+        with pytest.raises(TypeError):
+            linear_combination({"x": 1}, [(0.5, ms({"x": 1}, {(0,): 1}))])
+
+
+def ring_and_reshape_results(a, b):
+    """Every ring and reshape operation applied to a pair of series."""
+    caps = a.cap_map()
+    v = a.variables[0]
+    unit = MultiSeries.constant(1, caps) + (a - MultiSeries.constant(a.constant_term(), caps))
+    yield a + b
+    yield a - b
+    yield -a
+    yield a.scale(Q(-2, 3))
+    yield a.scale(0)
+    yield a * b
+    yield a.pow_int(2)
+    yield a.shift(v, 1)
+    yield a.derivative(v)
+    yield a.truncate({name: max(c - 1, 0) for name, c in caps.items()})
+    yield a.extend({"w": 2})
+    yield a.rename(v, "w")
+    yield linear_combination(caps, [(2, a), (Q(-1, 3), b)])
+    yield pow_rational(unit, Q(-1, 2))
+    yield exp_series(unit - MultiSeries.constant(1, caps))
+    yield PrefactorSeries(a, {v: Q(1, 3)}).derivative(v).body
+    yield PrefactorSeries(a, {v: Q(-1)}).derivative(v).body
+
+
+class TestTrustedCaps:
+    @settings(max_examples=60, deadline=None)
+    @given(series_pair())
+    def test_every_operation_keeps_the_invariant(self, pair):
+        a, b = pair
+        for result in ring_and_reshape_results(a, b):
+            assert_clean(result)
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(-3), Q(0), Q(7, 3)])
+    def test_horn_series(self, a):
+        p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
+        assert_clean(f11_series(Params1F1(a, Q(4, 3)), 6))
+        assert_clean(psi2_series(p, 4, 3, var_x="y", var_y="x"))
+        assert_clean(psi2_3var_series(p, 3, 2, 2, var_z="chi"))
+
+    def test_horn_series_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            psi2_series(ParamsPsi2(1, 1, 1), -1, 2)
+
+
+class TestPublicConstructor:
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            MultiSeries({"x": 2}, {(-1,): 1})
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            MultiSeries({"x": 2, "y": 1}, {(1,): 1})
+        with pytest.raises(ValueError):
+            MultiSeries({"x": 2}, {(1, 0): 1})
+
+    def test_rejects_negative_cap_and_floats(self):
+        with pytest.raises(ValueError):
+            MultiSeries({"x": -1})
+        with pytest.raises(TypeError):
+            MultiSeries({"x": 2}, {(1,): 0.5})
+
+    def test_cleans_its_input(self):
+        s = MultiSeries({"x": 2}, {(0,): 0, (1,): "3/4", (3,): 5, (2,): 2})
+        assert s.terms == {(1,): Q(3, 4), (2,): Q(2)}
+        assert_clean(s)
