@@ -8,7 +8,8 @@ dispatches, and formats.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including flow settings that meet a singular flow
-denominator.
+denominator.  A ``verify`` run that stops on such an error still writes the
+reports of the scopes it finished, marked ``"ok": false`` with the error text.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .hypfun import (
     recursion_suite,
 )
 from .identities import (
+    DEFAULT_F11_ORDERS,
+    DEFAULT_PARAM_POINTS,
+    DEFAULT_PSI2_ORDERS,
     SuiteFailure,
     catalogue as identity_catalogue,
     report_to_json,
@@ -46,7 +50,7 @@ from .liealg import (
     OPERATOR_NOTES,
     SingularFlow,
     action_suite,
-    build_catalogue,
+    catalogue as operator_catalogue,
     commutator_suite,
     flow_suite,
 )
@@ -58,13 +62,16 @@ class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
 
 
+# Errors that end a command with one ``error:`` line and exit code 2.
+COMMAND_ERRORS = (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow,
+                  OSError)
+
+
 @dataclass
 class RunConfig:
-    points: str = ";".join(",".join(p) for p in (
-        ("1/2", "4/3", "5/7"), ("3/2", "7/3", "11/6"), ("2/5", "9/4", "5/7")
-    ))
-    orders_f11: str = "6,12"
-    orders_psi2: str = "4,6"
+    points: str = ";".join(",".join(p) for p in DEFAULT_PARAM_POINTS)
+    orders_f11: str = ",".join(map(str, DEFAULT_F11_ORDERS))
+    orders_psi2: str = ",".join(map(str, DEFAULT_PSI2_ORDERS))
     action_order: int = 12
     recursion_order: int = 12
     mode: str = "formal"
@@ -76,7 +83,6 @@ class RunConfig:
     start: str = "x=1,y=2,z=3,u=1/2,t=1/3"
     span_check: bool = True
     seed: int = 42
-    term_cap: int = 10000
     out: str = "reports"
     format: str = "both"
 
@@ -251,6 +257,12 @@ def _write_reports(cfg: RunConfig, scope: str, payload: dict, markdown: str) -> 
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run the wanted scopes and write their reports.
+
+    When a scope raises one of the errors ``main`` maps to an exit code, the
+    scopes finished before it are still written, with ``"ok": false`` and
+    the error text, and the error is raised again.
+    """
     cfg = _config_from(args)
     scope = args.scope
     all_ok = True
@@ -259,54 +271,63 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     wanted = SCOPES[:-1] if scope == "all" else (scope,)
 
-    if "identities" in wanted:
-        try:
-            report = run_suite(
-                param_points=cfg.param_points(),
-                orders=cfg.orders(),
-                mode=cfg.mode,
-                chi_grid=cfg.chi_grid(),
-                tol=cfg.tol,
-            )
-            ok = True
-        except SuiteFailure as failure:
-            report = failure.report
-            ok = False
-        except DegenerateParameter as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        all_ok &= ok
-        payload["scopes"]["identities"] = json.loads(report_to_json(report))
-        md_parts.append(report_to_markdown(report))
+    error = None
+    try:
+        if "identities" in wanted:
+            try:
+                report = run_suite(
+                    param_points=cfg.param_points(),
+                    orders=cfg.orders(),
+                    mode=cfg.mode,
+                    chi_grid=cfg.chi_grid(),
+                    tol=cfg.tol,
+                )
+                ok = True
+            except SuiteFailure as failure:
+                report = failure.report
+                ok = False
+            except DegenerateParameter as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 2
+            all_ok &= ok
+            payload["scopes"]["identities"] = json.loads(report_to_json(report))
+            md_parts.append(report_to_markdown(report))
 
-    if "actions" in wanted:
-        rows, ok = _scope_actions(cfg)
-        all_ok &= ok
-        payload["scopes"]["actions"] = {"rows": rows, "ok": ok}
-        md_parts.append(_rows_markdown("Operator actions", rows))
+        if "actions" in wanted:
+            rows, ok = _scope_actions(cfg)
+            all_ok &= ok
+            payload["scopes"]["actions"] = {"rows": rows, "ok": ok}
+            md_parts.append(_rows_markdown("Operator actions", rows))
 
-    if "recursions" in wanted:
-        rows, ok = _scope_recursions(cfg)
-        all_ok &= ok
-        payload["scopes"]["recursions"] = {"rows": rows, "ok": ok}
-        md_parts.append(_rows_markdown("Differential recursions", rows))
+        if "recursions" in wanted:
+            rows, ok = _scope_recursions(cfg)
+            all_ok &= ok
+            payload["scopes"]["recursions"] = {"rows": rows, "ok": ok}
+            md_parts.append(_rows_markdown("Differential recursions", rows))
 
-    if "flows" in wanted:
-        rows, ok = _scope_flows(cfg)
-        all_ok &= ok
-        payload["scopes"]["flows"] = {"rows": rows, "ok": ok}
-        md_parts.append(_rows_markdown("One-parameter flows", rows))
+        if "flows" in wanted:
+            rows, ok = _scope_flows(cfg)
+            all_ok &= ok
+            payload["scopes"]["flows"] = {"rows": rows, "ok": ok}
+            md_parts.append(_rows_markdown("One-parameter flows", rows))
 
-    if "commutators" in wanted:
-        result, ok = _scope_commutators(cfg)
-        all_ok &= ok
-        payload["scopes"]["commutators"] = {"result": result, "ok": ok}
-        for fam, rows in result["families"].items():
-            md_parts.append(_rows_markdown(f"Commutators ({fam})", rows))
+        if "commutators" in wanted:
+            result, ok = _scope_commutators(cfg)
+            all_ok &= ok
+            payload["scopes"]["commutators"] = {"result": result, "ok": ok}
+            for fam, rows in result["families"].items():
+                md_parts.append(_rows_markdown(f"Commutators ({fam})", rows))
+    except (*COMMAND_ERRORS, NoConvergence) as exc:
+        error = exc
+        all_ok = False
+        payload["error"] = str(exc)
+        md_parts.append(f"error: {exc}\n")
 
     payload["ok"] = all_ok
     _write_reports(cfg, scope, payload, "\n".join(md_parts))
     print(f"scope={scope} ok={all_ok} reports written to {cfg.out}/")
+    if error is not None:
+        raise error
     return 0 if all_ok else 1
 
 
@@ -323,7 +344,7 @@ def cmd_catalogue(_args: argparse.Namespace) -> int:
         print(f"      validity: {rec.validity}")
     print()
     print("operators:")
-    for op_id, op in build_catalogue().items():
+    for op_id, op in operator_catalogue().items():
         note = " (see notes)" if op_id in OPERATOR_NOTES else ""
         print(f"  {op_id:<12} {op.pretty()}{note}")
     print()
@@ -401,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow,
-            OSError) as exc:
+    except COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergence as exc:

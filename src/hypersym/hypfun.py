@@ -22,13 +22,12 @@ single small term is not evidence of convergence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import (
     DegenerateParameter,
-    Q,
     as_rational,
     factorial,
     is_nonpositive_integer,
@@ -83,6 +82,11 @@ class ParamsPsi2:
 
     def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "ParamsPsi2":
         return ParamsPsi2(self.a + da, self.b + db, self.c + dc)
+
+
+def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
+    """Parameters by name as exact rational strings, for reports."""
+    return {f.name: str(getattr(params, f.name)) for f in fields(params)}
 
 
 # -- Horn term-ratio kernel --------------------------------------------------
@@ -165,14 +169,7 @@ def f11_series(p: Params1F1, order: int, var: str = "x") -> MultiSeries:
 
 
 def f11_eval_exact(p: Params1F1, x, order: int) -> Fraction:
-    x = as_rational(x)
-    total = Q(0)
-    term = Q(1)
-    for s in range(order + 1):
-        if s:
-            term *= (p.a + s - 1) * x / (s * (p.b + s - 1))
-        total += term
-    return total
+    return f11_series(p, order).evaluate({"x": as_rational(x)})
 
 
 def f11_eval_float(

@@ -3,10 +3,14 @@
 Each record states one identity between a closed-form deformation of a
 hypergeometric family member (left side) and a power series in the
 deformation parameter chi whose coefficients are parameter-shifted members
-(right side).  Records are verified *formally*: both sides are expanded as
-truncated series in (x[, y], chi) over exact rationals and compared
-coefficient-wise, so a failure pinpoints the exact chi-order and monomial
-where the stated form breaks.
+(right side).  A record holds its left sides as builders and its right side
+as data: a weight w_l = (top)_l sign^l / (l! prod (bottom)_l) and an integer
+parameter shift per power of chi, so that the right side is
+sum_l w_l F(params + l*shift) chi^l.  The exact and the floating right side
+are both derived from that data.  Records are verified *formally*: both
+sides are expanded as truncated series in (x[, y], chi) over exact rationals
+and compared coefficient-wise, so a failure pinpoints the exact chi-order
+and monomial where the stated form breaks.
 
 Three catalogued statements are known to be self-inconsistent as stated;
 each of those records carries a corrected candidate (stored as data, never
@@ -18,16 +22,16 @@ corrected candidate, otherwise the suite fails.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__ as ENGINE_VERSION
-from .exactnum import factorial, pochhammer
 from .hypfun import (
     NoConvergence,
     Params1F1,
@@ -35,8 +39,7 @@ from .hypfun import (
     f11_compose,
     f11_eval_float,
     f11_series,
-    psi2_3var_eval_float,
-    psi2_3var_series,
+    param_strs,
     psi2_compose,
     psi2_eval_float,
     psi2_series,
@@ -97,79 +100,33 @@ def _one_plus_chi(caps) -> MultiSeries:
     return _const(caps) + _chi(caps)
 
 
-def _f11_sum(
-    p: Params1F1,
-    caps: Mapping[str, int],
-    coeff: Callable[[Params1F1, int], Fraction],
-    shift: Callable[[Params1F1, int], Params1F1],
-) -> MultiSeries:
-    """sum_l coeff(l) * series(shifted params)(x) * chi^l at the caps."""
-    chi = caps["chi"]
-    return linear_combination(caps, (
-        (coeff(p, l), f11_series(shift(p, l), caps["x"]).extend({"chi": chi}).shift("chi", l))
-        for l in range(chi + 1)
-    ))
-
-
-def _psi2_sum(
-    p: ParamsPsi2,
-    caps: Mapping[str, int],
-    coeff: Callable[[ParamsPsi2, int], Fraction],
-    shift: Callable[[ParamsPsi2, int], ParamsPsi2],
-) -> MultiSeries:
-    chi = caps["chi"]
-    return linear_combination(caps, (
-        (coeff(p, l),
-         psi2_series(shift(p, l), caps["x"], caps["y"]).extend({"chi": chi}).shift("chi", l))
-        for l in range(chi + 1)
-    ))
-
-
-def _numeric_l_sum(
-    coeff: Callable[[object, int], Fraction],
-    shift: Callable[[object, int], object],
-    inner: Callable[[object], float],
-    p,
-    chi: float,
-    tol: float,
-    max_terms: int = 400,
-) -> float:
-    """Floating l-sum with the same two-small-terms stopping rule used by
-    the series evaluators; raises NoConvergence after ``max_terms`` terms."""
-    total = 0.0
-    small_streak = 0
-    for l in range(max_terms):
-        term = float(coeff(p, l)) * inner(shift(p, l)) * chi**l
-        total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 2 and l >= 6:
-            return total
-    raise NoConvergence(f"chi-sum not converged in {max_terms} terms at chi={chi}")
-
-
 # -- record type -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IdentityVariant:
+    """One left side of a record: its exact series builder and float evaluator."""
+
     lhs_builder: Callable[[object, Mapping[str, int]], MultiSeries]
-    rhs_builder: Callable[[object, Mapping[str, int]], MultiSeries]
     lhs_float: Callable[[object, float, float, float, float], float]
-    rhs_float: Callable[[object, float, float, float, float], float]
     note: str = ""
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One catalogued relation with its as-stated and optional corrected form."""
+    """One catalogued relation with its as-stated and optional corrected form.
+
+    The right side is the chi-sum sum_l w_l F(params + l*shift) chi^l of the
+    family member F, with w_l = (top)_l sign^l / (l! prod_bottom (bottom)_l)
+    for ``weight(params) == (top, bottoms, sign)``.
+    """
 
     rec_id: str
     family: str                    # "f11" | "psi2"
     statement: str                 # human-readable as-stated formula
     validity: str
     domain_ok: Callable[[float, float, float], bool]
+    weight: Callable[[object], tuple[Fraction, tuple[Fraction, ...], int]]
+    shift: tuple[int, ...]         # parameter step per power of chi
     variants: dict[str, IdentityVariant] = field(compare=False)
 
     def variant(self, name: str) -> IdentityVariant:
@@ -179,6 +136,69 @@ class IdentityRecord:
 
     def has_correction(self) -> bool:
         return CORRECTED in self.variants
+
+
+def _weights(record: IdentityRecord, p) -> Iterator[Fraction]:
+    """w_0, w_1, ... of the record's chi-sum, each the last times the term ratio."""
+    top, bottoms, sign = record.weight(p)
+    w = Fraction(1)
+    for l in itertools.count():
+        yield w
+        d = Fraction(l + 1)
+        for bottom in bottoms:
+            d *= bottom + l
+        w = w * sign * (top + l) / d
+
+
+def _shifted(record: IdentityRecord, p, l: int):
+    return p.shifted(*(l * s for s in record.shift))
+
+
+def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeries:
+    """The record's chi-sum as an exact series at the caps."""
+    n = caps["chi"]
+
+    def member(q) -> MultiSeries:
+        if record.family == "f11":
+            return f11_series(q, caps["x"])
+        return psi2_series(q, caps["x"], caps["y"])
+
+    return linear_combination(caps, (
+        (w, member(_shifted(record, p, l)).extend({"chi": n}).shift("chi", l))
+        for l, w in zip(range(n + 1), _weights(record, p))
+    ))
+
+
+def _sum_float(
+    record: IdentityRecord,
+    p,
+    x: float,
+    y: float,
+    chi: float,
+    tol: float,
+    max_terms: int = 400,
+) -> float:
+    """The record's chi-sum in floating point, with the same two-small-terms
+    stopping rule used by the series evaluators; raises NoConvergence after
+    ``max_terms`` terms."""
+
+    def member(q) -> float:
+        if record.family == "f11":
+            return f11_eval_float(q, x, tol)[0]
+        return psi2_eval_float(q, x, y, tol)
+
+    total = 0.0
+    small_streak = 0
+    for l, w in zip(range(max_terms), _weights(record, p)):
+        term = float(w) * member(_shifted(record, p, l)) * chi**l
+        total += term
+        if abs(term) <= tol * max(abs(total), 1e-300):
+            small_streak += 1
+        else:
+            small_streak = 0
+        if small_streak >= 2 and l >= 6:
+            return total
+    raise NoConvergence(f"chi-sum not converged in {max_terms} terms at chi={chi}")
 
 
 def _record_catalogue() -> list[IdentityRecord]:
@@ -191,13 +211,6 @@ def _record_catalogue() -> list[IdentityRecord]:
         arg = _var("x", caps) * inv
         return pow_rational(_one_minus_chi(caps), -p.a) * f11_compose(p, arg)
 
-    def raise_a_rhs(p, caps):
-        return _f11_sum(
-            p, caps,
-            lambda p, l: pochhammer(p.a, l) / factorial(l),
-            lambda p, l: p.shifted(l, 0),
-        )
-
     records.append(IdentityRecord(
         rec_id="I-F11-RAISE-A",
         family="f11",
@@ -207,27 +220,16 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
+        weight=lambda p: (p.a, (), 1),
+        shift=(1, 0),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=raise_a_lhs,
-                rhs_builder=raise_a_rhs,
                 lhs_float=lambda p, x, y, chi, tol: (1 - chi) ** (-float(p.a))
                 * f11_eval_float(p, x / (1 - chi), tol)[0],
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    lambda p, l: pochhammer(p.a, l) / factorial(l),
-                    lambda p, l: p.shifted(l, 0),
-                    lambda pl: f11_eval_float(pl, x, tol)[0],
-                    p, chi, tol,
-                ),
             ),
         },
     ))
-
-    def raise_b_coeff(p, l):
-        return pochhammer(p.b - p.a, l) / (factorial(l) * pochhammer(p.b, l)) * (-1) ** l
-
-    def raise_b_rhs(p, caps):
-        return _f11_sum(p, caps, raise_b_coeff, lambda p, l: p.shifted(0, l))
 
     records.append(IdentityRecord(
         rec_id="I-F11-RAISE-B",
@@ -238,34 +240,22 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
+        weight=lambda p: (p.b - p.a, (p.b,), -1),
+        shift=(0, 1),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: f11_compose(
                     p, _var("x", caps) * _one_plus_chi(caps)
                 ) * pow_rational(_one_plus_chi(caps), p.b - 1),
-                rhs_builder=raise_b_rhs,
                 lhs_float=lambda p, x, y, chi, tol: f11_eval_float(
                     p, x * (1 + chi), tol
                 )[0] * (1 + chi) ** (float(p.b) - 1),
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    raise_b_coeff,
-                    lambda p, l: p.shifted(0, l),
-                    lambda pl: f11_eval_float(pl, x, tol)[0],
-                    p, chi, tol,
-                ),
             ),
             CORRECTED: IdentityVariant(
                 lhs_builder=lambda p, caps: exp_series(-_chi(caps))
                 * f11_compose(p, _var("x", caps) + _chi(caps)),
-                rhs_builder=raise_b_rhs,
                 lhs_float=lambda p, x, y, chi, tol: math.exp(-chi)
                 * f11_eval_float(p, x + chi, tol)[0],
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    raise_b_coeff,
-                    lambda p, l: p.shifted(0, l),
-                    lambda pl: f11_eval_float(pl, x, tol)[0],
-                    p, chi, tol,
-                ),
                 note=(
                     "left side replaced by exp(-chi) F(a;b;x+chi): the right "
                     "side is the expansion of exp(chi (d/dx - 1)) applied to "
@@ -276,13 +266,6 @@ def _record_catalogue() -> list[IdentityRecord]:
             ),
         },
     ))
-
-    def lower_a_rhs(p, caps):
-        return _f11_sum(
-            p, caps,
-            lambda p, l: pochhammer(p.b - p.a, l) / factorial(l),
-            lambda p, l: p.shifted(-l, 0),
-        )
 
     def lower_a_lhs_stated(p, caps):
         inner = _const(caps) - _chi(caps) * (_const(caps) - _var("x", caps))
@@ -309,35 +292,23 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1 and |chi(1-x)| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1 and abs(chi * (1 - x)) < 1,
+        weight=lambda p: (p.b - p.a, (), 1),
+        shift=(-1, 0),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lower_a_lhs_stated,
-                rhs_builder=lower_a_rhs,
                 lhs_float=lambda p, x, y, chi, tol: f11_eval_float(
                     p, x / (1 - chi * (1 - x)), tol
                 )[0]
                 * ((1 - chi) / (1 - chi * (1 - x))) ** float(p.b)
                 * (1 - chi) ** float(p.a),
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    lambda p, l: pochhammer(p.b - p.a, l) / factorial(l),
-                    lambda p, l: p.shifted(-l, 0),
-                    lambda pl: f11_eval_float(pl, x, tol)[0],
-                    p, chi, tol,
-                ),
             ),
             CORRECTED: IdentityVariant(
                 lhs_builder=lower_a_lhs_corrected,
-                rhs_builder=lower_a_rhs,
                 lhs_float=lambda p, x, y, chi, tol: (1 - chi)
                 ** (float(p.a) - float(p.b))
                 * math.exp(-x * chi / (1 - chi))
                 * f11_eval_float(p, x / (1 - chi), tol)[0],
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    lambda p, l: pochhammer(p.b - p.a, l) / factorial(l),
-                    lambda p, l: p.shifted(-l, 0),
-                    lambda pl: f11_eval_float(pl, x, tol)[0],
-                    p, chi, tol,
-                ),
                 note=(
                     "left side rebuilt from the lowering operator's actual "
                     "characteristic system: argument x/(1-chi), prefactor "
@@ -347,12 +318,6 @@ def _record_catalogue() -> list[IdentityRecord]:
             ),
         },
     ))
-
-    def lower_b_coeff(p, l):
-        return pochhammer(p.b - l, l) / factorial(l)
-
-    def lower_b_rhs(p, caps):
-        return _f11_sum(p, caps, lower_b_coeff, lambda p, l: p.shifted(0, -l))
 
     def lower_b_lhs(exponent_shift):
         def build(p, caps):
@@ -369,13 +334,7 @@ def _record_catalogue() -> list[IdentityRecord]:
             )
         return ev
 
-    lower_b_rhs_float = lambda p, x, y, chi, tol: _numeric_l_sum(
-        lower_b_coeff,
-        lambda p, l: p.shifted(0, -l),
-        lambda pl: f11_eval_float(pl, x, tol)[0],
-        p, chi, tol,
-    )
-
+    # (b-l)_l = (-1)^l (1-b)_l, and likewise for c in the two-argument records
     records.append(IdentityRecord(
         rec_id="I-F11-LOWER-B",
         family="f11",
@@ -385,18 +344,16 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
+        weight=lambda p: (1 - p.b, (), -1),
+        shift=(0, -1),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lower_b_lhs(0),
-                rhs_builder=lower_b_rhs,
                 lhs_float=lower_b_lhs_float(0),
-                rhs_float=lower_b_rhs_float,
             ),
             CORRECTED: IdentityVariant(
                 lhs_builder=lower_b_lhs(-1),
-                rhs_builder=lower_b_rhs,
                 lhs_float=lower_b_lhs_float(-1),
-                rhs_float=lower_b_rhs_float,
                 note=(
                     "left-side exponent b-1 instead of b: the lowering flow "
                     "carries the multiplier 1/(1+chi), which the stated form "
@@ -414,39 +371,30 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="entire in chi",
         domain_ok=lambda x, y, chi: True,
+        weight=lambda p: (p.a, (p.b,), 1),
+        shift=(1, 1),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: f11_compose(
                     p, _var("x", caps) + _chi(caps)
                 ),
-                rhs_builder=lambda p, caps: _f11_sum(
-                    p, caps,
-                    lambda p, l: pochhammer(p.a, l)
-                    / (factorial(l) * pochhammer(p.b, l)),
-                    lambda p, l: p.shifted(l, l),
-                ),
                 lhs_float=lambda p, x, y, chi, tol: f11_eval_float(
                     p, x + chi, tol
                 )[0],
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    lambda p, l: pochhammer(p.a, l)
-                    / (factorial(l) * pochhammer(p.b, l)),
-                    lambda p, l: p.shifted(l, l),
-                    lambda pl: f11_eval_float(pl, x, tol)[0],
-                    p, chi, tol,
-                ),
             ),
         },
     ))
 
     # ---- two-argument family ------------------------------------------------
 
-    def reduction_rhs(p, caps):
+    def reduction_lhs(p, caps):
         inv = pow_rational(_one_minus_chi(caps), -1)
         return pow_rational(_one_minus_chi(caps), -p.a) * psi2_compose(
             p, _var("x", caps) * inv, _var("y", caps) * inv
         )
 
+    # The triple series is by definition sum_l (a)_l/l! Psi(a+l;b,c;x,y) chi^l,
+    # so it is this record's chi-sum and the closed form is its left side.
     records.append(IdentityRecord(
         rec_id="I-PSI2-REDUCTION",
         family="psi2",
@@ -456,23 +404,16 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
+        weight=lambda p: (p.a, (), 1),
+        shift=(1, 0, 0),
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: psi2_3var_series(
-                    p, caps["x"], caps["y"], caps["chi"], var_z="chi"
-                ),
-                rhs_builder=reduction_rhs,
-                lhs_float=lambda p, x, y, chi, tol: psi2_3var_eval_float(
-                    p, x, y, chi, tol
-                ),
-                rhs_float=lambda p, x, y, chi, tol: (1 - chi) ** (-float(p.a))
+                lhs_builder=reduction_lhs,
+                lhs_float=lambda p, x, y, chi, tol: (1 - chi) ** (-float(p.a))
                 * psi2_eval_float(p, x / (1 - chi), y / (1 - chi), tol),
             ),
         },
     ))
-
-    def psi2_lower_b_coeff(p, l):
-        return pochhammer(p.b - l, l) / factorial(l)
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-LOWER-B",
@@ -483,29 +424,19 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
+        weight=lambda p: (1 - p.b, (), -1),
+        shift=(0, -1, 0),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
                     p, _var("x", caps) * _one_plus_chi(caps), _var("y", caps)
                 ) * pow_rational(_one_plus_chi(caps), p.b - 1),
-                rhs_builder=lambda p, caps: _psi2_sum(
-                    p, caps, psi2_lower_b_coeff, lambda p, l: p.shifted(0, -l, 0)
-                ),
                 lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
                     p, x * (1 + chi), y, tol
                 ) * (1 + chi) ** (float(p.b) - 1),
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    psi2_lower_b_coeff,
-                    lambda p, l: p.shifted(0, -l, 0),
-                    lambda pl: psi2_eval_float(pl, x, y, tol),
-                    p, chi, tol,
-                ),
             ),
         },
     ))
-
-    def psi2_lower_c_coeff(p, l):
-        return pochhammer(p.c - l, l) / factorial(l)
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-LOWER-C",
@@ -516,29 +447,19 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
+        weight=lambda p: (1 - p.c, (), -1),
+        shift=(0, 0, -1),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
                     p, _var("x", caps), _var("y", caps) * _one_plus_chi(caps)
                 ) * pow_rational(_one_plus_chi(caps), p.c - 1),
-                rhs_builder=lambda p, caps: _psi2_sum(
-                    p, caps, psi2_lower_c_coeff, lambda p, l: p.shifted(0, 0, -l)
-                ),
                 lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
                     p, x, y * (1 + chi), tol
                 ) * (1 + chi) ** (float(p.c) - 1),
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    psi2_lower_c_coeff,
-                    lambda p, l: p.shifted(0, 0, -l),
-                    lambda pl: psi2_eval_float(pl, x, y, tol),
-                    p, chi, tol,
-                ),
             ),
         },
     ))
-
-    def shift_x_coeff(p, l):
-        return pochhammer(p.a, l) / (factorial(l) * pochhammer(p.b, l))
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-SHIFT-X",
@@ -549,29 +470,19 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="entire in chi",
         domain_ok=lambda x, y, chi: True,
+        weight=lambda p: (p.a, (p.b,), 1),
+        shift=(1, 1, 0),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
                     p, _var("x", caps) + _chi(caps), _var("y", caps)
                 ),
-                rhs_builder=lambda p, caps: _psi2_sum(
-                    p, caps, shift_x_coeff, lambda p, l: p.shifted(l, l, 0)
-                ),
                 lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
                     p, x + chi, y, tol
-                ),
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    shift_x_coeff,
-                    lambda p, l: p.shifted(l, l, 0),
-                    lambda pl: psi2_eval_float(pl, x, y, tol),
-                    p, chi, tol,
                 ),
             ),
         },
     ))
-
-    def shift_y_coeff(p, l):
-        return pochhammer(p.a, l) / (factorial(l) * pochhammer(p.c, l))
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-SHIFT-Y",
@@ -582,22 +493,15 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="entire in chi",
         domain_ok=lambda x, y, chi: True,
+        weight=lambda p: (p.a, (p.c,), 1),
+        shift=(1, 0, 1),
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
                     p, _var("x", caps), _var("y", caps) + _chi(caps)
                 ),
-                rhs_builder=lambda p, caps: _psi2_sum(
-                    p, caps, shift_y_coeff, lambda p, l: p.shifted(l, 0, l)
-                ),
                 lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
                     p, x, y + chi, tol
-                ),
-                rhs_float=lambda p, x, y, chi, tol: _numeric_l_sum(
-                    shift_y_coeff,
-                    lambda p, l: p.shifted(l, 0, l),
-                    lambda pl: psi2_eval_float(pl, x, y, tol),
-                    p, chi, tol,
                 ),
             ),
         },
@@ -671,12 +575,12 @@ def verify_formal(rec_id: str, variant: str, params, n_order: int, m_order: int)
     p = _params_for(record, params)
     caps = _caps_for(record, n_order, m_order)
     lhs = var.lhs_builder(p, caps)
-    rhs = var.rhs_builder(p, caps)
+    rhs = _sum_series(record, p, caps)
     witness = _first_mismatch(lhs, rhs)
     return {
         "id": rec_id,
         "variant": variant,
-        "params": _param_strs(params),
+        "params": param_strs(params),
         "orders": {"N": n_order, "M": m_order},
         "status": "verified" if witness is None else "mismatch",
         "witness": witness,
@@ -701,13 +605,13 @@ def verify_numeric(
             f"{rec_id}: chi={chi} outside validity domain ({record.validity})"
         )
     lhs = var.lhs_float(p, x, y, chi, tol)
-    rhs = var.rhs_float(p, x, y, chi, tol)
+    rhs = _sum_float(record, p, x, y, chi, tol)
     scale = max(abs(lhs), abs(rhs), 1.0)
     ok = abs(lhs - rhs) <= tol * scale
     return {
         "id": rec_id,
         "variant": variant,
-        "params": _param_strs(params),
+        "params": param_strs(params),
         "chi": chi,
         "point": {"x": x, "y": y} if record.family == "psi2" else {"x": x},
         "status": "verified" if ok else "mismatch",
@@ -715,12 +619,6 @@ def verify_numeric(
             "lhs": repr(lhs), "rhs": repr(rhs), "rel_diff": repr(abs(lhs - rhs) / scale)
         },
     }
-
-
-def _param_strs(params) -> dict:
-    if isinstance(params, Params1F1):
-        return {"a": str(params.a), "b": str(params.b)}
-    return {"a": str(params.a), "b": str(params.b), "c": str(params.c)}
 
 
 # -- suite runner -------------------------------------------------------------------

@@ -13,13 +13,15 @@ z^a u^b t^c).  Catalogue entries are keyed ``"<family>.<name>"``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .exactnum import Q, as_rational
-from .hypfun import Params1F1, ParamsPsi2, f11_series, psi2_series
+from .hypfun import Params1F1, ParamsPsi2, f11_series, param_strs, psi2_series
 from .series import MultiSeries, PrefactorSeries, UnknownVariable
 
 Monomial = tuple[tuple[str, int], ...]
@@ -199,10 +201,6 @@ class DiffOperator:
         return total
 
 
-def apply(op: DiffOperator, f: PrefactorSeries) -> PrefactorSeries:
-    return op.apply(f)
-
-
 def commutator(op1: DiffOperator, op2: DiffOperator) -> DiffOperator:
     """op1 op2 - op2 op1, with the second-order parts required to cancel."""
 
@@ -267,15 +265,11 @@ class SpanResult:
         return self.in_span
 
 
-class NotInSpan(SpanResult):
-    pass
-
-
 def express_in_span(op: DiffOperator, basis: Mapping[str, DiffOperator]) -> SpanResult:
     """Exact rational solve of op = sum(c_i * basis_i) by pattern matching.
 
-    Returns coefficients with zero residual, or a NotInSpan result carrying
-    the canonical remainder after eliminating the span.
+    Returns coefficients with zero residual, or a result with ``in_span``
+    false carrying the canonical remainder after eliminating the span.
     """
     names = list(basis)
     patterns = sorted(
@@ -323,7 +317,7 @@ def express_in_span(op: DiffOperator, basis: Mapping[str, DiffOperator]) -> Span
         residual = DiffOperator(
             {patterns[i]: a for i, a in enumerate(target) if a != 0}
         )
-        return NotInSpan(False, None, residual)
+        return SpanResult(False, None, residual)
     return SpanResult(True, dict(zip(names, coeffs)), None)
 
 
@@ -387,6 +381,12 @@ def build_catalogue() -> dict[str, DiffOperator]:
     return cat
 
 
+@functools.cache
+def catalogue() -> Mapping[str, DiffOperator]:
+    """The operator catalogue of ``build_catalogue``, built once per process."""
+    return MappingProxyType(build_catalogue())
+
+
 OPERATOR_NOTES = {
     "f11.E_a": (
         "installed in the operative form y*(x d/dx + y d/dy); the displayed "
@@ -401,7 +401,7 @@ def family_of(op_id: str) -> str:
 
 
 def family_operator_ids(family: str) -> list[str]:
-    return [k for k in build_catalogue() if k.startswith(family + ".")]
+    return [k for k in catalogue() if k.startswith(family + ".")]
 
 
 # -- basis families and realizations -------------------------------------------
@@ -494,7 +494,7 @@ def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
     Comparison happens at the common trusted caps.  Returns a report row
     with status PASS or the first offending monomial.
     """
-    cat = build_catalogue()
+    cat = catalogue()
     rule = expected_action(op_id, family)
     op = cat[rule.op_id]
     lhs = op.apply(realize(family, order))
@@ -506,7 +506,7 @@ def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
     row = {
         "op": rule.op_id,
         "family": family.kind,
-        "params": _params_dict(family.params),
+        "params": param_strs(family.params),
         "order": order,
         "coefficient": str(rule.coefficient(family.params)),
         "shift": list(rule.shift),
@@ -531,12 +531,6 @@ def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
         row["status"] = "FAIL"
         row["witness"] = {"monomial": mono, "difference": str(coeff)}
     return row
-
-
-def _params_dict(params) -> dict:
-    if isinstance(params, Params1F1):
-        return {"a": str(params.a), "b": str(params.b)}
-    return {"a": str(params.a), "b": str(params.b), "c": str(params.c)}
 
 
 def action_suite(
@@ -745,7 +739,8 @@ def _flow_specs() -> dict[str, FlowSpec]:
     return specs
 
 
-FLOW_IDS = tuple(_flow_specs())
+_FLOW_SPECS = _flow_specs()
+FLOW_IDS = tuple(_FLOW_SPECS)
 
 # The coordinates the catalogued flows read from their start point.
 FLOW_COORDINATES = ("x", "y", "z", "u", "t")
@@ -753,7 +748,7 @@ FLOW_COORDINATES = ("x", "y", "z", "u", "t")
 
 def flow_spec(op_id: str) -> FlowSpec:
     try:
-        return _flow_specs()[op_id]
+        return _FLOW_SPECS[op_id]
     except KeyError:
         raise KeyError(f"no flow catalogued for {op_id!r}") from None
 
@@ -853,7 +848,7 @@ def commutator_suite(span_check: bool = True, seed: int = 42) -> dict:
     """
     import random
 
-    cat = build_catalogue()
+    cat = catalogue()
     rng = random.Random(seed)
     report = {"families": {}, "antisymmetry_ok": True, "jacobi_ok": True, "bilinearity_ok": True}
     for fam in ("f11", "psi2"):

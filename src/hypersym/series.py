@@ -321,24 +321,6 @@ class MultiSeries:
             out[tuple(full)] = c
         return MultiSeries._trusted(new_names, new_caps, out)
 
-    def rename(self, old: str, new: str) -> "MultiSeries":
-        if old not in self.variables:
-            raise UnknownVariable(old)
-        if new in self.variables and new != old:
-            raise ValueError(f"variable {new!r} already present")
-        caps = self.cap_map()
-        caps[new] = caps.pop(old)
-        order_old = self.variables
-        new_names = tuple(sorted(caps))
-        mapping = [new_names.index(new if v == old else v) for v in order_old]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            full = [0] * len(new_names)
-            for pos, e in zip(mapping, exps):
-                full[pos] = e
-            out[tuple(full)] = c
-        return MultiSeries._trusted(new_names, tuple(caps[v] for v in new_names), out)
-
     # -- evaluation / rendering --------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:

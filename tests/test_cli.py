@@ -56,6 +56,13 @@ class TestEval:
         r = run_cli("eval", "--fn", "f11")
         assert r.returncode == 2
 
+    def test_negative_terms_exit_2(self):
+        r = run_cli("eval", "--fn", "f11", "--a", "1", "--b", "1",
+                    "--x", "1", "--exact", "--terms", "-3")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.strip() == "error: negative series order"
+
 
 class TestVerify:
     def test_identities_scope(self, tmp_path):
@@ -126,6 +133,21 @@ class TestVerify:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and "denominator within margin" in r.stderr
+
+    def test_failing_scope_keeps_the_finished_ones(self, tmp_path):
+        r = run_cli("verify", "--scope", "all", "--alpha", "1", "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        error = r.stderr.strip()
+        assert error.startswith("error: ") and "denominator within margin" in error
+        data = json.loads((tmp_path / "verify_all.json").read_text())
+        assert data["ok"] is False
+        assert data["error"] == error[len("error: "):]
+        assert sorted(data["scopes"]) == ["actions", "identities", "recursions"]
+        assert data["scopes"]["identities"]["summary"]["unresolved_failures"] == 0
+        assert all(row["status"] == "PASS" for row in data["scopes"]["actions"]["rows"])
+        md = (tmp_path / "verify_all.md").read_text()
+        assert "## Differential recursions" in md and md.endswith(error + "\n")
 
     def test_partial_start_names_missing_coordinates(self, tmp_path):
         r = run_cli("verify", "--scope", "flows", "--start", "x=1,y=0", "--out", str(tmp_path))

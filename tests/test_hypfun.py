@@ -258,7 +258,7 @@ class TestPsi2:
         p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
         q = ParamsPsi2(p.a, p.c, p.b)
         s = psi2_series(p, 5, 4)
-        swapped = psi2_series(q, 4, 5).rename("x", "w").rename("y", "x").rename("w", "y")
+        swapped = psi2_series(q, 4, 5, var_x="y", var_y="x")
         assert s == swapped
 
     def test_float_partial_sums_match_exact(self):

@@ -1,25 +1,39 @@
+import dataclasses
+import itertools
 import json
 from fractions import Fraction as Q
 
 import pytest
 
-from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
+from hypersym.exactnum import (
+    DegenerateParameter,
+    factorial,
+    is_nonpositive_integer,
+    pochhammer,
+)
 from hypersym.hypfun import (
     NoConvergence,
     Params1F1,
     ParamsPsi2,
     f11_coeff,
     f11_series,
+    psi2_3var_eval_float,
+    psi2_3var_series,
     psi2_series,
 )
 from hypersym.identities import (
     AS_STATED,
     CORRECTED,
+    DEFAULT_EVAL_X,
+    DEFAULT_EVAL_Y,
+    DEFAULT_PSI2_ORDERS,
     CapUnderflow,
     DomainViolation,
     IdentityRecord,
     SuiteFailure,
-    _numeric_l_sum,
+    _sum_float,
+    _sum_series,
+    _weights,
     catalogue,
     default_param_points,
     get_record,
@@ -127,7 +141,7 @@ class TestVerifyFormal:
         p1 = Params1F1(P.a, P.b)
         caps = {"x": 8, "chi": 2}
         var = rec.variant(AS_STATED)
-        diff = var.lhs_builder(p1, caps) - var.rhs_builder(p1, caps)
+        diff = var.lhs_builder(p1, caps) - _sum_series(rec, p1, caps)
         for k in range(8):
             assert diff.coefficient({"chi": 1, "x": k}) == f11_coeff(p1, k)
 
@@ -147,6 +161,8 @@ class TestVerifyFormal:
         bad = ParamsPsi2(Q(1, 2), 2, Q(5, 7))
         with pytest.raises(DegenerateParameter):
             verify_formal("I-F11-LOWER-B", AS_STATED, bad, 4, 6)
+        with pytest.raises(DegenerateParameter):
+            verify_numeric("I-F11-LOWER-B", AS_STATED, bad, 0.1, 1e-8)
 
     def test_negative_orders_rejected(self):
         with pytest.raises(CapUnderflow):
@@ -219,15 +235,85 @@ class TestVerifyNumeric:
         assert fixed["status"] == "verified"
 
     def test_chi_sum_converges(self):
-        # sum_l chi^l = 1 / (1 - chi)
-        value = _numeric_l_sum(lambda p, l: Q(1), lambda p, l: p, lambda q: 1.0, P, 0.5, 1e-12)
+        # w_l = (1)_l / l! = 1 and F(a;b;0) = 1, so the sum is 1 / (1 - chi)
+        value = _sum_float(GEOMETRIC, Params1F1(P.a, P.b), 0.0, 0.0, 0.5, 1e-12)
         assert abs(value - 2.0) <= 1e-11
 
     def test_chi_sum_raises_at_the_term_cap(self):
         with pytest.raises(NoConvergence):
-            _numeric_l_sum(
-                lambda p, l: Q(1), lambda p, l: p, lambda q: 1.0, P, 0.5, 1e-12, max_terms=20
-            )
+            _sum_float(GEOMETRIC, Params1F1(P.a, P.b), 0.0, 0.0, 0.5, 1e-12, max_terms=20)
+
+
+# sum_l chi^l: weight 1 at every l and an unshifted member
+GEOMETRIC = IdentityRecord(
+    rec_id="T-GEOMETRIC",
+    family="f11",
+    statement="1/(1-chi) = sum_l chi^l",
+    validity="|chi| < 1",
+    domain_ok=lambda x, y, chi: abs(chi) < 1,
+    weight=lambda p: (Q(1), (), 1),
+    shift=(0, 0),
+    variants={},
+)
+
+# Each record's weight as written in its statement.
+WEIGHT_REFERENCE = {
+    "I-F11-RAISE-A": lambda p, l: pochhammer(p.a, l) / factorial(l),
+    "I-F11-RAISE-B": lambda p, l: pochhammer(p.b - p.a, l)
+    / (factorial(l) * pochhammer(p.b, l)) * (-1) ** l,
+    "I-F11-LOWER-A": lambda p, l: pochhammer(p.b - p.a, l) / factorial(l),
+    "I-F11-LOWER-B": lambda p, l: pochhammer(p.b - l, l) / factorial(l),
+    "I-F11-SHIFT": lambda p, l: pochhammer(p.a, l) / (factorial(l) * pochhammer(p.b, l)),
+    "I-PSI2-REDUCTION": lambda p, l: pochhammer(p.a, l) / factorial(l),
+    "I-PSI2-LOWER-B": lambda p, l: pochhammer(p.b - l, l) / factorial(l),
+    "I-PSI2-LOWER-C": lambda p, l: pochhammer(p.c - l, l) / factorial(l),
+    "I-PSI2-SHIFT-X": lambda p, l: pochhammer(p.a, l) / (factorial(l) * pochhammer(p.b, l)),
+    "I-PSI2-SHIFT-Y": lambda p, l: pochhammer(p.a, l) / (factorial(l) * pochhammer(p.c, l)),
+}
+
+# Every record's top parameter is a non-positive integer at one of these:
+# a = -2 for the (a)_l weights, 1-b = 1-c = -2, and b-a = -2.
+TERMINATING_POINTS = [ParamsPsi2(-2, 3, 3), ParamsPsi2(Q(10, 3), Q(4, 3), Q(5, 7))]
+
+
+def _family_params(rec, point):
+    return Params1F1(point.a, point.b) if rec.family == "f11" else point
+
+
+class TestSumSide:
+    def test_reference_covers_the_catalogue(self):
+        assert set(WEIGHT_REFERENCE) == {rec.rec_id for rec in catalogue()}
+
+    @pytest.mark.parametrize("point", P_ALL + TERMINATING_POINTS,
+                             ids=lambda p: f"a={p.a},b={p.b},c={p.c}")
+    @pytest.mark.parametrize("rec_id", sorted(WEIGHT_REFERENCE))
+    def test_weights_match_pochhammer_reference(self, rec_id, point):
+        rec = get_record(rec_id)
+        p = _family_params(rec, point)
+        reference = [WEIGHT_REFERENCE[rec_id](p, l) for l in range(30)]
+        assert list(itertools.islice(_weights(rec, p), 30)) == reference
+
+    @pytest.mark.parametrize("rec_id", sorted(WEIGHT_REFERENCE))
+    def test_terminating_points_end_every_weight(self, rec_id):
+        rec = get_record(rec_id)
+        tops = [rec.weight(_family_params(rec, q))[0] for q in TERMINATING_POINTS]
+        assert any(is_nonpositive_integer(top) for top in tops)
+
+    @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
+    def test_reduction_sum_side_is_the_triple_series(self, point):
+        n, m = DEFAULT_PSI2_ORDERS
+        rec = get_record("I-PSI2-REDUCTION")
+        triple = psi2_3var_series(point, m, m, n, var_z="chi")
+        assert _sum_series(rec, point, {"x": m, "y": m, "chi": n}) == triple
+
+    @pytest.mark.parametrize("chi", [0.1, 0.25])
+    @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
+    def test_reduction_float_sum_side_is_the_triple_sum(self, point, chi):
+        rec = get_record("I-PSI2-REDUCTION")
+        x, y = DEFAULT_EVAL_X, DEFAULT_EVAL_Y
+        value = _sum_float(rec, point, x, y, chi, 1e-12)
+        triple = psi2_3var_eval_float(point, x, y, chi, 1e-12)
+        assert abs(value - triple) <= 1e-11 * abs(triple)
 
 
 class TestRunSuite:
@@ -259,14 +345,7 @@ class TestRunSuite:
 
     def test_unpaired_mismatch_fails_suite(self):
         broken = get_record("I-F11-LOWER-B")
-        stripped = IdentityRecord(
-            rec_id=broken.rec_id,
-            family=broken.family,
-            statement=broken.statement,
-            validity=broken.validity,
-            domain_ok=broken.domain_ok,
-            variants={AS_STATED: broken.variant(AS_STATED)},
-        )
+        stripped = dataclasses.replace(broken, variants={AS_STATED: broken.variant(AS_STATED)})
         with pytest.raises(SuiteFailure) as exc:
             run_suite(records=[stripped], param_points=[P])
         assert exc.value.report.summary["unresolved_failures"] == 1

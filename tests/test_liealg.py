@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hypersym.hypfun import Params1F1, ParamsPsi2
+from hypersym import liealg
 from hypersym.liealg import (
     BasisFamily,
     DiffOperator,
@@ -12,6 +13,7 @@ from hypersym.liealg import (
     SingularFlow,
     action_suite,
     build_catalogue,
+    catalogue,
     commutator,
     expected_action,
     express_in_span,
@@ -61,6 +63,23 @@ class TestCatalogue:
         assert terms[0].monomial == ()
         assert terms[0].derivative is None
         assert terms[0].coefficient == 1
+
+    def test_built_once(self, monkeypatch):
+        cat = catalogue()
+        assert catalogue() is cat
+        assert dict(cat) == build_catalogue()
+        with pytest.raises(TypeError):
+            cat["f11.I"] = DiffOperator.zero()
+
+        def rebuild():
+            raise AssertionError("catalogue rebuilt")
+
+        monkeypatch.setattr(liealg, "build_catalogue", rebuild)
+        monkeypatch.setattr(liealg, "_flow_specs", rebuild)
+        rows = action_suite(P_F11[:1], P_PSI2[:1], 4)
+        assert rows and all(row["status"] == "PASS" for row in rows)
+        assert family_operator_ids("psi2")
+        assert flow_spec(FLOW_IDS[0]) is flow_spec(FLOW_IDS[0])
 
     def test_lower_b_distributed_form(self):
         # 1/z distributed over (x d/dx + z d/dz - 1)

@@ -283,12 +283,6 @@ class TestShapeOps:
         assert e.cap_map() == {"x": 2, "chi": 3}
         assert e.coefficient({"x": 1, "chi": 0}) == Q(1, 2)
 
-    def test_rename(self):
-        s = ms({"z": 2, "x": 1}, {(1, 1): 2})  # vars (x, z)
-        r = s.rename("z", "chi")
-        assert r.cap_map() == {"x": 1, "chi": 2}
-        assert r.coefficient({"x": 1, "chi": 1}) == 2
-
     def test_truncate(self):
         s = ms({"x": 3}, {(0,): 1, (3,): 5})
         t = s.truncate({"x": 2})
@@ -499,7 +493,6 @@ def ring_and_reshape_results(a, b):
     yield a.derivative(v)
     yield a.truncate({name: max(c - 1, 0) for name, c in caps.items()})
     yield a.extend({"w": 2})
-    yield a.rename(v, "w")
     yield linear_combination(caps, [(2, a), (Q(-1, 3), b)])
     yield pow_rational(unit, Q(-1, 2))
     yield exp_series(unit - MultiSeries.constant(1, caps))
