@@ -286,9 +286,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             except SuiteFailure as failure:
                 report = failure.report
                 ok = False
-            except DegenerateParameter as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
             all_ok &= ok
             payload["scopes"]["identities"] = json.loads(report_to_json(report))
             md_parts.append(report_to_markdown(report))

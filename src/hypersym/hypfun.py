@@ -11,9 +11,11 @@ rational function of the indices.  Stepping one index k -> k+1 multiplies a
 coefficient by (a + total) / ((k+1) * prod(lower + k)), where total is the
 sum of all indices before the step and lower lists that index's bottom
 parameters ([b] for x, [c] for y, none for the third index).  The exact
-series builders, the compositions and the truncated float sum all take
-their coefficients from running products of these ratios; ``f11_coeff`` and
-``psi2_coeff`` keep the closed Pochhammer form for single coefficients.
+series builders and the truncated float sum take their coefficients from
+``series.horn_coefficients``; the compositions are ``series.horn_compose``
+calls.  ``f11_coeff`` and ``psi2_coeff`` keep the closed Pochhammer form.
+``_outer_float`` is the outer loop of the converging psi2 sum (around
+``f11_eval_float``) and of the triple sum (around ``psi2_eval_float``).
 
 Everything here is stateless; exact paths stay in Fractions, floating paths
 use a tail-domination stopping rule (terms can grow before they decay, so a
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from .exactnum import (
     DegenerateParameter,
@@ -33,7 +35,7 @@ from .exactnum import (
     is_nonpositive_integer,
     pochhammer,
 )
-from .series import MultiSeries, linear_combination
+from .series import MultiSeries, horn_coefficients, horn_compose
 
 DEFAULT_TERM_CAP = 10000
 
@@ -89,62 +91,7 @@ def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
     return {f.name: str(getattr(params, f.name)) for f in fields(params)}
 
 
-# -- Horn term-ratio kernel --------------------------------------------------
-
-def _horn_coefficients(
-    a: Fraction, axes: Sequence[tuple[int, tuple[Fraction, ...]]]
-) -> dict[tuple[int, ...], Fraction]:
-    """Nonzero coefficients (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
-
-    ``axes`` gives each index's cap and bottom parameters, in the order the
-    index tuples are keyed.  The grid is walked in lexicographic order; each
-    coefficient is its predecessor times one term ratio, so no Pochhammer
-    product is ever rebuilt.  Once a coefficient vanishes (a is a
-    non-positive integer) every later one along that index and below it
-    vanishes too, so the walk stops there.
-    """
-    # ratios[i][o][k]: step k -> k+1 on index i while the indices before it
-    # sum to o (the indices after it are 0 at every step taken).
-    ratios = []
-    before = 0
-    for cap, lower in axes:
-        bottoms = []
-        for k in range(cap):
-            d = Fraction(k + 1)
-            for low in lower:
-                d *= low + k
-            bottoms.append(d)
-        ratios.append(
-            [[(a + o + k) / bottoms[k] for k in range(cap)] for o in range(before + 1)]
-        )
-        before += cap
-    out: dict[tuple[int, ...], Fraction] = {}
-    _horn_walk(ratios, [cap for cap, _ in axes], 0, Fraction(1), 0, (), out)
-    return out
-
-
-def _horn_walk(
-    ratios: list[list[list[Fraction]]],
-    caps: list[int],
-    i: int,
-    coeff: Fraction,
-    total: int,
-    prefix: tuple[int, ...],
-    out: dict[tuple[int, ...], Fraction],
-) -> None:
-    """Fill ``out`` below ``prefix``; ``coeff`` sits at (prefix, 0, ..., 0)."""
-    row = ratios[i][total]
-    for k in range(caps[i] + 1):
-        if i == len(caps) - 1:
-            out[prefix + (k,)] = coeff
-        else:
-            _horn_walk(ratios, caps, i + 1, coeff, total + k, prefix + (k,), out)
-        if k == caps[i]:
-            break
-        coeff = coeff * row[k]
-        if not coeff:
-            break
-
+# -- Horn series -------------------------------------------------------------
 
 def _horn_series(
     a: Fraction, axes: Mapping[str, tuple[int, tuple[Fraction, ...]]]
@@ -154,7 +101,7 @@ def _horn_series(
     caps = tuple(axes[v][0] for v in names)
     if any(cap < 0 for cap in caps):
         raise ValueError("negative series order")
-    return MultiSeries._trusted(names, caps, _horn_coefficients(a, [axes[v] for v in names]))
+    return MultiSeries._trusted(names, caps, horn_coefficients(a, [axes[v] for v in names]))
 
 
 # -- one-argument series -----------------------------------------------------
@@ -249,29 +196,17 @@ def psi2_eval_float(
     it, iterates the outer index until the stopping rule fires, evaluating
     the inner one-argument sums to tolerance.
     """
-    a, c = float(p.a), float(p.c)
     if orders is not None:
-        coeffs = _horn_coefficients(p.a, [(orders[0], (p.b,)), (orders[1], (p.c,))])
+        coeffs = horn_coefficients(p.a, [(orders[0], (p.b,)), (orders[1], (p.c,))])
         total = 0.0
         for (m, n), coeff in coeffs.items():
             total += float(coeff) * x**m * y**n
         return total
-    total = 0.0
-    outer = 1.0  # (a)_n y^n / (n! (c)_n)
-    small_streak = 0
-    threshold_n = abs(y) + abs(a)
-    for n in range(term_cap):
-        inner, _ = f11_eval_float(Params1F1(p.a + n, p.b), x, rel_tol, term_cap)
-        contrib = outer * inner
-        total += contrib
-        if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 2 and n + 1 > threshold_n:
-            return total
-        outer *= (a + n) * y / ((n + 1) * (c + n))
-    raise NoConvergence(f"no convergence in {term_cap} outer terms at y={y}")
+    return _outer_float(
+        p.a,
+        lambda an: f11_eval_float(Params1F1(an, p.b), x, rel_tol, term_cap)[0],
+        y, (float(p.c),), rel_tol, term_cap, "y",
+    )
 
 
 def psi2_3var_eval_float(
@@ -283,85 +218,60 @@ def psi2_3var_eval_float(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
     """Floating triple sum, outer index on the third argument."""
-    a = float(p.a)
+    return _outer_float(
+        p.a,
+        lambda al: psi2_eval_float(ParamsPsi2(al, p.b, p.c), x, y, rel_tol, term_cap=term_cap),
+        z, (), rel_tol, term_cap, "z",
+    )
+
+
+def _outer_float(
+    a: Fraction,
+    inner: Callable[[Fraction], float],
+    arg: float,
+    lowers: tuple[float, ...],
+    rel_tol: float,
+    term_cap: int,
+    name: str,
+) -> float:
+    """Sum over n of (a)_n arg^n / (n! prod (lower)_n) * inner(a + n).
+
+    ``inner`` sums the remaining indices to tolerance; the stopping rule is
+    ``f11_eval_float``'s, and ``name`` labels ``arg`` in ``NoConvergence``.
+    """
+    af = float(a)
     total = 0.0
-    outer = 1.0  # (a)_l z^l / l!
+    outer = 1.0  # (a)_n arg^n / (n! prod (lower)_n)
     small_streak = 0
-    threshold = abs(z) + abs(a)
-    for l in range(term_cap):
-        inner = psi2_eval_float(ParamsPsi2(p.a + l, p.b, p.c), x, y, rel_tol, term_cap=term_cap)
-        contrib = outer * inner
+    threshold = abs(arg) + abs(af)
+    for n in range(term_cap):
+        contrib = outer * inner(a + n)
         total += contrib
         if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
             small_streak += 1
         else:
             small_streak = 0
-        if small_streak >= 2 and l + 1 > threshold:
+        if small_streak >= 2 and n + 1 > threshold:
             return total
-        outer *= (a + l) * z / (l + 1)
-    raise NoConvergence(f"no convergence in {term_cap} outer terms at z={z}")
+        d = n + 1
+        for low in lowers:
+            d *= low + n
+        outer *= (af + n) * arg / d
+    raise NoConvergence(f"no convergence in {term_cap} outer terms at {name}={arg}")
 
 
 # -- series composition helpers ----------------------------------------------
 
-def f11_compose(p: Params1F1, argument: MultiSeries, max_power: int | None = None) -> MultiSeries:
-    """Sum of f11 coefficients against powers of a series argument.
-
-    The argument must have zero constant term so powers gain total degree
-    and the sum terminates at the caps.
-    """
-    if argument.constant_term() != 0:
-        raise ValueError("composition argument needs zero constant term")
-    caps = argument.cap_map()
-    if max_power is None:
-        max_power = sum(caps.values())
-    coeffs = _horn_coefficients(p.a, [(max_power, (p.b,))])
-
-    def terms():
-        power = MultiSeries.constant(1, caps)
-        yield 1, power
-        for s in range(1, max_power + 1):
-            if (s,) not in coeffs:
-                return  # a is a non-positive integer: every later coefficient is 0
-            power = power * argument
-            if power.is_zero():
-                return
-            yield coeffs[(s,)], power
-
-    return linear_combination(caps, terms())
+def f11_compose(p: Params1F1, argument: MultiSeries) -> MultiSeries:
+    """1F1(a; b; u) for a series u with zero constant term."""
+    return horn_compose(p.a, [(argument, (p.b,))])
 
 
 def psi2_compose(
     p: ParamsPsi2, arg_x: MultiSeries, arg_y: MultiSeries
 ) -> MultiSeries:
-    """Humbert double sum with series arguments in both slots.
-
-    Both arguments need zero constant term and identical caps.
-    """
-    if arg_x.constant_term() != 0 or arg_y.constant_term() != 0:
-        raise ValueError("composition arguments need zero constant term")
-    caps = arg_x.cap_map()
-    if caps != arg_y.cap_map():
-        raise ValueError("composition arguments need identical caps")
-    bound = sum(caps.values())
-    x_powers = [MultiSeries.constant(1, caps)]
-    while len(x_powers) <= bound:
-        nxt = x_powers[-1] * arg_x
-        if nxt.is_zero():
-            break
-        x_powers.append(nxt)
-    y_powers = [MultiSeries.constant(1, caps)]
-    while len(y_powers) <= bound:
-        nxt = y_powers[-1] * arg_y
-        if nxt.is_zero():
-            break
-        y_powers.append(nxt)
-    coeffs = _horn_coefficients(
-        p.a, [(len(x_powers) - 1, (p.b,)), (len(y_powers) - 1, (p.c,))]
-    )
-    return linear_combination(
-        caps, ((coeff, x_powers[m] * y_powers[n]) for (m, n), coeff in coeffs.items())
-    )
+    """Psi2(a; b, c; u, v) for series u, v with zero constant term and the same caps."""
+    return horn_compose(p.a, [(arg_x, (p.b,)), (arg_y, (p.c,))])
 
 
 # -- differential recursion relations -----------------------------------------

@@ -261,9 +261,6 @@ class SpanResult:
     coefficients: dict[str, Fraction] | None
     residual: DiffOperator | None
 
-    def __bool__(self) -> bool:
-        return self.in_span
-
 
 def express_in_span(op: DiffOperator, basis: Mapping[str, DiffOperator]) -> SpanResult:
     """Exact rational solve of op = sum(c_i * basis_i) by pattern matching.
@@ -394,10 +391,6 @@ OPERATOR_NOTES = {
         "is rejected by the exact series check"
     ),
 }
-
-
-def family_of(op_id: str) -> str:
-    return op_id.split(".", 1)[0]
 
 
 def family_operator_ids(family: str) -> list[str]:
@@ -565,13 +558,11 @@ class FlowSpec:
 
     op_id: str
     rhs: dict[str, Callable[[dict], float]]
-    rhs_text: dict[str, str]
     closed: dict[str, Callable[[dict, float], float]]
-    closed_text: dict[str, str]
-    multiplier_rate: Callable[[dict], float] | None
-    multiplier_closed: Callable[[dict, float], float]
-    multiplier_text: str
     denominators: tuple[Callable[[dict, float], float], ...]
+    multiplier_rate: Callable[[dict], float] | None = None
+    multiplier_closed: Callable[[dict, float], float] = lambda s0, a: 1.0
+    multiplier_text: str = "1"
     notes: str = ""
 
 
@@ -581,26 +572,19 @@ def _flow_specs() -> dict[str, FlowSpec]:
     specs["f11.E_a"] = FlowSpec(
         op_id="f11.E_a",
         rhs={"y": lambda s: s["y"] ** 2, "x": lambda s: s["x"] * s["y"]},
-        rhs_text={"y": "y^2", "x": "x*y"},
         closed={
             "y": lambda s0, a: s0["y"] / (1 - a * s0["y"]),
             "x": lambda s0, a: s0["x"] / (1 - a * s0["y"]),
         },
-        closed_text={"y": "y/(1-alpha*y)", "x": "x/(1-alpha*y)"},
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(lambda s0, a: 1 - a * s0["y"],),
     )
     specs["f11.E_b"] = FlowSpec(
         op_id="f11.E_b",
         rhs={"z": lambda s: 1.0, "x": lambda s: s["x"] / s["z"]},
-        rhs_text={"z": "1", "x": "x/z"},
         closed={
             "z": lambda s0, a: s0["z"] + a,
             "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
         },
-        closed_text={"z": "z+alpha", "x": "x*(z+alpha)/z"},
         multiplier_rate=lambda s: -1.0 / s["z"],
         multiplier_closed=lambda s0, a: s0["z"] / (s0["z"] + a),
         multiplier_text="z/(z+alpha)",
@@ -618,20 +602,11 @@ def _flow_specs() -> dict[str, FlowSpec]:
             "x": lambda s: s["x"] * (1 - s["x"]) / s["y"],
             "z": lambda s: -s["z"] * s["x"] / s["y"],
         },
-        rhs_text={"y": "-1", "x": "x*(1-x)/y", "z": "-z*x/y"},
         closed={
             "y": lambda s0, a: s0["y"] - a,
             "x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (1 - s0["x"])),
             "z": lambda s0, a: s0["z"] * (s0["y"] - a) / (s0["y"] - a * (1 - s0["x"])),
         },
-        closed_text={
-            "y": "y-alpha",
-            "x": "x*y/(y-alpha*(1-x))",
-            "z": "z*(y-alpha)/(y-alpha*(1-x))",
-        },
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(
             lambda s0, a: s0["y"] - a,
             lambda s0, a: s0["y"] - a * (1 - s0["x"]),
@@ -640,26 +615,16 @@ def _flow_specs() -> dict[str, FlowSpec]:
     specs["f11.E_b'"] = FlowSpec(
         op_id="f11.E_b'",
         rhs={"z": lambda s: 1.0, "x": lambda s: s["x"] / s["z"]},
-        rhs_text={"z": "1", "x": "x/z"},
         closed={
             "z": lambda s0, a: s0["z"] + a,
             "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
         },
-        closed_text={"z": "z+alpha", "x": "x*(z+alpha)/z"},
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
     )
     specs["f11.E_ab"] = FlowSpec(
         op_id="f11.E_ab",
         rhs={"x": lambda s: s["y"] * s["z"]},
-        rhs_text={"x": "y*z"},
         closed={"x": lambda s0, a: s0["x"] + a * s0["y"] * s0["z"]},
-        closed_text={"x": "x+alpha*y*z"},
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(),
     )
 
@@ -670,31 +635,20 @@ def _flow_specs() -> dict[str, FlowSpec]:
             "x": lambda s: s["x"] * s["z"],
             "y": lambda s: s["y"] * s["z"],
         },
-        rhs_text={"z": "z^2", "x": "x*z", "y": "y*z"},
         closed={
             "z": lambda s0, a: s0["z"] / (1 - a * s0["z"]),
             "x": lambda s0, a: s0["x"] / (1 - a * s0["z"]),
             "y": lambda s0, a: s0["y"] / (1 - a * s0["z"]),
         },
-        closed_text={
-            "z": "z/(1-alpha*z)",
-            "x": "x/(1-alpha*z)",
-            "y": "y/(1-alpha*z)",
-        },
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(lambda s0, a: 1 - a * s0["z"],),
     )
     specs["psi2.E_b"] = FlowSpec(
         op_id="psi2.E_b",
         rhs={"u": lambda s: 1.0, "x": lambda s: s["x"] / s["u"]},
-        rhs_text={"u": "1", "x": "x/u"},
         closed={
             "u": lambda s0, a: s0["u"] + a,
             "x": lambda s0, a: s0["x"] * (s0["u"] + a) / s0["u"],
         },
-        closed_text={"u": "u+alpha", "x": "x*(u+alpha)/u"},
         multiplier_rate=lambda s: -1.0 / s["u"],
         multiplier_closed=lambda s0, a: s0["u"] / (s0["u"] + a),
         multiplier_text="u/(u+alpha)",
@@ -703,12 +657,10 @@ def _flow_specs() -> dict[str, FlowSpec]:
     specs["psi2.E_c"] = FlowSpec(
         op_id="psi2.E_c",
         rhs={"t": lambda s: 1.0, "y": lambda s: s["y"] / s["t"]},
-        rhs_text={"t": "1", "y": "y/t"},
         closed={
             "t": lambda s0, a: s0["t"] + a,
             "y": lambda s0, a: s0["y"] * (s0["t"] + a) / s0["t"],
         },
-        closed_text={"t": "t+alpha", "y": "y*(t+alpha)/t"},
         multiplier_rate=lambda s: -1.0 / s["t"],
         multiplier_closed=lambda s0, a: s0["t"] / (s0["t"] + a),
         multiplier_text="t/(t+alpha)",
@@ -717,23 +669,13 @@ def _flow_specs() -> dict[str, FlowSpec]:
     specs["psi2.E_ab"] = FlowSpec(
         op_id="psi2.E_ab",
         rhs={"x": lambda s: s["z"] * s["u"]},
-        rhs_text={"x": "z*u"},
         closed={"x": lambda s0, a: s0["x"] + a * s0["z"] * s0["u"]},
-        closed_text={"x": "x+alpha*z*u"},
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(),
     )
     specs["psi2.E_ac"] = FlowSpec(
         op_id="psi2.E_ac",
         rhs={"y": lambda s: s["z"] * s["t"]},
-        rhs_text={"y": "z*t"},
         closed={"y": lambda s0, a: s0["y"] + a * s0["z"] * s0["t"]},
-        closed_text={"y": "y+alpha*z*t"},
-        multiplier_rate=None,
-        multiplier_closed=lambda s0, a: 1.0,
-        multiplier_text="1",
         denominators=(),
     )
     return specs

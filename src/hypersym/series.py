@@ -13,6 +13,11 @@ Per-variable caps (rather than a total-degree cap) matter because the
 verification workloads pair a deformation order in one variable with an
 independent inner order in the others.
 
+The Horn term-ratio kernel lives here: ``horn_coefficients`` builds Horn
+coefficients as running products of their term ratios, and ``horn_compose``
+sums them against powers of series arguments; ``pow_rational``,
+``exp_series`` and the compositions in ``hypfun`` are calls to it.
+
 The public constructor ``MultiSeries(caps, terms)`` is the entry point for
 outside input: it coerces every coefficient, rejects malformed exponent
 tuples and drops zero and over-cap terms.  Ring and reshape operations build
@@ -30,12 +35,13 @@ product rule across body and prefactor is implemented exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .exactnum import Q, as_rational, factorial
+from .exactnum import Q, as_rational, is_nonpositive_integer
 
 
 class CapMismatch(ValueError):
@@ -399,55 +405,118 @@ def linear_combination(
     return MultiSeries._trusted(variables, degs, {e: c for e, c in out.items() if c})
 
 
-def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
-    """Generalized binomial power (1 + u)^gamma where u = s - 1.
+# -- Horn term-ratio kernel --------------------------------------------------
 
-    Requires constant term exactly 1.  u has zero constant term, so its
-    powers gain total degree and vanish past the caps; the loop stops there.
+def horn_coefficients(
+    a: Fraction, axes: Sequence[tuple[int, tuple[Fraction, ...]]]
+) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero coefficients (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
+
+    ``axes`` gives each index's cap and bottom parameters, in the order the
+    index tuples are keyed.  The grid is walked in lexicographic order; each
+    coefficient is its predecessor times one term ratio, so no Pochhammer
+    product is ever rebuilt.  Once a coefficient vanishes (a is a
+    non-positive integer) every later one along that index and below it
+    vanishes too, so the walk stops there.
+    """
+    # ratios[i][o][k]: step k -> k+1 on index i while the indices before it
+    # sum to o (the indices after it are 0 at every step taken).
+    ratios = []
+    before = 0
+    for cap, lower in axes:
+        bottoms = []
+        for k in range(cap):
+            d = k + 1
+            for low in lower:
+                d *= low + k
+            bottoms.append(d)
+        ratios.append(
+            [[(a + (o + k)) / bottoms[k] for k in range(cap)] for o in range(before + 1)]
+        )
+        before += cap
+    out: dict[tuple[int, ...], Fraction] = {}
+    _horn_walk(ratios, [cap for cap, _ in axes], 0, Fraction(1), 0, (), out)
+    return out
+
+
+def _horn_walk(
+    ratios: list[list[list[Fraction]]],
+    caps: list[int],
+    i: int,
+    coeff: Fraction,
+    total: int,
+    prefix: tuple[int, ...],
+    out: dict[tuple[int, ...], Fraction],
+) -> None:
+    """Fill ``out`` below ``prefix``; ``coeff`` sits at (prefix, 0, ..., 0)."""
+    row = ratios[i][total]
+    for k in range(caps[i] + 1):
+        if i == len(caps) - 1:
+            out[prefix + (k,)] = coeff
+        else:
+            _horn_walk(ratios, caps, i + 1, coeff, total + k, prefix + (k,), out)
+        if k == caps[i]:
+            break
+        coeff = coeff * row[k]
+        if not coeff:
+            break
+
+
+def horn_compose(
+    a: Fraction, args: Sequence[tuple[MultiSeries, tuple[Fraction, ...]]]
+) -> MultiSeries:
+    """The Horn series of ``a`` with series arguments.
+
+    ``args`` pairs each argument u_i with its bottom parameters; the result
+    is the sum over k of ``horn_coefficients`` times prod_i u_i^(k_i).
+    Every argument needs zero constant term and the caps of the first, so
+    u_i^k has total degree at least k and the sum is finite: powers stop at
+    the first zero one, and at -a when (a)_k vanishes beyond it.
+    """
+    first = args[0][0]
+    caps = first.cap_map()
+    bound = sum(first.caps)
+    if is_nonpositive_integer(a):
+        bound = min(bound, -a.numerator)
+    one = MultiSeries.constant(1, caps)
+    powers = []
+    for arg, _ in args:
+        if arg.constant_term():
+            raise NonZeroConstantTerm("composition arguments need zero constant term")
+        first._check_compatible(arg)
+        row = [one]
+        while len(row) <= bound:
+            nxt = row[-1] * arg
+            if nxt.is_zero():
+                break
+            row.append(nxt)
+        powers.append(row)
+    coeffs = horn_coefficients(a, [(len(row) - 1, lower) for row, (_, lower) in zip(powers, args)])
+
+    def terms():
+        for k, coeff in coeffs.items():
+            if sum(k) > bound:
+                continue  # total degree past the caps: the product is zero
+            factors = [row[e] for row, e in zip(powers, k) if e]
+            yield coeff, functools.reduce(operator.mul, factors) if factors else one
+
+    return linear_combination(caps, terms())
+
+
+def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
+    """Generalized binomial power s^gamma = sum_k (-gamma)_k/k! (1 - s)^k.
+
+    Requires constant term exactly 1, so that 1 - s has zero constant term.
     """
     gamma = as_rational(gamma)
     if s.constant_term() != 1:
         raise NonUnitConstantTerm("pow_rational needs constant term 1")
-    caps = s.cap_map()
-    one = MultiSeries.constant(1, caps)
-    u = s - one
-
-    def binomial_terms():
-        yield 1, one
-        power = one
-        binom = Q(1)
-        k = 0
-        while True:
-            power = power * u
-            if power.is_zero():
-                return
-            k += 1
-            binom *= (gamma - (k - 1)) / k
-            if binom == 0:
-                return  # gamma is a nonnegative integer: expansion terminates
-            yield binom, power
-
-    return linear_combination(caps, binomial_terms())
+    return horn_compose(-gamma, [(MultiSeries.constant(1, s.cap_map()) - s, ())])
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
-    """Truncated exponential of a series with zero constant term."""
-    if s.constant_term() != 0:
-        raise NonZeroConstantTerm("exp_series needs zero constant term")
-    caps = s.cap_map()
-
-    def exponential_terms():
-        power = MultiSeries.constant(1, caps)
-        yield 1, power
-        k = 0
-        while True:
-            power = power * s
-            if power.is_zero():
-                return
-            k += 1
-            yield Q(1, factorial(k)), power
-
-    return linear_combination(caps, exponential_terms())
+    """Truncated exponential e^s = 1F1(1; 1; s) of a series with zero constant term."""
+    return horn_compose(Q(1), [(s, (Q(1),))])
 
 
 class PrefactorSeries:

@@ -149,6 +149,18 @@ class TestVerify:
         md = (tmp_path / "verify_all.md").read_text()
         assert "## Differential recursions" in md and md.endswith(error + "\n")
 
+    def test_degenerate_identity_point_writes_a_partial_report(self, tmp_path):
+        # b = 2 lowers to b - l = 0 inside I-F11-LOWER-B.
+        r = run_cli("verify", "--scope", "identities", "--points", "1/2,2,5/7",
+                    "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.strip() == "error: parameter b = 0 is zero or a negative integer"
+        data = json.loads((tmp_path / "verify_identities.json").read_text())
+        assert data["ok"] is False
+        assert data["error"] == "parameter b = 0 is zero or a negative integer"
+        md = (tmp_path / "verify_identities.md").read_text()
+        assert md.endswith(r.stderr.strip() + "\n")
+
     def test_partial_start_names_missing_coordinates(self, tmp_path):
         r = run_cli("verify", "--scope", "flows", "--start", "x=1,y=0", "--out", str(tmp_path))
         assert r.returncode == 2

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hypersym.hypfun import (
     f11_eval_exact,
     f11_eval_float,
     f11_series,
+    psi2_3var_eval_float,
     psi2_3var_series,
     psi2_compose,
     psi2_eval_exact,
@@ -24,7 +26,7 @@ from hypersym.hypfun import (
     psi2_series,
     verify_recursion,
 )
-from hypersym.series import MultiSeries
+from hypersym.series import CapMismatch, MultiSeries, exp_series, pow_rational
 
 POINTS = [
     Params1F1(Q(1, 2), Q(4, 3)),
@@ -323,10 +325,6 @@ class TestCompose:
         for s in range(sum(caps.values()) + 1):
             naive = naive + u.pow_int(s).scale(f11_formula(p, s))
         assert f11_compose(p, u) == naive
-        assert f11_compose(p, u, max_power=2) == (
-            MultiSeries.constant(1, caps) + u.scale(f11_formula(p, 1))
-            + (u * u).scale(f11_formula(p, 2))
-        )
 
     @pytest.mark.parametrize("a", [Q(1, 2), Q(-7, 3), Q(-2)])
     def test_psi2_compose_matches_naive(self, a):
@@ -339,6 +337,125 @@ class TestCompose:
                 term = u.pow_int(m) * v.pow_int(n)
                 naive = naive + term.scale(psi2_formula(p, m, n))
         assert psi2_compose(p, u, v) == naive
+
+    def test_psi2_compose_rejects_differing_caps(self):
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        caps, u, v = self._arguments()
+        with pytest.raises(CapMismatch):
+            psi2_compose(p, u, v.truncate({"chi": 2, "x": 4}))
+        with pytest.raises(CapMismatch):
+            psi2_compose(p, u, MultiSeries.variable("x", {"x": 4}))
+
+    @pytest.mark.parametrize("gamma", [Q(-1, 2), Q(-2), Q(0), Q(3)])
+    def test_pow_rational_matches_naive(self, gamma):
+        caps, u, v = self._arguments()
+        one = MultiSeries.constant(1, caps)
+        for w in (u, v):
+            naive = MultiSeries.zero(caps)
+            binom = Q(1)
+            for k in range(sum(caps.values()) + 1):
+                naive = naive + w.pow_int(k).scale(binom)
+                binom = binom * (gamma - k) / (k + 1)
+            assert pow_rational(one + w, gamma) == naive
+
+    def test_exp_series_matches_naive(self):
+        caps, u, v = self._arguments()
+        for w in (u, v):
+            naive = MultiSeries.zero(caps)
+            for k in range(sum(caps.values()) + 1):
+                naive = naive + w.pow_int(k).scale(Q(1, factorial(k)))
+            assert exp_series(w) == naive
+
+
+# (a, b, c, x, y, z) -> repr of psi2_eval_float(x, y) and of
+# psi2_3var_eval_float(x, y, z), as the separate outer loops of the two
+# evaluators gave them: the shared outer loop must reproduce every bit.
+PINNED_FLOATS = [
+    ((Q(1, 2), Q(4, 3), Q(5, 7), 0.3, -0.2, 0.1),
+     "0.9479636944990231", "0.9899414601260349"),
+    ((Q(-7, 3), Q(4, 3), Q(5, 7), -1.5, 0.75, -0.4),
+     "-0.7560179993848964", "0.33777446455669924"),
+    ((Q(3, 2), Q(7, 3), Q(1, 3), 1.25, -1.75, 0.35),
+     "-0.8361624266377579", "0.7803062789221944"),
+    ((Q(-2), Q(9, 4), Q(2, 5), -0.6, -1.1, -0.25),
+     "10.709945054945056", "12.780778388278389"),
+    ((Q(5, 4), Q(1, 2), Q(11, 6), -2.0, 1.5, 0.45),
+     "-0.5512525873928106", "0.42049013216146436"),
+    ((Q(-1, 5), Q(3, 2), Q(3, 4), 0.9, 2.0, -0.5),
+     "-1.6648647178261229", "0.0706054635684359"),
+]
+
+
+class TestFloatPinned:
+    @pytest.mark.parametrize("point, psi2_repr, psi2x3_repr", PINNED_FLOATS)
+    def test_bit_identical(self, point, psi2_repr, psi2x3_repr):
+        a, b, c, x, y, z = point
+        p = ParamsPsi2(a, b, c)
+        assert repr(psi2_eval_float(p, x, y)) == psi2_repr
+        assert repr(psi2_3var_eval_float(p, x, y, z)) == psi2x3_repr
+
+    def test_no_convergence_names_the_outer_argument(self):
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        with pytest.raises(NoConvergence, match="outer terms at y=300"):
+            psi2_eval_float(p, 0.1, 300.0, term_cap=40)
+
+
+def _mp_points(seed, count):
+    """Seeded (a, b, c, x, y, z) with |x|, |y| <= 2 and |z| <= 1/2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = Q(rng.randint(-12, 12), rng.randint(1, 4))
+        b = Q(rng.randint(1, 16), rng.randint(1, 4)) + Q(1, 7)
+        c = Q(rng.randint(1, 16), rng.randint(1, 4)) + Q(1, 11)
+        yield a, b, c, rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-0.5, 0.5)
+
+
+def _close(value, reference, rel=1e-11):
+    reference = float(reference)
+    return abs(value - reference) <= rel * max(abs(reference), 1.0)
+
+
+def _mp(q):
+    """A rational as an mpf at the working precision (mpf takes no Fraction)."""
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mp_psi2(a, b, c, x, y):
+    with mpmath.workdps(30):
+        return mpmath.hyper2d({"m+n": [_mp(a)]}, {"m": [_mp(b)], "n": [_mp(c)]}, x, y)
+
+
+class TestFloatAgainstMpmath:
+    """The float evaluators against mpmath's independent summation."""
+
+    def test_f11(self):
+        for a, b, _c, x, _y, _z in _mp_points(11, 40):
+            value, _ = f11_eval_float(Params1F1(a, b), x, 1e-14)
+            with mpmath.workdps(30):
+                ref = mpmath.hyp1f1(_mp(a), _mp(b), x)
+            assert _close(value, ref), (a, b, x, value, ref)
+
+    def test_psi2(self):
+        for a, b, c, x, y, _z in _mp_points(12, 25):
+            value = psi2_eval_float(ParamsPsi2(a, b, c), x, y, 1e-14)
+            assert _close(value, _mp_psi2(a, b, c, x, y)), (a, b, c, x, y)
+
+    def test_psi2_3var(self):
+        # Sum over l of (a)_l z^l / l! Psi2(a + l) = (1-z)^(-a) Psi2(x/(1-z), y/(1-z)).
+        for a, b, c, x, y, z in _mp_points(13, 12):
+            value = psi2_3var_eval_float(ParamsPsi2(a, b, c), x, y, z, 1e-14)
+            with mpmath.workdps(30):
+                w = 1 - mpmath.mpf(z)
+                ref = w ** (-_mp(a)) * _mp_psi2(a, b, c, x / w, y / w)
+            assert _close(value, ref, 1e-10), (a, b, c, x, y, z)
+
+    @pytest.mark.xfail(strict=True, reason="cancellation in the alternating sum at x = -40")
+    def test_f11_large_negative_argument(self):
+        a, b = Q(1, 2), Q(4, 3)
+        value, _ = f11_eval_float(Params1F1(a, b), -40.0, 1e-14)
+        with mpmath.workdps(30):
+            ref = mpmath.hyp1f1(_mp(a), _mp(b), -40)
+        assert _close(value, ref)
 
 
 class TestRecursions:
