@@ -8,8 +8,10 @@ dispatches, and formats.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including flow settings that meet a singular flow
-denominator.  A ``verify`` run that stops on such an error still writes the
-reports of the scopes it finished, marked ``"ok": false`` with the error text.
+denominator, and an ``InternalSimplificationFailure`` (a commutator whose
+second-order terms do not cancel).  A ``verify`` run that stops on such an
+error still writes the reports of the scopes it finished, marked
+``"ok": false`` with the error text.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .identities import (
 from .liealg import (
     FLOW_IDS,
     OPERATOR_NOTES,
+    InternalSimplificationFailure,
     SingularFlow,
     action_suite,
     catalogue as operator_catalogue,
@@ -64,7 +67,7 @@ class SystemExit2(Exception):
 
 # Errors that end a command with one ``error:`` line and exit code 2.
 COMMAND_ERRORS = (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow,
-                  OSError)
+                  InternalSimplificationFailure, OSError)
 
 
 @dataclass

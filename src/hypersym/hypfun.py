@@ -12,10 +12,15 @@ coefficient by (a + total) / ((k+1) * prod(lower + k)), where total is the
 sum of all indices before the step and lower lists that index's bottom
 parameters ([b] for x, [c] for y, none for the third index).  The exact
 series builders and the truncated float sum take their coefficients from
-``series.horn_coefficients``; the compositions are ``series.horn_compose``
-calls.  ``f11_coeff`` and ``psi2_coeff`` keep the closed Pochhammer form.
-``_outer_float`` is the outer loop of the converging psi2 sum (around
-``f11_eval_float``) and of the triple sum (around ``psi2_eval_float``).
+``series.horn_coefficients``, which walks the grid on integer numerators and
+denominators and makes one ``Fraction`` per coefficient; the compositions
+are ``series.horn_compose`` calls, summed on integer numerators over one
+common denominator.  ``f11_coeff`` and ``psi2_coeff`` keep the closed
+Pochhammer form.  ``_outer_float`` is the outer loop of the converging psi2
+sum (around ``f11_eval_float``) and of the triple sum (around
+``psi2_eval_float``); at outer index n the inner sum may take n more terms
+than ``term_cap``, so a slowly converging outer sum names its own argument
+when it runs out.
 
 Everything here is stateless; exact paths stay in Fractions, floating paths
 use a tail-domination stopping rule (terms can grow before they decay, so a
@@ -204,7 +209,7 @@ def psi2_eval_float(
         return total
     return _outer_float(
         p.a,
-        lambda an: f11_eval_float(Params1F1(an, p.b), x, rel_tol, term_cap)[0],
+        lambda an, cap: f11_eval_float(Params1F1(an, p.b), x, rel_tol, cap)[0],
         y, (float(p.c),), rel_tol, term_cap, "y",
     )
 
@@ -220,14 +225,14 @@ def psi2_3var_eval_float(
     """Floating triple sum, outer index on the third argument."""
     return _outer_float(
         p.a,
-        lambda al: psi2_eval_float(ParamsPsi2(al, p.b, p.c), x, y, rel_tol, term_cap=term_cap),
+        lambda al, cap: psi2_eval_float(ParamsPsi2(al, p.b, p.c), x, y, rel_tol, term_cap=cap),
         z, (), rel_tol, term_cap, "z",
     )
 
 
 def _outer_float(
     a: Fraction,
-    inner: Callable[[Fraction], float],
+    inner: Callable[[Fraction, int], float],
     arg: float,
     lowers: tuple[float, ...],
     rel_tol: float,
@@ -236,8 +241,12 @@ def _outer_float(
 ) -> float:
     """Sum over n of (a)_n arg^n / (n! prod (lower)_n) * inner(a + n).
 
-    ``inner`` sums the remaining indices to tolerance; the stopping rule is
-    ``f11_eval_float``'s, and ``name`` labels ``arg`` in ``NoConvergence``.
+    ``inner(a + n, cap)`` sums the remaining indices to tolerance in at most
+    ``cap = term_cap + n`` terms: its top parameter has grown by n, and the
+    stopping rule needs more than |a + n| terms, so an inner sum with the
+    plain ``term_cap`` would run out before this loop does.  The stopping
+    rule is ``f11_eval_float``'s, and ``name`` labels ``arg`` in
+    ``NoConvergence``.
     """
     af = float(a)
     total = 0.0
@@ -245,7 +254,7 @@ def _outer_float(
     small_streak = 0
     threshold = abs(arg) + abs(af)
     for n in range(term_cap):
-        contrib = outer * inner(a + n)
+        contrib = outer * inner(a + n, term_cap + n)
         total += contrib
         if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
             small_streak += 1

@@ -7,10 +7,15 @@ deformation parameter chi whose coefficients are parameter-shifted members
 as data: a weight w_l = (top)_l sign^l / (l! prod (bottom)_l) and an integer
 parameter shift per power of chi, so that the right side is
 sum_l w_l F(params + l*shift) chi^l.  The exact and the floating right side
-are both derived from that data.  Records are verified *formally*: both
-sides are expanded as truncated series in (x[, y], chi) over exact rationals
-and compared coefficient-wise, so a failure pinpoints the exact chi-order
-and monomial where the stated form breaks.
+are both derived from that data.  The exact right side is one dict fill:
+for each l, the Horn walk of the member at params + l*shift starts from w_l
+and writes its plane under the key prefix (l,).  The left sides stay on the
+composition route (``f11_compose``, ``psi2_compose``, ``pow_rational``,
+``exp_series``), so the two sides of an identity are built independently.
+Records are verified *formally*: both sides are expanded as truncated series
+in (x[, y], chi) over exact rationals and compared coefficient-wise, so a
+failure pinpoints the exact chi-order and monomial where the stated form
+breaks.
 
 Three catalogued statements are known to be self-inconsistent as stated;
 each of those records carries a corrected candidate (stored as data, never
@@ -38,13 +43,11 @@ from .hypfun import (
     ParamsPsi2,
     f11_compose,
     f11_eval_float,
-    f11_series,
     param_strs,
     psi2_compose,
     psi2_eval_float,
-    psi2_series,
 )
-from .series import MultiSeries, exp_series, linear_combination, pow_rational
+from .series import MultiSeries, exp_series, horn_coefficients, pow_rational
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
@@ -155,18 +158,25 @@ def _shifted(record: IdentityRecord, p, l: int):
 
 
 def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeries:
-    """The record's chi-sum as an exact series at the caps."""
+    """The record's chi-sum as an exact series at the caps.
+
+    One dict fill: for each l the member's Horn walk at p + l*shift starts
+    from w_l and writes under the key prefix (l,), since "chi" sorts before
+    "x" and "y".  The shifted parameters are built at every l <= N, also
+    where w_l vanishes, so a degenerate shift raises ``DegenerateParameter``.
+    """
     n = caps["chi"]
-
-    def member(q) -> MultiSeries:
-        if record.family == "f11":
-            return f11_series(q, caps["x"])
-        return psi2_series(q, caps["x"], caps["y"])
-
-    return linear_combination(caps, (
-        (w, member(_shifted(record, p, l)).extend({"chi": n}).shift("chi", l))
-        for l, w in zip(range(n + 1), _weights(record, p))
-    ))
+    if record.family == "f11":
+        variables = ("chi", "x")
+        axes = lambda q: [(caps["x"], (q.b,))]
+    else:
+        variables = ("chi", "x", "y")
+        axes = lambda q: [(caps["x"], (q.b,)), (caps["y"], (q.c,))]
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for l, w in zip(range(n + 1), _weights(record, p)):
+        q = _shifted(record, p, l)
+        terms.update(horn_coefficients(q.a, axes(q), start=w, prefix=(l,)))
+    return MultiSeries._trusted(variables, tuple(caps[v] for v in variables), terms)
 
 
 def _sum_float(

@@ -13,20 +13,27 @@ Per-variable caps (rather than a total-degree cap) matter because the
 verification workloads pair a deformation order in one variable with an
 independent inner order in the others.
 
-The Horn term-ratio kernel lives here: ``horn_coefficients`` builds Horn
-coefficients as running products of their term ratios, and ``horn_compose``
-sums them against powers of series arguments; ``pow_rational``,
-``exp_series`` and the compositions in ``hypfun`` are calls to it.
+The Horn term-ratio kernel lives here.  ``horn_coefficients`` walks the
+index grid on an unreduced integer numerator/denominator pair, multiplying
+in each term ratio as integer factors, and makes one ``Fraction`` per
+coefficient; it can start from a given coefficient and key its grid under a
+prefix, so a scaled grid merges into a larger series as it stands.
+``horn_compose`` sums those coefficients against powers of series arguments
+on integers: each argument becomes integer numerators over the lcm of its
+denominators, its powers are integer series, and the whole sum is one
+integer dict over one common denominator with one ``Fraction`` per output
+term.  ``pow_rational``, ``exp_series`` and the compositions in ``hypfun``
+are calls to it.
 
 The public constructor ``MultiSeries(caps, terms)`` is the entry point for
 outside input: it coerces every coefficient, rejects malformed exponent
 tuples and drops zero and over-cap terms.  Ring and reshape operations build
 their results with the private ``MultiSeries._trusted``, which takes terms
-that are clean by construction and checks nothing.  ``linear_combination``
-builds a sum of scaled series in one dict instead of copying a growing sum
-at every step, and the product scales each operand to integer numerators
-over the lcm of its denominators, so the Cauchy sum runs on integers and
-each output coefficient is one reduced ``Fraction``.
+that are clean by construction and checks nothing.  The product scales each
+operand to integer numerators over the lcm of its denominators, so the
+Cauchy sum (``_cauchy``, the one product loop, which ``horn_compose`` uses
+too) runs on integers and each output coefficient is one reduced
+``Fraction``.
 
 :class:`PrefactorSeries` attaches a monomial prefactor with exact rational
 exponents (e.g. ``y^a z^b`` for non-integer a, b) to a body series; the
@@ -35,11 +42,10 @@ product rule across body and prefactor is implemented exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactnum import Q, as_rational, is_nonpositive_integer
 
@@ -71,6 +77,37 @@ def _normalize_caps(caps: Mapping[str, int]) -> tuple[tuple[str, ...], tuple[int
         if d < 0:
             raise ValueError(f"negative cap for variable {n!r}")
     return names, degs
+
+
+def _integer_terms(
+    terms: Mapping[tuple[int, ...], Fraction]
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The lcm d of the coefficients' denominators, and each coefficient times d."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def _cauchy(
+    a: Mapping[tuple[int, ...], int],
+    b: Mapping[tuple[int, ...], int],
+    caps: tuple[int, ...],
+) -> dict[tuple[int, ...], int]:
+    """Truncated Cauchy product of two integer term maps; sums may be zero.
+
+    The smaller operand is iterated outermost, and a pair is skipped as soon
+    as one exponent has no room left under its cap.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    b_items = list(b.items())
+    out: dict[tuple[int, ...], int] = {}
+    for e1, n1 in a.items():
+        room = tuple(map(operator.sub, caps, e1))
+        for e2, n2 in b_items:
+            if all(map(operator.le, e2, room)):
+                exps = tuple(map(operator.add, e1, e2))
+                out[exps] = out.get(exps, 0) + n1 * n2
+    return out
 
 
 class MultiSeries:
@@ -229,28 +266,16 @@ class MultiSeries:
         """Truncated Cauchy product, summed on integer numerators.
 
         Each operand is written as integer numerators over the lcm of its
-        denominators; the pair products are accumulated as integers and each
-        output coefficient is one ``Fraction(sum, da * db)``, which reduces
-        to the same value the ``Fraction`` sum would give.
+        denominators; ``_cauchy`` accumulates the pair products as integers
+        and each output coefficient is one ``Fraction(sum, da * db)``, which
+        reduces to the same value the ``Fraction`` sum would give.
         """
         self._check_compatible(other)
-        caps = self.caps
-        # Iterate the smaller operand outermost: sparse-friendly.
-        a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        da = math.lcm(*(c.denominator for c in a.values()))
-        db = math.lcm(*(c.denominator for c in b.values()))
-        b_ints = [(e2, c2.numerator * (db // c2.denominator)) for e2, c2 in b.items()]
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            n1 = c1.numerator * (da // c1.denominator)
-            room = tuple(map(operator.sub, caps, e1))
-            for e2, n2 in b_ints:
-                if all(map(operator.le, e2, room)):
-                    exps = tuple(map(operator.add, e1, e2))
-                    out[exps] = out.get(exps, 0) + n1 * n2
+        da, a = _integer_terms(self.terms)
+        db, b = _integer_terms(other.terms)
         d = da * db
-        terms = {e: Fraction(v, d) for e, v in out.items() if v}
-        return MultiSeries._trusted(self.variables, caps, terms)
+        terms = {e: Fraction(v, d) for e, v in _cauchy(a, b, self.caps).items() if v}
+        return MultiSeries._trusted(self.variables, self.caps, terms)
 
     def pow_int(self, n: int) -> "MultiSeries":
         if n < 0:
@@ -383,83 +408,76 @@ class MultiSeries:
         return " ".join(parts)
 
 
-def linear_combination(
-    caps: Mapping[str, int], pairs: Iterable[tuple[object, MultiSeries]]
-) -> MultiSeries:
-    """The sum of k * s over ``(k, s)`` pairs, accumulated in one dict.
-
-    Every series must carry exactly ``caps``.  ``pairs`` is consumed lazily,
-    so a generator keeps only one summand alive at a time.
-    """
-    variables, degs = _normalize_caps(caps)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for k, s in pairs:
-        if s.variables != variables or s.caps != degs:
-            raise CapMismatch(f"{dict(zip(variables, degs))} vs {s.cap_map()}")
-        k = as_rational(k)
-        if not k:
-            continue
-        for exps, c in s.terms.items():
-            old = out.get(exps)
-            out[exps] = c * k if old is None else old + c * k
-    return MultiSeries._trusted(variables, degs, {e: c for e, c in out.items() if c})
-
-
 # -- Horn term-ratio kernel --------------------------------------------------
 
 def horn_coefficients(
-    a: Fraction, axes: Sequence[tuple[int, tuple[Fraction, ...]]]
+    a: Fraction,
+    axes: Sequence[tuple[int, tuple[Fraction, ...]]],
+    *,
+    start: Fraction = Fraction(1),
+    prefix: tuple[int, ...] = (),
 ) -> dict[tuple[int, ...], Fraction]:
-    """Nonzero coefficients (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
+    """Nonzero coefficients start * (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
 
     ``axes`` gives each index's cap and bottom parameters, in the order the
-    index tuples are keyed.  The grid is walked in lexicographic order; each
-    coefficient is its predecessor times one term ratio, so no Pochhammer
-    product is ever rebuilt.  Once a coefficient vanishes (a is a
-    non-positive integer) every later one along that index and below it
-    vanishes too, so the walk stops there.
+    index tuples are keyed, and each coefficient is keyed ``prefix + k``, so
+    a caller can merge a scaled grid into a dict of its own.  The grid is
+    walked in lexicographic order on an unreduced integer pair: with a = p/q
+    and each bottom r/s, the step k -> k+1 on an index whose predecessors
+    sum to o multiplies the numerator by (p + q(o+k)) prod s and the
+    denominator by q (k+1) prod (r + s k), and one ``Fraction`` is made per
+    coefficient.
+    Once a coefficient vanishes (a is a non-positive integer) every later
+    one along that index and below it vanishes too, so the walk stops there.
     """
-    # ratios[i][o][k]: step k -> k+1 on index i while the indices before it
-    # sum to o (the indices after it are 0 at every step taken).
-    ratios = []
+    out: dict[tuple[int, ...], Fraction] = {}
+    if not start:
+        return out
+    p, q = a.numerator, a.denominator
+    steps = []
     before = 0
     for cap, lower in axes:
+        scale = 1
+        for low in lower:
+            scale *= low.denominator
+        # tops[t]: numerator factor of a step out of total degree t
+        tops = [(p + q * t) * scale for t in range(before + cap)]
         bottoms = []
         for k in range(cap):
-            d = k + 1
+            d = q * (k + 1)
             for low in lower:
-                d *= low + k
+                d *= low.numerator + low.denominator * k
             bottoms.append(d)
-        ratios.append(
-            [[(a + (o + k)) / bottoms[k] for k in range(cap)] for o in range(before + 1)]
-        )
+        steps.append((cap, tops, bottoms))
         before += cap
-    out: dict[tuple[int, ...], Fraction] = {}
-    _horn_walk(ratios, [cap for cap, _ in axes], 0, Fraction(1), 0, (), out)
+    _horn_walk(steps, 0, start.numerator, start.denominator, 0, prefix, out)
     return out
 
 
 def _horn_walk(
-    ratios: list[list[list[Fraction]]],
-    caps: list[int],
+    steps: list[tuple[int, list[int], list[int]]],
     i: int,
-    coeff: Fraction,
+    num: int,
+    den: int,
     total: int,
     prefix: tuple[int, ...],
     out: dict[tuple[int, ...], Fraction],
 ) -> None:
-    """Fill ``out`` below ``prefix``; ``coeff`` sits at (prefix, 0, ..., 0)."""
-    row = ratios[i][total]
-    for k in range(caps[i] + 1):
-        if i == len(caps) - 1:
-            out[prefix + (k,)] = coeff
+    """Fill ``out`` below ``prefix``; num/den sits at (prefix, 0, ..., 0)."""
+    cap, tops, bottoms = steps[i]
+    last = i == len(steps) - 1
+    for k in range(cap + 1):
+        if last:
+            out[prefix + (k,)] = Fraction(num, den)
         else:
-            _horn_walk(ratios, caps, i + 1, coeff, total + k, prefix + (k,), out)
-        if k == caps[i]:
+            _horn_walk(steps, i + 1, num, den, total + k, prefix + (k,), out)
+        if k == cap:
             break
-        coeff = coeff * row[k]
-        if not coeff:
+        top = tops[total + k]
+        if not top:
             break
+        num *= top
+        den *= bottoms[k]
 
 
 def horn_compose(
@@ -472,35 +490,77 @@ def horn_compose(
     Every argument needs zero constant term and the caps of the first, so
     u_i^k has total degree at least k and the sum is finite: powers stop at
     the first zero one, and at -a when (a)_k vanishes beyond it.
+
+    The sum runs on integers.  Each argument is written as integer
+    numerators U_i over the lcm D_i of its denominators, and its powers are
+    the integer series U_i^k.  With B_i the highest power kept and C the lcm
+    of the coefficients' denominators, the sum times C prod D_i^(B_i) is
+    sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i), accumulated in one integer
+    dict (the innermost index as a weighted sum of powers, each outer one as
+    one product per power); each output coefficient is one ``Fraction``.
     """
     first = args[0][0]
-    caps = first.cap_map()
-    bound = sum(first.caps)
+    variables, caps = first.variables, first.caps
+    bound = sum(caps)
     if is_nonpositive_integer(a):
         bound = min(bound, -a.numerator)
-    one = MultiSeries.constant(1, caps)
-    powers = []
+    zero = (0,) * len(variables)
+    rows = []
+    denominator = 1
     for arg, _ in args:
         if arg.constant_term():
             raise NonZeroConstantTerm("composition arguments need zero constant term")
         first._check_compatible(arg)
-        row = [one]
+        d, u = _integer_terms(arg.terms)
+        row = [{zero: 1}]
         while len(row) <= bound:
-            nxt = row[-1] * arg
-            if nxt.is_zero():
+            nxt = {e: v for e, v in _cauchy(row[-1], u, caps).items() if v}
+            if not nxt:
                 break
             row.append(nxt)
-        powers.append(row)
-    coeffs = horn_coefficients(a, [(len(row) - 1, lower) for row, (_, lower) in zip(powers, args)])
+        top = len(row) - 1
+        if d != 1:
+            row = [{e: v * d ** (top - k) for e, v in power.items()}
+                   for k, power in enumerate(row)]
+        denominator *= d ** top
+        rows.append(row)
+    axes = [(len(row) - 1, lower) for row, (_, lower) in zip(rows, args)]
+    # past the bound the product of powers is zero
+    coeffs = [(k, c) for k, c in horn_coefficients(a, axes).items() if sum(k) <= bound]
+    common = math.lcm(*(c.denominator for _, c in coeffs))
+    weights = {k: c.numerator * (common // c.denominator) for k, c in coeffs}
+    total = _power_sum(rows, weights, caps, (), bound)
+    d = common * denominator
+    terms = {e: Fraction(v, d) for e, v in total.items() if v}
+    return MultiSeries._trusted(variables, caps, terms)
 
-    def terms():
-        for k, coeff in coeffs.items():
-            if sum(k) > bound:
-                continue  # total degree past the caps: the product is zero
-            factors = [row[e] for row, e in zip(powers, k) if e]
-            yield coeff, functools.reduce(operator.mul, factors) if factors else one
 
-    return linear_combination(caps, terms())
+def _power_sum(
+    rows: list[list[dict[tuple[int, ...], int]]],
+    weights: dict[tuple[int, ...], int],
+    caps: tuple[int, ...],
+    prefix: tuple[int, ...],
+    room: int,
+) -> dict[tuple[int, ...], int]:
+    """Integer sum over k extending ``prefix`` of weights[k] * prod_i rows[i][k_i],
+    the product taken over the indices after ``prefix``."""
+    out: dict[tuple[int, ...], int] = {}
+    i = len(prefix)
+    row = rows[i]
+    for k in range(min(len(row) - 1, room) + 1):
+        key = prefix + (k,)
+        if i == len(rows) - 1:
+            w = weights.get(key)
+            if not w:
+                continue
+            for e, v in row[k].items():
+                out[e] = out.get(e, 0) + w * v
+            continue
+        inner = _power_sum(rows, weights, caps, key, room - k)
+        if inner:
+            for e, v in _cauchy(row[k], inner, caps).items():
+                out[e] = out.get(e, 0) + v
+    return out
 
 
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hypersym import cli, liealg
 from hypersym.identities import strip_timing
 
 
@@ -160,6 +161,24 @@ class TestVerify:
         assert data["error"] == "parameter b = 0 is zero or a negative integer"
         md = (tmp_path / "verify_identities.md").read_text()
         assert md.endswith(r.stderr.strip() + "\n")
+
+    def test_internal_simplification_failure_writes_a_partial_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        message = "surviving second-order terms: {'x': 1}"
+
+        def fail(op1, op2):
+            raise liealg.InternalSimplificationFailure(message)
+
+        monkeypatch.setattr(liealg, "commutator", fail)
+        assert cli.main(["verify", "--scope", "all", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        data = json.loads((tmp_path / "verify_all.json").read_text())
+        assert data["ok"] is False
+        assert data["error"] == message
+        assert sorted(data["scopes"]) == ["actions", "flows", "identities", "recursions"]
+        md = (tmp_path / "verify_all.md").read_text()
+        assert md.endswith(f"error: {message}\n")
 
     def test_partial_start_names_missing_coordinates(self, tmp_path):
         r = run_cli("verify", "--scope", "flows", "--start", "x=1,y=0", "--out", str(tmp_path))

@@ -399,6 +399,13 @@ class TestFloatPinned:
         with pytest.raises(NoConvergence, match="outer terms at y=300"):
             psi2_eval_float(p, 0.1, 300.0, term_cap=40)
 
+    def test_no_convergence_names_the_third_argument(self):
+        # At outer index l the inner sums may take term_cap + l terms, so the
+        # slowly converging sum over z runs out first, not an inner one.
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        with pytest.raises(NoConvergence, match=r"outer terms at z=0\.9$"):
+            psi2_3var_eval_float(p, 0.1, 0.1, 0.9, term_cap=20)
+
 
 def _mp_points(seed, count):
     """Seeded (a, b, c, x, y, z) with |x|, |y| <= 2 and |z| <= 1/2."""

@@ -17,6 +17,7 @@ from hypersym.hypfun import (
     ParamsPsi2,
     f11_coeff,
     f11_series,
+    psi2_coeff,
     psi2_3var_eval_float,
     psi2_3var_series,
     psi2_series,
@@ -44,6 +45,7 @@ from hypersym.identities import (
     verify_formal,
     verify_numeric,
 )
+from hypersym.series import MultiSeries
 
 P = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
 P_ALL = default_param_points()
@@ -280,6 +282,21 @@ def _family_params(rec, point):
     return Params1F1(point.a, point.b) if rec.family == "f11" else point
 
 
+def _reference_sum(rec, p, n, m):
+    """Terms of sum_l w_l F(p + l*shift) chi^l, one coefficient at a time."""
+    terms = {}
+    for l in range(n + 1):
+        q = p.shifted(*(l * s for s in rec.shift))
+        w = WEIGHT_REFERENCE[rec.rec_id](p, l)
+        if rec.family == "f11":
+            for s in range(m + 1):
+                terms[(l, s)] = w * f11_coeff(q, s)
+        else:
+            for i, j in itertools.product(range(m + 1), repeat=2):
+                terms[(l, i, j)] = w * psi2_coeff(q, i, j)
+    return terms
+
+
 class TestSumSide:
     def test_reference_covers_the_catalogue(self):
         assert set(WEIGHT_REFERENCE) == {rec.rec_id for rec in catalogue()}
@@ -298,6 +315,26 @@ class TestSumSide:
         rec = get_record(rec_id)
         tops = [rec.weight(_family_params(rec, q))[0] for q in TERMINATING_POINTS]
         assert any(is_nonpositive_integer(top) for top in tops)
+
+    @pytest.mark.parametrize("point", P_ALL + TERMINATING_POINTS,
+                             ids=lambda p: f"a={p.a},b={p.b},c={p.c}")
+    @pytest.mark.parametrize("rec_id", sorted(WEIGHT_REFERENCE))
+    def test_sum_side_matches_closed_form(self, rec_id, point):
+        # N = 4 reaches w_l = 0 at the terminating points, and at (-2, 3, 3)
+        # the lowering shifts reach b - 3 = 0 (c - 3 = 0) beyond it: the sum
+        # side must still build every member and raise there.
+        n, m = 4, 3
+        rec = get_record(rec_id)
+        p = _family_params(rec, point)
+        family_vars = ("x",) if rec.family == "f11" else ("x", "y")
+        caps = {"chi": n, **{v: m for v in family_vars}}
+        try:
+            expected = MultiSeries(caps, _reference_sum(rec, p, n, m))
+        except DegenerateParameter:
+            with pytest.raises(DegenerateParameter):
+                _sum_series(rec, p, caps)
+            return
+        assert _sum_series(rec, p, caps) == expected
 
     @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
     def test_reduction_sum_side_is_the_triple_series(self, point):

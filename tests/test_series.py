@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersym.exactnum import factorial, pochhammer
 from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series, psi2_series
 from hypersym.series import (
     CapMismatch,
@@ -14,7 +16,8 @@ from hypersym.series import (
     PrefactorSeries,
     UnknownVariable,
     exp_series,
-    linear_combination,
+    horn_coefficients,
+    horn_compose,
     pow_rational,
 )
 
@@ -26,7 +29,6 @@ def ms(caps, terms):
 def random_series(rng, caps, density=0.6):
     names = tuple(sorted(caps))
     terms = {}
-    import itertools
     for exps in itertools.product(*(range(caps[v] + 1) for v in names)):
         if rng.random() < density:
             terms[exps] = Q(rng.randint(-9, 9), rng.randint(1, 5))
@@ -428,53 +430,68 @@ class TestMulKernel:
         assert (zero * zero).cap_map() == caps
 
 
-def repeated_sum(caps, pairs):
-    out = MultiSeries.zero(caps)
-    for k, s in pairs:
-        out = out + s.scale(k)
+def horn_formula(a, lowers, k):
+    """(a)_{|k|} / prod_i (k_i! prod (lower)_{k_i}), from Pochhammer products."""
+    out = pochhammer(a, sum(k))
+    for k_i, lower in zip(k, lowers):
+        out /= factorial(k_i)
+        for low in lower:
+            out /= pochhammer(low, k_i)
     return out
 
 
-class TestLinearCombination:
-    @settings(max_examples=80, deadline=None)
-    @given(series_pair(), st.lists(st.sampled_from([Q(0), Q(1), Q(-1), Q(2, 3), Q(-5, 2)]),
-                                   min_size=2, max_size=4))
-    def test_matches_repeated_add_and_scale(self, pair, weights):
-        a, b = pair
-        pairs = list(zip(weights, [a, b, -a, a + b]))
-        out = linear_combination(a.cap_map(), pairs)
-        assert out == repeated_sum(a.cap_map(), pairs)
+class TestHornKernel:
+    AXES = [(3, (Q(4, 3),)), (2, (Q(-5, 7), Q(1, 2))), (2, ())]
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(-7, 3), Q(-2), Q(0), Q(5)])
+    def test_matches_pochhammer_formula(self, a):
+        lowers = [lower for _, lower in self.AXES]
+        expected = {}
+        for k in itertools.product(*(range(cap + 1) for cap, _ in self.AXES)):
+            c = horn_formula(a, lowers, k)
+            if c:
+                expected[k] = c
+        assert horn_coefficients(a, self.AXES) == expected
+
+    def test_start_and_prefix_give_a_scaled_plane(self):
+        a, w = Q(3, 5), Q(-7, 4)
+        plain = horn_coefficients(a, self.AXES)
+        out = horn_coefficients(a, self.AXES, start=w, prefix=(2,))
+        assert out == {(2,) + k: w * c for k, c in plain.items()}
+        assert all(type(c) is Q for c in out.values())
+
+    def test_zero_start_gives_nothing(self):
+        assert horn_coefficients(Q(1, 2), self.AXES, start=Q(0), prefix=(1,)) == {}
+
+
+@st.composite
+def composition_arguments(draw):
+    caps = {"x": draw(st.integers(0, 3)), "y": draw(st.integers(0, 2))}
+    count = draw(st.integers(min_value=1, max_value=3))
+    args = []
+    for _ in range(count):
+        u = series_at(draw, caps, max_size=6)
+        args.append(u - MultiSeries.constant(u.constant_term(), caps))
+    return caps, args
+
+
+class TestHornCompose:
+    @settings(max_examples=60, deadline=None)
+    @given(composition_arguments(),
+           st.sampled_from([Q(1, 2), Q(-2), Q(-7, 3), Q(3)]))
+    def test_matches_naive_power_sum(self, caps_args, a):
+        caps, args = caps_args
+        lowers = [(Q(4, 3),), (), (Q(5, 7), Q(-1, 2))][:len(args)]
+        bound = sum(caps.values())
+        naive = MultiSeries.zero(caps)
+        for k in itertools.product(range(bound + 1), repeat=len(args)):
+            term = MultiSeries.constant(horn_formula(a, lowers, k), caps)
+            for u, k_i in zip(args, k):
+                term = term * u.pow_int(k_i)
+            naive = naive + term
+        out = horn_compose(a, list(zip(args, lowers)))
+        assert out == naive
         assert_clean(out)
-
-    def test_zero_weights(self):
-        s = ms({"x": 2}, {(1,): Q(1, 3)})
-        out = linear_combination({"x": 2}, [(0, s), (Q(0), s)])
-        assert out == MultiSeries.zero({"x": 2})
-
-    def test_cancelling_terms(self):
-        caps = {"x": 2, "chi": 1}
-        a = ms(caps, {(0, 0): 1, (1, 2): Q(2, 5)})
-        b = ms(caps, {(1, 1): Q(-3, 7)})
-        assert linear_combination(caps, [(2, a), (1, b), (-2, a)]) == b
-        assert linear_combination(caps, [(Q(1, 2), a), (Q(-1, 2), a)]).terms == {}
-
-    def test_empty(self):
-        assert linear_combination({"x": 1}, []) == MultiSeries.zero({"x": 1})
-
-    def test_lazy_pairs(self):
-        s = ms({"x": 3}, {(1,): 1})
-        out = linear_combination({"x": 3}, ((k, s.pow_int(k)) for k in range(1, 4)))
-        assert out == ms({"x": 3}, {(1,): 1, (2,): 2, (3,): 3})
-
-    def test_cap_mismatch(self):
-        with pytest.raises(CapMismatch):
-            linear_combination({"x": 2}, [(1, ms({"x": 3}, {(0,): 1}))])
-        with pytest.raises(CapMismatch):
-            linear_combination({"x": 2}, [(1, ms({"y": 2}, {(0,): 1}))])
-
-    def test_rejects_float_weight(self):
-        with pytest.raises(TypeError):
-            linear_combination({"x": 1}, [(0.5, ms({"x": 1}, {(0,): 1}))])
 
 
 def ring_and_reshape_results(a, b):
@@ -493,7 +510,9 @@ def ring_and_reshape_results(a, b):
     yield a.derivative(v)
     yield a.truncate({name: max(c - 1, 0) for name, c in caps.items()})
     yield a.extend({"w": 2})
-    yield linear_combination(caps, [(2, a), (Q(-1, 3), b)])
+    a0 = a - MultiSeries.constant(a.constant_term(), caps)
+    b0 = b - MultiSeries.constant(b.constant_term(), caps)
+    yield horn_compose(Q(-1, 2), [(a0, (Q(4, 3),)), (b0, ())])
     yield pow_rational(unit, Q(-1, 2))
     yield exp_series(unit - MultiSeries.constant(1, caps))
     yield PrefactorSeries(a, {v: Q(1, 3)}).derivative(v).body
