@@ -135,9 +135,14 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError("config must be a JSON object")
         for key, value in loaded.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
+            want = type(getattr(cfg, key))
+            if not (type(value) is want or want is float and type(value) is int):
+                raise ValueError(f"config key {key!r} needs a {want.__name__} value")
             setattr(cfg, key, value)
     for key in vars(cfg):
         value = getattr(args, key, None)

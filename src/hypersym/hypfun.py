@@ -22,6 +22,9 @@ sum (around ``f11_eval_float``) and of the triple sum (around
 than ``term_cap``, so a slowly converging outer sum names its own argument
 when it runs out.
 
+``ACTION_RULES`` states each catalogued operator's action on the family,
+E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
+
 Everything here is stateless; exact paths stay in Fractions, floating paths
 use a tail-domination stopping rule (terms can grow before they decay, so a
 single small term is not evidence of convergence).
@@ -283,51 +286,75 @@ def psi2_compose(
     return horn_compose(p.a, [(arg_x, (p.b,)), (arg_y, (p.c,))])
 
 
+# -- operator actions ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class ActionRule:
+    """E F(p) = coefficient(p) F(p + shift) for one catalogued operator E."""
+
+    shift: tuple[int, ...]            # (da, db) or (da, db, dc)
+    coefficient: Callable[[object], Fraction]
+
+    def shifted(self, p, times: int = 1):
+        return p.shifted(*(times * s for s in self.shift))
+
+
+# Keyed like the operator catalogue of ``liealg``; identity and recursion
+# right sides are derived from it.
+ACTION_RULES: dict[str, ActionRule] = {
+    "f11.E_a": ActionRule((1, 0), lambda p: p.a),
+    "f11.E_a'": ActionRule((-1, 0), lambda p: p.b - p.a),
+    "f11.E_b": ActionRule((0, 1), lambda p: (p.a - p.b) / p.b),
+    "f11.E_b'": ActionRule((0, -1), lambda p: p.b - 1),
+    "f11.E_ab": ActionRule((1, 1), lambda p: p.a / p.b),
+    "f11.I_a": ActionRule((0, 0), lambda p: p.a),
+    "f11.I_b": ActionRule((0, 0), lambda p: p.b),
+    "f11.I": ActionRule((0, 0), lambda p: Fraction(1)),
+    "psi2.E_a": ActionRule((1, 0, 0), lambda p: p.a),
+    "psi2.E_b": ActionRule((0, -1, 0), lambda p: p.b - 1),
+    "psi2.E_c": ActionRule((0, 0, -1), lambda p: p.c - 1),
+    "psi2.E_ab": ActionRule((1, 1, 0), lambda p: p.a / p.b),
+    "psi2.E_ac": ActionRule((1, 0, 1), lambda p: p.a / p.c),
+    "psi2.I_a": ActionRule((0, 0, 0), lambda p: p.a),
+    "psi2.I_b": ActionRule((0, 0, 0), lambda p: p.b),
+    "psi2.I_c": ActionRule((0, 0, 0), lambda p: p.c),
+    "psi2.I": ActionRule((0, 0, 0), lambda p: Fraction(1)),
+}
+
+
 # -- differential recursion relations -----------------------------------------
 
-RECURSION_IDS = (
-    "D-raise",
-    "Dminus1-raise-b",
-    "Theta-raise-a",
-    "Theta-lower-b",
-    "lower-a",
-)
+# relation id -> (operator whose action is the right side, left side).  The
+# left side is a function of (F, F', parameters), with F cut to the caps of F'.
+RECURSIONS: dict[str, tuple[str, Callable]] = {
+    "D-raise": ("f11.E_ab", lambda f, d, p: d),
+    "Dminus1-raise-b": ("f11.E_b", lambda f, d, p: d - f),
+    "Theta-raise-a": ("f11.E_a", lambda f, d, p: d.shift("x") + f.scale(p.a)),
+    "Theta-lower-b": ("f11.E_b'", lambda f, d, p: d.shift("x") + f.scale(p.b - 1)),
+    "lower-a": ("f11.E_a'", lambda f, d, p: d.shift("x") + f.scale(p.b - p.a) - f.shift("x")),
+}
+
+RECURSION_IDS = tuple(RECURSIONS)
 
 
 def verify_recursion(rel_id: str, p: Params1F1, order: int) -> MultiSeries:
     """Residual series (lhs - rhs) of one differential recursion relation.
 
-    The derivative loses the top coefficient, so the residual carries the
-    trusted cap order-1; the contract is that it is identically zero there.
+    The right side is c(p) F(p + shift) for the action rule of the
+    relation's operator.  The derivative loses the top coefficient, so the
+    residual carries the trusted cap order-1; the contract is that it is
+    identically zero there.
     """
+    try:
+        op_id, lhs = RECURSIONS[rel_id]
+    except KeyError:
+        raise ValueError(f"unknown recursion id {rel_id!r}") from None
+    rule = ACTION_RULES[op_id]
     f = f11_series(p, order)
     d = f.derivative("x")
     low = d.cap_map()
-
-    def trim(s: MultiSeries) -> MultiSeries:
-        return s.truncate(low)
-
-    theta = d.shift("x", 1)
-    if rel_id == "D-raise":
-        rhs = trim(f11_series(p.shifted(1, 1), order)).scale(p.a / p.b)
-        return d - rhs
-    if rel_id == "Dminus1-raise-b":
-        lhs = d - trim(f)
-        rhs = trim(f11_series(p.shifted(0, 1), order)).scale((p.a - p.b) / p.b)
-        return lhs - rhs
-    if rel_id == "Theta-raise-a":
-        lhs = theta + trim(f).scale(p.a)
-        rhs = trim(f11_series(p.shifted(1, 0), order)).scale(p.a)
-        return lhs - rhs
-    if rel_id == "Theta-lower-b":
-        lhs = theta + trim(f).scale(p.b - 1)
-        rhs = trim(f11_series(p.shifted(0, -1), order)).scale(p.b - 1)
-        return lhs - rhs
-    if rel_id == "lower-a":
-        lhs = theta + trim(f).scale(p.b - p.a) - trim(f.shift("x", 1))
-        rhs = trim(f11_series(p.shifted(-1, 0), order)).scale(p.b - p.a)
-        return lhs - rhs
-    raise ValueError(f"unknown recursion id {rel_id!r}")
+    rhs = f11_series(rule.shifted(p), order).truncate(low).scale(rule.coefficient(p))
+    return lhs(f.truncate(low), d, p) - rhs
 
 
 def recursion_suite(points: list[Params1F1], order: int) -> list[dict]:

@@ -3,11 +3,11 @@
 Each record states one identity between a closed-form deformation of a
 hypergeometric family member (left side) and a power series in the
 deformation parameter chi whose coefficients are parameter-shifted members
-(right side).  A record holds its left sides as builders and its right side
-as data: a weight w_l = (top)_l sign^l / (l! prod (bottom)_l) and an integer
-parameter shift per power of chi, so that the right side is
-sum_l w_l F(params + l*shift) chi^l.  The exact and the floating right side
-are both derived from that data.  The exact right side is one dict fill:
+(right side).  A record holds its left sides as hand-written builders and
+names one catalogued operator E; the right side, the expansion
+sum_l w_l F(params + l*shift) chi^l of exp(chi E) F, is derived from E's
+action rule in ``hypfun.ACTION_RULES``.  The exact and the floating right
+side both come from that rule.  The exact right side is one dict fill:
 for each l, the Horn walk of the member at params + l*shift starts from w_l
 and writes its plane under the key prefix (l,).  The left sides stay on the
 composition route (``f11_compose``, ``psi2_compose``, ``pow_rational``,
@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__ as ENGINE_VERSION
 from .hypfun import (
+    ACTION_RULES,
     NoConvergence,
     Params1F1,
     ParamsPsi2,
@@ -119,8 +120,9 @@ class IdentityRecord:
     """One catalogued relation with its as-stated and optional corrected form.
 
     The right side is the chi-sum sum_l w_l F(params + l*shift) chi^l of the
-    family member F, with w_l = (top)_l sign^l / (l! prod_bottom (bottom)_l)
-    for ``weight(params) == (top, bottoms, sign)``.
+    family member F, the expansion of exp(chi E) F for the operator E named
+    by ``op``: its action rule E F(p) = c(p) F(p + shift) gives
+    w_{l+1} = w_l c(params + l*shift) / (l + 1).
     """
 
     rec_id: str
@@ -128,8 +130,7 @@ class IdentityRecord:
     statement: str                 # human-readable as-stated formula
     validity: str
     domain_ok: Callable[[float, float, float], bool]
-    weight: Callable[[object], tuple[Fraction, tuple[Fraction, ...], int]]
-    shift: tuple[int, ...]         # parameter step per power of chi
+    op: str                        # operator id whose action gives the right side
     variants: dict[str, IdentityVariant] = field(compare=False)
 
     def variant(self, name: str) -> IdentityVariant:
@@ -142,19 +143,23 @@ class IdentityRecord:
 
 
 def _weights(record: IdentityRecord, p) -> Iterator[Fraction]:
-    """w_0, w_1, ... of the record's chi-sum, each the last times the term ratio."""
-    top, bottoms, sign = record.weight(p)
+    """w_0, w_1, ... of the record's chi-sum, from its operator's action rule.
+
+    After the first zero weight only zeros follow, and the parameters beyond
+    it are never built: the rule's coefficient there may sit on a pole.
+    """
+    rule = ACTION_RULES[record.op]
     w = Fraction(1)
-    for l in itertools.count():
+    l = 0
+    while w:
         yield w
-        d = Fraction(l + 1)
-        for bottom in bottoms:
-            d *= bottom + l
-        w = w * sign * (top + l) / d
+        w = w * rule.coefficient(rule.shifted(p, l)) / (l + 1)
+        l += 1
+    yield from itertools.repeat(w)
 
 
 def _shifted(record: IdentityRecord, p, l: int):
-    return p.shifted(*(l * s for s in record.shift))
+    return ACTION_RULES[record.op].shifted(p, l)
 
 
 def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeries:
@@ -230,8 +235,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
-        weight=lambda p: (p.a, (), 1),
-        shift=(1, 0),
+        op="f11.E_a",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=raise_a_lhs,
@@ -250,8 +254,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
-        weight=lambda p: (p.b - p.a, (p.b,), -1),
-        shift=(0, 1),
+        op="f11.E_b",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: f11_compose(
@@ -302,8 +305,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1 and |chi(1-x)| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1 and abs(chi * (1 - x)) < 1,
-        weight=lambda p: (p.b - p.a, (), 1),
-        shift=(-1, 0),
+        op="f11.E_a'",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lower_a_lhs_stated,
@@ -354,8 +356,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
-        weight=lambda p: (1 - p.b, (), -1),
-        shift=(0, -1),
+        op="f11.E_b'",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lower_b_lhs(0),
@@ -381,8 +382,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="entire in chi",
         domain_ok=lambda x, y, chi: True,
-        weight=lambda p: (p.a, (p.b,), 1),
-        shift=(1, 1),
+        op="f11.E_ab",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: f11_compose(
@@ -414,8 +414,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
-        weight=lambda p: (p.a, (), 1),
-        shift=(1, 0, 0),
+        op="psi2.E_a",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=reduction_lhs,
@@ -434,8 +433,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
-        weight=lambda p: (1 - p.b, (), -1),
-        shift=(0, -1, 0),
+        op="psi2.E_b",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
@@ -457,8 +455,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="|chi| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1,
-        weight=lambda p: (1 - p.c, (), -1),
-        shift=(0, 0, -1),
+        op="psi2.E_c",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
@@ -480,8 +477,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="entire in chi",
         domain_ok=lambda x, y, chi: True,
-        weight=lambda p: (p.a, (p.b,), 1),
-        shift=(1, 1, 0),
+        op="psi2.E_ab",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(
@@ -503,8 +499,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         ),
         validity="entire in chi",
         domain_ok=lambda x, y, chi: True,
-        weight=lambda p: (p.a, (p.c,), 1),
-        shift=(1, 0, 1),
+        op="psi2.E_ac",
         variants={
             AS_STATED: IdentityVariant(
                 lhs_builder=lambda p, caps: psi2_compose(

@@ -4,7 +4,9 @@ Covers the raising/lowering/maintenance operators of the two function
 families, their exact action on realized basis elements, commutators
 (simplified back to first order, with a hard failure if the second-order
 parts do not cancel), exact span membership, and Runge-Kutta checks of the
-one-parameter flows against their closed forms.
+one-parameter flows against their closed forms.  ``build_catalogue`` is the
+hand-written statement of each operator; its action is checked against the
+rule of ``hypfun.ACTION_RULES``, and seven flow fields are the operators.
 
 Family keys are ``"f11"`` (one-argument family, realized as a series in x
 times y^a z^b) and ``"psi2"`` (two-argument family, series in x, y times
@@ -15,13 +17,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .exactnum import Q, as_rational
-from .hypfun import Params1F1, ParamsPsi2, f11_series, param_strs, psi2_series
+from .hypfun import (
+    ACTION_RULES,
+    ActionRule,
+    Params1F1,
+    ParamsPsi2,
+    f11_series,
+    param_strs,
+    psi2_series,
+)
 from .series import MultiSeries, PrefactorSeries, UnknownVariable
 
 Monomial = tuple[tuple[str, int], ...]
@@ -154,11 +164,7 @@ class DiffOperator:
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key, Q(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _bump(out, key, c)
         return DiffOperator(out)
 
     def __neg__(self) -> "DiffOperator":
@@ -201,56 +207,48 @@ class DiffOperator:
         return total
 
 
+def _bump(store: dict, key, value: Fraction) -> None:
+    """store[key] += value, dropping the key when the sum is zero."""
+    total = store.get(key, Q(0)) + value
+    if total == 0:
+        store.pop(key, None)
+    else:
+        store[key] = total
+
+
 def commutator(op1: DiffOperator, op2: DiffOperator) -> DiffOperator:
     """op1 op2 - op2 op1, with the second-order parts required to cancel."""
 
     def compose(a: DiffOperator, b: DiffOperator):
         first: dict[Pattern, Fraction] = {}
         second: dict[tuple[tuple[str, str], Monomial], Fraction] = {}
-
-        def bump(store, key, value):
-            s = store.get(key, Q(0)) + value
-            if s == 0:
-                store.pop(key, None)
-            else:
-                store[key] = s
-
         for (m1, d1), c1 in a._terms.items():
             for (m2, d2), c2 in b._terms.items():
                 c = c1 * c2
                 if d1 is None:
-                    bump(first, (_mono_mul(m1, m2), d2), c)
+                    _bump(first, (_mono_mul(m1, m2), d2), c)
                     continue
                 e, dm2 = _mono_deriv(m2, d1)
                 if e:
-                    bump(first, (_mono_mul(m1, dm2), d2), c * e)
+                    _bump(first, (_mono_mul(m1, dm2), d2), c * e)
                 if d2 is None:
-                    bump(first, (_mono_mul(m1, m2), d1), c)
+                    _bump(first, (_mono_mul(m1, m2), d1), c)
                 else:
                     pair = tuple(sorted((d1, d2)))
-                    bump(second, (pair, _mono_mul(m1, m2)), c)
+                    _bump(second, (pair, _mono_mul(m1, m2)), c)
         return first, second
 
     f12, s12 = compose(op1, op2)
     f21, s21 = compose(op2, op1)
     for key, c in s21.items():
-        s = s12.get(key, Q(0)) - c
-        if s == 0:
-            s12.pop(key, None)
-        else:
-            s12[key] = s
+        _bump(s12, key, -c)
     if s12:
         raise InternalSimplificationFailure(
             f"surviving second-order terms: {s12}"
         )
-    out = dict(f12)
     for key, c in f21.items():
-        s = out.get(key, Q(0)) - c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return DiffOperator(out)
+        _bump(f12, key, -c)
+    return DiffOperator(f12)
 
 
 # -- span membership ----------------------------------------------------------
@@ -428,56 +426,15 @@ def realize(family: BasisFamily, order: int) -> PrefactorSeries:
     )
 
 
-@dataclass(frozen=True)
-class ActionRule:
-    op_id: str
-    family: str
-    shift: tuple[int, ...]           # (da, db) or (da, db, dc)
-    coefficient_text: str
-    coefficient: Callable[[object], Fraction] = field(compare=False)
-
-    def shifted_params(self, params):
-        return params.shifted(*self.shift)
-
-
-_F11_RULES: dict[str, tuple[tuple[int, int], str, Callable]] = {
-    "E_a": ((1, 0), "a", lambda p: p.a),
-    "E_a'": ((-1, 0), "b-a", lambda p: p.b - p.a),
-    "E_b": ((0, 1), "(a-b)/b", lambda p: (p.a - p.b) / p.b),
-    "E_b'": ((0, -1), "b-1", lambda p: p.b - 1),
-    "E_ab": ((1, 1), "a/b", lambda p: p.a / p.b),
-    "I_a": ((0, 0), "a", lambda p: p.a),
-    "I_b": ((0, 0), "b", lambda p: p.b),
-    "I": ((0, 0), "1", lambda p: Q(1)),
-}
-
-_PSI2_RULES: dict[str, tuple[tuple[int, int, int], str, Callable]] = {
-    "E_a": ((1, 0, 0), "a", lambda p: p.a),
-    "E_b": ((0, -1, 0), "b-1", lambda p: p.b - 1),
-    "E_c": ((0, 0, -1), "c-1", lambda p: p.c - 1),
-    "E_ab": ((1, 1, 0), "a/b", lambda p: p.a / p.b),
-    "E_ac": ((1, 0, 1), "a/c", lambda p: p.a / p.c),
-    "I_a": ((0, 0, 0), "a", lambda p: p.a),
-    "I_b": ((0, 0, 0), "b", lambda p: p.b),
-    "I_c": ((0, 0, 0), "c", lambda p: p.c),
-    "I": ((0, 0, 0), "1", lambda p: Q(1)),
-}
-
-
 def expected_action(op_id: str, family: BasisFamily) -> ActionRule:
     """Parameter shift and exact coefficient of a catalogued operator action."""
-    fam, _, name = op_id.partition(".")
-    if not name:
-        fam, name = family.kind, op_id
-    if fam != family.kind:
+    if op_id.partition(".")[0] != family.kind:
         raise ValueError(f"operator {op_id!r} does not act on family {family.kind!r}")
-    table = _F11_RULES if fam == "f11" else _PSI2_RULES
-    if name not in table:
-        raise KeyError(f"no action rule for {fam}.{name}")
-    shift, text, fn = table[name]
-    rule = ActionRule(f"{fam}.{name}", fam, shift, text, fn)
+    if op_id not in ACTION_RULES:
+        raise KeyError(f"no action rule for {op_id}")
+    rule = ACTION_RULES[op_id]
     rule.coefficient(family.params)           # force DegenerateParameter early
-    rule.shifted_params(family.params)
+    rule.shifted(family.params)
     return rule
 
 
@@ -487,17 +444,15 @@ def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
     Comparison happens at the common trusted caps.  Returns a report row
     with status PASS or the first offending monomial.
     """
-    cat = catalogue()
     rule = expected_action(op_id, family)
-    op = cat[rule.op_id]
-    lhs = op.apply(realize(family, order))
-    shifted = BasisFamily(family.kind, rule.shifted_params(family.params))
+    lhs = catalogue()[op_id].apply(realize(family, order))
+    shifted = BasisFamily(family.kind, rule.shifted(family.params))
     rhs = realize(shifted, order).scale(rule.coefficient(family.params))
     caps = {
         v: min(lhs.body.cap(v), rhs.body.cap(v)) for v in lhs.body.variables
     }
     row = {
-        "op": rule.op_id,
+        "op": op_id,
         "family": family.kind,
         "params": param_strs(family.params),
         "order": order,
@@ -531,13 +486,12 @@ def action_suite(
     psi2_points: list[ParamsPsi2],
     order: int,
 ) -> list[dict]:
+    points = {"f11": f11_points, "psi2": psi2_points}
     rows = []
-    for name in _F11_RULES:
-        for p in f11_points:
-            rows.append(verify_action(f"f11.{name}", BasisFamily("f11", p), order))
-    for name in _PSI2_RULES:
-        for p in psi2_points:
-            rows.append(verify_action(f"psi2.{name}", BasisFamily("psi2", p), order))
+    for op_id in ACTION_RULES:
+        kind = op_id.partition(".")[0]
+        for p in points[kind]:
+            rows.append(verify_action(op_id, BasisFamily(kind, p), order))
     return rows
 
 
@@ -547,138 +501,136 @@ def action_suite(
 class FlowSpec:
     """Characteristic ODE system and its closed-form flow for one operator.
 
-    ``rhs`` maps each flowing variable to a callable of the full state;
-    ``closed`` maps it to a callable of (start point, alpha).  The
-    multiplier flows alongside as dmu/dalpha = multiplier_rate(state) * mu
-    with closed form ``multiplier_closed``; operators without a multiplier
-    use rate 0 and closed form 1.  ``denominators`` guard the singularity
-    margin.  ``notes`` records any reconstruction applied to the source
-    system.
+    The derivative terms of ``field`` are the vector field d(var)/dalpha;
+    its scalar terms sum to the multiplier's rate, dmu/dalpha = rate * mu,
+    whose closed form is ``multiplier_closed``.  Seven fields are catalogued
+    operators; three keep the paper's stated system, which is not their
+    operator's flow.  ``closed`` (a callable of start point and alpha per
+    flowing variable) and ``denominators`` (the singularity guards) are the
+    independent claim checked.  ``notes`` records any reconstruction.
     """
 
     op_id: str
-    rhs: dict[str, Callable[[dict], float]]
+    field: DiffOperator
     closed: dict[str, Callable[[dict, float], float]]
-    denominators: tuple[Callable[[dict, float], float], ...]
-    multiplier_rate: Callable[[dict], float] | None = None
+    denominators: tuple[Callable[[dict, float], float], ...] = ()
     multiplier_closed: Callable[[dict, float], float] = lambda s0, a: 1.0
     multiplier_text: str = "1"
     notes: str = ""
 
+    @functools.cached_property
+    def program(self) -> tuple[list[str], list[list[tuple]]]:
+        """The coordinates the field reads and, per state slot (those
+        coordinates, then mu), its terms as (coefficient, numerator factors,
+        denominator factors), each factor an (index, exponent) pair."""
+        terms = self.field.terms
+        coords = sorted({v for t in terms for v, _ in t.monomial} | {t.derivative for t in terms} - {None})
+        index = {v: i for i, v in enumerate(coords)}
+        slots: list[list[tuple]] = [[] for _ in range(len(coords) + 1)]
+        for t in terms:
+            factors = [(index[v], e) for v, e in t.monomial]
+            slots[index.get(t.derivative, len(coords))].append((
+                float(t.coefficient),
+                [(i, e) for i, e in factors if e > 0],
+                [(i, -e) for i, e in factors if e < 0],
+            ))
+        return coords, slots
+
 
 def _flow_specs() -> dict[str, FlowSpec]:
-    specs = {}
-
-    specs["f11.E_a"] = FlowSpec(
-        op_id="f11.E_a",
-        rhs={"y": lambda s: s["y"] ** 2, "x": lambda s: s["x"] * s["y"]},
-        closed={
-            "y": lambda s0, a: s0["y"] / (1 - a * s0["y"]),
-            "x": lambda s0, a: s0["x"] / (1 - a * s0["y"]),
-        },
-        denominators=(lambda s0, a: 1 - a * s0["y"],),
-    )
-    specs["f11.E_b"] = FlowSpec(
-        op_id="f11.E_b",
-        rhs={"z": lambda s: 1.0, "x": lambda s: s["x"] / s["z"]},
-        closed={
-            "z": lambda s0, a: s0["z"] + a,
-            "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
-        },
-        multiplier_rate=lambda s: -1.0 / s["z"],
-        multiplier_closed=lambda s0, a: s0["z"] / (s0["z"] + a),
-        multiplier_text="z/(z+alpha)",
-        denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
-        notes=(
-            "multiplier rate reconstructed as -mu/z (the printed equation is "
-            "typographically broken); the printed closed form z/(z+alpha) "
-            "solves the reconstruction"
+    cat = catalogue()
+    specs = (
+        FlowSpec(
+            "f11.E_a", cat["f11.E_a"],
+            closed={
+                "y": lambda s0, a: s0["y"] / (1 - a * s0["y"]),
+                "x": lambda s0, a: s0["x"] / (1 - a * s0["y"]),
+            },
+            denominators=(lambda s0, a: 1 - a * s0["y"],),
+        ),
+        FlowSpec(
+            "f11.E_b", cat["f11.E_b'"],
+            closed={
+                "z": lambda s0, a: s0["z"] + a,
+                "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
+            },
+            multiplier_closed=lambda s0, a: s0["z"] / (s0["z"] + a),
+            multiplier_text="z/(z+alpha)",
+            denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
+            notes=(
+                "multiplier rate reconstructed as -mu/z (the printed equation is "
+                "typographically broken); the printed closed form z/(z+alpha) "
+                "solves the reconstruction"
+            ),
+        ),
+        FlowSpec(
+            "f11.E_a'",
+            DiffOperator.term(-1, {}, "y")
+            + DiffOperator.term(1, {"x": 1, "y": -1}, "x")
+            + DiffOperator.term(-1, {"x": 2, "y": -1}, "x")
+            + DiffOperator.term(-1, {"x": 1, "y": -1, "z": 1}, "z"),
+            closed={
+                "y": lambda s0, a: s0["y"] - a,
+                "x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (1 - s0["x"])),
+                "z": lambda s0, a: s0["z"] * (s0["y"] - a) / (s0["y"] - a * (1 - s0["x"])),
+            },
+            denominators=(
+                lambda s0, a: s0["y"] - a,
+                lambda s0, a: s0["y"] - a * (1 - s0["x"]),
+            ),
+        ),
+        FlowSpec(
+            "f11.E_b'",
+            cat["f11.E_b'"] + DiffOperator.term(1, {"z": -1}, None),  # without its -1/z
+            closed={
+                "z": lambda s0, a: s0["z"] + a,
+                "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
+            },
+            denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
+        ),
+        FlowSpec(
+            "f11.E_ab", cat["f11.E_ab"],
+            closed={"x": lambda s0, a: s0["x"] + a * s0["y"] * s0["z"]},
+        ),
+        FlowSpec(
+            "psi2.E_a", cat["psi2.E_a"],
+            closed={
+                "z": lambda s0, a: s0["z"] / (1 - a * s0["z"]),
+                "x": lambda s0, a: s0["x"] / (1 - a * s0["z"]),
+                "y": lambda s0, a: s0["y"] / (1 - a * s0["z"]),
+            },
+            denominators=(lambda s0, a: 1 - a * s0["z"],),
+        ),
+        FlowSpec(
+            "psi2.E_b", cat["psi2.E_b"],
+            closed={
+                "u": lambda s0, a: s0["u"] + a,
+                "x": lambda s0, a: s0["x"] * (s0["u"] + a) / s0["u"],
+            },
+            multiplier_closed=lambda s0, a: s0["u"] / (s0["u"] + a),
+            multiplier_text="u/(u+alpha)",
+            denominators=(lambda s0, a: s0["u"] + a, lambda s0, a: s0["u"]),
+        ),
+        FlowSpec(
+            "psi2.E_c", cat["psi2.E_c"],
+            closed={
+                "t": lambda s0, a: s0["t"] + a,
+                "y": lambda s0, a: s0["y"] * (s0["t"] + a) / s0["t"],
+            },
+            multiplier_closed=lambda s0, a: s0["t"] / (s0["t"] + a),
+            multiplier_text="t/(t+alpha)",
+            denominators=(lambda s0, a: s0["t"] + a, lambda s0, a: s0["t"]),
+        ),
+        FlowSpec(
+            "psi2.E_ab", cat["psi2.E_ab"],
+            closed={"x": lambda s0, a: s0["x"] + a * s0["z"] * s0["u"]},
+        ),
+        FlowSpec(
+            "psi2.E_ac", cat["psi2.E_ac"],
+            closed={"y": lambda s0, a: s0["y"] + a * s0["z"] * s0["t"]},
         ),
     )
-    specs["f11.E_a'"] = FlowSpec(
-        op_id="f11.E_a'",
-        rhs={
-            "y": lambda s: -1.0,
-            "x": lambda s: s["x"] * (1 - s["x"]) / s["y"],
-            "z": lambda s: -s["z"] * s["x"] / s["y"],
-        },
-        closed={
-            "y": lambda s0, a: s0["y"] - a,
-            "x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (1 - s0["x"])),
-            "z": lambda s0, a: s0["z"] * (s0["y"] - a) / (s0["y"] - a * (1 - s0["x"])),
-        },
-        denominators=(
-            lambda s0, a: s0["y"] - a,
-            lambda s0, a: s0["y"] - a * (1 - s0["x"]),
-        ),
-    )
-    specs["f11.E_b'"] = FlowSpec(
-        op_id="f11.E_b'",
-        rhs={"z": lambda s: 1.0, "x": lambda s: s["x"] / s["z"]},
-        closed={
-            "z": lambda s0, a: s0["z"] + a,
-            "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
-        },
-        denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
-    )
-    specs["f11.E_ab"] = FlowSpec(
-        op_id="f11.E_ab",
-        rhs={"x": lambda s: s["y"] * s["z"]},
-        closed={"x": lambda s0, a: s0["x"] + a * s0["y"] * s0["z"]},
-        denominators=(),
-    )
-
-    specs["psi2.E_a"] = FlowSpec(
-        op_id="psi2.E_a",
-        rhs={
-            "z": lambda s: s["z"] ** 2,
-            "x": lambda s: s["x"] * s["z"],
-            "y": lambda s: s["y"] * s["z"],
-        },
-        closed={
-            "z": lambda s0, a: s0["z"] / (1 - a * s0["z"]),
-            "x": lambda s0, a: s0["x"] / (1 - a * s0["z"]),
-            "y": lambda s0, a: s0["y"] / (1 - a * s0["z"]),
-        },
-        denominators=(lambda s0, a: 1 - a * s0["z"],),
-    )
-    specs["psi2.E_b"] = FlowSpec(
-        op_id="psi2.E_b",
-        rhs={"u": lambda s: 1.0, "x": lambda s: s["x"] / s["u"]},
-        closed={
-            "u": lambda s0, a: s0["u"] + a,
-            "x": lambda s0, a: s0["x"] * (s0["u"] + a) / s0["u"],
-        },
-        multiplier_rate=lambda s: -1.0 / s["u"],
-        multiplier_closed=lambda s0, a: s0["u"] / (s0["u"] + a),
-        multiplier_text="u/(u+alpha)",
-        denominators=(lambda s0, a: s0["u"] + a, lambda s0, a: s0["u"]),
-    )
-    specs["psi2.E_c"] = FlowSpec(
-        op_id="psi2.E_c",
-        rhs={"t": lambda s: 1.0, "y": lambda s: s["y"] / s["t"]},
-        closed={
-            "t": lambda s0, a: s0["t"] + a,
-            "y": lambda s0, a: s0["y"] * (s0["t"] + a) / s0["t"],
-        },
-        multiplier_rate=lambda s: -1.0 / s["t"],
-        multiplier_closed=lambda s0, a: s0["t"] / (s0["t"] + a),
-        multiplier_text="t/(t+alpha)",
-        denominators=(lambda s0, a: s0["t"] + a, lambda s0, a: s0["t"]),
-    )
-    specs["psi2.E_ab"] = FlowSpec(
-        op_id="psi2.E_ab",
-        rhs={"x": lambda s: s["z"] * s["u"]},
-        closed={"x": lambda s0, a: s0["x"] + a * s0["z"] * s0["u"]},
-        denominators=(),
-    )
-    specs["psi2.E_ac"] = FlowSpec(
-        op_id="psi2.E_ac",
-        rhs={"y": lambda s: s["z"] * s["t"]},
-        closed={"y": lambda s0, a: s0["y"] + a * s0["z"] * s0["t"]},
-        denominators=(),
-    )
-    return specs
+    return {spec.op_id: spec for spec in specs}
 
 
 _FLOW_SPECS = _flow_specs()
@@ -704,23 +656,37 @@ def flow_check(
 ) -> float:
     """Classical fixed-step RK4 against the closed-form flow.
 
-    Integrates the flowing variables and the multiplier from the start
+    Integrates the field's coordinates and the multiplier from the start
     point and returns the maximum absolute deviation from the closed forms
     over all grid points.  Raises SingularFlow when any catalogued
-    denominator comes within ``margin`` of zero on the grid.
+    denominator comes within ``margin`` of zero on the grid.  Each rate is
+    its terms summed left to right, each term its coefficient times the
+    numerator factors divided by the denominator factors.
     """
     s0 = {v: float(as_rational(val)) for v, val in start.items()}
     steps = max(1, int(round(alpha_max / h)))
     dt = alpha_max / steps
+    half = 0.5 * dt
+    sixth = dt / 6.0
 
-    state = dict(s0)
-    state["mu"] = 1.0
-    rhs = dict(spec.rhs)
-    rate = spec.multiplier_rate
-    rhs["mu"] = (lambda s: rate(s) * s["mu"]) if rate else (lambda s: 0.0)
+    coords, slots = spec.program
+    mu = len(coords)
+    state = [s0[v] for v in coords] + [1.0]
+    closed = [(coords.index(v), form) for v, form in spec.closed.items()]
 
-    def derivs(st: dict) -> dict:
-        return {v: f(st) for v, f in rhs.items()}
+    def rates(st: list[float]) -> list[float]:
+        out = []
+        for terms in slots:
+            total = 0.0
+            for c, num, den in terms:
+                for i, e in num:
+                    c *= st[i] if e == 1 else st[i] ** e
+                for i, e in den:
+                    c /= st[i] if e == 1 else st[i] ** e
+                total += c
+            out.append(total)
+        out[mu] *= st[mu]
+        return out
 
     def check_grid_point(alpha: float) -> float:
         for den in spec.denominators:
@@ -728,23 +694,22 @@ def flow_check(
                 raise SingularFlow(
                     f"{spec.op_id}: denominator within margin at alpha={alpha}"
                 )
-        dev = abs(state["mu"] - spec.multiplier_closed(s0, alpha))
-        for v, form in spec.closed.items():
-            dev = max(dev, abs(state[v] - form(s0, alpha)))
+        dev = abs(state[mu] - spec.multiplier_closed(s0, alpha))
+        for i, form in closed:
+            dev = max(dev, abs(state[i] - form(s0, alpha)))
         return dev
 
     max_dev = check_grid_point(0.0)
     alpha = 0.0
     for _ in range(steps):
-        k1 = derivs(state)
-        st2 = {**state, **{v: state[v] + 0.5 * dt * k1[v] for v in rhs}}
-        k2 = derivs(st2)
-        st3 = {**state, **{v: state[v] + 0.5 * dt * k2[v] for v in rhs}}
-        k3 = derivs(st3)
-        st4 = {**state, **{v: state[v] + dt * k3[v] for v in rhs}}
-        k4 = derivs(st4)
-        for v in rhs:
-            state[v] += dt / 6.0 * (k1[v] + 2 * k2[v] + 2 * k3[v] + k4[v])
+        k1 = rates(state)
+        k2 = rates([s + half * k for s, k in zip(state, k1)])
+        k3 = rates([s + half * k for s, k in zip(state, k2)])
+        k4 = rates([s + dt * k for s, k in zip(state, k3)])
+        state = [
+            s + sixth * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
         alpha += dt
         max_dev = max(max_dev, check_grid_point(alpha))
     return max_dev

@@ -234,20 +234,24 @@ class MultiSeries:
                 f"{dict(zip(other.variables, other.caps))}"
             )
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
+    def _combine(self, other: "MultiSeries", subtract: bool) -> "MultiSeries":
+        """self + other, or self - other: one pass over other's terms."""
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps)
             if s is None:
-                out[exps] = c
+                out[exps] = -c if subtract else c
                 continue
-            s += c
+            s = s - c if subtract else s + c
             if s:
                 out[exps] = s
             else:
                 del out[exps]
         return MultiSeries._trusted(self.variables, self.caps, out)
+
+    def __add__(self, other: "MultiSeries") -> "MultiSeries":
+        return self._combine(other, False)
 
     def __neg__(self) -> "MultiSeries":
         return MultiSeries._trusted(
@@ -255,7 +259,7 @@ class MultiSeries:
         )
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
+        return self._combine(other, True)
 
     def scale(self, k) -> "MultiSeries":
         k = as_rational(k)

@@ -115,11 +115,19 @@ class TestVerify:
         data = json.loads((tmp_path / "flagout" / "verify_recursions.json").read_text())
         assert data["scopes"]["recursions"]["rows"][0]["order"] == 6
 
-    def test_bad_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("config", [
+        {"nonsense_key": 1},
+        [1, 2],
+        {"tol": "tiny"},
+        {"points": [1, 2, 3]},
+    ], ids=["unknown-key", "not-an-object", "string-for-float", "list-for-string"])
+    def test_bad_config_exits_2(self, tmp_path, config):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nonsense_key": 1}))
+        cfg.write_text(json.dumps(config))
         r = run_cli("verify", "--scope", "recursions", "--config", str(cfg))
         assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
     def test_bad_points_exit_2(self):
         r = run_cli("verify", "--scope", "recursions", "--points", "0.5,4/3,5/7")

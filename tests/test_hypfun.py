@@ -13,6 +13,7 @@ from hypersym.hypfun import (
     Params1F1,
     ParamsPsi2,
     RECURSION_IDS,
+    RECURSIONS,
     f11_coeff,
     f11_compose,
     f11_eval_exact,
@@ -26,6 +27,7 @@ from hypersym.hypfun import (
     psi2_series,
     verify_recursion,
 )
+from hypersym.liealg import catalogue
 from hypersym.series import CapMismatch, MultiSeries, exp_series, pow_rational
 
 POINTS = [
@@ -501,3 +503,8 @@ class TestRecursions:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             verify_recursion("unknown", POINTS[0], 8)
+
+    def test_relations_name_a_catalogued_f11_operator(self):
+        operators = catalogue()
+        for op_id, _lhs in RECURSIONS.values():
+            assert op_id in operators and op_id.startswith("f11."), op_id

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -8,10 +9,10 @@ import pytest
 from hypersym.exactnum import (
     DegenerateParameter,
     factorial,
-    is_nonpositive_integer,
     pochhammer,
 )
 from hypersym.hypfun import (
+    ACTION_RULES,
     NoConvergence,
     Params1F1,
     ParamsPsi2,
@@ -45,6 +46,7 @@ from hypersym.identities import (
     verify_formal,
     verify_numeric,
 )
+from hypersym.liealg import catalogue as operator_catalogue
 from hypersym.series import MultiSeries
 
 P = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
@@ -237,24 +239,24 @@ class TestVerifyNumeric:
         assert fixed["status"] == "verified"
 
     def test_chi_sum_converges(self):
-        # w_l = (1)_l / l! = 1 and F(a;b;0) = 1, so the sum is 1 / (1 - chi)
-        value = _sum_float(GEOMETRIC, Params1F1(P.a, P.b), 0.0, 0.0, 0.5, 1e-12)
-        assert abs(value - 2.0) <= 1e-11
+        # w_l = 1 / l! and F(a;b;0) = 1, so the sum is exp(chi)
+        value = _sum_float(EXPONENTIAL, Params1F1(P.a, P.b), 0.0, 0.0, 0.5, 1e-12)
+        assert abs(value - math.exp(0.5)) <= 1e-11
 
     def test_chi_sum_raises_at_the_term_cap(self):
+        # the terms 30^l / l! still grow at l = 20
         with pytest.raises(NoConvergence):
-            _sum_float(GEOMETRIC, Params1F1(P.a, P.b), 0.0, 0.0, 0.5, 1e-12, max_terms=20)
+            _sum_float(EXPONENTIAL, Params1F1(P.a, P.b), 0.0, 0.0, 30.0, 1e-12, max_terms=20)
 
 
-# sum_l chi^l: weight 1 at every l and an unshifted member
-GEOMETRIC = IdentityRecord(
-    rec_id="T-GEOMETRIC",
+# exp(chi I) F = exp(chi) F: weight 1/l! at every l and an unshifted member
+EXPONENTIAL = IdentityRecord(
+    rec_id="T-EXPONENTIAL",
     family="f11",
-    statement="1/(1-chi) = sum_l chi^l",
-    validity="|chi| < 1",
-    domain_ok=lambda x, y, chi: abs(chi) < 1,
-    weight=lambda p: (Q(1), (), 1),
-    shift=(0, 0),
+    statement="exp(chi) F(a;b;x) = sum_l chi^l/l! F(a;b;x)",
+    validity="entire in chi",
+    domain_ok=lambda x, y, chi: True,
+    op="f11.I",
     variants={},
 )
 
@@ -286,7 +288,7 @@ def _reference_sum(rec, p, n, m):
     """Terms of sum_l w_l F(p + l*shift) chi^l, one coefficient at a time."""
     terms = {}
     for l in range(n + 1):
-        q = p.shifted(*(l * s for s in rec.shift))
+        q = p.shifted(*(l * s for s in ACTION_RULES[rec.op].shift))
         w = WEIGHT_REFERENCE[rec.rec_id](p, l)
         if rec.family == "f11":
             for s in range(m + 1):
@@ -298,6 +300,11 @@ def _reference_sum(rec, p, n, m):
 
 
 class TestSumSide:
+    def test_records_name_an_operator_of_their_family(self):
+        operators = operator_catalogue()
+        for rec in catalogue():
+            assert rec.op in operators and rec.op.startswith(rec.family + "."), rec.rec_id
+
     def test_reference_covers_the_catalogue(self):
         assert set(WEIGHT_REFERENCE) == {rec.rec_id for rec in catalogue()}
 
@@ -313,8 +320,14 @@ class TestSumSide:
     @pytest.mark.parametrize("rec_id", sorted(WEIGHT_REFERENCE))
     def test_terminating_points_end_every_weight(self, rec_id):
         rec = get_record(rec_id)
-        tops = [rec.weight(_family_params(rec, q))[0] for q in TERMINATING_POINTS]
-        assert any(is_nonpositive_integer(top) for top in tops)
+        ended = False
+        for q in TERMINATING_POINTS:
+            weights = list(itertools.islice(_weights(rec, _family_params(rec, q)), 10))
+            if 0 in weights:
+                first = weights.index(0)
+                assert 0 < first < 10 and not any(weights[first:])
+                ended = True
+        assert ended
 
     @pytest.mark.parametrize("point", P_ALL + TERMINATING_POINTS,
                              ids=lambda p: f"a={p.a},b={p.b},c={p.c}")

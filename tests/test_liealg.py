@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypersym.hypfun import Params1F1, ParamsPsi2
+from hypersym.hypfun import ACTION_RULES, Params1F1, ParamsPsi2
 from hypersym import liealg
 from hypersym.liealg import (
     BasisFamily,
@@ -133,6 +133,9 @@ class TestApply:
 
 
 class TestExpectedAction:
+    def test_one_rule_per_catalogued_operator(self):
+        assert list(ACTION_RULES) == list(CAT)
+
     def test_psi2_raise_coefficient(self):
         rule = expected_action("psi2.E_a", BasisFamily("psi2", P_PSI2[0]))
         assert rule.coefficient(P_PSI2[0]) == Q(1, 2)
@@ -303,6 +306,12 @@ class TestSpan:
 
 
 class TestFlows:
+    def test_fields_are_the_operators_but_three(self):
+        derived = {op_id for op_id in FLOW_IDS if flow_spec(op_id).field == catalogue()[op_id]}
+        assert len(derived) == 7
+        # the paper's stated systems for these are not their operators' flows
+        assert set(FLOW_IDS) - derived == {"f11.E_b", "f11.E_b'", "f11.E_a'"}
+
     def test_all_flows_close_to_closed_forms(self):
         for op_id in FLOW_IDS:
             dev = flow_check(flow_spec(op_id), START, 0.1, 1e-3)

@@ -1,16 +1,20 @@
-"""The benchmark tracer's targets still exist in the package.
+"""The benchmark's uses of the package still exist in it.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``LAYERS`` table
 and silently lists a missing one instead of failing, so a rename in
-``hypersym`` would drop a layer from the traced run.  The table is read from
-the file's syntax tree: nothing under ``perfbench/`` is imported or wrapped.
+``hypersym`` would drop a layer from the traced run.  ``perfbench/pass_proc.py``
+builds the catalogues by name before each pass, so a rename there would fail
+every pass.  Both files are read from their syntax trees: nothing under
+``perfbench/`` is imported or wrapped.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+PASS_PROC = PERFBENCH / "pass_proc.py"
 
 
 def _layers():
@@ -37,3 +41,37 @@ def test_every_tracer_target_resolves():
     targets = [target for _layer, layer_targets, _extras in _layers() for target in layer_targets]
     assert len(targets) > 20
     assert [t for t in targets if not _resolves(t)] == []
+
+
+def _package_uses(path):
+    """(module, name) for every ``module.name`` the file reads from the
+    hypersym modules it imports."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "hypersym"
+        for alias in node.names
+    }
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+def test_every_benchmark_setup_name_resolves():
+    uses = _package_uses(PASS_PROC)
+    assert {
+        ("identities", "catalogue"),
+        ("liealg", "build_catalogue"),
+        ("liealg", "flow_spec"),
+        ("liealg", "FLOW_IDS"),
+    } <= uses
+    missing = [
+        f"{module}.{name}" for module, name in sorted(uses)
+        if not hasattr(importlib.import_module(f"hypersym.{module}"), name)
+    ]
+    assert missing == []
