@@ -17,7 +17,9 @@ error still writes the reports of the scopes it finished, marked
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -361,6 +363,7 @@ def cmd_catalogue(_args: argparse.Namespace) -> int:
 
 # -- entry point --------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypersym",
@@ -418,10 +421,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A value that argparse would read as an option: it takes only -3 and -0.5
+# style numbers as values, not -1/2, -1e-3 or -2,3,3.
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1/2`` into ``--flag=-1/2`` so the value parses."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE_VALUE.match(token) and prev.startswith("--") and len(prev) > 2
+                and "=" not in prev):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep its codes
         return exc.code if isinstance(exc.code, int) else 2

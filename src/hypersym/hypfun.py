@@ -17,10 +17,12 @@ denominators and makes one ``Fraction`` per coefficient; the compositions
 are ``series.horn_compose`` calls, summed on integer numerators over one
 common denominator.  ``f11_coeff`` and ``psi2_coeff`` keep the closed
 Pochhammer form.  ``_outer_float`` is the outer loop of the converging psi2
-sum (around ``f11_eval_float``) and of the triple sum (around
-``psi2_eval_float``); at outer index n the inner sum may take n more terms
-than ``term_cap``, so a slowly converging outer sum names its own argument
-when it runs out.
+sum (around ``f11_eval_float``) and, nested twice, of the triple sum; it
+hands its inner callable the integer offset n of the top parameter, and at
+outer index n the inner sum may take n more terms than ``term_cap``, so a
+slowly converging outer sum names its own argument when it runs out.  The
+triple sum's inner 1F1(a + l + n; b; x) depends on k = l + n only, and is
+summed once per k.
 
 ``ACTION_RULES`` states each catalogued operator's action on the family,
 E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
@@ -32,6 +34,7 @@ single small term is not evidence of convergence).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -212,7 +215,7 @@ def psi2_eval_float(
         return total
     return _outer_float(
         p.a,
-        lambda an, cap: f11_eval_float(Params1F1(an, p.b), x, rel_tol, cap)[0],
+        lambda n, cap: f11_eval_float(Params1F1(p.a + n, p.b), x, rel_tol, cap)[0],
         y, (float(p.c),), rel_tol, term_cap, "y",
     )
 
@@ -225,30 +228,45 @@ def psi2_3var_eval_float(
     rel_tol: float = 1e-12,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
-    """Floating triple sum, outer index on the third argument."""
+    """Floating triple sum, outer index l on z, middle index n on y.
+
+    The term at (l, n) is (a)_l z^l / l! * (a+l)_n y^n / (n! (c)_n) times
+    1F1(a + l + n; b; x), whose inner sum depends on k = l + n alone.  It
+    is summed once per k, with the cap ``term_cap + k`` that the middle loop
+    of outer index l gives it at every (l, n) on that diagonal, so skipping
+    the repeats changes no value and no ``NoConvergence``.
+    """
+    @functools.cache
+    def f11_shifted(k: int) -> float:
+        return f11_eval_float(Params1F1(p.a + k, p.b), x, rel_tol, term_cap + k)[0]
+
+    cf = float(p.c)
     return _outer_float(
         p.a,
-        lambda al, cap: psi2_eval_float(ParamsPsi2(al, p.b, p.c), x, y, rel_tol, term_cap=cap),
+        lambda l, cap: _outer_float(
+            p.a + l, lambda n, _cap: f11_shifted(l + n), y, (cf,), rel_tol, cap, "y"
+        ),
         z, (), rel_tol, term_cap, "z",
     )
 
 
 def _outer_float(
     a: Fraction,
-    inner: Callable[[Fraction, int], float],
+    inner: Callable[[int, int], float],
     arg: float,
     lowers: tuple[float, ...],
     rel_tol: float,
     term_cap: int,
     name: str,
 ) -> float:
-    """Sum over n of (a)_n arg^n / (n! prod (lower)_n) * inner(a + n).
+    """Sum over n of (a)_n arg^n / (n! prod (lower)_n) * inner(n).
 
-    ``inner(a + n, cap)`` sums the remaining indices to tolerance in at most
-    ``cap = term_cap + n`` terms: its top parameter has grown by n, and the
-    stopping rule needs more than |a + n| terms, so an inner sum with the
-    plain ``term_cap`` would run out before this loop does.  The stopping
-    rule is ``f11_eval_float``'s, and ``name`` labels ``arg`` in
+    ``inner(n, cap)`` sums the remaining indices, with top parameter a + n,
+    to tolerance in at most ``cap = term_cap + n`` terms: the stopping rule
+    needs more than |a + n| terms, so an inner sum with the plain
+    ``term_cap`` would run out before this loop does.  The offset is the
+    integer n, so the loop itself makes no ``Fraction``.  The stopping rule
+    is ``f11_eval_float``'s, and ``name`` labels ``arg`` in
     ``NoConvergence``.
     """
     af = float(a)
@@ -257,7 +275,7 @@ def _outer_float(
     small_streak = 0
     threshold = abs(arg) + abs(af)
     for n in range(term_cap):
-        contrib = outer * inner(a + n, term_cap + n)
+        contrib = outer * inner(n, term_cap + n)
         total += contrib
         if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
             small_streak += 1

@@ -64,6 +64,46 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr.strip() == "error: negative series order"
 
+    def test_successive_main_calls_print_their_own_results(self, capsys):
+        # The parser is built once per process and reused by every call.
+        base = ["eval", "--fn", "f11", "--a", "1", "--b", "1", "--exact", "--terms", "5"]
+        assert cli.main([*base, "--x", "1"]) == 0
+        assert capsys.readouterr().out == "163/60\n"
+        assert cli.main([*base, "--x", "2"]) == 0
+        assert capsys.readouterr().out == "109/15\n"
+        assert cli.main(["eval", "--fn", "psi2", "--a", "1/2", "--b", "4/3", "--c", "5/7",
+                         "--x", "0", "--y", "0"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+
+# A value that starts with a minus sign follows its flag as a separate token.
+NEGATIVE_VALUES = [
+    ("verify", "--scope", "recursions", "--points", "-2,3,3"),
+    ("eval", "--fn", "f11", "--a", "-1/2", "--b", "4/3", "--x", "1/3", "--terms", "6"),
+    ("eval", "--fn", "f11", "--a", "1/2", "--b", "4/3", "--x", "-1/3", "--terms", "6"),
+    ("verify", "--scope", "identities", "--mode", "numeric", "--chi", "-0.1,0.1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=["points", "a", "x", "chi"])
+def test_negative_value_after_its_flag(argv, tmp_path, capsys):
+    """``--flag -v`` parses as ``--flag=-v`` does and gives the same result."""
+    outputs = []
+    for form, args in (("spaced", list(argv)),
+                       ("joined", [*argv[:-2], f"{argv[-2]}={argv[-1]}"])):
+        out_dir = tmp_path / form
+        if args[0] == "verify":
+            args += ["--out", str(out_dir)]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if args[0] == "verify":
+            report = out_dir / f"verify_{args[2]}.json"
+            outputs.append(strip_timing(report.read_text()))
+        else:
+            outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
 
 class TestVerify:
     def test_identities_scope(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersym import hypfun
 from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
 from hypersym.hypfun import (
     NoConvergence,
@@ -409,6 +410,30 @@ class TestFloatPinned:
             psi2_3var_eval_float(p, 0.1, 0.1, 0.9, term_cap=20)
 
 
+class TestTripleSumSharesInnerSums:
+    """The triple sum sums each inner 1F1(a + k; b; x) once, k = l + n."""
+
+    def test_no_shifted_parameter_summed_twice(self, monkeypatch):
+        seen = []
+
+        def counting(p, x, rel_tol=1e-12, term_cap=hypfun.DEFAULT_TERM_CAP):
+            seen.append((p.a, term_cap))
+            return f11_eval_float(p, x, rel_tol, term_cap)
+
+        monkeypatch.setattr(hypfun, "f11_eval_float", counting)
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        psi2_3var_eval_float(p, 1.25, -1.75, 0.35, term_cap=500)
+        shifts = [a - p.a for a, _cap in seen]
+        assert len(set(shifts)) == len(shifts) > 10
+        # Each inner sum has the cap the middle loop gives it on its diagonal.
+        assert all(cap == 500 + k for k, (_a, cap) in zip(shifts, seen))
+
+    def test_inner_failure_names_x(self):
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        with pytest.raises(NoConvergence, match=r"^no convergence in 40 terms at x=300\.0$"):
+            psi2_3var_eval_float(p, 300.0, 0.1, 0.1, term_cap=40)
+
+
 def _mp_points(seed, count):
     """Seeded (a, b, c, x, y, z) with |x|, |y| <= 2 and |z| <= 1/2."""
     rng = random.Random(seed)
@@ -434,6 +459,13 @@ def _mp_psi2(a, b, c, x, y):
         return mpmath.hyper2d({"m+n": [_mp(a)]}, {"m": [_mp(b)], "n": [_mp(c)]}, x, y)
 
 
+def _mp_psi2_3var(a, b, c, x, y, z):
+    """Sum over l of (a)_l z^l / l! Psi2(a + l) = (1-z)^(-a) Psi2(x/(1-z), y/(1-z))."""
+    with mpmath.workdps(30):
+        w = 1 - mpmath.mpf(z)
+        return w ** (-_mp(a)) * _mp_psi2(a, b, c, x / w, y / w)
+
+
 class TestFloatAgainstMpmath:
     """The float evaluators against mpmath's independent summation."""
 
@@ -450,13 +482,23 @@ class TestFloatAgainstMpmath:
             assert _close(value, _mp_psi2(a, b, c, x, y)), (a, b, c, x, y)
 
     def test_psi2_3var(self):
-        # Sum over l of (a)_l z^l / l! Psi2(a + l) = (1-z)^(-a) Psi2(x/(1-z), y/(1-z)).
         for a, b, c, x, y, z in _mp_points(13, 12):
             value = psi2_3var_eval_float(ParamsPsi2(a, b, c), x, y, z, 1e-14)
-            with mpmath.workdps(30):
-                w = 1 - mpmath.mpf(z)
-                ref = w ** (-_mp(a)) * _mp_psi2(a, b, c, x / w, y / w)
+            ref = _mp_psi2_3var(a, b, c, x, y, z)
             assert _close(value, ref, 1e-10), (a, b, c, x, y, z)
+
+    @pytest.mark.parametrize("x, y, z", [(0.1, 0.1, 0.9), (0.5, -0.5, 0.8)])
+    def test_psi2_3var_near_the_radius(self, x, y, z):
+        # |z| < 1 bounds the triple series; near it the sum over l is long.
+        a, b, c = Q(1, 2), Q(4, 3), Q(5, 7)
+        value = psi2_3var_eval_float(ParamsPsi2(a, b, c), x, y, z, 1e-14)
+        assert _close(value, _mp_psi2_3var(a, b, c, x, y, z), 1e-12), value
+
+    @pytest.mark.xfail(strict=True, reason="cancellation in the triple sum at (2, -2, -0.5)")
+    def test_psi2_3var_cancellation(self):
+        a, b, c = Q(1, 2), Q(4, 3), Q(5, 7)
+        value = psi2_3var_eval_float(ParamsPsi2(a, b, c), 2.0, -2.0, -0.5, 1e-10)
+        assert _close(value, _mp_psi2_3var(a, b, c, 2.0, -2.0, -0.5), 1e-10), value
 
     @pytest.mark.xfail(strict=True, reason="cancellation in the alternating sum at x = -40")
     def test_f11_large_negative_argument(self):
