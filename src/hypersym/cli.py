@@ -45,7 +45,7 @@ from .identities import (
     DEFAULT_PSI2_ORDERS,
     SuiteFailure,
     catalogue as identity_catalogue,
-    report_to_json,
+    report_payload,
     report_to_markdown,
     run_suite,
 )
@@ -297,7 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 report = failure.report
                 ok = False
             all_ok &= ok
-            payload["scopes"]["identities"] = json.loads(report_to_json(report))
+            payload["scopes"]["identities"] = report_payload(report)
             md_parts.append(report_to_markdown(report))
 
         if "actions" in wanted:

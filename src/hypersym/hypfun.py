@@ -11,14 +11,14 @@ rational function of the indices.  Stepping one index k -> k+1 multiplies a
 coefficient by (a + total) / ((k+1) * prod(lower + k)), where total is the
 sum of all indices before the step and lower lists that index's bottom
 parameters ([b] for x, [c] for y, none for the third index).  The exact
-series builders and the truncated float sum take their coefficients from
-``series.horn_coefficients``, which walks the grid on integer numerators and
-denominators and makes one ``Fraction`` per coefficient; the compositions
-are ``series.horn_compose`` calls, summed on integer numerators over one
-common denominator.  ``f11_coeff`` and ``psi2_coeff`` keep the closed
-Pochhammer form.  ``_outer_float`` is the outer loop of the converging psi2
-sum (around ``f11_eval_float``) and, nested twice, of the triple sum; it
-hands its inner callable the integer offset n of the top parameter, and at
+series builders take their coefficients from ``series.horn_coefficients``,
+which walks the grid on integer numerators and denominators and makes one
+``Fraction`` per coefficient; the compositions are ``series.horn_compose``
+calls, summed on integer numerators over one common denominator.
+``f11_coeff`` and ``psi2_coeff`` keep the closed Pochhammer form.
+``_outer_float`` is the outer loop of the converging psi2 sum (around
+``f11_eval_float``) and, nested twice, of the triple sum; it hands its
+inner callable the integer offset n of the top parameter, and at
 outer index n the inner sum may take n more terms than ``term_cap``, so a
 slowly converging outer sum names its own argument when it runs out.  The
 triple sum's inner 1F1(a + l + n; b; x) depends on k = l + n only, and is
@@ -197,22 +197,10 @@ def psi2_eval_float(
     x: float,
     y: float,
     rel_tol: float = 1e-12,
-    orders: tuple[int, int] | None = None,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
-    """Floating Humbert sum.
-
-    With ``orders`` given, sums exactly the terms below those caps in
-    floating point (the float image of the exact truncated sum).  Without
-    it, iterates the outer index until the stopping rule fires, evaluating
-    the inner one-argument sums to tolerance.
-    """
-    if orders is not None:
-        coeffs = horn_coefficients(p.a, [(orders[0], (p.b,)), (orders[1], (p.c,))])
-        total = 0.0
-        for (m, n), coeff in coeffs.items():
-            total += float(coeff) * x**m * y**n
-        return total
+    """Floating Humbert sum: iterates the outer index until the stopping
+    rule fires, evaluating the inner one-argument sums to tolerance."""
     return _outer_float(
         p.a,
         lambda n, cap: f11_eval_float(Params1F1(p.a + n, p.b), x, rel_tol, cap)[0],

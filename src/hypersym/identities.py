@@ -3,15 +3,19 @@
 Each record states one identity between a closed-form deformation of a
 hypergeometric family member (left side) and a power series in the
 deformation parameter chi whose coefficients are parameter-shifted members
-(right side).  A record holds its left sides as hand-written builders and
+(right side).  A record states each left side once, as one closed-form
+formula in the member F, ``exp``, the parameters and the coordinates, and
 names one catalogued operator E; the right side, the expansion
 sum_l w_l F(params + l*shift) chi^l of exp(chi E) F, is derived from E's
 action rule in ``hypfun.ACTION_RULES``.  The exact and the floating right
 side both come from that rule.  The exact right side is one dict fill:
 for each l, the Horn walk of the member at params + l*shift starts from w_l
-and writes its plane under the key prefix (l,).  The left sides stay on the
-composition route (``f11_compose``, ``psi2_compose``, ``pow_rational``,
-``exp_series``), so the two sides of an identity are built independently.
+and writes its plane under the key prefix (l,).  The left side formula is
+evaluated on exact series, with F the family's composition
+(``f11_compose``, ``psi2_compose``) and ``exp_series``, divisions and
+powers going through ``pow_rational``, so the two sides of an identity are
+built independently; the same formula on floats, with F the family's float
+evaluator and ``math.exp``, is the numeric left side.
 Records are verified *formally*: both sides are expanded as truncated series
 in (x[, y], chi) over exact rationals and compared coefficient-wise, so a
 failure pinpoints the exact chi-order and monomial where the stated form
@@ -32,8 +36,9 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__ as ENGINE_VERSION
@@ -48,7 +53,7 @@ from .hypfun import (
     psi2_compose,
     psi2_eval_float,
 )
-from .series import MultiSeries, exp_series, horn_coefficients, pow_rational
+from .series import MultiSeries, exp_series, horn_coefficients
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
@@ -82,36 +87,51 @@ class SuiteFailure(RuntimeError):
         self.report = report
 
 
-# -- series construction helpers ------------------------------------------------
+# -- families ---------------------------------------------------------------------
 
-def _const(caps) -> MultiSeries:
-    return MultiSeries.constant(1, caps)
+@dataclass(frozen=True)
+class _Family:
+    """What the identity machinery uses of one series family."""
 
-
-def _chi(caps) -> MultiSeries:
-    return MultiSeries.monomial(1, {"chi": 1}, caps)
-
-
-def _var(name, caps) -> MultiSeries:
-    return MultiSeries.monomial(1, {name: 1}, caps)
+    coords: tuple[str, ...]                        # the member's arguments
+    compose: Callable[..., MultiSeries]            # (p, *series) -> series
+    evaluate: Callable[..., float]                 # (p, *floats, tol) -> float
+    bottoms: Callable[[object], tuple[Fraction, ...]]  # one per coordinate
 
 
-def _one_minus_chi(caps) -> MultiSeries:
-    return _const(caps) - _chi(caps)
+_FAMILIES = {
+    "f11": _Family(
+        ("x",), f11_compose, lambda p, x, tol: f11_eval_float(p, x, tol)[0],
+        lambda q: (q.b,),
+    ),
+    "psi2": _Family(("x", "y"), psi2_compose, psi2_eval_float, lambda q: (q.b, q.c)),
+}
 
 
-def _one_plus_chi(caps) -> MultiSeries:
-    return _const(caps) + _chi(caps)
+def _in_unit_disc(x: float, y: float, chi: float) -> bool:
+    return abs(chi) < 1
+
+
+def _entire(x: float, y: float, chi: float) -> bool:
+    return True
 
 
 # -- record type -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IdentityVariant:
-    """One left side of a record: its exact series builder and float evaluator."""
+    """One left side of a record, stated once as a closed form.
 
-    lhs_builder: Callable[[object, Mapping[str, int]], MultiSeries]
-    lhs_float: Callable[[object, float, float, float, float], float]
+    ``lhs(F, exp, p, x, y, chi)`` uses only ring operations, division, powers
+    and ``exp``, so the one formula is evaluated two ways.  ``verify_formal``
+    passes the family's composition at the exact parameters (``F(u)`` or
+    ``F(u, v)``), ``exp_series``, the ``Fraction`` parameters and the
+    coordinate series; ``verify_numeric`` passes the family's float
+    evaluator, ``math.exp``, the parameters as floats and the evaluation
+    point.  The one-argument family's exact side gets y = None.
+    """
+
+    lhs: Callable[..., object]
     note: str = ""
 
 
@@ -170,17 +190,13 @@ def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeri
     "x" and "y".  The shifted parameters are built at every l <= N, also
     where w_l vanishes, so a degenerate shift raises ``DegenerateParameter``.
     """
-    n = caps["chi"]
-    if record.family == "f11":
-        variables = ("chi", "x")
-        axes = lambda q: [(caps["x"], (q.b,))]
-    else:
-        variables = ("chi", "x", "y")
-        axes = lambda q: [(caps["x"], (q.b,)), (caps["y"], (q.c,))]
+    fam = _FAMILIES[record.family]
     terms: dict[tuple[int, ...], Fraction] = {}
-    for l, w in zip(range(n + 1), _weights(record, p)):
+    for l, w in zip(range(caps["chi"] + 1), _weights(record, p)):
         q = _shifted(record, p, l)
-        terms.update(horn_coefficients(q.a, axes(q), start=w, prefix=(l,)))
+        axes = [(caps[v], (low,)) for v, low in zip(fam.coords, fam.bottoms(q))]
+        terms.update(horn_coefficients(q.a, axes, start=w, prefix=(l,)))
+    variables = ("chi",) + fam.coords
     return MultiSeries._trusted(variables, tuple(caps[v] for v in variables), terms)
 
 
@@ -196,16 +212,12 @@ def _sum_float(
     """The record's chi-sum in floating point, with the same two-small-terms
     stopping rule used by the series evaluators; raises NoConvergence after
     ``max_terms`` terms."""
-
-    def member(q) -> float:
-        if record.family == "f11":
-            return f11_eval_float(q, x, tol)[0]
-        return psi2_eval_float(q, x, y, tol)
-
+    fam = _FAMILIES[record.family]
+    point = (x, y)[: len(fam.coords)]
     total = 0.0
     small_streak = 0
     for l, w in zip(range(max_terms), _weights(record, p)):
-        term = float(w) * member(_shifted(record, p, l)) * chi**l
+        term = float(w) * fam.evaluate(_shifted(record, p, l), *point, tol) * chi**l
         total += term
         if abs(term) <= tol * max(abs(total), 1e-300):
             small_streak += 1
@@ -221,11 +233,6 @@ def _record_catalogue() -> list[IdentityRecord]:
 
     # ---- one-argument family ----------------------------------------------
 
-    def raise_a_lhs(p, caps):
-        inv = pow_rational(_one_minus_chi(caps), -1)
-        arg = _var("x", caps) * inv
-        return pow_rational(_one_minus_chi(caps), -p.a) * f11_compose(p, arg)
-
     records.append(IdentityRecord(
         rec_id="I-F11-RAISE-A",
         family="f11",
@@ -234,13 +241,11 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (a)_l/l! F(a+l;b;x) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1,
+        domain_ok=_in_unit_disc,
         op="f11.E_a",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=raise_a_lhs,
-                lhs_float=lambda p, x, y, chi, tol: (1 - chi) ** (-float(p.a))
-                * f11_eval_float(p, x / (1 - chi), tol)[0],
+                lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a * F(x / (1 - chi)),
             ),
         },
     ))
@@ -253,22 +258,14 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (b-a)_l/(l!(b)_l) F(a;b+l;x) (-chi)^l"
         ),
         validity="|chi| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1,
+        domain_ok=_in_unit_disc,
         op="f11.E_b",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: f11_compose(
-                    p, _var("x", caps) * _one_plus_chi(caps)
-                ) * pow_rational(_one_plus_chi(caps), p.b - 1),
-                lhs_float=lambda p, x, y, chi, tol: f11_eval_float(
-                    p, x * (1 + chi), tol
-                )[0] * (1 + chi) ** (float(p.b) - 1),
+                lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
             ),
             CORRECTED: IdentityVariant(
-                lhs_builder=lambda p, caps: exp_series(-_chi(caps))
-                * f11_compose(p, _var("x", caps) + _chi(caps)),
-                lhs_float=lambda p, x, y, chi, tol: math.exp(-chi)
-                * f11_eval_float(p, x + chi, tol)[0],
+                lambda F, exp, p, x, y, chi: exp(-chi) * F(x + chi),
                 note=(
                     "left side replaced by exp(-chi) F(a;b;x+chi): the right "
                     "side is the expansion of exp(chi (d/dx - 1)) applied to "
@@ -279,22 +276,6 @@ def _record_catalogue() -> list[IdentityRecord]:
             ),
         },
     ))
-
-    def lower_a_lhs_stated(p, caps):
-        inner = _const(caps) - _chi(caps) * (_const(caps) - _var("x", caps))
-        arg = _var("x", caps) * pow_rational(inner, -1)
-        ratio = _one_minus_chi(caps) * pow_rational(inner, -1)
-        return (
-            f11_compose(p, arg)
-            * pow_rational(ratio, p.b)
-            * pow_rational(_one_minus_chi(caps), p.a)
-        )
-
-    def lower_a_lhs_corrected(p, caps):
-        inv = pow_rational(_one_minus_chi(caps), -1)
-        arg = _var("x", caps) * inv
-        expo = exp_series(-(_var("x", caps) * _chi(caps) * inv))
-        return pow_rational(_one_minus_chi(caps), p.a - p.b) * expo * f11_compose(p, arg)
 
     records.append(IdentityRecord(
         rec_id="I-F11-LOWER-A",
@@ -308,19 +289,14 @@ def _record_catalogue() -> list[IdentityRecord]:
         op="f11.E_a'",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=lower_a_lhs_stated,
-                lhs_float=lambda p, x, y, chi, tol: f11_eval_float(
-                    p, x / (1 - chi * (1 - x)), tol
-                )[0]
-                * ((1 - chi) / (1 - chi * (1 - x))) ** float(p.b)
-                * (1 - chi) ** float(p.a),
+                lambda F, exp, p, x, y, chi: F(x / (1 - chi * (1 - x)))
+                * ((1 - chi) / (1 - chi * (1 - x))) ** p.b
+                * (1 - chi) ** p.a,
             ),
             CORRECTED: IdentityVariant(
-                lhs_builder=lower_a_lhs_corrected,
-                lhs_float=lambda p, x, y, chi, tol: (1 - chi)
-                ** (float(p.a) - float(p.b))
-                * math.exp(-x * chi / (1 - chi))
-                * f11_eval_float(p, x / (1 - chi), tol)[0],
+                lambda F, exp, p, x, y, chi: (1 - chi) ** (p.a - p.b)
+                * exp(-x * chi / (1 - chi))
+                * F(x / (1 - chi)),
                 note=(
                     "left side rebuilt from the lowering operator's actual "
                     "characteristic system: argument x/(1-chi), prefactor "
@@ -331,21 +307,6 @@ def _record_catalogue() -> list[IdentityRecord]:
         },
     ))
 
-    def lower_b_lhs(exponent_shift):
-        def build(p, caps):
-            return f11_compose(
-                p, _var("x", caps) * _one_plus_chi(caps)
-            ) * pow_rational(_one_plus_chi(caps), p.b + exponent_shift)
-        return build
-
-    def lower_b_lhs_float(exponent_shift):
-        def ev(p, x, y, chi, tol):
-            return (
-                f11_eval_float(p, x * (1 + chi), tol)[0]
-                * (1 + chi) ** (float(p.b) + exponent_shift)
-            )
-        return ev
-
     # (b-l)_l = (-1)^l (1-b)_l, and likewise for c in the two-argument records
     records.append(IdentityRecord(
         rec_id="I-F11-LOWER-B",
@@ -355,16 +316,14 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (b-l)_l/l! F(a;b-l;x) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1,
+        domain_ok=_in_unit_disc,
         op="f11.E_b'",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=lower_b_lhs(0),
-                lhs_float=lower_b_lhs_float(0),
+                lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** p.b,
             ),
             CORRECTED: IdentityVariant(
-                lhs_builder=lower_b_lhs(-1),
-                lhs_float=lower_b_lhs_float(-1),
+                lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
                 note=(
                     "left-side exponent b-1 instead of b: the lowering flow "
                     "carries the multiplier 1/(1+chi), which the stated form "
@@ -381,27 +340,14 @@ def _record_catalogue() -> list[IdentityRecord]:
             "F(a;b;x+chi) = sum_l (a)_l/(l!(b)_l) F(a+l;b+l;x) chi^l"
         ),
         validity="entire in chi",
-        domain_ok=lambda x, y, chi: True,
+        domain_ok=_entire,
         op="f11.E_ab",
         variants={
-            AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: f11_compose(
-                    p, _var("x", caps) + _chi(caps)
-                ),
-                lhs_float=lambda p, x, y, chi, tol: f11_eval_float(
-                    p, x + chi, tol
-                )[0],
-            ),
+            AS_STATED: IdentityVariant(lambda F, exp, p, x, y, chi: F(x + chi)),
         },
     ))
 
     # ---- two-argument family ------------------------------------------------
-
-    def reduction_lhs(p, caps):
-        inv = pow_rational(_one_minus_chi(caps), -1)
-        return pow_rational(_one_minus_chi(caps), -p.a) * psi2_compose(
-            p, _var("x", caps) * inv, _var("y", caps) * inv
-        )
 
     # The triple series is by definition sum_l (a)_l/l! Psi(a+l;b,c;x,y) chi^l,
     # so it is this record's chi-sum and the closed form is its left side.
@@ -413,13 +359,12 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= (1-chi)^(-a) Psi(a;b,c;x/(1-chi),y/(1-chi))"
         ),
         validity="|chi| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1,
+        domain_ok=_in_unit_disc,
         op="psi2.E_a",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=reduction_lhs,
-                lhs_float=lambda p, x, y, chi, tol: (1 - chi) ** (-float(p.a))
-                * psi2_eval_float(p, x / (1 - chi), y / (1 - chi), tol),
+                lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a
+                * F(x / (1 - chi), y / (1 - chi)),
             ),
         },
     ))
@@ -432,16 +377,11 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (b-l)_l/l! Psi(a;b-l,c;x,y) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1,
+        domain_ok=_in_unit_disc,
         op="psi2.E_b",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: psi2_compose(
-                    p, _var("x", caps) * _one_plus_chi(caps), _var("y", caps)
-                ) * pow_rational(_one_plus_chi(caps), p.b - 1),
-                lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
-                    p, x * (1 + chi), y, tol
-                ) * (1 + chi) ** (float(p.b) - 1),
+                lambda F, exp, p, x, y, chi: F(x * (1 + chi), y) * (1 + chi) ** (p.b - 1),
             ),
         },
     ))
@@ -454,16 +394,11 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (c-l)_l/l! Psi(a;b,c-l;x,y) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1,
+        domain_ok=_in_unit_disc,
         op="psi2.E_c",
         variants={
             AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: psi2_compose(
-                    p, _var("x", caps), _var("y", caps) * _one_plus_chi(caps)
-                ) * pow_rational(_one_plus_chi(caps), p.c - 1),
-                lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
-                    p, x, y * (1 + chi), tol
-                ) * (1 + chi) ** (float(p.c) - 1),
+                lambda F, exp, p, x, y, chi: F(x, y * (1 + chi)) * (1 + chi) ** (p.c - 1),
             ),
         },
     ))
@@ -476,17 +411,10 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (a)_l/(l!(b)_l) Psi(a+l;b+l,c;x,y) chi^l"
         ),
         validity="entire in chi",
-        domain_ok=lambda x, y, chi: True,
+        domain_ok=_entire,
         op="psi2.E_ab",
         variants={
-            AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: psi2_compose(
-                    p, _var("x", caps) + _chi(caps), _var("y", caps)
-                ),
-                lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
-                    p, x + chi, y, tol
-                ),
-            ),
+            AS_STATED: IdentityVariant(lambda F, exp, p, x, y, chi: F(x + chi, y)),
         },
     ))
 
@@ -498,17 +426,10 @@ def _record_catalogue() -> list[IdentityRecord]:
             "= sum_l (a)_l/(l!(c)_l) Psi(a+l;b,c+l;x,y) chi^l"
         ),
         validity="entire in chi",
-        domain_ok=lambda x, y, chi: True,
+        domain_ok=_entire,
         op="psi2.E_ac",
         variants={
-            AS_STATED: IdentityVariant(
-                lhs_builder=lambda p, caps: psi2_compose(
-                    p, _var("x", caps), _var("y", caps) + _chi(caps)
-                ),
-                lhs_float=lambda p, x, y, chi, tol: psi2_eval_float(
-                    p, x, y + chi, tol
-                ),
-            ),
+            AS_STATED: IdentityVariant(lambda F, exp, p, x, y, chi: F(x, y + chi)),
         },
     ))
 
@@ -538,9 +459,7 @@ def get_record(rec_id: str) -> IdentityRecord:
 def _caps_for(record: IdentityRecord, n_order: int, m_order: int) -> dict[str, int]:
     if n_order < 0 or m_order < 0:
         raise CapUnderflow("orders must be nonnegative")
-    if record.family == "f11":
-        return {"x": m_order, "chi": n_order}
-    return {"x": m_order, "y": m_order, "chi": n_order}
+    return {"chi": n_order, **dict.fromkeys(_FAMILIES[record.family].coords, m_order)}
 
 
 def _params_for(record: IdentityRecord, params):
@@ -569,6 +488,25 @@ def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
     }
 
 
+def lhs_series(
+    record: IdentityRecord, var: IdentityVariant, p, caps: Mapping[str, int]
+) -> MultiSeries:
+    """The variant's left side as an exact series in chi and the coordinates."""
+    coord = {v: MultiSeries.variable(v, caps) for v in caps}
+    compose = functools.partial(_FAMILIES[record.family].compose, p)
+    return var.lhs(compose, exp_series, p, coord["x"], coord.get("y"), coord["chi"])
+
+
+def lhs_value(
+    record: IdentityRecord, var: IdentityVariant, p, x: float, y: float, chi: float,
+    tol: float,
+) -> float:
+    """The variant's left side in floating point at (x, y, chi)."""
+    fam = _FAMILIES[record.family]
+    floats = SimpleNamespace(**{f.name: float(getattr(p, f.name)) for f in fields(p)})
+    return var.lhs(lambda *u: fam.evaluate(p, *u, tol), math.exp, floats, x, y, chi)
+
+
 def verify_formal(rec_id: str, variant: str, params, n_order: int, m_order: int) -> dict:
     """Build both sides as exact truncated series and compare coefficient-wise.
 
@@ -579,7 +517,7 @@ def verify_formal(rec_id: str, variant: str, params, n_order: int, m_order: int)
     var = record.variant(variant)
     p = _params_for(record, params)
     caps = _caps_for(record, n_order, m_order)
-    lhs = var.lhs_builder(p, caps)
+    lhs = lhs_series(record, var, p, caps)
     rhs = _sum_series(record, p, caps)
     witness = _first_mismatch(lhs, rhs)
     return {
@@ -609,7 +547,7 @@ def verify_numeric(
         raise DomainViolation(
             f"{rec_id}: chi={chi} outside validity domain ({record.validity})"
         )
-    lhs = var.lhs_float(p, x, y, chi, tol)
+    lhs = lhs_value(record, var, p, x, y, chi, tol)
     rhs = _sum_float(record, p, x, y, chi, tol)
     scale = max(abs(lhs), abs(rhs), 1.0)
     ok = abs(lhs - rhs) <= tol * scale
@@ -618,7 +556,7 @@ def verify_numeric(
         "variant": variant,
         "params": param_strs(params),
         "chi": chi,
-        "point": {"x": x, "y": y} if record.family == "psi2" else {"x": x},
+        "point": dict(zip(_FAMILIES[record.family].coords, (x, y))),
         "status": "verified" if ok else "mismatch",
         "witness": None if ok else {
             "lhs": repr(lhs), "rhs": repr(rhs), "rel_diff": repr(abs(lhs - rhs) / scale)
@@ -742,15 +680,19 @@ def run_suite(
 
 # -- serialization -------------------------------------------------------------------
 
-def report_to_json(report: VerificationReport) -> str:
-    payload = {
+def report_payload(report: VerificationReport) -> dict:
+    """The report as the dict that ``report_to_json`` dumps."""
+    return {
         "scope": report.scope,
         "engine_version": report.engine_version,
         "summary": report.summary,
         "rows": report.rows,
         "total_ms": report.total_ms,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_to_json(report: VerificationReport) -> str:
+    return json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n"
 
 
 _TIMING_RE = re.compile(r'^\s*"(elapsed_ms|total_ms)": [0-9eE+.-]+,?$', re.M)

@@ -7,7 +7,11 @@ coefficient of the represented function, and anything beyond a cap has been
 discarded.  Ring operations (add, mul, integer/rational powers) preserve
 exactness at the caps; only :meth:`MultiSeries.derivative` genuinely loses
 the top order of the differentiated variable and therefore reduces its cap
-by one.
+by one.  A number on the left of ``+`` or ``-`` is a constant series,
+``s / t`` is ``s * pow_rational(t, -1)`` (so t needs constant term 1) and
+``s ** g`` is ``pow_rational(s, g)``, so a closed form such as
+``(1 - chi) ** -a * F(x / (1 - chi))`` reads the same on series as on
+floats.
 
 Per-variable caps (rather than a total-degree cap) matter because the
 verification workloads pair a deformation order in one variable with an
@@ -261,6 +265,12 @@ class MultiSeries:
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self._combine(other, True)
 
+    def __radd__(self, k) -> "MultiSeries":
+        return MultiSeries.constant(k, self.cap_map()) + self
+
+    def __rsub__(self, k) -> "MultiSeries":
+        return MultiSeries.constant(k, self.cap_map()) - self
+
     def scale(self, k) -> "MultiSeries":
         k = as_rational(k)
         terms = {e: c * k for e, c in self.terms.items()} if k else {}
@@ -280,6 +290,13 @@ class MultiSeries:
         d = da * db
         terms = {e: Fraction(v, d) for e, v in _cauchy(a, b, self.caps).items() if v}
         return MultiSeries._trusted(self.variables, self.caps, terms)
+
+    def __truediv__(self, other: "MultiSeries") -> "MultiSeries":
+        """self / other for a divisor with constant term 1."""
+        return self * pow_rational(other, -1)
+
+    def __pow__(self, gamma) -> "MultiSeries":
+        return pow_rational(self, gamma)
 
     def pow_int(self, n: int) -> "MultiSeries":
         if n < 0:
@@ -575,7 +592,7 @@ def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
     gamma = as_rational(gamma)
     if s.constant_term() != 1:
         raise NonUnitConstantTerm("pow_rational needs constant term 1")
-    return horn_compose(-gamma, [(MultiSeries.constant(1, s.cap_map()) - s, ())])
+    return horn_compose(-gamma, [(1 - s, ())])
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:

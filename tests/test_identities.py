@@ -33,12 +33,16 @@ from hypersym.identities import (
     DomainViolation,
     IdentityRecord,
     SuiteFailure,
+    _caps_for,
     _sum_float,
     _sum_series,
     _weights,
     catalogue,
     default_param_points,
     get_record,
+    lhs_series,
+    lhs_value,
+    report_payload,
     report_to_json,
     report_to_markdown,
     run_suite,
@@ -100,7 +104,7 @@ class TestCatalogue:
         # in chi itself
         rec = get_record("I-F11-SHIFT")
         p1 = Params1F1(P.a, P.b)
-        lhs = rec.variant(AS_STATED).lhs_builder(p1, {"x": 0, "chi": 6})
+        lhs = lhs_series(rec, rec.variant(AS_STATED), p1, {"x": 0, "chi": 6})
         base = f11_series(p1, 6, var="chi").extend({"x": 0})
         assert lhs == base
 
@@ -144,8 +148,7 @@ class TestVerifyFormal:
         rec = get_record("I-F11-LOWER-B")
         p1 = Params1F1(P.a, P.b)
         caps = {"x": 8, "chi": 2}
-        var = rec.variant(AS_STATED)
-        diff = var.lhs_builder(p1, caps) - _sum_series(rec, p1, caps)
+        diff = lhs_series(rec, rec.variant(AS_STATED), p1, caps) - _sum_series(rec, p1, caps)
         for k in range(8):
             assert diff.coefficient({"chi": 1, "x": k}) == f11_coeff(p1, k)
 
@@ -210,6 +213,24 @@ class TestTaylorOracle:
             )
             assert deriv.scale(Q(1, factorial(l))) == rhs.truncate(deriv.cap_map())
             deriv = deriv.derivative("y")
+
+
+class TestOneLeftSide:
+    """Each left side is one formula; its exact series, summed at a point
+    well inside every domain, agrees with its float value there."""
+
+    @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
+    def test_exact_series_matches_float_value(self, point):
+        t = Q(1, 16)
+        for rec in catalogue():
+            p = _family_params(rec, point)
+            orders = (10, 8) if rec.family == "f11" else (10, 6)
+            caps = _caps_for(rec, *orders)
+            for name, var in rec.variants.items():
+                series = lhs_series(rec, var, p, caps)
+                exact = float(series.evaluate(dict.fromkeys(caps, t)))
+                value = lhs_value(rec, var, p, float(t), float(t), float(t), 1e-14)
+                assert value == pytest.approx(exact, rel=1e-10), (rec.rec_id, name)
 
 
 class TestVerifyNumeric:
@@ -418,6 +439,11 @@ class TestReportSerialization:
         row = payload["rows"][0]
         for key in ("id", "variant", "params", "orders", "status", "witness", "elapsed_ms"):
             assert key in row
+
+    def test_json_dumps_the_payload(self):
+        report = run_suite(mode="formal", param_points=[P])
+        text = json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n"
+        assert report_to_json(report) == text
 
     def test_strip_timing_makes_bytes_stable(self):
         r1 = run_suite(mode="formal", param_points=[P])

@@ -515,8 +515,42 @@ def ring_and_reshape_results(a, b):
     yield horn_compose(Q(-1, 2), [(a0, (Q(4, 3),)), (b0, ())])
     yield pow_rational(unit, Q(-1, 2))
     yield exp_series(unit - MultiSeries.constant(1, caps))
+    yield 1 - a
+    yield a / unit
+    yield unit ** Q(-1, 2)
     yield PrefactorSeries(a, {v: Q(1, 3)}).derivative(v).body
     yield PrefactorSeries(a, {v: Q(-1)}).derivative(v).body
+
+
+class TestClosedFormOperators:
+    """A number on the left of + and -, division and powers, as the closed
+    forms of the identity left sides use them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_pair(), SMALL_COEFF, SMALL_COEFF)
+    def test_match_the_named_operations(self, pair, k, g):
+        s, t = pair
+        caps = s.cap_map()
+        unit = 1 + (t - MultiSeries.constant(t.constant_term(), caps))
+        assert k + s == MultiSeries.constant(k, caps) + s
+        assert k - s == MultiSeries.constant(k, caps) - s
+        assert 2 - s == MultiSeries.constant(2, caps) - s
+        assert s / unit == s * pow_rational(unit, -1)
+        assert unit ** g == pow_rational(unit, g)
+
+    def test_divisor_needs_unit_constant_term(self):
+        caps = {"x": 2}
+        s = ms(caps, {(0,): 1, (1,): 1})
+        for bad in (s.scale(2), s - MultiSeries.constant(1, caps)):
+            with pytest.raises(NonUnitConstantTerm):
+                s / bad
+            with pytest.raises(NonUnitConstantTerm):
+                bad ** Q(1, 2)
+
+    def test_geometric_closed_form(self):
+        chi = MultiSeries.variable("chi", {"chi": 3})
+        assert 1 - chi == ms({"chi": 3}, {(0,): 1, (1,): -1})
+        assert (1 - chi) ** -1 == ms({"chi": 3}, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
 
 
 class TestTrustedCaps:
