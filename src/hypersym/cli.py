@@ -4,7 +4,8 @@ Three commands: ``eval`` (evaluate a function at a point, exact or
 floating), ``verify`` (run a verification scope and write JSON/Markdown
 reports), and ``catalogue`` (print the identity and operator listings).
 All math lives in the library modules; this file only parses arguments,
-dispatches, and formats.
+dispatches, and formats.  ``eval`` reads its families from
+``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including flow settings that meet a singular flow
@@ -21,24 +22,13 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .exactnum import DegenerateParameter, parse_rational
-from .hypfun import (
-    NoConvergence,
-    Params1F1,
-    ParamsPsi2,
-    f11_eval_exact,
-    f11_eval_float,
-    psi2_3var_eval_float,
-    psi2_3var_series,
-    psi2_eval_exact,
-    psi2_eval_float,
-    recursion_suite,
-)
+from .hypfun import FAMILIES, NoConvergence, ParamsPsi2, recursion_suite
 from .identities import (
     DEFAULT_F11_ORDERS,
     DEFAULT_PARAM_POINTS,
@@ -103,14 +93,20 @@ class RunConfig:
     def orders(self) -> dict[str, tuple[int, int]]:
         out = {}
         for fam, text in (("f11", self.orders_f11), ("psi2", self.orders_psi2)):
-            n, m = (int(v) for v in text.split(","))
+            try:
+                n, m = (int(v) for v in text.split(","))
+            except ValueError:
+                raise ValueError(f"--orders-{fam} needs two integers N,M, got {text!r}") from None
             if n < 1 or m < 1:
                 raise ValueError(f"orders for {fam} must be >= 1")
             out[fam] = (n, m)
         return out
 
     def chi_grid(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.chi.split(","))
+        try:
+            return tuple(float(v) for v in self.chi.split(","))
+        except ValueError:
+            raise ValueError(f"--chi needs comma-separated numbers, got {self.chi!r}") from None
 
     def start_point(self) -> dict[str, Fraction]:
         point = {}
@@ -122,6 +118,7 @@ class RunConfig:
     def validate(self) -> None:
         self.param_points()
         self.orders()
+        self.chi_grid()
         self.start_point()
         if self.tol <= 0 or self.flow_tol <= 0:
             raise ValueError("tolerances must be positive")
@@ -165,71 +162,37 @@ def _is_exact_literal(text: str) -> bool:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    coords = [args.x]
-    if args.fn in ("psi2", "psi2x3"):
-        coords.append(args.y if args.y is not None else "0")
-    if args.fn == "psi2x3":
-        coords.append(args.z if args.z is not None else "0")
+    """Evaluate the ``--fn`` family at a point whose omitted coordinates are 0."""
+    fam = FAMILIES[args.fn]
+    names = [f.name for f in fields(fam.params)]
+    for name in names:
+        if getattr(args, name) is None:
+            raise SystemExit2(f"--{name} is required for {args.fn}")
+    p = fam.params(*(parse_rational(getattr(args, name)) for name in names))
+    coords = [getattr(args, v) if getattr(args, v) is not None else "0" for v in fam.coords]
     exact = args.exact or (not args.float and all(_is_exact_literal(c) for c in coords))
 
-    if args.fn == "f11":
-        p = Params1F1(parse_rational(args.a), parse_rational(args.b))
-        if exact:
-            value = f11_eval_exact(p, parse_rational(args.x), args.terms)
-            print(value)
-        else:
-            value, used = f11_eval_float(p, float(args.x), args.tol, args.term_cap)
-            print(f"{value!r} terms={used}")
-        return 0
-
-    if args.c is None:
-        raise SystemExit2("--c is required for psi2/psi2x3")
-    p = ParamsPsi2(parse_rational(args.a), parse_rational(args.b), parse_rational(args.c))
-    if args.fn == "psi2":
-        if exact:
-            value = psi2_eval_exact(
-                p, parse_rational(coords[0]), parse_rational(coords[1]),
-                args.terms, args.terms,
-            )
-            print(value)
-        else:
-            value = psi2_eval_float(
-                p, float(coords[0]), float(coords[1]), args.tol, term_cap=args.term_cap
-            )
-            print(repr(value))
-        return 0
-
     if exact:
-        series = psi2_3var_series(p, args.terms, args.terms, args.terms)
-        value = series.evaluate({
-            "x": parse_rational(coords[0]),
-            "y": parse_rational(coords[1]),
-            "z": parse_rational(coords[2]),
-        })
-        print(value)
+        point = {v: parse_rational(c) for v, c in zip(fam.coords, coords)}
+        print(fam.series(p, args.terms).evaluate(point))
     else:
-        value = psi2_3var_eval_float(
-            p, float(coords[0]), float(coords[1]), float(coords[2]),
-            args.tol, term_cap=args.term_cap,
-        )
-        print(repr(value))
+        value, used = fam.evaluate(p, *map(float, coords), args.tol, args.term_cap)
+        print(repr(value) if used is None else f"{value!r} terms={used}")
     return 0
 
 
 # -- verify ----------------------------------------------------------------------
 
-def _f11_points(points: list[ParamsPsi2]) -> list[Params1F1]:
-    return [Params1F1(p.a, p.b) for p in points]
-
-
 def _scope_recursions(cfg: RunConfig) -> tuple[list[dict], bool]:
-    rows = recursion_suite(_f11_points(cfg.param_points()), cfg.recursion_order)
+    points = [FAMILIES["f11"].narrow(p) for p in cfg.param_points()]
+    rows = recursion_suite(points, cfg.recursion_order)
     return rows, all(r["status"] == "PASS" for r in rows)
 
 
 def _scope_actions(cfg: RunConfig) -> tuple[list[dict], bool]:
     points = cfg.param_points()
-    rows = action_suite(_f11_points(points), points, cfg.action_order)
+    f11_points = [FAMILIES["f11"].narrow(p) for p in points]
+    rows = action_suite(f11_points, points, cfg.action_order)
     return rows, all(r["status"] == "PASS" for r in rows)
 
 
@@ -373,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a function at a point")
-    ev.add_argument("--fn", required=True, choices=("f11", "psi2", "psi2x3"))
+    ev.add_argument("--fn", required=True, choices=tuple(FAMILIES))
     ev.add_argument("--a", required=True)
     ev.add_argument("--b", required=True)
     ev.add_argument("--c")

@@ -10,19 +10,17 @@ All three are Horn series: the ratio of neighbouring coefficients is a
 rational function of the indices.  Stepping one index k -> k+1 multiplies a
 coefficient by (a + total) / ((k+1) * prod(lower + k)), where total is the
 sum of all indices before the step and lower lists that index's bottom
-parameters ([b] for x, [c] for y, none for the third index).  The exact
-series builders take their coefficients from ``series.horn_coefficients``,
-which walks the grid on integer numerators and denominators and makes one
-``Fraction`` per coefficient; the compositions are ``series.horn_compose``
-calls, summed on integer numerators over one common denominator.
-``f11_coeff`` and ``psi2_coeff`` keep the closed Pochhammer form.
-``_outer_float`` is the outer loop of the converging psi2 sum (around
-``f11_eval_float``) and, nested twice, of the triple sum; it hands its
-inner callable the integer offset n of the top parameter, and at
-outer index n the inner sum may take n more terms than ``term_cap``, so a
-slowly converging outer sum names its own argument when it runs out.  The
-triple sum's inner 1F1(a + l + n; b; x) depends on k = l + n only, and is
-summed once per k.
+parameters ([b] for x, [c] for y, none for the third index).  ``FAMILIES``
+states each family once, keyed ``"f11"``, ``"psi2"`` and ``"psi2x3"``: its
+parameter class, its coordinates and their bottom parameters, its exact
+series at one order, its composition and its float value.  The exact
+series take their coefficients from ``series.horn_coefficients``, which
+walks the grid on integers and makes one ``Fraction`` per coefficient; the
+compositions are ``series.horn_compose`` calls; both read the bottom
+parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
+closed Pochhammer form.  The float sums of ``psi2`` and ``psi2x3`` are one
+nested sum around ``f11_eval_float``, with one outer level per coordinate
+after x, which sums each inner 1F1(a + k; b; x) once per offset k.
 
 ``ACTION_RULES`` states each catalogued operator's action on the family,
 E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
@@ -34,10 +32,9 @@ single small term is not evidence of convergence).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .exactnum import (
     DegenerateParameter,
@@ -102,17 +99,126 @@ def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
     return {f.name: str(getattr(params, f.name)) for f in fields(params)}
 
 
-# -- Horn series -------------------------------------------------------------
+# -- Horn families -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One Horn family: top parameter ``p.a`` and, per coordinate, the bottom
+    parameters ``bottoms(p)`` of that coordinate's index.
+
+    ``series(p, order)`` cuts every index at ``order``; ``compose(p, *args)``
+    takes series arguments (None where nothing composes the family);
+    ``evaluate(p, *point, rel_tol, term_cap)`` is the converging float sum as
+    (value, terms), terms None for a nested sum.  The three call the module's
+    functions by name, so they reach whatever those names are bound to.
+    """
+
+    params: type
+    coords: tuple[str, ...]
+    bottoms: Callable[[object], tuple[tuple[Fraction, ...], ...]]
+    series: Callable[..., MultiSeries]
+    compose: Callable[..., MultiSeries] | None
+    evaluate: Callable[..., tuple[float, int | None]]
+
+    def narrow(self, params):
+        """``params`` as this family's parameter class; a point of a wider
+        class drops the bottom parameters this family lacks."""
+        if isinstance(params, self.params):
+            return params
+        try:
+            return self.params(*(getattr(params, f.name) for f in fields(self.params)))
+        except AttributeError:
+            raise TypeError(f"family needs {self.params.__name__}") from None
+
+
+FAMILIES: dict[str, Family] = {
+    "f11": Family(
+        Params1F1, ("x",), lambda p: ((p.b,),),
+        lambda p, order: f11_series(p, order),
+        lambda p, u: f11_compose(p, u),
+        lambda p, x, tol, cap: f11_eval_float(p, x, tol, cap),
+    ),
+    "psi2": Family(
+        ParamsPsi2, ("x", "y"), lambda p: ((p.b,), (p.c,)),
+        lambda p, order: psi2_series(p, order, order),
+        lambda p, u, v: psi2_compose(p, u, v),
+        lambda p, x, y, tol, cap: (psi2_eval_float(p, x, y, tol, cap), None),
+    ),
+    "psi2x3": Family(
+        ParamsPsi2, ("x", "y", "z"), lambda p: ((p.b,), (p.c,), ()),
+        lambda p, order: psi2_3var_series(p, order, order, order),
+        None,
+        lambda p, x, y, z, tol, cap: (psi2_3var_eval_float(p, x, y, z, tol, cap), None),
+    ),
+}
+
 
 def _horn_series(
-    a: Fraction, axes: Mapping[str, tuple[int, tuple[Fraction, ...]]]
+    family: str, p, names: tuple[str, ...], caps: tuple[int, ...]
 ) -> MultiSeries:
-    """Horn series with named indices; exponent tuples follow sorted names."""
-    names = tuple(sorted(axes))
-    caps = tuple(axes[v][0] for v in names)
+    """The family's series, indices named and cut at ``caps``; exponent
+    tuples follow sorted names."""
     if any(cap < 0 for cap in caps):
         raise ValueError("negative series order")
-    return MultiSeries._trusted(names, caps, horn_coefficients(a, [axes[v] for v in names]))
+    axes = dict(zip(names, zip(caps, FAMILIES[family].bottoms(p))))
+    names = tuple(sorted(axes))
+    coefficients = horn_coefficients(p.a, [axes[v] for v in names])
+    return MultiSeries._trusted(names, tuple(axes[v][0] for v in names), coefficients)
+
+
+def _nested_float(
+    family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
+) -> float:
+    """The family's converging float sum at ``point``.
+
+    ``f11_eval_float`` sums the x index innermost; each further coordinate
+    is one outer level, the last outermost.  A level at top-parameter offset
+    k (the sum of the indices outside it) sums, for n < term_cap + k,
+    (a+k)_n arg^n / (n! prod (lower)_n) times the level inside at offset
+    k + n: the stopping rule needs more than |a + k| terms, so each sum may
+    take k more terms than ``term_cap`` and a slowly converging outer sum
+    runs out before the sums inside it.  The inner 1F1(a + k; b; x) depends
+    on k alone and is summed once per k.  Offsets are integers, so the loops
+    make no ``Fraction``; the stopping rule is ``f11_eval_float``'s, and
+    ``NoConvergence`` names the level's coordinate.
+    """
+    fam = FAMILIES[family]
+    bottoms = fam.bottoms(p)
+    x = point[0]
+    levels = [
+        (point[i], fam.coords[i], tuple(float(low) for low in bottoms[i]))
+        for i in range(len(point) - 1, 0, -1)
+    ]
+    inner: dict[int, float] = {}
+
+    def level(depth: int, k: int) -> float:
+        cap = term_cap + k
+        if depth == len(levels):
+            if k not in inner:
+                inner[k] = f11_eval_float(Params1F1(p.a + k, *bottoms[0]), x, rel_tol, cap)[0]
+            return inner[k]
+        arg, name, lowers = levels[depth]
+        af = float(p.a + k)
+        total = 0.0
+        outer = 1.0  # (a+k)_n arg^n / (n! prod (lower)_n)
+        small_streak = 0
+        threshold = abs(arg) + abs(af)
+        for n in range(cap):
+            contrib = outer * level(depth + 1, k + n)
+            total += contrib
+            if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
+                small_streak += 1
+            else:
+                small_streak = 0
+            if small_streak >= 2 and n + 1 > threshold:
+                return total
+            d = n + 1
+            for low in lowers:
+                d *= low + n
+            outer *= (af + n) * arg / d
+        raise NoConvergence(f"no convergence in {cap} outer terms at {name}={arg}")
+
+    return level(0, 0)
 
 
 # -- one-argument series -----------------------------------------------------
@@ -123,7 +229,7 @@ def f11_coeff(p: Params1F1, s: int) -> Fraction:
 
 
 def f11_series(p: Params1F1, order: int, var: str = "x") -> MultiSeries:
-    return _horn_series(p.a, {var: (order, (p.b,))})
+    return _horn_series("f11", p, (var,), (order,))
 
 
 def f11_eval_exact(p: Params1F1, x, order: int) -> Fraction:
@@ -170,126 +276,51 @@ def psi2_coeff(p: ParamsPsi2, m: int, n: int) -> Fraction:
 def psi2_series(
     p: ParamsPsi2, order_x: int, order_y: int, var_x: str = "x", var_y: str = "y"
 ) -> MultiSeries:
-    return _horn_series(p.a, {var_x: (order_x, (p.b,)), var_y: (order_y, (p.c,))})
+    return _horn_series("psi2", p, (var_x, var_y), (order_x, order_y))
 
 
 def psi2_3var_series(
-    p: ParamsPsi2,
-    order_x: int,
-    order_y: int,
-    order_z: int,
-    var_z: str = "z",
+    p: ParamsPsi2, order_x: int, order_y: int, order_z: int, var_z: str = "z"
 ) -> MultiSeries:
     """Triple series with the third index folded into the rising factorial."""
-    return _horn_series(
-        p.a, {"x": (order_x, (p.b,)), "y": (order_y, (p.c,)), var_z: (order_z, ())}
-    )
+    return _horn_series("psi2x3", p, ("x", "y", var_z), (order_x, order_y, order_z))
 
 
 def psi2_eval_exact(p: ParamsPsi2, x, y, order_x: int, order_y: int) -> Fraction:
-    x = as_rational(x)
-    y = as_rational(y)
-    return psi2_series(p, order_x, order_y).evaluate({"x": x, "y": y})
+    return psi2_series(p, order_x, order_y).evaluate({"x": as_rational(x), "y": as_rational(y)})
 
 
 def psi2_eval_float(
-    p: ParamsPsi2,
-    x: float,
-    y: float,
-    rel_tol: float = 1e-12,
-    term_cap: int = DEFAULT_TERM_CAP,
+    p: ParamsPsi2, x: float, y: float, rel_tol: float = 1e-12, term_cap: int = DEFAULT_TERM_CAP
 ) -> float:
-    """Floating Humbert sum: iterates the outer index until the stopping
-    rule fires, evaluating the inner one-argument sums to tolerance."""
-    return _outer_float(
-        p.a,
-        lambda n, cap: f11_eval_float(Params1F1(p.a + n, p.b), x, rel_tol, cap)[0],
-        y, (float(p.c),), rel_tol, term_cap, "y",
-    )
+    """Floating Humbert sum: the index on y outside, 1F1(a + n; b; x) inside."""
+    return _nested_float("psi2", p, (x, y), rel_tol, term_cap)
 
 
 def psi2_3var_eval_float(
-    p: ParamsPsi2,
-    x: float,
-    y: float,
-    z: float,
-    rel_tol: float = 1e-12,
+    p: ParamsPsi2, x: float, y: float, z: float, rel_tol: float = 1e-12,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
     """Floating triple sum, outer index l on z, middle index n on y.
 
     The term at (l, n) is (a)_l z^l / l! * (a+l)_n y^n / (n! (c)_n) times
-    1F1(a + l + n; b; x), whose inner sum depends on k = l + n alone.  It
-    is summed once per k, with the cap ``term_cap + k`` that the middle loop
-    of outer index l gives it at every (l, n) on that diagonal, so skipping
-    the repeats changes no value and no ``NoConvergence``.
+    1F1(a + l + n; b; x), summed once per k = l + n.
     """
-    @functools.cache
-    def f11_shifted(k: int) -> float:
-        return f11_eval_float(Params1F1(p.a + k, p.b), x, rel_tol, term_cap + k)[0]
-
-    cf = float(p.c)
-    return _outer_float(
-        p.a,
-        lambda l, cap: _outer_float(
-            p.a + l, lambda n, _cap: f11_shifted(l + n), y, (cf,), rel_tol, cap, "y"
-        ),
-        z, (), rel_tol, term_cap, "z",
-    )
-
-
-def _outer_float(
-    a: Fraction,
-    inner: Callable[[int, int], float],
-    arg: float,
-    lowers: tuple[float, ...],
-    rel_tol: float,
-    term_cap: int,
-    name: str,
-) -> float:
-    """Sum over n of (a)_n arg^n / (n! prod (lower)_n) * inner(n).
-
-    ``inner(n, cap)`` sums the remaining indices, with top parameter a + n,
-    to tolerance in at most ``cap = term_cap + n`` terms: the stopping rule
-    needs more than |a + n| terms, so an inner sum with the plain
-    ``term_cap`` would run out before this loop does.  The offset is the
-    integer n, so the loop itself makes no ``Fraction``.  The stopping rule
-    is ``f11_eval_float``'s, and ``name`` labels ``arg`` in
-    ``NoConvergence``.
-    """
-    af = float(a)
-    total = 0.0
-    outer = 1.0  # (a)_n arg^n / (n! prod (lower)_n)
-    small_streak = 0
-    threshold = abs(arg) + abs(af)
-    for n in range(term_cap):
-        contrib = outer * inner(n, term_cap + n)
-        total += contrib
-        if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 2 and n + 1 > threshold:
-            return total
-        d = n + 1
-        for low in lowers:
-            d *= low + n
-        outer *= (af + n) * arg / d
-    raise NoConvergence(f"no convergence in {term_cap} outer terms at {name}={arg}")
+    return _nested_float("psi2x3", p, (x, y, z), rel_tol, term_cap)
 
 
 # -- series composition helpers ----------------------------------------------
 
 def f11_compose(p: Params1F1, argument: MultiSeries) -> MultiSeries:
     """1F1(a; b; u) for a series u with zero constant term."""
-    return horn_compose(p.a, [(argument, (p.b,))])
+    return horn_compose(p.a, list(zip((argument,), FAMILIES["f11"].bottoms(p))))
 
 
 def psi2_compose(
     p: ParamsPsi2, arg_x: MultiSeries, arg_y: MultiSeries
 ) -> MultiSeries:
     """Psi2(a; b, c; u, v) for series u, v with zero constant term and the same caps."""
-    return horn_compose(p.a, [(arg_x, (p.b,)), (arg_y, (p.c,))])
+    return horn_compose(p.a, list(zip((arg_x, arg_y), FAMILIES["psi2"].bottoms(p))))
 
 
 # -- operator actions ---------------------------------------------------------

@@ -11,11 +11,13 @@ action rule in ``hypfun.ACTION_RULES``.  The exact and the floating right
 side both come from that rule.  The exact right side is one dict fill:
 for each l, the Horn walk of the member at params + l*shift starts from w_l
 and writes its plane under the key prefix (l,).  The left side formula is
-evaluated on exact series, with F the family's composition
-(``f11_compose``, ``psi2_compose``) and ``exp_series``, divisions and
-powers going through ``pow_rational``, so the two sides of an identity are
-built independently; the same formula on floats, with F the family's float
-evaluator and ``math.exp``, is the numeric left side.
+evaluated on exact series, with F the family's composition and
+``exp_series``, divisions and powers going through ``pow_rational``, so the
+two sides of an identity are built independently; the same formula on
+floats, with F the family's float value and ``math.exp``, is the numeric
+left side.  Everything a record uses of its family (coordinates, bottom
+parameters, composition, float value, parameter class) is read from
+``hypfun.FAMILIES``.
 Records are verified *formally*: both sides are expanded as truncated series
 in (x[, y], chi) over exact rationals and compared coefficient-wise, so a
 failure pinpoints the exact chi-order and monomial where the stated form
@@ -44,14 +46,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 from . import __version__ as ENGINE_VERSION
 from .hypfun import (
     ACTION_RULES,
+    DEFAULT_TERM_CAP,
+    FAMILIES,
     NoConvergence,
-    Params1F1,
     ParamsPsi2,
-    f11_compose,
-    f11_eval_float,
     param_strs,
-    psi2_compose,
-    psi2_eval_float,
 )
 from .series import MultiSeries, exp_series, horn_coefficients
 
@@ -87,26 +86,7 @@ class SuiteFailure(RuntimeError):
         self.report = report
 
 
-# -- families ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Family:
-    """What the identity machinery uses of one series family."""
-
-    coords: tuple[str, ...]                        # the member's arguments
-    compose: Callable[..., MultiSeries]            # (p, *series) -> series
-    evaluate: Callable[..., float]                 # (p, *floats, tol) -> float
-    bottoms: Callable[[object], tuple[Fraction, ...]]  # one per coordinate
-
-
-_FAMILIES = {
-    "f11": _Family(
-        ("x",), f11_compose, lambda p, x, tol: f11_eval_float(p, x, tol)[0],
-        lambda q: (q.b,),
-    ),
-    "psi2": _Family(("x", "y"), psi2_compose, psi2_eval_float, lambda q: (q.b, q.c)),
-}
-
+# -- validity domains ---------------------------------------------------------------
 
 def _in_unit_disc(x: float, y: float, chi: float) -> bool:
     return abs(chi) < 1
@@ -190,11 +170,11 @@ def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeri
     "x" and "y".  The shifted parameters are built at every l <= N, also
     where w_l vanishes, so a degenerate shift raises ``DegenerateParameter``.
     """
-    fam = _FAMILIES[record.family]
+    fam = FAMILIES[record.family]
     terms: dict[tuple[int, ...], Fraction] = {}
     for l, w in zip(range(caps["chi"] + 1), _weights(record, p)):
         q = _shifted(record, p, l)
-        axes = [(caps[v], (low,)) for v, low in zip(fam.coords, fam.bottoms(q))]
+        axes = [(caps[v], lows) for v, lows in zip(fam.coords, fam.bottoms(q))]
         terms.update(horn_coefficients(q.a, axes, start=w, prefix=(l,)))
     variables = ("chi",) + fam.coords
     return MultiSeries._trusted(variables, tuple(caps[v] for v in variables), terms)
@@ -212,12 +192,13 @@ def _sum_float(
     """The record's chi-sum in floating point, with the same two-small-terms
     stopping rule used by the series evaluators; raises NoConvergence after
     ``max_terms`` terms."""
-    fam = _FAMILIES[record.family]
+    fam = FAMILIES[record.family]
     point = (x, y)[: len(fam.coords)]
     total = 0.0
     small_streak = 0
     for l, w in zip(range(max_terms), _weights(record, p)):
-        term = float(w) * fam.evaluate(_shifted(record, p, l), *point, tol) * chi**l
+        value, _ = fam.evaluate(_shifted(record, p, l), *point, tol, DEFAULT_TERM_CAP)
+        term = float(w) * value * chi**l
         total += term
         if abs(term) <= tol * max(abs(total), 1e-300):
             small_streak += 1
@@ -459,17 +440,7 @@ def get_record(rec_id: str) -> IdentityRecord:
 def _caps_for(record: IdentityRecord, n_order: int, m_order: int) -> dict[str, int]:
     if n_order < 0 or m_order < 0:
         raise CapUnderflow("orders must be nonnegative")
-    return {"chi": n_order, **dict.fromkeys(_FAMILIES[record.family].coords, m_order)}
-
-
-def _params_for(record: IdentityRecord, params):
-    if record.family == "f11":
-        if isinstance(params, Params1F1):
-            return params
-        return Params1F1(params.a, params.b)
-    if isinstance(params, ParamsPsi2):
-        return params
-    raise TypeError("psi2 record needs ParamsPsi2")
+    return {"chi": n_order, **dict.fromkeys(FAMILIES[record.family].coords, m_order)}
 
 
 def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
@@ -493,7 +464,7 @@ def lhs_series(
 ) -> MultiSeries:
     """The variant's left side as an exact series in chi and the coordinates."""
     coord = {v: MultiSeries.variable(v, caps) for v in caps}
-    compose = functools.partial(_FAMILIES[record.family].compose, p)
+    compose = functools.partial(FAMILIES[record.family].compose, p)
     return var.lhs(compose, exp_series, p, coord["x"], coord.get("y"), coord["chi"])
 
 
@@ -502,9 +473,11 @@ def lhs_value(
     tol: float,
 ) -> float:
     """The variant's left side in floating point at (x, y, chi)."""
-    fam = _FAMILIES[record.family]
+    fam = FAMILIES[record.family]
     floats = SimpleNamespace(**{f.name: float(getattr(p, f.name)) for f in fields(p)})
-    return var.lhs(lambda *u: fam.evaluate(p, *u, tol), math.exp, floats, x, y, chi)
+    return var.lhs(
+        lambda *u: fam.evaluate(p, *u, tol, DEFAULT_TERM_CAP)[0], math.exp, floats, x, y, chi
+    )
 
 
 def verify_formal(rec_id: str, variant: str, params, n_order: int, m_order: int) -> dict:
@@ -515,7 +488,7 @@ def verify_formal(rec_id: str, variant: str, params, n_order: int, m_order: int)
     """
     record = get_record(rec_id)
     var = record.variant(variant)
-    p = _params_for(record, params)
+    p = FAMILIES[record.family].narrow(params)
     caps = _caps_for(record, n_order, m_order)
     lhs = lhs_series(record, var, p, caps)
     rhs = _sum_series(record, p, caps)
@@ -542,7 +515,7 @@ def verify_numeric(
     """Evaluate both sides in floating point and compare relatively."""
     record = get_record(rec_id)
     var = record.variant(variant)
-    p = _params_for(record, params)
+    p = FAMILIES[record.family].narrow(params)
     if not record.domain_ok(x, y, chi):
         raise DomainViolation(
             f"{rec_id}: chi={chi} outside validity domain ({record.validity})"
@@ -556,7 +529,7 @@ def verify_numeric(
         "variant": variant,
         "params": param_strs(params),
         "chi": chi,
-        "point": dict(zip(_FAMILIES[record.family].coords, (x, y))),
+        "point": dict(zip(FAMILIES[record.family].coords, (x, y))),
         "status": "verified" if ok else "mismatch",
         "witness": None if ok else {
             "lhs": repr(lhs), "rhs": repr(rhs), "rel_diff": repr(abs(lhs - rhs) / scale)

@@ -8,16 +8,16 @@ one-parameter flows against their closed forms.  ``build_catalogue`` is the
 hand-written statement of each operator; its action is checked against the
 rule of ``hypfun.ACTION_RULES``, and seven flow fields are the operators.
 
-Family keys are ``"f11"`` (one-argument family, realized as a series in x
-times y^a z^b) and ``"psi2"`` (two-argument family, series in x, y times
-z^a u^b t^c).  Catalogue entries are keyed ``"<family>.<name>"``.
+Family keys are those of ``hypfun.FAMILIES``: ``"f11"`` (realized as its
+series in x times y^a z^b) and ``"psi2"`` (series in x, y times z^a u^b t^c).
+Catalogue entries are keyed ``"<family>.<name>"``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -25,12 +25,11 @@ from typing import Callable, Mapping
 from .exactnum import Q, as_rational
 from .hypfun import (
     ACTION_RULES,
+    FAMILIES,
     ActionRule,
     Params1F1,
     ParamsPsi2,
-    f11_series,
     param_strs,
-    psi2_series,
 )
 from .series import MultiSeries, PrefactorSeries, UnknownVariable
 
@@ -397,15 +396,19 @@ def family_operator_ids(family: str) -> list[str]:
 
 # -- basis families and realizations -------------------------------------------
 
+# The prefactor variable of each parameter, in the parameter class's order.
+_PREFACTOR_VARIABLES = {"f11": ("y", "z"), "psi2": ("z", "u", "t")}
+
+
 @dataclass(frozen=True)
 class BasisFamily:
     kind: str  # "f11" | "psi2"
     params: Params1F1 | ParamsPsi2
 
     def __post_init__(self):
-        if self.kind not in ("f11", "psi2"):
+        if self.kind not in _PREFACTOR_VARIABLES:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        want = Params1F1 if self.kind == "f11" else ParamsPsi2
+        want = FAMILIES[self.kind].params
         if not isinstance(self.params, want):
             raise TypeError(f"{self.kind} family needs {want.__name__}")
 
@@ -413,17 +416,14 @@ class BasisFamily:
 def realize(family: BasisFamily, order: int) -> PrefactorSeries:
     """Series realization of a basis element at the given truncation order.
 
-    The one-argument family realizes as series(x) * y^a z^b  (without any
-    constant normalisation); the two-argument family as
-    series(x, y) * z^a u^b t^c.
+    The family's series, every index cut at ``order``, times one prefactor
+    variable per parameter raised to it (without any constant normalisation):
+    series(x) * y^a z^b, or series(x, y) * z^a u^b t^c.
     """
-    if family.kind == "f11":
-        p = family.params
-        return PrefactorSeries(f11_series(p, order), {"y": p.a, "z": p.b})
     p = family.params
-    return PrefactorSeries(
-        psi2_series(p, order, order), {"z": p.a, "u": p.b, "t": p.c}
-    )
+    names = zip(_PREFACTOR_VARIABLES[family.kind], fields(p))
+    prefactor = {v: getattr(p, f.name) for v, f in names}
+    return PrefactorSeries(FAMILIES[family.kind].series(p, order), prefactor)
 
 
 def expected_action(op_id: str, family: BasisFamily) -> ActionRule:
@@ -664,7 +664,7 @@ def flow_check(
     numerator factors divided by the denominator factors.
     """
     s0 = {v: float(as_rational(val)) for v, val in start.items()}
-    steps = max(1, int(round(alpha_max / h)))
+    steps = max(1, int(round(abs(alpha_max) / h)))
     dt = alpha_max / steps
     half = 0.5 * dt
     sixth = dt / 6.0

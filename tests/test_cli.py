@@ -169,9 +169,22 @@ class TestVerify:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
-    def test_bad_points_exit_2(self):
-        r = run_cli("verify", "--scope", "recursions", "--points", "0.5,4/3,5/7")
+    @pytest.mark.parametrize("scope, arg, named", [
+        ("recursions", "--points=0.5,4/3,5/7", "'0.5'"),
+        ("recursions", "--chi=abc", "--chi"),
+        ("all", "--chi=", "--chi"),
+        ("recursions", "--orders-f11=1,2,3", "--orders-f11"),
+        ("recursions", "--orders-psi2=4", "--orders-psi2"),
+    ], ids=["points", "chi-word", "chi-empty", "orders-three", "orders-one"])
+    def test_bad_points_exit_2(self, tmp_path, scope, arg, named):
+        # A malformed setting is a configuration error before any scope runs.
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", scope, arg, "--out", str(out))
         assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert named in r.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ("--alpha", "1"),

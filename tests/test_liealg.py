@@ -312,9 +312,11 @@ class TestFlows:
         # the paper's stated systems for these are not their operators' flows
         assert set(FLOW_IDS) - derived == {"f11.E_b", "f11.E_b'", "f11.E_a'"}
 
-    def test_all_flows_close_to_closed_forms(self):
+    @pytest.mark.parametrize("alpha", [0.1, -0.1])
+    def test_all_flows_close_to_closed_forms(self, alpha):
+        # A negative alpha takes as many steps of size h as a positive one.
         for op_id in FLOW_IDS:
-            dev = flow_check(flow_spec(op_id), START, 0.1, 1e-3)
+            dev = flow_check(flow_spec(op_id), START, alpha, 1e-3)
             assert dev <= 1e-8, (op_id, dev)
 
     def test_quadratic_flow_tight(self):

@@ -10,6 +10,7 @@ every pass.  Both files are read from their syntax trees: nothing under
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,3 +76,35 @@ def test_every_benchmark_setup_name_resolves():
         if not hasattr(importlib.import_module(f"hypersym.{module}"), name)
     ]
     assert missing == []
+
+
+def test_family_calls_reach_rebound_names(monkeypatch):
+    """The tracer replaces every module-level binding of a function in the
+    package; calls made through ``hypfun.FAMILIES`` must reach the wrapper."""
+    from fractions import Fraction as Q
+
+    from hypersym import hypfun
+    from hypersym.hypfun import ParamsPsi2
+    from hypersym.identities import verify_formal, verify_numeric
+
+    calls = {}
+    for name in ("psi2_compose", "psi2_eval_float"):
+        orig = getattr(hypfun, name)
+        calls[name] = 0
+
+        def counting(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module is None or not module_name.startswith("hypersym"):
+                continue
+            for binding, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, binding, counting)
+
+    p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+    assert verify_formal("I-PSI2-SHIFT-X", "as_stated", p, 2, 3)["status"] == "verified"
+    assert verify_numeric("I-PSI2-SHIFT-X", "as_stated", p, 0.1, 1e-8)["status"] == "verified"
+    assert calls["psi2_compose"] > 0
+    assert calls["psi2_eval_float"] > 0
