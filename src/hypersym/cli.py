@@ -8,11 +8,12 @@ dispatches, and formats.  ``eval`` reads its families from
 ``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
-configuration error, including flow settings that meet a singular flow
-denominator, and an ``InternalSimplificationFailure`` (a commutator whose
-second-order terms do not cancel).  A ``verify`` run that stops on such an
-error still writes the reports of the scopes it finished, marked
-``"ok": false`` with the error text.
+configuration error, including a non-finite tolerance, alpha or step, an
+``eval`` option the family does not take, flow settings that meet a
+singular flow denominator, and an ``InternalSimplificationFailure`` (a
+commutator whose second-order terms do not cancel).  A ``verify`` run that
+stops on such an error still writes the reports of the scopes it finished,
+marked ``"ok": false`` with the error text.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -120,6 +122,9 @@ class RunConfig:
         self.orders()
         self.chi_grid()
         self.start_point()
+        for name in ("tol", "flow_tol", "alpha", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tol <= 0 or self.flow_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.step <= 0:
@@ -162,9 +167,15 @@ def _is_exact_literal(text: str) -> bool:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """Evaluate the ``--fn`` family at a point whose omitted coordinates are 0."""
+    """Evaluate the ``--fn`` family at a point whose omitted coordinates are 0.
+
+    ``--c``, ``--y`` and ``--z`` are usage errors for a family without them.
+    """
     fam = FAMILIES[args.fn]
     names = [f.name for f in fields(fam.params)]
+    for name in ("c", "y", "z"):
+        if getattr(args, name) is not None and name not in names and name not in fam.coords:
+            raise SystemExit2(f"--{name} is not an option of {args.fn}")
     for name in names:
         if getattr(args, name) is None:
             raise SystemExit2(f"--{name} is required for {args.fn}")

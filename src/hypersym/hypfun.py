@@ -32,6 +32,7 @@ single small term is not evidence of convergence).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
@@ -244,8 +245,8 @@ def f11_eval_float(
     Stops once two consecutive terms are below rel_tol * |partial sum| and
     the index has cleared |x| + |a|, past which the term ratio stays below 1.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     a = float(p.a)
     b = float(p.b)
     total = 0.0

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .exactnum import Q, as_rational
 from .hypfun import (
@@ -508,6 +508,8 @@ class FlowSpec:
     operator's flow.  ``closed`` (a callable of start point and alpha per
     flowing variable) and ``denominators`` (the singularity guards) are the
     independent claim checked.  ``notes`` records any reconstruction.
+    ``coords`` and ``rk4_step``, the integrator ``flow_check`` runs, are
+    built from ``field`` on first use and cached on the spec.
     """
 
     op_id: str
@@ -519,22 +521,67 @@ class FlowSpec:
     notes: str = ""
 
     @functools.cached_property
-    def program(self) -> tuple[list[str], list[list[tuple]]]:
-        """The coordinates the field reads and, per state slot (those
-        coordinates, then mu), its terms as (coefficient, numerator factors,
-        denominator factors), each factor an (index, exponent) pair."""
+    def coords(self) -> tuple[str, ...]:
+        """The coordinates the field reads or moves, sorted: the RK4 state is
+        these, then mu."""
         terms = self.field.terms
-        coords = sorted({v for t in terms for v, _ in t.monomial} | {t.derivative for t in terms} - {None})
-        index = {v: i for i, v in enumerate(coords)}
-        slots: list[list[tuple]] = [[] for _ in range(len(coords) + 1)]
-        for t in terms:
-            factors = [(index[v], e) for v, e in t.monomial]
-            slots[index.get(t.derivative, len(coords))].append((
-                float(t.coefficient),
-                [(i, e) for i, e in factors if e > 0],
-                [(i, -e) for i, e in factors if e < 0],
-            ))
-        return coords, slots
+        return tuple(sorted({v for t in terms for v, _ in t.monomial}
+                            | {t.derivative for t in terms} - {None}))
+
+    @functools.cached_property
+    def rk4_step(self) -> Callable[[Sequence[float], float, float, float], tuple[float, ...]]:
+        """``step(state, dt, half, sixth)``: one classical RK4 step of the
+        state (``coords``, then mu), compiled once into straight-line code
+        from the field's terms.
+
+        Each rate is ``0.0`` plus its terms left to right, each term its
+        coefficient times the numerator factors divided by the denominator
+        factors (``** e`` unless the exponent is 1); mu's rate is multiplied
+        by mu.  These are the float operations of a term-by-term RK4, in
+        its order, so every deviation is bit-identical to one; the tests
+        keep such an interpreter as the oracle.  A slot without terms has rate 0.0 and keeps its value: adding a zero
+        step changes only -0.0, and a start value read from a rational is
+        never -0.0.
+        """
+        return _compile_rk4_step(self.op_id, self.field.terms, self.coords)
+
+
+def _compile_rk4_step(op_id: str, terms: list[OpTerm], coords: tuple[str, ...]):
+    """Source text of ``FlowSpec.rk4_step``, compiled.  State slot i is
+    ``s<i>``, its stage value ``w<i>`` and its rates ``k1_<i>`` to ``k4_<i>``;
+    slot ``len(coords)`` is mu.  Coefficients are written with ``repr``,
+    which round-trips a float exactly."""
+    mu = len(coords)
+    index = {v: i for i, v in enumerate(coords)}
+    slots: list[list[OpTerm]] = [[] for _ in range(mu + 1)]
+    for t in terms:
+        slots[index.get(t.derivative, mu)].append(t)
+    moving = [i for i, slot in enumerate(slots) if slot]
+
+    def rate(i: int, names: list[str]) -> str:
+        def power(v: str, e: int) -> str:
+            return names[index[v]] if e == 1 else f"{names[index[v]]} ** {e}"
+
+        expr = "0.0"
+        for t in slots[i]:
+            num = "".join(f" * {power(v, e)}" for v, e in t.monomial if e > 0)
+            den = "".join(f" / {power(v, -e)}" for v, e in t.monomial if e < 0)
+            expr += f" + ({float(t.coefficient)!r}{num}{den})"
+        return f"({expr}) * {names[mu]}" if i == mu else expr
+
+    state = [f"s{i}" for i in range(mu + 1)]
+    stage = [f"w{i}" if i in moving else f"s{i}" for i in range(mu + 1)]
+    lines = ["def step(state, dt, half, sixth):", f"    {', '.join(state)} = state"]
+    for k, (names, weight) in enumerate(((state, None), (stage, "half"), (stage, "half"), (stage, "dt")), 1):
+        if weight:
+            lines += [f"    w{i} = s{i} + {weight} * k{k - 1}_{i}" for i in moving]
+        lines += [f"    k{k}_{i} = {rate(i, names)}" for i in moving]
+    update = [f"s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" if i in moving
+              else f"s{i}" for i in range(mu + 1)]
+    lines.append(f"    return ({', '.join(update)})")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<rk4 step of {op_id}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _flow_specs() -> dict[str, FlowSpec]:
@@ -659,9 +706,9 @@ def flow_check(
     Integrates the field's coordinates and the multiplier from the start
     point and returns the maximum absolute deviation from the closed forms
     over all grid points.  Raises SingularFlow when any catalogued
-    denominator comes within ``margin`` of zero on the grid.  Each rate is
-    its terms summed left to right, each term its coefficient times the
-    numerator factors divided by the denominator factors.
+    denominator comes within ``margin`` of zero on the grid.  Each step is
+    the spec's ``rk4_step``, compiled once from its field; the closed forms
+    and denominators are checked at every grid point.
     """
     s0 = {v: float(as_rational(val)) for v, val in start.items()}
     steps = max(1, int(round(abs(alpha_max) / h)))
@@ -669,24 +716,10 @@ def flow_check(
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    coords, slots = spec.program
+    coords, step = spec.coords, spec.rk4_step
     mu = len(coords)
     state = [s0[v] for v in coords] + [1.0]
     closed = [(coords.index(v), form) for v, form in spec.closed.items()]
-
-    def rates(st: list[float]) -> list[float]:
-        out = []
-        for terms in slots:
-            total = 0.0
-            for c, num, den in terms:
-                for i, e in num:
-                    c *= st[i] if e == 1 else st[i] ** e
-                for i, e in den:
-                    c /= st[i] if e == 1 else st[i] ** e
-                total += c
-            out.append(total)
-        out[mu] *= st[mu]
-        return out
 
     def check_grid_point(alpha: float) -> float:
         for den in spec.denominators:
@@ -702,14 +735,7 @@ def flow_check(
     max_dev = check_grid_point(0.0)
     alpha = 0.0
     for _ in range(steps):
-        k1 = rates(state)
-        k2 = rates([s + half * k for s, k in zip(state, k1)])
-        k3 = rates([s + half * k for s, k in zip(state, k2)])
-        k4 = rates([s + dt * k for s, k in zip(state, k3)])
-        state = [
-            s + sixth * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
+        state = step(state, dt, half, sixth)
         alpha += dt
         max_dev = max(max_dev, check_grid_point(alpha))
     return max_dev

@@ -64,6 +64,27 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr.strip() == "error: negative series order"
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_float_tolerance_exits_2(self, tol):
+        r = run_cli("eval", "--fn", "f11", "--a", "1", "--b", "1",
+                    "--x", "1.5", "--float", "--tol", tol)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: rel_tol must be finite and positive, got {tol}\n"
+
+    @pytest.mark.parametrize("fn, extra, named", [
+        ("f11", ("--c", "3"), "--c"),
+        ("f11", ("--y", "5"), "--y"),
+        ("f11", ("--z", "2"), "--z"),
+        ("psi2", ("--c", "5/7", "--y", "0", "--z", "2"), "--z"),
+    ], ids=["f11-c", "f11-y", "f11-z", "psi2-z"])
+    def test_option_the_family_does_not_take_exits_2(self, fn, extra, named):
+        r = run_cli("eval", "--fn", fn, "--a", "1", "--b", "1", "--x", "1",
+                    *extra, "--exact", "--terms", "5")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: {named} is not an option of {fn}\n"
+
     def test_successive_main_calls_print_their_own_results(self, capsys):
         # The parser is built once per process and reused by every call.
         base = ["eval", "--fn", "f11", "--a", "1", "--b", "1", "--exact", "--terms", "5"]
@@ -184,6 +205,35 @@ class TestVerify:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert named in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "inf"),
+        ("--alpha", "nan"),
+        ("--flow-tol", "inf"),
+        ("--step", "inf"),
+        ("--step", "nan"),
+        ("--tol", "nan"),
+    ])
+    def test_non_finite_setting_exits_2_before_any_scope(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", "flows", flag, value, "--out", str(out))
+        assert r.returncode == 2
+        name = flag[2:].replace("-", "_")
+        assert r.stderr == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"alpha": NaN}', '{"flow_tol": Infinity}',
+                                      '{"step": -Infinity}'])
+    def test_non_finite_config_value_exits_2(self, tmp_path, text):
+        # json.loads reads NaN and Infinity as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", "flows", "--config", str(cfg), "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "must be finite" in r.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -205,6 +205,12 @@ class TestFloatEval:
         with pytest.raises(NoConvergence):
             f11_eval_float(Params1F1(1, 1), 4000.0, 1e-12, term_cap=40)
 
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, 0.0, -1e-12])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, rel_tol):
+        # an infinite tolerance would stop e^1.5 at 3.625 after three terms
+        with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
+            f11_eval_float(Params1F1(1, 1), 1.5, rel_tol)
+
     def test_random_agreement(self):
         rng = random.Random(42)
         for _ in range(100):

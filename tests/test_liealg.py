@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
@@ -37,6 +38,73 @@ P_PSI2 = [
     ParamsPsi2(Q(2, 5), Q(9, 4), Q(5, 7)),
 ]
 START = {"x": 1, "y": 2, "z": 3, "u": Q(1, 2), "t": Q(1, 3)}
+
+
+def interpreted_flow_check(spec, start, alpha_max, h, margin=1e-6):
+    """Term-by-term RK4, the oracle of the compiled ``FlowSpec.rk4_step``.
+
+    Each rate is its terms summed left to right from 0.0, each term its
+    coefficient times the numerator factors divided by the denominator
+    factors; the grid check is ``flow_check``'s.
+    """
+    s0 = {v: float(liealg.as_rational(val)) for v, val in start.items()}
+    steps = max(1, int(round(abs(alpha_max) / h)))
+    dt = alpha_max / steps
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    terms = spec.field.terms
+    coords = sorted({v for t in terms for v, _ in t.monomial} | {t.derivative for t in terms} - {None})
+    index = {v: i for i, v in enumerate(coords)}
+    slots = [[] for _ in range(len(coords) + 1)]
+    for t in terms:
+        factors = [(index[v], e) for v, e in t.monomial]
+        slots[index.get(t.derivative, len(coords))].append((
+            float(t.coefficient),
+            [(i, e) for i, e in factors if e > 0],
+            [(i, -e) for i, e in factors if e < 0],
+        ))
+    mu = len(coords)
+    state = [s0[v] for v in coords] + [1.0]
+    closed = [(coords.index(v), form) for v, form in spec.closed.items()]
+
+    def rates(st):
+        out = []
+        for slot in slots:
+            total = 0.0
+            for c, num, den in slot:
+                for i, e in num:
+                    c *= st[i] if e == 1 else st[i] ** e
+                for i, e in den:
+                    c /= st[i] if e == 1 else st[i] ** e
+                total += c
+            out.append(total)
+        out[mu] *= st[mu]
+        return out
+
+    def check_grid_point(alpha):
+        for den in spec.denominators:
+            if abs(den(s0, alpha)) < margin:
+                raise SingularFlow(f"{spec.op_id}: denominator within margin at alpha={alpha}")
+        dev = abs(state[mu] - spec.multiplier_closed(s0, alpha))
+        for i, form in closed:
+            dev = max(dev, abs(state[i] - form(s0, alpha)))
+        return dev
+
+    max_dev = check_grid_point(0.0)
+    alpha = 0.0
+    for _ in range(steps):
+        k1 = rates(state)
+        k2 = rates([s + half * k for s, k in zip(state, k1)])
+        k3 = rates([s + half * k for s, k in zip(state, k2)])
+        k4 = rates([s + dt * k for s, k in zip(state, k3)])
+        state = [
+            s + sixth * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+        alpha += dt
+        max_dev = max(max_dev, check_grid_point(alpha))
+    return max_dev
 
 CAT = build_catalogue()
 
@@ -342,6 +410,41 @@ class TestFlows:
         dev = flow_check(spec, START, 0.1, 1e-3)
         assert dev <= 1e-10
         assert spec.multiplier_text == "u/(u+alpha)"
+
+    @pytest.mark.parametrize("alpha", [0.1, -0.1])
+    @pytest.mark.parametrize("h", [1e-3, 0.05])
+    @pytest.mark.parametrize("start", [START, {**START, "x": Q(-7, 10), "y": Q(5, 2)}],
+                             ids=["default-start", "moved-start"])
+    def test_compiled_step_is_bit_identical_to_the_interpreter(self, alpha, h, start):
+        for op_id in FLOW_IDS:
+            spec = flow_spec(op_id)
+            assert flow_check(spec, start, alpha, h) == interpreted_flow_check(
+                spec, start, alpha, h), op_id
+
+    def test_compiled_step_is_bit_identical_at_a_fine_step(self):
+        spec = flow_spec("f11.E_a'")
+        assert flow_check(spec, START, 0.1, 1e-5) == interpreted_flow_check(spec, START, 0.1, 1e-5)
+
+    def test_compiled_step_meets_the_same_singularity(self):
+        spec = flow_spec("f11.E_a")
+        start = {"x": 1, "y": 10, "z": 1}
+        with pytest.raises(SingularFlow) as compiled:
+            flow_check(spec, start, 0.2, 1e-3)
+        with pytest.raises(SingularFlow) as interpreted:
+            interpreted_flow_check(spec, start, 0.2, 1e-3)
+        assert str(compiled.value) == str(interpreted.value)
+
+    def test_step_is_compiled_once_per_spec(self, monkeypatch):
+        spec = dataclasses.replace(flow_spec("psi2.E_b"))  # nothing cached yet
+        calls = []
+        compile_step = liealg._compile_rk4_step
+        monkeypatch.setattr(liealg, "_compile_rk4_step",
+                            lambda *args: calls.append(args) or compile_step(*args))
+        first = flow_check(spec, START, 0.1, 1e-3)
+        assert flow_check(spec, START, 0.1, 1e-3) == first
+        assert len(calls) == 1
+        assert spec.rk4_step is spec.rk4_step
+        assert spec.coords == ("u", "x")
 
     def test_suite_applies_tolerance(self):
         # a coarse step leaves deviations near 1e-5 on some flows: finite,
