@@ -147,6 +147,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             want = type(getattr(cfg, key))
             if not (type(value) is want or want is float and type(value) is int):
                 raise ValueError(f"config key {key!r} needs a {want.__name__} value")
+            if want is float:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ValueError(f"config key {key!r} is too large for a float") from None
             setattr(cfg, key, value)
     for key in vars(cfg):
         value = getattr(args, key, None)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .exactnum import Q, as_rational
 from .hypfun import (
@@ -508,8 +508,8 @@ class FlowSpec:
     operator's flow.  ``closed`` (a callable of start point and alpha per
     flowing variable) and ``denominators`` (the singularity guards) are the
     independent claim checked.  ``notes`` records any reconstruction.
-    ``coords`` and ``rk4_step``, the integrator ``flow_check`` runs, are
-    built from ``field`` on first use and cached on the spec.
+    ``coords`` and ``rk4_run``, the whole integration ``flow_check`` runs,
+    are built from the spec on first use and cached on it.
     """
 
     op_id: str
@@ -529,32 +529,103 @@ class FlowSpec:
                             | {t.derivative for t in terms} - {None}))
 
     @functools.cached_property
-    def rk4_step(self) -> Callable[[Sequence[float], float, float, float], tuple[float, ...]]:
-        """``step(state, dt, half, sixth)``: one classical RK4 step of the
-        state (``coords``, then mu), compiled once into straight-line code
-        from the field's terms.
+    def rk4_run(self) -> Callable[[Mapping[str, float], int, float, float], float]:
+        """``run(s0, steps, dt, margin)``: ``steps`` classical RK4 steps of
+        size ``dt`` from the float start point ``s0``, with the grid check at
+        alpha = 0 and after every step; returns the maximum deviation.  The
+        whole run is compiled once into one loop over local variables.
 
-        Each rate is ``0.0`` plus its terms left to right, each term its
-        coefficient times the numerator factors divided by the denominator
-        factors (``** e`` unless the exponent is 1); mu's rate is multiplied
-        by mu.  These are the float operations of a term-by-term RK4, in
-        its order, so every deviation is bit-identical to one; the tests
-        keep such an interpreter as the oracle.  A slot without terms has rate 0.0 and keeps its value: adding a zero
+        Each step is straight-line code from the field's terms.  Each rate
+        is ``0.0`` plus its terms left to right, each term its coefficient
+        times the numerator factors divided by the denominator factors
+        (``** e`` unless the exponent is 1); mu's rate is multiplied by mu.
+        A slot without terms has rate 0.0 and keeps its value: adding a zero
         step changes only -0.0, and a start value read from a rational is
         never -0.0.
+
+        The grid check is read from the closed forms themselves: each of
+        ``denominators``, ``multiplier_closed`` and ``closed`` is called once
+        on a traced start point and alpha, which turn ``+ - * /`` and unary
+        ``-`` into parenthesised source text in Python's evaluation order
+        (``s0["v"]`` a start value, int and float constants by ``repr``).
+        Any other operand or operation raises TypeError naming the flow.
+        At each grid point every denominator is checked in order, raising
+        SingularFlow within ``margin`` of 0; then the multiplier's deviation
+        and each closed form's, in ``closed``'s order, are folded into the
+        point's deviation as ``max`` would.
+
+        These are the float operations of a term-by-term RK4 and of calling
+        the closed forms at each grid point, in their order, so every
+        deviation is bit-identical to theirs; the tests keep such an
+        interpreter as the oracle.
         """
-        return _compile_rk4_step(self.op_id, self.field.terms, self.coords)
+        return _compile_rk4_run(self)
 
 
-def _compile_rk4_step(op_id: str, terms: list[OpTerm], coords: tuple[str, ...]):
-    """Source text of ``FlowSpec.rk4_step``, compiled.  State slot i is
+def _source_text(value: object) -> str | None:
+    """The source text of a traced value or an int or float constant."""
+    if isinstance(value, _Traced):
+        return value.text
+    if type(value) in (int, float):
+        return repr(value)
+    return None
+
+
+class _Traced:
+    """A float of a closed form, standing for its source text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def _binary(self, other: object, symbol: str, reflected: bool = False):
+        other = _source_text(other)
+        if other is None:
+            return NotImplemented
+        left, right = (other, self.text) if reflected else (self.text, other)
+        return _Traced(f"({left} {symbol} {right})")
+
+    def __add__(self, other): return self._binary(other, "+")
+    def __radd__(self, other): return self._binary(other, "+", True)
+    def __sub__(self, other): return self._binary(other, "-")
+    def __rsub__(self, other): return self._binary(other, "-", True)
+    def __mul__(self, other): return self._binary(other, "*")
+    def __rmul__(self, other): return self._binary(other, "*", True)
+    def __truediv__(self, other): return self._binary(other, "/")
+    def __rtruediv__(self, other): return self._binary(other, "/", True)
+
+    def __neg__(self):
+        return _Traced(f"(-{self.text})")
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value")
+
+    def __eq__(self, other):
+        raise TypeError("a traced value cannot be compared")
+
+
+class _TracedStart:
+    """The start point of a traced closed form: ``s0["v"]`` is the local
+    ``p<j>``, read once from the run's start point."""
+
+    def __init__(self):
+        self.reads: dict[str, str] = {}
+
+    def __getitem__(self, key: str) -> _Traced:
+        return _Traced(self.reads.setdefault(key, f"p{len(self.reads)}"))
+
+
+def _compile_rk4_run(spec: FlowSpec):
+    """Source text of ``FlowSpec.rk4_run``, compiled.  State slot i is
     ``s<i>``, its stage value ``w<i>`` and its rates ``k1_<i>`` to ``k4_<i>``;
     slot ``len(coords)`` is mu.  Coefficients are written with ``repr``,
     which round-trips a float exactly."""
+    coords = spec.coords
     mu = len(coords)
     index = {v: i for i, v in enumerate(coords)}
     slots: list[list[OpTerm]] = [[] for _ in range(mu + 1)]
-    for t in terms:
+    for t in spec.field.terms:
         slots[index.get(t.derivative, mu)].append(t)
     moving = [i for i, slot in enumerate(slots) if slot]
 
@@ -569,19 +640,56 @@ def _compile_rk4_step(op_id: str, terms: list[OpTerm], coords: tuple[str, ...]):
             expr += f" + ({float(t.coefficient)!r}{num}{den})"
         return f"({expr}) * {names[mu]}" if i == mu else expr
 
+    start = _TracedStart()
+
+    def trace(form: Callable[[dict, float], float]) -> str:
+        try:
+            value = form(start, _Traced("alpha"))
+        except (TypeError, AttributeError) as exc:
+            raise TypeError(f"{spec.op_id}: a closed form may use only + - * / of start "
+                            f"values, alpha and int or float constants ({exc})") from exc
+        text = _source_text(value)
+        if text is None:
+            raise TypeError(f"{spec.op_id}: a closed form returned {type(value).__name__}")
+        return text
+
+    check = []
+    for den in spec.denominators:
+        check += [f"if abs({trace(den)}) < margin:",
+                  '    raise SingularFlow(f"{op_id}: denominator within margin at alpha={alpha}")']
+    check.append(f"dev = abs(s{mu} - {trace(spec.multiplier_closed)})")
+    for v, form in spec.closed.items():
+        check += [f"e = abs(s{index[v]} - {trace(form)})", "if e > dev:", "    dev = e"]
+
     state = [f"s{i}" for i in range(mu + 1)]
     stage = [f"w{i}" if i in moving else f"s{i}" for i in range(mu + 1)]
-    lines = ["def step(state, dt, half, sixth):", f"    {', '.join(state)} = state"]
+    step = []
     for k, (names, weight) in enumerate(((state, None), (stage, "half"), (stage, "half"), (stage, "dt")), 1):
         if weight:
-            lines += [f"    w{i} = s{i} + {weight} * k{k - 1}_{i}" for i in moving]
-        lines += [f"    k{k}_{i} = {rate(i, names)}" for i in moving]
-    update = [f"s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" if i in moving
-              else f"s{i}" for i in range(mu + 1)]
-    lines.append(f"    return ({', '.join(update)})")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<rk4 step of {op_id}>", "exec"), namespace)
-    return namespace["step"]
+            step += [f"w{i} = s{i} + {weight} * k{k - 1}_{i}" for i in moving]
+        step += [f"k{k}_{i} = {rate(i, names)}" for i in moving]
+    step += [f"s{i} = s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in moving]
+
+    lines = ["def run(start, steps, dt, margin):",
+             "    half = 0.5 * dt",
+             "    sixth = dt / 6.0",
+             *(f"    s{i} = start[{v!r}]" for i, v in enumerate(coords)),
+             f"    s{mu} = 1.0",
+             *(f"    {name} = start[{v!r}]" for v, name in start.reads.items()),
+             "    alpha = 0.0",
+             *(f"    {line}" for line in check),
+             "    max_dev = dev",
+             "    for _ in range(steps):",
+             *(f"        {line}" for line in step),
+             "        alpha += dt",
+             *(f"        {line}" for line in check),
+             "        if dev > max_dev:",
+             "            max_dev = dev",
+             "    return max_dev"]
+    # ``inf`` and ``nan`` are the repr of a non-finite constant
+    namespace = {"SingularFlow": SingularFlow, "op_id": spec.op_id, "inf": math.inf, "nan": math.nan}
+    exec(compile("\n".join(lines), f"<rk4 run of {spec.op_id}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _flow_specs() -> dict[str, FlowSpec]:
@@ -705,40 +813,22 @@ def flow_check(
 
     Integrates the field's coordinates and the multiplier from the start
     point and returns the maximum absolute deviation from the closed forms
-    over all grid points.  Raises SingularFlow when any catalogued
-    denominator comes within ``margin`` of zero on the grid.  Each step is
-    the spec's ``rk4_step``, compiled once from its field; the closed forms
-    and denominators are checked at every grid point.
+    over all grid points: alpha = 0 and the end of each of the
+    ``round(|alpha_max| / h)`` (at least one) equal steps.  Raises
+    SingularFlow when any catalogued denominator comes within ``margin`` of
+    zero on the grid, and ValueError unless ``alpha_max`` is finite, ``h``
+    finite and positive, and ``margin`` finite and non-negative.  The run is
+    the spec's ``rk4_run``, compiled once from its field and closed forms.
     """
+    if not math.isfinite(alpha_max):
+        raise ValueError(f"flow alpha must be finite, got {alpha_max!r}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"flow step must be finite and positive, got {h!r}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"flow margin must be finite and non-negative, got {margin!r}")
     s0 = {v: float(as_rational(val)) for v, val in start.items()}
     steps = max(1, int(round(abs(alpha_max) / h)))
-    dt = alpha_max / steps
-    half = 0.5 * dt
-    sixth = dt / 6.0
-
-    coords, step = spec.coords, spec.rk4_step
-    mu = len(coords)
-    state = [s0[v] for v in coords] + [1.0]
-    closed = [(coords.index(v), form) for v, form in spec.closed.items()]
-
-    def check_grid_point(alpha: float) -> float:
-        for den in spec.denominators:
-            if abs(den(s0, alpha)) < margin:
-                raise SingularFlow(
-                    f"{spec.op_id}: denominator within margin at alpha={alpha}"
-                )
-        dev = abs(state[mu] - spec.multiplier_closed(s0, alpha))
-        for i, form in closed:
-            dev = max(dev, abs(state[i] - form(s0, alpha)))
-        return dev
-
-    max_dev = check_grid_point(0.0)
-    alpha = 0.0
-    for _ in range(steps):
-        state = step(state, dt, half, sixth)
-        alpha += dt
-        max_dev = max(max_dev, check_grid_point(alpha))
-    return max_dev
+    return spec.rk4_run(s0, steps, alpha_max / steps, margin)
 
 
 def flow_suite(

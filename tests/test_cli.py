@@ -236,6 +236,30 @@ class TestVerify:
         assert "must be finite" in r.stderr
         assert not out.exists()
 
+    def test_config_integer_for_a_float_key_reports_as_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"step": 1, "flow_tol": 1}))
+        from_config = run_cli("verify", "--scope", "flows", "--config", str(cfg),
+                              "--out", str(tmp_path / "config"))
+        from_flags = run_cli("verify", "--scope", "flows", "--step", "1", "--flow-tol", "1",
+                             "--out", str(tmp_path / "flags"))
+        assert from_config.returncode == from_flags.returncode == 0
+        config, flags = ((tmp_path / d / "verify_flows.json").read_text()
+                         for d in ("config", "flags"))
+        assert strip_timing(config) == strip_timing(flags)
+        rows = json.loads(config)["scopes"]["flows"]["rows"]
+        assert all(type(row["step"]) is float for row in rows)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_config_integer_too_large_for_a_float_exits_2(self, tmp_path, sign):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": sign * 10 ** 400}))
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", "flows", "--config", str(cfg), "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == "error: config key 'alpha' is too large for a float\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ("--alpha", "1"),
         ("--start", "x=1,y=0,z=3,u=1/2,t=1/3"),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -41,11 +42,13 @@ START = {"x": 1, "y": 2, "z": 3, "u": Q(1, 2), "t": Q(1, 3)}
 
 
 def interpreted_flow_check(spec, start, alpha_max, h, margin=1e-6):
-    """Term-by-term RK4, the oracle of the compiled ``FlowSpec.rk4_step``.
+    """Term-by-term RK4 with the closed forms called at each grid point, the
+    oracle of the compiled ``FlowSpec.rk4_run``.
 
     Each rate is its terms summed left to right from 0.0, each term its
     coefficient times the numerator factors divided by the denominator
-    factors; the grid check is ``flow_check``'s.
+    factors.  Each grid point calls the denominators, the multiplier and
+    the closed forms themselves, and folds the deviations with ``max``.
     """
     s0 = {v: float(liealg.as_rational(val)) for v, val in start.items()}
     steps = max(1, int(round(abs(alpha_max) / h)))
@@ -105,6 +108,15 @@ def interpreted_flow_check(spec, start, alpha_max, h, margin=1e-6):
         alpha += dt
         max_dev = max(max_dev, check_grid_point(alpha))
     return max_dev
+
+
+def outcome(check, *args):
+    """The repr of ``check``'s deviation, or its exception type and text
+    (SingularFlow, or ZeroDivisionError from an RK4 stage on a pole)."""
+    try:
+        return float, repr(check(*args))
+    except (ArithmeticError, KeyError) as exc:
+        return type(exc), str(exc)
 
 CAT = build_catalogue()
 
@@ -411,15 +423,17 @@ class TestFlows:
         assert dev <= 1e-10
         assert spec.multiplier_text == "u/(u+alpha)"
 
-    @pytest.mark.parametrize("alpha", [0.1, -0.1])
-    @pytest.mark.parametrize("h", [1e-3, 0.05])
+    @pytest.mark.parametrize("alpha", [0.1, -0.1, 0.3, -0.3, 2])
+    @pytest.mark.parametrize("h", [1e-3, 0.05, 7e-4, 0.5])
     @pytest.mark.parametrize("start", [START, {**START, "x": Q(-7, 10), "y": Q(5, 2)}],
                              ids=["default-start", "moved-start"])
     def test_compiled_step_is_bit_identical_to_the_interpreter(self, alpha, h, start):
+        # alpha = 2 passes poles of some flows: the same deviation or the
+        # same SingularFlow text either way
         for op_id in FLOW_IDS:
             spec = flow_spec(op_id)
-            assert flow_check(spec, start, alpha, h) == interpreted_flow_check(
-                spec, start, alpha, h), op_id
+            assert outcome(flow_check, spec, start, alpha, h) == outcome(
+                interpreted_flow_check, spec, start, alpha, h), op_id
 
     def test_compiled_step_is_bit_identical_at_a_fine_step(self):
         spec = flow_spec("f11.E_a'")
@@ -434,16 +448,65 @@ class TestFlows:
             interpreted_flow_check(spec, start, 0.2, 1e-3)
         assert str(compiled.value) == str(interpreted.value)
 
-    def test_step_is_compiled_once_per_spec(self, monkeypatch):
+    def test_compiled_run_meets_the_same_singularity_at_negative_alpha(self):
+        # u + alpha = 0 at alpha = -1/2, reached after 500 steps of -1e-3
+        spec = flow_spec("psi2.E_b")
+        compiled = outcome(flow_check, spec, START, -1.0, 1e-3)
+        assert compiled[0] is SingularFlow and "at alpha=-0.5" in compiled[1]
+        assert compiled == outcome(interpreted_flow_check, spec, START, -1.0, 1e-3)
+
+    def test_start_lacking_a_coordinate_fails_alike(self):
+        start = {v: val for v, val in START.items() if v != "u"}
+        for op_id in ("psi2.E_b", "psi2.E_ab"):
+            spec = flow_spec(op_id)
+            compiled = outcome(flow_check, spec, start, 0.1, 1e-3)
+            assert compiled[0] is KeyError
+            assert compiled[0] is outcome(interpreted_flow_check, spec, start, 0.1, 1e-3)[0]
+
+    @pytest.mark.parametrize("form", [
+        lambda s0, a: s0["x"] * math.exp(a),
+        lambda s0, a: s0["x"] + a ** 2,
+        lambda s0, a: s0["x"] if a > 0 else s0["y"],
+        lambda s0, a: s0["x"] + Q(1, 2) * a,
+        lambda s0, a: s0["x"] if s0["y"] == 0 else a,
+        lambda s0, a: s0.get("x"),
+        lambda s0, a: Q(1, 2),
+    ], ids=["exp", "power", "comparison", "fraction", "equality", "mapping-method",
+            "fraction-result"])
+    def test_unsupported_closed_form_fails_at_compile_time(self, form):
+        spec = dataclasses.replace(flow_spec("f11.E_ab"), closed={"x": form})
+        with pytest.raises(TypeError, match=r"^f11\.E_ab: "):
+            spec.rk4_run
+
+    @pytest.mark.parametrize("alpha, h, margin", [
+        (0.1, -1e-3, 1e-6),
+        (0.1, 0.0, 1e-6),
+        (0.1, math.nan, 1e-6),
+        (0.1, math.inf, 1e-6),
+        (math.inf, 1e-3, 1e-6),
+        (math.nan, 1e-3, 1e-6),
+        (0.1, 1e-3, math.nan),
+        (0.1, 1e-3, -1e-6),
+    ], ids=["negative-step", "zero-step", "nan-step", "inf-step", "inf-alpha",
+            "nan-alpha", "nan-margin", "negative-margin"])
+    def test_bad_arguments_raise_value_error(self, alpha, h, margin):
+        with pytest.raises(ValueError, match="^flow "):
+            flow_check(flow_spec("f11.E_a"), START, alpha, h, margin)
+
+    def test_suite_rejects_a_negative_step(self):
+        with pytest.raises(ValueError, match="flow step must be finite and positive"):
+            flow_suite(START, 0.1, -1e-3)
+
+    def test_run_is_compiled_once_per_spec(self, monkeypatch):
         spec = dataclasses.replace(flow_spec("psi2.E_b"))  # nothing cached yet
         calls = []
-        compile_step = liealg._compile_rk4_step
-        monkeypatch.setattr(liealg, "_compile_rk4_step",
-                            lambda *args: calls.append(args) or compile_step(*args))
+        compile_run = liealg._compile_rk4_run
+        monkeypatch.setattr(liealg, "_compile_rk4_run",
+                            lambda *args: calls.append(args) or compile_run(*args))
         first = flow_check(spec, START, 0.1, 1e-3)
         assert flow_check(spec, START, 0.1, 1e-3) == first
         assert len(calls) == 1
-        assert spec.rk4_step is spec.rk4_step
+        assert spec.rk4_run is spec.rk4_run
         assert spec.coords == ("u", "x")
 
     def test_suite_applies_tolerance(self):
