@@ -49,6 +49,7 @@ from .liealg import (
     action_suite,
     catalogue as operator_catalogue,
     commutator_suite,
+    flow_steps,
     flow_suite,
 )
 
@@ -129,6 +130,7 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        flow_steps(self.alpha, self.step)
         if self.mode not in ("formal", "numeric", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("json", "md", "both"):

@@ -444,18 +444,24 @@ def _caps_for(record: IdentityRecord, n_order: int, m_order: int) -> dict[str, i
 
 
 def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
-    diff = lhs - rhs
-    if diff.is_zero():
+    """The graded-lex least monomial where the two sides differ, or None.
+
+    The sides are compared term by term; no difference series is formed.
+    Raises CapMismatch when their variables or caps differ.
+    """
+    lhs._check_compatible(rhs)
+    a, b = lhs.terms, rhs.terms
+    if a == b:
         return None
-    exps, _ = diff.sorted_terms()[0]
+    exps = min((e for e in a.keys() | b.keys() if a.get(e) != b.get(e)),
+               key=lambda e: (sum(e), e))
     mono = "*".join(
-        f"{v}^{e}" for v, e in zip(diff.variables, exps)
+        f"{v}^{e}" for v, e in zip(lhs.variables, exps)
     ) or "1"
-    key = dict(zip(diff.variables, exps))
     return {
         "monomial": mono,
-        "lhs": str(lhs.coefficient(key)),
-        "rhs": str(rhs.coefficient(key)),
+        "lhs": str(a.get(exps, Fraction(0))),
+        "rhs": str(b.get(exps, Fraction(0))),
     }
 
 

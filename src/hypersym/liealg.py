@@ -467,11 +467,13 @@ def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
             "rhs": str(dict(rhs.prefactor)),
         }
         return row
-    diff = lhs.truncate(caps).body - rhs.truncate(caps).body
-    if diff.is_zero():
+    lhs_body, rhs_body = lhs.truncate(caps).body, rhs.truncate(caps).body
+    if lhs_body == rhs_body:
         row["status"] = "PASS"
         row["witness"] = None
     else:
+        # the witness needs the difference; a variable mismatch raises here
+        diff = lhs_body - rhs_body
         exps, coeff = diff.sorted_terms()[0]
         mono = "*".join(
             f"{v}^{e}" for v, e in zip(diff.variables, exps)
@@ -794,6 +796,10 @@ FLOW_IDS = tuple(_FLOW_SPECS)
 # The coordinates the catalogued flows read from their start point.
 FLOW_COORDINATES = ("x", "y", "z", "u", "t")
 
+# The most RK4 steps one flow check may take: 1000 times the 10**4 steps of
+# alpha 0.1 at step 1e-5, about 15 s per flow on a 2-vCPU VM.
+MAX_FLOW_STEPS = 10**7
+
 
 def flow_spec(op_id: str) -> FlowSpec:
     try:
@@ -817,8 +823,9 @@ def flow_check(
     ``round(|alpha_max| / h)`` (at least one) equal steps.  Raises
     SingularFlow when any catalogued denominator comes within ``margin`` of
     zero on the grid, and ValueError unless ``alpha_max`` is finite, ``h``
-    finite and positive, and ``margin`` finite and non-negative.  The run is
-    the spec's ``rk4_run``, compiled once from its field and closed forms.
+    finite and positive, ``margin`` finite and non-negative and the step
+    count at most ``MAX_FLOW_STEPS`` (``flow_steps``).  The run is the
+    spec's ``rk4_run``, compiled once from its field and closed forms.
     """
     if not math.isfinite(alpha_max):
         raise ValueError(f"flow alpha must be finite, got {alpha_max!r}")
@@ -827,8 +834,20 @@ def flow_check(
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"flow margin must be finite and non-negative, got {margin!r}")
     s0 = {v: float(as_rational(val)) for v, val in start.items()}
-    steps = max(1, int(round(abs(alpha_max) / h)))
+    steps = flow_steps(alpha_max, h)
     return spec.rk4_run(s0, steps, alpha_max / steps, margin)
+
+
+def flow_steps(alpha_max: float, h: float) -> int:
+    """The step count ``round(|alpha_max| / h)``, at least one, of a finite
+    alpha and a finite positive step; ValueError past ``MAX_FLOW_STEPS``."""
+    ratio = abs(alpha_max) / h
+    if not ratio < MAX_FLOW_STEPS + 0.5:
+        raise ValueError(
+            f"flow alpha {alpha_max!r} at step {h!r} needs {ratio:.3g} RK4 steps; "
+            f"at most {MAX_FLOW_STEPS} are allowed"
+        )
+    return max(1, round(ratio))
 
 
 def flow_suite(

@@ -23,21 +23,27 @@ in each term ratio as integer factors, and makes one ``Fraction`` per
 coefficient; it can start from a given coefficient and key its grid under a
 prefix, so a scaled grid merges into a larger series as it stands.
 ``horn_compose`` sums those coefficients against powers of series arguments
-on integers: each argument becomes integer numerators over the lcm of its
-denominators, its powers are integer series, and the whole sum is one
-integer dict over one common denominator with one ``Fraction`` per output
-term.  ``pow_rational``, ``exp_series`` and the compositions in ``hypfun``
-are calls to it.
+on integers and packed keys: each argument becomes integer numerators over
+the lcm of its denominators, packed once, its powers are packed integer
+series, and the whole sum is one packed integer dict over one common
+denominator, unpacked once, with one ``Fraction`` per output term.
+``pow_rational``, ``exp_series`` and the compositions in ``hypfun`` are
+calls to it.
 
 The public constructor ``MultiSeries(caps, terms)`` is the entry point for
 outside input: it coerces every coefficient, rejects malformed exponent
 tuples and drops zero and over-cap terms.  Ring and reshape operations build
 their results with the private ``MultiSeries._trusted``, which takes terms
 that are clean by construction and checks nothing.  The product scales each
-operand to integer numerators over the lcm of its denominators, so the
-Cauchy sum (``_cauchy``, the one product loop, which ``horn_compose`` uses
-too) runs on integers and each output coefficient is one reduced
-``Fraction``.
+operand to integer numerators over the lcm of its denominators and packs
+each exponent tuple into one int (``_Layout``: a bit field per variable,
+topped by a guard bit), so the Cauchy sum (``_cauchy``, the one product
+loop, which ``horn_compose`` uses too) takes per term pair one int add, one
+test of the guard bits, which is nonzero exactly when an exponent of the
+sum passes its cap, one int product and one dict update.  Keys are packed
+when an operand enters the product and unpacked once per output term, when
+its one reduced ``Fraction`` is made; ``MultiSeries.terms`` stays keyed by
+exponent tuples.
 
 :class:`PrefactorSeries` attaches a monomial prefactor with exact rational
 exponents (e.g. ``y^a z^b`` for non-integer a, b) to a body series; the
@@ -46,6 +52,7 @@ product rule across body and prefactor is implemented exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -83,35 +90,80 @@ def _normalize_caps(caps: Mapping[str, int]) -> tuple[tuple[str, ...], tuple[int
     return names, degs
 
 
-def _integer_terms(
-    terms: Mapping[tuple[int, ...], Fraction]
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The lcm d of the coefficients' denominators, and each coefficient times d."""
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+class _Layout(dict):
+    """Packed exponent keys for one caps tuple; maps a packed key to its exponents.
+
+    Coordinate i gets a bit field of width ``(2*cap_i).bit_length() + 1``;
+    the sum of two exponents within the cap fits below the field's top bit,
+    which is a guard bit.  ``offset`` holds ``2**b - 1 - cap_i`` in each
+    field, b the bits below the guard, so the guard bit of e + offset is set
+    exactly when e passes the cap, and no carry reaches the next field;
+    ``guard`` holds the guard bits.  A packed key is unpacked on its first
+    lookup and its tuple is kept, so the products over these caps share it.
+    """
+
+    __slots__ = ("fields", "guard", "offset")
+
+    def __init__(self, caps: tuple[int, ...]):
+        super().__init__()
+        fields = []
+        guard = offset = shift = 0
+        for cap in caps:
+            bits = (2 * cap).bit_length()
+            fields.append((shift, (1 << bits) - 1))
+            guard |= 1 << (shift + bits)
+            offset |= ((1 << bits) - 1 - cap) << shift
+            shift += bits + 1
+        self.fields = tuple(fields)
+        self.guard = guard
+        self.offset = offset
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        exps = self[key] = tuple([key >> shift & mask for shift, mask in self.fields])
+        return exps
+
+    def pack(self, terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict[int, int]]:
+        """The lcm d of the coefficients' denominators, and each coefficient
+        times d keyed by its packed exponents."""
+        d = math.lcm(*(c.denominator for c in terms.values()))
+        shifts = [shift for shift, _ in self.fields]
+        return d, {
+            sum(map(operator.lshift, e, shifts)): c.numerator * (d // c.denominator)
+            for e, c in terms.items()
+        }
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(caps: tuple[int, ...]) -> _Layout:
+    return _Layout(caps)
 
 
 def _cauchy(
-    a: Mapping[tuple[int, ...], int],
-    b: Mapping[tuple[int, ...], int],
-    caps: tuple[int, ...],
-) -> dict[tuple[int, ...], int]:
-    """Truncated Cauchy product of two integer term maps; sums may be zero.
+    a: Mapping[int, int], b: Mapping[int, int], guard: int, offset: int
+) -> dict[int, int]:
+    """Truncated Cauchy product of two integer term maps on packed keys.
 
-    The smaller operand is iterated outermost, and a pair is skipped as soon
-    as one exponent has no room left under its cap.
+    Keys are packed exponents of one ``_Layout`` and lie within its caps;
+    ``guard`` and ``offset`` are the layout's.  The outer operand's keys are
+    biased by ``offset``, so a pair costs one add, and the biased sum has a
+    guard bit set exactly when some exponent passes its cap; such pairs are
+    skipped.  The kept sums are keyed biased, and the offset comes off once
+    per output key.  Zero sums are dropped.  The smaller operand is iterated
+    outermost.
     """
     if len(a) > len(b):
         a, b = b, a
     b_items = list(b.items())
-    out: dict[tuple[int, ...], int] = {}
-    for e1, n1 in a.items():
-        room = tuple(map(operator.sub, caps, e1))
-        for e2, n2 in b_items:
-            if all(map(operator.le, e2, room)):
-                exps = tuple(map(operator.add, e1, e2))
-                out[exps] = out.get(exps, 0) + n1 * n2
-    return out
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, n1 in a.items():
+        k1 += offset
+        for k2, n2 in b_items:
+            k = k1 + k2
+            if k & guard:
+                continue
+            out[k] = get(k, 0) + n1 * n2
+    return {k - offset: v for k, v in out.items() if v}
 
 
 class MultiSeries:
@@ -277,18 +329,24 @@ class MultiSeries:
         return MultiSeries._trusted(self.variables, self.caps, terms)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        """Truncated Cauchy product, summed on integer numerators.
+        """Truncated Cauchy product, summed on integer numerators and packed keys.
 
         Each operand is written as integer numerators over the lcm of its
-        denominators; ``_cauchy`` accumulates the pair products as integers
-        and each output coefficient is one ``Fraction(sum, da * db)``, which
-        reduces to the same value the ``Fraction`` sum would give.
+        denominators and packed once, keyed by its exponents packed into one
+        int (the ``_Layout`` of the caps); ``_cauchy`` accumulates the pair
+        products as integers, skipping a pair whose packed sum sets a guard
+        bit, that is, has an exponent past its cap.  Each product key is
+        unpacked once, and each output coefficient is one
+        ``Fraction(sum, da * db)``, which reduces to the same value the
+        ``Fraction`` sum would give.
         """
         self._check_compatible(other)
-        da, a = _integer_terms(self.terms)
-        db, b = _integer_terms(other.terms)
+        layout = _layout(self.caps)
+        da, a = layout.pack(self.terms)
+        db, b = layout.pack(other.terms)
         d = da * db
-        terms = {e: Fraction(v, d) for e, v in _cauchy(a, b, self.caps).items() if v}
+        product = _cauchy(a, b, layout.guard, layout.offset)
+        terms = {layout[k]: Fraction(v, d) for k, v in product.items()}
         return MultiSeries._trusted(self.variables, self.caps, terms)
 
     def __truediv__(self, other: "MultiSeries") -> "MultiSeries":
@@ -512,30 +570,34 @@ def horn_compose(
     u_i^k has total degree at least k and the sum is finite: powers stop at
     the first zero one, and at -a when (a)_k vanishes beyond it.
 
-    The sum runs on integers.  Each argument is written as integer
-    numerators U_i over the lcm D_i of its denominators, and its powers are
-    the integer series U_i^k.  With B_i the highest power kept and C the lcm
-    of the coefficients' denominators, the sum times C prod D_i^(B_i) is
-    sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i), accumulated in one integer
-    dict (the innermost index as a weighted sum of powers, each outer one as
-    one product per power); each output coefficient is one ``Fraction``.
+    The sum runs on integers and packed keys (the ``_Layout`` of the caps,
+    whose guard bits drop the pairs of every product that pass a cap).  Each
+    argument is written as integer numerators U_i over the lcm D_i of its
+    denominators, packed once, and its powers are the integer series U_i^k,
+    kept packed.  With B_i the highest power kept and C the lcm of the
+    coefficients' denominators, the sum times C prod D_i^(B_i) is
+    sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i), accumulated in one packed
+    integer dict (the innermost index as a weighted sum of powers, each outer
+    one as one product per power); its keys are unpacked once, when each
+    output coefficient becomes one ``Fraction``.
     """
     first = args[0][0]
     variables, caps = first.variables, first.caps
+    layout = _layout(caps)
+    guard, offset = layout.guard, layout.offset
     bound = sum(caps)
     if is_nonpositive_integer(a):
         bound = min(bound, -a.numerator)
-    zero = (0,) * len(variables)
     rows = []
     denominator = 1
     for arg, _ in args:
         if arg.constant_term():
             raise NonZeroConstantTerm("composition arguments need zero constant term")
         first._check_compatible(arg)
-        d, u = _integer_terms(arg.terms)
-        row = [{zero: 1}]
+        d, u = layout.pack(arg.terms)
+        row = [{0: 1}]
         while len(row) <= bound:
-            nxt = {e: v for e, v in _cauchy(row[-1], u, caps).items() if v}
+            nxt = _cauchy(row[-1], u, guard, offset)
             if not nxt:
                 break
             row.append(nxt)
@@ -550,22 +612,23 @@ def horn_compose(
     coeffs = [(k, c) for k, c in horn_coefficients(a, axes).items() if sum(k) <= bound]
     common = math.lcm(*(c.denominator for _, c in coeffs))
     weights = {k: c.numerator * (common // c.denominator) for k, c in coeffs}
-    total = _power_sum(rows, weights, caps, (), bound)
+    total = _power_sum(rows, weights, guard, offset, (), bound)
     d = common * denominator
-    terms = {e: Fraction(v, d) for e, v in total.items() if v}
+    terms = {layout[e]: Fraction(v, d) for e, v in total.items() if v}
     return MultiSeries._trusted(variables, caps, terms)
 
 
 def _power_sum(
-    rows: list[list[dict[tuple[int, ...], int]]],
+    rows: list[list[dict[int, int]]],
     weights: dict[tuple[int, ...], int],
-    caps: tuple[int, ...],
+    guard: int,
+    offset: int,
     prefix: tuple[int, ...],
     room: int,
-) -> dict[tuple[int, ...], int]:
+) -> dict[int, int]:
     """Integer sum over k extending ``prefix`` of weights[k] * prod_i rows[i][k_i],
-    the product taken over the indices after ``prefix``."""
-    out: dict[tuple[int, ...], int] = {}
+    the product taken over the indices after ``prefix``, on packed keys."""
+    out: dict[int, int] = {}
     i = len(prefix)
     row = rows[i]
     for k in range(min(len(row) - 1, room) + 1):
@@ -577,9 +640,9 @@ def _power_sum(
             for e, v in row[k].items():
                 out[e] = out.get(e, 0) + w * v
             continue
-        inner = _power_sum(rows, weights, caps, key, room - k)
+        inner = _power_sum(rows, weights, guard, offset, key, room - k)
         if inner:
-            for e, v in _cauchy(row[k], inner, caps).items():
+            for e, v in _cauchy(row[k], inner, guard, offset).items():
                 out[e] = out.get(e, 0) + v
     return out
 

@@ -9,12 +9,13 @@ from hypersym import cli, liealg
 from hypersym.identities import strip_timing
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "hypersym.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -221,6 +222,18 @@ class TestVerify:
         assert r.returncode == 2
         name = flag[2:].replace("-", "_")
         assert r.stderr == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["1e-320", "1e-300"])
+    def test_step_past_the_step_cap_exits_2_before_any_scope(self, tmp_path, step):
+        # 1e-320 overflows the step count to inf; 1e-300 would never finish
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", "flows", "--step", step, "--out", str(out),
+                    timeout=60)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: flow alpha 0.1 at step ")
+        assert r.stderr.count("\n") == 1 and "at most 10000000" in r.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"alpha": NaN}', '{"flow_tol": Infinity}',

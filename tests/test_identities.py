@@ -34,6 +34,7 @@ from hypersym.identities import (
     IdentityRecord,
     SuiteFailure,
     _caps_for,
+    _first_mismatch,
     _sum_float,
     _sum_series,
     _weights,
@@ -51,7 +52,7 @@ from hypersym.identities import (
     verify_numeric,
 )
 from hypersym.liealg import catalogue as operator_catalogue
-from hypersym.series import MultiSeries
+from hypersym.series import CapMismatch, MultiSeries
 
 P = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
 P_ALL = default_param_points()
@@ -174,6 +175,57 @@ class TestVerifyFormal:
     def test_negative_orders_rejected(self):
         with pytest.raises(CapUnderflow):
             verify_formal("I-F11-RAISE-A", AS_STATED, P, -1, 6)
+
+
+def subtraction_witness(lhs, rhs):
+    """The witness as the difference series gives it: its graded-lex least term."""
+    diff = lhs - rhs
+    if diff.is_zero():
+        return None
+    exps, _ = diff.sorted_terms()[0]
+    key = dict(zip(diff.variables, exps))
+    return {
+        "monomial": "*".join(f"{v}^{e}" for v, e in key.items()) or "1",
+        "lhs": str(lhs.coefficient(key)),
+        "rhs": str(rhs.coefficient(key)),
+    }
+
+
+class TestFirstMismatch:
+    CAPS = {"chi": 2, "x": 3}
+    BASE = {(0, 0): Q(1), (0, 2): Q(-2, 3), (1, 1): Q(5, 7), (2, 3): Q(9)}
+
+    def series(self, changes=()):
+        return MultiSeries(self.CAPS, {**self.BASE, **dict(changes)})
+
+    @pytest.mark.parametrize("lhs_changes, rhs_changes", [
+        ({(0, 3): Q(4)}, {}),  # a key only on the left
+        ({}, {(1, 0): Q(-1, 2)}),  # a key only on the right
+        ({(1, 1): Q(5, 6)}, {}),  # a shared key with different values
+        ({(1, 0): Q(1)}, {(0, 2): Q(0)}),  # the right side lacks a key of the left
+        ({(2, 3): Q(1)}, {(0, 3): Q(-1)}),  # the lower total degree comes first
+    ])
+    def test_matches_the_subtraction_witness(self, lhs_changes, rhs_changes):
+        lhs, rhs = self.series(lhs_changes), self.series(rhs_changes)
+        witness = _first_mismatch(lhs, rhs)
+        assert witness is not None
+        assert witness == subtraction_witness(lhs, rhs)
+        assert _first_mismatch(rhs, lhs) == subtraction_witness(rhs, lhs)
+
+    def test_equal_sides_give_none(self):
+        assert _first_mismatch(self.series(), self.series()) is None
+        zero = MultiSeries.zero(self.CAPS)
+        assert _first_mismatch(zero, zero) is None
+
+    def test_differing_caps_raise(self):
+        with pytest.raises(CapMismatch):
+            _first_mismatch(self.series(), MultiSeries(self.CAPS | {"x": 4}, self.BASE))
+        with pytest.raises(CapMismatch):
+            _first_mismatch(self.series(), MultiSeries({"chi": 2, "y": 3}, self.BASE))
+
+    def test_constant_monomial_reads_one(self):
+        lhs, rhs = MultiSeries({}, {(): Q(2)}), MultiSeries({}, {(): Q(3)})
+        assert _first_mismatch(lhs, rhs) == {"monomial": "1", "lhs": "2", "rhs": "3"}
 
 
 class TestTaylorOracle:

@@ -12,6 +12,7 @@ from hypersym.liealg import (
     BasisFamily,
     DiffOperator,
     FLOW_IDS,
+    MAX_FLOW_STEPS,
     SingularFlow,
     action_suite,
     build_catalogue,
@@ -22,6 +23,7 @@ from hypersym.liealg import (
     family_operator_ids,
     flow_check,
     flow_spec,
+    flow_steps,
     flow_suite,
     realize,
     verify_action,
@@ -492,6 +494,19 @@ class TestFlows:
     def test_bad_arguments_raise_value_error(self, alpha, h, margin):
         with pytest.raises(ValueError, match="^flow "):
             flow_check(flow_spec("f11.E_a"), START, alpha, h, margin)
+
+    @pytest.mark.parametrize("h", [1e-320, 1e-300, 0.1 / (MAX_FLOW_STEPS + 1)])
+    def test_too_many_steps_raise_value_error(self, h):
+        # 1e-320 makes |alpha| / h overflow to inf
+        with pytest.raises(ValueError, match=f"^flow .* at most {MAX_FLOW_STEPS} "):
+            flow_check(flow_spec("f11.E_a"), START, 0.1, h)
+
+    def test_step_count_up_to_the_cap(self):
+        assert flow_steps(1.0, 1.0 / MAX_FLOW_STEPS) == MAX_FLOW_STEPS
+        assert flow_steps(-0.1, 1e-5) == 10**4
+        assert flow_steps(0.0, 1e-3) == 1
+        with pytest.raises(ValueError):
+            flow_steps(1.0, 1.0 / (MAX_FLOW_STEPS + 1))
 
     def test_suite_rejects_a_negative_step(self):
         with pytest.raises(ValueError, match="flow step must be finite and positive"):

@@ -430,6 +430,55 @@ class TestMulKernel:
         assert (zero * zero).cap_map() == caps
 
 
+# caps at which the packed field width (2*cap).bit_length() + 1 changes
+BOUNDARY_CAPS = (0, 1, 2, 3, 4, 7, 8, 15, 16)
+# signed coefficients wider than 64 bits
+WIDE_COEFF = st.builds(Q, st.integers(-2**90, 2**90), st.integers(1, 2**70))
+
+
+@st.composite
+def boundary_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    caps = {v: draw(st.sampled_from(BOUNDARY_CAPS)) for v in NAMES[:n]}
+    # exponents at the cap are drawn often, so pair sums cross every guard bit
+    keys = st.tuples(*(st.integers(0, caps[v]) | st.just(caps[v]) for v in sorted(caps)))
+    terms = st.dictionaries(keys, WIDE_COEFF, max_size=16)
+    return MultiSeries(caps, draw(terms)), MultiSeries(caps, draw(terms))
+
+
+def corner_series(caps, rng):
+    """Signed wide coefficients at exponents 0, 1, cap // 2, cap - 1 and cap."""
+    names = sorted(caps)
+    axes = [sorted({e for e in (0, 1, cap // 2, cap - 1, cap) if 0 <= e <= cap})
+            for cap in (caps[v] for v in names)]
+    return MultiSeries(caps, {
+        exps: Q(rng.randint(-2**80, 2**80), rng.randint(1, 2**70))
+        for exps in itertools.product(*axes)
+    })
+
+
+class TestPackedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(boundary_pair())
+    def test_matches_naive_product_at_boundary_caps(self, pair):
+        a, b = pair
+        product = a * b
+        assert product == naive_product(a, b)
+        assert product == b * a
+        assert_clean(product)
+
+    @pytest.mark.parametrize("cap", BOUNDARY_CAPS)
+    @pytest.mark.parametrize("names", [("x",), ("chi", "x"), ("chi", "x", "y")])
+    def test_corner_exponents_with_a_cap_zero_variable(self, cap, names):
+        # chi has cap 0, so only its constant column exists
+        caps = {v: 0 if v == "chi" else cap for v in names}
+        rng = random.Random(cap)
+        a, b = corner_series(caps, rng), corner_series(caps, rng)
+        product = a * b
+        assert product == naive_product(a, b)
+        assert_clean(product)
+
+
 def horn_formula(a, lowers, k):
     """(a)_{|k|} / prod_i (k_i! prod (lower)_{k_i}), from Pochhammer products."""
     out = pochhammer(a, sum(k))
@@ -491,6 +540,46 @@ class TestHornCompose:
             naive = naive + term
         out = horn_compose(a, list(zip(args, lowers)))
         assert out == naive
+        assert_clean(out)
+
+
+COMPOSE_CAPS = [{"x": c} for c in BOUNDARY_CAPS] + [
+    {"x": 16, "y": 0}, {"x": 1, "y": 15}, {"x": 3, "y": 4}, {"chi": 0, "x": 2, "y": 7},
+]
+
+
+def naive_powers(u, top):
+    """u^0 .. u^top by repeated naive products."""
+    powers = [MultiSeries.constant(1, u.cap_map())]
+    for _ in range(top):
+        powers.append(naive_product(powers[-1], u))
+    return powers
+
+
+class TestHornComposeAtBoundaryCaps:
+    @pytest.mark.parametrize("caps", COMPOSE_CAPS,
+                             ids=lambda c: ",".join(f"{v}{n}" for v, n in c.items()))
+    @pytest.mark.parametrize("a", [Q(-7, 3), Q(-3), Q(0)])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_matches_naive_sum_of_kernel_coefficients(self, caps, a, count):
+        rng = random.Random(sum(caps.values()) * 10 + count)
+        lowers = [(Q(4, 3),), (Q(5, 7), Q(-1, 2))][:count]
+        args = []
+        for _ in range(count):
+            u = random_series(rng, caps, density=0.5)
+            args.append(u - MultiSeries.constant(u.constant_term(), caps))
+        bound = sum(caps.values())
+        powers = [naive_powers(u, bound) for u in args]
+        coeffs = horn_coefficients(a, [(bound, lower) for lower in lowers])
+        naive = {}
+        for k, c in coeffs.items():
+            term = MultiSeries.constant(c, caps)
+            for row, k_i in zip(powers, k):
+                term = naive_product(term, row[k_i])
+            for e, v in term.terms.items():
+                naive[e] = naive.get(e, Q(0)) + v
+        out = horn_compose(a, list(zip(args, lowers)))
+        assert out == MultiSeries(caps, naive)
         assert_clean(out)
 
 
