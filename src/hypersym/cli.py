@@ -5,15 +5,17 @@ floating), ``verify`` (run a verification scope and write JSON/Markdown
 reports), and ``catalogue`` (print the identity and operator listings).
 All math lives in the library modules; this file only parses arguments,
 dispatches, and formats.  ``eval`` reads its families from
-``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs.
+``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs,
+then runs its scopes from one table, ``SCOPE_RUNNERS``.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
-``eval`` option the family does not take, flow settings that meet a
-singular flow denominator, and an ``InternalSimplificationFailure`` (a
-commutator whose second-order terms do not cancel).  A ``verify`` run that
-stops on such an error still writes the reports of the scopes it finished,
-marked ``"ok": false`` with the error text.
+action or recursion order below 1, an ``eval`` option the family does not
+take, flow settings that meet a singular flow denominator, and an
+``InternalSimplificationFailure`` (a commutator whose second-order terms do
+not cancel).  A ``verify`` run that stops on such an error still writes
+the reports of the scopes it finished, marked ``"ok": false`` with the
+error text.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .exactnum import DegenerateParameter, parse_rational
@@ -35,7 +38,6 @@ from .identities import (
     DEFAULT_F11_ORDERS,
     DEFAULT_PARAM_POINTS,
     DEFAULT_PSI2_ORDERS,
-    SuiteFailure,
     catalogue as identity_catalogue,
     report_payload,
     report_to_markdown,
@@ -52,9 +54,6 @@ from .liealg import (
     flow_steps,
     flow_suite,
 )
-
-SCOPES = ("identities", "actions", "recursions", "flows", "commutators", "all")
-
 
 class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
@@ -79,7 +78,6 @@ class RunConfig:
     alpha: float = 0.1
     step: float = 1e-3
     start: str = "x=1,y=2,z=3,u=1/2,t=1/3"
-    span_check: bool = True
     seed: int = 42
     out: str = "reports"
     format: str = "both"
@@ -123,6 +121,9 @@ class RunConfig:
         self.orders()
         self.chi_grid()
         self.start_point()
+        for name in ("action_order", "recursion_order"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("tol", "flow_tol", "alpha", "step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -201,30 +202,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
-def _scope_recursions(cfg: RunConfig) -> tuple[list[dict], bool]:
-    points = [FAMILIES["f11"].narrow(p) for p in cfg.param_points()]
-    rows = recursion_suite(points, cfg.recursion_order)
-    return rows, all(r["status"] == "PASS" for r in rows)
-
-
-def _scope_actions(cfg: RunConfig) -> tuple[list[dict], bool]:
-    points = cfg.param_points()
-    f11_points = [FAMILIES["f11"].narrow(p) for p in points]
-    rows = action_suite(f11_points, points, cfg.action_order)
-    return rows, all(r["status"] == "PASS" for r in rows)
-
-
-def _scope_flows(cfg: RunConfig) -> tuple[list[dict], bool]:
-    rows = flow_suite(cfg.start_point(), cfg.alpha, cfg.step, cfg.flow_tol)
-    return rows, all(r["status"] == "PASS" for r in rows)
-
-
-def _scope_commutators(cfg: RunConfig) -> tuple[dict, bool]:
-    result = commutator_suite(cfg.span_check, cfg.seed)
-    ok = result["antisymmetry_ok"] and result["jacobi_ok"] and result["bilinearity_ok"]
-    return result, ok
-
-
 def _rows_markdown(title: str, rows: list[dict]) -> str:
     if not rows:
         return f"## {title}\n\n(no rows)\n"
@@ -247,6 +224,55 @@ def _write_reports(cfg: RunConfig, scope: str, payload: dict, markdown: str) -> 
         (out / f"verify_{scope}.md").write_text(markdown)
 
 
+# A scope's runner gives its payload part, its Markdown sections and its verdict.
+ScopeResult = tuple[dict, list[str], bool]
+
+
+def _rows_scope(title: str, rows: list[dict]) -> ScopeResult:
+    ok = all(r["status"] == "PASS" for r in rows)
+    return {"rows": rows, "ok": ok}, [_rows_markdown(title, rows)], ok
+
+
+def _identities(cfg: RunConfig) -> ScopeResult:
+    report = run_suite(cfg.param_points(), cfg.orders(), cfg.mode, cfg.chi_grid(), cfg.tol)
+    return report_payload(report), [report_to_markdown(report)], report.invariant_ok()
+
+
+def _actions(cfg: RunConfig) -> ScopeResult:
+    points = cfg.param_points()
+    f11_points = [FAMILIES["f11"].narrow(p) for p in points]
+    return _rows_scope("Operator actions", action_suite(f11_points, points, cfg.action_order))
+
+
+def _recursions(cfg: RunConfig) -> ScopeResult:
+    points = [FAMILIES["f11"].narrow(p) for p in cfg.param_points()]
+    return _rows_scope("Differential recursions", recursion_suite(points, cfg.recursion_order))
+
+
+def _flows(cfg: RunConfig) -> ScopeResult:
+    rows = flow_suite(cfg.start_point(), cfg.alpha, cfg.step, cfg.flow_tol)
+    return _rows_scope("One-parameter flows", rows)
+
+
+def _commutators(cfg: RunConfig) -> ScopeResult:
+    result = commutator_suite(cfg.seed)
+    ok = result["antisymmetry_ok"] and result["jacobi_ok"] and result["bilinearity_ok"]
+    sections = [_rows_markdown(f"Commutators ({fam})", rows)
+                for fam, rows in result["families"].items()]
+    return {"result": result, "ok": ok}, sections, ok
+
+
+# The verify scopes in the order ``--scope all`` runs them.
+SCOPE_RUNNERS: dict[str, Callable[[RunConfig], ScopeResult]] = {
+    "identities": _identities,
+    "actions": _actions,
+    "recursions": _recursions,
+    "flows": _flows,
+    "commutators": _commutators,
+}
+SCOPES = (*SCOPE_RUNNERS, "all")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the wanted scopes and write their reports.
 
@@ -260,51 +286,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload: dict = {"engine_version": __version__, "scope": scope, "scopes": {}}
     md_parts = [f"# Verification report: {scope}\n"]
 
-    wanted = SCOPES[:-1] if scope == "all" else (scope,)
-
     error = None
     try:
-        if "identities" in wanted:
-            try:
-                report = run_suite(
-                    param_points=cfg.param_points(),
-                    orders=cfg.orders(),
-                    mode=cfg.mode,
-                    chi_grid=cfg.chi_grid(),
-                    tol=cfg.tol,
-                )
-                ok = True
-            except SuiteFailure as failure:
-                report = failure.report
-                ok = False
+        for name in SCOPE_RUNNERS if scope == "all" else (scope,):
+            part, sections, ok = SCOPE_RUNNERS[name](cfg)
             all_ok &= ok
-            payload["scopes"]["identities"] = report_payload(report)
-            md_parts.append(report_to_markdown(report))
-
-        if "actions" in wanted:
-            rows, ok = _scope_actions(cfg)
-            all_ok &= ok
-            payload["scopes"]["actions"] = {"rows": rows, "ok": ok}
-            md_parts.append(_rows_markdown("Operator actions", rows))
-
-        if "recursions" in wanted:
-            rows, ok = _scope_recursions(cfg)
-            all_ok &= ok
-            payload["scopes"]["recursions"] = {"rows": rows, "ok": ok}
-            md_parts.append(_rows_markdown("Differential recursions", rows))
-
-        if "flows" in wanted:
-            rows, ok = _scope_flows(cfg)
-            all_ok &= ok
-            payload["scopes"]["flows"] = {"rows": rows, "ok": ok}
-            md_parts.append(_rows_markdown("One-parameter flows", rows))
-
-        if "commutators" in wanted:
-            result, ok = _scope_commutators(cfg)
-            all_ok &= ok
-            payload["scopes"]["commutators"] = {"result": result, "ok": ok}
-            for fam, rows in result["families"].items():
-                md_parts.append(_rows_markdown(f"Commutators ({fam})", rows))
+            payload["scopes"][name] = part
+            md_parts += sections
     except (*COMMAND_ERRORS, NoConvergence) as exc:
         error = exc
         all_ok = False
@@ -389,9 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--step", type=float, default=None)
     vf.add_argument("--start", default=None,
                     help="flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3")
-    vf.add_argument("--span-check", dest="span_check", action="store_true",
-                    default=None)
-    vf.add_argument("--no-span-check", dest="span_check", action="store_false")
     vf.add_argument("--seed", type=int, default=None)
     vf.add_argument("--out", default=None, help="report output directory")
     vf.add_argument("--format", default=None, choices=("json", "md", "both"))

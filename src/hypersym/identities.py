@@ -27,7 +27,8 @@ Three catalogued statements are known to be self-inconsistent as stated;
 each of those records carries a corrected candidate (stored as data, never
 silently substituted) that the same machinery verifies.  The run-level
 invariant is: every as-stated mismatch must be paired with a verified
-corrected candidate, otherwise the suite fails.
+corrected candidate, otherwise the suite fails; ``run_suite`` returns its
+report either way, and ``VerificationReport.invariant_ok`` is the verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .hypfun import (
     ParamsPsi2,
     param_strs,
 )
-from .series import MultiSeries, exp_series, horn_coefficients
+from .series import MultiSeries, exp_series, first_mismatch, horn_coefficients
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
@@ -76,14 +77,6 @@ class CapUnderflow(ValueError):
 
 class DomainViolation(ValueError):
     """Numeric evaluation point lies outside the record's validity domain."""
-
-
-class SuiteFailure(RuntimeError):
-    """Suite invariant violated; carries the offending report."""
-
-    def __init__(self, message: str, report: "VerificationReport"):
-        super().__init__(message)
-        self.report = report
 
 
 # -- validity domains ---------------------------------------------------------------
@@ -444,25 +437,10 @@ def _caps_for(record: IdentityRecord, n_order: int, m_order: int) -> dict[str, i
 
 
 def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
-    """The graded-lex least monomial where the two sides differ, or None.
-
-    The sides are compared term by term; no difference series is formed.
-    Raises CapMismatch when their variables or caps differ.
-    """
-    lhs._check_compatible(rhs)
-    a, b = lhs.terms, rhs.terms
-    if a == b:
-        return None
-    exps = min((e for e in a.keys() | b.keys() if a.get(e) != b.get(e)),
-               key=lambda e: (sum(e), e))
-    mono = "*".join(
-        f"{v}^{e}" for v, e in zip(lhs.variables, exps)
-    ) or "1"
-    return {
-        "monomial": mono,
-        "lhs": str(a.get(exps, Fraction(0))),
-        "rhs": str(b.get(exps, Fraction(0))),
-    }
+    """The witness of ``series.first_mismatch``: the graded-lex least
+    monomial where the sides differ and both coefficients there, or None."""
+    found = first_mismatch(lhs, rhs)
+    return None if found is None else dict(zip(("monomial", "lhs", "rhs"), map(str, found)))
 
 
 def lhs_series(
@@ -570,14 +548,13 @@ def run_suite(
     mode: str = "formal",
     chi_grid: Sequence[float] = (0.1, 0.25),
     tol: float = 1e-8,
-    eval_x: float = DEFAULT_EVAL_X,
-    eval_y: float = DEFAULT_EVAL_Y,
     records: Sequence[IdentityRecord] | None = None,
 ) -> VerificationReport:
     """Verify every record x variant x parameter point (x chi for numeric).
 
-    Raises SuiteFailure when an as-stated mismatch lacks a verified
-    corrected candidate for the same record, point (and chi).
+    The report counts under ``unresolved_failures`` each as-stated mismatch
+    that lacks a verified corrected candidate for the same record, point
+    (and chi); ``invariant_ok()`` is false when there is one.
     """
     if mode not in ("formal", "numeric", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -608,9 +585,7 @@ def run_suite(
                 if mode in ("numeric", "both"):
                     for chi in chi_grid:
                         t1 = time.perf_counter()
-                        row = verify_numeric(
-                            record.rec_id, variant, point, chi, tol, eval_x, eval_y
-                        )
+                        row = verify_numeric(record.rec_id, variant, point, chi, tol)
                         row["mode"] = "numeric"
                         row["orders"] = {"N": n_order, "M": m_order}
                         row["elapsed_ms"] = (time.perf_counter() - t1) * 1000.0
@@ -642,19 +617,13 @@ def run_suite(
         ),
         "unresolved_failures": unresolved,
     }
-    report = VerificationReport(
+    return VerificationReport(
         scope="identities",
         engine_version=ENGINE_VERSION,
         rows=rows,
         summary=summary,
         total_ms=total_ms,
     )
-    if unresolved:
-        raise SuiteFailure(
-            f"{unresolved} as-stated mismatch(es) without a verified corrected candidate",
-            report,
-        )
-    return report
 
 
 # -- serialization -------------------------------------------------------------------

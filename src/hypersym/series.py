@@ -7,9 +7,10 @@ coefficient of the represented function, and anything beyond a cap has been
 discarded.  Ring operations (add, mul, integer/rational powers) preserve
 exactness at the caps; only :meth:`MultiSeries.derivative` genuinely loses
 the top order of the differentiated variable and therefore reduces its cap
-by one.  A number on the left of ``+`` or ``-`` is a constant series,
-``s / t`` is ``s * pow_rational(t, -1)`` (so t needs constant term 1) and
-``s ** g`` is ``pow_rational(s, g)``, so a closed form such as
+by one, which a variable cut at order 0 cannot give up.  A number on the
+left of ``+`` or ``-`` is a constant series, ``s / t`` is
+``s * pow_rational(t, -1)`` (so t needs constant term 1) and ``s ** g`` is
+``pow_rational(s, g)``, so a closed form such as
 ``(1 - chi) ** -a * F(x / (1 - chi))`` reads the same on series as on
 floats.
 
@@ -386,11 +387,14 @@ class MultiSeries:
     def derivative(self, v: str) -> "MultiSeries":
         """Formal partial derivative; the cap of v drops by one because the
         top-order coefficient of the result would need information beyond
-        the stored truncation."""
+        the stored truncation.  Raises ValueError when v is cut at order 0:
+        no coefficient of the derivative is known there."""
         if v not in self.variables:
             raise UnknownVariable(v)
         i = self.variables.index(v)
-        caps = self.caps[:i] + (max(self.caps[i] - 1, 0),) + self.caps[i + 1:]
+        if self.caps[i] == 0:
+            raise ValueError(f"derivative in {v!r} of a series cut at order 0")
+        caps = self.caps[:i] + (self.caps[i] - 1,) + self.caps[i + 1:]
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[i]
@@ -647,6 +651,24 @@ def _power_sum(
     return out
 
 
+def first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> tuple[str, Fraction, Fraction] | None:
+    """The graded-lex least monomial where two series differ, or None.
+
+    Returns the monomial as text (``chi^1*x^0``, or ``1`` without variables)
+    and the two coefficients there.  The series are compared term by term;
+    no difference series is formed.  Raises CapMismatch when their variables
+    or caps differ.
+    """
+    lhs._check_compatible(rhs)
+    a, b = lhs.terms, rhs.terms
+    if a == b:
+        return None
+    exps = min((e for e in a.keys() | b.keys() if a.get(e) != b.get(e)),
+               key=lambda e: (sum(e), e))
+    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, exps)) or "1"
+    return mono, a.get(exps, Q(0)), b.get(exps, Q(0))
+
+
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
     """Generalized binomial power s^gamma = sum_k (-gamma)_k/k! (1 - s)^k.
 
@@ -667,20 +689,16 @@ class PrefactorSeries:
     """A body series times a monomial with exact rational exponents.
 
     Integer powers of the body variables stay in the body; every exponent
-    that is parameter-valued (or negative) lives in the prefactor map.
+    that is parameter-valued (or negative) lives in the prefactor map.  A
+    prefactor variable keeps its entry at exponent 0, so an operator term in
+    it still finds the variable.
     """
 
     __slots__ = ("body", "prefactor")
 
     def __init__(self, body: MultiSeries, prefactor: Mapping[str, Fraction] | None = None):
         self.body = body
-        pf: dict[str, Fraction] = {}
-        if prefactor:
-            for name, e in prefactor.items():
-                e = as_rational(e)
-                if e != 0:
-                    pf[name] = e
-        self.prefactor = pf
+        self.prefactor = {name: as_rational(e) for name, e in (prefactor or {}).items()}
 
     def cap_map(self) -> dict[str, int]:
         return self.body.cap_map()
@@ -746,9 +764,9 @@ class PrefactorSeries:
     def derivative(self, v: str) -> "PrefactorSeries":
         """d/dv of body * v^alpha.
 
-        For alpha = 0 this is the plain body derivative (cap of v drops by
-        one).  For alpha != 0 the identity
-        d/dv (S * v^alpha) = (v dS/dv + alpha S) * v^(alpha-1)
+        Without a prefactor entry for v this is the plain body derivative
+        (cap of v drops by one).  With an entry alpha, 0 included, the
+        identity d/dv (S * v^alpha) = (v dS/dv + alpha S) * v^(alpha-1)
         updates each body coefficient in place by (e_v + alpha), which loses
         no orders at all.
         """
@@ -757,11 +775,7 @@ class PrefactorSeries:
             if v not in self.body.variables:
                 raise UnknownVariable(v)
             return PrefactorSeries(self.body.derivative(v), self.prefactor)
-        pf = dict(self.prefactor)
-        if alpha == 1:
-            pf.pop(v)
-        else:
-            pf[v] = alpha - 1
+        pf = {**self.prefactor, v: alpha - 1}
         if v in self.body.variables:
             i = self.body.variables.index(v)
             terms = {

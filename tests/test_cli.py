@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hypersym import cli, liealg
-from hypersym.identities import strip_timing
+from hypersym import cli, identities, liealg
+from hypersym.identities import AS_STATED, get_record, strip_timing
 
 
 def run_cli(*argv, cwd=None, timeout=None):
@@ -138,8 +139,7 @@ class TestVerify:
         assert (tmp_path / "verify_identities.md").exists()
 
     def test_commutators_scope_with_span(self, tmp_path):
-        r = run_cli("verify", "--scope", "commutators", "--span-check",
-                    "--out", str(tmp_path))
+        r = run_cli("verify", "--scope", "commutators", "--out", str(tmp_path))
         assert r.returncode == 0
         data = json.loads((tmp_path / "verify_commutators.json").read_text())
         result = data["scopes"]["commutators"]["result"]
@@ -327,6 +327,45 @@ class TestVerify:
         assert sorted(data["scopes"]) == ["actions", "flows", "identities", "recursions"]
         md = (tmp_path / "verify_all.md").read_text()
         assert md.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("points", ["1,4/3,5/7", "0,4/3,5/7"], ids=["a=1", "a=0"])
+    def test_actions_at_integer_a_pass(self, tmp_path, points, capsys):
+        assert cli.main(["verify", "--scope", "actions", "--points", points,
+                         "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "verify_actions.json").read_text())["scopes"]["actions"]["rows"]
+        assert len(rows) == 8 + 9
+        assert all(row["status"] == "PASS" for row in rows)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--action-order", "0"),
+        ("--recursion-order", "0"),
+        ("--action-order", "-1"),
+    ])
+    def test_order_below_one_exits_2_before_any_scope(self, tmp_path, flag, value):
+        # an order-0 cut leaves no trusted coefficient of a derivative
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", "all", flag, value, "--out", str(out))
+        assert r.returncode == 2
+        name = flag[2:].replace("-", "_")
+        assert r.stderr == f"error: {name} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    def test_unpaired_mismatch_exits_1_with_its_report(self, tmp_path, monkeypatch, capsys):
+        record = get_record("I-F11-LOWER-B")
+        stripped = dataclasses.replace(record, variants={AS_STATED: record.variant(AS_STATED)})
+        monkeypatch.setattr(identities, "catalogue", lambda: (stripped,))
+        argv = ["verify", "--scope", "identities", "--points", "1/2,4/3,5/7",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == ""
+        data = json.loads((tmp_path / "verify_identities.json").read_text())
+        assert data["ok"] is False
+        assert "error" not in data
+        summary = data["scopes"]["identities"]["summary"]
+        assert summary["rows"] == summary["as_stated_mismatched"] == 1
+        assert summary["unresolved_failures"] == 1
+        assert "unresolved_failures=1" in (tmp_path / "verify_identities.md").read_text()
 
     def test_partial_start_names_missing_coordinates(self, tmp_path):
         r = run_cli("verify", "--scope", "flows", "--start", "x=1,y=0", "--out", str(tmp_path))

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypersym.hypfun import ACTION_RULES, Params1F1, ParamsPsi2
+from hypersym.hypfun import ACTION_RULES, ActionRule, Params1F1, ParamsPsi2
 from hypersym import liealg
 from hypersym.liealg import (
     BasisFamily,
@@ -284,6 +284,33 @@ class TestVerifyAction:
         rows = action_suite(P_F11, P_PSI2, 8)
         assert len(rows) == (8 + 9) * 3
         assert all(r["status"] == "PASS" for r in rows)
+
+    @pytest.mark.parametrize("p", [Params1F1(Q(0), Q(4, 3)), Params1F1(Q(1), Q(4, 3))],
+                             ids=["a=0", "a=1"])
+    @pytest.mark.parametrize("name", ["E_a", "E_a'", "E_b", "E_b'", "E_ab", "I_a", "I_b", "I"])
+    def test_f11_actions_at_integer_a(self, name, p):
+        # y^0 stays in the prefactor, so an operator term in y still finds it
+        row = verify_action(f"f11.{name}", BasisFamily("f11", p), 6)
+        assert row["status"] == "PASS", row
+
+    def test_lowering_a_at_b_one(self):
+        # d/dz of z^1 leaves z^0, which the y^-1 z d/dz term then reads
+        row = verify_action("f11.E_a'", BasisFamily("f11", Params1F1(Q(1, 2), Q(1))), 6)
+        assert row["status"] == "PASS", row
+
+    @pytest.mark.parametrize("op_id, kind, p, monomial", [
+        ("f11.E_a", "f11", P_F11[0], "x^0"),
+        ("psi2.E_ab", "psi2", P_PSI2[0], "x^0*y^0"),
+    ])
+    def test_wrong_rule_fails_with_the_lowest_difference(self, monkeypatch, op_id, kind, p, monomial):
+        # the rule's coefficient plus one: the sides differ by the shifted
+        # member itself, first at its constant term 1
+        rule = ACTION_RULES[op_id]
+        monkeypatch.setitem(ACTION_RULES, op_id,
+                            ActionRule(rule.shift, lambda q: rule.coefficient(q) + 1))
+        row = verify_action(op_id, BasisFamily(kind, p), 6)
+        assert row["status"] == "FAIL"
+        assert row["witness"] == {"monomial": monomial, "difference": "-1"}
 
 
 class TestCommutator:

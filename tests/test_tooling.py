@@ -1,4 +1,5 @@
-"""The benchmark's uses of the package still exist in it.
+"""The benchmark's uses of the package still exist in it, and the ``verify``
+command's options, config fields and scope table agree.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``LAYERS`` table
 and silently lists a missing one instead of failing, so a rename in
@@ -8,10 +9,14 @@ every pass.  Both files are read from their syntax trees: nothing under
 ``perfbench/`` is imported or wrapped.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
+
+from hypersym import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -108,3 +113,24 @@ def test_family_calls_reach_rebound_names(monkeypatch):
     assert verify_numeric("I-PSI2-SHIFT-X", "as_stated", p, 0.1, 1e-8)["status"] == "verified"
     assert calls["psi2_compose"] > 0
     assert calls["psi2_eval_float"] > 0
+
+
+def _verify_parser():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["verify"]
+
+
+def test_every_config_field_is_one_verify_option():
+    # --scope picks the runners and --config names the file; every other
+    # option sets the RunConfig field of its name, and no two set the same
+    dests = [a.dest for a in _verify_parser()._actions
+             if a.dest not in ("help", "scope", "config")]
+    assert len(dests) == len(set(dests))
+    assert sorted(dests) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
+
+
+def test_scopes_are_the_runner_table_and_all():
+    assert cli.SCOPES == (*cli.SCOPE_RUNNERS, "all")
+    scope = next(a for a in _verify_parser()._actions if a.dest == "scope")
+    assert tuple(scope.choices) == cli.SCOPES
