@@ -11,11 +11,9 @@ then runs its scopes from one table, ``SCOPE_RUNNERS``.
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
 action or recursion order below 1, an ``eval`` option the family does not
-take, flow settings that meet a singular flow denominator, and an
-``InternalSimplificationFailure`` (a commutator whose second-order terms do
-not cancel).  A ``verify`` run that stops on such an error still writes
-the reports of the scopes it finished, marked ``"ok": false`` with the
-error text.
+take, and flow settings that meet a singular flow denominator.  A
+``verify`` run that stops on such an error still writes the reports of the
+scopes it finished, marked ``"ok": false`` with the error text.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Callable
 
 from . import __version__
 from .exactnum import DegenerateParameter, parse_rational
-from .hypfun import FAMILIES, NoConvergence, ParamsPsi2, recursion_suite
+from .hypfun import DEFAULT_TERM_CAP, FAMILIES, NoConvergence, ParamsPsi2, recursion_suite
 from .identities import (
     DEFAULT_F11_ORDERS,
     DEFAULT_PARAM_POINTS,
@@ -46,7 +44,6 @@ from .identities import (
 from .liealg import (
     FLOW_IDS,
     OPERATOR_NOTES,
-    InternalSimplificationFailure,
     SingularFlow,
     action_suite,
     catalogue as operator_catalogue,
@@ -60,8 +57,7 @@ class SystemExit2(Exception):
 
 
 # Errors that end a command with one ``error:`` line and exit code 2.
-COMMAND_ERRORS = (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow,
-                  InternalSimplificationFailure, OSError)
+COMMAND_ERRORS = (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow, OSError)
 
 
 @dataclass
@@ -239,9 +235,7 @@ def _identities(cfg: RunConfig) -> ScopeResult:
 
 
 def _actions(cfg: RunConfig) -> ScopeResult:
-    points = cfg.param_points()
-    f11_points = [FAMILIES["f11"].narrow(p) for p in points]
-    return _rows_scope("Operator actions", action_suite(f11_points, points, cfg.action_order))
+    return _rows_scope("Operator actions", action_suite(cfg.param_points(), cfg.action_order))
 
 
 def _recursions(cfg: RunConfig) -> ScopeResult:
@@ -355,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="truncation order for exact mode")
     ev.add_argument("--tol", type=float, default=1e-12,
                     help="relative tolerance for floating mode")
-    ev.add_argument("--term-cap", dest="term_cap", type=int, default=10000)
+    ev.add_argument("--term-cap", dest="term_cap", type=int, default=DEFAULT_TERM_CAP)
     ev.set_defaults(func=cmd_eval)
 
     vf = sub.add_parser("verify", help="run a verification scope, write reports")

@@ -233,10 +233,6 @@ def f11_series(p: Params1F1, order: int, var: str = "x") -> MultiSeries:
     return _horn_series("f11", p, (var,), (order,))
 
 
-def f11_eval_exact(p: Params1F1, x, order: int) -> Fraction:
-    return f11_series(p, order).evaluate({"x": as_rational(x)})
-
-
 def f11_eval_float(
     p: Params1F1, x: float, rel_tol: float = 1e-12, term_cap: int = DEFAULT_TERM_CAP
 ) -> tuple[float, int]:
@@ -285,10 +281,6 @@ def psi2_3var_series(
 ) -> MultiSeries:
     """Triple series with the third index folded into the rising factorial."""
     return _horn_series("psi2x3", p, ("x", "y", var_z), (order_x, order_y, order_z))
-
-
-def psi2_eval_exact(p: ParamsPsi2, x, y, order_x: int, order_y: int) -> Fraction:
-    return psi2_series(p, order_x, order_y).evaluate({"x": as_rational(x), "y": as_rational(y)})
 
 
 def psi2_eval_float(

@@ -1,12 +1,12 @@
 """First-order differential operators with Laurent-monomial coefficients.
 
 Covers the raising/lowering/maintenance operators of the two function
-families, their exact action on realized basis elements, commutators
-(simplified back to first order, with a hard failure if the second-order
-parts do not cancel), exact span membership, and Runge-Kutta checks of the
-one-parameter flows against their closed forms.  ``build_catalogue`` is the
-hand-written statement of each operator; its action is checked against the
-rule of ``hypfun.ACTION_RULES``, and seven flow fields are the operators.
+families, their exact action on realized basis elements, commutators (the
+first-order vector-field bracket), exact span membership, and Runge-Kutta
+checks of the one-parameter flows against their closed forms.
+``build_catalogue`` is the hand-written statement of each operator; its
+action is checked against the rule of ``hypfun.ACTION_RULES``, and seven
+flow fields are the operators.
 
 Family keys are those of ``hypfun.FAMILIES``: ``"f11"`` (realized as its
 series in x times y^a z^b) and ``"psi2"`` (series in x, y times z^a u^b t^c).
@@ -20,25 +20,14 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .exactnum import Q, as_rational
-from .hypfun import (
-    ACTION_RULES,
-    FAMILIES,
-    ActionRule,
-    Params1F1,
-    ParamsPsi2,
-    param_strs,
-)
+from .hypfun import ACTION_RULES, FAMILIES, param_strs
 from .series import MultiSeries, PrefactorSeries, UnknownVariable, first_mismatch
 
 Monomial = tuple[tuple[str, int], ...]
 Pattern = tuple[Monomial, str | None]
-
-
-class InternalSimplificationFailure(RuntimeError):
-    """Second-order terms of a commutator failed to cancel exactly."""
 
 
 class SingularFlow(ArithmeticError):
@@ -216,38 +205,24 @@ def _bump(store: dict, key, value: Fraction) -> None:
 
 
 def commutator(op1: DiffOperator, op2: DiffOperator) -> DiffOperator:
-    """op1 op2 - op2 op1, with the second-order parts required to cancel."""
+    """op1 op2 - op2 op1 as the vector-field bracket, computed in one pass.
 
-    def compose(a: DiffOperator, b: DiffOperator):
-        first: dict[Pattern, Fraction] = {}
-        second: dict[tuple[tuple[str, str], Monomial], Fraction] = {}
-        for (m1, d1), c1 in a._terms.items():
-            for (m2, d2), c2 in b._terms.items():
-                c = c1 * c2
-                if d1 is None:
-                    _bump(first, (_mono_mul(m1, m2), d2), c)
-                    continue
+    Of the products of two terms c1*m1*d1 and c2*m2*d2 only d1 acting on m2
+    (and, mirrored, d2 on m1) survives the difference; the second-order
+    parts cancel identically.
+    """
+    out: dict[Pattern, Fraction] = {}
+    for (m1, d1), c1 in op1._terms.items():
+        for (m2, d2), c2 in op2._terms.items():
+            if d1 is not None:
                 e, dm2 = _mono_deriv(m2, d1)
                 if e:
-                    _bump(first, (_mono_mul(m1, dm2), d2), c * e)
-                if d2 is None:
-                    _bump(first, (_mono_mul(m1, m2), d1), c)
-                else:
-                    pair = tuple(sorted((d1, d2)))
-                    _bump(second, (pair, _mono_mul(m1, m2)), c)
-        return first, second
-
-    f12, s12 = compose(op1, op2)
-    f21, s21 = compose(op2, op1)
-    for key, c in s21.items():
-        _bump(s12, key, -c)
-    if s12:
-        raise InternalSimplificationFailure(
-            f"surviving second-order terms: {s12}"
-        )
-    for key, c in f21.items():
-        _bump(f12, key, -c)
-    return DiffOperator(f12)
+                    _bump(out, (_mono_mul(m1, dm2), d2), c1 * c2 * e)
+            if d2 is not None:
+                e, dm1 = _mono_deriv(m1, d2)
+                if e:
+                    _bump(out, (_mono_mul(m2, dm1), d1), -c1 * c2 * e)
+    return DiffOperator(out)
 
 
 # -- span membership ----------------------------------------------------------
@@ -394,72 +369,56 @@ def family_operator_ids(family: str) -> list[str]:
     return [k for k in catalogue() if k.startswith(family + ".")]
 
 
-# -- basis families and realizations -------------------------------------------
+# -- realizations and actions ---------------------------------------------------
 
 # The prefactor variable of each parameter, in the parameter class's order.
 _PREFACTOR_VARIABLES = {"f11": ("y", "z"), "psi2": ("z", "u", "t")}
 
 
-@dataclass(frozen=True)
-class BasisFamily:
-    kind: str  # "f11" | "psi2"
-    params: Params1F1 | ParamsPsi2
-
-    def __post_init__(self):
-        if self.kind not in _PREFACTOR_VARIABLES:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        want = FAMILIES[self.kind].params
-        if not isinstance(self.params, want):
-            raise TypeError(f"{self.kind} family needs {want.__name__}")
-
-
-def realize(family: BasisFamily, order: int) -> PrefactorSeries:
+def realize(kind: str, params, order: int) -> PrefactorSeries:
     """Series realization of a basis element at the given truncation order.
 
     The family's series, every index cut at ``order``, times one prefactor
     variable per parameter raised to it (without any constant normalisation):
-    series(x) * y^a z^b, or series(x, y) * z^a u^b t^c.
+    series(x) * y^a z^b, or series(x, y) * z^a u^b t^c.  ``params`` is
+    narrowed to the family's parameter class.
     """
-    p = family.params
-    names = zip(_PREFACTOR_VARIABLES[family.kind], fields(p))
+    p = FAMILIES[kind].narrow(params)
+    names = zip(_PREFACTOR_VARIABLES[kind], fields(p))
     prefactor = {v: getattr(p, f.name) for v, f in names}
-    return PrefactorSeries(FAMILIES[family.kind].series(p, order), prefactor)
+    return PrefactorSeries(FAMILIES[kind].series(p, order), prefactor)
 
 
-def expected_action(op_id: str, family: BasisFamily) -> ActionRule:
-    """Parameter shift and exact coefficient of a catalogued operator action."""
-    if op_id.partition(".")[0] != family.kind:
-        raise ValueError(f"operator {op_id!r} does not act on family {family.kind!r}")
+def verify_action(op_id: str, params, order: int) -> dict:
+    """Exact check: apply(op, realize) == coefficient * realize(shifted).
+
+    The family is the op id's prefix, and ``params`` is narrowed to it
+    (TypeError when it cannot be); an unknown op raises KeyError, and a
+    degenerate coefficient or shift DegenerateParameter before any series
+    is built.  Comparison happens at the common trusted caps.  Returns a
+    report row with status PASS or the first offending monomial.
+    """
     if op_id not in ACTION_RULES:
         raise KeyError(f"no action rule for {op_id}")
     rule = ACTION_RULES[op_id]
-    rule.coefficient(family.params)           # force DegenerateParameter early
-    rule.shifted(family.params)
-    return rule
-
-
-def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
-    """Exact check: apply(op, realize) == coefficient * realize(shifted).
-
-    Comparison happens at the common trusted caps.  Returns a report row
-    with status PASS or the first offending monomial.
-    """
-    rule = expected_action(op_id, family)
-    lhs = catalogue()[op_id].apply(realize(family, order))
-    shifted = BasisFamily(family.kind, rule.shifted(family.params))
-    rhs = realize(shifted, order).scale(rule.coefficient(family.params))
+    kind = op_id.partition(".")[0]
+    p = FAMILIES[kind].narrow(params)
+    coefficient = rule.coefficient(p)
+    shifted = rule.shifted(p)
+    lhs = catalogue()[op_id].apply(realize(kind, p, order))
+    rhs = realize(kind, shifted, order).scale(coefficient)
     caps = {
         v: min(lhs.body.cap(v), rhs.body.cap(v)) for v in lhs.body.variables
     }
     row = {
         "op": op_id,
-        "family": family.kind,
-        "params": param_strs(family.params),
+        "family": kind,
+        "params": param_strs(p),
         "order": order,
-        "coefficient": str(rule.coefficient(family.params)),
+        "coefficient": str(coefficient),
         "shift": list(rule.shift),
     }
-    if lhs.prefactor != rhs.prefactor and not (lhs.is_zero() and rhs.is_zero()):
+    if not lhs.same_prefactor(rhs) and not (lhs.is_zero() and rhs.is_zero()):
         row["status"] = "FAIL"
         row["witness"] = {
             "reason": "prefactor mismatch",
@@ -478,18 +437,10 @@ def verify_action(op_id: str, family: BasisFamily, order: int) -> dict:
     return row
 
 
-def action_suite(
-    f11_points: list[Params1F1],
-    psi2_points: list[ParamsPsi2],
-    order: int,
-) -> list[dict]:
-    points = {"f11": f11_points, "psi2": psi2_points}
-    rows = []
-    for op_id in ACTION_RULES:
-        kind = op_id.partition(".")[0]
-        for p in points[kind]:
-            rows.append(verify_action(op_id, BasisFamily(kind, p), order))
-    return rows
+def action_suite(points: Sequence, order: int) -> list[dict]:
+    """One ``verify_action`` row per action rule and parameter point, in
+    rule order; each point is narrowed to the rule's family."""
+    return [verify_action(op_id, p, order) for op_id in ACTION_RULES for p in points]
 
 
 # -- one-parameter flows --------------------------------------------------------

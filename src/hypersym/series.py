@@ -714,9 +714,15 @@ class PrefactorSeries:
             return NotImplemented
         if self.body.is_zero() and other.body.is_zero():
             return True
-        return self.prefactor == other.prefactor and self.body == other.body
+        return self.same_prefactor(other) and self.body == other.body
 
     __hash__ = None
+
+    def same_prefactor(self, other: "PrefactorSeries") -> bool:
+        """Whether the prefactor monomials are equal, a 0 exponent counting
+        as an absent entry."""
+        return ({v: e for v, e in self.prefactor.items() if e}
+                == {v: e for v, e in other.prefactor.items() if e})
 
     def __repr__(self) -> str:
         return f"PrefactorSeries({self.render()})"
@@ -732,11 +738,11 @@ class PrefactorSeries:
             return other
         if other.is_zero():
             return self
-        if self.prefactor != other.prefactor:
+        if not self.same_prefactor(other):
             raise PrefactorMismatch(
                 f"{self.prefactor} vs {other.prefactor}"
             )
-        return PrefactorSeries(self.body + other.body, self.prefactor)
+        return PrefactorSeries(self.body + other.body, self.prefactor | other.prefactor)
 
     def __sub__(self, other: "PrefactorSeries") -> "PrefactorSeries":
         return self + other.scale(-1)

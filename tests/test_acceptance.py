@@ -18,14 +18,15 @@ from hypersym.hypfun import (
     Params1F1,
     ParamsPsi2,
     RECURSION_IDS,
-    f11_eval_exact,
     f11_eval_float,
-    psi2_eval_exact,
+    f11_series,
     psi2_eval_float,
+    psi2_series,
     verify_recursion,
 )
 from hypersym.identities import (
     AS_STATED,
+    get_record,
     run_suite,
     strip_timing,
     verify_formal,
@@ -85,7 +86,7 @@ def test_criterion_1_recursion_suite():
 
 def test_criterion_2_action_suite():
     t0 = time.perf_counter()
-    rows = action_suite(F11_POINTS, PSI2_POINTS, 12)
+    rows = action_suite(PSI2_POINTS, 12)
     ok = all(r["status"] == "PASS" for r in rows)
     elapsed = time.perf_counter() - t0
     # 5+5 shift operators plus every maintenance/identity operator, exact
@@ -102,7 +103,7 @@ def test_criterion_3_identity_formal_suite():
         f11 = rec_id.startswith("I-F11")
         n, m = (6, 12) if f11 else (4, 6)
         for point in PSI2_POINTS:
-            row = verify_formal(rec_id, AS_STATED, point, n, m)
+            row = verify_formal(get_record(rec_id), AS_STATED, point, n, m)
             if row["status"] != "verified":
                 ok = False
     elapsed = time.perf_counter() - t0
@@ -197,12 +198,12 @@ def test_criterion_7_exact_float_consistency():
             continue
         produced += 1
         value, _ = f11_eval_float(p, float(x), 1e-14)
-        exact = float(f11_eval_exact(p, x, 40))
+        exact = float(f11_series(p, 40).evaluate({"x": x}))
         if abs(value - exact) > 1e-12 * max(abs(exact), 1.0):
             ok = False
     for p in PSI2_POINTS:
         for x, y in ((Q(1, 2), Q(1, 2)), (Q(-1, 2), Q(1, 4)), (Q(1, 3), Q(-1, 2))):
-            exact = float(psi2_eval_exact(p, x, y, 12, 12))
+            exact = float(psi2_series(p, 12, 12).evaluate({"x": x, "y": y}))
             approx = psi2_eval_float(p, float(x), float(y), rel_tol=1e-14)
             if abs(approx - exact) > 1e-10 * max(abs(exact), 1.0):
                 ok = False
@@ -221,7 +222,7 @@ def test_criterion_8_numeric_spot_checks():
         params = row["params"]
         point = ParamsPsi2(Q(params["a"]), Q(params["b"]), Q(params.get("c", "5/7")))
         for chi in (0.1, 0.25):
-            nrow = verify_numeric(row["id"], row["variant"], point, chi, 1e-8)
+            nrow = verify_numeric(get_record(row["id"]), row["variant"], point, chi, 1e-8)
             if nrow["status"] != "verified":
                 ok = False
     elapsed = time.perf_counter() - t0

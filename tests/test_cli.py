@@ -310,13 +310,12 @@ class TestVerify:
         md = (tmp_path / "verify_identities.md").read_text()
         assert md.endswith(r.stderr.strip() + "\n")
 
-    def test_internal_simplification_failure_writes_a_partial_report(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        message = "surviving second-order terms: {'x': 1}"
+    def test_commutator_error_writes_a_partial_report(self, tmp_path, monkeypatch, capsys):
+        # the commutators scope runs last, so the four before it are written
+        message = "commutator failed"
 
         def fail(op1, op2):
-            raise liealg.InternalSimplificationFailure(message)
+            raise ValueError(message)
 
         monkeypatch.setattr(liealg, "commutator", fail)
         assert cli.main(["verify", "--scope", "all", "--out", str(tmp_path)]) == 2

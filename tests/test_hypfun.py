@@ -17,13 +17,11 @@ from hypersym.hypfun import (
     RECURSIONS,
     f11_coeff,
     f11_compose,
-    f11_eval_exact,
     f11_eval_float,
     f11_series,
     psi2_3var_eval_float,
     psi2_3var_series,
     psi2_compose,
-    psi2_eval_exact,
     psi2_eval_float,
     psi2_series,
     verify_recursion,
@@ -171,18 +169,13 @@ class TestSeries:
 class TestExactEval:
     def test_at_zero(self):
         for p in POINTS:
-            assert f11_eval_exact(p, 0, 17) == 1
+            assert f11_series(p, 17).evaluate({"x": Q(0)}) == 1
 
     def test_partial_exponential(self):
-        assert f11_eval_exact(Params1F1(1, 1), 1, 5) == Q(163, 60)
+        assert f11_series(Params1F1(1, 1), 5).evaluate({"x": Q(1)}) == Q(163, 60)
 
     def test_cancellation_reduces(self):
-        assert f11_eval_exact(Params1F1(2, 2), 1, 5) == Q(163, 60)
-
-    def test_matches_series_evaluation(self):
-        p = POINTS[0]
-        x = Q(1, 4)
-        assert f11_eval_exact(p, x, 12) == f11_series(p, 12).evaluate({"x": x})
+        assert f11_series(Params1F1(2, 2), 5).evaluate({"x": Q(1)}) == Q(163, 60)
 
 
 class TestFloatEval:
@@ -198,7 +191,7 @@ class TestFloatEval:
     def test_against_exact_oracle(self):
         p = Params1F1(Q(1, 2), Q(4, 3))
         value, _ = f11_eval_float(p, 0.25, 1e-14)
-        exact = float(f11_eval_exact(p, Q(1, 4), 30))
+        exact = float(f11_series(p, 30).evaluate({"x": Q(1, 4)}))
         assert abs(value - exact) <= 1e-12 * abs(exact)
 
     def test_no_convergence_cap(self):
@@ -220,7 +213,7 @@ class TestFloatEval:
             )
             x = Q(rng.randint(-32, 32), 16)
             value, _ = f11_eval_float(p, float(x), 1e-14)
-            exact = float(f11_eval_exact(p, x, 40))
+            exact = float(f11_series(p, 40).evaluate({"x": x}))
             assert abs(value - exact) <= 1e-12 * max(abs(exact), 1.0)
 
 
@@ -264,7 +257,7 @@ class TestPsi2:
     def test_float_partial_sums_match_exact(self):
         p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
         x, y = 0.5, -0.5
-        exact = float(psi2_eval_exact(p, Q(1, 2), Q(-1, 2), 12, 12))
+        exact = float(psi2_series(p, 12, 12).evaluate({"x": Q(1, 2), "y": Q(-1, 2)}))
         approx = psi2_eval_float(p, x, y, rel_tol=1e-14)
         assert abs(approx - exact) <= 1e-10 * max(abs(exact), 1.0)
 

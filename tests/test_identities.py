@@ -32,6 +32,7 @@ from hypersym.identities import (
     CapUnderflow,
     DomainViolation,
     IdentityRecord,
+    IdentityVariant,
     _caps_for,
     _first_mismatch,
     _sum_float,
@@ -96,7 +97,7 @@ class TestCatalogue:
         # at deformation order zero both sides are the undeformed function
         for rec in catalogue():
             for variant in rec.variants:
-                row = verify_formal(rec.rec_id, variant, P, 0, 6)
+                row = verify_formal(rec, variant, P, 0, 6)
                 assert row["status"] == "verified", (rec.rec_id, variant, row)
 
     def test_shift_record_at_x_cap_zero_is_base_series(self):
@@ -115,30 +116,30 @@ class TestVerifyFormal:
     def test_as_stated_verified(self, rec_id, point):
         fam = get_record(rec_id).family
         n, m = (4, 8) if fam == "f11" else (3, 4)
-        row = verify_formal(rec_id, AS_STATED, point, n, m)
+        row = verify_formal(get_record(rec_id), AS_STATED, point, n, m)
         assert row["status"] == "verified", row
 
     @pytest.mark.parametrize("rec_id", EXPECT_AS_STATED_MISMATCH)
     @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
     def test_as_stated_mismatch_with_verified_correction(self, rec_id, point):
-        row = verify_formal(rec_id, AS_STATED, point, 2, 6)
+        row = verify_formal(get_record(rec_id), AS_STATED, point, 2, 6)
         assert row["status"] == "mismatch"
         assert row["witness"] is not None
-        fixed = verify_formal(rec_id, CORRECTED, point, 4, 8)
+        fixed = verify_formal(get_record(rec_id), CORRECTED, point, 4, 8)
         assert fixed["status"] == "verified", fixed
 
     def test_raise_a_spec_orders(self):
-        row = verify_formal("I-F11-RAISE-A", AS_STATED, P, 6, 12)
+        row = verify_formal(get_record("I-F11-RAISE-A"), AS_STATED, P, 6, 12)
         assert row["status"] == "verified"
 
     def test_psi2_shift_x_spec_orders(self):
-        row = verify_formal("I-PSI2-SHIFT-X", AS_STATED, P, 4, 6)
+        row = verify_formal(get_record("I-PSI2-SHIFT-X"), AS_STATED, P, 4, 6)
         assert row["status"] == "verified"
 
     def test_lower_b_witness_structure(self):
         # first failure at the chi^1 constant column: the stated exponent
         # overshoots by one, so lhs - rhs at chi^1 equals the base series
-        row = verify_formal("I-F11-LOWER-B", AS_STATED, P, 2, 8)
+        row = verify_formal(get_record("I-F11-LOWER-B"), AS_STATED, P, 2, 8)
         assert row["status"] == "mismatch"
         assert row["witness"]["monomial"] == "chi^1*x^0"
         assert Q(row["witness"]["lhs"]) == P.b
@@ -153,27 +154,27 @@ class TestVerifyFormal:
             assert diff.coefficient({"chi": 1, "x": k}) == f11_coeff(p1, k)
 
     def test_witness_reproducible(self):
-        r1 = verify_formal("I-F11-RAISE-B", AS_STATED, P, 3, 6)
-        r2 = verify_formal("I-F11-RAISE-B", AS_STATED, P, 3, 6)
+        r1 = verify_formal(get_record("I-F11-RAISE-B"), AS_STATED, P, 3, 6)
+        r2 = verify_formal(get_record("I-F11-RAISE-B"), AS_STATED, P, 3, 6)
         assert r1["witness"] == r2["witness"]
 
     def test_order_monotonicity(self):
         for n in range(0, 5):
             for m in (2, 5, 8):
-                row = verify_formal("I-F11-RAISE-A", AS_STATED, P, n, m)
+                row = verify_formal(get_record("I-F11-RAISE-A"), AS_STATED, P, n, m)
                 assert row["status"] == "verified"
 
     def test_degenerate_shift_rejected(self):
         # b = 2 hits b - l = 0 at l = 2 on the lowering side
         bad = ParamsPsi2(Q(1, 2), 2, Q(5, 7))
         with pytest.raises(DegenerateParameter):
-            verify_formal("I-F11-LOWER-B", AS_STATED, bad, 4, 6)
+            verify_formal(get_record("I-F11-LOWER-B"), AS_STATED, bad, 4, 6)
         with pytest.raises(DegenerateParameter):
-            verify_numeric("I-F11-LOWER-B", AS_STATED, bad, 0.1, 1e-8)
+            verify_numeric(get_record("I-F11-LOWER-B"), AS_STATED, bad, 0.1, 1e-8)
 
     def test_negative_orders_rejected(self):
         with pytest.raises(CapUnderflow):
-            verify_formal("I-F11-RAISE-A", AS_STATED, P, -1, 6)
+            verify_formal(get_record("I-F11-RAISE-A"), AS_STATED, P, -1, 6)
 
 
 def subtraction_witness(lhs, rhs):
@@ -286,28 +287,28 @@ class TestOneLeftSide:
 
 class TestVerifyNumeric:
     def test_raise_a_spec_point(self):
-        row = verify_numeric("I-F11-RAISE-A", AS_STATED, P, 0.3, 1e-10, x=0.25)
+        row = verify_numeric(get_record("I-F11-RAISE-A"), AS_STATED, P, 0.3, 1e-10, x=0.25)
         assert row["status"] == "verified"
 
     def test_chi_zero_trivial(self):
-        row = verify_numeric("I-PSI2-SHIFT-X", AS_STATED, P, 0.0, 1e-12)
+        row = verify_numeric(get_record("I-PSI2-SHIFT-X"), AS_STATED, P, 0.0, 1e-12)
         assert row["status"] == "verified"
 
     def test_domain_gate(self):
         with pytest.raises(DomainViolation):
-            verify_numeric("I-F11-RAISE-A", AS_STATED, P, 1.5, 1e-8)
+            verify_numeric(get_record("I-F11-RAISE-A"), AS_STATED, P, 1.5, 1e-8)
 
     @pytest.mark.parametrize("chi", [0.1, 0.25])
     @pytest.mark.parametrize("rec_id", EXPECT_AS_STATED_VERIFIED)
     def test_formal_implies_numeric(self, rec_id, chi):
-        row = verify_numeric(rec_id, AS_STATED, P, chi, 1e-8)
+        row = verify_numeric(get_record(rec_id), AS_STATED, P, chi, 1e-8)
         assert row["status"] == "verified", row
 
     @pytest.mark.parametrize("rec_id", EXPECT_AS_STATED_MISMATCH)
     def test_mismatches_fail_numerically_too(self, rec_id):
-        row = verify_numeric(rec_id, AS_STATED, P, 0.25, 1e-8)
+        row = verify_numeric(get_record(rec_id), AS_STATED, P, 0.25, 1e-8)
         assert row["status"] == "mismatch"
-        fixed = verify_numeric(rec_id, CORRECTED, P, 0.25, 1e-8)
+        fixed = verify_numeric(get_record(rec_id), CORRECTED, P, 0.25, 1e-8)
         assert fixed["status"] == "verified"
 
     def test_chi_sum_converges(self):
@@ -471,6 +472,17 @@ class TestRunSuite:
         report = run_suite(records=[stripped], param_points=[P])
         assert not report.invariant_ok()
         assert report.summary["unresolved_failures"] == 1
+
+    def test_given_records_are_the_ones_verified(self):
+        # a record handed to run_suite is checked as given, not looked up by id
+        rec = get_record("I-F11-SHIFT")
+        doubled = dataclasses.replace(rec, variants={AS_STATED: IdentityVariant(
+            lambda F, exp, p, x, y, chi: F(x + chi) + F(x + chi))})
+        report = run_suite(records=[doubled], param_points=[P], mode="both")
+        assert [r["status"] for r in report.rows] == ["mismatch"] * 3
+        renamed = dataclasses.replace(rec, rec_id="I-NEW")
+        report = run_suite(records=[renamed], param_points=[P], mode="both")
+        assert [(r["id"], r["status"]) for r in report.rows] == [("I-NEW", "verified")] * 3
 
     def test_deterministic_rows(self):
         r1 = run_suite(mode="formal", param_points=[P])

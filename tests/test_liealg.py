@@ -6,10 +6,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hypersym.exactnum import DegenerateParameter
 from hypersym.hypfun import ACTION_RULES, ActionRule, Params1F1, ParamsPsi2
 from hypersym import liealg
 from hypersym.liealg import (
-    BasisFamily,
     DiffOperator,
     FLOW_IDS,
     MAX_FLOW_STEPS,
@@ -18,7 +18,6 @@ from hypersym.liealg import (
     build_catalogue,
     catalogue,
     commutator,
-    expected_action,
     express_in_span,
     family_operator_ids,
     flow_check,
@@ -158,7 +157,7 @@ class TestCatalogue:
 
         monkeypatch.setattr(liealg, "build_catalogue", rebuild)
         monkeypatch.setattr(liealg, "_flow_specs", rebuild)
-        rows = action_suite(P_F11[:1], P_PSI2[:1], 4)
+        rows = action_suite(P_PSI2[:1], 4)
         assert rows and all(row["status"] == "PASS" for row in rows)
         assert family_operator_ids("psi2")
         assert flow_spec(FLOW_IDS[0]) is flow_spec(FLOW_IDS[0])
@@ -179,7 +178,7 @@ class TestCatalogue:
 class TestApply:
     def test_maintenance_eigenvalue(self):
         p = P_PSI2[0]
-        g = realize(BasisFamily("psi2", p), 4)
+        g = realize("psi2", p, 4)
         assert CAT["psi2.I_a"].apply(g) == g.scale(p.a)
         assert CAT["psi2.I_b"].apply(g) == g.scale(p.b)
         assert CAT["psi2.I_c"].apply(g) == g.scale(p.c)
@@ -187,21 +186,21 @@ class TestApply:
     def test_shift_action_at_reduced_cap(self):
         # raising both parameters: result trusted one order below the input
         p = P_F11[0]
-        g = realize(BasisFamily("f11", p), 6)
+        g = realize("f11", p, 6)
         out = CAT["f11.E_ab"].apply(g)
         assert out.body.cap_map() == {"x": 5}
-        shifted = realize(BasisFamily("f11", p.shifted(1, 1)), 6)
+        shifted = realize("f11", p.shifted(1, 1), 6)
         expected = shifted.scale(p.a / p.b).truncate({"x": 5})
         assert out == expected
 
     def test_zero_operator(self):
-        g = realize(BasisFamily("f11", P_F11[0]), 4)
+        g = realize("f11", P_F11[0], 4)
         assert DiffOperator.zero().apply(g).is_zero()
 
     def test_linearity(self):
         p = P_F11[0]
         op = CAT["f11.E_a"]
-        f = realize(BasisFamily("f11", p), 6)
+        f = realize("f11", p, 6)
         g = f.scale(Q(3, 7))
         lhs = op.apply(f + g)
         rhs = op.apply(f) + op.apply(g)
@@ -214,49 +213,60 @@ class TestApply:
             CAT["psi2.E_b"].apply(f)
 
 
-class TestExpectedAction:
+class TestActionRows:
     def test_one_rule_per_catalogued_operator(self):
         assert list(ACTION_RULES) == list(CAT)
 
     def test_psi2_raise_coefficient(self):
-        rule = expected_action("psi2.E_a", BasisFamily("psi2", P_PSI2[0]))
-        assert rule.coefficient(P_PSI2[0]) == Q(1, 2)
-        assert rule.shift == (1, 0, 0)
+        row = verify_action("psi2.E_a", P_PSI2[0], 4)
+        assert (row["coefficient"], row["shift"]) == ("1/2", [1, 0, 0])
 
     def test_f11_lower_b_coefficient(self):
         p = P_F11[0]
-        rule = expected_action("f11.E_b'", BasisFamily("f11", p))
-        assert rule.coefficient(p) == p.b - 1 == Q(1, 3)
-        assert rule.shift == (0, -1)
+        row = verify_action("f11.E_b'", p, 4)
+        assert p.b - 1 == Q(1, 3)
+        assert (row["coefficient"], row["shift"]) == ("1/3", [0, -1])
 
     def test_f11_shift_coefficient(self):
-        p = P_F11[0]
-        rule = expected_action("f11.E_ab", BasisFamily("f11", p))
-        assert rule.coefficient(p) == Q(3, 8)
-        assert rule.shift == (1, 1)
+        row = verify_action("f11.E_ab", P_F11[0], 4)
+        assert (row["coefficient"], row["shift"]) == ("3/8", [1, 1])
 
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            expected_action("psi2.E_a", BasisFamily("f11", P_F11[0]))
+    def test_point_narrowed_to_the_op_family(self):
+        # an f11 op reads a, b of a three-parameter point
+        assert verify_action("f11.E_ab", P_PSI2[0], 4) == verify_action("f11.E_ab", P_F11[0], 4)
+        assert realize("f11", P_PSI2[0], 4) == realize("f11", P_F11[0], 4)
+
+    def test_unnarrowable_params_rejected(self):
+        with pytest.raises(TypeError):
+            verify_action("psi2.E_a", P_F11[0], 4)
+        with pytest.raises(TypeError):
+            realize("psi2", P_F11[0], 4)
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(KeyError):
+            verify_action("psi2.E_z", P_PSI2[0], 4)
+
+    def test_degenerate_shift_rejected(self):
+        # lowering b = 1 reaches b = 0
+        with pytest.raises(DegenerateParameter):
+            verify_action("f11.E_b'", Params1F1(Q(1, 2), 1), 4)
 
 
 class TestVerifyAction:
     @pytest.mark.parametrize("p", P_F11, ids=lambda p: f"a={p.a}")
     @pytest.mark.parametrize("name", ["E_a", "E_a'", "E_b", "E_b'", "E_ab", "I_a", "I_b", "I"])
     def test_f11_actions(self, name, p):
-        row = verify_action(f"f11.{name}", BasisFamily("f11", p), 12)
+        row = verify_action(f"f11.{name}", p, 12)
         assert row["status"] == "PASS", row
 
     @pytest.mark.parametrize("p", P_PSI2, ids=lambda p: f"a={p.a}")
     @pytest.mark.parametrize("name", ["E_a", "E_b", "E_c", "E_ab", "E_ac", "I_a", "I_b", "I_c", "I"])
     def test_psi2_actions(self, name, p):
-        row = verify_action(f"psi2.{name}", BasisFamily("psi2", p), 12)
+        row = verify_action(f"psi2.{name}", p, 12)
         assert row["status"] == "PASS", row
 
     def test_spec_point_e_ac(self):
-        row = verify_action(
-            "psi2.E_ac", BasisFamily("psi2", ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))), 8
-        )
+        row = verify_action("psi2.E_ac", ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7)), 8)
         assert row["status"] == "PASS"
 
     def test_displayed_e_a_form_fails(self):
@@ -264,24 +274,24 @@ class TestVerifyAction:
         # this is why the operative form is installed
         displayed = DiffOperator.term(1, {"y": 1}, "x") + DiffOperator.term(1, {"y": 2}, "y")
         p = P_F11[0]
-        g = realize(BasisFamily("f11", p), 8)
+        g = realize("f11", p, 8)
         out = displayed.apply(g)
-        shifted = realize(BasisFamily("f11", p.shifted(1, 0)), 8)
+        shifted = realize("f11", p.shifted(1, 0), 8)
         caps = {"x": 7}
         assert out.truncate(caps) != shifted.scale(p.a).truncate(caps)
 
     def test_iterated_raising_composes(self):
         p = P_F11[0]
-        g = realize(BasisFamily("f11", p), 8)
+        g = realize("f11", p, 8)
         twice = CAT["f11.E_a"].apply(CAT["f11.E_a"].apply(g))
-        target = realize(BasisFamily("f11", p.shifted(2, 0)), 8).scale(
+        target = realize("f11", p.shifted(2, 0), 8).scale(
             p.a * (p.a + 1)
         )
         caps = twice.body.cap_map()
         assert twice == target.truncate(caps)
 
     def test_action_suite_all_pass(self):
-        rows = action_suite(P_F11, P_PSI2, 8)
+        rows = action_suite(P_PSI2, 8)
         assert len(rows) == (8 + 9) * 3
         assert all(r["status"] == "PASS" for r in rows)
 
@@ -290,25 +300,25 @@ class TestVerifyAction:
     @pytest.mark.parametrize("name", ["E_a", "E_a'", "E_b", "E_b'", "E_ab", "I_a", "I_b", "I"])
     def test_f11_actions_at_integer_a(self, name, p):
         # y^0 stays in the prefactor, so an operator term in y still finds it
-        row = verify_action(f"f11.{name}", BasisFamily("f11", p), 6)
+        row = verify_action(f"f11.{name}", p, 6)
         assert row["status"] == "PASS", row
 
     def test_lowering_a_at_b_one(self):
         # d/dz of z^1 leaves z^0, which the y^-1 z d/dz term then reads
-        row = verify_action("f11.E_a'", BasisFamily("f11", Params1F1(Q(1, 2), Q(1))), 6)
+        row = verify_action("f11.E_a'", Params1F1(Q(1, 2), Q(1)), 6)
         assert row["status"] == "PASS", row
 
-    @pytest.mark.parametrize("op_id, kind, p, monomial", [
-        ("f11.E_a", "f11", P_F11[0], "x^0"),
-        ("psi2.E_ab", "psi2", P_PSI2[0], "x^0*y^0"),
+    @pytest.mark.parametrize("op_id, p, monomial", [
+        ("f11.E_a", P_F11[0], "x^0"),
+        ("psi2.E_ab", P_PSI2[0], "x^0*y^0"),
     ])
-    def test_wrong_rule_fails_with_the_lowest_difference(self, monkeypatch, op_id, kind, p, monomial):
+    def test_wrong_rule_fails_with_the_lowest_difference(self, monkeypatch, op_id, p, monomial):
         # the rule's coefficient plus one: the sides differ by the shifted
         # member itself, first at its constant term 1
         rule = ACTION_RULES[op_id]
         monkeypatch.setitem(ACTION_RULES, op_id,
                             ActionRule(rule.shift, lambda q: rule.coefficient(q) + 1))
-        row = verify_action(op_id, BasisFamily(kind, p), 6)
+        row = verify_action(op_id, p, 6)
         assert row["status"] == "FAIL"
         assert row["witness"] == {"monomial": monomial, "difference": "-1"}
 
@@ -359,13 +369,19 @@ class TestCommutator:
         inv = DiffOperator.term(1, {"z": -1}, None)
         assert commutator(dz, inv) == DiffOperator.term(-1, {"z": -2}, None)
 
-    def test_second_order_always_cancels(self):
-        # first-order operators close under commutation to first order; the
-        # internal guard never fires on catalogued input
-        for fam in ("f11", "psi2"):
-            ids = family_operator_ids(fam)
-            for a, b in itertools.combinations(ids, 2):
-                commutator(CAT[a], CAT[b])  # would raise on a survivor
+    @pytest.mark.parametrize("kind, p", [("f11", P_F11[0]), ("psi2", P_PSI2[0])],
+                             ids=["f11", "psi2"])
+    def test_bracket_is_the_composition_difference(self, kind, p):
+        # [A, B] g = A(B g) - B(A g) at the common caps, for every catalogued pair
+        g = realize(kind, p, 6)
+        pairs = list(itertools.combinations(family_operator_ids(kind), 2))
+        assert len(pairs) == {"f11": 28, "psi2": 36}[kind]
+        for a, b in pairs:
+            bracket = commutator(CAT[a], CAT[b]).apply(g)
+            composed = CAT[a].apply(CAT[b].apply(g)) - CAT[b].apply(CAT[a].apply(g))
+            caps = {v: min(bracket.body.cap(v), composed.body.cap(v))
+                    for v in g.body.variables}
+            assert bracket.truncate(caps) == composed.truncate(caps), (a, b)
 
 
 class TestSpan:

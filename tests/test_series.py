@@ -266,6 +266,16 @@ class TestPrefactor:
         z = PrefactorSeries(MultiSeries.zero({"x": 3}), {"y": Q(9, 7)})
         assert p + z == p
 
+    def test_zero_exponent_reads_as_absent(self):
+        kept = PrefactorSeries(self.body(), {"y": 0})
+        bare = PrefactorSeries(self.body(), {})
+        assert kept == bare and bare == kept
+        assert kept != PrefactorSeries(self.body(), {"y": 1})
+        for total in (kept + bare, bare + kept):
+            assert total.body == self.body().scale(2)
+            # the zero entry is kept, so an operator term in y still finds it
+            assert total.prefactor == {"y": 0}
+
 
 class TestRendering:
     def test_golden_strings(self):

@@ -90,7 +90,7 @@ def test_family_calls_reach_rebound_names(monkeypatch):
 
     from hypersym import hypfun
     from hypersym.hypfun import ParamsPsi2
-    from hypersym.identities import verify_formal, verify_numeric
+    from hypersym.identities import get_record, verify_formal, verify_numeric
 
     calls = {}
     for name in ("psi2_compose", "psi2_eval_float"):
@@ -109,8 +109,9 @@ def test_family_calls_reach_rebound_names(monkeypatch):
                     monkeypatch.setattr(module, binding, counting)
 
     p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
-    assert verify_formal("I-PSI2-SHIFT-X", "as_stated", p, 2, 3)["status"] == "verified"
-    assert verify_numeric("I-PSI2-SHIFT-X", "as_stated", p, 0.1, 1e-8)["status"] == "verified"
+    record = get_record("I-PSI2-SHIFT-X")
+    assert verify_formal(record, "as_stated", p, 2, 3)["status"] == "verified"
+    assert verify_numeric(record, "as_stated", p, 0.1, 1e-8)["status"] == "verified"
     assert calls["psi2_compose"] > 0
     assert calls["psi2_eval_float"] > 0
 
