@@ -239,8 +239,8 @@ def _actions(cfg: RunConfig) -> ScopeResult:
 
 
 def _recursions(cfg: RunConfig) -> ScopeResult:
-    points = [FAMILIES["f11"].narrow(p) for p in cfg.param_points()]
-    return _rows_scope("Differential recursions", recursion_suite(points, cfg.recursion_order))
+    rows = recursion_suite(cfg.param_points(), cfg.recursion_order)
+    return _rows_scope("Differential recursions", rows)
 
 
 def _flows(cfg: RunConfig) -> ScopeResult:
@@ -308,8 +308,10 @@ def cmd_catalogue(_args: argparse.Namespace) -> int:
     print()
     print("identity records:")
     for rec in identity_catalogue():
-        marks = "+corrected" if rec.has_correction() else ""
+        marks = "+corrected" if rec.corrected else ""
         print(f"  {rec.rec_id:<18} [{rec.family}] {marks}")
+        if rec.note:
+            print(f"      note: {rec.note}")
         print(f"      {rec.statement}")
         print(f"      validity: {rec.validity}")
     print()

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .exactnum import (
     DegenerateParameter,
@@ -387,10 +387,11 @@ def verify_recursion(rel_id: str, p: Params1F1, order: int) -> MultiSeries:
     return lhs(f.truncate(low), d, p) - rhs
 
 
-def recursion_suite(points: list[Params1F1], order: int) -> list[dict]:
-    """Run all recursion relations at every parameter point."""
+def recursion_suite(points: Sequence, order: int) -> list[dict]:
+    """Run all recursion relations at every parameter point, each narrowed
+    to ``Params1F1`` (TypeError when it cannot be)."""
     rows = []
-    for p in points:
+    for p in map(FAMILIES["f11"].narrow, points):
         for rel_id in RECURSION_IDS:
             residual = verify_recursion(rel_id, p, order)
             rows.append(

@@ -3,11 +3,11 @@
 Each record states one identity between a closed-form deformation of a
 hypergeometric family member (left side) and a power series in the
 deformation parameter chi whose coefficients are parameter-shifted members
-(right side).  A record states each left side once, as one closed-form
-formula in the member F, ``exp``, the parameters and the coordinates, and
-names one catalogued operator E; the right side, the expansion
-sum_l w_l F(params + l*shift) chi^l of exp(chi E) F, is derived from E's
-action rule in ``hypfun.ACTION_RULES``.  The exact and the floating right
+(right side).  A record is data: it holds its left side once, in the field
+``lhs``, as one closed-form formula in the member F, ``exp``, the parameters
+and the coordinates, and names one catalogued operator E; the right side,
+the expansion sum_l w_l F(params + l*shift) chi^l of exp(chi E) F, is
+derived from E's action rule in ``hypfun.ACTION_RULES``.  The exact and the floating right
 side both come from that rule.  The exact right side is one dict fill:
 for each l, the Horn walk of the member at params + l*shift starts from w_l
 and writes its plane under the key prefix (l,).  The left side formula is
@@ -24,11 +24,12 @@ failure pinpoints the exact chi-order and monomial where the stated form
 breaks.
 
 Three catalogued statements are known to be self-inconsistent as stated;
-each of those records carries a corrected candidate (stored as data, never
-silently substituted) that the same machinery verifies.  The run-level
-invariant is: every as-stated mismatch must be paired with a verified
-corrected candidate, otherwise the suite fails; ``run_suite`` returns its
-report either way, and ``VerificationReport.invariant_ok`` is the verdict.
+each of those records carries a corrected candidate in its field
+``corrected`` (stored as data, never silently substituted), with a ``note``
+saying why, that the same machinery verifies.  The run-level invariant is:
+every as-stated mismatch must be paired with a verified corrected
+candidate, otherwise the suite fails; ``run_suite`` returns its report
+either way, and ``VerificationReport.invariant_ok`` is the verdict.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -92,25 +93,18 @@ def _entire(x: float, y: float, chi: float) -> bool:
 # -- record type -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IdentityVariant:
-    """One left side of a record, stated once as a closed form.
-
-    ``lhs(F, exp, p, x, y, chi)`` uses only ring operations, division, powers
-    and ``exp``, so the one formula is evaluated two ways.  ``verify_formal``
-    passes the family's composition at the exact parameters (``F(u)`` or
-    ``F(u, v)``), ``exp_series``, the ``Fraction`` parameters and the
-    coordinate series; ``verify_numeric`` passes the family's float
-    evaluator, ``math.exp``, the parameters as floats and the evaluation
-    point.  The one-argument family's exact side gets y = None.
-    """
-
-    lhs: Callable[..., object]
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class IdentityRecord:
     """One catalogued relation with its as-stated and optional corrected form.
+
+    Each left side is stated once, as a closed form ``lhs(F, exp, p, x, y,
+    chi)`` that uses only ring operations, division, powers and ``exp``, so
+    the one formula is evaluated two ways: ``lhs_series`` passes the
+    family's composition at the exact parameters (``F(u)`` or ``F(u, v)``),
+    ``exp_series``, the ``Fraction`` parameters and the coordinate series
+    (y = None for the one-argument family); ``lhs_value`` passes the
+    family's float evaluator, ``math.exp``, the parameters as floats and the
+    evaluation point.  ``corrected`` is the corrected candidate, or None,
+    and ``note`` says why it replaces the stated left side.
 
     The right side is the chi-sum sum_l w_l F(params + l*shift) chi^l of the
     family member F, the expansion of exp(chi E) F for the operator E named
@@ -124,35 +118,27 @@ class IdentityRecord:
     validity: str
     domain_ok: Callable[[float, float, float], bool]
     op: str                        # operator id whose action gives the right side
-    variants: dict[str, IdentityVariant] = field(compare=False)
-
-    def variant(self, name: str) -> IdentityVariant:
-        if name not in self.variants:
-            raise KeyError(f"{self.rec_id} has no variant {name!r}")
-        return self.variants[name]
-
-    def has_correction(self) -> bool:
-        return CORRECTED in self.variants
+    lhs: Callable[..., object]
+    corrected: Callable[..., object] | None = None
+    note: str = ""
 
 
-def _weights(record: IdentityRecord, p) -> Iterator[Fraction]:
-    """w_0, w_1, ... of the record's chi-sum, from its operator's action rule.
+def _weights(record: IdentityRecord, p) -> Iterator[tuple[Fraction, object]]:
+    """(w_l, p + l*shift) for l = 0, 1, ... of the record's chi-sum, the
+    weights from its operator's action rule.
 
-    After the first zero weight only zeros follow, and the parameters beyond
-    it are never built: the rule's coefficient there may sit on a pole.
+    Each shifted point is built once, also where w_l vanishes, so a
+    degenerate shift raises ``DegenerateParameter``; after the first zero
+    weight only zeros follow, and the rule's coefficient is not evaluated
+    again: it may sit on a pole there.
     """
     rule = ACTION_RULES[record.op]
     w = Fraction(1)
-    l = 0
-    while w:
-        yield w
-        w = w * rule.coefficient(rule.shifted(p, l)) / (l + 1)
-        l += 1
-    yield from itertools.repeat(w)
-
-
-def _shifted(record: IdentityRecord, p, l: int):
-    return ACTION_RULES[record.op].shifted(p, l)
+    for l in itertools.count():
+        q = rule.shifted(p, l)
+        yield w, q
+        if w:
+            w = w * rule.coefficient(q) / (l + 1)
 
 
 def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeries:
@@ -165,8 +151,7 @@ def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeri
     """
     fam = FAMILIES[record.family]
     terms: dict[tuple[int, ...], Fraction] = {}
-    for l, w in zip(range(caps["chi"] + 1), _weights(record, p)):
-        q = _shifted(record, p, l)
+    for l, (w, q) in zip(range(caps["chi"] + 1), _weights(record, p)):
         axes = [(caps[v], lows) for v, lows in zip(fam.coords, fam.bottoms(q))]
         terms.update(horn_coefficients(q.a, axes, start=w, prefix=(l,)))
     variables = ("chi",) + fam.coords
@@ -189,8 +174,8 @@ def _sum_float(
     point = (x, y)[: len(fam.coords)]
     total = 0.0
     small_streak = 0
-    for l, w in zip(range(max_terms), _weights(record, p)):
-        value, _ = fam.evaluate(_shifted(record, p, l), *point, tol, DEFAULT_TERM_CAP)
+    for l, (w, q) in zip(range(max_terms), _weights(record, p)):
+        value, _ = fam.evaluate(q, *point, tol, DEFAULT_TERM_CAP)
         term = float(w) * value * chi**l
         total += term
         if abs(term) <= tol * max(abs(total), 1e-300):
@@ -217,11 +202,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1",
         domain_ok=_in_unit_disc,
         op="f11.E_a",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a * F(x / (1 - chi)),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a * F(x / (1 - chi)),
     ))
 
     records.append(IdentityRecord(
@@ -234,21 +215,15 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1",
         domain_ok=_in_unit_disc,
         op="f11.E_b",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
-            ),
-            CORRECTED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: exp(-chi) * F(x + chi),
-                note=(
-                    "left side replaced by exp(-chi) F(a;b;x+chi): the right "
-                    "side is the expansion of exp(chi (d/dx - 1)) applied to "
-                    "F, whose closed form shifts x and multiplies by "
-                    "exp(-chi); the stated left side mixes two different "
-                    "deformation variables"
-                ),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
+        corrected=lambda F, exp, p, x, y, chi: exp(-chi) * F(x + chi),
+        note=(
+            "left side replaced by exp(-chi) F(a;b;x+chi): the right "
+            "side is the expansion of exp(chi (d/dx - 1)) applied to "
+            "F, whose closed form shifts x and multiplies by "
+            "exp(-chi); the stated left side mixes two different "
+            "deformation variables"
+        ),
     ))
 
     records.append(IdentityRecord(
@@ -261,24 +236,18 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1 and |chi(1-x)| < 1",
         domain_ok=lambda x, y, chi: abs(chi) < 1 and abs(chi * (1 - x)) < 1,
         op="f11.E_a'",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: F(x / (1 - chi * (1 - x)))
-                * ((1 - chi) / (1 - chi * (1 - x))) ** p.b
-                * (1 - chi) ** p.a,
-            ),
-            CORRECTED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: (1 - chi) ** (p.a - p.b)
-                * exp(-x * chi / (1 - chi))
-                * F(x / (1 - chi)),
-                note=(
-                    "left side rebuilt from the lowering operator's actual "
-                    "characteristic system: argument x/(1-chi), prefactor "
-                    "(1-chi)^(a-b), and multiplier exp(-x chi/(1-chi)); the "
-                    "stated flow does not solve the operator's vector field"
-                ),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x / (1 - chi * (1 - x)))
+            * ((1 - chi) / (1 - chi * (1 - x))) ** p.b
+            * (1 - chi) ** p.a,
+        corrected=lambda F, exp, p, x, y, chi: (1 - chi) ** (p.a - p.b)
+            * exp(-x * chi / (1 - chi))
+            * F(x / (1 - chi)),
+        note=(
+            "left side rebuilt from the lowering operator's actual "
+            "characteristic system: argument x/(1-chi), prefactor "
+            "(1-chi)^(a-b), and multiplier exp(-x chi/(1-chi)); the "
+            "stated flow does not solve the operator's vector field"
+        ),
     ))
 
     # (b-l)_l = (-1)^l (1-b)_l, and likewise for c in the two-argument records
@@ -292,19 +261,13 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1",
         domain_ok=_in_unit_disc,
         op="f11.E_b'",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** p.b,
-            ),
-            CORRECTED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
-                note=(
-                    "left-side exponent b-1 instead of b: the lowering flow "
-                    "carries the multiplier 1/(1+chi), which the stated form "
-                    "drops"
-                ),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** p.b,
+        corrected=lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
+        note=(
+            "left-side exponent b-1 instead of b: the lowering flow "
+            "carries the multiplier 1/(1+chi), which the stated form "
+            "drops"
+        ),
     ))
 
     records.append(IdentityRecord(
@@ -316,9 +279,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="entire in chi",
         domain_ok=_entire,
         op="f11.E_ab",
-        variants={
-            AS_STATED: IdentityVariant(lambda F, exp, p, x, y, chi: F(x + chi)),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x + chi),
     ))
 
     # ---- two-argument family ------------------------------------------------
@@ -335,12 +296,8 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1",
         domain_ok=_in_unit_disc,
         op="psi2.E_a",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a
-                * F(x / (1 - chi), y / (1 - chi)),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a
+            * F(x / (1 - chi), y / (1 - chi)),
     ))
 
     records.append(IdentityRecord(
@@ -353,11 +310,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1",
         domain_ok=_in_unit_disc,
         op="psi2.E_b",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: F(x * (1 + chi), y) * (1 + chi) ** (p.b - 1),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x * (1 + chi), y) * (1 + chi) ** (p.b - 1),
     ))
 
     records.append(IdentityRecord(
@@ -370,11 +323,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="|chi| < 1",
         domain_ok=_in_unit_disc,
         op="psi2.E_c",
-        variants={
-            AS_STATED: IdentityVariant(
-                lambda F, exp, p, x, y, chi: F(x, y * (1 + chi)) * (1 + chi) ** (p.c - 1),
-            ),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x, y * (1 + chi)) * (1 + chi) ** (p.c - 1),
     ))
 
     records.append(IdentityRecord(
@@ -387,9 +336,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="entire in chi",
         domain_ok=_entire,
         op="psi2.E_ab",
-        variants={
-            AS_STATED: IdentityVariant(lambda F, exp, p, x, y, chi: F(x + chi, y)),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x + chi, y),
     ))
 
     records.append(IdentityRecord(
@@ -402,9 +349,7 @@ def _record_catalogue() -> list[IdentityRecord]:
         validity="entire in chi",
         domain_ok=_entire,
         op="psi2.E_ac",
-        variants={
-            AS_STATED: IdentityVariant(lambda F, exp, p, x, y, chi: F(x, y + chi)),
-        },
+        lhs=lambda F, exp, p, x, y, chi: F(x, y + chi),
     ))
 
     return records
@@ -443,23 +388,32 @@ def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
     return None if found is None else dict(zip(("monomial", "lhs", "rhs"), map(str, found)))
 
 
+def _lhs(record: IdentityRecord, variant: str) -> Callable[..., object]:
+    """The record's left-side formula for ``variant``; KeyError if it has none."""
+    lhs = {AS_STATED: record.lhs, CORRECTED: record.corrected}.get(variant)
+    if lhs is None:
+        raise KeyError(f"{record.rec_id} has no variant {variant!r}")
+    return lhs
+
+
 def lhs_series(
-    record: IdentityRecord, var: IdentityVariant, p, caps: Mapping[str, int]
+    record: IdentityRecord, variant: str, p, caps: Mapping[str, int]
 ) -> MultiSeries:
     """The variant's left side as an exact series in chi and the coordinates."""
+    lhs = _lhs(record, variant)
     coord = {v: MultiSeries.variable(v, caps) for v in caps}
     compose = functools.partial(FAMILIES[record.family].compose, p)
-    return var.lhs(compose, exp_series, p, coord["x"], coord.get("y"), coord["chi"])
+    return lhs(compose, exp_series, p, coord["x"], coord.get("y"), coord["chi"])
 
 
 def lhs_value(
-    record: IdentityRecord, var: IdentityVariant, p, x: float, y: float, chi: float,
-    tol: float,
+    record: IdentityRecord, variant: str, p, x: float, y: float, chi: float, tol: float,
 ) -> float:
     """The variant's left side in floating point at (x, y, chi)."""
+    lhs = _lhs(record, variant)
     fam = FAMILIES[record.family]
     floats = SimpleNamespace(**{f.name: float(getattr(p, f.name)) for f in fields(p)})
-    return var.lhs(
+    return lhs(
         lambda *u: fam.evaluate(p, *u, tol, DEFAULT_TERM_CAP)[0], math.exp, floats, x, y, chi
     )
 
@@ -472,10 +426,9 @@ def verify_formal(
     Returns a row dict with status "verified" or "mismatch" (plus the
     lexicographically first failing monomial and both coefficients).
     """
-    var = record.variant(variant)
     p = FAMILIES[record.family].narrow(params)
     caps = _caps_for(record, n_order, m_order)
-    lhs = lhs_series(record, var, p, caps)
+    lhs = lhs_series(record, variant, p, caps)
     rhs = _sum_series(record, p, caps)
     witness = _first_mismatch(lhs, rhs)
     return {
@@ -498,13 +451,12 @@ def verify_numeric(
     y: float = DEFAULT_EVAL_Y,
 ) -> dict:
     """Evaluate both sides in floating point and compare relatively."""
-    var = record.variant(variant)
     p = FAMILIES[record.family].narrow(params)
     if not record.domain_ok(x, y, chi):
         raise DomainViolation(
             f"{record.rec_id}: chi={chi} outside validity domain ({record.validity})"
         )
-    lhs = lhs_value(record, var, p, x, y, chi, tol)
+    lhs = lhs_value(record, variant, p, x, y, chi, tol)
     rhs = _sum_float(record, p, x, y, chi, tol)
     scale = max(abs(lhs), abs(rhs), 1.0)
     ok = abs(lhs - rhs) <= tol * scale
@@ -572,9 +524,7 @@ def run_suite(
     t0 = time.perf_counter()
     rows: list[dict] = []
     for record in cat:
-        for variant in (AS_STATED, CORRECTED):
-            if variant not in record.variants:
-                continue
+        for variant in (AS_STATED, CORRECTED) if record.corrected else (AS_STATED,):
             for point in param_points:
                 n_order, m_order = orders[record.family]
                 if mode in ("formal", "both"):

@@ -1,7 +1,9 @@
 """First-order differential operators with Laurent-monomial coefficients.
 
 Covers the raising/lowering/maintenance operators of the two function
-families, their exact action on realized basis elements, commutators (the
+families, their exact action on realized basis elements (``DiffOperator.apply``
+applies the product rule to a body series times a monomial prefactor with
+rational exponents, ``series.PrefactorSeries``), commutators (the
 first-order vector-field bracket), exact span membership, and Runge-Kutta
 checks of the one-parameter flows against their closed forms.
 ``build_catalogue`` is the hand-written statement of each operator; its
@@ -168,19 +170,36 @@ class DiffOperator:
     # -- application to realized basis elements ----------------------------
 
     def apply(self, f: PrefactorSeries) -> PrefactorSeries:
-        """Linear extension over terms; derivative first, then the monomial."""
+        """Linear extension over terms, by the product rule on body * prod v^alpha_v.
+
+        A term c*m*d_w with w a prefactor variable multiplies c by alpha_w
+        and lowers alpha_w by one (d/dw w^alpha = alpha w^(alpha-1), which
+        loses no order); with w a body variable it differentiates the body.
+        Each factor v^e of m then adds e to alpha_v, or multiplies the body
+        by v^e.  The prefactor and body variables must be disjoint.
+        """
+        body_vars = f.body.variables
+        shared = f.prefactor.keys() & set(body_vars)
+        if shared:
+            raise ValueError(f"variables in both the body and the prefactor: {sorted(shared)}")
         results: list[PrefactorSeries] = []
         for (mono, deriv), coeff in self._terms.items():
-            g = f
-            if deriv is not None:
-                if deriv not in g.body.variables and deriv not in g.prefactor:
-                    raise UnknownVariable(deriv)
-                g = g.derivative(deriv)
+            body, pf = f.body, dict(f.prefactor)
+            if deriv in pf:
+                coeff = coeff * pf[deriv]
+                pf[deriv] -= 1
+            elif deriv in body_vars:
+                body = body.derivative(deriv)
+            elif deriv is not None:
+                raise UnknownVariable(deriv)
             for v, e in mono:
-                if v not in g.body.variables and v not in g.prefactor:
+                if v in pf:
+                    pf[v] += e
+                elif v in body_vars:
+                    body = body.shift(v, e)
+                else:
                     raise UnknownVariable(v)
-                g = g.multiply_monomial(v, e)
-            g = g.scale(coeff)
+            g = PrefactorSeries(body.scale(coeff), pf)
             if not g.is_zero():
                 results.append(g)
         if not results:

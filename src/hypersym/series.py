@@ -46,9 +46,11 @@ when an operand enters the product and unpacked once per output term, when
 its one reduced ``Fraction`` is made; ``MultiSeries.terms`` stays keyed by
 exponent tuples.
 
-:class:`PrefactorSeries` attaches a monomial prefactor with exact rational
-exponents (e.g. ``y^a z^b`` for non-integer a, b) to a body series; the
-product rule across body and prefactor is implemented exactly.
+:class:`PrefactorSeries` is a value type: a body series times a monomial
+prefactor with exact rational exponents (e.g. ``y^a z^b`` for non-integer
+a, b), with equality, sums, scaling and truncation.  Operators act on it in
+``liealg.DiffOperator.apply``, which states the product rule across body and
+prefactor.
 """
 
 from __future__ import annotations
@@ -689,9 +691,9 @@ class PrefactorSeries:
     """A body series times a monomial with exact rational exponents.
 
     Integer powers of the body variables stay in the body; every exponent
-    that is parameter-valued (or negative) lives in the prefactor map.  A
-    prefactor variable keeps its entry at exponent 0, so an operator term in
-    it still finds the variable.
+    that is parameter-valued (or negative) lives in the prefactor map, whose
+    variables are not body variables.  A prefactor variable keeps its entry
+    at exponent 0, so an operator term in it still finds the variable.
     """
 
     __slots__ = ("body", "prefactor")
@@ -700,14 +702,8 @@ class PrefactorSeries:
         self.body = body
         self.prefactor = {name: as_rational(e) for name, e in (prefactor or {}).items()}
 
-    def cap_map(self) -> dict[str, int]:
-        return self.body.cap_map()
-
     def is_zero(self) -> bool:
         return self.body.is_zero()
-
-    def exponent(self, v: str) -> Fraction:
-        return self.prefactor.get(v, Q(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrefactorSeries):
@@ -752,45 +748,3 @@ class PrefactorSeries:
 
     def truncate(self, caps: Mapping[str, int]) -> "PrefactorSeries":
         return PrefactorSeries(self.body.truncate(caps), self.prefactor)
-
-    def multiply_prefactor(self, v: str, k) -> "PrefactorSeries":
-        """Absorb a factor v^k into the prefactor exponent (k exact rational)."""
-        pf = dict(self.prefactor)
-        pf[v] = pf.get(v, Q(0)) + as_rational(k)
-        return PrefactorSeries(self.body, pf)
-
-    def multiply_monomial(self, v: str, k: int) -> "PrefactorSeries":
-        """Multiply by v^k, keeping it in the body when that stays polynomial."""
-        if k == 0:
-            return self
-        if v in self.body.variables and v not in self.prefactor and k > 0:
-            return PrefactorSeries(self.body.shift(v, k), self.prefactor)
-        return self.multiply_prefactor(v, k)
-
-    def derivative(self, v: str) -> "PrefactorSeries":
-        """d/dv of body * v^alpha.
-
-        Without a prefactor entry for v this is the plain body derivative
-        (cap of v drops by one).  With an entry alpha, 0 included, the
-        identity d/dv (S * v^alpha) = (v dS/dv + alpha S) * v^(alpha-1)
-        updates each body coefficient in place by (e_v + alpha), which loses
-        no orders at all.
-        """
-        alpha = self.prefactor.get(v)
-        if alpha is None:
-            if v not in self.body.variables:
-                raise UnknownVariable(v)
-            return PrefactorSeries(self.body.derivative(v), self.prefactor)
-        pf = {**self.prefactor, v: alpha - 1}
-        if v in self.body.variables:
-            i = self.body.variables.index(v)
-            terms = {
-                exps: c * (exps[i] + alpha)
-                for exps, c in self.body.terms.items()
-                if exps[i] + alpha != 0
-            }
-            body = MultiSeries._trusted(self.body.variables, self.body.caps, terms)
-        else:
-            body = self.body.scale(alpha)
-        return PrefactorSeries(body, pf)
-

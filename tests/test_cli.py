@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hypersym import cli, identities, liealg
-from hypersym.identities import AS_STATED, get_record, strip_timing
+from hypersym.identities import get_record, strip_timing
 
 
 def run_cli(*argv, cwd=None, timeout=None):
@@ -352,7 +352,7 @@ class TestVerify:
 
     def test_unpaired_mismatch_exits_1_with_its_report(self, tmp_path, monkeypatch, capsys):
         record = get_record("I-F11-LOWER-B")
-        stripped = dataclasses.replace(record, variants={AS_STATED: record.variant(AS_STATED)})
+        stripped = dataclasses.replace(record, corrected=None)
         monkeypatch.setattr(identities, "catalogue", lambda: (stripped,))
         argv = ["verify", "--scope", "identities", "--points", "1/2,4/3,5/7",
                 "--out", str(tmp_path)]
@@ -413,3 +413,11 @@ class TestCatalogueCommand:
             assert rec_id in out
         assert "f11.E_a" in out and "psi2.E_ac" in out
         assert "+corrected" in out
+
+    def test_correction_note_under_its_record(self):
+        lines = run_cli("catalogue").stdout.splitlines()
+        i = next(k for k, line in enumerate(lines) if "I-F11-LOWER-B" in line)
+        assert lines[i].endswith("+corrected")
+        assert lines[i + 1] == f"      note: {get_record('I-F11-LOWER-B').note}"
+        assert "exponent b-1 instead of b" in lines[i + 1]
+        assert sum(line.startswith("      note: ") for line in lines) == 3

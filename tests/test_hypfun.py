@@ -24,6 +24,7 @@ from hypersym.hypfun import (
     psi2_compose,
     psi2_eval_float,
     psi2_series,
+    recursion_suite,
     verify_recursion,
 )
 from hypersym.liealg import catalogue
@@ -533,6 +534,17 @@ class TestRecursions:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             verify_recursion("unknown", POINTS[0], 8)
+
+    def test_suite_narrows_three_parameter_points(self):
+        points = [ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7)), ParamsPsi2(Q(3, 2), Q(7, 3), Q(11, 6))]
+        rows = recursion_suite(points, 6)
+        assert rows == recursion_suite([Params1F1(p.a, p.b) for p in points], 6)
+        assert len(rows) == 2 * len(RECURSION_IDS)
+        assert all(row["status"] == "PASS" for row in rows)
+
+    def test_suite_rejects_a_point_it_cannot_narrow(self):
+        with pytest.raises(TypeError):
+            recursion_suite([(Q(1, 2), Q(4, 3))], 6)
 
     def test_relations_name_a_catalogued_f11_operator(self):
         operators = catalogue()

@@ -13,6 +13,7 @@ from hypersym.exactnum import (
 )
 from hypersym.hypfun import (
     ACTION_RULES,
+    ActionRule,
     NoConvergence,
     Params1F1,
     ParamsPsi2,
@@ -32,7 +33,6 @@ from hypersym.identities import (
     CapUnderflow,
     DomainViolation,
     IdentityRecord,
-    IdentityVariant,
     _caps_for,
     _first_mismatch,
     _sum_float,
@@ -69,6 +69,10 @@ EXPECT_AS_STATED_VERIFIED = (
 EXPECT_AS_STATED_MISMATCH = ("I-F11-RAISE-B", "I-F11-LOWER-A", "I-F11-LOWER-B")
 
 
+def _variants(rec):
+    return (AS_STATED, CORRECTED) if rec.corrected else (AS_STATED,)
+
+
 class TestCatalogue:
     def test_ten_records(self):
         cat = catalogue()
@@ -80,12 +84,20 @@ class TestCatalogue:
         ]
 
     def test_corrected_candidates_present_where_needed(self):
-        with_corr = {r.rec_id for r in catalogue() if r.has_correction()}
+        with_corr = {r.rec_id for r in catalogue() if r.corrected}
         assert with_corr == set(EXPECT_AS_STATED_MISMATCH)
 
     def test_unknown_record(self):
         with pytest.raises(KeyError):
             get_record("I-NOPE")
+
+    def test_missing_corrected_candidate(self):
+        rec = get_record("I-F11-SHIFT")
+        assert rec.corrected is None
+        with pytest.raises(KeyError, match="I-F11-SHIFT has no variant 'corrected_candidate'"):
+            verify_formal(rec, CORRECTED, P, 2, 4)
+        with pytest.raises(KeyError):
+            verify_numeric(rec, CORRECTED, P, 0.1, 1e-8)
 
     def test_built_once(self):
         cat = catalogue()
@@ -96,7 +108,7 @@ class TestCatalogue:
     def test_chi0_consistency_every_record_and_variant(self):
         # at deformation order zero both sides are the undeformed function
         for rec in catalogue():
-            for variant in rec.variants:
+            for variant in _variants(rec):
                 row = verify_formal(rec, variant, P, 0, 6)
                 assert row["status"] == "verified", (rec.rec_id, variant, row)
 
@@ -105,7 +117,7 @@ class TestCatalogue:
         # in chi itself
         rec = get_record("I-F11-SHIFT")
         p1 = Params1F1(P.a, P.b)
-        lhs = lhs_series(rec, rec.variant(AS_STATED), p1, {"x": 0, "chi": 6})
+        lhs = lhs_series(rec, AS_STATED, p1, {"x": 0, "chi": 6})
         base = f11_series(p1, 6, var="chi").extend({"x": 0})
         assert lhs == base
 
@@ -149,7 +161,7 @@ class TestVerifyFormal:
         rec = get_record("I-F11-LOWER-B")
         p1 = Params1F1(P.a, P.b)
         caps = {"x": 8, "chi": 2}
-        diff = lhs_series(rec, rec.variant(AS_STATED), p1, caps) - _sum_series(rec, p1, caps)
+        diff = lhs_series(rec, AS_STATED, p1, caps) - _sum_series(rec, p1, caps)
         for k in range(8):
             assert diff.coefficient({"chi": 1, "x": k}) == f11_coeff(p1, k)
 
@@ -278,10 +290,10 @@ class TestOneLeftSide:
             p = _family_params(rec, point)
             orders = (10, 8) if rec.family == "f11" else (10, 6)
             caps = _caps_for(rec, *orders)
-            for name, var in rec.variants.items():
-                series = lhs_series(rec, var, p, caps)
+            for name in _variants(rec):
+                series = lhs_series(rec, name, p, caps)
                 exact = float(series.evaluate(dict.fromkeys(caps, t)))
-                value = lhs_value(rec, var, p, float(t), float(t), float(t), 1e-14)
+                value = lhs_value(rec, name, p, float(t), float(t), float(t), 1e-14)
                 assert value == pytest.approx(exact, rel=1e-10), (rec.rec_id, name)
 
 
@@ -330,7 +342,7 @@ EXPONENTIAL = IdentityRecord(
     validity="entire in chi",
     domain_ok=lambda x, y, chi: True,
     op="f11.I",
-    variants={},
+    lhs=lambda F, exp, p, x, y, chi: exp(chi) * F(x),
 )
 
 # Each record's weight as written in its statement.
@@ -355,6 +367,26 @@ TERMINATING_POINTS = [ParamsPsi2(-2, 3, 3), ParamsPsi2(Q(10, 3), Q(4, 3), Q(5, 7
 
 def _family_params(rec, point):
     return Params1F1(point.a, point.b) if rec.family == "f11" else point
+
+
+def _walk(rec, p, n):
+    """The first n weights of the record's chi-sum, checking each yielded
+    point, and the index where the walk stopped: n, or the first l whose
+    shifted point is degenerate, where the walk must raise."""
+    rule = ACTION_RULES[rec.op]
+    walk = _weights(rec, p)
+    weights = []
+    for l in range(n):
+        try:
+            q = rule.shifted(p, l)
+        except DegenerateParameter:
+            with pytest.raises(DegenerateParameter):
+                next(walk)
+            return weights, l
+        w, point = next(walk)
+        assert point == q
+        weights.append(w)
+    return weights, n
 
 
 def _reference_sum(rec, p, n, m):
@@ -388,19 +420,40 @@ class TestSumSide:
         rec = get_record(rec_id)
         p = _family_params(rec, point)
         reference = [WEIGHT_REFERENCE[rec_id](p, l) for l in range(30)]
-        assert list(itertools.islice(_weights(rec, p), 30)) == reference
+        weights, stop = _walk(rec, p, 30)
+        assert weights == reference[:stop]
+        # a lowering walk meets a degenerate member only where its weight vanishes
+        assert stop == 30 or reference[stop] == 0
 
     @pytest.mark.parametrize("rec_id", sorted(WEIGHT_REFERENCE))
     def test_terminating_points_end_every_weight(self, rec_id):
+        # the weights reach 0 and stay there, or, for a lowering walk, the
+        # member at the first zero weight is degenerate and its point raises
         rec = get_record(rec_id)
         ended = False
         for q in TERMINATING_POINTS:
-            weights = list(itertools.islice(_weights(rec, _family_params(rec, q)), 10))
+            p = _family_params(rec, q)
+            weights, stop = _walk(rec, p, 10)
             if 0 in weights:
                 first = weights.index(0)
                 assert 0 < first < 10 and not any(weights[first:])
                 ended = True
+            elif stop < 10:
+                assert 0 < stop and WEIGHT_REFERENCE[rec_id](p, stop) == 0
+                ended = True
         assert ended
+
+    @pytest.mark.parametrize("rec_id", ["I-F11-RAISE-A", "I-PSI2-LOWER-B"])
+    def test_sum_series_builds_each_shifted_point_once(self, rec_id, monkeypatch):
+        rec = get_record(rec_id)
+        calls = []
+        shifted = ActionRule.shifted
+        monkeypatch.setattr(ActionRule, "shifted",
+                            lambda self, p, times=1: calls.append(times) or shifted(self, p, times))
+        n = 6
+        _sum_series(rec, P if rec.family == "psi2" else Params1F1(P.a, P.b),
+                    _caps_for(rec, n, 3))
+        assert calls == list(range(n + 1))
 
     @pytest.mark.parametrize("point", P_ALL + TERMINATING_POINTS,
                              ids=lambda p: f"a={p.a},b={p.b},c={p.c}")
@@ -468,7 +521,7 @@ class TestRunSuite:
 
     def test_unpaired_mismatch_fails_suite(self):
         broken = get_record("I-F11-LOWER-B")
-        stripped = dataclasses.replace(broken, variants={AS_STATED: broken.variant(AS_STATED)})
+        stripped = dataclasses.replace(broken, corrected=None)
         report = run_suite(records=[stripped], param_points=[P])
         assert not report.invariant_ok()
         assert report.summary["unresolved_failures"] == 1
@@ -476,8 +529,8 @@ class TestRunSuite:
     def test_given_records_are_the_ones_verified(self):
         # a record handed to run_suite is checked as given, not looked up by id
         rec = get_record("I-F11-SHIFT")
-        doubled = dataclasses.replace(rec, variants={AS_STATED: IdentityVariant(
-            lambda F, exp, p, x, y, chi: F(x + chi) + F(x + chi))})
+        doubled = dataclasses.replace(
+            rec, lhs=lambda F, exp, p, x, y, chi: F(x + chi) + F(x + chi))
         report = run_suite(records=[doubled], param_points=[P], mode="both")
         assert [r["status"] for r in report.rows] == ["mismatch"] * 3
         renamed = dataclasses.replace(rec, rec_id="I-NEW")

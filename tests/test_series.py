@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypersym.exactnum import factorial, pochhammer
 from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series, psi2_series
+from hypersym.liealg import DiffOperator
 from hypersym.series import (
     CapMismatch,
     MultiSeries,
@@ -213,47 +214,51 @@ class TestPrefactor:
 
     def test_multiply_exponent_bookkeeping(self):
         p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        q = p.multiply_prefactor("y", -1)
-        assert q.exponent("y") == Q(-1, 2)
+        q = DiffOperator.term(1, {"y": -1}, None).apply(p)
+        assert q.prefactor == {"y": Q(-1, 2)}
         assert q.body == p.body
-
-    def test_multiply_zero_is_identity(self):
-        p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        assert p.multiply_prefactor("y", 0) == p
 
     def test_multiply_inverse_pair(self):
         p = PrefactorSeries(self.body(), {"z": Q(4, 3)})
-        q = p.multiply_prefactor("z", 1).multiply_prefactor("z", -1)
-        assert q == p
+        up, down = (DiffOperator.term(1, {"z": k}, None) for k in (1, -1))
+        q = down.apply(up.apply(p))
+        assert q == p and q.prefactor == p.prefactor
 
     def test_derivative_pure_monomial(self):
         a = Q(1, 2)
         p = PrefactorSeries(self.body(), {"y": a})
-        d = p.derivative("y")
-        assert d.exponent("y") == a - 1
+        d = DiffOperator.term(1, {}, "y").apply(p)
+        assert d.prefactor == {"y": a - 1}
         assert d.body == self.body().scale(a)
 
     def test_derivative_body_only(self):
         p = PrefactorSeries(ms({"x": 3}, {(2,): 1}), {"y": Q(1, 2)})
-        d = p.derivative("x")
-        assert d.exponent("y") == Q(1, 2)
+        d = DiffOperator.term(1, {}, "x").apply(p)
+        assert d.prefactor == {"y": Q(1, 2)}
         assert d.body == ms({"x": 2}, {(1,): 2})
 
-    def test_derivative_product_rule(self):
-        # d/dz of (1+z) z^b = (b + (b+1) z) z^(b-1)
-        b = Q(4, 3)
-        p = PrefactorSeries(ms({"z": 2}, {(0,): 1, (1,): 1}), {"z": b})
-        d = p.derivative("z")
-        assert d.exponent("z") == b - 1
-        assert d.body == ms({"z": 2}, {(0,): b, (1,): b + 1})
+    def test_body_monomial_shifts_the_body(self):
+        # x d/dx x^2 = 2 x^2, at the cap the derivative leaves
+        p = PrefactorSeries(ms({"x": 3}, {(2,): 1, (3,): 1}), {"y": Q(1, 2)})
+        d = DiffOperator.term(1, {"x": 1}, "x").apply(p)
+        assert d.prefactor == {"y": Q(1, 2)}
+        assert d.body == ms({"x": 2}, {(2,): 2})
 
     def test_zero_exponent_is_kept(self):
         p = PrefactorSeries(self.body(), {"y": Q(1)})
-        d = p.derivative("y")
+        d_y = DiffOperator.term(1, {}, "y")
+        d = d_y.apply(p)
         assert d.prefactor == {"y": 0}
         assert d.body == self.body()
-        assert d.multiply_monomial("y", -1).prefactor == {"y": -1}
-        assert d.derivative("y").is_zero()
+        assert DiffOperator.term(1, {"y": -1}, None).apply(d).prefactor == {"y": -1}
+        assert d_y.apply(d).is_zero()
+
+    def test_shared_variable_raises(self):
+        # z both in the body and in the prefactor: no term is applied
+        p = PrefactorSeries(ms({"z": 2}, {(0,): 1, (1,): 1}), {"z": Q(4, 3)})
+        for op in (DiffOperator.term(1, {}, "z"), DiffOperator.scalar(1)):
+            with pytest.raises(ValueError, match="both the body and the prefactor"):
+                op.apply(p)
 
     def test_add_requires_matching_prefactor(self):
         p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
@@ -625,8 +630,9 @@ def ring_and_reshape_results(a, b):
     yield 1 - a
     yield a / unit
     yield unit ** Q(-1, 2)
-    yield PrefactorSeries(a, {v: Q(1, 3)}).derivative(v).body
-    yield PrefactorSeries(a, {v: Q(-1)}).derivative(v).body
+    d_w = DiffOperator.term(Q(3, 2), {"w": 1}, "w")
+    yield d_w.apply(PrefactorSeries(a, {"w": Q(1, 3)})).body
+    yield d_w.apply(PrefactorSeries(a, {"w": Q(-1)})).body
 
 
 class TestClosedFormOperators:

@@ -6,13 +6,17 @@ and silently lists a missing one instead of failing, so a rename in
 ``hypersym`` would drop a layer from the traced run.  ``perfbench/pass_proc.py``
 builds the catalogues by name before each pass, so a rename there would fail
 every pass.  Both files are read from their syntax trees: nothing under
-``perfbench/`` is imported or wrapped.
+``perfbench/`` is imported or wrapped.  The recorded references under
+``perfbench/refs/`` are read as JSON, and the command line of each still
+parses, so renaming a ``verify`` option fails here, not only in a benchmark
+run.
 """
 
 import argparse
 import ast
 import dataclasses
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from hypersym import cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 PASS_PROC = PERFBENCH / "pass_proc.py"
+REFS = sorted((PERFBENCH / "refs").glob("*.json"))
 
 
 def _layers():
@@ -135,3 +140,12 @@ def test_scopes_are_the_runner_table_and_all():
     assert cli.SCOPES == (*cli.SCOPE_RUNNERS, "all")
     scope = next(a for a in _verify_parser()._actions if a.dest == "scope")
     assert tuple(scope.choices) == cli.SCOPES
+
+
+def test_every_reference_command_line_parses():
+    assert len(REFS) >= 4
+    for ref in REFS:
+        argv = json.loads(ref.read_text())["argv"]
+        args = cli._build_parser().parse_args(cli._glue_negative_values(argv))
+        assert args.command == argv[0], ref.name
+        cli._config_from(args)
