@@ -44,7 +44,7 @@ from .exactnum import (
     is_nonpositive_integer,
     pochhammer,
 )
-from .series import MultiSeries, horn_coefficients, horn_compose
+from .series import MultiSeries, horn_compose, horn_series
 
 DEFAULT_TERM_CAP = 10000
 
@@ -163,8 +163,8 @@ def _horn_series(
         raise ValueError("negative series order")
     axes = dict(zip(names, zip(caps, FAMILIES[family].bottoms(p))))
     names = tuple(sorted(axes))
-    coefficients = horn_coefficients(p.a, [axes[v] for v in names])
-    return MultiSeries._trusted(names, tuple(axes[v][0] for v in names), coefficients)
+    return horn_series(names, tuple(axes[v][0] for v in names),
+                       [(p.a, [axes[v][1] for v in names], Fraction(1), ())])
 
 
 def _nested_float(

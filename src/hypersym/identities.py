@@ -54,7 +54,7 @@ from .hypfun import (
     ParamsPsi2,
     param_strs,
 )
-from .series import MultiSeries, exp_series, first_mismatch, horn_coefficients
+from .series import MultiSeries, exp_series, first_mismatch, horn_series
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
@@ -144,18 +144,17 @@ def _weights(record: IdentityRecord, p) -> Iterator[tuple[Fraction, object]]:
 def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeries:
     """The record's chi-sum as an exact series at the caps.
 
-    One dict fill: for each l the member's Horn walk at p + l*shift starts
-    from w_l and writes under the key prefix (l,), since "chi" sorts before
-    "x" and "y".  The shifted parameters are built at every l <= N, also
-    where w_l vanishes, so a degenerate shift raises ``DegenerateParameter``.
+    One ``horn_series`` call: for each l the member's Horn walk at
+    p + l*shift starts from w_l with the leading exponent l, since "chi"
+    sorts before "x" and "y".  The shifted parameters are built at every
+    l <= N, also where w_l vanishes, so a degenerate shift raises
+    ``DegenerateParameter``.
     """
     fam = FAMILIES[record.family]
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for l, (w, q) in zip(range(caps["chi"] + 1), _weights(record, p)):
-        axes = [(caps[v], lows) for v, lows in zip(fam.coords, fam.bottoms(q))]
-        terms.update(horn_coefficients(q.a, axes, start=w, prefix=(l,)))
     variables = ("chi",) + fam.coords
-    return MultiSeries._trusted(variables, tuple(caps[v] for v in variables), terms)
+    grids = [(q.a, fam.bottoms(q), w, (l,))
+             for l, (w, q) in zip(range(caps["chi"] + 1), _weights(record, p))]
+    return horn_series(variables, tuple(caps[v] for v in variables), grids)
 
 
 def _sum_float(

@@ -59,7 +59,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Q, as_rational, is_nonpositive_integer
 
@@ -96,16 +96,17 @@ def _normalize_caps(caps: Mapping[str, int]) -> tuple[tuple[str, ...], tuple[int
 class _Layout(dict):
     """Packed exponent keys for one caps tuple; maps a packed key to its exponents.
 
-    Coordinate i gets a bit field of width ``(2*cap_i).bit_length() + 1``;
-    the sum of two exponents within the cap fits below the field's top bit,
-    which is a guard bit.  ``offset`` holds ``2**b - 1 - cap_i`` in each
-    field, b the bits below the guard, so the guard bit of e + offset is set
-    exactly when e passes the cap, and no carry reaches the next field;
-    ``guard`` holds the guard bits.  A packed key is unpacked on its first
-    lookup and its tuple is kept, so the products over these caps share it.
+    Coordinate i gets a bit field of width ``(2*cap_i).bit_length() + 1``
+    starting at bit ``shifts[i]``; the sum of two exponents within the cap
+    fits below the field's top bit, which is a guard bit.  ``offset`` holds
+    ``2**b - 1 - cap_i`` in each field, b the bits below the guard, so the
+    guard bit of e + offset is set exactly when e passes the cap, and no
+    carry reaches the next field; ``guard`` holds the guard bits.  A packed
+    key is unpacked on its first lookup and its tuple is kept, so the series
+    over these caps share it.
     """
 
-    __slots__ = ("fields", "guard", "offset")
+    __slots__ = ("fields", "shifts", "guard", "offset")
 
     def __init__(self, caps: tuple[int, ...]):
         super().__init__()
@@ -118,6 +119,7 @@ class _Layout(dict):
             offset |= ((1 << bits) - 1 - cap) << shift
             shift += bits + 1
         self.fields = tuple(fields)
+        self.shifts = tuple(shift for shift, _ in fields)
         self.guard = guard
         self.offset = offset
 
@@ -125,20 +127,44 @@ class _Layout(dict):
         exps = self[key] = tuple([key >> shift & mask for shift, mask in self.fields])
         return exps
 
+    def key(self, exps: Sequence[int]) -> int:
+        """The packed key of an exponent tuple within the caps."""
+        return sum(map(operator.lshift, exps, self.shifts))
+
     def pack(self, terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict[int, int]]:
         """The lcm d of the coefficients' denominators, and each coefficient
-        times d keyed by its packed exponents."""
+        times d keyed by its packed exponents.  For reduced ``Fraction``s
+        this is the reduced form: gcd(d, *numerators) == 1."""
         d = math.lcm(*(c.denominator for c in terms.values()))
-        shifts = [shift for shift, _ in self.fields]
-        return d, {
-            sum(map(operator.lshift, e, shifts)): c.numerator * (d // c.denominator)
-            for e, c in terms.items()
-        }
+        key = self.key
+        return d, {key(e): c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
 @functools.lru_cache(maxsize=None)
 def _layout(caps: tuple[int, ...]) -> _Layout:
     return _Layout(caps)
+
+
+def _reduce(den: int, nums: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """``den`` and ``nums`` divided by their content gcd(den, *nums); ``nums``
+    is divided in place.  An empty ``nums`` gets the denominator 1."""
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        for k, v in nums.items():
+            nums[k] = v // g
+        den //= g
+    return den, nums
+
+
+def _exponents(exps, n: int) -> tuple[int, ...]:
+    """``exps`` as a tuple of n nonnegative ints; an entry that is not an
+    integer raises TypeError, a negative one ValueError."""
+    exps = tuple(map(operator.index, exps))
+    if len(exps) != n:
+        raise ValueError("exponent tuple length mismatch")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent in series term")
+    return exps
 
 
 def _cauchy(
@@ -170,43 +196,47 @@ def _cauchy(
 
 
 class MultiSeries:
-    """Sparse truncated power series; immutable by convention."""
+    """Sparse truncated power series; immutable by convention.
 
-    __slots__ = ("variables", "caps", "terms")
+    The coefficient at exponents e is ``Fraction(nums[key], den)``, key the
+    packed e in the ``_Layout`` of ``caps``; ``den`` is positive, no
+    numerator is zero, and gcd(den, *nums) == 1.
+    """
+
+    __slots__ = ("variables", "caps", "den", "nums")
 
     def __init__(self, caps: Mapping[str, int], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.variables, self.caps = _normalize_caps(caps)
         cleaned: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self.variables):
-                    raise ValueError("exponent tuple length mismatch")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative exponent in series term")
-                if any(e > c for e, c in zip(exps, self.caps)):
+                exps = _exponents(exps, len(self.variables))
+                if any(map(operator.gt, exps, self.caps)):
                     continue
                 c = as_rational(coeff)
                 if c != 0:
                     cleaned[exps] = c
-        self.terms = cleaned
+        self.den, self.nums = _layout(self.caps).pack(cleaned)
 
     @classmethod
     def _trusted(
         cls,
         variables: tuple[str, ...],
         caps: tuple[int, ...],
-        terms: dict[tuple[int, ...], Fraction],
+        den: int,
+        nums: dict[int, int],
     ) -> "MultiSeries":
-        """Series from sorted variables, their caps and clean terms.
+        """Series from sorted variables, their caps and a reduced stored form.
 
-        Nothing is checked or copied: every key must be an int tuple inside
-        the caps and every value a nonzero ``Fraction``.
+        Nothing is checked or copied: every key must be packed in the
+        ``_Layout`` of the caps, every numerator nonzero, ``den`` positive
+        and gcd(den, *nums) == 1 (``_reduce`` makes it so).
         """
         s = object.__new__(cls)
         s.variables = variables
         s.caps = caps
-        s.terms = terms
+        s.den = den
+        s.nums = nums
         return s
 
     # -- constructors ------------------------------------------------------
@@ -220,20 +250,16 @@ class MultiSeries:
         value = as_rational(value)
         s = cls(caps)
         if value != 0:
-            s.terms[(0,) * len(s.variables)] = value
+            s.den, s.nums = value.denominator, {0: value.numerator}
         return s
 
     @classmethod
     def monomial(cls, coeff, exponents: Mapping[str, int], caps: Mapping[str, int]) -> "MultiSeries":
         s = cls(caps)
-        exps = [0] * len(s.variables)
-        for name, e in exponents.items():
-            if name not in s.variables:
-                raise UnknownVariable(name)
-            exps[s.variables.index(name)] = int(e)
+        exps = s._exponent_tuple(exponents)
         coeff = as_rational(coeff)
-        if coeff != 0 and all(e <= c for e, c in zip(exps, s.caps)):
-            s.terms[tuple(exps)] = coeff
+        if coeff != 0 and all(map(operator.le, exps, s.caps)):
+            s.den, s.nums = coeff.denominator, {_layout(s.caps).key(exps): coeff.numerator}
         return s
 
     @classmethod
@@ -251,19 +277,33 @@ class MultiSeries:
         except ValueError:
             raise UnknownVariable(v) from None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Q(0))
-
-    def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
+    def _exponent_tuple(self, exponents: Mapping[str, int]) -> tuple[int, ...]:
+        """The exponent tuple of a name -> exponent map, absent names at 0."""
         exps = [0] * len(self.variables)
         for name, e in exponents.items():
             if name not in self.variables:
                 raise UnknownVariable(name)
-            exps[self.variables.index(name)] = int(e)
-        return self.terms.get(tuple(exps), Q(0))
+            exps[self.variables.index(name)] = e
+        return _exponents(exps, len(exps))
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as reduced ``Fraction``s keyed by exponent tuples,
+        built on each read."""
+        layout, den = _layout(self.caps), self.den
+        return {layout[k]: Fraction(v, den) for k, v in self.nums.items()}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def constant_term(self) -> Fraction:
+        return Fraction(self.nums.get(0, 0), self.den)
+
+    def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
+        exps = self._exponent_tuple(exponents)
+        if not all(map(operator.le, exps, self.caps)):
+            return Q(0)
+        return Fraction(self.nums.get(_layout(self.caps).key(exps), 0), self.den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lex order (total degree, then exponent tuple)."""
@@ -275,7 +315,8 @@ class MultiSeries:
         return (
             self.variables == other.variables
             and self.caps == other.caps
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     __hash__ = None
@@ -293,28 +334,35 @@ class MultiSeries:
                 f"{dict(zip(other.variables, other.caps))}"
             )
 
+    def _with(self, den: int, nums: dict[int, int]) -> "MultiSeries":
+        """A series at these variables and caps, ``nums`` reduced in place."""
+        return MultiSeries._trusted(self.variables, self.caps, *_reduce(den, nums))
+
     def _combine(self, other: "MultiSeries", subtract: bool) -> "MultiSeries":
-        """self + other, or self - other: one pass over other's terms."""
+        """self + other, or self - other: both sides on the lcm of the two
+        denominators, one pass over other's numerators."""
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = -c if subtract else c
-                continue
-            s = s - c if subtract else s + c
+        d = math.lcm(self.den, other.den)
+        m = d // self.den
+        out = {k: v * m for k, v in self.nums.items()} if m != 1 else dict(self.nums)
+        m = d // other.den
+        if subtract:
+            m = -m
+        get = out.get
+        for k, v in other.nums.items():
+            s = get(k, 0) + v * m
             if s:
-                out[exps] = s
+                out[k] = s
             else:
-                del out[exps]
-        return MultiSeries._trusted(self.variables, self.caps, out)
+                del out[k]
+        return self._with(d, out)
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         return self._combine(other, False)
 
     def __neg__(self) -> "MultiSeries":
         return MultiSeries._trusted(
-            self.variables, self.caps, {e: -c for e, c in self.terms.items()}
+            self.variables, self.caps, self.den, {k: -v for k, v in self.nums.items()}
         )
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
@@ -328,29 +376,23 @@ class MultiSeries:
 
     def scale(self, k) -> "MultiSeries":
         k = as_rational(k)
-        terms = {e: c * k for e, c in self.terms.items()} if k else {}
-        return MultiSeries._trusted(self.variables, self.caps, terms)
+        if not k:
+            return MultiSeries._trusted(self.variables, self.caps, 1, {})
+        p = k.numerator
+        return self._with(self.den * k.denominator, {e: v * p for e, v in self.nums.items()})
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        """Truncated Cauchy product, summed on integer numerators and packed keys.
+        """Truncated Cauchy product of the numerators over the product of the
+        denominators.
 
-        Each operand is written as integer numerators over the lcm of its
-        denominators and packed once, keyed by its exponents packed into one
-        int (the ``_Layout`` of the caps); ``_cauchy`` accumulates the pair
-        products as integers, skipping a pair whose packed sum sets a guard
-        bit, that is, has an exponent past its cap.  Each product key is
-        unpacked once, and each output coefficient is one
-        ``Fraction(sum, da * db)``, which reduces to the same value the
-        ``Fraction`` sum would give.
+        ``_cauchy`` accumulates the pair products as integers on packed keys,
+        skipping a pair whose packed sum sets a guard bit, that is, has an
+        exponent past its cap; the result is reduced by its content once.
         """
         self._check_compatible(other)
         layout = _layout(self.caps)
-        da, a = layout.pack(self.terms)
-        db, b = layout.pack(other.terms)
-        d = da * db
-        product = _cauchy(a, b, layout.guard, layout.offset)
-        terms = {layout[k]: Fraction(v, d) for k, v in product.items()}
-        return MultiSeries._trusted(self.variables, self.caps, terms)
+        product = _cauchy(self.nums, other.nums, layout.guard, layout.offset)
+        return self._with(self.den * other.den, product)
 
     def __truediv__(self, other: "MultiSeries") -> "MultiSeries":
         """self / other for a divisor with constant term 1."""
@@ -372,19 +414,20 @@ class MultiSeries:
         return out
 
     def shift(self, v: str, k: int = 1) -> "MultiSeries":
-        """Multiply by the monomial v^k (k >= 0); overflowing terms drop."""
+        """Multiply by the monomial v^k (k >= 0); overflowing terms drop.
+
+        A kept key moves by k within v's bit field."""
         if v not in self.variables:
             raise UnknownVariable(v)
         if k < 0:
             raise ValueError("negative monomial shift on a body series")
         i = self.variables.index(v)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i] + k
-            if e > self.caps[i]:
-                continue
-            out[exps[:i] + (e,) + exps[i + 1:]] = c
-        return MultiSeries._trusted(self.variables, self.caps, out)
+        shift, mask = _layout(self.caps).fields[i]
+        room = self.caps[i] - k
+        step = k << shift
+        return self._with(self.den, {
+            key + step: c for key, c in self.nums.items() if key >> shift & mask <= room
+        })
 
     def derivative(self, v: str) -> "MultiSeries":
         """Formal partial derivative; the cap of v drops by one because the
@@ -397,13 +440,15 @@ class MultiSeries:
         if self.caps[i] == 0:
             raise ValueError(f"derivative in {v!r} of a series cut at order 0")
         caps = self.caps[:i] + (self.caps[i] - 1,) + self.caps[i + 1:]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        old, new = _layout(self.caps), _layout(caps)
+        unit = 1 << new.shifts[i]
+        out: dict[int, int] = {}
+        for key, c in self.nums.items():
+            exps = old[key]
             e = exps[i]
-            if e == 0:
-                continue
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-        return MultiSeries._trusted(self.variables, caps, out)
+            if e:
+                out[new.key(exps) - unit] = c * e
+        return MultiSeries._trusted(self.variables, caps, *_reduce(self.den, out))
 
     # -- shape changes -----------------------------------------------------
 
@@ -412,11 +457,13 @@ class MultiSeries:
         names, degs = _normalize_caps(caps)
         if names != self.variables:
             raise CapMismatch("truncate cannot change the variable set")
-        terms = {
-            exps: c for exps, c in self.terms.items()
-            if all(map(operator.le, exps, degs))
-        }
-        return MultiSeries._trusted(names, degs, terms)
+        old, new = _layout(self.caps), _layout(degs)
+        out: dict[int, int] = {}
+        for key, c in self.nums.items():
+            exps = old[key]
+            if all(map(operator.le, exps, degs)):
+                out[new.key(exps)] = c
+        return MultiSeries._trusted(names, degs, *_reduce(self.den, out))
 
     def extend(self, extra_caps: Mapping[str, int]) -> "MultiSeries":
         """Embed into a larger variable set; new variables get degree 0."""
@@ -428,51 +475,47 @@ class MultiSeries:
             else:
                 caps[name] = c
         new_names, new_caps = _normalize_caps(caps)
-        idx = [new_names.index(v) for v in self.variables]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            full = [0] * len(new_names)
-            for pos, e in zip(idx, exps):
-                full[pos] = e
-            out[tuple(full)] = c
-        return MultiSeries._trusted(new_names, new_caps, out)
+        new = _layout(new_caps)
+        shifts = [new.shifts[new_names.index(v)] for v in self.variables]
+        old = _layout(self.caps)
+        out = {sum(map(operator.lshift, old[k], shifts)): c for k, c in self.nums.items()}
+        return MultiSeries._trusted(new_names, new_caps, self.den, out)
 
     # -- evaluation / rendering --------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation of the truncated polynomial at rational point.
 
-        The sum runs over integers on one common denominator: the lcm of the
-        coefficient denominators times each coordinate's denominator raised
-        to its cap.  Only the final quotient is reduced.
+        The sum runs over the integer numerators on one common denominator:
+        ``den`` times each coordinate's denominator raised to its cap.  Only
+        the final quotient is reduced.
         """
         vals = [as_rational(point[v]) for v in self.variables]
-        if not self.terms:
+        if not self.nums:
             return Q(0)
-        common = math.lcm(*(c.denominator for c in self.terms.values()))
-        denominator = common
-        # powers[i][e] = p^e * q^(cap - e) for the coordinate p/q of variable i
-        powers = []
-        for val, cap in zip(vals, self.caps):
+        denominator = self.den
+        # columns[i] = (shift, mask, row): row[e] = p^e * q^(cap - e) for the
+        # coordinate p/q of variable i, read off bit field i of a key
+        columns = []
+        for val, cap, (shift, mask) in zip(vals, self.caps, _layout(self.caps).fields):
             p, q = val.numerator, val.denominator
             p_pows = [1]
             q_pows = [1]
             for _ in range(cap):
                 p_pows.append(p_pows[-1] * p)
                 q_pows.append(q_pows[-1] * q)
-            powers.append([p_pows[e] * q_pows[cap - e] for e in range(cap + 1)])
+            columns.append((shift, mask, [p_pows[e] * q_pows[cap - e] for e in range(cap + 1)]))
             denominator *= q_pows[cap]
         total = 0
-        for exps, c in self.terms.items():
-            term = c.numerator * (common // c.denominator)
-            for row, e in zip(powers, exps):
-                term *= row[e]
+        for key, term in self.nums.items():
+            for shift, mask, row in columns:
+                term *= row[key >> shift & mask]
             total += term
         return Fraction(total, denominator)
 
     def render(self) -> str:
         """Canonical text form: graded-lex term order, exact rationals."""
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.sorted_terms():
@@ -495,33 +538,37 @@ class MultiSeries:
 
 # -- Horn term-ratio kernel --------------------------------------------------
 
-def horn_coefficients(
+def _horn_numerators(
     a: Fraction,
     axes: Sequence[tuple[int, tuple[Fraction, ...]]],
-    *,
-    start: Fraction = Fraction(1),
-    prefix: tuple[int, ...] = (),
-) -> dict[tuple[int, ...], Fraction]:
-    """Nonzero coefficients start * (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
+    start: Fraction,
+    shifts: Sequence[int],
+    lead: int = 0,
+) -> tuple[int, dict[int, int]]:
+    """The coefficients of ``horn_coefficients`` as reduced integer
+    numerators over one denominator, keyed ``lead + sum_i k_i << shifts[i]``.
 
-    ``axes`` gives each index's cap and bottom parameters, in the order the
-    index tuples are keyed, and each coefficient is keyed ``prefix + k``, so
-    a caller can merge a scaled grid into a dict of its own.  The grid is
-    walked in lexicographic order on an unreduced integer pair: with a = p/q
-    and each bottom r/s, the step k -> k+1 on an index whose predecessors
-    sum to o multiplies the numerator by (p + q(o+k)) prod s and the
-    denominator by q (k+1) prod (r + s k), and one ``Fraction`` is made per
-    coefficient.
+    With a = p/q and each bottom r/s, the step k -> k+1 on index i, whose
+    predecessors sum to o, multiplies a coefficient by the top
+    (p + q(o+k)) prod s over the bottom b_i(k) = q (k+1) prod (r + s k).
+    The bottom depends on i and k alone, so D = den(start) prod_i
+    prod_{k < cap_i} b_i(k) is a common denominator, and the numerator at k
+    is num(start) times the tops along the path times prod_i S_i(k_i), with
+    S_i(k) = prod_{k <= j < cap_i} b_i(j).  The walk multiplies one integer
+    per step and one per output term; the result is reduced once.
+
     Once a coefficient vanishes (a is a non-positive integer) every later
     one along that index and below it vanishes too, so the walk stops there.
+    A zero bottom b_i(k) ends index i at k, where it must stop: a step past
+    it raises ZeroDivisionError.
     """
-    out: dict[tuple[int, ...], Fraction] = {}
     if not start:
-        return out
+        return 1, {}
     p, q = a.numerator, a.denominator
     steps = []
+    den = start.denominator
     before = 0
-    for cap, lower in axes:
+    for (cap, lower), shift in zip(axes, shifts):
         scale = 1
         for low in lower:
             scale *= low.denominator
@@ -532,37 +579,100 @@ def horn_coefficients(
             d = q * (k + 1)
             for low in lower:
                 d *= low.numerator + low.denominator * k
+            if not d:
+                break
             bottoms.append(d)
-        steps.append((cap, tops, bottoms))
+        suffix = [1] * (len(bottoms) + 1)
+        for k in range(len(bottoms) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] * bottoms[k]
+        den *= suffix[0]
+        steps.append((cap, len(bottoms), 1 << shift, tops, suffix))
         before += cap
-    _horn_walk(steps, 0, start.numerator, start.denominator, 0, prefix, out)
-    return out
+    num = start.numerator
+    if den < 0:
+        den, num = -den, -num
+    nums: dict[int, int] = {}
+    _horn_walk(steps, 0, num, 0, lead, nums)
+    return _reduce(den, nums)
 
 
 def _horn_walk(
-    steps: list[tuple[int, list[int], list[int]]],
+    steps: list[tuple[int, int, int, list[int], list[int]]],
     i: int,
     num: int,
-    den: int,
     total: int,
-    prefix: tuple[int, ...],
-    out: dict[tuple[int, ...], Fraction],
+    key: int,
+    out: dict[int, int],
 ) -> None:
-    """Fill ``out`` below ``prefix``; num/den sits at (prefix, 0, ..., 0)."""
-    cap, tops, bottoms = steps[i]
+    """Fill ``out`` from index i on; ``num`` is the numerator at key (the
+    indices from i on at 0) without the suffix products of i and later."""
+    cap, reach, unit, tops, suffix = steps[i]
     last = i == len(steps) - 1
-    for k in range(cap + 1):
+    for k in range(reach + 1):
         if last:
-            out[prefix + (k,)] = Fraction(num, den)
+            out[key] = num * suffix[k]
         else:
-            _horn_walk(steps, i + 1, num, den, total + k, prefix + (k,), out)
+            _horn_walk(steps, i + 1, num * suffix[k], total + k, key, out)
         if k == cap:
             break
         top = tops[total + k]
         if not top:
             break
+        if k == reach:
+            raise ZeroDivisionError(f"Horn step past a zero bottom factor at index {k}")
         num *= top
-        den *= bottoms[k]
+        key += unit
+
+
+def horn_coefficients(
+    a: Fraction,
+    axes: Sequence[tuple[int, tuple[Fraction, ...]]],
+    *,
+    start: Fraction = Fraction(1),
+    prefix: tuple[int, ...] = (),
+) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero coefficients start * (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
+
+    ``axes`` gives each index's cap and bottom parameters, in the order the
+    index tuples are keyed, and each coefficient is keyed ``prefix + k``.
+    This is the ``Fraction`` view of the integer walk that ``horn_series``
+    and ``horn_compose`` use.
+    """
+    layout = _layout(tuple(cap for cap, _ in axes))
+    den, nums = _horn_numerators(a, axes, start, layout.shifts)
+    return {prefix + layout[k]: Fraction(v, den) for k, v in nums.items()}
+
+
+def horn_series(
+    variables: tuple[str, ...],
+    caps: tuple[int, ...],
+    grids: Iterable[tuple[Fraction, Sequence[tuple[Fraction, ...]], Fraction, tuple[int, ...]]],
+) -> MultiSeries:
+    """A sum of Horn grids as one series over sorted ``variables`` cut at ``caps``.
+
+    Each grid ``(a, lowers, start, lead)`` fixes the leading exponents to
+    ``lead`` and walks the remaining variables, whose bottom parameters
+    ``lowers`` lists in order: its terms are start times the
+    ``horn_coefficients`` of a at those caps.  Distinct grids need distinct
+    leads.  Each grid is reduced over its own denominator, and the grids are
+    put on the lcm of those, which keeps the sum reduced.
+    """
+    shifts = _layout(caps).shifts
+    planes = []
+    for a, lowers, start, lead in grids:
+        n = len(lead)
+        axes = list(zip(caps[n:], lowers))
+        planes.append(_horn_numerators(a, axes, start, shifts[n:],
+                                       sum(map(operator.lshift, lead, shifts))))
+    den = math.lcm(*(d for d, _ in planes))
+    if len(planes) == 1:
+        return MultiSeries._trusted(variables, caps, den, planes[0][1])
+    nums: dict[int, int] = {}
+    for d, plane in planes:
+        m = den // d
+        for k, v in plane.items():
+            nums[k] = v * m
+    return MultiSeries._trusted(variables, caps, den, nums)
 
 
 def horn_compose(
@@ -578,14 +688,13 @@ def horn_compose(
 
     The sum runs on integers and packed keys (the ``_Layout`` of the caps,
     whose guard bits drop the pairs of every product that pass a cap).  Each
-    argument is written as integer numerators U_i over the lcm D_i of its
-    denominators, packed once, and its powers are the integer series U_i^k,
-    kept packed.  With B_i the highest power kept and C the lcm of the
-    coefficients' denominators, the sum times C prod D_i^(B_i) is
-    sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i), accumulated in one packed
-    integer dict (the innermost index as a weighted sum of powers, each outer
-    one as one product per power); its keys are unpacked once, when each
-    output coefficient becomes one ``Fraction``.
+    argument is its integer numerators U_i over its denominator D_i, and its
+    powers are the integer series U_i^k, kept packed.  With B_i the highest
+    power kept and C the denominator of the coefficients' integer walk, the
+    sum times C prod D_i^(B_i) is sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i),
+    accumulated in one packed integer dict (the innermost index as a
+    weighted sum of powers, each outer one as one product per power) and
+    reduced once.
     """
     first = args[0][0]
     variables, caps = first.variables, first.caps
@@ -597,10 +706,10 @@ def horn_compose(
     rows = []
     denominator = 1
     for arg, _ in args:
-        if arg.constant_term():
+        if 0 in arg.nums:
             raise NonZeroConstantTerm("composition arguments need zero constant term")
         first._check_compatible(arg)
-        d, u = layout.pack(arg.terms)
+        d, u = arg.den, arg.nums
         row = [{0: 1}]
         while len(row) <= bound:
             nxt = _cauchy(row[-1], u, guard, offset)
@@ -614,31 +723,33 @@ def horn_compose(
         denominator *= d ** top
         rows.append(row)
     axes = [(len(row) - 1, lower) for row, (_, lower) in zip(rows, args)]
-    # past the bound the product of powers is zero
-    coeffs = [(k, c) for k, c in horn_coefficients(a, axes).items() if sum(k) <= bound]
-    common = math.lcm(*(c.denominator for _, c in coeffs))
-    weights = {k: c.numerator * (common // c.denominator) for k, c in coeffs}
-    total = _power_sum(rows, weights, guard, offset, (), bound)
-    d = common * denominator
-    terms = {layout[e]: Fraction(v, d) for e, v in total.items() if v}
-    return MultiSeries._trusted(variables, caps, terms)
+    # weights keyed by packed index tuples; past the bound the product of
+    # powers is zero, so those are never read
+    shifts = _layout(tuple(cap for cap, _ in axes)).shifts
+    common, weights = _horn_numerators(a, axes, Fraction(1), shifts)
+    total = _power_sum(rows, weights, shifts, guard, offset, 0, 0, bound)
+    for e in [e for e, v in total.items() if not v]:
+        del total[e]
+    return MultiSeries._trusted(variables, caps, *_reduce(common * denominator, total))
 
 
 def _power_sum(
     rows: list[list[dict[int, int]]],
-    weights: dict[tuple[int, ...], int],
+    weights: dict[int, int],
+    shifts: Sequence[int],
     guard: int,
     offset: int,
-    prefix: tuple[int, ...],
+    i: int,
+    index: int,
     room: int,
 ) -> dict[int, int]:
-    """Integer sum over k extending ``prefix`` of weights[k] * prod_i rows[i][k_i],
-    the product taken over the indices after ``prefix``, on packed keys."""
+    """Integer sum over k with k_j fixed for j < i (packed in ``index`` by
+    ``shifts``) of weights[k] * prod_{j >= i} rows[j][k_j], on packed keys."""
     out: dict[int, int] = {}
-    i = len(prefix)
     row = rows[i]
+    shift = shifts[i]
     for k in range(min(len(row) - 1, room) + 1):
-        key = prefix + (k,)
+        key = index + (k << shift)
         if i == len(rows) - 1:
             w = weights.get(key)
             if not w:
@@ -646,7 +757,7 @@ def _power_sum(
             for e, v in row[k].items():
                 out[e] = out.get(e, 0) + w * v
             continue
-        inner = _power_sum(rows, weights, guard, offset, key, room - k)
+        inner = _power_sum(rows, weights, shifts, guard, offset, i + 1, key, room - k)
         if inner:
             for e, v in _cauchy(row[k], inner, guard, offset).items():
                 out[e] = out.get(e, 0) + v
@@ -657,18 +768,20 @@ def first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> tuple[str, Fraction, F
     """The graded-lex least monomial where two series differ, or None.
 
     Returns the monomial as text (``chi^1*x^0``, or ``1`` without variables)
-    and the two coefficients there.  The series are compared term by term;
-    no difference series is formed.  Raises CapMismatch when their variables
-    or caps differ.
+    and the two coefficients there.  Equal series have equal stored forms,
+    so those are compared first; otherwise the numerators are compared
+    crosswise over the two denominators, and no difference series is
+    formed.  Raises CapMismatch when their variables or caps differ.
     """
     lhs._check_compatible(rhs)
-    a, b = lhs.terms, rhs.terms
-    if a == b:
+    a, b, da, db = lhs.nums, rhs.nums, lhs.den, rhs.den
+    if da == db and a == b:
         return None
-    exps = min((e for e in a.keys() | b.keys() if a.get(e) != b.get(e)),
-               key=lambda e: (sum(e), e))
-    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, exps)) or "1"
-    return mono, a.get(exps, Q(0)), b.get(exps, Q(0))
+    layout = _layout(lhs.caps)
+    key = min((k for k in a.keys() | b.keys() if a.get(k, 0) * db != b.get(k, 0) * da),
+              key=lambda k: (sum(layout[k]), layout[k]))
+    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, layout[key])) or "1"
+    return mono, Fraction(a.get(key, 0), da), Fraction(b.get(key, 0), db)
 
 
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -17,8 +18,10 @@ from hypersym.series import (
     PrefactorSeries,
     UnknownVariable,
     exp_series,
+    _layout,
     horn_coefficients,
     horn_compose,
+    horn_series,
     pow_rational,
 )
 
@@ -418,13 +421,28 @@ def naive_product(a, b):
     return MultiSeries(a.cap_map(), out)
 
 
+def assert_stored_form(s):
+    """A positive denominator coprime to the nonzero int numerators, each
+    keyed by a packed exponent tuple inside the caps."""
+    assert type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    layout = _layout(s.caps)
+    for key, v in s.nums.items():
+        assert type(v) is int and v != 0
+        exps = layout[key]
+        assert layout.key(exps) == key
+        assert all(e <= cap for e, cap in zip(exps, s.caps))
+
+
 def assert_clean(s):
-    """The trusted-cap invariant: the public constructor would change nothing."""
+    """The trusted-cap invariant: the public constructor would change nothing,
+    and the stored form is reduced."""
     assert MultiSeries(s.cap_map(), s.terms) == s
     for exps, c in s.terms.items():
         assert type(c) is Q and c != 0
         assert len(exps) == len(s.variables)
         assert all(type(e) is int and 0 <= e <= cap for e, cap in zip(exps, s.caps))
+    assert_stored_form(s)
 
 
 class TestMulKernel:
@@ -534,6 +552,61 @@ class TestHornKernel:
 
     def test_zero_start_gives_nothing(self):
         assert horn_coefficients(Q(1, 2), self.AXES, start=Q(0), prefix=(1,)) == {}
+
+
+class TestHornWalk:
+    """The integer walk over the far-corner denominator: its stored form is
+    reduced and its ``Fraction`` view is the Pochhammer formula."""
+
+    LOWERS = ((Q(4, 3),), (Q(-5, 7), Q(1, 2)), ())
+
+    @pytest.mark.parametrize("a", [Q(-2), Q(1, 2), Q(-7, 3), Q(0)])
+    @pytest.mark.parametrize("start", [Q(1), Q(-7, 4), Q(0)])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("caps", [(3, 2, 2), (0, 2, 3), (2, 0, 0)])
+    def test_stored_form_is_the_scaled_formula(self, a, start, lead, caps):
+        variables = ("chi", "x", "y", "z")[len(lead) == 0:]
+        all_caps = (3,) * len(lead) + caps
+        s = horn_series(variables, all_caps, [(a, self.LOWERS, start, lead)])
+        assert_clean(s)
+        expected = {}
+        for k in itertools.product(*(range(cap + 1) for cap in caps)):
+            c = start * horn_formula(a, self.LOWERS, k)
+            if c:
+                expected[lead + k] = c
+        assert s.terms == expected
+        axes = list(zip(caps, self.LOWERS))
+        assert horn_coefficients(a, axes, start=start, prefix=lead) == expected
+
+    def test_grids_sum_on_the_lcm_of_their_denominators(self):
+        grids = [(Q(1, 2), [(Q(4, 3),)], Q(1), (0,)),
+                 (Q(3, 2), [(Q(7, 3),)], Q(-1, 6), (1,)),
+                 (Q(5, 2), [(Q(10, 3),)], Q(0), (2,)),
+                 (Q(7, 2), [(Q(13, 3),)], Q(5, 9), (3,))]
+        s = horn_series(("chi", "x"), (3, 4), grids)
+        assert_clean(s)
+        expected = {}
+        for a, lowers, start, lead in grids:
+            for k, c in horn_coefficients(a, [(4, lowers[0])], start=start, prefix=lead).items():
+                expected[k] = c
+        assert s.terms == expected
+
+    def test_zero_bottom_factor_raises(self):
+        # b = -1: the step from x^1 to x^2 divides by b + 1 = 0
+        with pytest.raises(ZeroDivisionError):
+            horn_coefficients(Q(1, 2), [(3, (Q(-1),))])
+        with pytest.raises(ZeroDivisionError):
+            horn_series(("x",), (3,), [(Q(1, 2), [(Q(-1),)], Q(1), ())])
+        with pytest.raises(ZeroDivisionError):
+            horn_series(("x", "y"), (2, 3), [(Q(1, 2), [(), (Q(-1),)], Q(1), ())])
+
+    def test_zero_bottom_factor_past_a_terminating_top(self):
+        # a = -1 ends the walk at x^1, before the zero factor b + 2 = 0 of
+        # the step from x^2 to x^3, so nothing is divided by zero
+        s = horn_series(("x",), (4,), [(Q(-1), [(Q(-2),)], Q(1), ())])
+        assert s.terms == {(0,): Q(1), (1,): Q(1, 2)}
+        assert_clean(s)
+        assert horn_coefficients(Q(-1), [(4, (Q(-2),))]) == s.terms
 
 
 @st.composite
@@ -681,6 +754,16 @@ class TestTrustedCaps:
             else:
                 assert_clean(a.derivative(v))
 
+    @settings(max_examples=60, deadline=None)
+    @given(series_pair(), series_pair())
+    def test_equality_is_equality_of_terms(self, pair, other):
+        a, b = pair
+        results = list(ring_and_reshape_results(a, b))
+        results += [r for r in ring_and_reshape_results(*other) if r.caps == a.caps]
+        for r, s in itertools.product(results, repeat=2):
+            same_shape = r.variables == s.variables and r.caps == s.caps
+            assert (r == s) == (same_shape and r.terms == s.terms)
+
     @pytest.mark.parametrize("a", [Q(1, 2), Q(-3), Q(0), Q(7, 3)])
     def test_horn_series(self, a):
         p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
@@ -709,6 +792,21 @@ class TestPublicConstructor:
             MultiSeries({"x": -1})
         with pytest.raises(TypeError):
             MultiSeries({"x": 2}, {(1,): 0.5})
+
+    def test_rejects_non_integral_exponents(self):
+        with pytest.raises(TypeError):
+            MultiSeries({"x": 3}, {(1.5,): 1})
+        with pytest.raises(TypeError):
+            MultiSeries.monomial(1, {"x": 1.5}, {"x": 3})
+
+    def test_monomial_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            MultiSeries.monomial(1, {"x": -1}, {"x": 3})
+
+    def test_integral_exponent_types_are_accepted(self):
+        # anything with __index__ is an integer exponent
+        s = MultiSeries({"x": 3}, {(True,): 2})
+        assert s == MultiSeries.monomial(2, {"x": True}, {"x": 3}) == ms({"x": 3}, {(1,): 2})
 
     def test_cleans_its_input(self):
         s = MultiSeries({"x": 2}, {(0,): 0, (1,): "3/4", (3,): 5, (2,): 2})

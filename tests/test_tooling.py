@@ -54,6 +54,62 @@ def test_every_tracer_target_resolves():
     assert [t for t in targets if not _resolves(t)] == []
 
 
+def _tracer_function(name):
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise AssertionError(f"tracer.py defines no {name}")
+
+
+def _attributes_off(node, roots):
+    """Names of the attributes read directly off the names ``roots``, also
+    through subscripts (``args[0].terms``), anywhere inside ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            base = sub.value
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in roots:
+                out.add(sub.attr)
+    return out
+
+
+def test_count_hooks_read_only_the_terms_view():
+    """The traced ``series.*`` and ``hypfun.coeff.terms`` counts read a
+    series only through ``terms`` and each coefficient only through
+    ``numerator`` and ``denominator``."""
+    assert _attributes_off(_tracer_function("_count_hook"), {"result", "args"}) == {"terms"}
+    coeff_bits = _tracer_function("_coeff_bits")
+    (series,) = [a.arg for a in coeff_bits.args.args]
+    assert _attributes_off(coeff_bits, {series}) == {"terms"}
+    loops = [node for node in ast.walk(coeff_bits) if isinstance(node, ast.For)]
+    coefficients = {node.target.id for node in loops}
+    assert _attributes_off(coeff_bits, coefficients) == {"numerator", "denominator"}
+
+
+def test_series_results_expose_reduced_fraction_terms():
+    """What the count hooks read off the results of the traced series
+    functions is a dict from exponent tuples to reduced ``Fraction``s."""
+    from fractions import Fraction as Q
+    from math import gcd
+
+    from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series
+
+    f = f11_series(Params1F1(Q(1, 2), Q(4, 3)), 6)
+    g = psi2_3var_series(ParamsPsi2(Q(-7, 3), Q(4, 3), Q(5, 7)), 3, 2, 2)
+    for s in (f, g, f * f, g * g):
+        terms = s.terms
+        assert type(terms) is dict and len(terms) > 3
+        for exps, c in terms.items():
+            assert type(exps) is tuple and len(exps) == len(s.variables)
+            assert all(type(e) is int for e in exps)
+            assert type(c) is Q and c != 0
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    assert max(c.denominator.bit_length() for c in (f * f).terms.values()) > 1
+
+
 def _package_uses(path):
     """(module, name) for every ``module.name`` the file reads from the
     hypersym modules it imports."""
