@@ -1,8 +1,11 @@
 """Exact rational scalars and Pochhammer symbols.
 
-Every coefficient in the engine is a ``fractions.Fraction`` (arbitrary
-precision, always in lowest terms with positive denominator), so equality
-checks downstream are exact.  Gamma functions are never evaluated: they only
+Every scalar in the engine is exact: parameters, weights and the
+coefficients a series hands out are ``fractions.Fraction``s (arbitrary
+precision, always in lowest terms with positive denominator), and a series
+stores its coefficients as integer numerators over one reduced common
+denominator (``series.MultiSeries``), so equality checks downstream are
+exact.  Gamma functions are never evaluated: they only
 ever occur in ratios of parameter-shifted instances, which collapse to
 Pochhammer products.
 """

@@ -14,10 +14,9 @@ parameters ([b] for x, [c] for y, none for the third index).  ``FAMILIES``
 states each family once, keyed ``"f11"``, ``"psi2"`` and ``"psi2x3"``: its
 parameter class, its coordinates and their bottom parameters, its exact
 series at one order, its composition and its float value.  The exact
-series take their coefficients from ``series.horn_coefficients``, which
-walks the grid on integers and makes one ``Fraction`` per coefficient; the
-compositions are ``series.horn_compose`` calls; both read the bottom
-parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
+series are ``series.horn_series`` calls, which walk the grid on integers
+over one common denominator; the compositions are ``series.horn_compose``
+calls; both read the bottom parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
 closed Pochhammer form.  The float sums of ``psi2`` and ``psi2x3`` are one
 nested sum around ``f11_eval_float``, with one outer level per coordinate
 after x, which sums each inner 1F1(a + k; b; x) once per offset k.
@@ -25,7 +24,7 @@ after x, which sums each inner 1F1(a + k; b; x) once per offset k.
 ``ACTION_RULES`` states each catalogued operator's action on the family,
 E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
 
-Everything here is stateless; exact paths stay in Fractions, floating paths
+Everything here is stateless; exact paths stay exact, floating paths
 use a tail-domination stopping rule (terms can grow before they decay, so a
 single small term is not evidence of convergence).
 """

@@ -1,50 +1,63 @@
 """Truncated multivariate formal power series over exact rationals.
 
-A :class:`MultiSeries` stores a sparse map from exponent tuples to nonzero
-``Fraction`` coefficients, together with a per-variable truncation cap.  The
-caps are *trusted orders*: every stored coefficient is exactly the
-coefficient of the represented function, and anything beyond a cap has been
-discarded.  Ring operations (add, mul, integer/rational powers) preserve
-exactness at the caps; only :meth:`MultiSeries.derivative` genuinely loses
-the top order of the differentiated variable and therefore reduces its cap
-by one, which a variable cut at order 0 cannot give up.  A number on the
-left of ``+`` or ``-`` is a constant series, ``s / t`` is
-``s * pow_rational(t, -1)`` (so t needs constant term 1) and ``s ** g`` is
-``pow_rational(s, g)``, so a closed form such as
-``(1 - chi) ** -a * F(x / (1 - chi))`` reads the same on series as on
-floats.
+A :class:`MultiSeries` has a per-variable truncation cap.  The caps are
+*trusted orders*: every stored coefficient is exactly the coefficient of
+the represented function, and anything beyond a cap has been discarded.
+Ring operations (add, mul, integer/rational powers) preserve exactness at
+the caps; only :meth:`MultiSeries.derivative` genuinely loses the top order
+of the differentiated variable and therefore reduces its cap by one, which
+a variable cut at order 0 cannot give up.  A number on the left of ``+`` or
+``-`` is a constant series, ``s / t`` is ``s * pow_rational(t, -1)`` (so t
+needs constant term 1) and ``s ** g`` is ``pow_rational(s, g)``, so a
+closed form such as ``(1 - chi) ** -a * F(x / (1 - chi))`` reads the same
+on series as on floats.
 
 Per-variable caps (rather than a total-degree cap) matter because the
 verification workloads pair a deformation order in one variable with an
 independent inner order in the others.
 
-The Horn term-ratio kernel lives here.  ``horn_coefficients`` walks the
-index grid on an unreduced integer numerator/denominator pair, multiplying
-in each term ratio as integer factors, and makes one ``Fraction`` per
-coefficient; it can start from a given coefficient and key its grid under a
-prefix, so a scaled grid merges into a larger series as it stands.
-``horn_compose`` sums those coefficients against powers of series arguments
-on integers and packed keys: each argument becomes integer numerators over
-the lcm of its denominators, packed once, its powers are packed integer
-series, and the whole sum is one packed integer dict over one common
-denominator, unpacked once, with one ``Fraction`` per output term.
+Storage.  A series stores one positive integer denominator ``den`` and a
+dict ``nums`` of nonzero integer numerators, the coefficient at exponents e
+being ``nums[key] / den``.  Each exponent tuple is packed into one int
+(``_Layout``: a bit field per variable, topped by a guard bit).  The pair
+is reduced by its content, gcd(den, *nums) == 1, which is the form the
+public constructor gives reduced ``Fraction``s over the lcm of their
+denominators; so equal series have equal stored forms.  Each operation
+that can change the content divides it out once (``_reduce``), in place.
+``+`` and ``-`` put both sides on the lcm of the two denominators, ``*`` is
+the Cauchy sum of the numerators over the product of the denominators
+(``_cauchy``, the one product loop, which ``horn_compose`` uses too: per
+term pair one int add, one test of the guard bits, which is nonzero exactly
+when an exponent of the sum passes its cap, one int product and one dict
+update), ``shift`` moves keys within a bit field, and ``derivative``,
+``truncate`` and ``extend`` repack keys for their new caps.
+``MultiSeries.terms`` is a ``Fraction`` view keyed by exponent tuples,
+built on each read; ``render``, ``coefficient`` and the report witnesses of
+``first_mismatch`` read reduced ``Fraction``s, and nothing else makes one
+per term.
+
+The public constructor ``MultiSeries(caps, terms)`` and
+``MultiSeries.monomial`` are the entry points for outside input: they
+coerce every coefficient, take exponents through ``operator.index``, reject
+negative exponents and malformed tuples and drop zero and over-cap terms.
+Ring and reshape operations build their results with the private
+``MultiSeries._trusted``, which takes a reduced stored form and checks
+nothing.
+
+The Horn term-ratio kernel lives here.  In a Horn series a step k -> k+1 on
+one index multiplies a coefficient by a top factor over a bottom factor,
+and the bottom depends only on the index and k.  So the product D of every
+bottom up to the grid's far corner is a common denominator, and the
+numerator at k is the start's numerator times the tops along the path times,
+per index, the product of its bottoms from k_i to the cap.  ``_horn_walk``
+writes those numerators on packed keys with one int product per step and
+per term and no gcd; the grid is reduced once.  ``horn_series`` sums such
+grids, each under fixed leading exponents, into one series;
+``horn_coefficients`` is their ``Fraction`` view.  ``horn_compose`` sums the
+walk's coefficients against the packed integer powers of series arguments
+in one integer dict over one common denominator, reduced once.
 ``pow_rational``, ``exp_series`` and the compositions in ``hypfun`` are
 calls to it.
-
-The public constructor ``MultiSeries(caps, terms)`` is the entry point for
-outside input: it coerces every coefficient, rejects malformed exponent
-tuples and drops zero and over-cap terms.  Ring and reshape operations build
-their results with the private ``MultiSeries._trusted``, which takes terms
-that are clean by construction and checks nothing.  The product scales each
-operand to integer numerators over the lcm of its denominators and packs
-each exponent tuple into one int (``_Layout``: a bit field per variable,
-topped by a guard bit), so the Cauchy sum (``_cauchy``, the one product
-loop, which ``horn_compose`` uses too) takes per term pair one int add, one
-test of the guard bits, which is nonzero exactly when an exponent of the
-sum passes its cap, one int product and one dict update.  Keys are packed
-when an operand enters the product and unpacked once per output term, when
-its one reduced ``Fraction`` is made; ``MultiSeries.terms`` stays keyed by
-exponent tuples.
 
 :class:`PrefactorSeries` is a value type: a body series times a monomial
 prefactor with exact rational exponents (e.g. ``y^a z^b`` for non-integer

@@ -3,7 +3,8 @@ command's options, config fields and scope table agree.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``LAYERS`` table
 and silently lists a missing one instead of failing, so a rename in
-``hypersym`` would drop a layer from the traced run.  ``perfbench/pass_proc.py``
+``hypersym`` would drop a layer from the traced run; its count hooks read
+series through ``terms`` alone, so that view must stay.  ``perfbench/pass_proc.py``
 builds the catalogues by name before each pass, so a rename there would fail
 every pass.  Both files are read from their syntax trees: nothing under
 ``perfbench/`` is imported or wrapped.  The recorded references under
