@@ -1,11 +1,11 @@
 """First-order differential operators with Laurent-monomial coefficients.
 
 Covers the raising/lowering/maintenance operators of the two function
-families, their exact action on realized basis elements (``DiffOperator.apply``
-applies the product rule to a body series times a monomial prefactor with
-rational exponents, ``series.PrefactorSeries``), commutators (the
+families, their exact action on realized basis elements, commutators (the
 first-order vector-field bracket), exact span membership, and Runge-Kutta
-checks of the one-parameter flows against their closed forms.
+checks of the one-parameter flows against their closed forms.  A realized
+element (``Realized``) is a body series times a monomial prefactor with
+rational exponents; ``DiffOperator.apply`` holds the whole prefactor rule.
 ``build_catalogue`` is the hand-written statement of each operator; its
 action is checked against the rule of ``hypfun.ACTION_RULES``, and seven
 flow fields are the operators.
@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import Q, as_rational
 from .hypfun import ACTION_RULES, FAMILIES, param_strs
-from .series import MultiSeries, PrefactorSeries, UnknownVariable, first_mismatch
+from .series import MultiSeries, UnknownVariable, first_mismatch
 
 Monomial = tuple[tuple[str, int], ...]
 Pattern = tuple[Monomial, str | None]
@@ -34,6 +34,18 @@ Pattern = tuple[Monomial, str | None]
 
 class SingularFlow(ArithmeticError):
     """A closed-form flow denominator came within the safety margin of 0."""
+
+
+class PrefactorMismatch(ValueError):
+    """Prefactor exponents differ where they must agree."""
+
+
+class Realized(NamedTuple):
+    """``body`` times prod v^e over ``prefactor``, whose variables are not
+    body variables and whose exponents are rational (e.g. y^a z^b)."""
+
+    body: MultiSeries
+    prefactor: dict[str, Fraction]
 
 
 def _mono(exponents: Mapping[str, int]) -> Monomial:
@@ -169,7 +181,7 @@ class DiffOperator:
 
     # -- application to realized basis elements ----------------------------
 
-    def apply(self, f: PrefactorSeries) -> PrefactorSeries:
+    def apply(self, f: Realized) -> Realized:
         """Linear extension over terms, by the product rule on body * prod v^alpha_v.
 
         A term c*m*d_w with w a prefactor variable multiplies c by alpha_w
@@ -177,12 +189,18 @@ class DiffOperator:
         loses no order); with w a body variable it differentiates the body.
         Each factor v^e of m then adds e to alpha_v, or multiplies the body
         by v^e.  The prefactor and body variables must be disjoint.
+
+        Every nonzero term must carry the prefactor of the first one
+        (PrefactorMismatch otherwise, whatever the term order); all start
+        from the input's keys, so a 0 exponent is kept.  Their bodies are
+        summed at the common caps.  With no nonzero term the result is zero
+        at the input's caps with prefactor ``{}``.
         """
         body_vars = f.body.variables
         shared = f.prefactor.keys() & set(body_vars)
         if shared:
             raise ValueError(f"variables in both the body and the prefactor: {sorted(shared)}")
-        results: list[PrefactorSeries] = []
+        results: list[Realized] = []
         for (mono, deriv), coeff in self._terms.items():
             body, pf = f.body, dict(f.prefactor)
             if deriv in pf:
@@ -199,19 +217,19 @@ class DiffOperator:
                     body = body.shift(v, e)
                 else:
                     raise UnknownVariable(v)
-            g = PrefactorSeries(body.scale(coeff), pf)
-            if not g.is_zero():
-                results.append(g)
+            body = body.scale(coeff)
+            if not body.is_zero():
+                results.append(Realized(body, pf))
         if not results:
-            return PrefactorSeries(MultiSeries.zero(f.body.cap_map()), {})
-        caps = {
-            v: min(r.body.cap(v) for r in results)
-            for v in results[0].body.variables
-        }
-        total = results[0].truncate(caps)
+            return Realized(MultiSeries.zero(f.body.cap_map()), {})
+        prefactor = results[0].prefactor
+        caps = {v: min(r.body.cap(v) for r in results) for v in body_vars}
+        total = results[0].body.truncate(caps)
         for r in results[1:]:
-            total = total + r.truncate(caps)
-        return total
+            if r.prefactor != prefactor:
+                raise PrefactorMismatch(f"{prefactor} vs {r.prefactor}")
+            total = total + r.body.truncate(caps)
+        return Realized(total, prefactor)
 
 
 def _bump(store: dict, key, value: Fraction) -> None:
@@ -394,7 +412,7 @@ def family_operator_ids(family: str) -> list[str]:
 _PREFACTOR_VARIABLES = {"f11": ("y", "z"), "psi2": ("z", "u", "t")}
 
 
-def realize(kind: str, params, order: int) -> PrefactorSeries:
+def realize(kind: str, params, order: int) -> Realized:
     """Series realization of a basis element at the given truncation order.
 
     The family's series, every index cut at ``order``, times one prefactor
@@ -405,7 +423,7 @@ def realize(kind: str, params, order: int) -> PrefactorSeries:
     p = FAMILIES[kind].narrow(params)
     names = zip(_PREFACTOR_VARIABLES[kind], fields(p))
     prefactor = {v: getattr(p, f.name) for v, f in names}
-    return PrefactorSeries(FAMILIES[kind].series(p, order), prefactor)
+    return Realized(FAMILIES[kind].series(p, order), prefactor)
 
 
 def verify_action(op_id: str, params, order: int) -> dict:
@@ -414,8 +432,9 @@ def verify_action(op_id: str, params, order: int) -> dict:
     The family is the op id's prefix, and ``params`` is narrowed to it
     (TypeError when it cannot be); an unknown op raises KeyError, and a
     degenerate coefficient or shift DegenerateParameter before any series
-    is built.  Comparison happens at the common trusted caps.  Returns a
-    report row with status PASS or the first offending monomial.
+    is built.  Prefactors compare by their nonzero exponents (zero sides
+    match whatever they carry), bodies at the common trusted caps.  Returns
+    a report row with status PASS or the first offending monomial.
     """
     if op_id not in ACTION_RULES:
         raise KeyError(f"no action rule for {op_id}")
@@ -425,10 +444,9 @@ def verify_action(op_id: str, params, order: int) -> dict:
     coefficient = rule.coefficient(p)
     shifted = rule.shifted(p)
     lhs = catalogue()[op_id].apply(realize(kind, p, order))
-    rhs = realize(kind, shifted, order).scale(coefficient)
-    caps = {
-        v: min(lhs.body.cap(v), rhs.body.cap(v)) for v in lhs.body.variables
-    }
+    target = realize(kind, shifted, order)
+    rhs = target.body.scale(coefficient)
+    caps = {v: min(lhs.body.cap(v), rhs.cap(v)) for v in rhs.variables}
     row = {
         "op": op_id,
         "family": kind,
@@ -437,15 +455,17 @@ def verify_action(op_id: str, params, order: int) -> dict:
         "coefficient": str(coefficient),
         "shift": list(rule.shift),
     }
-    if not lhs.same_prefactor(rhs) and not (lhs.is_zero() and rhs.is_zero()):
+    same = ({v: e for v, e in lhs.prefactor.items() if e}
+            == {v: e for v, e in target.prefactor.items() if e})
+    if not same and not (lhs.body.is_zero() and rhs.is_zero()):
         row["status"] = "FAIL"
         row["witness"] = {
             "reason": "prefactor mismatch",
             "lhs": str(dict(lhs.prefactor)),
-            "rhs": str(dict(rhs.prefactor)),
+            "rhs": str(dict(target.prefactor)),
         }
         return row
-    found = first_mismatch(lhs.truncate(caps).body, rhs.truncate(caps).body)
+    found = first_mismatch(lhs.body.truncate(caps), rhs.truncate(caps))
     if found is None:
         row["status"] = "PASS"
         row["witness"] = None

@@ -38,8 +38,9 @@ per term.
 
 The public constructor ``MultiSeries(caps, terms)`` and
 ``MultiSeries.monomial`` are the entry points for outside input: they
-coerce every coefficient, take exponents through ``operator.index``, reject
-negative exponents and malformed tuples and drop zero and over-cap terms.
+coerce every coefficient, take caps and exponents through
+``operator.index``, reject negative caps, negative exponents and malformed
+tuples and drop zero and over-cap terms.
 Ring and reshape operations build their results with the private
 ``MultiSeries._trusted``, which takes a reduced stored form and checks
 nothing.
@@ -52,18 +53,16 @@ numerator at k is the start's numerator times the tops along the path times,
 per index, the product of its bottoms from k_i to the cap.  ``_horn_walk``
 writes those numerators on packed keys with one int product per step and
 per term and no gcd; the grid is reduced once.  ``horn_series`` sums such
-grids, each under fixed leading exponents, into one series;
-``horn_coefficients`` is their ``Fraction`` view.  ``horn_compose`` sums the
+grids, each under fixed leading exponents, into one series, and its
+``terms`` are their ``Fraction`` view.  ``horn_compose`` sums the
 walk's coefficients against the packed integer powers of series arguments
 in one integer dict over one common denominator, reduced once.
 ``pow_rational``, ``exp_series`` and the compositions in ``hypfun`` are
 calls to it.
 
-:class:`PrefactorSeries` is a value type: a body series times a monomial
-prefactor with exact rational exponents (e.g. ``y^a z^b`` for non-integer
-a, b), with equality, sums, scaling and truncation.  Operators act on it in
-``liealg.DiffOperator.apply``, which states the product rule across body and
-prefactor.
+This module knows nothing of prefactors with rational exponents: the
+realized basis elements that carry them, and the rule for operators acting
+on them, live in ``liealg``.
 """
 
 from __future__ import annotations
@@ -93,13 +92,11 @@ class NonZeroConstantTerm(ValueError):
     """Operation requires a series with constant term exactly 0."""
 
 
-class PrefactorMismatch(ValueError):
-    """Prefactor exponents differ where they must agree."""
-
-
 def _normalize_caps(caps: Mapping[str, int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Sorted names and their caps; a cap that is not an integer raises
+    TypeError, a negative one ValueError."""
     names = tuple(sorted(caps))
-    degs = tuple(int(caps[n]) for n in names)
+    degs = tuple(operator.index(caps[n]) for n in names)
     for n, d in zip(names, degs):
         if d < 0:
             raise ValueError(f"negative cap for variable {n!r}")
@@ -558,8 +555,10 @@ def _horn_numerators(
     shifts: Sequence[int],
     lead: int = 0,
 ) -> tuple[int, dict[int, int]]:
-    """The coefficients of ``horn_coefficients`` as reduced integer
-    numerators over one denominator, keyed ``lead + sum_i k_i << shifts[i]``.
+    """The nonzero coefficients start * (a)_{|k|} / prod_i (k_i! prod
+    (lower_i)_{k_i}) as reduced integer numerators over one denominator,
+    keyed ``lead + sum_i k_i << shifts[i]``; ``axes`` gives each index's cap
+    and bottom parameters.
 
     With a = p/q and each bottom r/s, the step k -> k+1 on index i, whose
     predecessors sum to o, multiplies a coefficient by the top
@@ -637,25 +636,6 @@ def _horn_walk(
         key += unit
 
 
-def horn_coefficients(
-    a: Fraction,
-    axes: Sequence[tuple[int, tuple[Fraction, ...]]],
-    *,
-    start: Fraction = Fraction(1),
-    prefix: tuple[int, ...] = (),
-) -> dict[tuple[int, ...], Fraction]:
-    """Nonzero coefficients start * (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}).
-
-    ``axes`` gives each index's cap and bottom parameters, in the order the
-    index tuples are keyed, and each coefficient is keyed ``prefix + k``.
-    This is the ``Fraction`` view of the integer walk that ``horn_series``
-    and ``horn_compose`` use.
-    """
-    layout = _layout(tuple(cap for cap, _ in axes))
-    den, nums = _horn_numerators(a, axes, start, layout.shifts)
-    return {prefix + layout[k]: Fraction(v, den) for k, v in nums.items()}
-
-
 def horn_series(
     variables: tuple[str, ...],
     caps: tuple[int, ...],
@@ -665,8 +645,8 @@ def horn_series(
 
     Each grid ``(a, lowers, start, lead)`` fixes the leading exponents to
     ``lead`` and walks the remaining variables, whose bottom parameters
-    ``lowers`` lists in order: its terms are start times the
-    ``horn_coefficients`` of a at those caps.  Distinct grids need distinct
+    ``lowers`` lists in order: its term at exponents lead + k is
+    start * (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i}), k within the caps.  Distinct grids need distinct
     leads.  Each grid is reduced over its own denominator, and the grids are
     put on the lcm of those, which keeps the sum reduced.
     """
@@ -694,7 +674,8 @@ def horn_compose(
     """The Horn series of ``a`` with series arguments.
 
     ``args`` pairs each argument u_i with its bottom parameters; the result
-    is the sum over k of ``horn_coefficients`` times prod_i u_i^(k_i).
+    is the sum over k of (a)_{|k|} / prod_i (k_i! prod (lower_i)_{k_i})
+    times prod_i u_i^(k_i).
     Every argument needs zero constant term and the caps of the first, so
     u_i^k has total degree at least k and the sum is finite: powers stop at
     the first zero one, and at -a when (a)_k vanishes beyond it.
@@ -812,65 +793,3 @@ def exp_series(s: MultiSeries) -> MultiSeries:
     """Truncated exponential e^s = 1F1(1; 1; s) of a series with zero constant term."""
     return horn_compose(Q(1), [(s, (Q(1),))])
 
-
-class PrefactorSeries:
-    """A body series times a monomial with exact rational exponents.
-
-    Integer powers of the body variables stay in the body; every exponent
-    that is parameter-valued (or negative) lives in the prefactor map, whose
-    variables are not body variables.  A prefactor variable keeps its entry
-    at exponent 0, so an operator term in it still finds the variable.
-    """
-
-    __slots__ = ("body", "prefactor")
-
-    def __init__(self, body: MultiSeries, prefactor: Mapping[str, Fraction] | None = None):
-        self.body = body
-        self.prefactor = {name: as_rational(e) for name, e in (prefactor or {}).items()}
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrefactorSeries):
-            return NotImplemented
-        if self.body.is_zero() and other.body.is_zero():
-            return True
-        return self.same_prefactor(other) and self.body == other.body
-
-    __hash__ = None
-
-    def same_prefactor(self, other: "PrefactorSeries") -> bool:
-        """Whether the prefactor monomials are equal, a 0 exponent counting
-        as an absent entry."""
-        return ({v: e for v, e in self.prefactor.items() if e}
-                == {v: e for v, e in other.prefactor.items() if e})
-
-    def __repr__(self) -> str:
-        return f"PrefactorSeries({self.render()})"
-
-    def render(self) -> str:
-        pf = "*".join(
-            f"{v}^({e})" for v, e in sorted(self.prefactor.items())
-        )
-        return f"({self.body.render()})" + (f" * {pf}" if pf else "")
-
-    def __add__(self, other: "PrefactorSeries") -> "PrefactorSeries":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if not self.same_prefactor(other):
-            raise PrefactorMismatch(
-                f"{self.prefactor} vs {other.prefactor}"
-            )
-        return PrefactorSeries(self.body + other.body, self.prefactor | other.prefactor)
-
-    def __sub__(self, other: "PrefactorSeries") -> "PrefactorSeries":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "PrefactorSeries":
-        return PrefactorSeries(self.body.scale(k), self.prefactor)
-
-    def truncate(self, caps: Mapping[str, int]) -> "PrefactorSeries":
-        return PrefactorSeries(self.body.truncate(caps), self.prefactor)

@@ -13,6 +13,8 @@ from hypersym.liealg import (
     DiffOperator,
     FLOW_IDS,
     MAX_FLOW_STEPS,
+    PrefactorMismatch,
+    Realized,
     SingularFlow,
     action_suite,
     build_catalogue,
@@ -27,7 +29,7 @@ from hypersym.liealg import (
     realize,
     verify_action,
 )
-from hypersym.series import MultiSeries, PrefactorSeries, UnknownVariable
+from hypersym.series import MultiSeries, UnknownVariable
 
 P_F11 = [
     Params1F1(Q(1, 2), Q(4, 3)),
@@ -179,9 +181,9 @@ class TestApply:
     def test_maintenance_eigenvalue(self):
         p = P_PSI2[0]
         g = realize("psi2", p, 4)
-        assert CAT["psi2.I_a"].apply(g) == g.scale(p.a)
-        assert CAT["psi2.I_b"].apply(g) == g.scale(p.b)
-        assert CAT["psi2.I_c"].apply(g) == g.scale(p.c)
+        assert CAT["psi2.I_a"].apply(g) == Realized(g.body.scale(p.a), g.prefactor)
+        assert CAT["psi2.I_b"].apply(g) == Realized(g.body.scale(p.b), g.prefactor)
+        assert CAT["psi2.I_c"].apply(g) == Realized(g.body.scale(p.c), g.prefactor)
 
     def test_shift_action_at_reduced_cap(self):
         # raising both parameters: result trusted one order below the input
@@ -190,27 +192,117 @@ class TestApply:
         out = CAT["f11.E_ab"].apply(g)
         assert out.body.cap_map() == {"x": 5}
         shifted = realize("f11", p.shifted(1, 1), 6)
-        expected = shifted.scale(p.a / p.b).truncate({"x": 5})
-        assert out == expected
+        expected = shifted.body.scale(p.a / p.b).truncate({"x": 5})
+        assert out == Realized(expected, shifted.prefactor)
 
     def test_zero_operator(self):
         g = realize("f11", P_F11[0], 4)
-        assert DiffOperator.zero().apply(g).is_zero()
+        assert DiffOperator.zero().apply(g) == Realized(MultiSeries.zero({"x": 4}), {})
 
     def test_linearity(self):
         p = P_F11[0]
         op = CAT["f11.E_a"]
         f = realize("f11", p, 6)
-        g = f.scale(Q(3, 7))
-        lhs = op.apply(f + g)
-        rhs = op.apply(f) + op.apply(g)
-        assert lhs == rhs
+        g = Realized(f.body.scale(Q(3, 7)), f.prefactor)
+        lhs = op.apply(Realized(f.body + g.body, f.prefactor))
+        op_f, op_g = op.apply(f), op.apply(g)
+        assert lhs.prefactor == op_f.prefactor == op_g.prefactor
+        assert lhs.body == op_f.body + op_g.body
 
     def test_unknown_variable_rejected(self):
         body = MultiSeries.constant(1, {"x": 3})
-        f = PrefactorSeries(body, {"y": Q(1, 2)})  # no u anywhere
+        f = Realized(body, {"y": Q(1, 2)})  # no u anywhere
         with pytest.raises(UnknownVariable):
             CAT["psi2.E_b"].apply(f)
+
+
+class TestPrefactor:
+    """The prefactor rule of ``DiffOperator.apply`` on a body in x times a
+    prefactor in y or z."""
+
+    def body(self, terms=None):
+        return MultiSeries({"x": 3}, terms or {(0,): 1})
+
+    def test_multiply_exponent_bookkeeping(self):
+        p = Realized(self.body(), {"y": Q(1, 2)})
+        q = DiffOperator.term(1, {"y": -1}, None).apply(p)
+        assert q.prefactor == {"y": Q(-1, 2)}
+        assert q.body == p.body
+
+    def test_multiply_inverse_pair(self):
+        p = Realized(self.body(), {"z": Q(4, 3)})
+        up, down = (DiffOperator.term(1, {"z": k}, None) for k in (1, -1))
+        assert down.apply(up.apply(p)) == p
+
+    def test_derivative_pure_monomial(self):
+        a = Q(1, 2)
+        p = Realized(self.body(), {"y": a})
+        d = DiffOperator.term(1, {}, "y").apply(p)
+        assert d.prefactor == {"y": a - 1}
+        assert d.body == self.body().scale(a)
+
+    def test_derivative_body_only(self):
+        p = Realized(self.body({(2,): 1}), {"y": Q(1, 2)})
+        d = DiffOperator.term(1, {}, "x").apply(p)
+        assert d.prefactor == {"y": Q(1, 2)}
+        assert d.body == MultiSeries({"x": 2}, {(1,): 2})
+
+    def test_body_monomial_shifts_the_body(self):
+        # x d/dx x^2 = 2 x^2, at the cap the derivative leaves
+        p = Realized(self.body({(2,): 1, (3,): 1}), {"y": Q(1, 2)})
+        d = DiffOperator.term(1, {"x": 1}, "x").apply(p)
+        assert d.prefactor == {"y": Q(1, 2)}
+        assert d.body == MultiSeries({"x": 2}, {(2,): 2})
+
+    def test_zero_exponent_is_kept(self):
+        p = Realized(self.body(), {"y": Q(1)})
+        d_y = DiffOperator.term(1, {}, "y")
+        d = d_y.apply(p)
+        assert d.prefactor == {"y": 0}
+        assert d.body == self.body()
+        assert DiffOperator.term(1, {"y": -1}, None).apply(d).prefactor == {"y": -1}
+        # y^0 is kept for the sum of two terms that both leave it
+        both = (d_y + DiffOperator.term(1, {"y": -1}, None)).apply(p)
+        assert both == Realized(self.body().scale(2), {"y": 0})
+
+    def test_vanishing_action_is_zero_at_the_input_caps(self):
+        # d/dy of y^0 vanishes, so no term is left to carry a prefactor
+        p = Realized(self.body(), {"y": Q(0), "z": Q(4, 3)})
+        assert DiffOperator.term(1, {}, "y").apply(p) == Realized(MultiSeries.zero({"x": 3}), {})
+
+    def test_vanishing_term_takes_no_part_in_the_check(self):
+        # d/dx of a constant body vanishes under any prefactor
+        p = Realized(self.body(), {"y": Q(1, 2)})
+        out = (DiffOperator.term(1, {}, "x") + DiffOperator.term(1, {"y": -1}, None)).apply(p)
+        assert out == Realized(self.body(), {"y": Q(-1, 2)})
+
+    def test_mismatched_terms_raise_in_either_order(self):
+        # d/dy - (1/2) y^-1 cancels on y^(1/2), yet each of its terms
+        # carries y^(-1/2) while d/dx carries y^(1/2)
+        p = Realized(self.body({(0,): 1, (1,): 1}), {"y": Q(1, 2)})
+        patterns = [(((), "y"), Q(1)), (((("y", -1),), None), Q(-1, 2)), (((), "x"), Q(1))]
+        for order in itertools.permutations(patterns):
+            with pytest.raises(PrefactorMismatch):
+                DiffOperator(dict(order)).apply(p)
+
+    def test_errors_keep_their_order(self):
+        # a shared variable before an unknown one, that before a mismatch
+        mismatched = DiffOperator.term(1, {}, "y") + DiffOperator.term(1, {}, "x")
+        unknown = mismatched + DiffOperator.term(1, {"u": 1}, None)
+        p = Realized(self.body({(0,): 1, (1,): 1}), {"y": Q(1, 2)})
+        with pytest.raises(PrefactorMismatch):
+            mismatched.apply(p)
+        with pytest.raises(UnknownVariable):
+            unknown.apply(p)
+        with pytest.raises(ValueError, match="both the body and the prefactor"):
+            unknown.apply(Realized(p.body, {"y": Q(1, 2), "x": Q(1)}))
+
+    def test_shared_variable_raises(self):
+        # z both in the body and in the prefactor: no term is applied
+        p = Realized(MultiSeries({"z": 2}, {(0,): 1, (1,): 1}), {"z": Q(4, 3)})
+        for op in (DiffOperator.term(1, {}, "z"), DiffOperator.scalar(1)):
+            with pytest.raises(ValueError, match="both the body and the prefactor"):
+                op.apply(p)
 
 
 class TestActionRows:
@@ -278,17 +370,16 @@ class TestVerifyAction:
         out = displayed.apply(g)
         shifted = realize("f11", p.shifted(1, 0), 8)
         caps = {"x": 7}
-        assert out.truncate(caps) != shifted.scale(p.a).truncate(caps)
+        assert out.prefactor == shifted.prefactor
+        assert out.body.truncate(caps) != shifted.body.scale(p.a).truncate(caps)
 
     def test_iterated_raising_composes(self):
         p = P_F11[0]
         g = realize("f11", p, 8)
         twice = CAT["f11.E_a"].apply(CAT["f11.E_a"].apply(g))
-        target = realize("f11", p.shifted(2, 0), 8).scale(
-            p.a * (p.a + 1)
-        )
+        target = realize("f11", p.shifted(2, 0), 8)
         caps = twice.body.cap_map()
-        assert twice == target.truncate(caps)
+        assert twice == Realized(target.body.scale(p.a * (p.a + 1)).truncate(caps), target.prefactor)
 
     def test_action_suite_all_pass(self):
         rows = action_suite(P_PSI2, 8)
@@ -321,6 +412,18 @@ class TestVerifyAction:
         row = verify_action(op_id, p, 6)
         assert row["status"] == "FAIL"
         assert row["witness"] == {"monomial": monomial, "difference": "-1"}
+
+    def test_wrong_shift_fails_with_a_prefactor_mismatch(self, monkeypatch):
+        # E_a raises a only; a rule that also raises b names z^(b+1)
+        rule = ACTION_RULES["f11.E_a"]
+        monkeypatch.setitem(ACTION_RULES, "f11.E_a", ActionRule((1, 1), rule.coefficient))
+        row = verify_action("f11.E_a", P_F11[0], 6)
+        assert row["status"] == "FAIL"
+        assert row["witness"] == {
+            "reason": "prefactor mismatch",
+            "lhs": "{'y': Fraction(3, 2), 'z': Fraction(4, 3)}",
+            "rhs": "{'y': Fraction(3, 2), 'z': Fraction(7, 3)}",
+        }
 
 
 class TestCommutator:
@@ -378,10 +481,14 @@ class TestCommutator:
         assert len(pairs) == {"f11": 28, "psi2": 36}[kind]
         for a, b in pairs:
             bracket = commutator(CAT[a], CAT[b]).apply(g)
-            composed = CAT[a].apply(CAT[b].apply(g)) - CAT[b].apply(CAT[a].apply(g))
-            caps = {v: min(bracket.body.cap(v), composed.body.cap(v))
+            ab, ba = CAT[a].apply(CAT[b].apply(g)), CAT[b].apply(CAT[a].apply(g))
+            assert ab.prefactor == ba.prefactor, (a, b)
+            composed = ab.body - ba.body
+            caps = {v: min(bracket.body.cap(v), composed.cap(v))
                     for v in g.body.variables}
-            assert bracket.truncate(caps) == composed.truncate(caps), (a, b)
+            assert bracket.body.truncate(caps) == composed.truncate(caps), (a, b)
+            if not composed.is_zero():
+                assert bracket.prefactor == ab.prefactor, (a, b)
 
 
 class TestSpan:

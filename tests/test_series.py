@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from hypersym.exactnum import factorial, pochhammer
 from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series, psi2_series
-from hypersym.liealg import DiffOperator
+from hypersym.liealg import DiffOperator, Realized
 from hypersym.series import (
     CapMismatch,
     MultiSeries,
     NonUnitConstantTerm,
-    PrefactorMismatch,
-    PrefactorSeries,
     UnknownVariable,
     exp_series,
     _layout,
-    horn_coefficients,
     horn_compose,
     horn_series,
     pow_rational,
@@ -211,80 +208,6 @@ class TestExpSeries:
             exp_series(ms({"chi": 2}, {(0,): 1}))
 
 
-class TestPrefactor:
-    def body(self, terms=None):
-        return ms({"x": 3}, terms or {(0,): 1})
-
-    def test_multiply_exponent_bookkeeping(self):
-        p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        q = DiffOperator.term(1, {"y": -1}, None).apply(p)
-        assert q.prefactor == {"y": Q(-1, 2)}
-        assert q.body == p.body
-
-    def test_multiply_inverse_pair(self):
-        p = PrefactorSeries(self.body(), {"z": Q(4, 3)})
-        up, down = (DiffOperator.term(1, {"z": k}, None) for k in (1, -1))
-        q = down.apply(up.apply(p))
-        assert q == p and q.prefactor == p.prefactor
-
-    def test_derivative_pure_monomial(self):
-        a = Q(1, 2)
-        p = PrefactorSeries(self.body(), {"y": a})
-        d = DiffOperator.term(1, {}, "y").apply(p)
-        assert d.prefactor == {"y": a - 1}
-        assert d.body == self.body().scale(a)
-
-    def test_derivative_body_only(self):
-        p = PrefactorSeries(ms({"x": 3}, {(2,): 1}), {"y": Q(1, 2)})
-        d = DiffOperator.term(1, {}, "x").apply(p)
-        assert d.prefactor == {"y": Q(1, 2)}
-        assert d.body == ms({"x": 2}, {(1,): 2})
-
-    def test_body_monomial_shifts_the_body(self):
-        # x d/dx x^2 = 2 x^2, at the cap the derivative leaves
-        p = PrefactorSeries(ms({"x": 3}, {(2,): 1, (3,): 1}), {"y": Q(1, 2)})
-        d = DiffOperator.term(1, {"x": 1}, "x").apply(p)
-        assert d.prefactor == {"y": Q(1, 2)}
-        assert d.body == ms({"x": 2}, {(2,): 2})
-
-    def test_zero_exponent_is_kept(self):
-        p = PrefactorSeries(self.body(), {"y": Q(1)})
-        d_y = DiffOperator.term(1, {}, "y")
-        d = d_y.apply(p)
-        assert d.prefactor == {"y": 0}
-        assert d.body == self.body()
-        assert DiffOperator.term(1, {"y": -1}, None).apply(d).prefactor == {"y": -1}
-        assert d_y.apply(d).is_zero()
-
-    def test_shared_variable_raises(self):
-        # z both in the body and in the prefactor: no term is applied
-        p = PrefactorSeries(ms({"z": 2}, {(0,): 1, (1,): 1}), {"z": Q(4, 3)})
-        for op in (DiffOperator.term(1, {}, "z"), DiffOperator.scalar(1)):
-            with pytest.raises(ValueError, match="both the body and the prefactor"):
-                op.apply(p)
-
-    def test_add_requires_matching_prefactor(self):
-        p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        q = PrefactorSeries(self.body(), {"y": Q(3, 2)})
-        with pytest.raises(PrefactorMismatch):
-            p + q
-
-    def test_add_zero_any_prefactor(self):
-        p = PrefactorSeries(self.body(), {"y": Q(1, 2)})
-        z = PrefactorSeries(MultiSeries.zero({"x": 3}), {"y": Q(9, 7)})
-        assert p + z == p
-
-    def test_zero_exponent_reads_as_absent(self):
-        kept = PrefactorSeries(self.body(), {"y": 0})
-        bare = PrefactorSeries(self.body(), {})
-        assert kept == bare and bare == kept
-        assert kept != PrefactorSeries(self.body(), {"y": 1})
-        for total in (kept + bare, bare + kept):
-            assert total.body == self.body().scale(2)
-            # the zero entry is kept, so an operator term in y still finds it
-            assert total.prefactor == {"y": 0}
-
-
 class TestRendering:
     def test_golden_strings(self):
         s = ms({"x": 2, "chi": 2}, {(0, 0): Q(3, 2), (0, 1): Q(5, 6), (1, 2): 1, (2, 0): -1})
@@ -298,10 +221,6 @@ class TestRendering:
         for _ in range(5):
             s = random_series(rng, caps)
             assert s.render() == s.render()
-
-    def test_prefactor_render(self):
-        p = PrefactorSeries(ms({"x": 1}, {(0,): 1, (1,): 1}), {"y": Q(1, 2), "z": Q(4, 3)})
-        assert p.render() == "(1 + x) * y^(1/2)*z^(4/3)"
 
 
 class TestShapeOps:
@@ -530,6 +449,14 @@ def horn_formula(a, lowers, k):
     return out
 
 
+def horn_terms(a, axes, start=Q(1), lead=()):
+    """One Horn grid's coefficients keyed lead + k: the ``terms`` of its
+    ``horn_series``, each leading variable cut at its lead exponent."""
+    caps = lead + tuple(cap for cap, _ in axes)
+    variables = tuple(f"v{i}" for i in range(len(caps)))
+    return horn_series(variables, caps, [(a, [lower for _, lower in axes], start, lead)]).terms
+
+
 class TestHornKernel:
     AXES = [(3, (Q(4, 3),)), (2, (Q(-5, 7), Q(1, 2))), (2, ())]
 
@@ -541,17 +468,17 @@ class TestHornKernel:
             c = horn_formula(a, lowers, k)
             if c:
                 expected[k] = c
-        assert horn_coefficients(a, self.AXES) == expected
+        assert horn_terms(a, self.AXES) == expected
 
     def test_start_and_prefix_give_a_scaled_plane(self):
         a, w = Q(3, 5), Q(-7, 4)
-        plain = horn_coefficients(a, self.AXES)
-        out = horn_coefficients(a, self.AXES, start=w, prefix=(2,))
+        plain = horn_terms(a, self.AXES)
+        out = horn_terms(a, self.AXES, start=w, lead=(2,))
         assert out == {(2,) + k: w * c for k, c in plain.items()}
         assert all(type(c) is Q for c in out.values())
 
     def test_zero_start_gives_nothing(self):
-        assert horn_coefficients(Q(1, 2), self.AXES, start=Q(0), prefix=(1,)) == {}
+        assert horn_terms(Q(1, 2), self.AXES, start=Q(0), lead=(1,)) == {}
 
 
 class TestHornWalk:
@@ -575,8 +502,6 @@ class TestHornWalk:
             if c:
                 expected[lead + k] = c
         assert s.terms == expected
-        axes = list(zip(caps, self.LOWERS))
-        assert horn_coefficients(a, axes, start=start, prefix=lead) == expected
 
     def test_grids_sum_on_the_lcm_of_their_denominators(self):
         grids = [(Q(1, 2), [(Q(4, 3),)], Q(1), (0,)),
@@ -587,14 +512,12 @@ class TestHornWalk:
         assert_clean(s)
         expected = {}
         for a, lowers, start, lead in grids:
-            for k, c in horn_coefficients(a, [(4, lowers[0])], start=start, prefix=lead).items():
+            for k, c in horn_terms(a, [(4, lowers[0])], start=start, lead=lead).items():
                 expected[k] = c
         assert s.terms == expected
 
     def test_zero_bottom_factor_raises(self):
         # b = -1: the step from x^1 to x^2 divides by b + 1 = 0
-        with pytest.raises(ZeroDivisionError):
-            horn_coefficients(Q(1, 2), [(3, (Q(-1),))])
         with pytest.raises(ZeroDivisionError):
             horn_series(("x",), (3,), [(Q(1, 2), [(Q(-1),)], Q(1), ())])
         with pytest.raises(ZeroDivisionError):
@@ -606,7 +529,7 @@ class TestHornWalk:
         s = horn_series(("x",), (4,), [(Q(-1), [(Q(-2),)], Q(1), ())])
         assert s.terms == {(0,): Q(1), (1,): Q(1, 2)}
         assert_clean(s)
-        assert horn_coefficients(Q(-1), [(4, (Q(-2),))]) == s.terms
+        assert horn_terms(Q(-1), [(4, (Q(-2),))]) == s.terms
 
 
 @st.composite
@@ -666,7 +589,7 @@ class TestHornComposeAtBoundaryCaps:
             args.append(u - MultiSeries.constant(u.constant_term(), caps))
         bound = sum(caps.values())
         powers = [naive_powers(u, bound) for u in args]
-        coeffs = horn_coefficients(a, [(bound, lower) for lower in lowers])
+        coeffs = horn_terms(a, [(bound, lower) for lower in lowers])
         naive = {}
         for k, c in coeffs.items():
             term = MultiSeries.constant(c, caps)
@@ -704,8 +627,8 @@ def ring_and_reshape_results(a, b):
     yield a / unit
     yield unit ** Q(-1, 2)
     d_w = DiffOperator.term(Q(3, 2), {"w": 1}, "w")
-    yield d_w.apply(PrefactorSeries(a, {"w": Q(1, 3)})).body
-    yield d_w.apply(PrefactorSeries(a, {"w": Q(-1)})).body
+    yield d_w.apply(Realized(a, {"w": Q(1, 3)})).body
+    yield d_w.apply(Realized(a, {"w": Q(-1)})).body
 
 
 class TestClosedFormOperators:
@@ -792,6 +715,20 @@ class TestPublicConstructor:
             MultiSeries({"x": -1})
         with pytest.raises(TypeError):
             MultiSeries({"x": 2}, {(1,): 0.5})
+
+    def test_rejects_non_integral_caps(self):
+        # a float cap is not cut to an integer
+        for caps in ({"x": 2.7}, {"x": 2.0}, {"x": Q(2)}):
+            with pytest.raises(TypeError):
+                MultiSeries(caps)
+        s = ms({"x": 3}, {(1,): 1})
+        with pytest.raises(TypeError):
+            s.truncate({"x": 1.5})
+        with pytest.raises(TypeError):
+            s.extend({"y": 0.5})
+        with pytest.raises(ValueError, match="negative cap"):
+            s.truncate({"x": -1})
+        assert MultiSeries({"x": True}).caps == (1,)
 
     def test_rejects_non_integral_exponents(self):
         with pytest.raises(TypeError):
