@@ -24,17 +24,30 @@ after x, which sums each inner 1F1(a + k; b; x) once per offset k.
 ``ACTION_RULES`` states each catalogued operator's action on the family,
 E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
 
-Everything here is stateless; exact paths stay exact, floating paths
-use a tail-domination stopping rule (terms can grow before they decay, so a
-single small term is not evidence of convergence).
+Exact paths stay exact, floating paths use a tail-domination stopping
+rule (terms can grow before they decay, so a single small term is not
+evidence of convergence).
+
+Everything here is stateless except one memo of float sums, which is on
+only inside ``_shared_float_sums()`` (``identities.run_suite`` opens it for
+one suite and it is dropped on exit, also when the suite raises).  Inside
+it, ``f11_eval_float`` keeps each converged (value, terms) under the values
+its loop reads, (float(a), float(b), x, rel_tol), and ``_nested_float``
+keeps each converged value under (family, params, point, rel_tol,
+term_cap); a failed sum is never kept.  A kept sum is what the loop would
+return, so every float is the same with or without the memo.  Outside it,
+``eval`` calls among them, nothing is looked up or kept.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactnum import (
     DegenerateParameter,
@@ -50,6 +63,24 @@ DEFAULT_TERM_CAP = 10000
 
 class NoConvergence(ArithmeticError):
     """Floating summation failed to meet tolerance within the term cap."""
+
+
+# The float sums of the open suite, or None outside ``_shared_float_sums``.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypfun_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_float_sums() -> Iterator[None]:
+    """Keep converged float sums for the duration of the block.
+
+    Each block starts an empty memo and restores the previous state on exit,
+    whether the block returns or raises.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _check_denominator_param(name: str, value: Fraction) -> None:
@@ -180,8 +211,24 @@ def _nested_float(
     runs out before the sums inside it.  The inner 1F1(a + k; b; x) depends
     on k alone and is summed once per k.  Offsets are integers, so the loops
     make no ``Fraction``; the stopping rule is ``f11_eval_float``'s, and
-    ``NoConvergence`` names the level's coordinate.
+    ``NoConvergence`` names the level's coordinate.  Inside
+    ``_shared_float_sums`` a converged value is kept under (family, p,
+    point, rel_tol, term_cap) and read back from there.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _nested_sum(family, p, point, rel_tol, term_cap)
+    key = (family, p, point, rel_tol, term_cap)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _nested_sum(family, p, point, rel_tol, term_cap)
+    return value
+
+
+def _nested_sum(
+    family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
+) -> float:
+    """``_nested_float`` without the memo."""
     fam = FAMILIES[family]
     bottoms = fam.bottoms(p)
     x = point[0]
@@ -239,11 +286,28 @@ def f11_eval_float(
 
     Stops once two consecutive terms are below rel_tol * |partial sum| and
     the index has cleared |x| + |a|, past which the term ratio stays below 1.
+    Inside ``_shared_float_sums`` a converged sum is kept under (float(a),
+    float(b), x, rel_tol); a kept sum that took more terms than
+    ``term_cap`` raises as the loop would.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     a = float(p.a)
     b = float(p.b)
+    memo = _MEMO.get()
+    if memo is None:
+        return _f11_sum(a, b, x, rel_tol, term_cap)
+    key = (a, b, x, rel_tol)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _f11_sum(a, b, x, rel_tol, term_cap)
+    elif found[1] > operator.index(term_cap):
+        raise NoConvergence(f"no convergence in {term_cap} terms at x={x}")
+    return found
+
+
+def _f11_sum(a: float, b: float, x: float, rel_tol: float, term_cap: int) -> tuple[float, int]:
+    """``f11_eval_float``'s loop on float parameters."""
     total = 0.0
     term = 1.0
     small_streak = 0

@@ -52,6 +52,7 @@ from .hypfun import (
     FAMILIES,
     NoConvergence,
     ParamsPsi2,
+    _shared_float_sums,
     param_strs,
 )
 from .series import MultiSeries, exp_series, first_mismatch, horn_series
@@ -509,6 +510,12 @@ def run_suite(
     The report counts under ``unresolved_failures`` each as-stated mismatch
     that lacks a verified corrected candidate for the same record, point
     (and chi); ``invariant_ok()`` is false when there is one.
+
+    The rows share their converged float sums: a chi-sum member or a
+    left-side value met again (another chi, variant or record, or the inner
+    1F1 of a Humbert sum) is summed once per call (``hypfun``'s memo, on
+    only for the call and dropped when it returns or raises).  The rows are
+    those of separate ``verify_formal`` and ``verify_numeric`` calls.
     """
     if mode not in ("formal", "numeric", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -522,24 +529,25 @@ def run_suite(
 
     t0 = time.perf_counter()
     rows: list[dict] = []
-    for record in cat:
-        for variant in (AS_STATED, CORRECTED) if record.corrected else (AS_STATED,):
-            for point in param_points:
-                n_order, m_order = orders[record.family]
-                if mode in ("formal", "both"):
-                    t1 = time.perf_counter()
-                    row = verify_formal(record, variant, point, n_order, m_order)
-                    row["mode"] = "formal"
-                    row["elapsed_ms"] = (time.perf_counter() - t1) * 1000.0
-                    rows.append(row)
-                if mode in ("numeric", "both"):
-                    for chi in chi_grid:
+    with _shared_float_sums():
+        for record in cat:
+            for variant in (AS_STATED, CORRECTED) if record.corrected else (AS_STATED,):
+                for point in param_points:
+                    n_order, m_order = orders[record.family]
+                    if mode in ("formal", "both"):
                         t1 = time.perf_counter()
-                        row = verify_numeric(record, variant, point, chi, tol)
-                        row["mode"] = "numeric"
-                        row["orders"] = {"N": n_order, "M": m_order}
+                        row = verify_formal(record, variant, point, n_order, m_order)
+                        row["mode"] = "formal"
                         row["elapsed_ms"] = (time.perf_counter() - t1) * 1000.0
                         rows.append(row)
+                    if mode in ("numeric", "both"):
+                        for chi in chi_grid:
+                            t1 = time.perf_counter()
+                            row = verify_numeric(record, variant, point, chi, tol)
+                            row["mode"] = "numeric"
+                            row["orders"] = {"N": n_order, "M": m_order}
+                            row["elapsed_ms"] = (time.perf_counter() - t1) * 1000.0
+                            rows.append(row)
     total_ms = (time.perf_counter() - t0) * 1000.0
 
     unresolved = 0

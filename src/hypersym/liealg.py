@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
@@ -49,7 +50,10 @@ class Realized(NamedTuple):
 
 
 def _mono(exponents: Mapping[str, int]) -> Monomial:
-    return tuple(sorted((v, int(e)) for v, e in exponents.items() if int(e) != 0))
+    """The nonzero exponents as a sorted monomial; an exponent that is not
+    an integer raises TypeError."""
+    exps = {v: operator.index(e) for v, e in exponents.items()}
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:

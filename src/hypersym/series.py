@@ -29,8 +29,10 @@ the Cauchy sum of the numerators over the product of the denominators
 (``_cauchy``, the one product loop, which ``horn_compose`` uses too: per
 term pair one int add, one test of the guard bits, which is nonzero exactly
 when an exponent of the sum passes its cap, one int product and one dict
-update), ``shift`` moves keys within a bit field, and ``derivative``,
-``truncate`` and ``extend`` repack keys for their new caps.
+update), ``shift`` moves keys within a bit field, ``truncate`` returns
+the series itself at its own caps, keeps the keys where every field keeps
+its width and repacks them only where one changes, and ``derivative`` and
+``extend`` repack keys for their new caps.
 ``MultiSeries.terms`` is a ``Fraction`` view keyed by exponent tuples,
 built on each read; ``render``, ``coefficient`` and the report witnesses of
 ``first_mismatch`` read reduced ``Fraction``s, and nothing else makes one
@@ -463,11 +465,26 @@ class MultiSeries:
     # -- shape changes -----------------------------------------------------
 
     def truncate(self, caps: Mapping[str, int]) -> "MultiSeries":
-        """Restrict to (possibly lower) caps; variable set must agree."""
+        """Restrict to (possibly lower) caps; variable set must agree.
+
+        At the series' own caps the result is ``self`` (series are values:
+        no method changes one).  Where every bit field keeps its width the
+        keys stay: a term drops exactly when its key plus the new layout's
+        offset sets a guard bit, and the content is divided out only if one
+        did.  Only a changed width unpacks and repacks every key.
+        """
         names, degs = _normalize_caps(caps)
         if names != self.variables:
             raise CapMismatch("truncate cannot change the variable set")
+        if degs == self.caps:
+            return self
         old, new = _layout(self.caps), _layout(degs)
+        if old.fields == new.fields:
+            guard, offset = new.guard, new.offset
+            out = {k: c for k, c in self.nums.items() if not (k + offset) & guard}
+            if len(out) == len(self.nums):
+                return MultiSeries._trusted(names, degs, self.den, out)
+            return MultiSeries._trusted(names, degs, *_reduce(self.den, out))
         out: dict[int, int] = {}
         for key, c in self.nums.items():
             exps = old[key]

@@ -423,6 +423,95 @@ class TestTripleSumSharesInnerSums:
             psi2_3var_eval_float(p, 300.0, 0.1, 0.1, term_cap=40)
 
 
+class TestSharedFloatSums:
+    """Inside ``_shared_float_sums`` a converged sum is summed once and read
+    back bit for bit; outside it nothing is kept."""
+
+    P = Params1F1(Q(1, 2), Q(4, 3))
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        inner = getattr(hypfun, name)
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(hypfun, name, counting)
+        return calls
+
+    def test_f11_sum_is_summed_once_and_read_back(self, monkeypatch):
+        outside = f11_eval_float(self.P, 3.5, 1e-12)
+        calls = self._count(monkeypatch, "_f11_sum")
+        with hypfun._shared_float_sums():
+            first = f11_eval_float(self.P, 3.5, 1e-12)
+            # the loop reads float(a) and float(b) only
+            again = f11_eval_float(Params1F1(Q(2, 4), Q(8, 6)), 3.5, 1e-12, term_cap=500)
+        assert first == again == outside
+        assert len(calls) == 1
+
+    def test_sums_are_kept_per_argument_and_tolerance(self):
+        calls = [(self.P, 3.5, 1e-12), (self.P, 3.5, 1e-6), (self.P, -3.5, 1e-12),
+                 (Params1F1(Q(1, 2), Q(5, 3)), 3.5, 1e-12), (Params1F1(Q(3, 2), Q(4, 3)), 3.5, 1e-12)]
+        outside = [f11_eval_float(*c) for c in calls]
+        assert len(set(outside)) == len(calls)
+        with hypfun._shared_float_sums():
+            assert [f11_eval_float(*c) for c in calls + calls] == outside + outside
+
+    def test_cached_sum_under_a_lower_cap_raises_as_the_loop_does(self):
+        value, terms = f11_eval_float(self.P, 3.5, 1e-12)
+        with pytest.raises(NoConvergence) as loop:
+            f11_eval_float(self.P, 3.5, 1e-12, term_cap=terms - 1)
+        with hypfun._shared_float_sums():
+            assert f11_eval_float(self.P, 3.5, 1e-12) == (value, terms)
+            with pytest.raises(NoConvergence) as cached:
+                f11_eval_float(self.P, 3.5, 1e-12, term_cap=terms - 1)
+            assert f11_eval_float(self.P, 3.5, 1e-12, term_cap=terms) == (value, terms)
+        assert str(cached.value) == str(loop.value) == f"no convergence in {terms - 1} terms at x=3.5"
+
+    def test_failed_sum_is_not_kept(self, monkeypatch):
+        calls = self._count(monkeypatch, "_f11_sum")
+        with hypfun._shared_float_sums():
+            with pytest.raises(NoConvergence):
+                f11_eval_float(self.P, 3.5, 1e-12, term_cap=5)
+            value, terms = f11_eval_float(self.P, 3.5, 1e-12)
+        assert len(calls) == 2 and terms > 5
+
+    def test_nested_sum_is_kept_per_cap(self, monkeypatch):
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        outside = psi2_eval_float(p, 0.3, -0.2)
+        calls = self._count(monkeypatch, "_nested_sum")
+        with hypfun._shared_float_sums():
+            assert psi2_eval_float(p, 0.3, -0.2) == outside
+            assert psi2_eval_float(p, 0.3, -0.2) == outside
+            assert psi2_eval_float(p, 0.3, -0.2, term_cap=500) == outside
+            psi2_3var_eval_float(p, 0.3, -0.2, 0.0)
+        assert [c[0] for c in calls] == ["psi2", "psi2", "psi2x3"]
+        assert [c[4] for c in calls] == [hypfun.DEFAULT_TERM_CAP, 500, hypfun.DEFAULT_TERM_CAP]
+
+    def test_nothing_is_kept_outside_the_scope(self, monkeypatch):
+        calls = self._count(monkeypatch, "_f11_sum")
+        f11_eval_float(self.P, 3.5, 1e-12)
+        f11_eval_float(self.P, 3.5, 1e-12)
+        assert len(calls) == 2
+        assert hypfun._MEMO.get() is None
+
+    def test_scope_is_dropped_when_its_block_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            with hypfun._shared_float_sums():
+                f11_eval_float(self.P, 3.5, 1e-12)
+                1 / 0
+        assert hypfun._MEMO.get() is None
+
+    def test_scopes_nest_and_restore(self):
+        with hypfun._shared_float_sums():
+            outer = hypfun._MEMO.get()
+            f11_eval_float(self.P, 3.5, 1e-12)
+            with hypfun._shared_float_sums():
+                assert hypfun._MEMO.get() == {}
+            assert hypfun._MEMO.get() is outer and len(outer) == 1
+
+
 def _mp_points(seed, count):
     """Seeded (a, b, c, x, y, z) with |x|, |y| <= 2 and |z| <= 1/2."""
     rng = random.Random(seed)

@@ -11,6 +11,7 @@ from hypersym.exactnum import (
     factorial,
     pochhammer,
 )
+from hypersym import hypfun
 from hypersym.hypfun import (
     ACTION_RULES,
     ActionRule,
@@ -18,6 +19,7 @@ from hypersym.hypfun import (
     Params1F1,
     ParamsPsi2,
     f11_coeff,
+    f11_eval_float,
     f11_series,
     psi2_coeff,
     psi2_3var_eval_float,
@@ -544,6 +546,60 @@ class TestRunSuite:
             {k: v for k, v in row.items() if k != "elapsed_ms"} for row in rows
         ]
         assert strip(r1.rows) == strip(r2.rows)
+
+
+def _count_f11_sums(monkeypatch) -> list:
+    """The arguments of every 1F1 loop run from here on."""
+    summed = []
+    inner = hypfun._f11_sum
+
+    def counting(*args):
+        summed.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(hypfun, "_f11_sum", counting)
+    return summed
+
+
+class TestSuiteSharesFloatSums:
+    """``run_suite`` sums each float member once per call, and its rows are
+    those of separate ``verify_numeric`` calls made outside any suite."""
+
+    CHI = (0.1, 0.25, -0.5)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-18])
+    def test_rows_equal_separate_calls(self, tol):
+        # at tol 1e-18 most rows are mismatches whose witness holds the repr
+        # of both sides, so those floats are compared bit for bit
+        report = run_suite(mode="numeric", chi_grid=self.CHI, tol=tol)
+        expected = [
+            verify_numeric(rec, variant, point, chi, tol)
+            for rec in catalogue()
+            for variant in _variants(rec)
+            for point in P_ALL
+            for chi in self.CHI
+        ]
+        drop = ("elapsed_ms", "mode", "orders")
+        assert [{k: v for k, v in r.items() if k not in drop} for r in report.rows] == expected
+        if tol < 1e-16:
+            assert sum(r["witness"] is not None for r in expected) > len(expected) // 2
+
+    def test_each_member_is_summed_once(self, monkeypatch):
+        summed = _count_f11_sums(monkeypatch)
+        run_suite(mode="numeric", chi_grid=self.CHI)
+        keys = [args[:4] for args in summed]  # (a, b, x, rel_tol) without the cap
+        assert len(keys) == len(set(keys))
+
+    def test_scope_ends_when_the_suite_raises(self, monkeypatch):
+        # chi = 1.5 is outside the first record's domain |chi| < 1; the rows
+        # at chi = 0.1 before it have summed members
+        with pytest.raises(DomainViolation):
+            run_suite(mode="numeric", chi_grid=(0.1, 1.5))
+        assert hypfun._MEMO.get() is None
+        summed = _count_f11_sums(monkeypatch)
+        p = Params1F1(Q(1, 2), Q(4, 3))
+        assert f11_eval_float(p, 0.25, 1e-8) == f11_eval_float(p, 0.25, 1e-8)
+        assert len(summed) == 2
 
 
 class TestReportSerialization:

@@ -177,6 +177,26 @@ class TestCatalogue:
         assert CAT["f11.E_b'"].pretty() == "-z^-1 + x*z^-1*d/dx + d/dz"
 
 
+class TestOperatorExponents:
+    """Monomial exponents of an operator term are integers, taken through
+    ``operator.index`` as series caps and exponents are."""
+
+    @pytest.mark.parametrize("bad", [1.5, 0.5, 2.0, Q(1, 2)])
+    def test_non_integral_exponent_raises(self, bad):
+        # int() truncated these: {"y": 1.5} printed as DiffOperator(y)
+        with pytest.raises(TypeError):
+            DiffOperator.term(1, {"y": bad}, None)
+
+    def test_integral_exponents_are_kept_and_zero_dropped(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        op = DiffOperator.term(1, {"y": Two(), "x": 0, "z": -1}, "x")
+        assert op.terms[0].monomial == (("y", 2), ("z", -1))
+        assert repr(DiffOperator.term(1, {"y": 1, "x": 0}, None)) == "DiffOperator(y)"
+
+
 class TestApply:
     def test_maintenance_eigenvalue(self):
         p = P_PSI2[0]

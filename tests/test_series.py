@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersym.exactnum import factorial, pochhammer
@@ -629,6 +629,86 @@ def ring_and_reshape_results(a, b):
     d_w = DiffOperator.term(Q(3, 2), {"w": 1}, "w")
     yield d_w.apply(Realized(a, {"w": Q(1, 3)})).body
     yield d_w.apply(Realized(a, {"w": Q(-1)})).body
+
+
+def _width(cap):
+    return _layout((cap,)).fields[0][1]
+
+
+def reference_truncate(s, caps):
+    """The ``terms`` view cut at ``caps`` by the public constructor."""
+    return MultiSeries(caps, s.terms)
+
+
+@st.composite
+def truncation_case(draw, same_width):
+    """A series and lower caps that keep every field width (``same_width``)
+    or change the width of one field, the last one included."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    caps = {v: draw(st.integers(min_value=1, max_value=20)) for v in NAMES[:n]}
+    if same_width:
+        caps = {v: max(c, 3) for v, c in caps.items()}
+    keys = st.tuples(*(st.integers(0, caps[v]) | st.just(caps[v]) for v in sorted(caps)))
+    s = MultiSeries(caps, draw(st.dictionaries(keys, WIDE_COEFF | SMALL_COEFF, max_size=16)))
+    lower = {}
+    for v, c in caps.items():
+        same = [d for d in range(c + 1) if _width(d) == _width(c)]
+        lower[v] = draw(st.sampled_from(same if same_width else range(c + 1)))
+    if same_width:
+        assume(lower != caps)
+    else:
+        v = draw(st.sampled_from(sorted(caps)))
+        lower[v] = draw(st.sampled_from([d for d in range(caps[v]) if _width(d) != _width(caps[v])]))
+    return s, lower
+
+
+class TestTruncateOnPackedKeys:
+    """``truncate`` keeps the packed keys where every field keeps its width;
+    either way the result must be the ``terms`` view cut at the caps."""
+
+    def check(self, s, lower):
+        assert all(c <= s.cap(v) for v, c in lower.items())
+        cut = s.truncate(lower)
+        assert cut == reference_truncate(s, lower)
+        assert_clean(cut)
+
+    @settings(max_examples=150, deadline=None)
+    @given(truncation_case(same_width=True))
+    def test_caps_keeping_every_width(self, case):
+        s, lower = case
+        assert _layout(s.caps).fields == _layout(tuple(lower[v] for v in s.variables)).fields
+        self.check(s, lower)
+
+    @settings(max_examples=150, deadline=None)
+    @given(truncation_case(same_width=False))
+    def test_caps_changing_a_width(self, case):
+        s, lower = case
+        assert _layout(s.caps).fields != _layout(tuple(lower[v] for v in s.variables)).fields
+        self.check(s, lower)
+
+    def test_last_field_narrowed_far(self):
+        # one variable: every layout has field shift 0, so only the widths
+        # tell the layouts apart; 96 + the offset of cap 3 sets no guard bit
+        s = ms({"x": 100}, {(96,): 1, (3,): 2, (2,): Q(1, 3)})
+        assert s.truncate({"x": 3}) == ms({"x": 3}, {(3,): 2, (2,): Q(1, 3)})
+
+    def test_dropped_terms_reduce_the_content(self):
+        s = ms({"x": 7}, {(1,): Q(1, 2), (6,): Q(1, 3)})
+        cut = s.truncate({"x": 5})
+        assert (cut.den, cut.terms) == (2, {(1,): Q(1, 2)})
+        assert_clean(cut)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_pair())
+    def test_own_caps(self, pair):
+        s, t = pair
+        before = s.terms
+        same = s.truncate(s.cap_map())
+        assert same == s == reference_truncate(s, s.cap_map())
+        # series are values: later operations on either leave both as they were
+        list(ring_and_reshape_results(same, t))
+        list(ring_and_reshape_results(s, same))
+        assert s.terms == same.terms == before
 
 
 class TestClosedFormOperators:
