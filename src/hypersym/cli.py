@@ -11,7 +11,8 @@ then runs its scopes from one table, ``SCOPE_RUNNERS``.
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
 action or recursion order below 1, an ``eval`` option the family does not
-take, and flow settings that meet a singular flow denominator.  A
+take, an ``eval --float`` coordinate that is not finite or ``--term-cap``
+below 1, and flow settings that meet a singular flow denominator.  A
 ``verify`` run that stops on such an error still writes the reports of the
 scopes it finished, marked ``"ok": false`` with the error text.
 """

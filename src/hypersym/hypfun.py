@@ -18,21 +18,34 @@ series are ``series.horn_series`` calls, which walk the grid on integers
 over one common denominator; the compositions are ``series.horn_compose``
 calls; both read the bottom parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
 closed Pochhammer form.  The float sums of ``psi2`` and ``psi2x3`` are one
-nested sum around ``f11_eval_float``, with one outer level per coordinate
-after x, which sums each inner 1F1(a + k; b; x) once per offset k.
+nested sum around ``f11_eval_float``'s loop, with one outer level per
+coordinate after x, which sums each inner 1F1(a + k; b; x) once per offset
+k.
 
 ``ACTION_RULES`` states each catalogued operator's action on the family,
 E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
 
 Exact paths stay exact, floating paths use a tail-domination stopping
 rule (terms can grow before they decay, so a single small term is not
-evidence of convergence).
+evidence of convergence).  The rule stops a sum once two consecutive terms
+are small and it has taken more than |arg| + |a + k| terms, so a sum's
+first floor(|arg| + |a + k|) - 1 terms, its run-up, are taken in a loop
+that tests nothing; the tested loop starts after them and stops where a
+loop tested from the first term would.  A 1F1 step s -> s+1 divides by
+(s + 1) * (b + s); one nested sum keeps these step denominators in one list,
+extended as its inner sums need them, and every inner 1F1 reads it.  Every
+float is made by the same operations in the same order as in a loop that
+tests every term and makes each denominator afresh.  A float sum checks its
+arguments before the first term: a tolerance that is not finite and
+positive, a term cap below 1 and a coordinate that is not finite raise
+``ValueError``.
 
 Everything here is stateless except one memo of float sums, which is on
 only inside ``_shared_float_sums()`` (``identities.run_suite`` opens it for
 one suite and it is dropped on exit, also when the suite raises).  Inside
-it, ``f11_eval_float`` keeps each converged (value, terms) under the values
-its loop reads, (float(a), float(b), x, rel_tol), and ``_nested_float``
+it, each converged 1F1 sum, of ``f11_eval_float`` or inside a nested sum,
+is kept as (value, terms) under the values its loop reads, (float(a),
+float(b), x, rel_tol), and ``_nested_float``
 keeps each converged value under (family, params, point, rel_tol,
 term_cap); a failed sum is never kept.  A kept sum is what the loop would
 return, so every float is the same with or without the memo.  Outside it,
@@ -197,24 +210,60 @@ def _horn_series(
                        [(p.a, [axes[v][1] for v in names], Fraction(1), ())])
 
 
+def _check_sum_args(
+    coords: Sequence[str], point: Sequence[float], rel_tol: float, term_cap: int
+) -> int:
+    """Reject a float sum's arguments before any term; returns ``term_cap``
+    as an int.  A tolerance that is not finite and positive, a term cap
+    below 1 and a coordinate that is not finite are ``ValueError``s."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    term_cap = operator.index(term_cap)
+    if term_cap < 1:
+        raise ValueError(f"term_cap must be at least 1, got {term_cap}")
+    for name, value in zip(coords, point):
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {name} must be finite, got {value!r}")
+    return term_cap
+
+
+def _run_up(threshold: float, cap: int) -> int:
+    """Terms a sum takes before its stopping rule is first tested.
+
+    The rule stops after term s only when s + 1 > ``threshold`` and the
+    terms tested at s - 1 and s were both small, so none of the first
+    floor(threshold) - 1 tests can matter; a test starting there with no
+    small term before it stops exactly where one from s = 0 would, and past
+    its first index every s + 1 exceeds the threshold.  A threshold that is
+    not finite never lets the rule stop: the whole cap.
+    """
+    if threshold < math.inf:
+        return min(cap, max(0, math.floor(threshold) - 1))
+    return cap
+
+
 def _nested_float(
     family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
 ) -> float:
     """The family's converging float sum at ``point``.
 
-    ``f11_eval_float`` sums the x index innermost; each further coordinate
-    is one outer level, the last outermost.  A level at top-parameter offset
-    k (the sum of the indices outside it) sums, for n < term_cap + k,
-    (a+k)_n arg^n / (n! prod (lower)_n) times the level inside at offset
-    k + n: the stopping rule needs more than |a + k| terms, so each sum may
-    take k more terms than ``term_cap`` and a slowly converging outer sum
-    runs out before the sums inside it.  The inner 1F1(a + k; b; x) depends
-    on k alone and is summed once per k.  Offsets are integers, so the loops
-    make no ``Fraction``; the stopping rule is ``f11_eval_float``'s, and
-    ``NoConvergence`` names the level's coordinate.  Inside
-    ``_shared_float_sums`` a converged value is kept under (family, p,
-    point, rel_tol, term_cap) and read back from there.
+    ``f11_eval_float``'s loop sums the x index innermost; each further
+    coordinate is one outer level, the last outermost.  A level at
+    top-parameter offset k (the sum of the indices outside it) sums, for
+    n < term_cap + k, (a+k)_n arg^n / (n! prod (lower)_n) times the level
+    inside at offset k + n: the stopping rule needs more than |a + k|
+    terms, so each sum may take k more terms than ``term_cap`` and a slowly
+    converging outer sum runs out before the sums inside it.  The inner
+    1F1(a + k; b; x) depends on k alone and is summed once per k, all of
+    them on one list of step denominators.  Offsets are integers, so the
+    loops make no ``Fraction``; the stopping rule is ``f11_eval_float``'s,
+    and ``NoConvergence`` names the level's coordinate.  The arguments are
+    checked once, before the first term, as ``f11_eval_float`` checks its
+    own.  Inside ``_shared_float_sums`` a converged value is kept under
+    (family, p, point, rel_tol, term_cap) and read back from there, and each
+    inner 1F1 is kept as ``f11_eval_float`` keeps it.
     """
+    term_cap = _check_sum_args(FAMILIES[family].coords, point, rel_tol, term_cap)
     memo = _MEMO.get()
     if memo is None:
         return _nested_sum(family, p, point, rel_tol, term_cap)
@@ -228,37 +277,54 @@ def _nested_float(
 def _nested_sum(
     family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
 ) -> float:
-    """``_nested_float`` without the memo."""
+    """``_nested_float`` without the checks and the memo."""
     fam = FAMILIES[family]
     bottoms = fam.bottoms(p)
     x = point[0]
+    b = float(bottoms[0][0])
     levels = [
         (point[i], fam.coords[i], tuple(float(low) for low in bottoms[i]))
         for i in range(len(point) - 1, 0, -1)
     ]
+    # float(a + k) is (num + k den) / den: a + k is already in lowest terms
+    # and integer true division rounds correctly, as Fraction.__float__ does.
+    num, den = p.a.numerator, p.a.denominator
+    dens: list[float] = []
     inner: dict[int, float] = {}
 
     def level(depth: int, k: int) -> float:
         cap = term_cap + k
         if depth == len(levels):
-            if k not in inner:
-                inner[k] = f11_eval_float(Params1F1(p.a + k, *bottoms[0]), x, rel_tol, cap)[0]
-            return inner[k]
+            value = inner.get(k)
+            if value is None:
+                value = inner[k] = _f11_kept((num + k * den) / den, b, x, rel_tol, cap, dens)[0]
+            return value
         arg, name, lowers = levels[depth]
-        af = float(p.a + k)
+        af = (num + k * den) / den
+        quiet = _run_up(abs(arg) + abs(af), cap)
         total = 0.0
         outer = 1.0  # (a+k)_n arg^n / (n! prod (lower)_n)
-        small_streak = 0
-        threshold = abs(arg) + abs(af)
-        for n in range(cap):
+        for n in range(quiet):
+            total += outer * level(depth + 1, k + n)
+            d = n + 1
+            for low in lowers:
+                d *= low + n
+            outer *= (af + n) * arg / d
+        small = False
+        for n in range(quiet, cap):
             contrib = outer * level(depth + 1, k + n)
             total += contrib
-            if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
-                small_streak += 1
+            # the smallness test of ``_f11_sum``, on this term
+            bound = total if total >= 0.0 else -total
+            if bound < 1e-300:
+                bound = 1e-300
+            bound *= rel_tol
+            if -bound <= contrib <= bound:
+                if small:
+                    return total
+                small = True
             else:
-                small_streak = 0
-            if small_streak >= 2 and n + 1 > threshold:
-                return total
+                small = False
             d = n + 1
             for low in lowers:
                 d *= low + n
@@ -286,42 +352,80 @@ def f11_eval_float(
 
     Stops once two consecutive terms are below rel_tol * |partial sum| and
     the index has cleared |x| + |a|, past which the term ratio stays below 1.
+    A tolerance that is not finite and positive, a ``term_cap`` below 1 and
+    an ``x`` that is not finite raise ``ValueError`` before any term.
     Inside ``_shared_float_sums`` a converged sum is kept under (float(a),
     float(b), x, rel_tol); a kept sum that took more terms than
     ``term_cap`` raises as the loop would.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
-    a = float(p.a)
-    b = float(p.b)
+    term_cap = _check_sum_args(("x",), (x,), rel_tol, term_cap)
+    return _f11_kept(float(p.a), float(p.b), x, rel_tol, term_cap, [])
+
+
+def _f11_kept(
+    a: float, b: float, x: float, rel_tol: float, term_cap: int, dens: list[float]
+) -> tuple[float, int]:
+    """``_f11_sum`` through the memo of the open ``_shared_float_sums``."""
     memo = _MEMO.get()
     if memo is None:
-        return _f11_sum(a, b, x, rel_tol, term_cap)
+        return _f11_sum(a, b, x, rel_tol, term_cap, dens)
     key = (a, b, x, rel_tol)
     found = memo.get(key)
     if found is None:
-        found = memo[key] = _f11_sum(a, b, x, rel_tol, term_cap)
-    elif found[1] > operator.index(term_cap):
+        found = memo[key] = _f11_sum(a, b, x, rel_tol, term_cap, dens)
+    elif found[1] > term_cap:
         raise NoConvergence(f"no convergence in {term_cap} terms at x={x}")
     return found
 
 
-def _f11_sum(a: float, b: float, x: float, rel_tol: float, term_cap: int) -> tuple[float, int]:
-    """``f11_eval_float``'s loop on float parameters."""
+# Step denominators ``_f11_sum``'s tested loop makes at a time.
+_DENS_BLOCK = 32
+
+
+def _extend_dens(dens: list[float], b: float, stop: int) -> None:
+    dens.extend([(s + 1) * (b + s) for s in range(len(dens), stop)])
+
+
+def _f11_sum(
+    a: float, b: float, x: float, rel_tol: float, term_cap: int, dens: list[float]
+) -> tuple[float, int]:
+    """``f11_eval_float``'s loop on float parameters.
+
+    ``dens`` holds the step denominators (s + 1) * (b + s) for the first
+    len(dens) indices; it is extended in place, so sums that share b can
+    share it.  The run-up takes its terms without testing them (``_run_up``);
+    the rest are tested in blocks of ``_DENS_BLOCK``, each extending
+    ``dens`` first.
+    """
+    quiet = _run_up(abs(x) + abs(a), term_cap)
+    if len(dens) < quiet:
+        _extend_dens(dens, b, quiet)
     total = 0.0
     term = 1.0
-    small_streak = 0
-    threshold_s = abs(x) + abs(a)
-    for s in range(term_cap):
+    for s in range(quiet):
         total += term
-        nxt = term * (a + s) * x / ((s + 1) * (b + s))
-        if abs(nxt) <= rel_tol * max(abs(total), 1e-300):
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 2 and s + 1 > threshold_s:
-            return total, s + 1
-        term = nxt
+        term = term * (a + s) * x / dens[s]
+    small = False
+    start = quiet
+    while start < term_cap:
+        stop = min(term_cap, start + _DENS_BLOCK)
+        if len(dens) < stop:
+            _extend_dens(dens, b, stop)
+        for s in range(start, stop):
+            total += term
+            term = term * (a + s) * x / dens[s]
+            # abs(term) <= rel_tol * max(abs(total), 1e-300), false for a NaN
+            bound = total if total >= 0.0 else -total
+            if bound < 1e-300:
+                bound = 1e-300
+            bound *= rel_tol
+            if -bound <= term <= bound:
+                if small:
+                    return total, s + 1
+                small = True
+            else:
+                small = False
+        start = stop
     raise NoConvergence(f"no convergence in {term_cap} terms at x={x}")
 
 

@@ -465,9 +465,11 @@ class MultiSeries:
     # -- shape changes -----------------------------------------------------
 
     def truncate(self, caps: Mapping[str, int]) -> "MultiSeries":
-        """Restrict to (possibly lower) caps; variable set must agree.
+        """Restrict to caps at or below the series' own; variable set must agree.
 
-        At the series' own caps the result is ``self`` (series are values:
+        A cap above the series' own raises ``CapMismatch`` (a ``ValueError``):
+        the coefficients between the two caps are unknown, not zero.  At the
+        series' own caps the result is ``self`` (series are values:
         no method changes one).  Where every bit field keeps its width the
         keys stay: a term drops exactly when its key plus the new layout's
         offset sets a guard bit, and the content is divided out only if one
@@ -478,6 +480,9 @@ class MultiSeries:
             raise CapMismatch("truncate cannot change the variable set")
         if degs == self.caps:
             return self
+        for name, cap, own in zip(names, degs, self.caps):
+            if cap > own:
+                raise CapMismatch(f"truncate cannot raise the cap of {name!r} from {own} to {cap}")
         old, new = _layout(self.caps), _layout(degs)
         if old.fields == new.fields:
             guard, offset = new.guard, new.offset

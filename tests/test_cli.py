@@ -74,6 +74,29 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr == f"error: rel_tol must be finite and positive, got {tol}\n"
 
+    @pytest.mark.parametrize("fn, coords, named, value", [
+        ("f11", ("--x", "nan"), "x", "nan"),
+        ("f11", ("--x=-inf",), "x", "-inf"),
+        ("psi2", ("--x", "0.5", "--y", "inf"), "y", "inf"),
+        ("psi2", ("--x", "nan", "--y", "0.5"), "x", "nan"),
+        ("psi2x3", ("--x", "0.5", "--y", "0.5", "--z", "inf"), "z", "inf"),
+    ], ids=["f11-nan", "f11-minus-inf", "psi2-y-inf", "psi2-x-nan", "psi2x3-z-inf"])
+    def test_non_finite_coordinate_exits_2(self, fn, coords, named, value):
+        params = ("--a", "1/2", "--b", "4/3") + (("--c", "5/7") if fn != "f11" else ())
+        r = run_cli("eval", "--fn", fn, *params, *coords, "--float", timeout=60)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: coordinate {named} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("fn", ["f11", "psi2"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_term_cap_below_one_exits_2(self, fn, cap):
+        params = ("--a", "1/2", "--b", "4/3") + (("--c", "5/7", "--y", "0.5") if fn == "psi2" else ())
+        r = run_cli("eval", "--fn", fn, *params, "--x", "0.5", "--float", "--term-cap", cap)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: term_cap must be at least 1, got {cap}\n"
+
     @pytest.mark.parametrize("fn, extra, named", [
         ("f11", ("--c", "3"), "--c"),
         ("f11", ("--y", "5"), "--y"),

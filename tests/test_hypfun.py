@@ -405,14 +405,17 @@ class TestTripleSumSharesInnerSums:
     def test_no_shifted_parameter_summed_twice(self, monkeypatch):
         seen = []
 
-        def counting(p, x, rel_tol=1e-12, term_cap=hypfun.DEFAULT_TERM_CAP):
-            seen.append((p.a, term_cap))
-            return f11_eval_float(p, x, rel_tol, term_cap)
+        inner_sum = hypfun._f11_sum
 
-        monkeypatch.setattr(hypfun, "f11_eval_float", counting)
+        def counting(a, b, x, rel_tol, term_cap, dens):
+            seen.append((a, term_cap))
+            return inner_sum(a, b, x, rel_tol, term_cap, dens)
+
+        monkeypatch.setattr(hypfun, "_f11_sum", counting)
         p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
         psi2_3var_eval_float(p, 1.25, -1.75, 0.35, term_cap=500)
-        shifts = [a - p.a for a, _cap in seen]
+        # a = 1/2 + k is exact in binary, so the shifts are the integers k
+        shifts = [a - float(p.a) for a, _cap in seen]
         assert len(set(shifts)) == len(shifts) > 10
         # Each inner sum has the cap the middle loop gives it on its diagonal.
         assert all(cap == 500 + k for k, (_a, cap) in zip(shifts, seen))
@@ -421,6 +424,72 @@ class TestTripleSumSharesInnerSums:
         p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
         with pytest.raises(NoConvergence, match=r"^no convergence in 40 terms at x=300\.0$"):
             psi2_3var_eval_float(p, 300.0, 0.1, 0.1, term_cap=40)
+
+
+class TestFloatArgumentChecks:
+    """A float sum's arguments are checked before any term: a coordinate that
+    is not finite and a term cap below 1 are usage errors, not sums that
+    fail to converge."""
+
+    P = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+    EVALUATORS = {
+        "f11": lambda p, point, **kw: f11_eval_float(Params1F1(p.a, p.b), *point, **kw),
+        "psi2": lambda p, point, **kw: psi2_eval_float(p, *point, **kw),
+        "psi2x3": lambda p, point, **kw: psi2_3var_eval_float(p, *point, **kw),
+    }
+
+    def _no_terms(self, monkeypatch):
+        def summed(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(hypfun, "_f11_sum", summed)
+        monkeypatch.setattr(hypfun, "_nested_sum", summed)
+
+    @pytest.mark.parametrize("family, point, named", [
+        ("f11", (math.inf,), "x"),
+        ("f11", (math.nan,), "x"),
+        ("psi2", (0.5, math.inf), "y"),
+        ("psi2", (-math.inf, 0.5), "x"),
+        ("psi2x3", (0.5, 0.5, math.nan), "z"),
+        ("psi2x3", (0.5, math.nan, 0.25), "y"),
+    ])
+    def test_non_finite_coordinate(self, monkeypatch, family, point, named):
+        self._no_terms(monkeypatch)
+        bad = next(v for v in point if not math.isfinite(v))
+        with pytest.raises(ValueError, match=rf"^coordinate {named} must be finite, got {bad!r}$"):
+            self.EVALUATORS[family](self.P, point)
+
+    @pytest.mark.parametrize("family, point", [
+        ("f11", (0.5,)), ("psi2", (0.5, 0.5)), ("psi2x3", (0.5, 0.5, 0.25)),
+    ])
+    def test_term_cap_below_one(self, monkeypatch, family, point):
+        self._no_terms(monkeypatch)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match=rf"^term_cap must be at least 1, got {cap}$"):
+                self.EVALUATORS[family](self.P, point, term_cap=cap)
+        for cap in (2.0, Q(5)):
+            with pytest.raises(TypeError):
+                self.EVALUATORS[family](self.P, point, term_cap=cap)
+
+    @pytest.mark.parametrize("family, point", [("psi2", (0.5, 0.5)), ("psi2x3", (0.5, 0.5, 0.25))])
+    def test_nested_sum_checks_its_tolerance_before_any_term(self, monkeypatch, family, point):
+        self._no_terms(monkeypatch)
+        with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
+            self.EVALUATORS[family](self.P, point, rel_tol=math.nan)
+
+    def test_checks_come_before_the_memo(self):
+        with hypfun._shared_float_sums():
+            f11_eval_float(Params1F1(Q(1, 2), Q(4, 3)), 0.5)
+            psi2_eval_float(self.P, 0.5, 0.5)
+            with pytest.raises(ValueError, match="term_cap must be at least 1"):
+                f11_eval_float(Params1F1(Q(1, 2), Q(4, 3)), 0.5, term_cap=0)
+            with pytest.raises(ValueError, match="term_cap must be at least 1"):
+                psi2_eval_float(self.P, 0.5, 0.5, term_cap=0)
+
+    def test_cap_one_stops_after_one_term(self):
+        # cap 1 is the smallest cap and always fails: the rule tests two terms
+        with pytest.raises(NoConvergence, match=r"^no convergence in 1 terms at x=0\.0$"):
+            f11_eval_float(Params1F1(Q(1, 2), Q(4, 3)), 0.0, term_cap=1)
 
 
 class TestSharedFloatSums:

@@ -692,6 +692,18 @@ class TestTruncateOnPackedKeys:
         s = ms({"x": 100}, {(96,): 1, (3,): 2, (2,): Q(1, 3)})
         assert s.truncate({"x": 3}) == ms({"x": 3}, {(3,): 2, (2,): Q(1, 3)})
 
+    def test_a_raised_cap_raises(self):
+        # x^3..x^5 of the series below are unknown, not zero
+        s = ms({"x": 2}, {(0,): 1, (1,): 1, (2,): Q(1, 2)})
+        with pytest.raises(CapMismatch, match=r"^truncate cannot raise the cap of 'x' from 2 to 5$"):
+            s.truncate({"x": 5})
+        assert issubclass(CapMismatch, ValueError)
+        # one cap lowered does not excuse another raised
+        t = ms({"x": 3, "y": 1}, {(1, 1): 2, (3, 0): Q(1, 3)})
+        with pytest.raises(CapMismatch, match="of 'y' from 1 to 2"):
+            t.truncate({"x": 2, "y": 2})
+        assert t.truncate({"x": 2, "y": 1}) == ms({"x": 2, "y": 1}, {(1, 1): 2})
+
     def test_dropped_terms_reduce_the_content(self):
         s = ms({"x": 7}, {(1,): Q(1, 2), (6,): Q(1, 3)})
         cut = s.truncate({"x": 5})
