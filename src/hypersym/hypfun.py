@@ -38,10 +38,18 @@ float is made by the same operations in the same order as in a loop that
 tests every term and makes each denominator afresh.  A float sum checks its
 arguments before the first term: a tolerance that is not finite and
 positive, a term cap below 1 and a coordinate that is not finite raise
-``ValueError``.
+``ValueError``.  A bottom parameter whose float is zero or a negative
+integer, which the parameter classes accept when the exact value is off the
+pole, raises ``DegenerateParameter`` where the sum first makes that float,
+before any term.  A nested sum raises ``NoConvergence`` soon after an
+outer partial sum stops being finite, since no later term can bring it
+back: the run-up tests the partial sum once per block of ``_RUN_UP_BLOCK``
+terms, and the tested loop only where the smallness test passes for the
+second time or fails after passing (an infinite partial sum passes it, and
+the NaN that follows one fails it), so a converging sum pays one test.
 
 Everything here is stateless except one memo of float sums, which is on
-only inside ``_shared_float_sums()`` (``identities.run_suite`` opens it for
+only inside ``series._shared_work()`` (``identities.run_suite`` opens it for
 one suite and it is dropped on exit, also when the suite raises).  Inside
 it, each converged 1F1 sum, of ``f11_eval_float`` or inside a nested sum,
 is kept as (value, terms) under the values its loop reads, (float(a),
@@ -54,13 +62,11 @@ return, so every float is the same with or without the memo.  Outside it,
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .exactnum import (
     DegenerateParameter,
@@ -69,31 +75,13 @@ from .exactnum import (
     is_nonpositive_integer,
     pochhammer,
 )
-from .series import MultiSeries, horn_compose, horn_series
+from .series import _MEMO, MultiSeries, horn_compose, horn_series
 
 DEFAULT_TERM_CAP = 10000
 
 
 class NoConvergence(ArithmeticError):
     """Floating summation failed to meet tolerance within the term cap."""
-
-
-# The float sums of the open suite, or None outside ``_shared_float_sums``.
-_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypfun_memo", default=None)
-
-
-@contextlib.contextmanager
-def _shared_float_sums() -> Iterator[None]:
-    """Keep converged float sums for the duration of the block.
-
-    Each block starts an empty memo and restores the previous state on exit,
-    whether the block returns or raises.
-    """
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
 
 
 def _check_denominator_param(name: str, value: Fraction) -> None:
@@ -227,6 +215,19 @@ def _check_sum_args(
     return term_cap
 
 
+def _float_bottom(coord: str, low: Fraction) -> float:
+    """The bottom parameter ``low`` of ``coord``'s index as the float its
+    loop reads.  The parameter classes reject only exact poles, and a float
+    that is zero or a negative integer would make a step denominator zero:
+    ``DegenerateParameter``."""
+    value = float(low)
+    if value <= 0 and value.is_integer():
+        raise DegenerateParameter(
+            f"bottom parameter {low} of {coord} is {value!r} as a float, zero or a negative integer"
+        )
+    return value
+
+
 def _run_up(threshold: float, cap: int) -> int:
     """Terms a sum takes before its stopping rule is first tested.
 
@@ -240,6 +241,10 @@ def _run_up(threshold: float, cap: int) -> int:
     if threshold < math.inf:
         return min(cap, max(0, math.floor(threshold) - 1))
     return cap
+
+
+# Outer run-up terms summed between two tests of the partial sum.
+_RUN_UP_BLOCK = 32
 
 
 def _nested_float(
@@ -257,11 +262,13 @@ def _nested_float(
     1F1(a + k; b; x) depends on k alone and is summed once per k, all of
     them on one list of step denominators.  Offsets are integers, so the
     loops make no ``Fraction``; the stopping rule is ``f11_eval_float``'s,
-    and ``NoConvergence`` names the level's coordinate.  The arguments are
+    and ``NoConvergence`` names the level's coordinate; a level whose
+    partial sum is no longer finite raises it at once.  The arguments are
     checked once, before the first term, as ``f11_eval_float`` checks its
-    own.  Inside ``_shared_float_sums`` a converged value is kept under
-    (family, p, point, rel_tol, term_cap) and read back from there, and each
-    inner 1F1 is kept as ``f11_eval_float`` keeps it.
+    own, and ``_nested_sum`` rejects a bottom whose float is a pole.
+    Inside ``series._shared_work`` a converged value is kept under (family,
+    p, point, rel_tol, term_cap) and read back from there, and each inner
+    1F1 is kept as ``f11_eval_float`` keeps it.
     """
     term_cap = _check_sum_args(FAMILIES[family].coords, point, rel_tol, term_cap)
     memo = _MEMO.get()
@@ -281,9 +288,9 @@ def _nested_sum(
     fam = FAMILIES[family]
     bottoms = fam.bottoms(p)
     x = point[0]
-    b = float(bottoms[0][0])
+    b = _float_bottom("x", bottoms[0][0])
     levels = [
-        (point[i], fam.coords[i], tuple(float(low) for low in bottoms[i]))
+        (point[i], fam.coords[i], tuple(_float_bottom(fam.coords[i], low) for low in bottoms[i]))
         for i in range(len(point) - 1, 0, -1)
     ]
     # float(a + k) is (num + k den) / den: a + k is already in lowest terms
@@ -304,12 +311,15 @@ def _nested_sum(
         quiet = _run_up(abs(arg) + abs(af), cap)
         total = 0.0
         outer = 1.0  # (a+k)_n arg^n / (n! prod (lower)_n)
-        for n in range(quiet):
-            total += outer * level(depth + 1, k + n)
-            d = n + 1
-            for low in lowers:
-                d *= low + n
-            outer *= (af + n) * arg / d
+        for start in range(0, quiet, _RUN_UP_BLOCK):
+            for n in range(start, min(quiet, start + _RUN_UP_BLOCK)):
+                total += outer * level(depth + 1, k + n)
+                d = n + 1
+                for low in lowers:
+                    d *= low + n
+                outer *= (af + n) * arg / d
+            if total - total:
+                raise _not_finite(n, name, arg)
         small = False
         for n in range(quiet, cap):
             contrib = outer * level(depth + 1, k + n)
@@ -321,9 +331,15 @@ def _nested_sum(
             bound *= rel_tol
             if -bound <= contrib <= bound:
                 if small:
+                    if total - total:
+                        raise _not_finite(n, name, arg)
                     return total
                 small = True
-            else:
+            elif small:
+                # an infinite partial sum passes the smallness test, and
+                # inf - inf is a NaN that fails it
+                if total - total:
+                    raise _not_finite(n, name, arg)
                 small = False
             d = n + 1
             for low in lowers:
@@ -332,6 +348,12 @@ def _nested_sum(
         raise NoConvergence(f"no convergence in {cap} outer terms at {name}={arg}")
 
     return level(0, 0)
+
+
+def _not_finite(n: int, name: str, arg: float) -> NoConvergence:
+    """The error of an outer level whose partial sum over n + 1 terms is
+    not finite."""
+    return NoConvergence(f"partial sum not finite after {n + 1} outer terms at {name}={arg}")
 
 
 # -- one-argument series -----------------------------------------------------
@@ -353,19 +375,20 @@ def f11_eval_float(
     Stops once two consecutive terms are below rel_tol * |partial sum| and
     the index has cleared |x| + |a|, past which the term ratio stays below 1.
     A tolerance that is not finite and positive, a ``term_cap`` below 1 and
-    an ``x`` that is not finite raise ``ValueError`` before any term.
-    Inside ``_shared_float_sums`` a converged sum is kept under (float(a),
+    an ``x`` that is not finite raise ``ValueError`` before any term, and a
+    b whose float is zero or a negative integer ``DegenerateParameter``.
+    Inside ``series._shared_work`` a converged sum is kept under (float(a),
     float(b), x, rel_tol); a kept sum that took more terms than
     ``term_cap`` raises as the loop would.
     """
     term_cap = _check_sum_args(("x",), (x,), rel_tol, term_cap)
-    return _f11_kept(float(p.a), float(p.b), x, rel_tol, term_cap, [])
+    return _f11_kept(float(p.a), _float_bottom("x", p.b), x, rel_tol, term_cap, [])
 
 
 def _f11_kept(
     a: float, b: float, x: float, rel_tol: float, term_cap: int, dens: list[float]
 ) -> tuple[float, int]:
-    """``_f11_sum`` through the memo of the open ``_shared_float_sums``."""
+    """``_f11_sum`` through the memo of the open ``series._shared_work``."""
     memo = _MEMO.get()
     if memo is None:
         return _f11_sum(a, b, x, rel_tol, term_cap, dens)

@@ -21,7 +21,13 @@ parameters, composition, float value, parameter class) is read from
 Records are verified *formally*: both sides are expanded as truncated series
 in (x[, y], chi) over exact rationals and compared coefficient-wise, so a
 failure pinpoints the exact chi-order and monomial where the stated form
-breaks.
+breaks.  The witness is the graded-lex least differing monomial.  Each row
+first compares the sides in a probe box, every cap cut to min(1, cap): caps
+are trusted orders, so a probe witness of total degree at most the least
+probe cap is the full box's witness too, and only the rows it leaves
+undecided (every verified row among them) build the full box.  ``run_suite``
+opens ``series._shared_work`` once, so the rows share the power ladders of
+their composition arguments and their converged float sums.
 
 Three catalogued statements are known to be self-inconsistent as stated;
 each of those records carries a corrected candidate in its field
@@ -43,7 +49,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__ as ENGINE_VERSION
 from .hypfun import (
@@ -52,10 +58,17 @@ from .hypfun import (
     FAMILIES,
     NoConvergence,
     ParamsPsi2,
-    _shared_float_sums,
     param_strs,
 )
-from .series import MultiSeries, exp_series, first_mismatch, horn_series
+from .series import (
+    MultiSeries,
+    _layout,
+    _least_mismatch,
+    _shared_work,
+    exp_series,
+    first_mismatch,
+    horn_series,
+)
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
@@ -142,19 +155,20 @@ def _weights(record: IdentityRecord, p) -> Iterator[tuple[Fraction, object]]:
             w = w * rule.coefficient(q) / (l + 1)
 
 
-def _sum_series(record: IdentityRecord, p, caps: Mapping[str, int]) -> MultiSeries:
+def _sum_series(
+    record: IdentityRecord, weights: Iterable[tuple[Fraction, object]], caps: Mapping[str, int]
+) -> MultiSeries:
     """The record's chi-sum as an exact series at the caps.
 
-    One ``horn_series`` call: for each l the member's Horn walk at
-    p + l*shift starts from w_l with the leading exponent l, since "chi"
-    sorts before "x" and "y".  The shifted parameters are built at every
-    l <= N, also where w_l vanishes, so a degenerate shift raises
-    ``DegenerateParameter``.
+    ``weights`` is ``_weights(record, p)``, or its first N + 1 pairs or
+    more, N the chi cap.  One ``horn_series`` call: for each l <= N the
+    member's Horn walk at p + l*shift starts from w_l with the leading
+    exponent l, since "chi" sorts before "x" and "y".
     """
     fam = FAMILIES[record.family]
     variables = ("chi",) + fam.coords
     grids = [(q.a, fam.bottoms(q), w, (l,))
-             for l, (w, q) in zip(range(caps["chi"] + 1), _weights(record, p))]
+             for l, (w, q) in zip(range(caps["chi"] + 1), weights)]
     return horn_series(variables, tuple(caps[v] for v in variables), grids)
 
 
@@ -424,12 +438,28 @@ def verify_formal(
     """Build both sides as exact truncated series and compare coefficient-wise.
 
     Returns a row dict with status "verified" or "mismatch" (plus the
-    lexicographically first failing monomial and both coefficients).
+    graded-lex least failing monomial and both coefficients there).
+
+    The sides are compared first in the probe box, every cap cut to
+    min(1, cap).  Caps are trusted orders, so the probe's coefficients are
+    the full box's; when its least differing monomial has total degree d
+    at most the least probe cap, every monomial of degree d or less lies in
+    the probe, and it is the full box's witness too.  Otherwise both sides
+    are built at the full caps.  The chi-sum's weights and shifted points
+    are built once, up to the full chi cap and before the probe, also where
+    w_l vanishes, so a degenerate shift raises ``DegenerateParameter``
+    whichever box decides.
     """
     p = FAMILIES[record.family].narrow(params)
     caps = _caps_for(record, n_order, m_order)
-    lhs = lhs_series(record, variant, p, caps)
-    rhs = _sum_series(record, p, caps)
+    weights = list(itertools.islice(_weights(record, p), n_order + 1))
+    probe = {v: min(1, cap) for v, cap in caps.items()}
+    lhs = lhs_series(record, variant, p, probe)
+    rhs = _sum_series(record, weights, probe)
+    key = _least_mismatch(lhs, rhs)
+    if probe != caps and (key is None or sum(_layout(lhs.caps)[key]) > min(probe.values())):
+        lhs = lhs_series(record, variant, p, caps)
+        rhs = _sum_series(record, weights, caps)
     witness = _first_mismatch(lhs, rhs)
     return {
         "id": record.rec_id,
@@ -511,11 +541,14 @@ def run_suite(
     that lacks a verified corrected candidate for the same record, point
     (and chi); ``invariant_ok()`` is false when there is one.
 
-    The rows share their converged float sums: a chi-sum member or a
-    left-side value met again (another chi, variant or record, or the inner
-    1F1 of a Humbert sum) is summed once per call (``hypfun``'s memo, on
-    only for the call and dropped when it returns or raises).  The rows are
-    those of separate ``verify_formal`` and ``verify_numeric`` calls.
+    The rows share their converged float sums and the power ladders of
+    their composition arguments: a chi-sum member or a left-side value met
+    again (another chi, variant or record, or the inner 1F1 of a Humbert
+    sum) is summed once per call, and an argument met again (another
+    variant, record or point) is raised to its powers once per call
+    (``series._shared_work``, on only for the call and dropped when it
+    returns or raises).  The rows are those of separate ``verify_formal``
+    and ``verify_numeric`` calls.
     """
     if mode not in ("formal", "numeric", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -529,7 +562,7 @@ def run_suite(
 
     t0 = time.perf_counter()
     rows: list[dict] = []
-    with _shared_float_sums():
+    with _shared_work():
         for record in cat:
             for variant in (AS_STATED, CORRECTED) if record.corrected else (AS_STATED,):
                 for point in param_points:

@@ -62,6 +62,18 @@ in one integer dict over one common denominator, reduced once.
 ``pow_rational``, ``exp_series`` and the compositions in ``hypfun`` are
 calls to it.
 
+Shared work.  An argument's power ladder U^0, U^1, ... (``_power_ladder``)
+depends only on the caps, the highest power needed and the argument's
+integer numerators, not on its denominator, the top parameter or the
+bottoms; the same arguments (x/(1-chi), x(1+chi), ...) recur across the
+records, variants and parameter points of a verification suite.  Inside
+``_shared_work()``, which ``identities.run_suite`` opens once per suite,
+each ladder is built once and handed out again; ``hypfun``'s memo of
+converged float sums lives in the same block.  The memo is dropped when the
+block ends, also when it raises, and outside it nothing is kept.  A kept
+ladder is shared, so no caller changes one: ``horn_compose`` scales a copy
+by the denominator.
+
 This module knows nothing of prefactors with rational exponents: the
 realized basis elements that carry them, and the rule for operators acting
 on them, live in ``liealg``.
@@ -69,13 +81,36 @@ on them, live in ``liealg``.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import Q, as_rational, is_nonpositive_integer
+
+
+# The work kept by the open ``_shared_work`` block, or None outside one.
+# Keys of different kinds have different tuple lengths, so they never meet:
+# ``horn_compose`` keeps power ladders under (caps, bound, numerators), and
+# ``hypfun`` keeps its float sums under keys of four and five entries.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypersym_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_work() -> Iterator[None]:
+    """Keep work that depends only on its inputs for the duration of the block.
+
+    Each block starts an empty memo and restores the previous state on exit,
+    whether the block returns or raises.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 class CapMismatch(ValueError):
@@ -705,7 +740,8 @@ def horn_compose(
     The sum runs on integers and packed keys (the ``_Layout`` of the caps,
     whose guard bits drop the pairs of every product that pass a cap).  Each
     argument is its integer numerators U_i over its denominator D_i, and its
-    powers are the integer series U_i^k, kept packed.  With B_i the highest
+    powers are the integer series U_i^k, kept packed (``_power_ladder``,
+    shared inside ``_shared_work``).  With B_i the highest
     power kept and C the denominator of the coefficients' integer walk, the
     sum times C prod D_i^(B_i) is sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i),
     accumulated in one packed integer dict (the innermost index as a
@@ -725,13 +761,8 @@ def horn_compose(
         if 0 in arg.nums:
             raise NonZeroConstantTerm("composition arguments need zero constant term")
         first._check_compatible(arg)
-        d, u = arg.den, arg.nums
-        row = [{0: 1}]
-        while len(row) <= bound:
-            nxt = _cauchy(row[-1], u, guard, offset)
-            if not nxt:
-                break
-            row.append(nxt)
+        d = arg.den
+        row = _power_ladder(arg.nums, caps, bound)
         top = len(row) - 1
         if d != 1:
             row = [{e: v * d ** (top - k) for e, v in power.items()}
@@ -747,6 +778,37 @@ def horn_compose(
     for e in [e for e, v in total.items() if not v]:
         del total[e]
     return MultiSeries._trusted(variables, caps, *_reduce(common * denominator, total))
+
+
+def _power_ladder(
+    u: dict[int, int], caps: tuple[int, ...], bound: int
+) -> tuple[dict[int, int], ...]:
+    """The integer powers U^0, U^1, ... of the term map ``u``, packed in the
+    ``_Layout`` of ``caps``, up to U^bound or up to the first zero power,
+    which is left out.
+
+    The ladder depends on nothing else, so inside ``_shared_work`` it is
+    kept under (caps, bound, the items of ``u``) and the same tuple is
+    handed to every later call with those; no caller changes it.
+    """
+    memo = _MEMO.get()
+    if memo is not None:
+        key = (caps, bound, frozenset(u.items()))
+        ladder = memo.get(key)
+        if ladder is not None:
+            return ladder
+    layout = _layout(caps)
+    guard, offset = layout.guard, layout.offset
+    row = [{0: 1}]
+    while len(row) <= bound:
+        nxt = _cauchy(row[-1], u, guard, offset)
+        if not nxt:
+            break
+        row.append(nxt)
+    ladder = tuple(row)
+    if memo is not None:
+        memo[key] = ladder
+    return ladder
 
 
 def _power_sum(
@@ -789,15 +851,22 @@ def first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> tuple[str, Fraction, F
     crosswise over the two denominators, and no difference series is
     formed.  Raises CapMismatch when their variables or caps differ.
     """
+    key = _least_mismatch(lhs, rhs)
+    if key is None:
+        return None
+    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, _layout(lhs.caps)[key])) or "1"
+    return mono, Fraction(lhs.nums.get(key, 0), lhs.den), Fraction(rhs.nums.get(key, 0), rhs.den)
+
+
+def _least_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> int | None:
+    """The packed key of ``first_mismatch``'s monomial, or None."""
     lhs._check_compatible(rhs)
     a, b, da, db = lhs.nums, rhs.nums, lhs.den, rhs.den
     if da == db and a == b:
         return None
     layout = _layout(lhs.caps)
-    key = min((k for k in a.keys() | b.keys() if a.get(k, 0) * db != b.get(k, 0) * da),
-              key=lambda k: (sum(layout[k]), layout[k]))
-    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, layout[key])) or "1"
-    return mono, Fraction(a.get(key, 0), da), Fraction(b.get(key, 0), db)
+    return min((k for k in a.keys() | b.keys() if a.get(k, 0) * db != b.get(k, 0) * da),
+               key=lambda k: (sum(layout[k]), layout[k]))
 
 
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:

@@ -88,6 +88,29 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr == f"error: coordinate {named} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("fn", ["f11", "psi2", "psi2x3"])
+    def test_bottom_parameter_that_rounds_to_a_pole_exits_2(self, fn):
+        # b is not an integer, but its float is -3.0, where a step divides by zero
+        b = "-2999999999999999999999999999999/1000000000000000000000000000000"
+        params = ("--a", "1/2", "--b", b) + (("--c", "5/7", "--y", "0.5") if fn != "f11" else ())
+        coords = ("--z", "0.25") if fn == "psi2x3" else ()
+        r = run_cli("eval", "--fn", fn, *params, "--x", "1", *coords, "--float", timeout=60)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == (
+            f"error: bottom parameter {b} of x is -3.0 as a float, zero or a negative integer\n"
+        )
+
+    def test_non_finite_outer_partial_sum_fails_at_once(self):
+        # the outer term is infinite from the third on, and the run-up tests
+        # the partial sum after 32 terms; summing to the cap of 10,000 outer
+        # terms took seconds
+        r = run_cli("eval", "--fn", "psi2", "--a", "1/2", "--b", "4/3", "--c", "5/7",
+                    "--x", "0.5", "--y", "1e300", "--float", timeout=20)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "no convergence: partial sum not finite after 32 outer terms at y=1e+300\n"
+
     @pytest.mark.parametrize("fn", ["f11", "psi2"])
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_term_cap_below_one_exits_2(self, fn, cap):

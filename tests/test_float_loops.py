@@ -5,7 +5,10 @@ step denominators from a list that the inner sums of one nested sum share;
 ``hypfun._nested_sum`` makes its top parameters from integers instead of
 ``Fraction``s.  None of that may change a float: every value, term count and
 exception text must be the one the loops below give.  They are the loops as
-they stood before those changes, kept here as reference oracles.
+they stood before those changes, kept here as reference oracles.  Two later
+checks part from them on purpose, each with its own test: a bottom
+parameter whose float is a pole is rejected before any term, and a nested
+sum whose outer partial sum is not finite raises at once.
 """
 
 import math
@@ -14,7 +17,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypersym import hypfun
+from hypersym import hypfun, series
+from hypersym.exactnum import DegenerateParameter
 from hypersym.hypfun import (
     FAMILIES,
     NoConvergence,
@@ -153,7 +157,7 @@ def outcome(thunk):
     type and text."""
     try:
         result = thunk()
-    except (NoConvergence, ZeroDivisionError) as exc:
+    except (NoConvergence, ZeroDivisionError, DegenerateParameter) as exc:
         return type(exc).__name__, str(exc)
     return repr(result)
 
@@ -169,7 +173,7 @@ class TestBitIdentity:
         for (args, lib, _ref), want in zip(cases, expected):
             assert outcome(lib) == want, args
         # one memo over the whole grid: inner sums recur under other caps
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             for (args, lib, _ref), want in zip(cases, expected):
                 assert outcome(lib) == want, args
 
@@ -187,11 +191,46 @@ class TestBitIdentity:
             p = Params1F1(a, Q(4, 3))
             assert f11_eval_float(p, 0.0, 1e-12) == ref_f11_eval_float(p, 0.0, 1e-12)
 
-    def test_zero_step_denominator_raises_as_before(self):
-        # b rounds to the float -3.0, so (s + 1) * (b + s) is 0.0 at s = 3
+    def test_zero_step_denominator_is_rejected_before_any_term(self):
+        # b rounds to the float -3.0, so (s + 1) * (b + s) is 0.0 at s = 3,
+        # where the loop divides by zero; the sum rejects that float before any term
         p = Params1F1(Q(1, 2), Q(-3) + Q(1, 10**30))
-        assert outcome(lambda: f11_eval_float(p, 1.0)) == outcome(lambda: ref_f11_eval_float(p, 1.0)) \
-            == ("ZeroDivisionError", "float division by zero")
+        assert outcome(lambda: ref_f11_eval_float(p, 1.0)) == ("ZeroDivisionError", "float division by zero")
+        assert outcome(lambda: f11_eval_float(p, 1.0)) == (
+            "DegenerateParameter",
+            f"bottom parameter {p.b} of x is -3.0 as a float, zero or a negative integer",
+        )
+
+    @pytest.mark.parametrize("family, point, cap, name, terms", [
+        # every term is in the run-up, which tests the partial sum once per
+        # block of 32 terms: the loop tested nothing before its cap
+        ("psi2", (0.5, 1e300), 60, "y", 32),
+        ("psi2", (0.5, -1e300), 60, "y", 32),
+        ("psi2x3", (0.5, 0.5, 1e300), 40, "z", 32),
+        # the partial sum overflows at term 419 of a run-up of 799 terms
+        ("psi2", (0.5, 800.0), DEFAULT_TERM_CAP, "y", 448),
+        # an inner 1F1 overflows after the run-up: an infinite partial sum
+        # passes the smallness test, and a NaN one fails it
+        ("psi2", (700.0, 0.5), DEFAULT_TERM_CAP, "y", 3),
+        ("psi2x3", (700.0, 0.5, 0.5), DEFAULT_TERM_CAP, "y", 3),
+    ])
+    def test_outer_partial_sum_that_is_not_finite_raises_at_once(self, family, point, cap, name, terms):
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        arg = point[FAMILIES[family].coords.index(name)]
+        # the reference returns a value that is not finite, or runs to its cap
+        ref = outcome(lambda: ref_nested_sum(family, p, point, 1e-12, cap))
+        assert ref in ("inf", "nan") or ref == (
+            "NoConvergence", f"no convergence in {cap} outer terms at {name}={arg}")
+        with pytest.raises(NoConvergence) as exc:
+            hypfun._nested_float(family, p, point, 1e-12, cap)
+        assert str(exc.value) == f"partial sum not finite after {terms} outer terms at {name}={arg}"
+
+    def test_outer_partial_sum_that_is_nan_raises_at_once(self):
+        # inf - inf: the NaN partial sum fails the smallness test, and the
+        # reference loop went on to its cap, summing an inner 1F1 per term
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        with pytest.raises(NoConvergence, match=r"^partial sum not finite after 3 outer terms at y=-0\.5$"):
+            psi2_eval_float(p, 700.0, -0.5)
 
     @pytest.mark.parametrize("a, x", [
         (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan), (1.5e308, 1.5e308), (-2.5, 1e300),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersym import hypfun
+from hypersym import hypfun, series
 from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
 from hypersym.hypfun import (
     NoConvergence,
@@ -478,7 +478,7 @@ class TestFloatArgumentChecks:
             self.EVALUATORS[family](self.P, point, rel_tol=math.nan)
 
     def test_checks_come_before_the_memo(self):
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             f11_eval_float(Params1F1(Q(1, 2), Q(4, 3)), 0.5)
             psi2_eval_float(self.P, 0.5, 0.5)
             with pytest.raises(ValueError, match="term_cap must be at least 1"):
@@ -493,7 +493,7 @@ class TestFloatArgumentChecks:
 
 
 class TestSharedFloatSums:
-    """Inside ``_shared_float_sums`` a converged sum is summed once and read
+    """Inside ``series._shared_work`` a converged sum is summed once and read
     back bit for bit; outside it nothing is kept."""
 
     P = Params1F1(Q(1, 2), Q(4, 3))
@@ -512,7 +512,7 @@ class TestSharedFloatSums:
     def test_f11_sum_is_summed_once_and_read_back(self, monkeypatch):
         outside = f11_eval_float(self.P, 3.5, 1e-12)
         calls = self._count(monkeypatch, "_f11_sum")
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             first = f11_eval_float(self.P, 3.5, 1e-12)
             # the loop reads float(a) and float(b) only
             again = f11_eval_float(Params1F1(Q(2, 4), Q(8, 6)), 3.5, 1e-12, term_cap=500)
@@ -524,14 +524,14 @@ class TestSharedFloatSums:
                  (Params1F1(Q(1, 2), Q(5, 3)), 3.5, 1e-12), (Params1F1(Q(3, 2), Q(4, 3)), 3.5, 1e-12)]
         outside = [f11_eval_float(*c) for c in calls]
         assert len(set(outside)) == len(calls)
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             assert [f11_eval_float(*c) for c in calls + calls] == outside + outside
 
     def test_cached_sum_under_a_lower_cap_raises_as_the_loop_does(self):
         value, terms = f11_eval_float(self.P, 3.5, 1e-12)
         with pytest.raises(NoConvergence) as loop:
             f11_eval_float(self.P, 3.5, 1e-12, term_cap=terms - 1)
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             assert f11_eval_float(self.P, 3.5, 1e-12) == (value, terms)
             with pytest.raises(NoConvergence) as cached:
                 f11_eval_float(self.P, 3.5, 1e-12, term_cap=terms - 1)
@@ -540,7 +540,7 @@ class TestSharedFloatSums:
 
     def test_failed_sum_is_not_kept(self, monkeypatch):
         calls = self._count(monkeypatch, "_f11_sum")
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             with pytest.raises(NoConvergence):
                 f11_eval_float(self.P, 3.5, 1e-12, term_cap=5)
             value, terms = f11_eval_float(self.P, 3.5, 1e-12)
@@ -550,7 +550,7 @@ class TestSharedFloatSums:
         p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
         outside = psi2_eval_float(p, 0.3, -0.2)
         calls = self._count(monkeypatch, "_nested_sum")
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             assert psi2_eval_float(p, 0.3, -0.2) == outside
             assert psi2_eval_float(p, 0.3, -0.2) == outside
             assert psi2_eval_float(p, 0.3, -0.2, term_cap=500) == outside
@@ -567,16 +567,16 @@ class TestSharedFloatSums:
 
     def test_scope_is_dropped_when_its_block_raises(self):
         with pytest.raises(ZeroDivisionError):
-            with hypfun._shared_float_sums():
+            with series._shared_work():
                 f11_eval_float(self.P, 3.5, 1e-12)
                 1 / 0
         assert hypfun._MEMO.get() is None
 
     def test_scopes_nest_and_restore(self):
-        with hypfun._shared_float_sums():
+        with series._shared_work():
             outer = hypfun._MEMO.get()
             f11_eval_float(self.P, 3.5, 1e-12)
-            with hypfun._shared_float_sums():
+            with series._shared_work():
                 assert hypfun._MEMO.get() == {}
             assert hypfun._MEMO.get() is outer and len(outer) == 1
 

@@ -11,7 +11,7 @@ from hypersym.exactnum import (
     factorial,
     pochhammer,
 )
-from hypersym import hypfun
+from hypersym import hypfun, identities, series
 from hypersym.hypfun import (
     ACTION_RULES,
     ActionRule,
@@ -163,7 +163,7 @@ class TestVerifyFormal:
         rec = get_record("I-F11-LOWER-B")
         p1 = Params1F1(P.a, P.b)
         caps = {"x": 8, "chi": 2}
-        diff = lhs_series(rec, AS_STATED, p1, caps) - _sum_series(rec, p1, caps)
+        diff = lhs_series(rec, AS_STATED, p1, caps) - _sum_series(rec, _weights(rec, p1), caps)
         for k in range(8):
             assert diff.coefficient({"chi": 1, "x": k}) == f11_coeff(p1, k)
 
@@ -189,6 +189,121 @@ class TestVerifyFormal:
     def test_negative_orders_rejected(self):
         with pytest.raises(CapUnderflow):
             verify_formal(get_record("I-F11-RAISE-A"), AS_STATED, P, -1, 6)
+
+
+def ref_verify_formal(record, variant, params, n_order, m_order):
+    """``verify_formal`` as it was before the probe: both sides at the full caps."""
+    p = hypfun.FAMILIES[record.family].narrow(params)
+    caps = _caps_for(record, n_order, m_order)
+    lhs = lhs_series(record, variant, p, caps)
+    rhs = _sum_series(record, _weights(record, p), caps)
+    witness = _first_mismatch(lhs, rhs)
+    return {
+        "id": record.rec_id,
+        "variant": variant,
+        "params": hypfun.param_strs(params),
+        "orders": {"N": n_order, "M": m_order},
+        "status": "verified" if witness is None else "mismatch",
+        "witness": witness,
+    }
+
+
+def formal_outcome(verify, record, variant, point, n, m):
+    """The row, or the exception's type and text."""
+    try:
+        return verify(record, variant, point, n, m)
+    except DegenerateParameter as exc:
+        return type(exc).__name__, str(exc)
+
+
+# (f11 orders, psi2 orders): probe equal to the full box, a cap of 0, and
+# boxes past the probe; b = c = 2 puts the lowering shifts on a pole at l = 2
+PROBE_ORDERS = [((0, 0), (0, 0)), ((0, 3), (0, 3)), ((1, 1), (1, 1)), ((2, 5), (2, 5)),
+                ((6, 12), (4, 6)), ((8, 16), (5, 8))]
+DEGENERATE = ParamsPsi2(Q(1, 2), 2, 2)
+
+
+class TestWitnessProbe:
+    """``verify_formal`` compares the sides in the probe box first; its rows
+    and errors are those of building both sides at the full caps."""
+
+    @pytest.mark.parametrize("orders", PROBE_ORDERS, ids=str)
+    def test_rows_equal_the_full_box(self, orders):
+        for rec in catalogue():
+            n, m = orders[rec.family == "psi2"]
+            for variant in _variants(rec):
+                for point in P_ALL + [DEGENERATE]:
+                    assert formal_outcome(verify_formal, rec, variant, point, n, m) == \
+                        formal_outcome(ref_verify_formal, rec, variant, point, n, m)
+
+    @pytest.mark.parametrize("orders", PROBE_ORDERS, ids=str)
+    def test_suite_rows_equal_the_full_box(self, orders):
+        # one suite: the rows share power ladders
+        report = run_suite(mode="formal", orders={"f11": orders[0], "psi2": orders[1]})
+        expected = [
+            ref_verify_formal(rec, variant, point, *orders[rec.family == "psi2"])
+            for rec in catalogue() for variant in _variants(rec) for point in P_ALL
+        ]
+        drop = ("elapsed_ms", "mode")
+        assert [{k: v for k, v in r.items() if k not in drop} for r in report.rows] == expected
+
+    def test_degenerate_shift_raises_although_the_probe_finds_the_witness(self):
+        rec = get_record("I-F11-LOWER-B")
+        row = verify_formal(rec, AS_STATED, P, 6, 12)
+        assert row["witness"]["monomial"] == "chi^1*x^0"
+        # at b = 2 the probe's shifts b and b - 1 are fine, and b - 2 = 0 is not
+        bad = ParamsPsi2(Q(1, 2), 2, Q(5, 7))
+        with pytest.raises(DegenerateParameter):
+            ref_verify_formal(rec, AS_STATED, bad, 6, 12)
+        with pytest.raises(DegenerateParameter):
+            verify_formal(rec, AS_STATED, bad, 6, 12)
+
+    @pytest.mark.parametrize("rec_id", ["I-F11-RAISE-A", "I-F11-LOWER-B", "I-PSI2-LOWER-B"])
+    def test_each_shifted_point_is_built_once_per_row(self, rec_id, monkeypatch):
+        # the probe and the full box read one walk of the weights
+        calls = []
+        shifted = ActionRule.shifted
+        monkeypatch.setattr(ActionRule, "shifted",
+                            lambda self, p, times=1: calls.append(times) or shifted(self, p, times))
+        verify_formal(get_record(rec_id), AS_STATED, P, 6, 4)
+        assert calls == list(range(7))
+
+    def _built_caps(self, monkeypatch):
+        built = []
+        inner = identities.lhs_series
+
+        def counting(record, variant, p, caps):
+            built.append(dict(caps))
+            return inner(record, variant, p, caps)
+
+        monkeypatch.setattr(identities, "lhs_series", counting)
+        return built
+
+    @pytest.mark.parametrize("rec_id", EXPECT_AS_STATED_MISMATCH)
+    def test_probe_decides_the_as_stated_mismatches(self, rec_id, monkeypatch):
+        built = self._built_caps(monkeypatch)
+        row = verify_formal(get_record(rec_id), AS_STATED, P, 6, 12)
+        assert row["status"] == "mismatch" and row["witness"]["monomial"] == "chi^1*x^0"
+        assert built == [{"chi": 1, "x": 1}]
+
+    def test_verified_rows_build_the_probe_and_the_full_box(self, monkeypatch):
+        built = self._built_caps(monkeypatch)
+        verify_formal(get_record("I-PSI2-SHIFT-X"), AS_STATED, P, 4, 6)
+        assert built == [{"chi": 1, "x": 1, "y": 1}, {"chi": 4, "x": 6, "y": 6}]
+
+    @pytest.mark.parametrize("orders", [(1, 1), (0, 1), (0, 0)])
+    def test_probe_that_is_the_full_box_is_built_once(self, orders, monkeypatch):
+        built = self._built_caps(monkeypatch)
+        verify_formal(get_record("I-PSI2-SHIFT-X"), AS_STATED, P, *orders)
+        assert len(built) == 1
+
+    def test_witness_past_the_probe_comes_from_the_full_box(self, monkeypatch):
+        # a cap of 0 leaves the probe only degree 0 to decide; the chi^1
+        # witness lies outside it
+        built = self._built_caps(monkeypatch)
+        row = verify_formal(get_record("I-F11-LOWER-B"), AS_STATED, P, 2, 0)
+        assert row["witness"]["monomial"] == "chi^1*x^0"
+        assert built == [{"chi": 1, "x": 0}, {"chi": 2, "x": 0}]
 
 
 def subtraction_witness(lhs, rhs):
@@ -453,8 +568,8 @@ class TestSumSide:
         monkeypatch.setattr(ActionRule, "shifted",
                             lambda self, p, times=1: calls.append(times) or shifted(self, p, times))
         n = 6
-        _sum_series(rec, P if rec.family == "psi2" else Params1F1(P.a, P.b),
-                    _caps_for(rec, n, 3))
+        p = P if rec.family == "psi2" else Params1F1(P.a, P.b)
+        _sum_series(rec, _weights(rec, p), _caps_for(rec, n, 3))
         assert calls == list(range(n + 1))
 
     @pytest.mark.parametrize("point", P_ALL + TERMINATING_POINTS,
@@ -473,16 +588,16 @@ class TestSumSide:
             expected = MultiSeries(caps, _reference_sum(rec, p, n, m))
         except DegenerateParameter:
             with pytest.raises(DegenerateParameter):
-                _sum_series(rec, p, caps)
+                _sum_series(rec, _weights(rec, p), caps)
             return
-        assert _sum_series(rec, p, caps) == expected
+        assert _sum_series(rec, _weights(rec, p), caps) == expected
 
     @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
     def test_reduction_sum_side_is_the_triple_series(self, point):
         n, m = DEFAULT_PSI2_ORDERS
         rec = get_record("I-PSI2-REDUCTION")
         triple = psi2_3var_series(point, m, m, n, var_z="chi")
-        assert _sum_series(rec, point, {"x": m, "y": m, "chi": n}) == triple
+        assert _sum_series(rec, _weights(rec, point), {"x": m, "y": m, "chi": n}) == triple
 
     @pytest.mark.parametrize("chi", [0.1, 0.25])
     @pytest.mark.parametrize("point", P_ALL, ids=lambda p: f"a={p.a}")
@@ -589,6 +704,32 @@ class TestSuiteSharesFloatSums:
         run_suite(mode="numeric", chi_grid=self.CHI)
         keys = [args[:4] for args in summed]  # (a, b, x, rel_tol) without the cap
         assert len(keys) == len(set(keys))
+
+    def test_ladders_are_shared_and_the_scope_ends_with_the_suite(self, monkeypatch):
+        handed = {}
+        calls = []
+        inner = series._power_ladder
+
+        def recording(u, caps, bound):
+            ladder = inner(u, caps, bound)
+            calls.append(ladder)
+            handed.setdefault((caps, bound, frozenset(u.items())), set()).add(id(ladder))
+            return ladder
+
+        monkeypatch.setattr(series, "_power_ladder", recording)
+        run_suite(mode="formal")
+        assert series._MEMO.get() is None
+        # arguments recur, and each one met again is handed the ladder built
+        # the first time
+        assert len(calls) > 2 * len(handed)
+        assert all(len(ids) == 1 for ids in handed.values())
+
+    def test_ladder_scope_ends_when_the_formal_suite_raises(self):
+        # b = 2 puts I-F11-LOWER-B on a pole after the records before it
+        # have composed their left sides
+        with pytest.raises(DegenerateParameter):
+            run_suite(mode="formal", param_points=[ParamsPsi2(Q(1, 2), 2, Q(5, 7))])
+        assert series._MEMO.get() is None
 
     def test_scope_ends_when_the_suite_raises(self, monkeypatch):
         # chi = 1.5 is outside the first record's domain |chi| < 1; the rows

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypersym.exactnum import factorial, pochhammer
 from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series, psi2_series
+from hypersym import series
 from hypersym.liealg import DiffOperator, Realized
 from hypersym.series import (
     CapMismatch,
@@ -560,6 +561,78 @@ class TestHornCompose:
         out = horn_compose(a, list(zip(args, lowers)))
         assert out == naive
         assert_clean(out)
+
+
+# caps whose bit fields have the same width: one packed key names the same
+# exponents under each cap of a class
+WIDTH_CLASSES = [(0,), (1,), (2, 3), (4, 5, 6, 7)]
+
+
+@st.composite
+def shared_numerator_arguments(draw):
+    """Composition arguments that share their integer numerators: the same
+    packed numerators under two caps tuples of equal field widths, each over
+    several denominators, and the negated numerators on the same keys."""
+    names = ("x", "y")
+    classes = [draw(st.sampled_from(WIDTH_CLASSES)) for _ in names]
+    assume(any(c != (0,) for c in classes))
+    caps_a, caps_b = (tuple(draw(st.sampled_from(c)) for c in classes) for _ in range(2))
+    keys = st.tuples(*(st.integers(0, min(a, b)) for a, b in zip(caps_a, caps_b))).filter(any)
+    terms = draw(st.dictionaries(keys, st.integers(-6, 6).filter(bool), min_size=1, max_size=4))
+    nums = {_layout(caps_a).key(e): v for e, v in terms.items()}
+    dens = [1] + [d for d in draw(st.lists(st.sampled_from([2, 3, 5, 9]), max_size=2))
+                  if math.gcd(d, *nums.values()) == 1]
+    negated = {k: -v for k, v in nums.items()}
+    return [[MultiSeries._trusted(names, caps, d, dict(nums)) for d in dens]
+            + [MultiSeries._trusted(names, caps, 1, dict(negated))]
+            for caps in (caps_a, caps_b)]
+
+
+class TestSharedPowerLadders:
+    """Inside ``_shared_work`` an argument's power ladder is built once and
+    handed to later calls; every result equals the one built afresh."""
+
+    # a non-positive integer top parameter cuts the ladder short; the short
+    # ones are built first, so a key without the bound would hand a later
+    # call one of them
+    TOPS = (Q(-1), Q(-2), Q(1, 2), Q(-7, 3), Q(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_numerator_arguments())
+    def test_compose_inside_the_scope_equals_outside(self, groups):
+        calls = []
+        for a in self.TOPS:
+            for group in groups:
+                for u in group:
+                    calls.append((a, [(u, (Q(4, 3),))]))
+                # two arguments of one caps tuple, numerators shared across them
+                calls.append((a, [(group[0], (Q(4, 3),)), (group[-1], (Q(5, 7),))]))
+        outside = [horn_compose(*call) for call in calls]
+        with series._shared_work():
+            inside = [horn_compose(*call) for call in calls]
+            memo = series._MEMO.get()
+            kept = {k: [dict(power) for power in ladder] for k, ladder in memo.items()}
+            # the same calls again read the kept ladders and change none of them
+            again = [horn_compose(*call) for call in calls]
+            assert {k: [dict(power) for power in ladder] for k, ladder in memo.items()} == kept
+        assert inside == again == outside
+        assert series._MEMO.get() is None
+
+    def test_ladder_is_built_once_per_scope(self, monkeypatch):
+        caps = {"chi": 3, "x": 4}
+        u = MultiSeries.variable("x", caps) / (1 - MultiSeries.variable("chi", caps))
+        products = []
+        inner = series._cauchy
+        monkeypatch.setattr(series, "_cauchy", lambda *args: products.append(1) or inner(*args))
+        with series._shared_work():
+            first = horn_compose(Q(1, 2), [(u, (Q(4, 3),))])
+            built = len(products)
+            # another top parameter and other bottoms read the same ladder
+            horn_compose(Q(3, 2), [(u, (Q(5, 7),))])
+            assert len(products) == built
+            assert horn_compose(Q(1, 2), [(u, (Q(4, 3),))]) == first
+        horn_compose(Q(3, 2), [(u, (Q(5, 7),))])
+        assert len(products) == 2 * built
 
 
 COMPOSE_CAPS = [{"x": c} for c in BOUNDARY_CAPS] + [
