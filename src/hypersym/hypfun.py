@@ -23,7 +23,8 @@ coordinate after x, which sums each inner 1F1(a + k; b; x) once per offset
 k.
 
 ``ACTION_RULES`` states each catalogued operator's action on the family,
-E F(p) = c(p) F(p + shift); the recursion right sides are taken from it.
+E F(p) = c(p) F(p + shift).  A recursion relation is one f11 operator's
+action read at y = z = 1; ``RECURSIONS`` names the operator.
 
 Exact paths stay exact, floating paths use a tail-domination stopping
 rule (terms can grow before they decay, so a single small term is not
@@ -53,11 +54,10 @@ only inside ``series._shared_work()`` (``identities.run_suite`` opens it for
 one suite and it is dropped on exit, also when the suite raises).  Inside
 it, each converged 1F1 sum, of ``f11_eval_float`` or inside a nested sum,
 is kept as (value, terms) under the values its loop reads, (float(a),
-float(b), x, rel_tol), and ``_nested_float``
-keeps each converged value under (family, params, point, rel_tol,
-term_cap); a failed sum is never kept.  A kept sum is what the loop would
-return, so every float is the same with or without the memo.  Outside it,
-``eval`` calls among them, nothing is looked up or kept.
+float(b), x, rel_tol); a nested sum is not kept whole, since its inner 1F1s
+are most of its work, and a failed sum is never kept.  A kept sum is what
+the loop would return, so every float is the same with or without the
+memo.  Outside it, ``eval`` calls among them, nothing is looked up or kept.
 """
 
 from __future__ import annotations
@@ -266,25 +266,15 @@ def _nested_float(
     partial sum is no longer finite raises it at once.  The arguments are
     checked once, before the first term, as ``f11_eval_float`` checks its
     own, and ``_nested_sum`` rejects a bottom whose float is a pole.
-    Inside ``series._shared_work`` a converged value is kept under (family,
-    p, point, rel_tol, term_cap) and read back from there, and each inner
-    1F1 is kept as ``f11_eval_float`` keeps it.
     """
     term_cap = _check_sum_args(FAMILIES[family].coords, point, rel_tol, term_cap)
-    memo = _MEMO.get()
-    if memo is None:
-        return _nested_sum(family, p, point, rel_tol, term_cap)
-    key = (family, p, point, rel_tol, term_cap)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _nested_sum(family, p, point, rel_tol, term_cap)
-    return value
+    return _nested_sum(family, p, point, rel_tol, term_cap)
 
 
 def _nested_sum(
     family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
 ) -> float:
-    """``_nested_float`` without the checks and the memo."""
+    """``_nested_float`` without the checks."""
     fam = FAMILIES[family]
     bottoms = fam.bottoms(p)
     x = point[0]
@@ -377,12 +367,17 @@ def f11_eval_float(
     A tolerance that is not finite and positive, a ``term_cap`` below 1 and
     an ``x`` that is not finite raise ``ValueError`` before any term, and a
     b whose float is zero or a negative integer ``DegenerateParameter``.
+    An overflowed partial sum passes every smallness test, so a sum that
+    stops at a value that is not finite raises ``NoConvergence``.
     Inside ``series._shared_work`` a converged sum is kept under (float(a),
     float(b), x, rel_tol); a kept sum that took more terms than
     ``term_cap`` raises as the loop would.
     """
     term_cap = _check_sum_args(("x",), (x,), rel_tol, term_cap)
-    return _f11_kept(float(p.a), _float_bottom("x", p.b), x, rel_tol, term_cap, [])
+    value, terms = _f11_kept(float(p.a), _float_bottom("x", p.b), x, rel_tol, term_cap, [])
+    if not math.isfinite(value):
+        raise NoConvergence(f"partial sum not finite after {terms} terms at x={x}")
+    return value, terms
 
 
 def _f11_kept(
@@ -544,14 +539,14 @@ ACTION_RULES: dict[str, ActionRule] = {
 
 # -- differential recursion relations -----------------------------------------
 
-# relation id -> (operator whose action is the right side, left side).  The
-# left side is a function of (F, F', parameters), with F cut to the caps of F'.
-RECURSIONS: dict[str, tuple[str, Callable]] = {
-    "D-raise": ("f11.E_ab", lambda f, d, p: d),
-    "Dminus1-raise-b": ("f11.E_b", lambda f, d, p: d - f),
-    "Theta-raise-a": ("f11.E_a", lambda f, d, p: d.shift("x") + f.scale(p.a)),
-    "Theta-lower-b": ("f11.E_b'", lambda f, d, p: d.shift("x") + f.scale(p.b - 1)),
-    "lower-a": ("f11.E_a'", lambda f, d, p: d.shift("x") + f.scale(p.b - p.a) - f.shift("x")),
+# relation id -> the operator whose action on y^a z^b F(a; b; x), read at
+# y = z = 1, is the relation.
+RECURSIONS: dict[str, str] = {
+    "D-raise": "f11.E_ab",
+    "Dminus1-raise-b": "f11.E_b",
+    "Theta-raise-a": "f11.E_a",
+    "Theta-lower-b": "f11.E_b'",
+    "lower-a": "f11.E_a'",
 }
 
 RECURSION_IDS = tuple(RECURSIONS)
@@ -560,21 +555,19 @@ RECURSION_IDS = tuple(RECURSIONS)
 def verify_recursion(rel_id: str, p: Params1F1, order: int) -> MultiSeries:
     """Residual series (lhs - rhs) of one differential recursion relation.
 
-    The right side is c(p) F(p + shift) for the action rule of the
-    relation's operator.  The derivative loses the top coefficient, so the
+    The two sides are the bodies of ``liealg.action_sides`` for the
+    relation's operator.  Its derivative loses the top coefficient, so the
     residual carries the trusted cap order-1; the contract is that it is
     identically zero there.
     """
+    from .liealg import action_sides  # liealg imports this module
+
     try:
-        op_id, lhs = RECURSIONS[rel_id]
+        op_id = RECURSIONS[rel_id]
     except KeyError:
         raise ValueError(f"unknown recursion id {rel_id!r}") from None
-    rule = ACTION_RULES[op_id]
-    f = f11_series(p, order)
-    d = f.derivative("x")
-    low = d.cap_map()
-    rhs = f11_series(rule.shifted(p), order).truncate(low).scale(rule.coefficient(p))
-    return lhs(f.truncate(low), d, p) - rhs
+    _, _, lhs, rhs = action_sides(op_id, p, order)
+    return lhs.body - rhs.body
 
 
 def recursion_suite(points: Sequence, order: int) -> list[dict]:
@@ -587,8 +580,7 @@ def recursion_suite(points: Sequence, order: int) -> list[dict]:
             rows.append(
                 {
                     "relation": rel_id,
-                    "a": str(p.a),
-                    "b": str(p.b),
+                    **param_strs(p),
                     "order": order,
                     "status": "PASS" if residual.is_zero() else "FAIL",
                     "residual": residual.render(),

@@ -6,9 +6,9 @@ first-order vector-field bracket), exact span membership, and Runge-Kutta
 checks of the one-parameter flows against their closed forms.  A realized
 element (``Realized``) is a body series times a monomial prefactor with
 rational exponents; ``DiffOperator.apply`` holds the whole prefactor rule.
-``build_catalogue`` is the hand-written statement of each operator; its
-action is checked against the rule of ``hypfun.ACTION_RULES``, and seven
-flow fields are the operators.
+``build_catalogue`` is the hand-written statement of each operator;
+``action_sides`` builds its action and the rule of ``hypfun.ACTION_RULES``
+for the actions and the recursions, and seven flow fields are the operators.
 
 Family keys are those of ``hypfun.FAMILIES``: ``"f11"`` (realized as its
 series in x times y^a z^b) and ``"psi2"`` (series in x, y times z^a u^b t^c).
@@ -18,6 +18,7 @@ Catalogue entries are keyed ``"<family>.<name>"``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -197,13 +198,15 @@ class DiffOperator:
         Every nonzero term must carry the prefactor of the first one
         (PrefactorMismatch otherwise, whatever the term order); all start
         from the input's keys, so a 0 exponent is kept.  Their bodies are
-        summed at the common caps.  With no nonzero term the result is zero
-        at the input's caps with prefactor ``{}``.
+        summed at the least caps of all terms, vanishing ones included (a
+        lower cap leaves the coefficients above it unknown).  With no
+        nonzero term the result is zero at those caps with prefactor ``{}``.
         """
         body_vars = f.body.variables
         shared = f.prefactor.keys() & set(body_vars)
         if shared:
             raise ValueError(f"variables in both the body and the prefactor: {sorted(shared)}")
+        low = f.body.caps
         results: list[Realized] = []
         for (mono, deriv), coeff in self._terms.items():
             body, pf = f.body, dict(f.prefactor)
@@ -221,13 +224,14 @@ class DiffOperator:
                     body = body.shift(v, e)
                 else:
                     raise UnknownVariable(v)
+            low = tuple(map(min, low, body.caps))
             body = body.scale(coeff)
             if not body.is_zero():
                 results.append(Realized(body, pf))
+        caps = dict(zip(body_vars, low))
         if not results:
-            return Realized(MultiSeries.zero(f.body.cap_map()), {})
+            return Realized(MultiSeries.zero(caps), {})
         prefactor = results[0].prefactor
-        caps = {v: min(r.body.cap(v) for r in results) for v in body_vars}
         total = results[0].body.truncate(caps)
         for r in results[1:]:
             if r.prefactor != prefactor:
@@ -290,21 +294,16 @@ def express_in_span(op: DiffOperator, basis: Mapping[str, DiffOperator]) -> Span
     pindex = {p: i for i, p in enumerate(patterns)}
     ncols = len(patterns)
 
-    # rows[i] = (vector over patterns, combination over original basis)
-    rows: list[tuple[list[Fraction], list[Fraction]]] = []
-    for j, name in enumerate(names):
-        vec = [Q(0)] * ncols
-        for p, c in basis[name].pattern_vector().items():
-            vec[pindex[p]] = c
-        comb = [Q(0)] * len(names)
-        comb[j] = Q(1)
-        rows.append((vec, comb))
-
-    # forward elimination to row echelon form with full pivoting bookkeeping
+    # forward elimination to row echelon form with full pivoting bookkeeping:
+    # each basis element is a vector over patterns, v, and a combination over
+    # the original basis, cmb
     pivots: list[tuple[int, tuple[list[Fraction], list[Fraction]]]] = []
-    for vec, comb in rows:
-        v = list(vec)
-        cmb = list(comb)
+    for j, name in enumerate(names):
+        v = [Q(0)] * ncols
+        for p, c in basis[name].pattern_vector().items():
+            v[pindex[p]] = c
+        cmb = [Q(0)] * len(names)
+        cmb[j] = Q(1)
         for col, (pv, pc) in pivots:
             if v[col] != 0:
                 factor = v[col] / pv[col]
@@ -430,15 +429,14 @@ def realize(kind: str, params, order: int) -> Realized:
     return Realized(FAMILIES[kind].series(p, order), prefactor)
 
 
-def verify_action(op_id: str, params, order: int) -> dict:
-    """Exact check: apply(op, realize) == coefficient * realize(shifted).
-
-    The family is the op id's prefix, and ``params`` is narrowed to it
+def action_sides(op_id: str, params, order: int) -> tuple[object, Fraction, Realized, Realized]:
+    """(p, c(p), E realize(p), c(p) realize(p + shift)) for the action rule
+    E F(p) = c(p) F(p + shift) of ``op_id``, the right body cut to the left
+    one's caps, which ``apply`` never raises: their common trusted caps.
+    The family is the op id's prefix, and ``params`` is narrowed to it as p
     (TypeError when it cannot be); an unknown op raises KeyError, and a
     degenerate coefficient or shift DegenerateParameter before any series
-    is built.  Prefactors compare by their nonzero exponents (zero sides
-    match whatever they carry), bodies at the common trusted caps.  Returns
-    a report row with status PASS or the first offending monomial.
+    is built.
     """
     if op_id not in ACTION_RULES:
         raise KeyError(f"no action rule for {op_id}")
@@ -449,27 +447,36 @@ def verify_action(op_id: str, params, order: int) -> dict:
     shifted = rule.shifted(p)
     lhs = catalogue()[op_id].apply(realize(kind, p, order))
     target = realize(kind, shifted, order)
-    rhs = target.body.scale(coefficient)
-    caps = {v: min(lhs.body.cap(v), rhs.cap(v)) for v in rhs.variables}
+    rhs = target.body.truncate(lhs.body.cap_map()).scale(coefficient)
+    return p, coefficient, lhs, Realized(rhs, target.prefactor)
+
+
+def verify_action(op_id: str, params, order: int) -> dict:
+    """Exact check of the two sides of ``action_sides``, which raises as it
+    says.  Prefactors compare by their nonzero exponents (zero sides match
+    whatever they carry), bodies at the common trusted caps.  Returns a
+    report row with status PASS or the first offending monomial.
+    """
+    p, coefficient, lhs, rhs = action_sides(op_id, params, order)
     row = {
         "op": op_id,
-        "family": kind,
+        "family": op_id.partition(".")[0],
         "params": param_strs(p),
         "order": order,
         "coefficient": str(coefficient),
-        "shift": list(rule.shift),
+        "shift": list(ACTION_RULES[op_id].shift),
     }
     same = ({v: e for v, e in lhs.prefactor.items() if e}
-            == {v: e for v, e in target.prefactor.items() if e})
-    if not same and not (lhs.body.is_zero() and rhs.is_zero()):
+            == {v: e for v, e in rhs.prefactor.items() if e})
+    if not same and not (lhs.body.is_zero() and rhs.body.is_zero()):
         row["status"] = "FAIL"
         row["witness"] = {
             "reason": "prefactor mismatch",
             "lhs": str(dict(lhs.prefactor)),
-            "rhs": str(dict(target.prefactor)),
+            "rhs": str(dict(rhs.prefactor)),
         }
         return row
-    found = first_mismatch(lhs.body.truncate(caps), rhs.truncate(caps))
+    found = first_mismatch(lhs.body, rhs.body)
     if found is None:
         row["status"] = "PASS"
         row["witness"] = None
@@ -886,33 +893,29 @@ def commutator_suite(seed: int = 42) -> dict:
         ids = family_operator_ids(fam)
         basis = {i: cat[i] for i in ids}
         pair_rows = []
-        for i, id1 in enumerate(ids):
-            for id2 in ids[i + 1:]:
-                c = commutator(basis[id1], basis[id2])
-                if commutator(basis[id2], basis[id1]) != -c:
-                    report["antisymmetry_ok"] = False
-                row = {"pair": f"[{id1}, {id2}]", "result": c.pretty()}
-                span = express_in_span(c, basis)
-                row["in_span"] = span.in_span
-                if span.in_span:
-                    row["coefficients"] = {
-                        k: str(v) for k, v in span.coefficients.items() if v != 0
-                    }
-                else:
-                    row["residual"] = span.residual.pretty()
-                pair_rows.append(row)
+        for id1, id2 in itertools.combinations(ids, 2):
+            c = commutator(basis[id1], basis[id2])
+            if commutator(basis[id2], basis[id1]) != -c:
+                report["antisymmetry_ok"] = False
+            row = {"pair": f"[{id1}, {id2}]", "result": c.pretty()}
+            span = express_in_span(c, basis)
+            row["in_span"] = span.in_span
+            if span.in_span:
+                row["coefficients"] = {
+                    k: str(v) for k, v in span.coefficients.items() if v != 0
+                }
+            else:
+                row["residual"] = span.residual.pretty()
+            pair_rows.append(row)
         ops = list(basis.values())
-        for ia in range(len(ops)):
-            for ib in range(ia + 1, len(ops)):
-                for ic in range(ib + 1, len(ops)):
-                    a, b, c3 = ops[ia], ops[ib], ops[ic]
-                    jac = (
-                        commutator(a, commutator(b, c3))
-                        + commutator(b, commutator(c3, a))
-                        + commutator(c3, commutator(a, b))
-                    )
-                    if not jac.is_zero():
-                        report["jacobi_ok"] = False
+        for a, b, c3 in itertools.combinations(ops, 3):
+            jac = (
+                commutator(a, commutator(b, c3))
+                + commutator(b, commutator(c3, a))
+                + commutator(c3, commutator(a, b))
+            )
+            if not jac.is_zero():
+                report["jacobi_ok"] = False
         for _ in range(10):
             a, b, c3 = (rng.choice(ops) for _ in range(3))
             lam = Q(rng.randint(-9, 9), rng.randint(1, 9))

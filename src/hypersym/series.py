@@ -95,7 +95,7 @@ from .exactnum import Q, as_rational, is_nonpositive_integer
 # The work kept by the open ``_shared_work`` block, or None outside one.
 # Keys of different kinds have different tuple lengths, so they never meet:
 # ``horn_compose`` keeps power ladders under (caps, bound, numerators), and
-# ``hypfun`` keeps its float sums under keys of four and five entries.
+# ``hypfun`` keeps its 1F1 sums under keys of four entries.
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypersym_memo", default=None)
 
 
@@ -422,7 +422,10 @@ class MultiSeries:
         return MultiSeries.constant(k, self.cap_map()) - self
 
     def scale(self, k) -> "MultiSeries":
+        """k times the series; at k = 1 the series itself (series are values)."""
         k = as_rational(k)
+        if k == 1:
+            return self
         if not k:
             return MultiSeries._trusted(self.variables, self.caps, 1, {})
         p = k.numerator

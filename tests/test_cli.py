@@ -111,6 +111,15 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr == "no convergence: partial sum not finite after 32 outer terms at y=1e+300\n"
 
+    def test_infinite_f11_sum_exits_1(self):
+        # the partial sum overflows after 721 terms; before, inf was printed
+        # as a converged value
+        r = run_cli("eval", "--fn", "f11", "--a", "1/2", "--b", "4/3",
+                    "--x", "720", "--float")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "no convergence: partial sum not finite after 721 terms at x=720.0\n"
+
     @pytest.mark.parametrize("fn", ["f11", "psi2"])
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_term_cap_below_one_exits_2(self, fn, cap):
@@ -211,6 +220,17 @@ class TestVerify:
         data = json.loads((tmp_path / "verify_recursions.json").read_text())
         rows = data["scopes"]["recursions"]["rows"]
         assert len(rows) == 15  # 5 relations x 3 points
+        assert all(row["status"] == "PASS" for row in rows)
+
+    @pytest.mark.parametrize("scope, flag, count", [
+        ("actions", "--action-order", 51), ("recursions", "--recursion-order", 15),
+    ])
+    def test_order_one_passes(self, tmp_path, scope, flag, count):
+        # at order 1 a term whose body vanishes still lowers the trusted cap
+        r = run_cli("verify", "--scope", scope, flag, "1", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stdout
+        rows = json.loads((tmp_path / f"verify_{scope}.json").read_text())["scopes"][scope]["rows"]
+        assert len(rows) == count
         assert all(row["status"] == "PASS" for row in rows)
 
     def test_config_file_with_flag_override(self, tmp_path):

@@ -5,10 +5,12 @@ step denominators from a list that the inner sums of one nested sum share;
 ``hypfun._nested_sum`` makes its top parameters from integers instead of
 ``Fraction``s.  None of that may change a float: every value, term count and
 exception text must be the one the loops below give.  They are the loops as
-they stood before those changes, kept here as reference oracles.  Two later
-checks part from them on purpose, each with its own test: a bottom
-parameter whose float is a pole is rejected before any term, and a nested
-sum whose outer partial sum is not finite raises at once.
+they stood before those changes, kept here as reference oracles.  Three
+later checks part from them on purpose, each with its own test: a bottom
+parameter whose float is a pole is rejected before any term, a nested sum
+whose outer partial sum is not finite raises at once, and
+``f11_eval_float`` raises where the sum it would return is not finite
+(``tests/test_hypfun.py``).
 """
 
 import math
@@ -66,7 +68,7 @@ def ref_f11_sum(a: float, b: float, x: float, rel_tol: float, term_cap: int) -> 
 def ref_nested_sum(
     family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
 ) -> float:
-    """``_nested_float`` without the memo."""
+    """``_nested_sum``'s loop as it stood before."""
     fam = FAMILIES[family]
     bottoms = fam.bottoms(p)
     x = point[0]

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hypersym import hypfun, series
 from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
 from hypersym.hypfun import (
+    ACTION_RULES,
+    ActionRule,
     NoConvergence,
     Params1F1,
     ParamsPsi2,
@@ -198,6 +200,17 @@ class TestFloatEval:
     def test_no_convergence_cap(self):
         with pytest.raises(NoConvergence):
             f11_eval_float(Params1F1(1, 1), 4000.0, 1e-12, term_cap=40)
+
+    def test_infinite_partial_sum_raises(self):
+        # past x ~ 710 the partial sum overflows, and an infinite bound lets
+        # every term pass the smallness test
+        text = "partial sum not finite after 721 terms at x=720.0"
+        with pytest.raises(NoConvergence, match=f"^{text}$"):
+            f11_eval_float(Params1F1(Q(1, 2), Q(4, 3)), 720.0)
+        with series._shared_work():
+            for _ in range(2):
+                with pytest.raises(NoConvergence, match=f"^{text}$"):
+                    f11_eval_float(Params1F1(Q(1, 2), Q(4, 3)), 720.0)
 
     @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, 0.0, -1e-12])
     def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, rel_tol):
@@ -546,18 +559,6 @@ class TestSharedFloatSums:
             value, terms = f11_eval_float(self.P, 3.5, 1e-12)
         assert len(calls) == 2 and terms > 5
 
-    def test_nested_sum_is_kept_per_cap(self, monkeypatch):
-        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
-        outside = psi2_eval_float(p, 0.3, -0.2)
-        calls = self._count(monkeypatch, "_nested_sum")
-        with series._shared_work():
-            assert psi2_eval_float(p, 0.3, -0.2) == outside
-            assert psi2_eval_float(p, 0.3, -0.2) == outside
-            assert psi2_eval_float(p, 0.3, -0.2, term_cap=500) == outside
-            psi2_3var_eval_float(p, 0.3, -0.2, 0.0)
-        assert [c[0] for c in calls] == ["psi2", "psi2", "psi2x3"]
-        assert [c[4] for c in calls] == [hypfun.DEFAULT_TERM_CAP, 500, hypfun.DEFAULT_TERM_CAP]
-
     def test_nothing_is_kept_outside_the_scope(self, monkeypatch):
         calls = self._count(monkeypatch, "_f11_sum")
         f11_eval_float(self.P, 3.5, 1e-12)
@@ -706,5 +707,78 @@ class TestRecursions:
 
     def test_relations_name_a_catalogued_f11_operator(self):
         operators = catalogue()
-        for op_id, _lhs in RECURSIONS.values():
+        for op_id in RECURSIONS.values():
             assert op_id in operators and op_id.startswith("f11."), op_id
+            assert op_id in ACTION_RULES, op_id
+
+
+# The recursion relations as they were stated before they were derived from
+# the operator actions: each left side written out in F and F' = dF/dx, with
+# F cut to the caps of F'.  Kept as an independent oracle for the derived
+# residuals.
+REFERENCE_LHS = {
+    "D-raise": lambda f, d, p: d,
+    "Dminus1-raise-b": lambda f, d, p: d - f,
+    "Theta-raise-a": lambda f, d, p: d.shift("x") + f.scale(p.a),
+    "Theta-lower-b": lambda f, d, p: d.shift("x") + f.scale(p.b - 1),
+    "lower-a": lambda f, d, p: d.shift("x") + f.scale(p.b - p.a) - f.shift("x"),
+}
+
+
+def reference_recursion(rel_id, p, order):
+    """The residual lhs - c(p) F(p + shift) from the written-out left side."""
+    rule = ACTION_RULES[RECURSIONS[rel_id]]
+    f = f11_series(p, order)
+    d = f.derivative("x")
+    low = d.cap_map()
+    rhs = f11_series(rule.shifted(p), order).truncate(low).scale(rule.coefficient(p))
+    return REFERENCE_LHS[rel_id](f.truncate(low), d, p) - rhs
+
+
+def _outcome(compute, *args):
+    """(render, caps) of a residual, or the type and text of its error."""
+    try:
+        residual = compute(*args)
+    except (DegenerateParameter, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return residual.render(), residual.cap_map()
+
+
+class TestRecursionsAgainstWrittenLeftSides:
+    """A relation's residual, derived from its operator's action, matches the
+    one built from its written-out left side: render, caps and error text."""
+
+    ORDERS = (1, 2, 3, 6, 12)
+
+    @staticmethod
+    def grid():
+        rng = random.Random(2024)
+        points = [Params1F1(0, 1), Params1F1(-3, 1), Params1F1(-2, Q(5, 2)),
+                  Params1F1(Q(1, 2), 1), Params1F1(Q(1, 2), 2), Params1F1(Q(3, 2), Q(4, 3))]
+        while len(points) < 24:
+            a = Q(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 5)))
+            b = Q(rng.randint(1, 15), rng.choice((1, 1, 2, 3, 4)))
+            points.append(Params1F1(a, b))
+        return points
+
+    def test_residuals_match(self):
+        errors = 0
+        for p in self.grid():
+            for rel_id in RECURSION_IDS:
+                for order in self.ORDERS:
+                    derived = _outcome(verify_recursion, rel_id, p, order)
+                    assert derived == _outcome(reference_recursion, rel_id, p, order), (rel_id, p, order)
+                    errors += derived[0] == "DegenerateParameter"
+        assert errors > 0  # the grid reaches the poles of the shifted b
+
+    @pytest.mark.parametrize("rel_id", RECURSION_IDS)
+    def test_nonzero_residuals_match(self, monkeypatch, rel_id):
+        op_id = RECURSIONS[rel_id]
+        rule = ACTION_RULES[op_id]
+        monkeypatch.setitem(ACTION_RULES, op_id,
+                            ActionRule(rule.shift, lambda p: rule.coefficient(p) + 1))
+        p = Params1F1(Q(1, 2), Q(4, 3))
+        for order in self.ORDERS:
+            derived = _outcome(verify_recursion, rel_id, p, order)
+            assert derived == _outcome(reference_recursion, rel_id, p, order)
+            assert derived[0] != "0", (rel_id, order)

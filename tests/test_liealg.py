@@ -291,10 +291,18 @@ class TestPrefactor:
         assert DiffOperator.term(1, {}, "y").apply(p) == Realized(MultiSeries.zero({"x": 3}), {})
 
     def test_vanishing_term_takes_no_part_in_the_check(self):
-        # d/dx of a constant body vanishes under any prefactor
+        # d/dx of a constant body vanishes under any prefactor, but its cap
+        # still bounds the result: x^3 of d/dx is unknown
         p = Realized(self.body(), {"y": Q(1, 2)})
         out = (DiffOperator.term(1, {}, "x") + DiffOperator.term(1, {"y": -1}, None)).apply(p)
-        assert out == Realized(self.body(), {"y": Q(-1, 2)})
+        assert out == Realized(self.body().truncate({"x": 2}), {"y": Q(-1, 2)})
+
+    def test_vanishing_terms_alone_give_zero_at_their_caps(self):
+        # x d/dx on a body cut at x <= 1: d/dx leaves the constant at x <= 0,
+        # and x times it overflows; the x coefficient is unknown, not zero
+        p = Realized(MultiSeries({"x": 1}, {(0,): 1, (1,): 1}), {"y": Q(1, 2)})
+        out = DiffOperator.term(1, {"x": 1}, "x").apply(p)
+        assert out == Realized(MultiSeries.zero({"x": 0}), {})
 
     def test_mismatched_terms_raise_in_either_order(self):
         # d/dy - (1/2) y^-1 cancels on y^(1/2), yet each of its terms
