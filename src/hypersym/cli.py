@@ -82,8 +82,10 @@ class RunConfig:
     def param_points(self) -> list[ParamsPsi2]:
         pts = []
         for chunk in self.points.split(";"):
-            a, b, c = (parse_rational(v) for v in chunk.split(","))
-            pts.append(ParamsPsi2(a, b, c))
+            values = chunk.split(",")
+            if len(values) != 3:
+                raise ValueError(f"--points needs three values a,b,c per point, got {chunk!r}")
+            pts.append(ParamsPsi2(*map(parse_rational, values)))
         if not pts:
             raise ValueError("no parameter points")
         return pts

@@ -49,15 +49,17 @@ terms, and the tested loop only where the smallness test passes for the
 second time or fails after passing (an infinite partial sum passes it, and
 the NaN that follows one fails it), so a converging sum pays one test.
 
-Everything here is stateless except one memo of float sums, which is on
-only inside ``series._shared_work()`` (``identities.run_suite`` opens it for
-one suite and it is dropped on exit, also when the suite raises).  Inside
-it, each converged 1F1 sum, of ``f11_eval_float`` or inside a nested sum,
-is kept as (value, terms) under the values its loop reads, (float(a),
-float(b), x, rel_tol); a nested sum is not kept whole, since its inner 1F1s
-are most of its work, and a failed sum is never kept.  A kept sum is what
-the loop would return, so every float is the same with or without the
-memo.  Outside it, ``eval`` calls among them, nothing is looked up or kept.
+Everything here is stateless except the memo of ``series._shared_work()``,
+which is on only while a suite runs (``identities.run_suite`` and
+``recursion_suite`` each open it for one call, and it is dropped on exit,
+also when the suite raises).  Inside it, each converged 1F1 sum, of
+``f11_eval_float`` or inside a nested sum, is kept as (value, terms) under
+the tag ``"f11 sum"`` and the values its loop reads, (float(a), float(b),
+x, rel_tol); a nested sum is not kept whole, since its inner 1F1s are most
+of its work, and a failed sum is never kept.  A kept sum is what the loop
+would return, so every float is the same with or without the memo.  The
+recursion suite's realized members are kept there too (``liealg.realize``).
+Outside it, ``eval`` calls among them, nothing is looked up or kept.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .exactnum import (
     is_nonpositive_integer,
     pochhammer,
 )
-from .series import _MEMO, MultiSeries, horn_compose, horn_series
+from .series import MultiSeries, _kept, _shared_work, horn_compose, horn_series
 
 DEFAULT_TERM_CAP = 10000
 
@@ -383,15 +385,11 @@ def f11_eval_float(
 def _f11_kept(
     a: float, b: float, x: float, rel_tol: float, term_cap: int, dens: list[float]
 ) -> tuple[float, int]:
-    """``_f11_sum`` through the memo of the open ``series._shared_work``."""
-    memo = _MEMO.get()
-    if memo is None:
-        return _f11_sum(a, b, x, rel_tol, term_cap, dens)
-    key = (a, b, x, rel_tol)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _f11_sum(a, b, x, rel_tol, term_cap, dens)
-    elif found[1] > term_cap:
+    """``_f11_sum``, kept by the open ``series._shared_work`` under the values
+    its loop reads; a kept sum that took more terms than ``term_cap`` raises
+    as the loop would."""
+    found = _kept(("f11 sum", a, b, x, rel_tol), _f11_sum, a, b, x, rel_tol, term_cap, dens)
+    if found[1] > term_cap:
         raise NoConvergence(f"no convergence in {term_cap} terms at x={x}")
     return found
 
@@ -572,18 +570,26 @@ def verify_recursion(rel_id: str, p: Params1F1, order: int) -> MultiSeries:
 
 def recursion_suite(points: Sequence, order: int) -> list[dict]:
     """Run all recursion relations at every parameter point, each narrowed
-    to ``Params1F1`` (TypeError when it cannot be)."""
+    to ``Params1F1`` (TypeError when it cannot be).
+
+    The relations at one point, and the shifted members they meet, share
+    their realized family members: the suite opens
+    ``series._shared_work`` once, so each member is built once per call
+    and dropped when the call returns or raises.  The rows are those of
+    separate ``verify_recursion`` calls.
+    """
     rows = []
-    for p in map(FAMILIES["f11"].narrow, points):
-        for rel_id in RECURSION_IDS:
-            residual = verify_recursion(rel_id, p, order)
-            rows.append(
-                {
-                    "relation": rel_id,
-                    **param_strs(p),
-                    "order": order,
-                    "status": "PASS" if residual.is_zero() else "FAIL",
-                    "residual": residual.render(),
-                }
-            )
+    with _shared_work():
+        for p in map(FAMILIES["f11"].narrow, points):
+            for rel_id in RECURSION_IDS:
+                residual = verify_recursion(rel_id, p, order)
+                rows.append(
+                    {
+                        "relation": rel_id,
+                        **param_strs(p),
+                        "order": order,
+                        "status": "PASS" if residual.is_zero() else "FAIL",
+                        "residual": residual.render(),
+                    }
+                )
     return rows

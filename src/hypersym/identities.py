@@ -26,8 +26,9 @@ first compares the sides in a probe box, every cap cut to min(1, cap): caps
 are trusted orders, so a probe witness of total degree at most the least
 probe cap is the full box's witness too, and only the rows it leaves
 undecided (every verified row among them) build the full box.  ``run_suite``
-opens ``series._shared_work`` once, so the rows share the power ladders of
-their composition arguments and their converged float sums.
+opens ``series._shared_work`` once, so the rows share the power ladders and
+Horn weights of their compositions, their converged float sums and, per
+operator and point, the chi-sum's weights and shifted points.
 
 Three catalogued statements are known to be self-inconsistent as stated;
 each of those records carries a corrected candidate in its field
@@ -62,6 +63,7 @@ from .hypfun import (
 )
 from .series import (
     MultiSeries,
+    _kept,
     _layout,
     _least_mismatch,
     _shared_work,
@@ -141,18 +143,46 @@ def _weights(record: IdentityRecord, p) -> Iterator[tuple[Fraction, object]]:
     """(w_l, p + l*shift) for l = 0, 1, ... of the record's chi-sum, the
     weights from its operator's action rule.
 
-    Each shifted point is built once, also where w_l vanishes, so a
-    degenerate shift raises ``DegenerateParameter``; after the first zero
-    weight only zeros follow, and the rule's coefficient is not evaluated
-    again: it may sit on a pole there.
+    The pairs depend only on the operator and p, so inside
+    ``series._shared_work`` they are one ``_WeightWalk`` kept under those,
+    which every variant, chi and mode of the record at p reads and extends.
     """
-    rule = ACTION_RULES[record.op]
-    w = Fraction(1)
-    for l in itertools.count():
-        q = rule.shifted(p, l)
-        yield w, q
-        if w:
-            w = w * rule.coefficient(q) / (l + 1)
+    return iter(_kept(("chi weights", record.op, p), _WeightWalk, record.op, p))
+
+
+class _WeightWalk:
+    """The pairs (w_l, p + l*shift) of one chi-sum, made as they are first read.
+
+    Each shifted point is built once, also where w_l vanishes, so a
+    degenerate shift raises ``DegenerateParameter``; the pairs made before
+    it stay as they were, and every later read that reaches it raises
+    again.  After the first zero weight only zeros follow, and the rule's
+    coefficient is not evaluated again: it may sit on a pole there.
+    """
+
+    __slots__ = ("rule", "p", "pairs")
+
+    def __init__(self, op: str, p):
+        self.rule = ACTION_RULES[op]
+        self.p = p
+        self.pairs: list[tuple[Fraction, object]] = []
+
+    def __iter__(self) -> Iterator[tuple[Fraction, object]]:
+        pairs = self.pairs
+        for l in itertools.count():
+            if l == len(pairs):
+                self._extend()
+            yield pairs[l]
+
+    def _extend(self) -> None:
+        pairs, rule = self.pairs, self.rule
+        l = len(pairs)
+        w = Fraction(1)
+        if l:
+            w, q = pairs[-1]
+            if w:
+                w = w * rule.coefficient(q) / l
+        pairs.append((w, rule.shifted(self.p, l)))
 
 
 def _sum_series(
@@ -541,12 +571,14 @@ def run_suite(
     that lacks a verified corrected candidate for the same record, point
     (and chi); ``invariant_ok()`` is false when there is one.
 
-    The rows share their converged float sums and the power ladders of
-    their composition arguments: a chi-sum member or a left-side value met
-    again (another chi, variant or record, or the inner 1F1 of a Humbert
-    sum) is summed once per call, and an argument met again (another
-    variant, record or point) is raised to its powers once per call
-    (``series._shared_work``, on only for the call and dropped when it
+    The rows share their converged float sums, the power ladders and Horn
+    weights of their compositions and their chi-sum weights: a chi-sum
+    member or a left-side value met again (another chi, variant or record,
+    or the inner 1F1 of a Humbert sum) is summed once per call, an argument
+    met again (another variant, record or point) is raised to its powers
+    once per call, and the weights and shifted points of one operator at
+    one point are walked once per call, as far as the furthest row reads
+    them (``series._shared_work``, on only for the call and dropped when it
     returns or raises).  The rows are those of separate ``verify_formal``
     and ``verify_numeric`` calls.
     """

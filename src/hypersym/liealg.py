@@ -2,10 +2,12 @@
 
 Covers the raising/lowering/maintenance operators of the two function
 families, their exact action on realized basis elements, commutators (the
-first-order vector-field bracket), exact span membership, and Runge-Kutta
-checks of the one-parameter flows against their closed forms.  A realized
-element (``Realized``) is a body series times a monomial prefactor with
-rational exponents; ``DiffOperator.apply`` holds the whole prefactor rule.
+first-order vector-field bracket), exact span membership (a basis is
+eliminated once into a ``SpanBasis``, against which each solve reduces its
+target), and Runge-Kutta checks of the one-parameter flows against their
+closed forms.  A realized element (``Realized``) is a body series times a
+monomial prefactor with rational exponents; ``DiffOperator.apply`` holds the
+whole prefactor rule.
 ``build_catalogue`` is the hand-written statement of each operator;
 ``action_sides`` builds its action and the rule of ``hypfun.ACTION_RULES``
 for the actions and the recursions, and seven flow fields are the operators.
@@ -28,7 +30,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import Q, as_rational
 from .hypfun import ACTION_RULES, FAMILIES, param_strs
-from .series import MultiSeries, UnknownVariable, first_mismatch
+from .series import MultiSeries, UnknownVariable, _kept, _shared_work, first_mismatch
 
 Monomial = tuple[tuple[str, int], ...]
 Pattern = tuple[Monomial, str | None]
@@ -279,55 +281,81 @@ class SpanResult:
     residual: DiffOperator | None
 
 
-def express_in_span(op: DiffOperator, basis: Mapping[str, DiffOperator]) -> SpanResult:
+def _pattern_order(p: Pattern):
+    """Scalar patterns first, then by derivative name, then by monomial."""
+    return (p[1] is not None, p[1] or "", p[0])
+
+
+class SpanBasis:
+    """A named basis of operators eliminated once to row echelon form.
+
+    Each basis element is a sparse vector over the patterns its terms use,
+    with its combination over the basis names.  In basis order, each one is
+    reduced by the pivot rows before it at their pivot patterns, and a row
+    left nonzero becomes a pivot row at its least pattern in
+    ``_pattern_order``, scaled to 1 there; a dependent element leaves no
+    row.  ``solve`` reduces one target against the pivot rows, so a basis
+    that several solves share is eliminated once.
+    """
+
+    __slots__ = ("names", "pivots")
+
+    def __init__(self, basis: Mapping[str, DiffOperator]):
+        self.names = list(basis)
+        # (pivot pattern, pattern -> entry, basis index -> combination), the
+        # entry at the pivot pattern 1
+        pivots: list[tuple[Pattern, dict[Pattern, Fraction], dict[int, Fraction]]] = []
+        for j, name in enumerate(self.names):
+            vec = dict(basis[name]._terms)
+            cmb = {j: Q(1)}
+            for col, pv, pc in pivots:
+                factor = vec.get(col)
+                if factor:
+                    _subtract(vec, factor, pv)
+                    _subtract(cmb, factor, pc)
+            if vec:
+                col = min(vec, key=_pattern_order)
+                lead = vec[col]
+                pivots.append((col, {p: c / lead for p, c in vec.items()},
+                               {i: c / lead for i, c in cmb.items()}))
+        self.pivots = pivots
+
+    def solve(self, op: DiffOperator) -> SpanResult:
+        """``express_in_span`` of ``op`` over this basis."""
+        target = dict(op._terms)
+        coeffs: dict[int, Fraction] = {}
+        for col, pv, pc in self.pivots:
+            factor = target.get(col)
+            if factor:
+                _subtract(target, factor, pv)
+                _subtract(coeffs, -factor, pc)
+        if target:
+            residual = DiffOperator({p: target[p] for p in sorted(target, key=_pattern_order)})
+            return SpanResult(False, None, residual)
+        return SpanResult(True, {name: coeffs.get(i, Q(0)) for i, name in enumerate(self.names)},
+                          None)
+
+
+def _subtract(vec: dict, factor: Fraction, row: Mapping) -> None:
+    """vec -= factor * row in place, dropping the entries that vanish."""
+    for key, c in row.items():
+        _bump(vec, key, -factor * c)
+
+
+def express_in_span(
+    op: DiffOperator, basis: SpanBasis | Mapping[str, DiffOperator]
+) -> SpanResult:
     """Exact rational solve of op = sum(c_i * basis_i) by pattern matching.
 
-    Returns coefficients with zero residual, or a result with ``in_span``
-    false carrying the canonical remainder after eliminating the span.
+    ``basis`` is a ``SpanBasis`` or a mapping of names to operators, which
+    is eliminated for this one solve; a caller that solves against one basis
+    many times eliminates it once.  Returns every basis name's coefficient
+    with zero residual, or a result with ``in_span`` false carrying the
+    canonical remainder after eliminating the span.
     """
-    names = list(basis)
-    patterns = sorted(
-        {p for b in basis.values() for p in b.pattern_vector()}
-        | set(op.pattern_vector()),
-        key=lambda p: (p[1] is not None, p[1] or "", p[0]),
-    )
-    pindex = {p: i for i, p in enumerate(patterns)}
-    ncols = len(patterns)
-
-    # forward elimination to row echelon form with full pivoting bookkeeping:
-    # each basis element is a vector over patterns, v, and a combination over
-    # the original basis, cmb
-    pivots: list[tuple[int, tuple[list[Fraction], list[Fraction]]]] = []
-    for j, name in enumerate(names):
-        v = [Q(0)] * ncols
-        for p, c in basis[name].pattern_vector().items():
-            v[pindex[p]] = c
-        cmb = [Q(0)] * len(names)
-        cmb[j] = Q(1)
-        for col, (pv, pc) in pivots:
-            if v[col] != 0:
-                factor = v[col] / pv[col]
-                v = [a - factor * b for a, b in zip(v, pv)]
-                cmb = [a - factor * b for a, b in zip(cmb, pc)]
-        lead = next((i for i, a in enumerate(v) if a != 0), None)
-        if lead is not None:
-            pivots.append((lead, (v, cmb)))
-
-    target = [Q(0)] * ncols
-    for p, c in op.pattern_vector().items():
-        target[pindex[p]] = c
-    coeffs = [Q(0)] * len(names)
-    for col, (pv, pc) in pivots:
-        if target[col] != 0:
-            factor = target[col] / pv[col]
-            target = [a - factor * b for a, b in zip(target, pv)]
-            coeffs = [a + factor * b for a, b in zip(coeffs, pc)]
-    if any(a != 0 for a in target):
-        residual = DiffOperator(
-            {patterns[i]: a for i, a in enumerate(target) if a != 0}
-        )
-        return SpanResult(False, None, residual)
-    return SpanResult(True, dict(zip(names, coeffs)), None)
+    if not isinstance(basis, SpanBasis):
+        basis = SpanBasis(basis)
+    return basis.solve(op)
 
 
 # -- operator catalogue --------------------------------------------------------
@@ -421,12 +449,14 @@ def realize(kind: str, params, order: int) -> Realized:
     The family's series, every index cut at ``order``, times one prefactor
     variable per parameter raised to it (without any constant normalisation):
     series(x) * y^a z^b, or series(x, y) * z^a u^b t^c.  ``params`` is
-    narrowed to the family's parameter class.
+    narrowed to the family's parameter class.  Inside
+    ``series._shared_work`` the body is kept under (family, p, order) and
+    handed to every later call with those; the prefactor is built afresh.
     """
     p = FAMILIES[kind].narrow(params)
     names = zip(_PREFACTOR_VARIABLES[kind], fields(p))
     prefactor = {v: getattr(p, f.name) for v, f in names}
-    return Realized(FAMILIES[kind].series(p, order), prefactor)
+    return Realized(_kept(("realized", kind, p, order), FAMILIES[kind].series, p, order), prefactor)
 
 
 def action_sides(op_id: str, params, order: int) -> tuple[object, Fraction, Realized, Realized]:
@@ -489,8 +519,16 @@ def verify_action(op_id: str, params, order: int) -> dict:
 
 def action_suite(points: Sequence, order: int) -> list[dict]:
     """One ``verify_action`` row per action rule and parameter point, in
-    rule order; each point is narrowed to the rule's family."""
-    return [verify_action(op_id, p, order) for op_id in ACTION_RULES for p in points]
+    rule order; each point is narrowed to the rule's family.
+
+    The rows share their realized family members: a member met again
+    (another operator at the same point, or a shifted member that is
+    another row's point) is built once per call, inside one
+    ``series._shared_work`` that is dropped when the call returns or
+    raises.  The rows are those of separate ``verify_action`` calls.
+    """
+    with _shared_work():
+        return [verify_action(op_id, p, order) for op_id in ACTION_RULES for p in points]
 
 
 # -- one-parameter flows --------------------------------------------------------
@@ -883,6 +921,13 @@ def commutator_suite(seed: int = 42) -> dict:
 
     The span finding is reported, never asserted: whether each commutator
     lands back in the catalogued span is part of the output.
+
+    Each bracket is computed once.  The pair loop keeps both [A, B] and
+    [B, A] in one table and checks antisymmetry on them; the Jacobi sums
+    read their inner brackets from the table, in the order they are
+    written, so antisymmetry is not assumed.  Each family's basis is
+    eliminated once (``SpanBasis``), and each pair's ``express_in_span``
+    reduces only its bracket against it.
     """
     import random
 
@@ -892,30 +937,33 @@ def commutator_suite(seed: int = 42) -> dict:
     for fam in ("f11", "psi2"):
         ids = family_operator_ids(fam)
         basis = {i: cat[i] for i in ids}
+        span = SpanBasis(basis)
+        bracket: dict[tuple[str, str], DiffOperator] = {}
         pair_rows = []
         for id1, id2 in itertools.combinations(ids, 2):
-            c = commutator(basis[id1], basis[id2])
-            if commutator(basis[id2], basis[id1]) != -c:
+            c = bracket[id1, id2] = commutator(basis[id1], basis[id2])
+            bracket[id2, id1] = commutator(basis[id2], basis[id1])
+            if bracket[id2, id1] != -c:
                 report["antisymmetry_ok"] = False
             row = {"pair": f"[{id1}, {id2}]", "result": c.pretty()}
-            span = express_in_span(c, basis)
-            row["in_span"] = span.in_span
-            if span.in_span:
+            found = express_in_span(c, span)
+            row["in_span"] = found.in_span
+            if found.in_span:
                 row["coefficients"] = {
-                    k: str(v) for k, v in span.coefficients.items() if v != 0
+                    k: str(v) for k, v in found.coefficients.items() if v != 0
                 }
             else:
-                row["residual"] = span.residual.pretty()
+                row["residual"] = found.residual.pretty()
             pair_rows.append(row)
-        ops = list(basis.values())
-        for a, b, c3 in itertools.combinations(ops, 3):
+        for a, b, c3 in itertools.combinations(ids, 3):
             jac = (
-                commutator(a, commutator(b, c3))
-                + commutator(b, commutator(c3, a))
-                + commutator(c3, commutator(a, b))
+                commutator(basis[a], bracket[b, c3])
+                + commutator(basis[b], bracket[c3, a])
+                + commutator(basis[c3], bracket[a, b])
             )
             if not jac.is_zero():
                 report["jacobi_ok"] = False
+        ops = list(basis.values())
         for _ in range(10):
             a, b, c3 = (rng.choice(ops) for _ in range(3))
             lam = Q(rng.randint(-9, 9), rng.randint(1, 9))

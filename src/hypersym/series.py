@@ -62,17 +62,21 @@ in one integer dict over one common denominator, reduced once.
 ``pow_rational``, ``exp_series`` and the compositions in ``hypfun`` are
 calls to it.
 
-Shared work.  An argument's power ladder U^0, U^1, ... (``_power_ladder``)
-depends only on the caps, the highest power needed and the argument's
-integer numerators, not on its denominator, the top parameter or the
-bottoms; the same arguments (x/(1-chi), x(1+chi), ...) recur across the
-records, variants and parameter points of a verification suite.  Inside
-``_shared_work()``, which ``identities.run_suite`` opens once per suite,
-each ladder is built once and handed out again; ``hypfun``'s memo of
-converged float sums lives in the same block.  The memo is dropped when the
-block ends, also when it raises, and outside it nothing is kept.  A kept
-ladder is shared, so no caller changes one: ``horn_compose`` scales a copy
-by the denominator.
+Shared work.  Much exact work of a verification suite depends only on
+inputs that recur: an argument's power ladder U^0, U^1, ...
+(``_power_ladder``) depends only on the caps, the highest power needed and
+the argument's integer numerators, not on its denominator, the top
+parameter or the bottoms, and the same arguments (x/(1-chi), x(1+chi), ...)
+recur across the records, variants and parameter points of a suite; so do
+the Horn weights of a composition, the realized family members of the
+operator actions and the weights of a chi-sum.  Inside ``_shared_work()``,
+which each suite opens once, every such piece of work is built once and
+handed out again by the one accessor ``_kept(key, build, *args)``, whose
+key leads with a tag naming the kind of work (``"ladder"``,
+``"horn weights"``, ``"f11 sum"``, ``"realized"``, ``"chi weights"``).  The
+memo is dropped when the block ends, also when it raises, and outside it
+nothing is kept.  Kept work is shared, so no caller changes it:
+``horn_compose`` scales a copy of a ladder by the denominator.
 
 This module knows nothing of prefactors with rational exponents: the
 realized basis elements that carry them, and the rule for operators acting
@@ -87,15 +91,16 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .exactnum import Q, as_rational, is_nonpositive_integer
 
+T = TypeVar("T")
+
 
 # The work kept by the open ``_shared_work`` block, or None outside one.
-# Keys of different kinds have different tuple lengths, so they never meet:
-# ``horn_compose`` keeps power ladders under (caps, bound, numerators), and
-# ``hypfun`` keeps its 1F1 sums under keys of four entries.
+# Every key leads with a tag naming its kind of work, so keys of different
+# kinds never meet; ``_kept`` is the one way in.
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypersym_memo", default=None)
 
 
@@ -111,6 +116,23 @@ def _shared_work() -> Iterator[None]:
         yield
     finally:
         _MEMO.reset(token)
+
+
+def _kept(key: tuple, build: Callable[..., T], *args) -> T:
+    """``build(*args)``, kept under ``key`` by the open ``_shared_work`` block.
+
+    ``key`` leads with the tag of its kind of work and holds every input
+    the build reads.  Inside a block the first call builds and keeps, and
+    every later call with an equal key is handed the same object; a build
+    that raises keeps nothing.  Outside a block each call builds afresh.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return build(*args)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = build(*args)
+    return found
 
 
 class CapMismatch(ValueError):
@@ -749,7 +771,9 @@ def horn_compose(
     sum times C prod D_i^(B_i) is sum_k C c_k prod U_i^(k_i) D_i^(B_i - k_i),
     accumulated in one packed integer dict (the innermost index as a
     weighted sum of powers, each outer one as one product per power) and
-    reduced once.
+    reduced once.  The walk depends only on ``a`` and, per argument, B_i and
+    the bottoms (the packing follows from the B_i), so inside
+    ``_shared_work`` it is kept under those.
     """
     first = args[0][0]
     variables, caps = first.variables, first.caps
@@ -772,11 +796,12 @@ def horn_compose(
                    for k, power in enumerate(row)]
         denominator *= d ** top
         rows.append(row)
-    axes = [(len(row) - 1, lower) for row, (_, lower) in zip(rows, args)]
+    axes = tuple((len(row) - 1, tuple(lower)) for row, (_, lower) in zip(rows, args))
     # weights keyed by packed index tuples; past the bound the product of
     # powers is zero, so those are never read
     shifts = _layout(tuple(cap for cap, _ in axes)).shifts
-    common, weights = _horn_numerators(a, axes, Fraction(1), shifts)
+    common, weights = _kept(("horn weights", a, axes),
+                            _horn_numerators, a, axes, Fraction(1), shifts)
     total = _power_sum(rows, weights, shifts, guard, offset, 0, 0, bound)
     for e in [e for e, v in total.items() if not v]:
         del total[e]
@@ -794,12 +819,13 @@ def _power_ladder(
     kept under (caps, bound, the items of ``u``) and the same tuple is
     handed to every later call with those; no caller changes it.
     """
-    memo = _MEMO.get()
-    if memo is not None:
-        key = (caps, bound, frozenset(u.items()))
-        ladder = memo.get(key)
-        if ladder is not None:
-            return ladder
+    return _kept(("ladder", caps, bound, frozenset(u.items())), _build_ladder, u, caps, bound)
+
+
+def _build_ladder(
+    u: dict[int, int], caps: tuple[int, ...], bound: int
+) -> tuple[dict[int, int], ...]:
+    """``_power_ladder`` built afresh."""
     layout = _layout(caps)
     guard, offset = layout.guard, layout.offset
     row = [{0: 1}]
@@ -808,10 +834,7 @@ def _power_ladder(
         if not nxt:
             break
         row.append(nxt)
-    ladder = tuple(row)
-    if memo is not None:
-        memo[key] = ladder
-    return ladder
+    return tuple(row)
 
 
 def _power_sum(

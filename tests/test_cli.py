@@ -274,6 +274,17 @@ class TestVerify:
         assert named in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["1/2,4/3", "1/2,4/3,5/7,1", "1/2,4/3,5/7;2,3"],
+                             ids=["two", "four", "second-point"])
+    def test_points_need_three_values(self, tmp_path, points):
+        # each point is named as given, not Python's unpacking error
+        out = tmp_path / "out"
+        r = run_cli("verify", "--points", points, "--out", str(out))
+        bad = points.split(";")[-1]
+        assert r.returncode == 2
+        assert r.stderr == f"error: --points needs three values a,b,c per point, got '{bad}'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "inf"),
         ("--alpha", "nan"),

@@ -564,22 +564,22 @@ class TestSharedFloatSums:
         f11_eval_float(self.P, 3.5, 1e-12)
         f11_eval_float(self.P, 3.5, 1e-12)
         assert len(calls) == 2
-        assert hypfun._MEMO.get() is None
+        assert series._MEMO.get() is None
 
     def test_scope_is_dropped_when_its_block_raises(self):
         with pytest.raises(ZeroDivisionError):
             with series._shared_work():
                 f11_eval_float(self.P, 3.5, 1e-12)
                 1 / 0
-        assert hypfun._MEMO.get() is None
+        assert series._MEMO.get() is None
 
     def test_scopes_nest_and_restore(self):
         with series._shared_work():
-            outer = hypfun._MEMO.get()
+            outer = series._MEMO.get()
             f11_eval_float(self.P, 3.5, 1e-12)
             with series._shared_work():
-                assert hypfun._MEMO.get() == {}
-            assert hypfun._MEMO.get() is outer and len(outer) == 1
+                assert series._MEMO.get() == {}
+            assert series._MEMO.get() is outer and len(outer) == 1
 
 
 def _mp_points(seed, count):

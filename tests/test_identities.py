@@ -736,11 +736,100 @@ class TestSuiteSharesFloatSums:
         # at chi = 0.1 before it have summed members
         with pytest.raises(DomainViolation):
             run_suite(mode="numeric", chi_grid=(0.1, 1.5))
-        assert hypfun._MEMO.get() is None
+        assert series._MEMO.get() is None
         summed = _count_f11_sums(monkeypatch)
         p = Params1F1(Q(1, 2), Q(4, 3))
         assert f11_eval_float(p, 0.25, 1e-8) == f11_eval_float(p, 0.25, 1e-8)
         assert len(summed) == 2
+
+
+class TestSuiteKeepsWalks:
+    """Inside one suite a chi-sum's weights are walked once per operator and
+    point, and a composition's Horn weights once per top parameter and
+    axes; every row is the one made outside the suite."""
+
+    LOWER_B = get_record("I-F11-LOWER-B")
+    # b = 2 puts the lowering shift b - 2 on a pole at l = 2
+    BAD = ParamsPsi2(Q(1, 2), 2, Q(5, 7))
+
+    @staticmethod
+    def walk(rec, p):
+        return series._MEMO.get()[("chi weights", rec.op, p)]
+
+    def test_numeric_row_leaves_the_walk_for_a_formal_row_to_extend(self):
+        rec = get_record("I-F11-RAISE-A")
+        p = Params1F1(P.a, P.b)
+        outside = (verify_numeric(rec, AS_STATED, P, 0.1, 1e-8),
+                   verify_formal(rec, AS_STATED, P, 16, 4),
+                   verify_numeric(rec, AS_STATED, P, 0.25, 1e-8))
+        with series._shared_work():
+            numeric = verify_numeric(rec, AS_STATED, P, 0.1, 1e-8)
+            walk = self.walk(rec, p)
+            stopped = len(walk.pairs)
+            assert 7 <= stopped < 17
+            formal = verify_formal(rec, AS_STATED, P, 16, 4)
+            assert self.walk(rec, p) is walk and len(walk.pairs) == 17
+            kept = list(walk.pairs)
+            # a numeric row that stops inside the walk reads the kept pairs
+            assert verify_numeric(rec, AS_STATED, P, 0.25, 1e-8) == outside[2]
+            assert walk.pairs == kept
+        assert (numeric, formal) == outside[:2]
+
+    def test_formal_row_leaves_the_walk_for_a_numeric_row_to_extend(self):
+        rec = get_record("I-PSI2-SHIFT-Y")
+        outside = (verify_formal(rec, AS_STATED, P, 2, 3),
+                   verify_numeric(rec, AS_STATED, P, 0.25, 1e-8))
+        with series._shared_work():
+            formal = verify_formal(rec, AS_STATED, P, 2, 3)
+            assert len(self.walk(rec, P).pairs) == 3
+            numeric = verify_numeric(rec, AS_STATED, P, 0.25, 1e-8)
+            assert len(self.walk(rec, P).pairs) > 3
+        assert (formal, numeric) == outside
+
+    def test_degenerate_shift_raises_for_every_row_that_reaches_it(self):
+        with pytest.raises(DegenerateParameter) as alone:
+            verify_formal(self.LOWER_B, AS_STATED, self.BAD, 6, 12)
+        with series._shared_work():
+            for row in (lambda: verify_numeric(self.LOWER_B, AS_STATED, self.BAD, 0.1, 1e-8),
+                        lambda: verify_formal(self.LOWER_B, AS_STATED, self.BAD, 6, 12),
+                        lambda: verify_formal(self.LOWER_B, CORRECTED, self.BAD, 6, 12),
+                        lambda: verify_formal(self.LOWER_B, AS_STATED, self.BAD, 6, 12)):
+                with pytest.raises(DegenerateParameter) as shared:
+                    row()
+                assert str(shared.value) == str(alone.value)
+                # the pairs before the pole stay as they were
+                assert len(self.walk(self.LOWER_B, Params1F1(self.BAD.a, self.BAD.b)).pairs) == 2
+        with pytest.raises(DegenerateParameter, match=str(alone.value)):
+            run_suite(records=[self.LOWER_B], param_points=[self.BAD], mode="both")
+
+    def test_one_weight_walk_per_operator_and_point(self, monkeypatch):
+        walks = []
+        inner = identities._WeightWalk
+        monkeypatch.setattr(identities, "_WeightWalk",
+                            lambda op, p: walks.append((op, p)) or inner(op, p))
+        run_suite(mode="both")
+        assert len(walks) == len(set(walks)) == len(catalogue()) * len(P_ALL)
+
+    def test_horn_weights_are_walked_once_per_top_and_axes(self, monkeypatch):
+        asked, walked = [], []
+        kept, numerators = series._kept, series._horn_numerators
+
+        def asking(key, build, *args):
+            if key[0] == "horn weights":
+                asked.append(key)
+            return kept(key, build, *args)
+
+        def walking(*args):
+            # horn_compose walks from start 1 without a lead; horn_series
+            # passes a lead
+            if len(args) == 4:
+                walked.append(args)
+            return numerators(*args)
+
+        monkeypatch.setattr(series, "_kept", asking)
+        monkeypatch.setattr(series, "_horn_numerators", walking)
+        run_suite(mode="formal", orders={"f11": (8, 16), "psi2": (5, 8)})
+        assert (len(asked), len(set(asked)), len(walked)) == (165, 66, 66)
 
 
 class TestReportSerialization:

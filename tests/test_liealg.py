@@ -8,7 +8,7 @@ import pytest
 
 from hypersym.exactnum import DegenerateParameter
 from hypersym.hypfun import ACTION_RULES, ActionRule, Params1F1, ParamsPsi2
-from hypersym import liealg
+from hypersym import hypfun, liealg, series
 from hypersym.liealg import (
     DiffOperator,
     FLOW_IDS,
@@ -563,6 +563,245 @@ class TestSpan:
         for a, b in itertools.combinations(ids, 2):
             res = express_in_span(commutator(CAT[a], CAT[b]), basis)
             assert res.in_span, (a, b, res.residual and res.residual.pretty())
+
+
+def ref_express_in_span(op, basis):
+    """``express_in_span`` as it was before ``SpanBasis``: the basis
+    eliminated afresh on dense rows over the patterns of the basis and op."""
+    names = list(basis)
+    patterns = sorted(
+        {p for b in basis.values() for p in b.pattern_vector()}
+        | set(op.pattern_vector()),
+        key=lambda p: (p[1] is not None, p[1] or "", p[0]),
+    )
+    pindex = {p: i for i, p in enumerate(patterns)}
+    ncols = len(patterns)
+    pivots = []
+    for j, name in enumerate(names):
+        v = [Q(0)] * ncols
+        for p, c in basis[name].pattern_vector().items():
+            v[pindex[p]] = c
+        cmb = [Q(0)] * len(names)
+        cmb[j] = Q(1)
+        for col, (pv, pc) in pivots:
+            if v[col] != 0:
+                factor = v[col] / pv[col]
+                v = [a - factor * b for a, b in zip(v, pv)]
+                cmb = [a - factor * b for a, b in zip(cmb, pc)]
+        lead = next((i for i, a in enumerate(v) if a != 0), None)
+        if lead is not None:
+            pivots.append((lead, (v, cmb)))
+    target = [Q(0)] * ncols
+    for p, c in op.pattern_vector().items():
+        target[pindex[p]] = c
+    coeffs = [Q(0)] * len(names)
+    for col, (pv, pc) in pivots:
+        if target[col] != 0:
+            factor = target[col] / pv[col]
+            target = [a - factor * b for a, b in zip(target, pv)]
+            coeffs = [a + factor * b for a, b in zip(coeffs, pc)]
+    if any(a != 0 for a in target):
+        residual = DiffOperator({patterns[i]: a for i, a in enumerate(target) if a != 0})
+        return liealg.SpanResult(False, None, residual)
+    return liealg.SpanResult(True, dict(zip(names, coeffs)), None)
+
+
+def ref_commutator_suite(seed):
+    """``commutator_suite`` as it was before the bracket table: every bracket
+    of the Jacobi sums computed afresh, and the basis eliminated per pair.
+    Brackets go through ``liealg.commutator``, so a patch counts them."""
+    bracket = lambda a, b: liealg.commutator(a, b)  # noqa: E731
+    rng = random.Random(seed)
+    report = {"families": {}, "antisymmetry_ok": True, "jacobi_ok": True, "bilinearity_ok": True}
+    for fam in ("f11", "psi2"):
+        ids = family_operator_ids(fam)
+        basis = {i: CAT[i] for i in ids}
+        pair_rows = []
+        for id1, id2 in itertools.combinations(ids, 2):
+            c = bracket(basis[id1], basis[id2])
+            if bracket(basis[id2], basis[id1]) != -c:
+                report["antisymmetry_ok"] = False
+            row = {"pair": f"[{id1}, {id2}]", "result": c.pretty()}
+            span = ref_express_in_span(c, basis)
+            row["in_span"] = span.in_span
+            if span.in_span:
+                row["coefficients"] = {k: str(v) for k, v in span.coefficients.items() if v != 0}
+            else:
+                row["residual"] = span.residual.pretty()
+            pair_rows.append(row)
+        ops = list(basis.values())
+        for a, b, c3 in itertools.combinations(ops, 3):
+            jac = (bracket(a, bracket(b, c3)) + bracket(b, bracket(c3, a))
+                   + bracket(c3, bracket(a, b)))
+            if not jac.is_zero():
+                report["jacobi_ok"] = False
+        for _ in range(10):
+            a, b, c3 = (rng.choice(ops) for _ in range(3))
+            lam = Q(rng.randint(-9, 9), rng.randint(1, 9))
+            if bracket(a + b.scale(lam), c3) != bracket(a, c3) + bracket(b, c3).scale(lam):
+                report["bilinearity_ok"] = False
+        report["families"][fam] = pair_rows
+    return report
+
+
+def random_operator(rng, variables=("x", "y", "z")):
+    """A few terms with small Laurent monomials and rational coefficients."""
+    op = DiffOperator.zero()
+    for _ in range(rng.randint(0, 4)):
+        mono = {v: rng.randint(-1, 2) for v in rng.sample(variables, rng.randint(0, 2))}
+        deriv = rng.choice((None,) + variables)
+        op = op + DiffOperator.term(Q(rng.randint(-5, 5), rng.randint(1, 4)), mono, deriv)
+    return op
+
+
+class TestSpanBasis:
+    """One elimination per basis gives every solve the parent's result."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_suite_equals_the_parent_suite(self, seed):
+        got = liealg.commutator_suite(seed)
+        assert got == ref_commutator_suite(seed)
+        rows = {r["pair"]: r for r in got["families"]["f11"]}
+        escaped = rows["[f11.E_a', f11.E_b']"]
+        assert escaped["in_span"] is False and escaped["residual"]
+
+    @pytest.mark.parametrize("fam", ["f11", "psi2"])
+    def test_solves_equal_the_parent_solve(self, fam):
+        basis = {i: CAT[i] for i in family_operator_ids(fam)}
+        prepared = liealg.SpanBasis(basis)
+        rng = random.Random(fam)
+        ops = list(basis.values())
+        for _ in range(60):
+            # a combination of the basis, sometimes plus a term outside it
+            op = DiffOperator.zero()
+            for b in rng.sample(ops, 3):
+                op = op + b.scale(Q(rng.randint(-4, 4), rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                op = op + random_operator(rng)
+            expected = ref_express_in_span(op, basis)
+            assert express_in_span(op, prepared) == expected
+            assert express_in_span(op, basis) == expected
+
+    def test_dependent_and_random_bases_solve_as_before(self):
+        # dependent elements leave no pivot row; which coefficients a solve
+        # reports then depends on the elimination order, which is kept
+        rng = random.Random(7)
+        for _ in range(40):
+            elements = [random_operator(rng) for _ in range(rng.randint(1, 5))]
+            elements.append(elements[0].scale(Q(-2, 3)) + elements[-1])
+            basis = {f"b{i}": op for i, op in enumerate(elements)}
+            prepared = liealg.SpanBasis(basis)
+            for _ in range(5):
+                op = random_operator(rng)
+                if rng.random() < 0.5:
+                    op = op + elements[rng.randrange(len(elements))].scale(3)
+                expected = ref_express_in_span(op, basis)
+                got = express_in_span(op, prepared)
+                assert got == expected
+                assert got.in_span or list(got.residual._terms) == list(expected.residual._terms)
+
+    def test_suite_work_counts(self, monkeypatch):
+        # 128 brackets in the pair loop, 3 outer ones per Jacobi triple (56 +
+        # 84 triples) and 30 for bilinearity; the parent made 6 per triple
+        counts = {"commutator": 0, "express_in_span": 0, "elimination": 0}
+        for name in ("commutator", "express_in_span"):
+            inner = getattr(liealg, name)
+
+            def counting(*args, _inner=inner, _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(liealg, name, counting)
+        init = liealg.SpanBasis.__init__
+
+        def eliminating(self, basis):
+            counts["elimination"] += 1
+            init(self, basis)
+
+        monkeypatch.setattr(liealg.SpanBasis, "__init__", eliminating)
+        liealg.commutator_suite()
+        assert counts == {"commutator": 608, "express_in_span": 64, "elimination": 2}
+        counts["commutator"] = 0
+        ref_commutator_suite(42)
+        assert counts["commutator"] == 1028
+
+
+class TestSharedRealizations:
+    """The action and recursion suites build each realized member once per
+    call; their rows are those of separate calls."""
+
+    ORDERS = (1, 2, 6)
+    # integer a, then a b = 1 whose lowering raises after earlier rows
+    POINTS = P_PSI2 + [ParamsPsi2(0, Q(4, 3), 2), ParamsPsi2(-2, 3, 3)]
+    DEGENERATE = ParamsPsi2(Q(1, 2), 1, Q(5, 7))
+
+    @staticmethod
+    def outcome(call):
+        """The rows, or the error's type and text."""
+        try:
+            return call()
+        except DegenerateParameter as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_action_rows_equal_separate_calls(self, order, degenerate):
+        points = self.POINTS + [self.DEGENERATE] * degenerate
+        expected = self.outcome(lambda: [verify_action(op_id, p, order)
+                                         for op_id in ACTION_RULES for p in points])
+        assert self.outcome(lambda: action_suite(points, order)) == expected
+        assert isinstance(expected, tuple) == degenerate
+        assert series._MEMO.get() is None
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_recursion_rows_equal_separate_calls(self, order, degenerate):
+        points = self.POINTS + [self.DEGENERATE] * degenerate
+
+        def row(rel_id, p):
+            residual = hypfun.verify_recursion(rel_id, p, order)
+            return {"relation": rel_id, **hypfun.param_strs(p), "order": order,
+                    "status": "PASS" if residual.is_zero() else "FAIL",
+                    "residual": residual.render()}
+
+        expected = self.outcome(lambda: [row(rel_id, Params1F1(p.a, p.b))
+                                         for p in points for rel_id in hypfun.RECURSION_IDS])
+        assert self.outcome(lambda: hypfun.recursion_suite(points, order)) == expected
+        assert isinstance(expected, tuple) == degenerate
+        assert series._MEMO.get() is None
+
+    def test_kept_bodies_are_unchanged_by_the_rows(self):
+        outside = [verify_action(op_id, p, 6) for op_id in ACTION_RULES for p in P_PSI2]
+        with series._shared_work():
+            inside = [verify_action(op_id, p, 6) for op_id in ACTION_RULES for p in P_PSI2]
+            memo = series._MEMO.get()
+            kept = {k: (v.den, dict(v.nums)) for k, v in memo.items() if k[0] == "realized"}
+            assert kept
+            again = [verify_action(op_id, p, 6) for op_id in ACTION_RULES for p in P_PSI2]
+            assert {k: (v.den, dict(v.nums))
+                    for k, v in memo.items() if k[0] == "realized"} == kept
+        assert inside == again == outside
+        assert series._MEMO.get() is None
+
+    def test_members_are_kept_per_family_point_and_order(self):
+        calls = [(kind, p, order) for order in (4, 6, 4) for p in P_PSI2 + P_F11[:1]
+                 for kind in ("f11", "psi2") if kind == "f11" or isinstance(p, ParamsPsi2)]
+        outside = [realize(*call) for call in calls]
+        with series._shared_work():
+            assert [realize(*call) for call in calls] == outside
+
+    def test_action_suite_builds_each_member_once(self, monkeypatch):
+        realized, built = [], []
+        realize_inner, build_inner = liealg.realize, hypfun._horn_series
+        monkeypatch.setattr(liealg, "realize",
+                            lambda *args: realized.append(args) or realize_inner(*args))
+        monkeypatch.setattr(hypfun, "_horn_series",
+                            lambda *args: built.append(args) or build_inner(*args))
+        action_suite(P_PSI2, 12)
+        assert (len(realized), len(built)) == (102, 33)
+        built.clear()
+        hypfun.recursion_suite(P_PSI2, 12)
+        assert len(built) == 15
 
 
 class TestFlows:
