@@ -43,6 +43,7 @@ from .identities import (
     run_suite,
 )
 from .liealg import (
+    FLOW_COORDINATES,
     FLOW_IDS,
     OPERATOR_NOTES,
     SingularFlow,
@@ -111,8 +112,19 @@ class RunConfig:
     def start_point(self) -> dict[str, Fraction]:
         point = {}
         for item in self.start.split(","):
-            name, _, value = item.partition("=")
-            point[name.strip()] = parse_rational(value)
+            name, eq, value = item.partition("=")
+            name = name.strip()
+            if not eq:
+                raise ValueError(f"--start item {item!r} is not name=value")
+            if name not in FLOW_COORDINATES:
+                raise ValueError(f"--start item {item!r} names no flow coordinate "
+                                 f"({', '.join(FLOW_COORDINATES)})")
+            if name in point:
+                raise ValueError(f"--start item {item!r} repeats coordinate {name}")
+            try:
+                point[name] = parse_rational(value)
+            except ValueError as exc:
+                raise ValueError(f"--start item {item!r}: {exc}") from None
         return point
 
     def validate(self) -> None:

@@ -575,52 +575,78 @@ class FlowSpec:
         is ``0.0`` plus its terms left to right, each term its coefficient
         times the numerator factors divided by the denominator factors
         (``** e`` unless the exponent is 1); mu's rate is multiplied by mu.
-        A slot without terms has rate 0.0 and keeps its value: adding a zero
-        step changes only -0.0, and a start value read from a rational is
-        never -0.0.
+        A coefficient of 1 is left out unless the term has no numerator
+        factor, and a negative term is subtracted; the leading ``0.0 +``
+        stays, as it turns a -0.0 sum into 0.0.  A slot without terms has
+        rate 0.0 and keeps its value: adding a zero step changes only -0.0,
+        and a start value read from a rational is never -0.0.
+
+        A rate that reads no moving slot and has no ``/`` or ``**`` (a
+        constant rate, or ``y z d/dx`` with y and z fixed) cannot raise; it
+        is computed once before the loop, with its half and full stage
+        steps and its whole step ``sixth * (r + 2r + 2r + r)``, and its
+        stage value is shared by stages 2 and 3.  A stage value no rate
+        reads is not computed.
 
         The grid check is read from the closed forms themselves: each of
         ``denominators``, ``multiplier_closed`` and ``closed`` is called once
         on a traced start point and alpha, which turn ``+ - * /`` and unary
         ``-`` into parenthesised source text in Python's evaluation order
-        (``s0["v"]`` a start value, int and float constants by ``repr``).
-        Any other operand or operation raises TypeError naming the flow.
-        At each grid point every denominator is checked in order, raising
-        SingularFlow within ``margin`` of 0; then the multiplier's deviation
-        and each closed form's, in ``closed``'s order, are folded into the
-        point's deviation as ``max`` would.
+        (``s0["v"]`` a start value, int and float constants by ``repr``, an
+        int that is a float exactly as that float).  Any other operand or
+        operation raises TypeError naming the flow.  At each grid point
+        every denominator is checked in order, raising SingularFlow within
+        ``margin`` of 0; then the multiplier's deviation and each closed
+        form's, in ``closed``'s order, are folded into the point's deviation
+        as ``max`` would.  A subexpression that the check reaches twice is
+        computed where it is first reached and bound there with ``:=``, so
+        the order of operations, and the exception a pole raises, stay.  A
+        subexpression free of alpha is computed at alpha = 0 and read inside
+        the loop; a denominator free of alpha is checked only at alpha = 0,
+        and the deviation of a slot that never moves (mu without terms) from
+        a closed form free of alpha is the one found there.
 
-        These are the float operations of a term-by-term RK4 and of calling
-        the closed forms at each grid point, in their order, so every
-        deviation is bit-identical to theirs; the tests keep such an
-        interpreter as the oracle.
+        Each float operation that runs is one of a term-by-term RK4 and of
+        calling the closed forms at each grid point, on the same operands
+        and in their order, and only operations that cannot raise are left
+        out or moved, so every deviation and every exception is identical
+        to theirs; the tests keep such an interpreter as the oracle.
         """
         return _compile_rk4_run(self)
 
 
-def _source_text(value: object) -> str | None:
-    """The source text of a traced value or an int or float constant."""
-    if isinstance(value, _Traced):
-        return value.text
-    if type(value) in (int, float):
-        return repr(value)
-    return None
+def _constant_text(value: int | float) -> str:
+    """The source text of a constant operand of a float.  An int of at most
+    53 bits is written as the float it equals, which the operation converts
+    it to anyway, so the compiled operation is float by float."""
+    return repr(float(value) if type(value) is int and abs(value) <= 2**53 else value)
 
 
 class _Traced:
-    """A float of a closed form, standing for its source text."""
+    """A float of a closed form, standing for its source text.  Start values,
+    ``alpha`` and int or float constants are leaves; every other value is
+    interned by its text in its ``_TracedStart``, so a subexpression that
+    a closed form writes again, or that several closed forms share, is one
+    node.  ``alpha`` says whether the value reads alpha; ``symbol`` and
+    ``args`` are its operator and operands (none for a leaf)."""
 
-    __slots__ = ("text",)
+    __slots__ = ("start", "text", "alpha", "symbol", "args")
 
-    def __init__(self, text: str):
+    def __init__(self, start: "_TracedStart", text: str, alpha: bool = False,
+                 symbol: str = "", args: tuple["_Traced", ...] = ()):
+        self.start = start
         self.text = text
+        self.alpha = alpha
+        self.symbol = symbol
+        self.args = args
 
     def _binary(self, other: object, symbol: str, reflected: bool = False):
-        other = _source_text(other)
-        if other is None:
+        if type(other) in (int, float):
+            other = _Traced(self.start, _constant_text(other))
+        elif not isinstance(other, _Traced):
             return NotImplemented
-        left, right = (other, self.text) if reflected else (self.text, other)
-        return _Traced(f"({left} {symbol} {right})")
+        left, right = (other, self) if reflected else (self, other)
+        return self.start.node(symbol, left, right)
 
     def __add__(self, other): return self._binary(other, "+")
     def __radd__(self, other): return self._binary(other, "+", True)
@@ -632,7 +658,7 @@ class _Traced:
     def __rtruediv__(self, other): return self._binary(other, "/", True)
 
     def __neg__(self):
-        return _Traced(f"(-{self.text})")
+        return self.start.node("-", self)
 
     def __bool__(self):
         raise TypeError("a traced value has no truth value")
@@ -643,27 +669,63 @@ class _Traced:
 
 class _TracedStart:
     """The start point of a traced closed form: ``s0["v"]`` is the local
-    ``p<j>``, read once from the run's start point."""
+    ``p<j>``, read once from the run's start point.  ``nodes`` holds every
+    interned subexpression by its text, in the order first built."""
 
     def __init__(self):
         self.reads: dict[str, str] = {}
+        self.nodes: dict[str, _Traced] = {}
+        self.alpha = _Traced(self, "alpha", True)
 
     def __getitem__(self, key: str) -> _Traced:
-        return _Traced(self.reads.setdefault(key, f"p{len(self.reads)}"))
+        return _Traced(self, self.reads.setdefault(key, f"p{len(self.reads)}"))
+
+    def node(self, symbol: str, *args: _Traced) -> _Traced:
+        text = _op_text(symbol, [a.text for a in args])
+        node = self.nodes.get(text)
+        if node is None:
+            alpha = any(a.alpha for a in args)
+            node = self.nodes[text] = _Traced(self, text, alpha, symbol, args)
+        return node
+
+
+def _op_text(symbol: str, operands: list[str]) -> str:
+    """``(a symbol b)``, or ``(-a)`` of one operand."""
+    return f"({operands[0]} {symbol} {operands[1]})" if len(operands) == 2 else f"(-{operands[0]})"
 
 
 def _compile_rk4_run(spec: FlowSpec):
-    """Source text of ``FlowSpec.rk4_run``, compiled.  State slot i is
-    ``s<i>``, its stage value ``w<i>`` and its rates ``k1_<i>`` to ``k4_<i>``;
-    slot ``len(coords)`` is mu.  Coefficients are written with ``repr``,
-    which round-trips a float exactly."""
+    """``FlowSpec.rk4_run``: ``_rk4_source`` compiled."""
+    # ``inf`` and ``nan`` are the repr of a non-finite constant
+    namespace = {"SingularFlow": SingularFlow, "op_id": spec.op_id, "inf": math.inf, "nan": math.nan}
+    exec(compile(_rk4_source(spec), f"<rk4 run of {spec.op_id}>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _rk4_source(spec: FlowSpec) -> str:
+    """Source text of ``FlowSpec.rk4_run``.  State slot i is ``s<i>``; slot
+    ``len(coords)`` is mu.  A moving slot whose rate is computed at each
+    stage has rates ``k1_<i>`` to ``k4_<i>``; one whose rate reads no moving
+    slot and cannot raise has rate ``r<i>``, its half and full stage steps
+    ``hr<i>`` and ``dr<i>`` and its whole step ``g<i>``, all computed once.
+    A moving slot that a stage's rate reads has stage value ``w<i>``.  A
+    traced subexpression is the local ``t<n>``; a deviation fixed at
+    alpha = 0 is ``dev<i>``.  Coefficients are written with ``repr``, which
+    round-trips a float exactly."""
     coords = spec.coords
     mu = len(coords)
     index = {v: i for i, v in enumerate(coords)}
     slots: list[list[OpTerm]] = [[] for _ in range(mu + 1)]
     for t in spec.field.terms:
         slots[index.get(t.derivative, mu)].append(t)
-    moving = [i for i, slot in enumerate(slots) if slot]
+    moving = {i for i, slot in enumerate(slots) if slot}
+    reads = [{index[v] for t in slot for v, _ in t.monomial} for slot in slots]
+    reads[mu].add(mu)
+    # a rate that reads no moving slot and has no / or ** (so cannot raise)
+    fixed = {i for i in moving if not reads[i] & moving
+             and all(e == 1 for t in slots[i] for _, e in t.monomial)}
+    stepped = sorted(moving - fixed)
+    staged = moving & set().union(*(reads[i] for i in stepped))
 
     def rate(i: int, names: list[str]) -> str:
         def power(v: str, e: int) -> str:
@@ -671,40 +733,102 @@ def _compile_rk4_run(spec: FlowSpec):
 
         expr = "0.0"
         for t in slots[i]:
-            num = "".join(f" * {power(v, e)}" for v, e in t.monomial if e > 0)
+            c = float(t.coefficient)
+            sign, c = (" - ", -c) if c < 0 else (" + ", c)
+            num = [power(v, e) for v, e in t.monomial if e > 0]
             den = "".join(f" / {power(v, -e)}" for v, e in t.monomial if e < 0)
-            expr += f" + ({float(t.coefficient)!r}{num}{den})"
+            expr += sign + " * ".join(num if c == 1.0 and num else [repr(c), *num]) + den
         return f"({expr}) * {names[mu]}" if i == mu else expr
 
     start = _TracedStart()
 
-    def trace(form: Callable[[dict, float], float]) -> str:
+    def trace(form: Callable[[dict, float], float]) -> _Traced:
         try:
-            value = form(start, _Traced("alpha"))
+            value = form(start, start.alpha)
         except (TypeError, AttributeError) as exc:
             raise TypeError(f"{spec.op_id}: a closed form may use only + - * / of start "
                             f"values, alpha and int or float constants ({exc})") from exc
-        text = _source_text(value)
-        if text is None:
+        if type(value) in (int, float):
+            return _Traced(start, _constant_text(value))
+        if not isinstance(value, _Traced):
             raise TypeError(f"{spec.op_id}: a closed form returned {type(value).__name__}")
-        return text
+        return value
 
-    check = []
-    for den in spec.denominators:
-        check += [f"if abs({trace(den)}) < margin:",
-                  '    raise SingularFlow(f"{op_id}: denominator within margin at alpha={alpha}")']
-    check.append(f"dev = abs(s{mu} - {trace(spec.multiplier_closed)})")
-    for v, form in spec.closed.items():
-        check += [f"e = abs(s{index[v]} - {trace(form)})", "if e > dev:", "    dev = e"]
+    dens = [trace(den) for den in spec.denominators]
+    devs = [(mu, trace(spec.multiplier_closed))]
+    devs += [(index[v], trace(form)) for v, form in spec.closed.items()]
+    # the deviation of a slot that never moves from a closed form free of alpha
+    constant = {i for i, form in devs if i not in moving and not form.alpha}
+
+    def reached(roots: list[_Traced], in_loop: bool) -> dict[str, int]:
+        """How often each interned node is reached when ``roots`` are
+        evaluated in order, each node computed only where first reached; in
+        the loop a node free of alpha is read, never computed."""
+        count: dict[str, int] = {}
+
+        def visit(node: _Traced) -> None:
+            if node.args:
+                count[node.text] = count.get(node.text, 0) + 1
+                if count[node.text] == 1 and (node.alpha or not in_loop):
+                    for arg in node.args:
+                        visit(arg)
+
+        for root in roots:
+            visit(root)
+        return count
+
+    at_zero = reached(dens + [form for _, form in devs], False)
+    in_loop = reached([d for d in dens if d.alpha]
+                      + [form for i, form in devs if i not in constant], True)
+    shared = ({t for t, n in at_zero.items() if n > 1}
+              | {t for t, n in in_loop.items() if n > 1 or not start.nodes[t].alpha})
+    local = {t: f"t{n}" for n, t in enumerate(t for t in start.nodes if t in shared)}
+
+    def grid_check(loop: bool) -> list[str]:
+        bound: set[str] = set()
+
+        def render(node: _Traced) -> str:
+            if not node.args:
+                return node.text
+            if node.text in bound or (loop and not node.alpha):
+                return local[node.text]
+            text = _op_text(node.symbol, [render(arg) for arg in node.args])
+            if node.text not in local:
+                return text
+            bound.add(node.text)
+            return f"({local[node.text]} := {text})"
+
+        lines = []
+        for den in dens:
+            if den.alpha or not loop:
+                lines += [f"if abs({render(den)}) < margin:",
+                          '    raise SingularFlow(f"{op_id}: denominator within margin at alpha={alpha}")']
+        for n, (i, form) in enumerate(devs):
+            if i not in constant:
+                value = f"abs(s{i} - {render(form)})"
+            else:
+                value = f"dev{i}" if loop else f"(dev{i} := abs(s{i} - {render(form)}))"
+            lines += [f"dev = {value}"] if n == 0 else [f"e = {value}", "if e > dev:", "    dev = e"]
+        return lines
 
     state = [f"s{i}" for i in range(mu + 1)]
-    stage = [f"w{i}" if i in moving else f"s{i}" for i in range(mu + 1)]
-    step = []
-    for k, (names, weight) in enumerate(((state, None), (stage, "half"), (stage, "half"), (stage, "dt")), 1):
-        if weight:
-            step += [f"w{i} = s{i} + {weight} * k{k - 1}_{i}" for i in moving]
-        step += [f"k{k}_{i} = {rate(i, names)}" for i in moving]
-    step += [f"s{i} = s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in moving]
+    stage = [f"w{i}" if i in staged else f"s{i}" for i in range(mu + 1)]
+    once = []
+    for i in sorted(fixed):
+        once.append(f"r{i} = {rate(i, state)}")
+        if i in staged:
+            once += [f"hr{i} = half * r{i}", f"dr{i} = dt * r{i}"]
+        once.append(f"g{i} = sixth * (r{i} + 2.0 * r{i} + 2.0 * r{i} + r{i})")
+    step = [f"k1_{i} = {rate(i, state)}" for i in stepped]
+    for k, weight in ((2, "half"), (3, "half"), (4, "dt")):
+        for i in sorted(staged):
+            if i not in fixed:
+                step.append(f"w{i} = s{i} + {weight} * k{k - 1}_{i}")
+            elif k != 3:  # stages 2 and 3 share a fixed rate's stage value
+                step.append(f"w{i} = s{i} + {'hr' if k == 2 else 'dr'}{i}")
+        step += [f"k{k}_{i} = {rate(i, stage)}" for i in stepped]
+    step += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in stepped]
+    step += [f"s{i} = s{i} + g{i}" for i in sorted(fixed)]
 
     lines = ["def run(start, steps, dt, margin):",
              "    half = 0.5 * dt",
@@ -713,19 +837,17 @@ def _compile_rk4_run(spec: FlowSpec):
              f"    s{mu} = 1.0",
              *(f"    {name} = start[{v!r}]" for v, name in start.reads.items()),
              "    alpha = 0.0",
-             *(f"    {line}" for line in check),
+             *(f"    {line}" for line in grid_check(False)),
              "    max_dev = dev",
+             *(f"    {line}" for line in once),
              "    for _ in range(steps):",
              *(f"        {line}" for line in step),
              "        alpha += dt",
-             *(f"        {line}" for line in check),
+             *(f"        {line}" for line in grid_check(True)),
              "        if dev > max_dev:",
              "            max_dev = dev",
              "    return max_dev"]
-    # ``inf`` and ``nan`` are the repr of a non-finite constant
-    namespace = {"SingularFlow": SingularFlow, "op_id": spec.op_id, "inf": math.inf, "nan": math.nan}
-    exec(compile("\n".join(lines), f"<rk4 run of {spec.op_id}>", "exec"), namespace)
-    return namespace["run"]
+    return "\n".join(lines)
 
 
 def _flow_specs() -> dict[str, FlowSpec]:
@@ -831,7 +953,8 @@ FLOW_IDS = tuple(_FLOW_SPECS)
 FLOW_COORDINATES = ("x", "y", "z", "u", "t")
 
 # The most RK4 steps one flow check may take: 1000 times the 10**4 steps of
-# alpha 0.1 at step 1e-5, about 15 s per flow on a 2-vCPU VM.
+# alpha 0.1 at step 1e-5, 1.2 s (flows whose rates are all computed once) to
+# 11 s per flow on a 2-vCPU VM (Python 3.11).
 MAX_FLOW_STEPS = 10**7
 
 

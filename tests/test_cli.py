@@ -285,6 +285,33 @@ class TestVerify:
         assert r.stderr == f"error: --points needs three values a,b,c per point, got '{bad}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("start, error", [
+        ("x=1,y=2,z=3,u=1/2,t=1/3,w=99",
+         "--start item 'w=99' names no flow coordinate (x, y, z, u, t)"),
+        ("x=1,y=2,z=3,u=1/2,t=1/3,=4",
+         "--start item '=4' names no flow coordinate (x, y, z, u, t)"),
+        ("x=1,y=2,z=3,u=1/2,t=1/3,x=5", "--start item 'x=5' repeats coordinate x"),
+        ("x", "--start item 'x' is not name=value"),
+        ("", "--start item '' is not name=value"),
+        ("x=1,y=2,z=3,u=0.5,t=1/3",
+         "--start item 'u=0.5': not an exact rational literal: '0.5'"),
+    ], ids=["unknown-name", "empty-name", "repeated-name", "no-value", "empty", "decimal"])
+    @pytest.mark.parametrize("scope", ["flows", "recursions"])
+    def test_bad_start_item_is_named(self, tmp_path, scope, start, error):
+        # every item is checked before any scope runs, not only by the flows
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", scope, f"--start={start}", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_start_items_in_any_order_and_spacing(self, tmp_path):
+        r = run_cli("verify", "--scope", "flows", "--start= t = 1/3,u=1/2, z=3,y=2,x=1",
+                    "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        rows = json.loads((tmp_path / "verify_flows.json").read_text())["scopes"]["flows"]["rows"]
+        assert all(row["status"] == "PASS" for row in rows)
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "inf"),
         ("--alpha", "nan"),

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -120,6 +121,31 @@ def outcome(check, *args):
         return float, repr(check(*args))
     except (ArithmeticError, KeyError) as exc:
         return type(exc), str(exc)
+
+
+def random_flow_cases(seed, count):
+    """Seeded ``(start, alpha, h, margin)`` cases for every flow: exact start
+    coordinates, some 0 and some near 1e160, alpha of either sign and often
+    on a pole of one of the flows, 1 to 30 steps and a margin of 0 or 1e-6."""
+    rng = random.Random(seed)
+
+    def coord():
+        k = rng.random()
+        if k < 0.15:
+            return 0
+        if k < 0.25:
+            return rng.choice([-1, 1]) * rng.randint(1, 9) * 10**159
+        return Q(rng.randint(-30, 30), rng.randint(1, 6))
+
+    for _ in range(count):
+        start = {v: coord() for v in "xyzut"}
+        poles = [float(-start[v]) for v in "zut"] + [float(start["y"])]
+        poles += [1 / float(start[v]) for v in "yz" if start[v]]
+        alpha = rng.choice([0.1, -0.1, 0.5, -2.0, rng.choice(poles), rng.choice(poles)])
+        steps = rng.randint(1, 30)
+        h = abs(alpha) / steps if alpha else 1e-3
+        yield start, alpha, h, rng.choice([0.0, 1e-6])
+
 
 CAT = build_catalogue()
 
@@ -854,6 +880,45 @@ class TestFlows:
             assert outcome(flow_check, spec, start, alpha, h) == outcome(
                 interpreted_flow_check, spec, start, alpha, h), op_id
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compiled_step_is_bit_identical_on_random_starts(self, seed):
+        # zero coordinates make a rate or a closed form divide by zero,
+        # coordinates near 1e160 make a ** overflow, and alpha is often put
+        # on a pole; the exception type and text must match too
+        seen = set()
+        for start, alpha, h, margin in random_flow_cases(seed, 150):
+            for op_id in FLOW_IDS:
+                spec = flow_spec(op_id)
+                compiled = outcome(flow_check, spec, start, alpha, h, margin)
+                assert compiled == outcome(interpreted_flow_check, spec, start, alpha, h,
+                                           margin), (op_id, start, alpha, h, margin)
+                seen.add(compiled[0])
+        assert seen == {float, SingularFlow, ZeroDivisionError, OverflowError}
+
+    def test_a_shared_stage_value_on_a_pole_raises_alike(self):
+        # z = -h/2 puts the shared stage value of z (rate 1, computed once)
+        # on 0 in step one: k2 of x divides by it
+        spec = flow_spec("f11.E_b'")
+        start = {**START, "z": Q(-1, 2000)}
+        compiled = outcome(flow_check, spec, start, 0.1, 1e-3)
+        assert compiled == (ZeroDivisionError, "float division by zero")
+        assert compiled == outcome(interpreted_flow_check, spec, start, 0.1, 1e-3)
+
+    def test_a_rate_that_can_raise_is_not_computed_ahead(self):
+        # z' = 1/y reads no moving slot but divides, so it stays in the step:
+        # step one raises x ** 2's OverflowError first, as the interpreter does
+        field = DiffOperator.term(1, {"x": 2}, "x") + DiffOperator.term(1, {"y": -1}, "z")
+        spec = liealg.FlowSpec("test.raise-order", field, closed={
+            "x": lambda s0, a: s0["x"] / (1 - a * s0["x"]),
+            "z": lambda s0, a: s0["z"],
+        })
+        start = {"x": 10**160, "y": 0, "z": 1}
+        compiled = outcome(flow_check, spec, start, 0.1, 1e-3, 0.0)
+        assert compiled[0] is OverflowError
+        assert compiled == outcome(interpreted_flow_check, spec, start, 0.1, 1e-3, 0.0)
+        source = liealg._rk4_source(spec)
+        assert "k1_2 = 0.0 + 1.0 / s1" in source and "r2" not in source
+
     def test_compiled_step_is_bit_identical_at_a_fine_step(self):
         spec = flow_spec("f11.E_a'")
         assert flow_check(spec, START, 0.1, 1e-5) == interpreted_flow_check(spec, START, 0.1, 1e-5)
@@ -951,3 +1016,149 @@ class TestFlows:
         assert all(r["max_deviation"] <= 1e-8 for r in rows if r["status"] == "PASS")
         loose = flow_suite(START, 0.1, 0.05, tol=1e-3)
         assert all(r["status"] == "PASS" for r in loose)
+
+
+class TestFlowPinned:
+    """The ten deviations of ``verify --scope flows`` at the default start
+    and alpha 0.1, by repr: at the default step and at the benchmark's 1e-5.
+    Recorded from the term-by-term generator the lean one replaced."""
+
+    PINNED = {
+        1e-3: {
+            "f11.E_a": "6.612488334667432e-13",
+            "f11.E_b": "1.1102230246251565e-14",
+            "f11.E_a'": "1.1102230246251565e-14",
+            "f11.E_b'": "1.1102230246251565e-14",
+            "f11.E_ab": "2.220446049250313e-16",
+            "psi2.E_a": "1.319300224622566e-11",
+            "psi2.E_b": "3.3306690738754696e-16",
+            "psi2.E_c": "2.220446049250313e-14",
+            "psi2.E_ab": "5.551115123125783e-15",
+            "psi2.E_ac": "1.1102230246251565e-14",
+        },
+        1e-5: {
+            "f11.E_a": "6.217248937900877e-14",
+            "f11.E_b": "6.612488334667432e-13",
+            "f11.E_a'": "1.2287948436551233e-12",
+            "f11.E_b'": "6.612488334667432e-13",
+            "f11.E_ab": "4.738431869100168e-13",
+            "psi2.E_a": "1.509903313490213e-13",
+            "psi2.E_b": "8.979483823168266e-13",
+            "psi2.E_c": "4.738431869100168e-13",
+            "psi2.E_ab": "9.918732502001149e-13",
+            "psi2.E_ac": "6.612488334667432e-13",
+        },
+    }
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-5], ids=["default-step", "fine-step"])
+    def test_suite_deviations_are_pinned(self, h):
+        rows = flow_suite(START, 0.1, h)
+        assert {row["flow"]: repr(row["max_deviation"]) for row in rows} == self.PINNED[h]
+
+
+def _flow_source(op_id):
+    """The generated run of a flow, parsed: the statements of the alpha = 0
+    check, the loop's RK4 step and the loop's grid check."""
+    run = ast.parse(liealg._rk4_source(flow_spec(op_id))).body[0]
+    body = [ast.unparse(stmt) for stmt in run.body]
+    loop = run.body[-2]
+    assert isinstance(loop, ast.For)
+    first = body.index("alpha = 0.0") + 1
+    at_zero = run.body[first:body.index("max_dev = dev")]
+    tick = [ast.unparse(stmt) for stmt in loop.body].index("alpha += dt")
+    return run, at_zero, loop.body[:tick], loop.body[tick + 1:-1]
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _operations(stmts):
+    return [n for stmt in stmts for n in ast.walk(stmt) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
+
+
+class TestFlowSource:
+    """The generated source computes each float of a step and a grid point
+    once: read with ``ast``, flow by flow."""
+
+    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    def test_no_subexpression_is_evaluated_twice_per_grid_point(self, op_id):
+        _, at_zero, _, check = _flow_source(op_id)
+        for stmts in (at_zero, check):
+            texts = [ast.dump(op) for op in _operations(stmts)]
+            assert len(texts) == len(set(texts)), ast.unparse(stmts)
+
+    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    def test_the_loop_recomputes_nothing_free_of_alpha(self, op_id):
+        # moving values: alpha, the state and the locals bound from them
+        _, _, _, check = _flow_source(op_id)
+        moving = {"alpha"} | {f"s{i}" for i in range(len(flow_spec(op_id).coords) + 1)}
+        for stmt in check:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.NamedExpr) and _names(node.value) & moving:
+                    moving.add(node.target.id)
+        for op in _operations(check):
+            assert _names(op) & moving, ast.unparse(op)
+        for stmt in check:
+            if isinstance(stmt, ast.If) and "margin" in _names(stmt.test):
+                assert _names(stmt.test) & moving, ast.unparse(stmt.test)
+
+    def test_shared_subexpressions_are_bound_where_first_evaluated(self):
+        # 1 - alpha * y is a denominator and both closed forms' divisor
+        _, at_zero, _, check = _flow_source("f11.E_a")
+        for stmts in (at_zero, check):
+            source = "\n".join(ast.unparse(stmt) for stmt in stmts)
+            assert source.startswith("if abs((t0 := (1.0 - alpha * p0))) < margin:")
+            assert "s1 - p0 / t0" in source and "s0 - p1 / t0" in source
+        # y is a start value, so the denominator y of f11.E_b is checked at 0 only
+        _, at_zero, _, check = _flow_source("f11.E_b")
+        checked = [[ast.unparse(s.test) for s in stmts if isinstance(s, ast.If)][:2]
+                   for stmts in (at_zero, check)]
+        assert checked == [["abs((t0 := (p0 + alpha))) < margin", "abs(p0) < margin"],
+                           ["abs((t0 := (p0 + alpha))) < margin", "e > dev"]]
+
+    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    def test_no_unit_coefficient_is_multiplied(self, op_id):
+        run, _, _, _ = _flow_source(op_id)
+        for node in ast.walk(run):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                for side in (node.left, node.right):
+                    if isinstance(side, ast.UnaryOp):
+                        side = side.operand
+                    assert not (isinstance(side, ast.Constant) and side.value == 1), \
+                        ast.unparse(node)
+
+    def test_a_slot_with_a_rate_free_of_moving_slots_has_no_k_locals(self):
+        with_fixed = set()
+        for op_id in FLOW_IDS:
+            spec = flow_spec(op_id)
+            terms = spec.field.terms
+            moving = {t.derivative for t in terms}
+            run, _, step, _ = _flow_source(op_id)
+            assigned = {n.id for n in ast.walk(run) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Store)}
+            for i, v in enumerate(spec.coords):
+                rate = [t for t in terms if t.derivative == v]
+                if rate and all(u not in moving and e == 1 for t in rate for u, e in t.monomial):
+                    with_fixed.add(op_id)
+                    assert not {f"k{k}_{i}" for k in range(1, 5)} & assigned, op_id
+                    # one stage value for stages 2 and 3, and one whole step
+                    updates = [ast.unparse(s) for s in step if ast.unparse(s).startswith(f"s{i} =")]
+                    assert updates == [f"s{i} = s{i} + g{i}"], op_id
+        assert with_fixed == {"f11.E_b", "f11.E_a'", "f11.E_b'", "f11.E_ab",
+                              "psi2.E_b", "psi2.E_c", "psi2.E_ab", "psi2.E_ac"}
+
+    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    def test_the_step_computes_no_value_it_does_not_read(self, op_id):
+        # a stage value that no rate reads is not computed
+        _, _, step, _ = _flow_source(op_id)
+        for n, stmt in enumerate(step):
+            target = stmt.targets[0].id
+            if not target.startswith("s"):
+                assert any(target in _names(later.value) for later in step[n + 1:]), target
+
+    def test_a_fixed_multiplier_deviation_is_found_once(self):
+        # mu never moves under f11.E_a: its deviation is the one at alpha = 0
+        _, at_zero, _, check = _flow_source("f11.E_a")
+        assert ast.unparse(at_zero[1]) == "dev = (dev2 := abs(s2 - 1.0))"
+        assert ast.unparse(check[1]) == "dev = dev2"
