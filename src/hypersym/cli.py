@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
 action or recursion order below 1, an ``eval`` option the family does not
 take, an ``eval --float`` coordinate that is not finite or ``--term-cap``
-below 1, and flow settings that meet a singular flow denominator.  A
+below 1, a ``--start`` value too large for a float, and flow settings that
+meet a singular flow denominator or whose run divides by zero or overflows.  A
 ``verify`` run that stops on such an error still writes the reports of the
 scopes it finished, marked ``"ok": false`` with the error text.
 """
@@ -125,6 +126,10 @@ class RunConfig:
                 point[name] = parse_rational(value)
             except ValueError as exc:
                 raise ValueError(f"--start item {item!r}: {exc}") from None
+            try:
+                float(point[name])
+            except OverflowError:
+                raise ValueError(f"--start item {item!r} is too large for a float") from None
         return point
 
     def validate(self) -> None:

@@ -98,12 +98,12 @@ class DomainViolation(ValueError):
 
 # -- validity domains ---------------------------------------------------------------
 
-def _in_unit_disc(x: float, y: float, chi: float) -> bool:
-    return abs(chi) < 1
-
-
-def _entire(x: float, y: float, chi: float) -> bool:
-    return True
+# The domain predicate (x, y, chi) of each record's ``validity`` text.
+_DOMAINS: dict[str, Callable[[float, float, float], bool]] = {
+    "|chi| < 1": lambda x, y, chi: abs(chi) < 1,
+    "|chi| < 1 and |chi(1-x)| < 1": lambda x, y, chi: abs(chi) < 1 and abs(chi * (1 - x)) < 1,
+    "entire in chi": lambda x, y, chi: True,
+}
 
 
 # -- record type -----------------------------------------------------------------
@@ -129,14 +129,21 @@ class IdentityRecord:
     """
 
     rec_id: str
-    family: str                    # "f11" | "psi2"
     statement: str                 # human-readable as-stated formula
-    validity: str
-    domain_ok: Callable[[float, float, float], bool]
+    validity: str                  # a key of ``_DOMAINS``
     op: str                        # operator id whose action gives the right side
     lhs: Callable[..., object]
     corrected: Callable[..., object] | None = None
     note: str = ""
+
+    def __post_init__(self):
+        if self.validity not in _DOMAINS:
+            raise ValueError(f"{self.rec_id}: no domain for validity {self.validity!r}")
+
+    @property
+    def family(self) -> str:
+        """The family key, the prefix of ``op``: "f11" or "psi2"."""
+        return self.op.partition(".")[0]
 
 
 def _weights(record: IdentityRecord, p) -> Iterator[tuple[Fraction, object]]:
@@ -238,26 +245,22 @@ def _record_catalogue() -> list[IdentityRecord]:
 
     records.append(IdentityRecord(
         rec_id="I-F11-RAISE-A",
-        family="f11",
         statement=(
             "(1-chi)^(-a) F(a;b;x/(1-chi)) "
             "= sum_l (a)_l/l! F(a+l;b;x) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=_in_unit_disc,
         op="f11.E_a",
         lhs=lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a * F(x / (1 - chi)),
     ))
 
     records.append(IdentityRecord(
         rec_id="I-F11-RAISE-B",
-        family="f11",
         statement=(
             "F(a;b;x(1+chi)) (1+chi)^(b-1) "
             "= sum_l (b-a)_l/(l!(b)_l) F(a;b+l;x) (-chi)^l"
         ),
         validity="|chi| < 1",
-        domain_ok=_in_unit_disc,
         op="f11.E_b",
         lhs=lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
         corrected=lambda F, exp, p, x, y, chi: exp(-chi) * F(x + chi),
@@ -272,13 +275,11 @@ def _record_catalogue() -> list[IdentityRecord]:
 
     records.append(IdentityRecord(
         rec_id="I-F11-LOWER-A",
-        family="f11",
         statement=(
             "F(a;b;x/(1-chi(1-x))) ((1-chi)/(1-chi(1-x)))^b (1-chi)^a "
             "= sum_l (b-a)_l/l! F(a-l;b;x) chi^l"
         ),
         validity="|chi| < 1 and |chi(1-x)| < 1",
-        domain_ok=lambda x, y, chi: abs(chi) < 1 and abs(chi * (1 - x)) < 1,
         op="f11.E_a'",
         lhs=lambda F, exp, p, x, y, chi: F(x / (1 - chi * (1 - x)))
             * ((1 - chi) / (1 - chi * (1 - x))) ** p.b
@@ -297,13 +298,11 @@ def _record_catalogue() -> list[IdentityRecord]:
     # (b-l)_l = (-1)^l (1-b)_l, and likewise for c in the two-argument records
     records.append(IdentityRecord(
         rec_id="I-F11-LOWER-B",
-        family="f11",
         statement=(
             "F(a;b;x(1+chi)) (1+chi)^b "
             "= sum_l (b-l)_l/l! F(a;b-l;x) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=_in_unit_disc,
         op="f11.E_b'",
         lhs=lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** p.b,
         corrected=lambda F, exp, p, x, y, chi: F(x * (1 + chi)) * (1 + chi) ** (p.b - 1),
@@ -316,12 +315,10 @@ def _record_catalogue() -> list[IdentityRecord]:
 
     records.append(IdentityRecord(
         rec_id="I-F11-SHIFT",
-        family="f11",
         statement=(
             "F(a;b;x+chi) = sum_l (a)_l/(l!(b)_l) F(a+l;b+l;x) chi^l"
         ),
         validity="entire in chi",
-        domain_ok=_entire,
         op="f11.E_ab",
         lhs=lambda F, exp, p, x, y, chi: F(x + chi),
     ))
@@ -332,13 +329,11 @@ def _record_catalogue() -> list[IdentityRecord]:
     # so it is this record's chi-sum and the closed form is its left side.
     records.append(IdentityRecord(
         rec_id="I-PSI2-REDUCTION",
-        family="psi2",
         statement=(
             "Psi(a;b,c;x,y,chi) [triple series] "
             "= (1-chi)^(-a) Psi(a;b,c;x/(1-chi),y/(1-chi))"
         ),
         validity="|chi| < 1",
-        domain_ok=_in_unit_disc,
         op="psi2.E_a",
         lhs=lambda F, exp, p, x, y, chi: (1 - chi) ** -p.a
             * F(x / (1 - chi), y / (1 - chi)),
@@ -346,52 +341,44 @@ def _record_catalogue() -> list[IdentityRecord]:
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-LOWER-B",
-        family="psi2",
         statement=(
             "Psi(a;b,c;x(1+chi),y) (1+chi)^(b-1) "
             "= sum_l (b-l)_l/l! Psi(a;b-l,c;x,y) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=_in_unit_disc,
         op="psi2.E_b",
         lhs=lambda F, exp, p, x, y, chi: F(x * (1 + chi), y) * (1 + chi) ** (p.b - 1),
     ))
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-LOWER-C",
-        family="psi2",
         statement=(
             "Psi(a;b,c;x,y(1+chi)) (1+chi)^(c-1) "
             "= sum_l (c-l)_l/l! Psi(a;b,c-l;x,y) chi^l"
         ),
         validity="|chi| < 1",
-        domain_ok=_in_unit_disc,
         op="psi2.E_c",
         lhs=lambda F, exp, p, x, y, chi: F(x, y * (1 + chi)) * (1 + chi) ** (p.c - 1),
     ))
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-SHIFT-X",
-        family="psi2",
         statement=(
             "Psi(a;b,c;x+chi,y) "
             "= sum_l (a)_l/(l!(b)_l) Psi(a+l;b+l,c;x,y) chi^l"
         ),
         validity="entire in chi",
-        domain_ok=_entire,
         op="psi2.E_ab",
         lhs=lambda F, exp, p, x, y, chi: F(x + chi, y),
     ))
 
     records.append(IdentityRecord(
         rec_id="I-PSI2-SHIFT-Y",
-        family="psi2",
         statement=(
             "Psi(a;b,c;x,y+chi) "
             "= sum_l (a)_l/(l!(c)_l) Psi(a+l;b,c+l;x,y) chi^l"
         ),
         validity="entire in chi",
-        domain_ok=_entire,
         op="psi2.E_ac",
         lhs=lambda F, exp, p, x, y, chi: F(x, y + chi),
     ))
@@ -512,7 +499,7 @@ def verify_numeric(
 ) -> dict:
     """Evaluate both sides in floating point and compare relatively."""
     p = FAMILIES[record.family].narrow(params)
-    if not record.domain_ok(x, y, chi):
+    if not _DOMAINS[record.validity](x, y, chi):
         raise DomainViolation(
             f"{record.rec_id}: chi={chi} outside validity domain ({record.validity})"
         )

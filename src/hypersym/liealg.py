@@ -37,7 +37,8 @@ Pattern = tuple[Monomial, str | None]
 
 
 class SingularFlow(ArithmeticError):
-    """A closed-form flow denominator came within the safety margin of 0."""
+    """A closed-form flow denominator came within the safety margin of 0, or
+    (from ``flow_suite``) a flow's run divided by zero or overflowed."""
 
 
 class PrefactorMismatch(ValueError):
@@ -851,31 +852,43 @@ def _rk4_source(spec: FlowSpec) -> str:
 
 
 def _flow_specs() -> dict[str, FlowSpec]:
+    """The ten flows.  Nine have one of three closed-form shapes, each
+    stated once by a builder whose lambdas read the start values and apply
+    their operations in one fixed order; ``f11.E_a'`` is written out.
+
+    - ``pole(op_id, v, *others)``: every coordinate over 1 - alpha v, the
+      flow of v (v d/dv + w d/dw + ...), with that one denominator;
+    - ``shift(op_id, v, w)``: v + alpha and w (v + alpha) / v, denominators
+      (v + alpha, v), with the multiplier v / (v + alpha) exactly when the
+      field has the scalar -1/v; ``field`` defaults to the operator;
+    - ``translation(op_id, w, u, v)``: w + alpha u v, the flow of u v d/dw.
+    """
     cat = catalogue()
+
+    def pole(op_id: str, v: str, *others: str) -> FlowSpec:
+        closed = {w: lambda s0, a, w=w: s0[w] / (1 - a * s0[v]) for w in (v, *others)}
+        return FlowSpec(op_id, cat[op_id], closed, (lambda s0, a: 1 - a * s0[v],))
+
+    def shift(op_id: str, v: str, w: str, field: DiffOperator | None = None,
+              notes: str = "") -> FlowSpec:
+        field = cat[op_id] if field is None else field
+        closed = {v: lambda s0, a: s0[v] + a, w: lambda s0, a: s0[w] * (s0[v] + a) / s0[v]}
+        dens = (lambda s0, a: s0[v] + a, lambda s0, a: s0[v])
+        if field.pattern_vector().get((((v, -1),), None)) != -1:
+            return FlowSpec(op_id, field, closed, dens, notes=notes)
+        return FlowSpec(op_id, field, closed, dens, lambda s0, a: s0[v] / (s0[v] + a),
+                        f"{v}/({v}+alpha)", notes)
+
+    def translation(op_id: str, w: str, u: str, v: str) -> FlowSpec:
+        return FlowSpec(op_id, cat[op_id], {w: lambda s0, a: s0[w] + a * s0[u] * s0[v]})
+
     specs = (
-        FlowSpec(
-            "f11.E_a", cat["f11.E_a"],
-            closed={
-                "y": lambda s0, a: s0["y"] / (1 - a * s0["y"]),
-                "x": lambda s0, a: s0["x"] / (1 - a * s0["y"]),
-            },
-            denominators=(lambda s0, a: 1 - a * s0["y"],),
-        ),
-        FlowSpec(
-            "f11.E_b", cat["f11.E_b'"],
-            closed={
-                "z": lambda s0, a: s0["z"] + a,
-                "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
-            },
-            multiplier_closed=lambda s0, a: s0["z"] / (s0["z"] + a),
-            multiplier_text="z/(z+alpha)",
-            denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
-            notes=(
-                "multiplier rate reconstructed as -mu/z (the printed equation is "
-                "typographically broken); the printed closed form z/(z+alpha) "
-                "solves the reconstruction"
-            ),
-        ),
+        pole("f11.E_a", "y", "x"),
+        shift("f11.E_b", "z", "x", cat["f11.E_b'"], notes=(
+            "multiplier rate reconstructed as -mu/z (the printed equation is "
+            "typographically broken); the printed closed form z/(z+alpha) "
+            "solves the reconstruction"
+        )),
         FlowSpec(
             "f11.E_a'",
             DiffOperator.term(-1, {}, "y")
@@ -892,56 +905,14 @@ def _flow_specs() -> dict[str, FlowSpec]:
                 lambda s0, a: s0["y"] - a * (1 - s0["x"]),
             ),
         ),
-        FlowSpec(
-            "f11.E_b'",
-            cat["f11.E_b'"] + DiffOperator.term(1, {"z": -1}, None),  # without its -1/z
-            closed={
-                "z": lambda s0, a: s0["z"] + a,
-                "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
-            },
-            denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
-        ),
-        FlowSpec(
-            "f11.E_ab", cat["f11.E_ab"],
-            closed={"x": lambda s0, a: s0["x"] + a * s0["y"] * s0["z"]},
-        ),
-        FlowSpec(
-            "psi2.E_a", cat["psi2.E_a"],
-            closed={
-                "z": lambda s0, a: s0["z"] / (1 - a * s0["z"]),
-                "x": lambda s0, a: s0["x"] / (1 - a * s0["z"]),
-                "y": lambda s0, a: s0["y"] / (1 - a * s0["z"]),
-            },
-            denominators=(lambda s0, a: 1 - a * s0["z"],),
-        ),
-        FlowSpec(
-            "psi2.E_b", cat["psi2.E_b"],
-            closed={
-                "u": lambda s0, a: s0["u"] + a,
-                "x": lambda s0, a: s0["x"] * (s0["u"] + a) / s0["u"],
-            },
-            multiplier_closed=lambda s0, a: s0["u"] / (s0["u"] + a),
-            multiplier_text="u/(u+alpha)",
-            denominators=(lambda s0, a: s0["u"] + a, lambda s0, a: s0["u"]),
-        ),
-        FlowSpec(
-            "psi2.E_c", cat["psi2.E_c"],
-            closed={
-                "t": lambda s0, a: s0["t"] + a,
-                "y": lambda s0, a: s0["y"] * (s0["t"] + a) / s0["t"],
-            },
-            multiplier_closed=lambda s0, a: s0["t"] / (s0["t"] + a),
-            multiplier_text="t/(t+alpha)",
-            denominators=(lambda s0, a: s0["t"] + a, lambda s0, a: s0["t"]),
-        ),
-        FlowSpec(
-            "psi2.E_ab", cat["psi2.E_ab"],
-            closed={"x": lambda s0, a: s0["x"] + a * s0["z"] * s0["u"]},
-        ),
-        FlowSpec(
-            "psi2.E_ac", cat["psi2.E_ac"],
-            closed={"y": lambda s0, a: s0["y"] + a * s0["z"] * s0["t"]},
-        ),
+        # without its -1/z
+        shift("f11.E_b'", "z", "x", cat["f11.E_b'"] + DiffOperator.term(1, {"z": -1}, None)),
+        translation("f11.E_ab", "x", "y", "z"),
+        pole("psi2.E_a", "z", "x", "y"),
+        shift("psi2.E_b", "u", "x"),
+        shift("psi2.E_c", "t", "y"),
+        translation("psi2.E_ab", "x", "z", "u"),
+        translation("psi2.E_ac", "y", "z", "t"),
     )
     return {spec.op_id: spec for spec in specs}
 
@@ -1016,7 +987,8 @@ def flow_suite(
     """One row per catalogued flow; PASS needs a finite deviation <= tol.
 
     Raises ValueError when ``start`` lacks a flow coordinate, and
-    SingularFlow when a flow meets a vanishing denominator.
+    SingularFlow, naming the flow, when a flow meets a vanishing denominator
+    or its run divides by zero or overflows.
     """
     missing = [v for v in FLOW_COORDINATES if v not in start]
     if missing:
@@ -1024,7 +996,10 @@ def flow_suite(
     rows = []
     for op_id in FLOW_IDS:
         spec = flow_spec(op_id)
-        dev = flow_check(spec, start, alpha_max, h)
+        try:
+            dev = flow_check(spec, start, alpha_max, h)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise SingularFlow(f"{op_id}: the RK4 run raised {type(exc).__name__}: {exc}") from exc
         rows.append(
             {
                 "flow": op_id,

@@ -387,6 +387,34 @@ class TestVerify:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and "denominator within margin" in r.stderr
 
+    @pytest.mark.parametrize("start, error", [
+        # a stage value of z lands on 0 at the default step
+        ("x=1,y=2,z=-1/2000,u=1/2,t=1/3",
+         "f11.E_b: the RK4 run raised ZeroDivisionError: float division by zero"),
+        # y ** 2 overflows in a rate of f11.E_a
+        (f"x=1,y={10**160},z=3,u=1/2,t=1/3", "f11.E_a: the RK4 run raised OverflowError: "),
+    ], ids=["stage-value-on-pole", "rate-overflows"])
+    @pytest.mark.parametrize("scope", ["flows", "all"])
+    def test_flow_run_error_writes_a_partial_report(self, tmp_path, scope, start, error):
+        r = run_cli("verify", "--scope", scope, f"--start={start}", "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: {error}") and r.stderr.count("\n") == 1
+        data = json.loads((tmp_path / f"verify_{scope}.json").read_text())
+        assert data["ok"] is False
+        assert data["error"] == r.stderr.strip()[len("error: "):]
+        before = ["actions", "identities", "recursions"] if scope == "all" else []
+        assert sorted(data["scopes"]) == before
+
+    @pytest.mark.parametrize("scope", ["flows", "all"])
+    def test_start_value_too_large_for_a_float_exits_2_before_any_scope(self, tmp_path, scope):
+        item = f"x={10**400}"
+        out = tmp_path / "out"
+        r = run_cli("verify", "--scope", scope, f"--start={item},y=2,z=3,u=1/2,t=1/3",
+                    "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == f"error: --start item {item!r} is too large for a float\n"
+        assert not out.exists()
+
     def test_failing_scope_keeps_the_finished_ones(self, tmp_path):
         r = run_cli("verify", "--scope", "all", "--alpha", "1", "--out", str(tmp_path))
         assert r.returncode == 2

@@ -454,10 +454,8 @@ class TestVerifyNumeric:
 # exp(chi I) F = exp(chi) F: weight 1/l! at every l and an unshifted member
 EXPONENTIAL = IdentityRecord(
     rec_id="T-EXPONENTIAL",
-    family="f11",
     statement="exp(chi) F(a;b;x) = sum_l chi^l/l! F(a;b;x)",
     validity="entire in chi",
-    domain_ok=lambda x, y, chi: True,
     op="f11.I",
     lhs=lambda F, exp, p, x, y, chi: exp(chi) * F(x),
 )
@@ -519,6 +517,33 @@ def _reference_sum(rec, p, n, m):
             for i, j in itertools.product(range(m + 1), repeat=2):
                 terms[(l, i, j)] = w * psi2_coeff(q, i, j)
     return terms
+
+
+class TestRecordData:
+    """A record states its family and its domain once: the family is its
+    operator's prefix and the domain is looked up by its validity text."""
+
+    def test_every_validity_text_has_a_domain(self):
+        assert {rec.validity for rec in catalogue()} == set(identities._DOMAINS)
+
+    def test_family_is_the_operator_prefix(self):
+        assert {rec.rec_id: rec.family for rec in catalogue()} == {
+            rec.rec_id: "psi2" if rec.rec_id.startswith("I-PSI2-") else "f11"
+            for rec in catalogue()}
+        assert EXPONENTIAL.family == "f11"
+
+    def test_unknown_validity_text_raises_at_construction(self):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(EXPONENTIAL, validity="|chi| < 2")
+        assert str(exc.value) == "T-EXPONENTIAL: no domain for validity '|chi| < 2'"
+
+    @pytest.mark.parametrize("chi, x", [(0.5, -1.5), (1.5, DEFAULT_EVAL_X), (-0.75, 2.5)])
+    def test_domain_violation_text_is_unchanged(self, chi, x):
+        # both halves of |chi| < 1 and |chi(1-x)| < 1 are checked
+        with pytest.raises(DomainViolation) as exc:
+            verify_numeric(get_record("I-F11-LOWER-A"), AS_STATED, P, chi, 1e-8, x)
+        assert str(exc.value) == (f"I-F11-LOWER-A: chi={chi} outside validity domain "
+                                  "(|chi| < 1 and |chi(1-x)| < 1)")
 
 
 class TestSumSide:

@@ -147,6 +147,106 @@ def random_flow_cases(seed, count):
         yield start, alpha, h, rng.choice([0.0, 1e-6])
 
 
+
+def ref_flow_specs():
+    """The ten flows as written out one by one before the three shape
+    builders of ``liealg._flow_specs``: the oracle those builders must
+    reproduce, closed form by closed form."""
+    cat = catalogue()
+    specs = (
+        liealg.FlowSpec(
+            "f11.E_a", cat["f11.E_a"],
+            closed={
+                "y": lambda s0, a: s0["y"] / (1 - a * s0["y"]),
+                "x": lambda s0, a: s0["x"] / (1 - a * s0["y"]),
+            },
+            denominators=(lambda s0, a: 1 - a * s0["y"],),
+        ),
+        liealg.FlowSpec(
+            "f11.E_b", cat["f11.E_b'"],
+            closed={
+                "z": lambda s0, a: s0["z"] + a,
+                "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
+            },
+            multiplier_closed=lambda s0, a: s0["z"] / (s0["z"] + a),
+            multiplier_text="z/(z+alpha)",
+            denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
+            notes=(
+                "multiplier rate reconstructed as -mu/z (the printed equation is "
+                "typographically broken); the printed closed form z/(z+alpha) "
+                "solves the reconstruction"
+            ),
+        ),
+        liealg.FlowSpec(
+            "f11.E_a'",
+            DiffOperator.term(-1, {}, "y")
+            + DiffOperator.term(1, {"x": 1, "y": -1}, "x")
+            + DiffOperator.term(-1, {"x": 2, "y": -1}, "x")
+            + DiffOperator.term(-1, {"x": 1, "y": -1, "z": 1}, "z"),
+            closed={
+                "y": lambda s0, a: s0["y"] - a,
+                "x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (1 - s0["x"])),
+                "z": lambda s0, a: s0["z"] * (s0["y"] - a) / (s0["y"] - a * (1 - s0["x"])),
+            },
+            denominators=(
+                lambda s0, a: s0["y"] - a,
+                lambda s0, a: s0["y"] - a * (1 - s0["x"]),
+            ),
+        ),
+        liealg.FlowSpec(
+            "f11.E_b'",
+            cat["f11.E_b'"] + DiffOperator.term(1, {"z": -1}, None),  # without its -1/z
+            closed={
+                "z": lambda s0, a: s0["z"] + a,
+                "x": lambda s0, a: s0["x"] * (s0["z"] + a) / s0["z"],
+            },
+            denominators=(lambda s0, a: s0["z"] + a, lambda s0, a: s0["z"]),
+        ),
+        liealg.FlowSpec(
+            "f11.E_ab", cat["f11.E_ab"],
+            closed={"x": lambda s0, a: s0["x"] + a * s0["y"] * s0["z"]},
+        ),
+        liealg.FlowSpec(
+            "psi2.E_a", cat["psi2.E_a"],
+            closed={
+                "z": lambda s0, a: s0["z"] / (1 - a * s0["z"]),
+                "x": lambda s0, a: s0["x"] / (1 - a * s0["z"]),
+                "y": lambda s0, a: s0["y"] / (1 - a * s0["z"]),
+            },
+            denominators=(lambda s0, a: 1 - a * s0["z"],),
+        ),
+        liealg.FlowSpec(
+            "psi2.E_b", cat["psi2.E_b"],
+            closed={
+                "u": lambda s0, a: s0["u"] + a,
+                "x": lambda s0, a: s0["x"] * (s0["u"] + a) / s0["u"],
+            },
+            multiplier_closed=lambda s0, a: s0["u"] / (s0["u"] + a),
+            multiplier_text="u/(u+alpha)",
+            denominators=(lambda s0, a: s0["u"] + a, lambda s0, a: s0["u"]),
+        ),
+        liealg.FlowSpec(
+            "psi2.E_c", cat["psi2.E_c"],
+            closed={
+                "t": lambda s0, a: s0["t"] + a,
+                "y": lambda s0, a: s0["y"] * (s0["t"] + a) / s0["t"],
+            },
+            multiplier_closed=lambda s0, a: s0["t"] / (s0["t"] + a),
+            multiplier_text="t/(t+alpha)",
+            denominators=(lambda s0, a: s0["t"] + a, lambda s0, a: s0["t"]),
+        ),
+        liealg.FlowSpec(
+            "psi2.E_ab", cat["psi2.E_ab"],
+            closed={"x": lambda s0, a: s0["x"] + a * s0["z"] * s0["u"]},
+        ),
+        liealg.FlowSpec(
+            "psi2.E_ac", cat["psi2.E_ac"],
+            closed={"y": lambda s0, a: s0["y"] + a * s0["z"] * s0["t"]},
+        ),
+    )
+    return {spec.op_id: spec for spec in specs}
+
+
 CAT = build_catalogue()
 
 
@@ -1006,6 +1106,20 @@ class TestFlows:
         assert spec.rk4_run is spec.rk4_run
         assert spec.coords == ("u", "x")
 
+    @pytest.mark.parametrize("start, op_id, error", [
+        ({**START, "z": Q(-1, 2000)}, "f11.E_b", ZeroDivisionError),
+        ({**START, "y": 10**160}, "f11.E_a", OverflowError),
+        ({**START, "x": 10**400}, "f11.E_a", OverflowError),
+    ], ids=["stage-value-on-pole", "rate-overflows", "start-overflows"])
+    def test_suite_names_the_flow_whose_run_raises(self, start, op_id, error):
+        # flow_check itself raises the arithmetic error, as the interpreter does
+        raised = outcome(flow_check, flow_spec(op_id), start, 0.1, 1e-3)
+        assert raised[0] is error
+        with pytest.raises(SingularFlow) as exc:
+            flow_suite(start)
+        assert str(exc.value) == f"{op_id}: the RK4 run raised {error.__name__}: {raised[1]}"
+        assert type(exc.value.__cause__) is error
+
     def test_suite_applies_tolerance(self):
         # a coarse step leaves deviations near 1e-5 on some flows: finite,
         # but above the default tolerance of 1e-8
@@ -1016,6 +1130,25 @@ class TestFlows:
         assert all(r["max_deviation"] <= 1e-8 for r in rows if r["status"] == "PASS")
         loose = flow_suite(START, 0.1, 0.05, tol=1e-3)
         assert all(r["status"] == "PASS" for r in loose)
+
+
+class TestFlowShapes:
+    """The shape builders give each flow what it had when written out by
+    hand: the same generated run, closed forms, guards, field and texts."""
+
+    REF = ref_flow_specs()
+
+    def test_the_same_flows_in_the_same_order(self):
+        assert FLOW_IDS == tuple(self.REF)
+
+    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    def test_each_flow_matches_its_written_out_form(self, op_id):
+        spec, ref = flow_spec(op_id), self.REF[op_id]
+        assert liealg._rk4_source(spec) == liealg._rk4_source(ref)
+        assert list(spec.closed) == list(ref.closed)
+        assert len(spec.denominators) == len(ref.denominators)
+        assert (spec.multiplier_text, spec.notes) == (ref.multiplier_text, ref.notes)
+        assert spec.field == ref.field
 
 
 class TestFlowPinned:

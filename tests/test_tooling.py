@@ -1,5 +1,5 @@
 """The benchmark's uses of the package still exist in it, and the ``verify``
-command's options, config fields and scope table agree.
+command's options, config fields, scope table and flow coordinates agree.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``LAYERS`` table
 and silently lists a missing one instead of failing, so a rename in
@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from hypersym import cli
+from hypersym import cli, liealg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -197,6 +197,14 @@ def test_scopes_are_the_runner_table_and_all():
     assert cli.SCOPES == (*cli.SCOPE_RUNNERS, "all")
     scope = next(a for a in _verify_parser()._actions if a.dest == "scope")
     assert tuple(scope.choices) == cli.SCOPES
+
+
+def test_flow_coordinates_are_those_the_flows_read():
+    # the --start check and flow_suite's missing-coordinate check read the
+    # hand-written tuple; the flows read their fields' coordinates
+    read = {v for op_id in liealg.FLOW_IDS for v in liealg.flow_spec(op_id).coords}
+    assert set(liealg.FLOW_COORDINATES) == read
+    assert len(liealg.FLOW_COORDINATES) == len(read)
 
 
 def test_every_reference_command_line_parses():
