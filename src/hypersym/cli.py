@@ -12,10 +12,12 @@ Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
 action or recursion order below 1, an ``eval`` option the family does not
 take, an ``eval --float`` coordinate that is not finite or ``--term-cap``
-below 1, a ``--start`` value too large for a float, and flow settings that
-meet a singular flow denominator or whose run divides by zero or overflows.  A
-``verify`` run that stops on such an error still writes the reports of the
-scopes it finished, marked ``"ok": false`` with the error text.
+below 1, a ``--start`` value or a float-mode parameter too large for a
+float, and flow settings that meet a singular flow denominator or whose run
+divides by zero or overflows.  A numeric identity row whose sides overflow
+ends as no convergence.  A ``verify`` run that stops on such an error still
+writes the reports of the scopes it finished, marked ``"ok": false`` with
+the error text.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ nested sum around ``f11_eval_float``'s loop, with one outer level per
 coordinate after x, which sums each inner 1F1(a + k; b; x) once per offset
 k.
 
-``ACTION_RULES`` states each catalogued operator's action on the family,
-E F(p) = c(p) F(p + shift).  A recursion relation is one f11 operator's
-action read at y = z = 1; ``RECURSIONS`` names the operator.
+A recursion relation is one f11 operator's action, stated in the operator
+table of ``liealg``, read at y = z = 1; ``RECURSIONS`` names the operator.
 
 Exact paths stay exact, floating paths use a tail-domination stopping
 rule (terms can grow before they decay, so a single small term is not
@@ -38,10 +37,10 @@ extended as its inner sums need them, and every inner 1F1 reads it.  Every
 float is made by the same operations in the same order as in a loop that
 tests every term and makes each denominator afresh.  A float sum checks its
 arguments before the first term: a tolerance that is not finite and
-positive, a term cap below 1 and a coordinate that is not finite raise
-``ValueError``.  A bottom parameter whose float is zero or a negative
-integer, which the parameter classes accept when the exact value is off the
-pole, raises ``DegenerateParameter`` where the sum first makes that float,
+positive, a term cap below 1, a coordinate that is not finite and a
+parameter too large for a float raise ``ValueError``.  A bottom parameter
+whose float is zero or a negative integer, which the parameter classes
+accept when the exact value is off the pole, raises ``DegenerateParameter``
 before any term.  A nested sum raises ``NoConvergence`` soon after an
 outer partial sum stops being finite, since no later term can bring it
 back: the run-up tests the partial sum once per block of ``_RUN_UP_BLOCK``
@@ -68,6 +67,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .exactnum import (
@@ -131,6 +131,17 @@ class ParamsPsi2:
 def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
     """Parameters by name as exact rational strings, for reports."""
     return {f.name: str(getattr(params, f.name)) for f in fields(params)}
+
+
+def float_params(params: Params1F1 | ParamsPsi2) -> SimpleNamespace:
+    """Parameters by name as floats; ValueError names one too large for a float."""
+    floats = {}
+    for f in fields(params):
+        try:
+            floats[f.name] = float(getattr(params, f.name))
+        except OverflowError:
+            raise ValueError(f"parameter {f.name} is too large for a float") from None
+    return SimpleNamespace(**floats)
 
 
 # -- Horn families -------------------------------------------------------------
@@ -217,12 +228,11 @@ def _check_sum_args(
     return term_cap
 
 
-def _float_bottom(coord: str, low: Fraction) -> float:
-    """The bottom parameter ``low`` of ``coord``'s index as the float its
-    loop reads.  The parameter classes reject only exact poles, and a float
-    that is zero or a negative integer would make a step denominator zero:
-    ``DegenerateParameter``."""
-    value = float(low)
+def _float_bottom(coord: str, low: Fraction, value: float) -> float:
+    """``value``, the float of the bottom parameter ``low`` of ``coord``'s
+    index, as its loop reads it.  The parameter classes reject only exact
+    poles, and a float that is zero or a negative integer would make a step
+    denominator zero: ``DegenerateParameter``."""
     if value <= 0 and value.is_integer():
         raise DegenerateParameter(
             f"bottom parameter {low} of {coord} is {value!r} as a float, zero or a negative integer"
@@ -278,11 +288,12 @@ def _nested_sum(
 ) -> float:
     """``_nested_float`` without the checks."""
     fam = FAMILIES[family]
-    bottoms = fam.bottoms(p)
+    bottoms, floats = fam.bottoms(p), fam.bottoms(float_params(p))
     x = point[0]
-    b = _float_bottom("x", bottoms[0][0])
+    b = _float_bottom("x", bottoms[0][0], floats[0][0])
     levels = [
-        (point[i], fam.coords[i], tuple(_float_bottom(fam.coords[i], low) for low in bottoms[i]))
+        (point[i], fam.coords[i],
+         tuple(_float_bottom(fam.coords[i], *low) for low in zip(bottoms[i], floats[i])))
         for i in range(len(point) - 1, 0, -1)
     ]
     # float(a + k) is (num + k den) / den: a + k is already in lowest terms
@@ -376,7 +387,8 @@ def f11_eval_float(
     ``term_cap`` raises as the loop would.
     """
     term_cap = _check_sum_args(("x",), (x,), rel_tol, term_cap)
-    value, terms = _f11_kept(float(p.a), _float_bottom("x", p.b), x, rel_tol, term_cap, [])
+    floats = float_params(p)
+    value, terms = _f11_kept(floats.a, _float_bottom("x", p.b, floats.b), x, rel_tol, term_cap, [])
     if not math.isfinite(value):
         raise NoConvergence(f"partial sum not finite after {terms} terms at x={x}")
     return value, terms
@@ -497,42 +509,6 @@ def psi2_compose(
 ) -> MultiSeries:
     """Psi2(a; b, c; u, v) for series u, v with zero constant term and the same caps."""
     return horn_compose(p.a, list(zip((arg_x, arg_y), FAMILIES["psi2"].bottoms(p))))
-
-
-# -- operator actions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ActionRule:
-    """E F(p) = coefficient(p) F(p + shift) for one catalogued operator E."""
-
-    shift: tuple[int, ...]            # (da, db) or (da, db, dc)
-    coefficient: Callable[[object], Fraction]
-
-    def shifted(self, p, times: int = 1):
-        return p.shifted(*(times * s for s in self.shift))
-
-
-# Keyed like the operator catalogue of ``liealg``; identity and recursion
-# right sides are derived from it.
-ACTION_RULES: dict[str, ActionRule] = {
-    "f11.E_a": ActionRule((1, 0), lambda p: p.a),
-    "f11.E_a'": ActionRule((-1, 0), lambda p: p.b - p.a),
-    "f11.E_b": ActionRule((0, 1), lambda p: (p.a - p.b) / p.b),
-    "f11.E_b'": ActionRule((0, -1), lambda p: p.b - 1),
-    "f11.E_ab": ActionRule((1, 1), lambda p: p.a / p.b),
-    "f11.I_a": ActionRule((0, 0), lambda p: p.a),
-    "f11.I_b": ActionRule((0, 0), lambda p: p.b),
-    "f11.I": ActionRule((0, 0), lambda p: Fraction(1)),
-    "psi2.E_a": ActionRule((1, 0, 0), lambda p: p.a),
-    "psi2.E_b": ActionRule((0, -1, 0), lambda p: p.b - 1),
-    "psi2.E_c": ActionRule((0, 0, -1), lambda p: p.c - 1),
-    "psi2.E_ab": ActionRule((1, 1, 0), lambda p: p.a / p.b),
-    "psi2.E_ac": ActionRule((1, 0, 1), lambda p: p.a / p.c),
-    "psi2.I_a": ActionRule((0, 0, 0), lambda p: p.a),
-    "psi2.I_b": ActionRule((0, 0, 0), lambda p: p.b),
-    "psi2.I_c": ActionRule((0, 0, 0), lambda p: p.c),
-    "psi2.I": ActionRule((0, 0, 0), lambda p: Fraction(1)),
-}
 
 
 # -- differential recursion relations -----------------------------------------

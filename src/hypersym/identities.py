@@ -7,17 +7,17 @@ deformation parameter chi whose coefficients are parameter-shifted members
 ``lhs``, as one closed-form formula in the member F, ``exp``, the parameters
 and the coordinates, and names one catalogued operator E; the right side,
 the expansion sum_l w_l F(params + l*shift) chi^l of exp(chi E) F, is
-derived from E's action rule in ``hypfun.ACTION_RULES``.  The exact and the floating right
-side both come from that rule.  The exact right side is one dict fill:
-for each l, the Horn walk of the member at params + l*shift starts from w_l
-and writes its plane under the key prefix (l,).  The left side formula is
-evaluated on exact series, with F the family's composition and
-``exp_series``, divisions and powers going through ``pow_rational``, so the
-two sides of an identity are built independently; the same formula on
-floats, with F the family's float value and ``math.exp``, is the numeric
-left side.  Everything a record uses of its family (coordinates, bottom
-parameters, composition, float value, parameter class) is read from
-``hypfun.FAMILIES``.
+derived from E's action rule in ``liealg.ACTION_RULES``.  The exact and
+the floating right side both come from that rule.  The exact right side is
+one dict fill: for each l, the Horn walk of the member at params + l*shift
+starts from w_l and writes its plane under the key prefix (l,).  The left
+side formula is evaluated on exact series, with F the family's composition
+and ``exp_series``, divisions and powers going through ``pow_rational``, so
+the two sides of an identity are built independently; the same formula on
+floats, with F the family's float value, ``math.exp`` and the parameters of
+``hypfun.float_params``, is the numeric left side.  Everything a record
+uses of its family (coordinates, bottom parameters, composition, float
+value, parameter class) is read from ``hypfun.FAMILIES``.
 Records are verified *formally*: both sides are expanded as truncated series
 in (x[, y], chi) over exact rationals and compared coefficient-wise, so a
 failure pinpoints the exact chi-order and monomial where the stated form
@@ -47,20 +47,20 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__ as ENGINE_VERSION
 from .hypfun import (
-    ACTION_RULES,
     DEFAULT_TERM_CAP,
     FAMILIES,
     NoConvergence,
     ParamsPsi2,
+    float_params,
     param_strs,
 )
+from .liealg import ACTION_RULES
 from .series import (
     MultiSeries,
     _kept,
@@ -218,9 +218,10 @@ def _sum_float(
     tol: float,
     max_terms: int = 400,
 ) -> float:
-    """The record's chi-sum in floating point, with the same two-small-terms
-    stopping rule used by the series evaluators; raises NoConvergence after
-    ``max_terms`` terms."""
+    """The record's chi-sum in floating point.  It stops after the first term
+    l >= 6 that, like the term before it, is at most ``tol`` times the
+    partial sum it ends (1e-300 at least), with no run-up of |arg| + |a|
+    terms as the series evaluators take; NoConvergence after ``max_terms``."""
     fam = FAMILIES[record.family]
     point = (x, y)[: len(fam.coords)]
     total = 0.0
@@ -440,13 +441,13 @@ def lhs_series(
 def lhs_value(
     record: IdentityRecord, variant: str, p, x: float, y: float, chi: float, tol: float,
 ) -> float:
-    """The variant's left side in floating point at (x, y, chi)."""
+    """The variant's left side in floating point at (x, y, chi); a parameter
+    too large for a float raises ``ValueError``."""
     lhs = _lhs(record, variant)
     fam = FAMILIES[record.family]
-    floats = SimpleNamespace(**{f.name: float(getattr(p, f.name)) for f in fields(p)})
-    return lhs(
-        lambda *u: fam.evaluate(p, *u, tol, DEFAULT_TERM_CAP)[0], math.exp, floats, x, y, chi
-    )
+    floats = float_params(p)
+    return lhs(lambda *u: fam.evaluate(p, *u, tol, DEFAULT_TERM_CAP)[0], math.exp, floats,
+               x, y, chi)
 
 
 def verify_formal(
@@ -497,14 +498,18 @@ def verify_numeric(
     x: float = DEFAULT_EVAL_X,
     y: float = DEFAULT_EVAL_Y,
 ) -> dict:
-    """Evaluate both sides in floating point and compare relatively."""
+    """Evaluate both sides in floating point and compare relatively; a side
+    whose float arithmetic overflows raises ``NoConvergence``."""
     p = FAMILIES[record.family].narrow(params)
     if not _DOMAINS[record.validity](x, y, chi):
         raise DomainViolation(
             f"{record.rec_id}: chi={chi} outside validity domain ({record.validity})"
         )
-    lhs = lhs_value(record, variant, p, x, y, chi, tol)
-    rhs = _sum_float(record, p, x, y, chi, tol)
+    try:
+        lhs = lhs_value(record, variant, p, x, y, chi, tol)
+        rhs = _sum_float(record, p, x, y, chi, tol)
+    except OverflowError as exc:
+        raise NoConvergence(f"{record.rec_id}: a side overflows at chi={chi}: {exc}") from exc
     scale = max(abs(lhs), abs(rhs), 1.0)
     ok = abs(lhs - rhs) <= tol * scale
     return {

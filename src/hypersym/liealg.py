@@ -8,9 +8,11 @@ target), and Runge-Kutta checks of the one-parameter flows against their
 closed forms.  A realized element (``Realized``) is a body series times a
 monomial prefactor with rational exponents; ``DiffOperator.apply`` holds the
 whole prefactor rule.
-``build_catalogue`` is the hand-written statement of each operator;
-``action_sides`` builds its action and the rule of ``hypfun.ACTION_RULES``
-for the actions and the recursions, and seven flow fields are the operators.
+One table, built once per process, holds each catalogued operator with its
+action rule E F(p) = c(p) F(p + shift) and its flow; ``build_catalogue``,
+``ACTION_RULES`` and ``_flow_specs`` are its views.  ``action_sides`` builds
+an operator's action and its rule's right side for the actions and the
+recursions, and seven flow fields are the operators.
 
 Family keys are those of ``hypfun.FAMILIES``: ``"f11"`` (realized as its
 series in x times y^a z^b) and ``"psi2"`` (series in x, y times z^a u^b t^c).
@@ -23,13 +25,14 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import Q, as_rational
-from .hypfun import ACTION_RULES, FAMILIES, param_strs
+from .hypfun import FAMILIES, param_strs
 from .series import MultiSeries, UnknownVariable, _kept, _shared_work, first_mismatch
 
 Monomial = tuple[tuple[str, int], ...]
@@ -359,88 +362,10 @@ def express_in_span(
     return basis.solve(op)
 
 
-# -- operator catalogue --------------------------------------------------------
-
-def build_catalogue() -> dict[str, DiffOperator]:
-    """All catalogued operators, keyed '<family>.<name>'.
-
-    Eleven distinct operator names across the two families.  For the
-    one-argument family, E_a is installed in its operative form
-    y*(x d/dx + y d/dy); the displayed variant without the x factor does not
-    reproduce the raising action (see OPERATOR_NOTES).
-    """
-    cat: dict[str, DiffOperator] = {}
-
-    cat["f11.E_a"] = (
-        DiffOperator.term(1, {"y": 1, "x": 1}, "x")
-        + DiffOperator.term(1, {"y": 2}, "y")
-    )
-    cat["f11.E_a'"] = (
-        DiffOperator.term(1, {"y": -1, "x": 1}, "x")
-        + DiffOperator.term(-1, {}, "y")
-        + DiffOperator.term(1, {"y": -1, "z": 1}, "z")
-        + DiffOperator.term(-1, {"y": -1, "x": 1}, None)
-    )
-    cat["f11.E_b"] = (
-        DiffOperator.term(1, {"z": 1}, "x") + DiffOperator.term(-1, {"z": 1}, None)
-    )
-    cat["f11.E_b'"] = (
-        DiffOperator.term(1, {"z": -1, "x": 1}, "x")
-        + DiffOperator.term(1, {}, "z")
-        + DiffOperator.term(-1, {"z": -1}, None)
-    )
-    cat["f11.E_ab"] = DiffOperator.term(1, {"y": 1, "z": 1}, "x")
-    cat["f11.I_a"] = DiffOperator.term(1, {"y": 1}, "y")
-    cat["f11.I_b"] = DiffOperator.term(1, {"z": 1}, "z")
-    cat["f11.I"] = DiffOperator.scalar(1)
-
-    cat["psi2.E_a"] = (
-        DiffOperator.term(1, {"z": 1, "x": 1}, "x")
-        + DiffOperator.term(1, {"z": 1, "y": 1}, "y")
-        + DiffOperator.term(1, {"z": 2}, "z")
-    )
-    cat["psi2.E_b"] = (
-        DiffOperator.term(1, {"u": -1, "x": 1}, "x")
-        + DiffOperator.term(1, {}, "u")
-        + DiffOperator.term(-1, {"u": -1}, None)
-    )
-    cat["psi2.E_c"] = (
-        DiffOperator.term(1, {"t": -1, "y": 1}, "y")
-        + DiffOperator.term(1, {}, "t")
-        + DiffOperator.term(-1, {"t": -1}, None)
-    )
-    cat["psi2.E_ab"] = DiffOperator.term(1, {"u": 1, "z": 1}, "x")
-    cat["psi2.E_ac"] = DiffOperator.term(1, {"z": 1, "t": 1}, "y")
-    cat["psi2.I_a"] = DiffOperator.term(1, {"z": 1}, "z")
-    cat["psi2.I_b"] = DiffOperator.term(1, {"u": 1}, "u")
-    cat["psi2.I_c"] = DiffOperator.term(1, {"t": 1}, "t")
-    cat["psi2.I"] = DiffOperator.scalar(1)
-
-    return cat
-
-
-@functools.cache
-def catalogue() -> Mapping[str, DiffOperator]:
-    """The operator catalogue of ``build_catalogue``, built once per process."""
-    return MappingProxyType(build_catalogue())
-
-
-OPERATOR_NOTES = {
-    "f11.E_a": (
-        "installed in the operative form y*(x d/dx + y d/dy); the displayed "
-        "variant y*(d/dx + y d/dy) does not reproduce the raising action and "
-        "is rejected by the exact series check"
-    ),
-}
-
-
-def family_operator_ids(family: str) -> list[str]:
-    return [k for k in catalogue() if k.startswith(family + ".")]
-
-
 # -- realizations and actions ---------------------------------------------------
 
-# The prefactor variable of each parameter, in the parameter class's order.
+# The prefactor variable of each parameter, in the parameter class's order;
+# ``realize`` and the table's maintenance operators read it.
 _PREFACTOR_VARIABLES = {"f11": ("y", "z"), "psi2": ("z", "u", "t")}
 
 
@@ -851,77 +776,166 @@ def _rk4_source(spec: FlowSpec) -> str:
     return "\n".join(lines)
 
 
-def _flow_specs() -> dict[str, FlowSpec]:
-    """The ten flows.  Nine have one of three closed-form shapes, each
-    stated once by a builder whose lambdas read the start values and apply
-    their operations in one fixed order; ``f11.E_a'`` is written out.
+# -- the operator table ----------------------------------------------------------
 
-    - ``pole(op_id, v, *others)``: every coordinate over 1 - alpha v, the
-      flow of v (v d/dv + w d/dw + ...), with that one denominator;
-    - ``shift(op_id, v, w)``: v + alpha and w (v + alpha) / v, denominators
-      (v + alpha, v), with the multiplier v / (v + alpha) exactly when the
-      field has the scalar -1/v; ``field`` defaults to the operator;
-    - ``translation(op_id, w, u, v)``: w + alpha u v, the flow of u v d/dw.
+@dataclass(frozen=True)
+class ActionRule:
+    """E F(p) = coefficient(p) F(p + shift) for one catalogued operator E."""
+
+    shift: tuple[int, ...]            # (da, db) or (da, db, dc)
+    coefficient: Callable[[object], Fraction]
+
+    def shifted(self, p, times: int = 1):
+        return p.shifted(*(times * s for s in self.shift))
+
+
+class _Entry(NamedTuple):
+    """A catalogued operator, its action rule and its flow (None for I_p, I)."""
+
+    operator: DiffOperator
+    rule: ActionRule
+    flow: FlowSpec | None
+
+
+@functools.cache
+def _operator_table() -> dict[str, _Entry]:
+    """Every catalogued operator by id, in catalogue order, built once per
+    process.  An entry states its operator twice, as a differential operator
+    and as an action rule, hand-written but for the maintenance operators,
+    which the actions scope checks against each other.  Each shape builder
+    makes an operator and its flow, whose field is the operator unless one
+    is given:
+
+    - ``pole(op_id, rule, v, *others)``: v (w d/dw + ... + v d/dv), every
+      coordinate over 1 - alpha v, with that one denominator;
+    - ``shift(op_id, rule, v, w, op, field, notes)``: w/v d/dw + d/dv - 1/v
+      unless ``op`` is given, v + alpha and w (v + alpha) / v, denominators
+      (v + alpha, v), and the multiplier v / (v + alpha) exactly when the
+      field has the scalar -1/v;
+    - ``translation(op_id, rule, w, u, v)``: u v d/dw, w + alpha u v;
+    - ``maintenance(family)``: I_p = v d/dv with eigenvalue p, for each
+      parameter p and its prefactor variable v, then I = 1, without flows.
+
+    The operators ``f11.E_a'`` and ``f11.E_b`` are written out, and so are
+    the flows the paper states that are not their operators' flows.
     """
-    cat = catalogue()
 
-    def pole(op_id: str, v: str, *others: str) -> FlowSpec:
+    def pole(op_id: str, rule: ActionRule, v: str, *others: str) -> tuple[str, _Entry]:
+        op = sum((DiffOperator.term(1, Counter((v, w)), w) for w in (*others, v)), DiffOperator())
         closed = {w: lambda s0, a, w=w: s0[w] / (1 - a * s0[v]) for w in (v, *others)}
-        return FlowSpec(op_id, cat[op_id], closed, (lambda s0, a: 1 - a * s0[v],))
+        return op_id, _Entry(op, rule, FlowSpec(op_id, op, closed, (lambda s0, a: 1 - a * s0[v],)))
 
-    def shift(op_id: str, v: str, w: str, field: DiffOperator | None = None,
-              notes: str = "") -> FlowSpec:
-        field = cat[op_id] if field is None else field
+    def shift(op_id: str, rule: ActionRule, v: str, w: str, op: DiffOperator | None = None,
+              field: DiffOperator | None = None, notes: str = "") -> tuple[str, _Entry]:
+        shape = (DiffOperator.term(1, {v: -1, w: 1}, w) + DiffOperator.term(1, {}, v)
+                 + DiffOperator.term(-1, {v: -1}, None))
+        op = shape if op is None else op
+        field = shape if field is None else field
         closed = {v: lambda s0, a: s0[v] + a, w: lambda s0, a: s0[w] * (s0[v] + a) / s0[v]}
         dens = (lambda s0, a: s0[v] + a, lambda s0, a: s0[v])
         if field.pattern_vector().get((((v, -1),), None)) != -1:
-            return FlowSpec(op_id, field, closed, dens, notes=notes)
-        return FlowSpec(op_id, field, closed, dens, lambda s0, a: s0[v] / (s0[v] + a),
-                        f"{v}/({v}+alpha)", notes)
+            return op_id, _Entry(op, rule, FlowSpec(op_id, field, closed, dens, notes=notes))
+        return op_id, _Entry(op, rule, FlowSpec(op_id, field, closed, dens,
+                                                lambda s0, a: s0[v] / (s0[v] + a),
+                                                f"{v}/({v}+alpha)", notes))
 
-    def translation(op_id: str, w: str, u: str, v: str) -> FlowSpec:
-        return FlowSpec(op_id, cat[op_id], {w: lambda s0, a: s0[w] + a * s0[u] * s0[v]})
+    def translation(op_id: str, rule: ActionRule, w: str, u: str, v: str) -> tuple[str, _Entry]:
+        op = DiffOperator.term(1, {u: 1, v: 1}, w)
+        closed = {w: lambda s0, a: s0[w] + a * s0[u] * s0[v]}
+        return op_id, _Entry(op, rule, FlowSpec(op_id, op, closed))
 
-    specs = (
-        pole("f11.E_a", "y", "x"),
-        shift("f11.E_b", "z", "x", cat["f11.E_b'"], notes=(
-            "multiplier rate reconstructed as -mu/z (the printed equation is "
-            "typographically broken); the printed closed form z/(z+alpha) "
-            "solves the reconstruction"
-        )),
-        FlowSpec(
-            "f11.E_a'",
-            DiffOperator.term(-1, {}, "y")
-            + DiffOperator.term(1, {"x": 1, "y": -1}, "x")
-            + DiffOperator.term(-1, {"x": 2, "y": -1}, "x")
-            + DiffOperator.term(-1, {"x": 1, "y": -1, "z": 1}, "z"),
-            closed={
-                "y": lambda s0, a: s0["y"] - a,
-                "x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (1 - s0["x"])),
-                "z": lambda s0, a: s0["z"] * (s0["y"] - a) / (s0["y"] - a * (1 - s0["x"])),
-            },
-            denominators=(
-                lambda s0, a: s0["y"] - a,
-                lambda s0, a: s0["y"] - a * (1 - s0["x"]),
+    def maintenance(family: str) -> list[tuple[str, _Entry]]:
+        names = [f.name for f in fields(FAMILIES[family].params)]
+        zero = (0,) * len(names)
+        entries = [(f"{family}.I_{p}", _Entry(DiffOperator.term(1, {v: 1}, v),
+                                              ActionRule(zero, operator.attrgetter(p)), None))
+                   for v, p in zip(_PREFACTOR_VARIABLES[family], names)]
+        identity = _Entry(DiffOperator.scalar(1), ActionRule(zero, lambda p: Q(1)), None)
+        return entries + [(f"{family}.I", identity)]
+
+    return dict([
+        pole("f11.E_a", ActionRule((1, 0), lambda p: p.a), "y", "x"),
+        ("f11.E_a'", _Entry(
+            DiffOperator.term(1, {"y": -1, "x": 1}, "x")
+            + DiffOperator.term(-1, {}, "y")
+            + DiffOperator.term(1, {"y": -1, "z": 1}, "z")
+            + DiffOperator.term(-1, {"y": -1, "x": 1}, None),
+            ActionRule((-1, 0), lambda p: p.b - p.a),
+            FlowSpec(
+                "f11.E_a'",
+                DiffOperator.term(-1, {}, "y")
+                + DiffOperator.term(1, {"x": 1, "y": -1}, "x")
+                + DiffOperator.term(-1, {"x": 2, "y": -1}, "x")
+                + DiffOperator.term(-1, {"x": 1, "y": -1, "z": 1}, "z"),
+                closed={
+                    "y": lambda s0, a: s0["y"] - a,
+                    "x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (1 - s0["x"])),
+                    "z": lambda s0, a: s0["z"] * (s0["y"] - a) / (s0["y"] - a * (1 - s0["x"])),
+                },
+                denominators=(lambda s0, a: s0["y"] - a,
+                              lambda s0, a: s0["y"] - a * (1 - s0["x"])),
             ),
-        ),
-        # without its -1/z
-        shift("f11.E_b'", "z", "x", cat["f11.E_b'"] + DiffOperator.term(1, {"z": -1}, None)),
-        translation("f11.E_ab", "x", "y", "z"),
-        pole("psi2.E_a", "z", "x", "y"),
-        shift("psi2.E_b", "u", "x"),
-        shift("psi2.E_c", "t", "y"),
-        translation("psi2.E_ab", "x", "z", "u"),
-        translation("psi2.E_ac", "y", "z", "t"),
-    )
-    return {spec.op_id: spec for spec in specs}
+        )),
+        shift("f11.E_b", ActionRule((0, 1), lambda p: (p.a - p.b) / p.b), "z", "x",
+              op=DiffOperator.term(1, {"z": 1}, "x") + DiffOperator.term(-1, {"z": 1}, None),
+              notes="multiplier rate reconstructed as -mu/z (the printed equation is "
+                    "typographically broken); the printed closed form z/(z+alpha) "
+                    "solves the reconstruction"),
+        # the flow without the operator's -1/z
+        shift("f11.E_b'", ActionRule((0, -1), lambda p: p.b - 1), "z", "x",
+              field=DiffOperator.term(1, {"z": -1, "x": 1}, "x") + DiffOperator.term(1, {}, "z")),
+        translation("f11.E_ab", ActionRule((1, 1), lambda p: p.a / p.b), "x", "y", "z"),
+        *maintenance("f11"),
+        pole("psi2.E_a", ActionRule((1, 0, 0), lambda p: p.a), "z", "x", "y"),
+        shift("psi2.E_b", ActionRule((0, -1, 0), lambda p: p.b - 1), "u", "x"),
+        shift("psi2.E_c", ActionRule((0, 0, -1), lambda p: p.c - 1), "t", "y"),
+        translation("psi2.E_ab", ActionRule((1, 1, 0), lambda p: p.a / p.b), "x", "z", "u"),
+        translation("psi2.E_ac", ActionRule((1, 0, 1), lambda p: p.a / p.c), "y", "z", "t"),
+        *maintenance("psi2"),
+    ])
+
+
+def build_catalogue() -> dict[str, DiffOperator]:
+    """The table's operators, keyed '<family>.<name>': eleven distinct names
+    across the two families, f11.E_a in its operative form (OPERATOR_NOTES)."""
+    return {k: e.operator for k, e in _operator_table().items()}
+
+
+@functools.cache
+def catalogue() -> Mapping[str, DiffOperator]:
+    """The operator catalogue of ``build_catalogue``, made once per process."""
+    return MappingProxyType(build_catalogue())
+
+
+# The table's action rules, from which identity and recursion right sides
+# are derived.
+ACTION_RULES: dict[str, ActionRule] = {k: e.rule for k, e in _operator_table().items()}
+
+OPERATOR_NOTES = {
+    "f11.E_a": (
+        "installed in the operative form y*(x d/dx + y d/dy); the displayed "
+        "variant y*(d/dx + y d/dy) does not reproduce the raising action and "
+        "is rejected by the exact series check"
+    ),
+}
+
+
+def family_operator_ids(family: str) -> list[str]:
+    return [k for k in catalogue() if k.startswith(family + ".")]
+
+
+def _flow_specs() -> dict[str, FlowSpec]:
+    """The ten flows of the table by op id, in catalogue order but for
+    ``f11.E_b``, whose row comes before that of ``f11.E_a'``."""
+    specs = {k: e.flow for k, e in _operator_table().items() if e.flow is not None}
+    return {"f11.E_a": specs.pop("f11.E_a"), "f11.E_b": specs.pop("f11.E_b"), **specs}
 
 
 _FLOW_SPECS = _flow_specs()
 FLOW_IDS = tuple(_FLOW_SPECS)
 
-# The coordinates the catalogued flows read from their start point.
-FLOW_COORDINATES = ("x", "y", "z", "u", "t")
+# The coordinates the flows read from their start point, in first-read order.
+FLOW_COORDINATES = tuple(dict.fromkeys(v for spec in _FLOW_SPECS.values() for v in spec.coords))
 
 # The most RK4 steps one flow check may take: 1000 times the 10**4 steps of
 # alpha 0.1 at step 1e-5, 1.2 s (flows whose rates are all computed once) to

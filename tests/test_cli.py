@@ -101,6 +101,14 @@ class TestEval:
             f"error: bottom parameter {b} of x is -3.0 as a float, zero or a negative integer\n"
         )
 
+    @pytest.mark.parametrize("fn, named", [("f11", "a"), ("psi2", "c"), ("psi2x3", "b")])
+    def test_parameter_too_large_for_a_float_exits_2(self, fn, named, capsys):
+        values = {"a": "1/2", "b": "4/3", "c": "5/7", named: str(10**400)}
+        names = "ab" if fn == "f11" else "abc"
+        argv = ["eval", "--fn", fn, *(f"--{n}={values[n]}" for n in names), "--x", "0.5", "--float"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: parameter {named} is too large for a float\n")
+
     def test_non_finite_outer_partial_sum_fails_at_once(self):
         # the outer term is infinite from the third on, and the run-up tests
         # the partial sum after 32 terms; summing to the cap of 10,000 outer
@@ -441,6 +449,29 @@ class TestVerify:
         assert data["error"] == "parameter b = 0 is zero or a negative integer"
         md = (tmp_path / "verify_identities.md").read_text()
         assert md.endswith(r.stderr.strip() + "\n")
+
+    @pytest.mark.parametrize("a, code, error", [
+        (10**400, 2, "error: parameter a is too large for a float"),
+        (10**200, 1, "no convergence: I-F11-RAISE-A: a side overflows at chi=0.1: "),
+    ], ids=["parameter-float-overflows", "numeric-side-overflows"])
+    def test_overflowing_numeric_row_writes_a_partial_report(self, tmp_path, capsys, a, code, error):
+        argv = ["verify", "--scope", "identities", "--mode", "numeric",
+                "--points", f"{a},4/3,5/7", "--out", str(tmp_path)]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1
+        data = json.loads((tmp_path / "verify_identities.json").read_text())
+        assert (data["ok"], data["scopes"]) == (False, {})
+        assert err.endswith(f": {data['error']}\n")
+        md = (tmp_path / "verify_identities.md").read_text()
+        assert md.endswith(f"error: {data['error']}\n")
+
+    def test_formal_rows_at_a_parameter_too_large_for_a_float_pass(self, tmp_path, capsys):
+        # the formal rows are exact
+        argv = ["verify", "--scope", "identities", "--points", f"{10**400},4/3,5/7",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_commutator_error_writes_a_partial_report(self, tmp_path, monkeypatch, capsys):
         # the commutators scope runs last, so the four before it are written

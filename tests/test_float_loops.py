@@ -5,9 +5,10 @@ step denominators from a list that the inner sums of one nested sum share;
 ``hypfun._nested_sum`` makes its top parameters from integers instead of
 ``Fraction``s.  None of that may change a float: every value, term count and
 exception text must be the one the loops below give.  They are the loops as
-they stood before those changes, kept here as reference oracles.  Three
-later checks part from them on purpose, each with its own test: a bottom
-parameter whose float is a pole is rejected before any term, a nested sum
+they stood before those changes, kept here as reference oracles.  Four
+later checks part from them on purpose, each with its own test: a parameter
+too large for a float and a bottom parameter whose float is a pole are
+rejected before any term, a nested sum
 whose outer partial sum is not finite raises at once, and
 ``f11_eval_float`` raises where the sum it would return is not finite
 (``tests/test_hypfun.py``).
@@ -192,6 +193,15 @@ class TestBitIdentity:
         for a in (Q(0), Q(1, 2), Q(5, 2), Q(-7, 2), Q(11)):
             p = Params1F1(a, Q(4, 3))
             assert f11_eval_float(p, 0.0, 1e-12) == ref_f11_eval_float(p, 0.0, 1e-12)
+
+    @pytest.mark.parametrize("family, named", [("f11", "a"), ("psi2", "c"), ("psi2x3", "b")])
+    def test_parameter_too_large_for_a_float_is_rejected_before_any_term(self, family, named):
+        # the loops raise OverflowError where they first make its float
+        values = {"a": Q(1, 2), "b": Q(4, 3), "c": Q(5, 7), named: Q(10**400)}
+        fam = FAMILIES[family]
+        p = fam.narrow(ParamsPsi2(values["a"], values["b"], values["c"]))
+        with pytest.raises(ValueError, match=f"^parameter {named} is too large for a float$"):
+            fam.evaluate(p, *(0.5, 0.25, 0.125)[:len(fam.coords)], 1e-12, DEFAULT_TERM_CAP)
 
     def test_zero_step_denominator_is_rejected_before_any_term(self):
         # b rounds to the float -3.0, so (s + 1) * (b + s) is 0.0 at s = 3,

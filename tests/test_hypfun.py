@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from hypersym import hypfun, series
 from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
 from hypersym.hypfun import (
-    ACTION_RULES,
-    ActionRule,
     NoConvergence,
     Params1F1,
     ParamsPsi2,
@@ -29,7 +27,7 @@ from hypersym.hypfun import (
     recursion_suite,
     verify_recursion,
 )
-from hypersym.liealg import catalogue
+from hypersym.liealg import ACTION_RULES, ActionRule, catalogue
 from hypersym.series import CapMismatch, MultiSeries, exp_series, pow_rational
 
 POINTS = [

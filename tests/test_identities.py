@@ -13,8 +13,6 @@ from hypersym.exactnum import (
 )
 from hypersym import hypfun, identities, series
 from hypersym.hypfun import (
-    ACTION_RULES,
-    ActionRule,
     NoConvergence,
     Params1F1,
     ParamsPsi2,
@@ -53,7 +51,7 @@ from hypersym.identities import (
     verify_formal,
     verify_numeric,
 )
-from hypersym.liealg import catalogue as operator_catalogue
+from hypersym.liealg import ACTION_RULES, ActionRule, catalogue as operator_catalogue
 from hypersym.series import CapMismatch, MultiSeries
 
 P = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
@@ -426,6 +424,18 @@ class TestVerifyNumeric:
     def test_domain_gate(self):
         with pytest.raises(DomainViolation):
             verify_numeric(get_record("I-F11-RAISE-A"), AS_STATED, P, 1.5, 1e-8)
+
+    def test_a_side_that_overflows_is_no_convergence(self):
+        # (1 - chi)^-a overflows at a = 10^200
+        p = ParamsPsi2(Q(10**200), P.b, P.c)
+        with pytest.raises(NoConvergence, match=r"^I-F11-RAISE-A: a side overflows at chi=0\.1: "):
+            verify_numeric(get_record("I-F11-RAISE-A"), AS_STATED, p, 0.1, 1e-8)
+
+    @pytest.mark.parametrize("rec_id", ["I-F11-SHIFT", "I-PSI2-SHIFT-X"])
+    def test_a_parameter_too_large_for_a_float_is_named(self, rec_id):
+        p = ParamsPsi2(Q(10**400), P.b, P.c)
+        with pytest.raises(ValueError, match="^parameter a is too large for a float$"):
+            verify_numeric(get_record(rec_id), AS_STATED, p, 0.1, 1e-8)
 
     @pytest.mark.parametrize("chi", [0.1, 0.25])
     @pytest.mark.parametrize("rec_id", EXPECT_AS_STATED_VERIFIED)

@@ -3,14 +3,18 @@ import dataclasses
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
 from hypersym.exactnum import DegenerateParameter
-from hypersym.hypfun import ACTION_RULES, ActionRule, Params1F1, ParamsPsi2
+from hypersym.hypfun import Params1F1, ParamsPsi2
 from hypersym import hypfun, liealg, series
 from hypersym.liealg import (
+    ACTION_RULES,
+    ActionRule,
     DiffOperator,
     FLOW_IDS,
     MAX_FLOW_STEPS,
@@ -148,11 +152,86 @@ def random_flow_cases(seed, count):
 
 
 
+def ref_catalogue():
+    """The operators as written out one by one before the operator table:
+    the oracle of its builders, term by term."""
+    cat = {}
+
+    cat["f11.E_a"] = (
+        DiffOperator.term(1, {"y": 1, "x": 1}, "x")
+        + DiffOperator.term(1, {"y": 2}, "y")
+    )
+    cat["f11.E_a'"] = (
+        DiffOperator.term(1, {"y": -1, "x": 1}, "x")
+        + DiffOperator.term(-1, {}, "y")
+        + DiffOperator.term(1, {"y": -1, "z": 1}, "z")
+        + DiffOperator.term(-1, {"y": -1, "x": 1}, None)
+    )
+    cat["f11.E_b"] = (
+        DiffOperator.term(1, {"z": 1}, "x") + DiffOperator.term(-1, {"z": 1}, None)
+    )
+    cat["f11.E_b'"] = (
+        DiffOperator.term(1, {"z": -1, "x": 1}, "x")
+        + DiffOperator.term(1, {}, "z")
+        + DiffOperator.term(-1, {"z": -1}, None)
+    )
+    cat["f11.E_ab"] = DiffOperator.term(1, {"y": 1, "z": 1}, "x")
+    cat["f11.I_a"] = DiffOperator.term(1, {"y": 1}, "y")
+    cat["f11.I_b"] = DiffOperator.term(1, {"z": 1}, "z")
+    cat["f11.I"] = DiffOperator.scalar(1)
+
+    cat["psi2.E_a"] = (
+        DiffOperator.term(1, {"z": 1, "x": 1}, "x")
+        + DiffOperator.term(1, {"z": 1, "y": 1}, "y")
+        + DiffOperator.term(1, {"z": 2}, "z")
+    )
+    cat["psi2.E_b"] = (
+        DiffOperator.term(1, {"u": -1, "x": 1}, "x")
+        + DiffOperator.term(1, {}, "u")
+        + DiffOperator.term(-1, {"u": -1}, None)
+    )
+    cat["psi2.E_c"] = (
+        DiffOperator.term(1, {"t": -1, "y": 1}, "y")
+        + DiffOperator.term(1, {}, "t")
+        + DiffOperator.term(-1, {"t": -1}, None)
+    )
+    cat["psi2.E_ab"] = DiffOperator.term(1, {"u": 1, "z": 1}, "x")
+    cat["psi2.E_ac"] = DiffOperator.term(1, {"z": 1, "t": 1}, "y")
+    cat["psi2.I_a"] = DiffOperator.term(1, {"z": 1}, "z")
+    cat["psi2.I_b"] = DiffOperator.term(1, {"u": 1}, "u")
+    cat["psi2.I_c"] = DiffOperator.term(1, {"t": 1}, "t")
+    cat["psi2.I"] = DiffOperator.scalar(1)
+
+    return cat
+
+
+# The action rules as written out one by one before the operator table.
+REF_ACTION_RULES = {
+    "f11.E_a": ActionRule((1, 0), lambda p: p.a),
+    "f11.E_a'": ActionRule((-1, 0), lambda p: p.b - p.a),
+    "f11.E_b": ActionRule((0, 1), lambda p: (p.a - p.b) / p.b),
+    "f11.E_b'": ActionRule((0, -1), lambda p: p.b - 1),
+    "f11.E_ab": ActionRule((1, 1), lambda p: p.a / p.b),
+    "f11.I_a": ActionRule((0, 0), lambda p: p.a),
+    "f11.I_b": ActionRule((0, 0), lambda p: p.b),
+    "f11.I": ActionRule((0, 0), lambda p: Q(1)),
+    "psi2.E_a": ActionRule((1, 0, 0), lambda p: p.a),
+    "psi2.E_b": ActionRule((0, -1, 0), lambda p: p.b - 1),
+    "psi2.E_c": ActionRule((0, 0, -1), lambda p: p.c - 1),
+    "psi2.E_ab": ActionRule((1, 1, 0), lambda p: p.a / p.b),
+    "psi2.E_ac": ActionRule((1, 0, 1), lambda p: p.a / p.c),
+    "psi2.I_a": ActionRule((0, 0, 0), lambda p: p.a),
+    "psi2.I_b": ActionRule((0, 0, 0), lambda p: p.b),
+    "psi2.I_c": ActionRule((0, 0, 0), lambda p: p.c),
+    "psi2.I": ActionRule((0, 0, 0), lambda p: Q(1)),
+}
+
+
 def ref_flow_specs():
-    """The ten flows as written out one by one before the three shape
-    builders of ``liealg._flow_specs``: the oracle those builders must
-    reproduce, closed form by closed form."""
-    cat = catalogue()
+    """The ten flows as written out one by one before the shape builders of
+    the operator table: the oracle those builders must reproduce, closed
+    form by closed form."""
+    cat = ref_catalogue()
     specs = (
         liealg.FlowSpec(
             "f11.E_a", cat["f11.E_a"],
@@ -1130,6 +1209,48 @@ class TestFlows:
         assert all(r["max_deviation"] <= 1e-8 for r in rows if r["status"] == "PASS")
         loose = flow_suite(START, 0.1, 0.05, tol=1e-3)
         assert all(r["status"] == "PASS" for r in loose)
+
+
+class TestOperatorTable:
+    """The table gives each operator and rule what it had when written out
+    in their own tables: the same entries in the same order."""
+
+    # the default points, an integer point, one with a = 0 and b = c = 1,
+    # and negative ones
+    POINTS = [*P_PSI2, ParamsPsi2(2, 3, 5), ParamsPsi2(0, 1, 1),
+              ParamsPsi2(-3, Q(1, 2), Q(7, 3)), ParamsPsi2(Q(-5, 2), Q(-7, 3), Q(-1, 4))]
+
+    def test_each_operator_matches_its_written_out_form(self):
+        ref = ref_catalogue()
+        assert list(CAT) == list(ref)
+        for op_id, op in CAT.items():
+            assert list(op.pattern_vector().items()) == list(ref[op_id].pattern_vector().items())
+
+    def test_each_rule_matches_its_written_out_form(self):
+        assert list(ACTION_RULES) == list(REF_ACTION_RULES)
+        for op_id, rule in ACTION_RULES.items():
+            ref = REF_ACTION_RULES[op_id]
+            assert rule.shift == ref.shift, op_id
+            narrow = hypfun.FAMILIES[op_id.partition(".")[0]].narrow
+            for p in map(narrow, self.POINTS):
+                assert rule.coefficient(p) == ref.coefficient(p), (op_id, p)
+
+    def test_the_table_is_built_once_per_process(self):
+        # what the benchmark's set-up reads (the catalogues, the flows and
+        # one more build_catalogue call), with the action rules
+        script = "\n".join([
+            "import sys",
+            "builds = []",
+            "sys.setprofile(lambda frame, event, arg: event == 'call'",
+            "               and frame.f_code.co_name == '_operator_table' and builds.append(1))",
+            "from hypersym import cli, identities, liealg",
+            "identities.catalogue(), liealg.catalogue(), liealg.ACTION_RULES, liealg._flow_specs()",
+            "liealg.build_catalogue(), liealg.flow_spec(liealg.FLOW_IDS[0])",
+            "sys.setprofile(None)",
+            "print(len(builds))",
+        ])
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "1\n", "")
 
 
 class TestFlowShapes:

@@ -201,10 +201,12 @@ def test_scopes_are_the_runner_table_and_all():
 
 def test_flow_coordinates_are_those_the_flows_read():
     # the --start check and flow_suite's missing-coordinate check read the
-    # hand-written tuple; the flows read their fields' coordinates
+    # tuple, in the order the --start error text lists it; the flows read
+    # their fields' coordinates
     read = {v for op_id in liealg.FLOW_IDS for v in liealg.flow_spec(op_id).coords}
     assert set(liealg.FLOW_COORDINATES) == read
     assert len(liealg.FLOW_COORDINATES) == len(read)
+    assert liealg.FLOW_COORDINATES == ("x", "y", "z", "u", "t")
 
 
 def test_every_reference_command_line_parses():
