@@ -11,13 +11,13 @@ then runs its scopes from one table, ``SCOPE_RUNNERS``.
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
 action or recursion order below 1, an ``eval`` option the family does not
-take, an ``eval --float`` coordinate that is not finite or ``--term-cap``
-below 1, a ``--start`` value or a float-mode parameter too large for a
-float, and flow settings that meet a singular flow denominator or whose run
-divides by zero or overflows.  A numeric identity row whose sides overflow
-ends as no convergence.  A ``verify`` run that stops on such an error still
-writes the reports of the scopes it finished, marked ``"ok": false`` with
-the error text.
+take, ``eval --exact`` with ``--float``, an ``eval --float`` coordinate that
+is not finite or ``--term-cap`` below 1, a ``--start`` value or a float-mode
+parameter or coordinate too large for a float, and flow settings that meet
+a singular flow denominator or whose run divides by zero or overflows.  A
+numeric identity row whose sides overflow ends as no convergence.  A
+``verify`` run that stops on such an error still writes the reports of the
+scopes it finished, marked ``"ok": false`` with the error text.
 """
 
 from __future__ import annotations
@@ -192,11 +192,28 @@ def _is_exact_literal(text: str) -> bool:
         return False
 
 
+def _float_coordinate(name: str, text: str) -> float:
+    """A float-mode coordinate: what ``float`` reads, else the float of an
+    exact rational; ValueError names one too large for a float."""
+    try:
+        return float(text)
+    except ValueError:
+        if not _is_exact_literal(text):
+            raise
+    try:
+        return float(parse_rational(text))
+    except OverflowError:
+        raise ValueError(f"coordinate {name} is too large for a float") from None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     """Evaluate the ``--fn`` family at a point whose omitted coordinates are 0.
 
-    ``--c``, ``--y`` and ``--z`` are usage errors for a family without them.
+    ``--c``, ``--y`` and ``--z`` are usage errors for a family without them,
+    and so is ``--exact`` with ``--float``.
     """
+    if args.exact and args.float:
+        raise SystemExit2("--exact and --float exclude each other")
     fam = FAMILIES[args.fn]
     names = [f.name for f in fields(fam.params)]
     for name in ("c", "y", "z"):
@@ -210,10 +227,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     exact = args.exact or (not args.float and all(_is_exact_literal(c) for c in coords))
 
     if exact:
-        point = {v: parse_rational(c) for v, c in zip(fam.coords, coords)}
-        print(fam.series(p, args.terms).evaluate(point))
+        print(fam.value(p, [parse_rational(c) for c in coords], args.terms))
     else:
-        value, used = fam.evaluate(p, *map(float, coords), args.tol, args.term_cap)
+        point = map(_float_coordinate, fam.coords, coords)
+        value, used = fam.evaluate(p, *point, args.tol, args.term_cap)
         print(repr(value) if used is None else f"{value!r} terms={used}")
     return 0
 

@@ -13,10 +13,12 @@ sum of all indices before the step and lower lists that index's bottom
 parameters ([b] for x, [c] for y, none for the third index).  ``FAMILIES``
 states each family once, keyed ``"f11"``, ``"psi2"`` and ``"psi2x3"``: its
 parameter class, its coordinates and their bottom parameters, its exact
-series at one order, its composition and its float value.  The exact
-series are ``series.horn_series`` calls, which walk the grid on integers
-over one common denominator; the compositions are ``series.horn_compose``
-calls; both read the bottom parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
+series at one order, its exact value, its composition and its float value.
+The exact series are ``series.horn_series`` calls, which walk the grid on
+integers over one common denominator; the exact values are
+``series.horn_value`` calls, which sum each index once per offset; the
+compositions are ``series.horn_compose`` calls; all read the bottom
+parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
 closed Pochhammer form.  The float sums of ``psi2`` and ``psi2x3`` are one
 nested sum around ``f11_eval_float``'s loop, with one outer level per
 coordinate after x, which sums each inner 1F1(a + k; b; x) once per offset
@@ -77,7 +79,7 @@ from .exactnum import (
     is_nonpositive_integer,
     pochhammer,
 )
-from .series import MultiSeries, _kept, _shared_work, horn_compose, horn_series
+from .series import MultiSeries, _kept, _shared_work, horn_compose, horn_series, horn_value
 
 DEFAULT_TERM_CAP = 10000
 
@@ -154,7 +156,9 @@ class Family:
     ``series(p, order)`` cuts every index at ``order``; ``compose(p, *args)``
     takes series arguments (None where nothing composes the family);
     ``evaluate(p, *point, rel_tol, term_cap)`` is the converging float sum as
-    (value, terms), terms None for a nested sum.  The three call the module's
+    (value, terms), terms None for a nested sum; ``value(p, point, order)``
+    is the exact value of the series cut at ``order``, summed by
+    ``series.horn_value`` without building it.  All four call the module's
     functions by name, so they reach whatever those names are bound to.
     """
 
@@ -174,6 +178,12 @@ class Family:
             return self.params(*(getattr(params, f.name) for f in fields(self.params)))
         except AttributeError:
             raise TypeError(f"family needs {self.params.__name__}") from None
+
+    def value(self, p, point: Sequence[Fraction], order: int) -> Fraction:
+        """The series cut at ``order`` at ``point``, one rational per coordinate."""
+        if order < 0:
+            raise ValueError("negative series order")
+        return horn_value(p.a, [(order, lower) for lower in self.bottoms(p)], point)
 
 
 FAMILIES: dict[str, Family] = {

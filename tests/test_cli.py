@@ -2,11 +2,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from hypersym import cli, identities, liealg
+from hypersym import cli, hypfun, identities, liealg, series
 from hypersym.identities import get_record, strip_timing
 
 
@@ -46,6 +47,23 @@ class TestEval:
                     "--c", "1", "--x", "0", "--y", "0", "--z", "0")
         assert r.returncode == 0
         assert r.stdout.strip() == "1"
+        # a nonzero point at the default 30 terms, against the nested sum
+        # sum_{l,m,n <= 30} (a)_{l+m+n} x^m y^n z^l / (l! m! n! (b)_m (c)_n)
+        a, b, c, x, y, z = Q(1, 2), Q(4, 3), Q(-5, 7), Q(1, 2), Q(-1, 3), Q(1, 5)
+        r = run_cli("eval", "--fn", "psi2x3", "--a", "1/2", "--b", "4/3", "--c", "-5/7",
+                    "--x", "1/2", "--y", "-1/3", "--z", "1/5")
+        assert r.returncode == 0
+        expected, outer = Q(0), Q(1)
+        for l in range(31):
+            middle = outer
+            for m in range(31):
+                inner = middle
+                for n in range(31):
+                    expected += inner
+                    inner = inner * (a + l + m + n) * y / ((n + 1) * (c + n))
+                middle = middle * (a + l + m) * x / ((m + 1) * (b + m))
+            outer = outer * (a + l) * z / (l + 1)
+        assert r.stdout == f"{expected}\n"
 
     def test_parse_error_exits_2(self):
         r = run_cli("eval", "--fn", "f11", "--a", "1", "--b", "oops", "--x", "1")
@@ -65,6 +83,63 @@ class TestEval:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.strip() == "error: negative series order"
+
+    def test_exact_eval_builds_no_series(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(series.MultiSeries, "__init__", lambda *args: built.append(args))
+        monkeypatch.setattr(series.MultiSeries, "_trusted",
+                            classmethod(lambda *args: built.append(args)))
+        values = {"a": "-1/2", "b": "4/3", "c": "5/7", "x": "-1/2", "y": "2/3", "z": "1/4"}
+        point = {v: Q(values[v]) for v in "xyz"}
+        shown = {}
+        for fn, fam in hypfun.FAMILIES.items():
+            names = ("a", "b", "c")[:2 if fn == "f11" else 3] + fam.coords
+            argv = [f"--{n}={values[n]}" for n in names]
+            assert cli.main(["eval", "--fn", fn, *argv, "--exact", "--terms", "7"]) == 0
+            shown[fn] = capsys.readouterr()
+        assert built == []
+        monkeypatch.undo()
+        p = hypfun.ParamsPsi2(Q(-1, 2), Q(4, 3), Q(5, 7))
+        for fn, fam in hypfun.FAMILIES.items():
+            value = fam.series(fam.narrow(p), 7).evaluate(point)
+            assert shown[fn] == (f"{value}\n", "")
+
+    def test_exact_and_float_together_exit_2(self):
+        r = run_cli("eval", "--fn", "f11", "--a", "1", "--b", "1", "--x", "1",
+                    "--exact", "--float")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: --exact and --float exclude each other\n"
+
+    @pytest.mark.parametrize("fn, rational, decimal", [
+        ("f11", ["--x", "1/2"], ["--x", "0.5"]),
+        ("psi2", ["--x", "0.5", "--y", "1/3"], ["--x", "0.5", "--y", repr(1 / 3)]),
+        ("psi2x3", ["--x", "-2/7", "--y", "0.25", "--z", "-1/9"],
+         ["--x", repr(-2 / 7), "--y", "0.25", "--z", repr(-1 / 9)]),
+    ], ids=["f11", "psi2", "psi2x3"])
+    def test_rational_float_coordinate_is_its_float(self, fn, rational, decimal, capsys):
+        params = ["--a", "1/2", "--b", "4/3"] + (["--c", "5/7"] if fn != "f11" else [])
+        assert cli.main(["eval", "--fn", fn, *params, *decimal, "--float"]) == 0
+        expected = capsys.readouterr()
+        # psi2 is float mode without --float: one of its coordinates is a decimal
+        flag = ["--float"] if fn == "f11" else []
+        assert cli.main(["eval", "--fn", fn, *params, *rational, *flag]) == 0
+        assert capsys.readouterr() == expected
+        assert expected.err == "" and expected.out
+
+    @pytest.mark.parametrize("fn, coords, named", [
+        ("f11", ("--x", f"{10**400}/3"), "x"),
+        ("psi2", ("--x", "0.5", "--y", f"-{10**400}/7"), "y"),
+    ], ids=["f11-x", "psi2-y"])
+    def test_rational_coordinate_too_large_for_a_float_exits_2(self, fn, coords, named, capsys):
+        params = ("--a", "1/2", "--b", "4/3") + (("--c", "5/7") if fn != "f11" else ())
+        assert cli.main(["eval", "--fn", fn, *params, *coords, "--float"]) == 2
+        assert capsys.readouterr() == ("", f"error: coordinate {named} is too large for a float\n")
+
+    def test_float_coordinate_neither_float_nor_rational_exits_2(self, capsys):
+        argv = ["eval", "--fn", "f11", "--a", "1/2", "--b", "4/3", "--x", "1/2/3", "--float"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: could not convert string to float: '1/2/3'\n")
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_float_tolerance_exits_2(self, tol):

@@ -167,6 +167,51 @@ class TestSeries:
         )
 
 
+# Coordinates of the exact evaluation: zero, negative and non-integer included.
+COORD = st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+class TestFamilyValue:
+    """``Family.value`` sums the series without building it; the value of
+    the built series (``_horn_series(...).evaluate``) is the oracle."""
+
+    @staticmethod
+    def oracle(family, p, point, order):
+        fam = hypfun.FAMILIES[family]
+        s = hypfun._horn_series(family, p, fam.coords, (order,) * len(fam.coords))
+        return s.evaluate(dict(zip(fam.coords, point)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(tuple(hypfun.FAMILIES)), TOP, BOTTOM, BOTTOM,
+           st.integers(min_value=0, max_value=9), st.lists(COORD, min_size=3, max_size=3))
+    def test_matches_the_series_value(self, family, a, b, c, order, coords):
+        fam = hypfun.FAMILIES[family]
+        p = fam.narrow(ParamsPsi2(a, b, c))
+        point = coords[:len(fam.coords)]
+        assert fam.value(p, point, order) == self.oracle(family, p, point, order)
+
+    @pytest.mark.parametrize("family", tuple(hypfun.FAMILIES))
+    @pytest.mark.parametrize("a, b, c", [
+        (Q(0), Q(4, 3), Q(5, 7)),
+        (Q(-3), Q(-7, 2), Q(5, 7)),
+        (Q(-4), Q(1, 2), Q(-2, 3)),
+        (Q(1, 2), Q(-5, 3), Q(-1, 4)),
+    ], ids=["a-zero", "a-minus-3", "a-minus-4", "a-half"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 9])
+    def test_terminating_and_negative_bottoms(self, family, a, b, c, order):
+        fam = hypfun.FAMILIES[family]
+        p = fam.narrow(ParamsPsi2(a, b, c))
+        for point in ([Q(0)] * 3, [Q(-1, 2), Q(3), Q(-2, 5)], [Q(5, 3), Q(0), Q(-1)]):
+            point = point[:len(fam.coords)]
+            assert fam.value(p, point, order) == self.oracle(family, p, point, order)
+
+    @pytest.mark.parametrize("family", tuple(hypfun.FAMILIES))
+    def test_negative_order_raises(self, family):
+        fam = hypfun.FAMILIES[family]
+        with pytest.raises(ValueError, match="^negative series order$"):
+            fam.value(fam.narrow(ParamsPsi2(1, 1, 1)), [Q(1)] * len(fam.coords), -1)
+
+
 class TestExactEval:
     def test_at_zero(self):
         for p in POINTS:

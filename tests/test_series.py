@@ -20,6 +20,7 @@ from hypersym.series import (
     _layout,
     horn_compose,
     horn_series,
+    horn_value,
     pow_rational,
 )
 
@@ -523,6 +524,26 @@ class TestHornWalk:
             horn_series(("x",), (3,), [(Q(1, 2), [(Q(-1),)], Q(1), ())])
         with pytest.raises(ZeroDivisionError):
             horn_series(("x", "y"), (2, 3), [(Q(1, 2), [(), (Q(-1),)], Q(1), ())])
+
+    def test_horn_value_is_the_series_value(self):
+        # two bottoms on one index, a bottom-free index, every sign of
+        # coordinate, terminating and non-terminating tops
+        axes = [(3, (Q(4, 3),)), (2, (Q(-5, 7), Q(1, 2))), (4, ())]
+        for a in (Q(1, 2), Q(-7, 3), Q(-2), Q(0), Q(5)):
+            for point in ((Q(0), Q(0), Q(0)), (Q(-2, 3), Q(5), Q(1, 7)), (Q(1), Q(0), Q(-3, 2))):
+                s = horn_series(("u", "v", "w"), (3, 2, 4), [(a, [low for _, low in axes], Q(1), ())])
+                assert horn_value(a, axes, point) == s.evaluate(dict(zip("uvw", point)))
+
+    def test_horn_value_at_a_zero_bottom_factor(self):
+        with pytest.raises(ZeroDivisionError):
+            horn_value(Q(1, 2), [(2, ()), (3, (Q(-1),))], (Q(1), Q(1)))
+        # a = -1 ends every coefficient before the zero factor b + 2 = 0
+        assert horn_value(Q(-1), [(4, (Q(-2),))], (Q(3),)) == 1 + Q(3, 2)
+        assert horn_value(Q(-1), [(2, ()), (4, (Q(-2),))], (Q(5), Q(3))) == 1 + Q(3, 2) - 5
+        # a = -2 ends them at the zero factor itself: x^2 is the last term
+        assert horn_value(Q(-2), [(4, (Q(-2),))], (Q(3),)) == 1 + 3 + Q(9, 2)
+        s = horn_series(("x",), (4,), [(Q(-2), [(Q(-2),)], Q(1), ())])
+        assert s.terms == {(0,): 1, (1,): 1, (2,): Q(1, 2)}
 
     def test_zero_bottom_factor_past_a_terminating_top(self):
         # a = -1 ends the walk at x^1, before the zero factor b + 2 = 0 of

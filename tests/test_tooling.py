@@ -145,9 +145,10 @@ def test_every_benchmark_setup_name_resolves():
     assert missing == []
 
 
-def test_family_calls_reach_rebound_names(monkeypatch):
+def test_family_calls_reach_rebound_names(monkeypatch, capsys):
     """The tracer replaces every module-level binding of a function in the
-    package; calls made through ``hypfun.FAMILIES`` must reach the wrapper."""
+    package; calls made through ``hypfun.FAMILIES`` must reach the wrapper,
+    also the exact ``eval`` path's ``series.horn_value``."""
     from fractions import Fraction as Q
 
     from hypersym import hypfun
@@ -155,7 +156,7 @@ def test_family_calls_reach_rebound_names(monkeypatch):
     from hypersym.identities import get_record, verify_formal, verify_numeric
 
     calls = {}
-    for name in ("psi2_compose", "psi2_eval_float"):
+    for name in ("psi2_compose", "psi2_eval_float", "horn_value"):
         orig = getattr(hypfun, name)
         calls[name] = 0
 
@@ -176,6 +177,11 @@ def test_family_calls_reach_rebound_names(monkeypatch):
     assert verify_numeric(record, "as_stated", p, 0.1, 1e-8)["status"] == "verified"
     assert calls["psi2_compose"] > 0
     assert calls["psi2_eval_float"] > 0
+    assert calls["horn_value"] == 0
+    assert cli.main(["eval", "--fn", "psi2x3", "--a", "1/2", "--b", "4/3", "--c", "5/7",
+                     "--x", "1/2", "--y", "1/3", "--z", "1/4", "--exact", "--terms", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls["horn_value"] == 1
 
 
 def _verify_parser():
