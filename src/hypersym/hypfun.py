@@ -19,10 +19,10 @@ integers over one common denominator; the exact values are
 ``series.horn_value`` calls, which sum each index once per offset; the
 compositions are ``series.horn_compose`` calls; all read the bottom
 parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
-closed Pochhammer form.  The float sums of ``psi2`` and ``psi2x3`` are one
-nested sum around ``f11_eval_float``'s loop, with one outer level per
-coordinate after x, which sums each inner 1F1(a + k; b; x) once per offset
-k.
+closed Pochhammer form.  Every float sum has one entry, ``_float_sum``:
+the 1F1 loop sums the x index, and ``psi2`` and ``psi2x3`` nest it in one
+outer level per coordinate after x, which sums each inner 1F1(a + k; b; x)
+once per offset k.
 
 A recursion relation is one f11 operator's action, stated in the operator
 table of ``liealg``, read at y = z = 1; ``RECURSIONS`` names the operator.
@@ -37,13 +37,11 @@ loop tested from the first term would.  A 1F1 step s -> s+1 divides by
 (s + 1) * (b + s); one nested sum keeps these step denominators in one list,
 extended as its inner sums need them, and every inner 1F1 reads it.  Every
 float is made by the same operations in the same order as in a loop that
-tests every term and makes each denominator afresh.  A float sum checks its
-arguments before the first term: a tolerance that is not finite and
-positive, a term cap below 1, a coordinate that is not finite and a
-parameter too large for a float raise ``ValueError``.  A bottom parameter
-whose float is zero or a negative integer, which the parameter classes
-accept when the exact value is off the pole, raises ``DegenerateParameter``
-before any term.  A nested sum raises ``NoConvergence`` soon after an
+tests every term and makes each denominator afresh.  The entry checks the
+arguments once, before the first term, and its docstring lists the checks;
+one rejects a bottom parameter whose float is zero or a negative integer,
+which the parameter classes accept when the exact value is off the pole.
+A nested sum raises ``NoConvergence`` soon after an
 outer partial sum stops being finite, since no later term can bring it
 back: the run-up tests the partial sum once per block of ``_RUN_UP_BLOCK``
 terms, and the tested loop only where the smallness test passes for the
@@ -238,16 +236,19 @@ def _check_sum_args(
     return term_cap
 
 
-def _float_bottom(coord: str, low: Fraction, value: float) -> float:
-    """``value``, the float of the bottom parameter ``low`` of ``coord``'s
-    index, as its loop reads it.  The parameter classes reject only exact
-    poles, and a float that is zero or a negative integer would make a step
-    denominator zero: ``DegenerateParameter``."""
-    if value <= 0 and value.is_integer():
-        raise DegenerateParameter(
-            f"bottom parameter {low} of {coord} is {value!r} as a float, zero or a negative integer"
-        )
-    return value
+def _float_bottom(
+    coord: str, lows: tuple[Fraction, ...], values: tuple[float, ...]
+) -> tuple[float, ...]:
+    """``values``, the floats of the bottom parameters ``lows`` of
+    ``coord``'s index, as its loop reads them.  The parameter classes reject
+    only exact poles, and a float that is zero or a negative integer would
+    make a step denominator zero: ``DegenerateParameter``."""
+    for low, value in zip(lows, values):
+        if value <= 0 and value.is_integer():
+            raise DegenerateParameter(
+                f"bottom parameter {low} of {coord} is {value!r} as a float, zero or a negative integer"
+            )
+    return values
 
 
 def _run_up(threshold: float, cap: int) -> int:
@@ -269,43 +270,45 @@ def _run_up(threshold: float, cap: int) -> int:
 _RUN_UP_BLOCK = 32
 
 
-def _nested_float(
+def _float_sum(
     family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
-) -> float:
-    """The family's converging float sum at ``point``.
+) -> tuple[float, int | None]:
+    """The family's converging float sum at ``point``: (value, terms) for
+    ``"f11"``, (value, None) for a nested sum.
 
-    ``f11_eval_float``'s loop sums the x index innermost; each further
-    coordinate is one outer level, the last outermost.  A level at
-    top-parameter offset k (the sum of the indices outside it) sums, for
-    n < term_cap + k, (a+k)_n arg^n / (n! prod (lower)_n) times the level
-    inside at offset k + n: the stopping rule needs more than |a + k|
-    terms, so each sum may take k more terms than ``term_cap`` and a slowly
-    converging outer sum runs out before the sums inside it.  The inner
-    1F1(a + k; b; x) depends on k alone and is summed once per k, all of
-    them on one list of step denominators.  Offsets are integers, so the
-    loops make no ``Fraction``; the stopping rule is ``f11_eval_float``'s,
-    and ``NoConvergence`` names the level's coordinate; a level whose
-    partial sum is no longer finite raises it at once.  The arguments are
-    checked once, before the first term, as ``f11_eval_float`` checks its
-    own, and ``_nested_sum`` rejects a bottom whose float is a pole.
+    Every float sum enters here and is checked before its first term, in
+    this order: a tolerance that is not finite and positive, a term cap
+    below 1 and a coordinate that is not finite (``_check_sum_args``), a
+    parameter too large for a float (``float_params``), all ``ValueError``;
+    then a bottom parameter whose float is a pole, x's first
+    (``_float_bottom``, ``DegenerateParameter``).
+
+    ``_f11_sum``'s loop sums the x index innermost; each further coordinate
+    is one outer level, the last outermost, and the 1F1 sum is the case
+    with none: its sum that stops at a value that is not finite raises
+    ``NoConvergence``.  A level at top-parameter offset k (the sum of the
+    indices outside it) sums, for n < term_cap + k, (a+k)_n arg^n / (n!
+    prod (lower)_n) times the level inside at offset k + n: the stopping
+    rule needs more than |a + k| terms, so each sum may take k more terms
+    than ``term_cap`` and a slowly converging outer sum runs out before the
+    sums inside it.  The inner 1F1(a + k; b; x) depends on k alone and is
+    summed once per k, all of them on one list of step denominators.
+    Offsets are integers, so the loops make no ``Fraction``; the stopping
+    rule is ``_f11_sum``'s, and ``NoConvergence`` names the level's
+    coordinate; a level whose partial sum is no longer finite raises it at
+    once.
     """
-    term_cap = _check_sum_args(FAMILIES[family].coords, point, rel_tol, term_cap)
-    return _nested_sum(family, p, point, rel_tol, term_cap)
-
-
-def _nested_sum(
-    family: str, p, point: tuple[float, ...], rel_tol: float, term_cap: int
-) -> float:
-    """``_nested_float`` without the checks."""
     fam = FAMILIES[family]
-    bottoms, floats = fam.bottoms(p), fam.bottoms(float_params(p))
-    x = point[0]
-    b = _float_bottom("x", bottoms[0][0], floats[0][0])
-    levels = [
-        (point[i], fam.coords[i],
-         tuple(_float_bottom(fam.coords[i], *low) for low in zip(bottoms[i], floats[i])))
-        for i in range(len(point) - 1, 0, -1)
-    ]
+    term_cap = _check_sum_args(fam.coords, point, rel_tol, term_cap)
+    floats = float_params(p)
+    bottoms = list(map(_float_bottom, fam.coords, fam.bottoms(p), fam.bottoms(floats)))
+    x, (b,) = point[0], bottoms[0]
+    if len(point) == 1:
+        value, terms = _f11_kept(floats.a, b, x, rel_tol, term_cap, [])
+        if not math.isfinite(value):
+            raise NoConvergence(f"partial sum not finite after {terms} terms at x={x}")
+        return value, terms
+    levels = [(point[i], fam.coords[i], bottoms[i]) for i in range(len(point) - 1, 0, -1)]
     # float(a + k) is (num + k den) / den: a + k is already in lowest terms
     # and integer true division rounds correctly, as Fraction.__float__ does.
     num, den = p.a.numerator, p.a.denominator
@@ -360,7 +363,7 @@ def _nested_sum(
             outer *= (af + n) * arg / d
         raise NoConvergence(f"no convergence in {cap} outer terms at {name}={arg}")
 
-    return level(0, 0)
+    return level(0, 0), None
 
 
 def _not_finite(n: int, name: str, arg: float) -> NoConvergence:
@@ -387,21 +390,14 @@ def f11_eval_float(
 
     Stops once two consecutive terms are below rel_tol * |partial sum| and
     the index has cleared |x| + |a|, past which the term ratio stays below 1.
-    A tolerance that is not finite and positive, a ``term_cap`` below 1 and
-    an ``x`` that is not finite raise ``ValueError`` before any term, and a
-    b whose float is zero or a negative integer ``DegenerateParameter``.
+    The arguments are checked before any term, as ``_float_sum`` states.
     An overflowed partial sum passes every smallness test, so a sum that
     stops at a value that is not finite raises ``NoConvergence``.
     Inside ``series._shared_work`` a converged sum is kept under (float(a),
     float(b), x, rel_tol); a kept sum that took more terms than
     ``term_cap`` raises as the loop would.
     """
-    term_cap = _check_sum_args(("x",), (x,), rel_tol, term_cap)
-    floats = float_params(p)
-    value, terms = _f11_kept(floats.a, _float_bottom("x", p.b, floats.b), x, rel_tol, term_cap, [])
-    if not math.isfinite(value):
-        raise NoConvergence(f"partial sum not finite after {terms} terms at x={x}")
-    return value, terms
+    return _float_sum("f11", p, (x,), rel_tol, term_cap)
 
 
 def _f11_kept(
@@ -492,7 +488,7 @@ def psi2_eval_float(
     p: ParamsPsi2, x: float, y: float, rel_tol: float = 1e-12, term_cap: int = DEFAULT_TERM_CAP
 ) -> float:
     """Floating Humbert sum: the index on y outside, 1F1(a + n; b; x) inside."""
-    return _nested_float("psi2", p, (x, y), rel_tol, term_cap)
+    return _float_sum("psi2", p, (x, y), rel_tol, term_cap)[0]
 
 
 def psi2_3var_eval_float(
@@ -504,7 +500,7 @@ def psi2_3var_eval_float(
     The term at (l, n) is (a)_l z^l / l! * (a+l)_n y^n / (n! (c)_n) times
     1F1(a + l + n; b; x), summed once per k = l + n.
     """
-    return _nested_float("psi2x3", p, (x, y, z), rel_tol, term_cap)
+    return _float_sum("psi2x3", p, (x, y, z), rel_tol, term_cap)[0]
 
 
 # -- series composition helpers ----------------------------------------------

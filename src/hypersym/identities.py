@@ -148,48 +148,28 @@ class IdentityRecord:
 
 def _weights(record: IdentityRecord, p) -> Iterator[tuple[Fraction, object]]:
     """(w_l, p + l*shift) for l = 0, 1, ... of the record's chi-sum, the
-    weights from its operator's action rule.
+    weights from its operator's action rule, made as they are first read.
 
     The pairs depend only on the operator and p, so inside
-    ``series._shared_work`` they are one ``_WeightWalk`` kept under those,
-    which every variant, chi and mode of the record at p reads and extends.
+    ``series._shared_work`` they are one list kept under those, which every
+    variant, chi and mode of the record at p reads and extends.  Each
+    shifted point is built once, also where w_l vanishes, so a degenerate
+    shift raises ``DegenerateParameter``; the pairs made before it stay as
+    they were, and every later read that reaches it raises again.  After
+    the first zero weight only zeros follow, and the rule's coefficient is
+    not evaluated again: it may sit on a pole there.
     """
-    return iter(_kept(("chi weights", record.op, p), _WeightWalk, record.op, p))
-
-
-class _WeightWalk:
-    """The pairs (w_l, p + l*shift) of one chi-sum, made as they are first read.
-
-    Each shifted point is built once, also where w_l vanishes, so a
-    degenerate shift raises ``DegenerateParameter``; the pairs made before
-    it stay as they were, and every later read that reaches it raises
-    again.  After the first zero weight only zeros follow, and the rule's
-    coefficient is not evaluated again: it may sit on a pole there.
-    """
-
-    __slots__ = ("rule", "p", "pairs")
-
-    def __init__(self, op: str, p):
-        self.rule = ACTION_RULES[op]
-        self.p = p
-        self.pairs: list[tuple[Fraction, object]] = []
-
-    def __iter__(self) -> Iterator[tuple[Fraction, object]]:
-        pairs = self.pairs
-        for l in itertools.count():
-            if l == len(pairs):
-                self._extend()
-            yield pairs[l]
-
-    def _extend(self) -> None:
-        pairs, rule = self.pairs, self.rule
-        l = len(pairs)
-        w = Fraction(1)
-        if l:
-            w, q = pairs[-1]
-            if w:
-                w = w * rule.coefficient(q) / l
-        pairs.append((w, rule.shifted(self.p, l)))
+    pairs = _kept(("chi weights", record.op, p), list)
+    rule = ACTION_RULES[record.op]
+    for l in itertools.count():
+        if l == len(pairs):
+            w = Fraction(1)
+            if l:
+                w, q = pairs[-1]
+                if w:
+                    w = w * rule.coefficient(q) / l
+            pairs.append((w, rule.shifted(p, l)))
+        yield pairs[l]
 
 
 def _sum_series(

@@ -124,13 +124,7 @@ class DiffOperator:
 
     @property
     def terms(self) -> list[OpTerm]:
-        return [
-            OpTerm(c, mono, deriv)
-            for (mono, deriv), c in sorted(
-                self._terms.items(),
-                key=lambda kv: (kv[0][1] is not None, kv[0][1] or "", kv[0][0]),
-            )
-        ]
+        return [OpTerm(self._terms[p], *p) for p in sorted(self._terms, key=_pattern_order)]
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -1,8 +1,9 @@
 """The float Horn sums against verbatim copies of their earlier loops.
 
-``hypfun._f11_sum`` runs its first terms without testing them and reads its
+Every float sum enters through ``hypfun._float_sum``.  Its 1F1 loop,
+``hypfun._f11_sum``, runs its first terms without testing them and reads its
 step denominators from a list that the inner sums of one nested sum share;
-``hypfun._nested_sum`` makes its top parameters from integers instead of
+its outer levels make their top parameters from integers instead of
 ``Fraction``s.  None of that may change a float: every value, term count and
 exception text must be the one the loops below give.  They are the loops as
 they stood before those changes, kept here as reference oracles.  Four
@@ -234,7 +235,7 @@ class TestBitIdentity:
         assert ref in ("inf", "nan") or ref == (
             "NoConvergence", f"no convergence in {cap} outer terms at {name}={arg}")
         with pytest.raises(NoConvergence) as exc:
-            hypfun._nested_float(family, p, point, 1e-12, cap)
+            hypfun._float_sum(family, p, point, 1e-12, cap)
         assert str(exc.value) == f"partial sum not finite after {terms} outer terms at {name}={arg}"
 
     def test_outer_partial_sum_that_is_nan_raises_at_once(self):

@@ -499,7 +499,6 @@ class TestFloatArgumentChecks:
             raise AssertionError("a term was summed")
 
         monkeypatch.setattr(hypfun, "_f11_sum", summed)
-        monkeypatch.setattr(hypfun, "_nested_sum", summed)
 
     @pytest.mark.parametrize("family, point, named", [
         ("f11", (math.inf,), "x"),
@@ -532,6 +531,22 @@ class TestFloatArgumentChecks:
         self._no_terms(monkeypatch)
         with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
             self.EVALUATORS[family](self.P, point, rel_tol=math.nan)
+
+    # Each pair breaks two checks; the first in the entry's order raises.
+    @pytest.mark.parametrize("params, point, kw, message", [
+        (ParamsPsi2(Q(10**400), Q(4, 3), Q(5, 7)), (math.inf, 0.5, 0.25), {},
+         "coordinate x must be finite, got inf"),
+        (ParamsPsi2(Q(1, 2), Q(-1) + Q(1, 10**400), Q(5, 7)), (0.5, 0.5, 0.25), {"term_cap": 0},
+         "term_cap must be at least 1, got 0"),
+        (ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7)), (math.nan, 0.5, 0.25), {"rel_tol": math.nan},
+         "rel_tol must be finite and positive, got nan"),
+    ])
+    def test_two_broken_checks_raise_the_same_first_error(self, monkeypatch, params, point, kw, message):
+        self._no_terms(monkeypatch)
+        for family, evaluate in self.EVALUATORS.items():
+            with pytest.raises(ValueError) as exc:
+                evaluate(params, point[: len(hypfun.FAMILIES[family].coords)], **kw)
+            assert str(exc.value) == message, family
 
     def test_checks_come_before_the_memo(self):
         with series._shared_work():

@@ -800,14 +800,14 @@ class TestSuiteKeepsWalks:
         with series._shared_work():
             numeric = verify_numeric(rec, AS_STATED, P, 0.1, 1e-8)
             walk = self.walk(rec, p)
-            stopped = len(walk.pairs)
+            stopped = len(walk)
             assert 7 <= stopped < 17
             formal = verify_formal(rec, AS_STATED, P, 16, 4)
-            assert self.walk(rec, p) is walk and len(walk.pairs) == 17
-            kept = list(walk.pairs)
+            assert self.walk(rec, p) is walk and len(walk) == 17
+            kept = list(walk)
             # a numeric row that stops inside the walk reads the kept pairs
             assert verify_numeric(rec, AS_STATED, P, 0.25, 1e-8) == outside[2]
-            assert walk.pairs == kept
+            assert walk == kept
         assert (numeric, formal) == outside[:2]
 
     def test_formal_row_leaves_the_walk_for_a_numeric_row_to_extend(self):
@@ -816,9 +816,9 @@ class TestSuiteKeepsWalks:
                    verify_numeric(rec, AS_STATED, P, 0.25, 1e-8))
         with series._shared_work():
             formal = verify_formal(rec, AS_STATED, P, 2, 3)
-            assert len(self.walk(rec, P).pairs) == 3
+            assert len(self.walk(rec, P)) == 3
             numeric = verify_numeric(rec, AS_STATED, P, 0.25, 1e-8)
-            assert len(self.walk(rec, P).pairs) > 3
+            assert len(self.walk(rec, P)) > 3
         assert (formal, numeric) == outside
 
     def test_degenerate_shift_raises_for_every_row_that_reaches_it(self):
@@ -833,15 +833,20 @@ class TestSuiteKeepsWalks:
                     row()
                 assert str(shared.value) == str(alone.value)
                 # the pairs before the pole stay as they were
-                assert len(self.walk(self.LOWER_B, Params1F1(self.BAD.a, self.BAD.b)).pairs) == 2
+                assert len(self.walk(self.LOWER_B, Params1F1(self.BAD.a, self.BAD.b))) == 2
         with pytest.raises(DegenerateParameter, match=str(alone.value)):
             run_suite(records=[self.LOWER_B], param_points=[self.BAD], mode="both")
 
     def test_one_weight_walk_per_operator_and_point(self, monkeypatch):
         walks = []
-        inner = identities._WeightWalk
-        monkeypatch.setattr(identities, "_WeightWalk",
-                            lambda op, p: walks.append((op, p)) or inner(op, p))
+        kept = series._kept
+
+        def building(key, build, *args):
+            if key[0] == "chi weights":
+                return kept(key, lambda: walks.append(key[1:]) or build(*args))
+            return kept(key, build, *args)
+
+        monkeypatch.setattr(identities, "_kept", building)
         run_suite(mode="both")
         assert len(walks) == len(set(walks)) == len(catalogue()) * len(P_ALL)
 

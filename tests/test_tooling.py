@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from hypersym import cli, liealg
+from hypersym import cli, hypfun, liealg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -151,7 +151,6 @@ def test_family_calls_reach_rebound_names(monkeypatch, capsys):
     also the exact ``eval`` path's ``series.horn_value``."""
     from fractions import Fraction as Q
 
-    from hypersym import hypfun
     from hypersym.hypfun import ParamsPsi2
     from hypersym.identities import get_record, verify_formal, verify_numeric
 
@@ -182,6 +181,29 @@ def test_family_calls_reach_rebound_names(monkeypatch, capsys):
                      "--x", "1/2", "--y", "1/3", "--z", "1/4", "--exact", "--terms", "3"]) == 0
     assert capsys.readouterr().err == ""
     assert calls["horn_value"] == 1
+
+
+def _callers(name):
+    """The top-level functions and methods of the package that call ``name``
+    or hand it on (to ``map``, say), as ``module.function``."""
+    callers = set()
+    for path in sorted(Path(hypfun.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                 for item in node.body if isinstance(item, ast.FunctionDef)]
+        for fn in defs:
+            for node in ast.walk(fn):
+                if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    callers.add(f"{path.stem}.{fn.name}")
+    return callers
+
+
+def test_float_sums_have_one_checked_entry():
+    """Every float sum checks its arguments in one function, so a second
+    front door to the loops cannot check them differently."""
+    for name in ("_check_sum_args", "_float_bottom"):
+        assert len(_callers(name)) == 1, (name, _callers(name))
 
 
 def _verify_parser():
