@@ -8,6 +8,16 @@ dispatches, and formats.  ``eval`` reads its families from
 ``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs,
 then runs its scopes from one table, ``SCOPE_RUNNERS``.
 
+Each command's options are stated once, in ``COMMANDS``: an option string
+and the ``add_argument`` keywords it takes.  Two readers read that table.
+``_parse_direct`` parses a well-formed command line (the command, then only
+its exact long options with values that pass their ``type`` and
+``choices``, every required one given) to the namespace argparse would
+give.  Anything else goes to ``_build_parser``'s argparse parser, built
+from the same table, so ``--help``, ``--version``, abbreviations and every
+usage error keep argparse's output and exit codes; argparse is imported
+only then.
+
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
 action or recursion order below 1, an ``eval`` option the family does not
@@ -22,7 +32,6 @@ scopes it finished, marked ``"ok": false`` with the error text.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -31,7 +40,8 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .exactnum import DegenerateParameter, parse_rational
@@ -56,6 +66,10 @@ from .liealg import (
     flow_steps,
     flow_suite,
 )
+
+if TYPE_CHECKING:
+    import argparse
+
 
 class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
@@ -367,59 +381,126 @@ def cmd_catalogue(_args: argparse.Namespace) -> int:
 
 # -- entry point --------------------------------------------------------------------
 
+# Each command as (its function, its help line, its options); each option is
+# an option string and the ``add_argument`` keywords it takes.  Both readers
+# of the command line read this one table: ``_build_parser`` and
+# ``_parse_direct``.
+COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
+    "eval": (cmd_eval, "evaluate a function at a point", {
+        "--fn": {"required": True, "choices": tuple(FAMILIES)},
+        "--a": {"required": True},
+        "--b": {"required": True},
+        "--c": {},
+        "--x": {"required": True},
+        "--y": {},
+        "--z": {},
+        "--exact": {"action": "store_true", "help": "force exact mode"},
+        "--float": {"action": "store_true", "help": "force floating mode"},
+        "--terms": {"type": int, "default": 30, "help": "truncation order for exact mode"},
+        "--tol": {"type": float, "default": 1e-12,
+                  "help": "relative tolerance for floating mode"},
+        "--term-cap": {"dest": "term_cap", "type": int, "default": DEFAULT_TERM_CAP},
+    }),
+    "verify": (cmd_verify, "run a verification scope, write reports", {
+        "--scope": {"default": "all", "choices": SCOPES},
+        "--config": {"help": "flat JSON config file; flags override"},
+        "--points": {"default": None, "help": "semicolon-separated a,b,c rational triples"},
+        "--orders-f11": {"dest": "orders_f11", "default": None,
+                         "help": "N,M orders for one-argument records"},
+        "--orders-psi2": {"dest": "orders_psi2", "default": None,
+                          "help": "N,M orders for two-argument records"},
+        "--action-order": {"dest": "action_order", "type": int, "default": None},
+        "--recursion-order": {"dest": "recursion_order", "type": int, "default": None},
+        "--mode": {"default": None, "choices": ("formal", "numeric", "both")},
+        "--chi": {"default": None, "help": "comma-separated chi grid"},
+        "--tol": {"type": float, "default": None},
+        "--flow-tol": {"dest": "flow_tol", "type": float, "default": None},
+        "--alpha": {"type": float, "default": None},
+        "--step": {"type": float, "default": None},
+        "--start": {"default": None,
+                    "help": "flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3"},
+        "--seed": {"type": int, "default": None},
+        "--out": {"default": None, "help": "report output directory"},
+        "--format": {"default": None, "choices": ("json", "md", "both")},
+    }),
+    "catalogue": (cmd_catalogue, "print identity and operator listings", {}),
+}
+
+
+def _dest(flag: str, keywords: dict) -> str:
+    """The attribute an option sets, by argparse's rule for long options."""
+    return keywords.get("dest", flag[2:].replace("-", "_"))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hypersym",
         description="exact verification engine for hypergeometric shift identities",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("eval", help="evaluate a function at a point")
-    ev.add_argument("--fn", required=True, choices=tuple(FAMILIES))
-    ev.add_argument("--a", required=True)
-    ev.add_argument("--b", required=True)
-    ev.add_argument("--c")
-    ev.add_argument("--x", required=True)
-    ev.add_argument("--y")
-    ev.add_argument("--z")
-    ev.add_argument("--exact", action="store_true", help="force exact mode")
-    ev.add_argument("--float", action="store_true", help="force floating mode")
-    ev.add_argument("--terms", type=int, default=30,
-                    help="truncation order for exact mode")
-    ev.add_argument("--tol", type=float, default=1e-12,
-                    help="relative tolerance for floating mode")
-    ev.add_argument("--term-cap", dest="term_cap", type=int, default=DEFAULT_TERM_CAP)
-    ev.set_defaults(func=cmd_eval)
-
-    vf = sub.add_parser("verify", help="run a verification scope, write reports")
-    vf.add_argument("--scope", default="all", choices=SCOPES)
-    vf.add_argument("--config", help="flat JSON config file; flags override")
-    vf.add_argument("--points", default=None,
-                    help="semicolon-separated a,b,c rational triples")
-    vf.add_argument("--orders-f11", dest="orders_f11", default=None,
-                    help="N,M orders for one-argument records")
-    vf.add_argument("--orders-psi2", dest="orders_psi2", default=None,
-                    help="N,M orders for two-argument records")
-    vf.add_argument("--action-order", dest="action_order", type=int, default=None)
-    vf.add_argument("--recursion-order", dest="recursion_order", type=int, default=None)
-    vf.add_argument("--mode", default=None, choices=("formal", "numeric", "both"))
-    vf.add_argument("--chi", default=None, help="comma-separated chi grid")
-    vf.add_argument("--tol", type=float, default=None)
-    vf.add_argument("--flow-tol", dest="flow_tol", type=float, default=None)
-    vf.add_argument("--alpha", type=float, default=None)
-    vf.add_argument("--step", type=float, default=None)
-    vf.add_argument("--start", default=None,
-                    help="flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3")
-    vf.add_argument("--seed", type=int, default=None)
-    vf.add_argument("--out", default=None, help="report output directory")
-    vf.add_argument("--format", default=None, choices=("json", "md", "both"))
-    vf.set_defaults(func=cmd_verify)
-
-    ct = sub.add_parser("catalogue", help="print identity and operator listings")
-    ct.set_defaults(func=cmd_catalogue)
+    for name, (run, help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=run)
     return parser
+
+
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed ``argv``, else None.
+
+    Well-formed: a command, then only exact long options of its table entry,
+    each a bare ``store_true`` flag or ``--name value``/``--name=value``
+    whose value passes the option's ``type`` and ``choices`` (a separate
+    value token may not start with ``-``, and no value is ``--``), with
+    every required option given; the last of a repeated option wins.  Any
+    other ``argv`` (an abbreviation, ``-h``, ``--version``, an unknown
+    option, a bad or missing value) is argparse's to parse, so its messages
+    and exit codes stay its own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    run, _help, options = COMMANDS[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops it and stores an empty list
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[flag] = value
+    args = SimpleNamespace(command=argv[0], func=run)
+    for flag, keywords in options.items():
+        if flag in values:
+            value = values[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            store_true = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if store_true else None)
+        setattr(args, _dest(flag, keywords), value)
+    return args
 
 
 # A value that argparse would read as an option: it takes only -3 and -0.5
@@ -441,13 +522,14 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = parser.parse_args(_glue_negative_values(argv))
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; keep its codes
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
+    args = _parse_direct(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; keep its codes
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except COMMAND_ERRORS as exc:

@@ -134,14 +134,19 @@ def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
 
 
 def float_params(params: Params1F1 | ParamsPsi2) -> SimpleNamespace:
-    """Parameters by name as floats; ValueError names one too large for a float."""
-    floats = {}
-    for f in fields(params):
-        try:
-            floats[f.name] = float(getattr(params, f.name))
-        except OverflowError:
-            raise ValueError(f"parameter {f.name} is too large for a float") from None
-    return SimpleNamespace(**floats)
+    """Parameters as floats ``.a``, ``.b`` and, for Psi2, ``.c``, made in that
+    order; ValueError names the first one too large for a float."""
+    floats = SimpleNamespace()
+    try:
+        floats.a = float(params.a)
+        floats.b = float(params.b)
+        if isinstance(params, ParamsPsi2):
+            floats.c = float(params.c)
+    except OverflowError:
+        # the parameters made so far are set; the next one overflowed
+        name = "abc"[len(vars(floats))]
+        raise ValueError(f"parameter {name} is too large for a float") from None
+    return floats
 
 
 # -- Horn families -------------------------------------------------------------

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersym import cli, hypfun, identities, liealg, series
 from hypersym.identities import get_record, strip_timing
@@ -226,7 +229,7 @@ class TestEval:
         assert r.stderr == f"error: {named} is not an option of {fn}\n"
 
     def test_successive_main_calls_print_their_own_results(self, capsys):
-        # The parser is built once per process and reused by every call.
+        # Each call parses its own command line and prints its own value.
         base = ["eval", "--fn", "f11", "--a", "1", "--b", "1", "--exact", "--terms", "5"]
         assert cli.main([*base, "--x", "1"]) == 0
         assert capsys.readouterr().out == "163/60\n"
@@ -659,3 +662,224 @@ class TestCatalogueCommand:
         assert lines[i + 1] == f"      note: {get_record('I-F11-LOWER-B').note}"
         assert "exponent b-1 instead of b" in lines[i + 1]
         assert sum(line.startswith("      note: ") for line in lines) == 3
+
+
+# -- the two readers of the option table ---------------------------------------
+
+# The usage outputs of argparse, recorded from the front end that always
+# parsed with it; the width argparse wraps at is pinned by COLUMNS.
+EVAL_USAGE = """\
+usage: hypersym eval [-h] --fn {f11,psi2,psi2x3} --a A --b B [--c C] --x X
+                     [--y Y] [--z Z] [--exact] [--float] [--terms TERMS]
+                     [--tol TOL] [--term-cap TERM_CAP]
+"""
+EVAL_F11 = ("eval", "--fn", "f11", "--a", "1", "--b", "1", "--x", "1")
+ARGPARSE_PATH = {
+    "help": (("--help",), 0, """\
+usage: hypersym [-h] [--version] {eval,verify,catalogue} ...
+
+exact verification engine for hypergeometric shift identities
+
+positional arguments:
+  {eval,verify,catalogue}
+    eval                evaluate a function at a point
+    verify              run a verification scope, write reports
+    catalogue           print identity and operator listings
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", ""),
+    "eval-help": (("eval", "--help"), 0, EVAL_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --fn {f11,psi2,psi2x3}
+  --a A
+  --b B
+  --c C
+  --x X
+  --y Y
+  --z Z
+  --exact               force exact mode
+  --float               force floating mode
+  --terms TERMS         truncation order for exact mode
+  --tol TOL             relative tolerance for floating mode
+  --term-cap TERM_CAP
+""", ""),
+    "version": (("--version",), 0, "0.1.0\n", ""),
+    "abbreviation": ((*EVAL_F11, "--exa", "--terms", "5"), 0, "163/60\n", ""),
+    "ambiguous": ((*EVAL_F11, "--term", "5"), 2, "", EVAL_USAGE
+                  + "hypersym eval: error: ambiguous option: --term could match --terms, "
+                    "--term-cap\n"),
+    "missing": (EVAL_F11[:-2], 2, "", EVAL_USAGE
+                + "hypersym eval: error: the following arguments are required: --x\n"),
+    "choice": (("eval", "--fn", "bogus", *EVAL_F11[3:]), 2, "", EVAL_USAGE
+               + "hypersym eval: error: argument --fn: invalid choice: 'bogus' "
+                 "(choose from 'f11', 'psi2', 'psi2x3')\n"),
+    "int": ((*EVAL_F11, "--terms", "1.5"), 2, "", EVAL_USAGE
+            + "hypersym eval: error: argument --terms: invalid int value: '1.5'\n"),
+    "unknown": ((*EVAL_F11, "--w", "1"), 2, "",
+                "usage: hypersym [-h] [--version] {eval,verify,catalogue} ...\n"
+                "hypersym: error: unrecognized arguments: --w 1\n"),
+    "flag-value": ((*EVAL_F11, "--exact=1"), 2, "", EVAL_USAGE
+                   + "hypersym eval: error: argument --exact: ignored explicit argument '1'\n"),
+    "dash-value": (("verify", "--scope", "flows", "--out", "-"), 0,
+                   "scope=flows ok=True reports written to -/\n", ""),
+}
+
+
+@pytest.mark.parametrize("case", ARGPARSE_PATH)
+def test_argparse_path_output_is_unchanged(case, tmp_path):
+    """Command lines the direct parse declines print what argparse printed
+    when it parsed every command line, and exit with its codes."""
+    argv, code, out, err = ARGPARSE_PATH[case]
+    assert cli._parse_direct(cli._glue_negative_values(list(argv))) is None
+    r = subprocess.run([sys.executable, "-m", "hypersym.cli", *argv], capture_output=True,
+                       text=True, cwd=tmp_path, env={**os.environ, "COLUMNS": "80"})
+    assert (r.returncode, r.stdout, r.stderr) == (code, out, err)
+    if case == "dash-value":
+        assert sorted(p.name for p in (tmp_path / "-").iterdir()) == [
+            "verify_flows.json", "verify_flows.md"]
+
+
+def test_valid_command_lines_neither_build_the_parser_nor_import_argparse(tmp_path):
+    code = f"""
+import sys
+from hypersym import cli
+for argv in ({list(EVAL_F11)!r}, ["verify", "--scope", "flows", "--out", {str(tmp_path)!r}],
+             ["catalogue"]):
+    assert cli.main(argv) == 0, argv
+assert cli._build_parser.cache_info().misses == 0
+assert "argparse" not in sys.modules
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+
+
+def _argparse_vars(argv):
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv}, which the direct parse accepts")
+
+
+def _same_vars(direct, parsed):
+    """``vars`` equal, with a NaN value equal to a NaN and every value of the
+    same type."""
+    def key(names):
+        return {name: (type(value), repr(value)) for name, value in names.items()}
+    assert key(vars(direct)) == key(parsed)
+
+
+# Values of every kind the options take or refuse: numbers, rationals and
+# point lists, bad ints and floats, empty text, text that is a command or an
+# option string, and values that start with a minus sign (glued or not).
+VALUES = st.one_of(
+    st.sampled_from([
+        "1", "0", "+5", " 7 ", "1_000", "٣", "1.5", "1e-3", "inf", "nan", "1/2", "oops",
+        "0x10", "", "f11", "psi2", "psi2x3", "bogus", "all", "flows", "numeric", "json", "eval",
+        "verify", "x=1,y=2,z=3,u=1/2,t=1/3", "1/2,2,5/7;1,1,1", "8,16", "a b", "a=b",
+        "-", "--", "-1/2", "-3", "-0.5", "-1e-3", "-2,3,3", "-x", "--a", "--exact", "-h",
+        "--version",
+    ]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.text(alphabet="-=,./0123456789abexyz", max_size=6),
+)
+
+
+def _flags(command):
+    """Option strings for ``command``: its own, abbreviated, another
+    command's, and strings no command takes."""
+    own = list(cli.COMMANDS[command][2])
+    others = [flag for _run, _help, options in cli.COMMANDS.values() for flag in options]
+    return st.one_of(
+        st.sampled_from(own or ["--help"]),
+        st.sampled_from(own or ["--help"]).flatmap(
+            lambda flag: st.integers(3, max(3, len(flag) - 1)).map(lambda k: flag[:k])),
+        st.sampled_from(others + ["--w", "-h", "--help", "--version", "--", "-", "x", "eval"]),
+    )
+
+
+def _good_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
+        return st.integers(-10**30, 10**30).map(str) | st.sampled_from(["+5", " 7 ", "1_000"])
+    if keywords.get("type") is float:
+        return st.floats().map(repr) | st.sampled_from(["1e-3", "-inf", ".5", "1_0.5"])
+    return VALUES.filter(lambda value: value != "--")  # argparse drops a "--" value
+
+
+@st.composite
+def well_formed_command_line(draw):
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = cli.COMMANDS[command][2]
+    required = [flag for flag, keywords in options.items() if keywords.get("required")]
+    chosen = draw(st.lists(st.sampled_from(list(options)), max_size=8)) if options else []
+    argv = [command]
+    for flag in draw(st.permutations(required + chosen)):
+        keywords = options[flag]
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        value = draw(_good_value(keywords))
+        if value.startswith("-") or draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@st.composite
+def any_command_line(draw):
+    """A well-formed command line with one to three edits: each inserts, or
+    puts in place of one token, nothing, a value, or an option string alone,
+    with a value after it or joined to one by ``=``."""
+    argv = draw(well_formed_command_line())
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(_flags(argv[0] if argv and argv[0] in cli.COMMANDS else "eval"))
+        value = draw(VALUES)
+        piece = draw(st.sampled_from([[], [value], [flag], [flag, value], [f"{flag}={value}"]]))
+        i = draw(st.integers(0, len(argv)))
+        argv = argv[:i] + piece + argv[i + draw(st.integers(0, i < len(argv))):]
+    return argv
+
+
+class TestDirectParse:
+    """The direct parse gives argparse's namespace wherever it answers, and
+    answers for every well-formed command line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=any_command_line())
+    def test_an_accepted_command_line_parses_as_argparse_parses_it(self, argv):
+        argv = cli._glue_negative_values(argv)
+        direct = cli._parse_direct(argv)
+        if direct is not None:
+            _same_vars(direct, _argparse_vars(argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=well_formed_command_line())
+    def test_a_well_formed_command_line_is_accepted(self, argv):
+        argv = cli._glue_negative_values(argv)
+        direct = cli._parse_direct(argv)
+        assert direct is not None, argv
+        _same_vars(direct, _argparse_vars(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["--version"], ["bogus"], ["eval", "-h"],
+        [*EVAL_F11, "--exa"], [*EVAL_F11, "--term", "5"], [*EVAL_F11, "--w", "1"],
+        [*EVAL_F11, "--terms", "1.5"], [*EVAL_F11, "--tol", "oops"], [*EVAL_F11, "stray"],
+        ["eval", "--fn", "bogus", *EVAL_F11[3:]], list(EVAL_F11[:-2]), [*EVAL_F11, "--exact=1"],
+        [*EVAL_F11, "--c"], [*EVAL_F11, "--c", "-"], [*EVAL_F11, "--c", "-x"],
+        [*EVAL_F11, "--c=--"],
+        ["verify", "--out", "-"], ["verify", "--", "--out", "x"], ["catalogue", "x"],
+    ], ids=repr)
+    def test_declines_what_argparse_must_answer(self, argv):
+        assert cli._parse_direct(cli._glue_negative_values(argv)) is None
+
+    def test_last_of_a_repeated_option_wins(self):
+        argv = [*EVAL_F11, "--terms", "5", "--terms=7", "--exact", "--exact"]
+        args = cli._parse_direct(argv)
+        assert (args.terms, args.exact, args.float) == (7, True, False)
+        _same_vars(args, _argparse_vars(argv))

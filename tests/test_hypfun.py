@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -137,6 +138,46 @@ class TestParams:
 
     def test_noninteger_negative_ok(self):
         Params1F1(Q(-7, 2), Q(-1, 3))  # denominators guard integers only
+
+
+# A parameter whose float fits, or one whose float overflows (the last rounds
+# up to 2**1024).
+FLOAT_PARAM = st.one_of(
+    BOTTOM,
+    st.sampled_from([Q(10**400), Q(-(10**400), 3), Q(10**309, 7), Q(2**1024 - 2**970)]),
+)
+
+
+def ref_float_params(params):
+    """``float_params`` as it read the fields by name."""
+    floats = {}
+    for f in dataclasses.fields(params):
+        try:
+            floats[f.name] = float(getattr(params, f.name))
+        except OverflowError:
+            raise ValueError(f"parameter {f.name} is too large for a float") from None
+    return floats
+
+
+class TestFloatParams:
+    @KERNEL
+    @given(a=FLOAT_PARAM, b=FLOAT_PARAM, c=FLOAT_PARAM, psi2=st.booleans())
+    def test_same_floats_and_first_overflow_as_by_field_names(self, a, b, c, psi2):
+        p = ParamsPsi2(a, b, c) if psi2 else Params1F1(a, b)
+        try:
+            want = ref_float_params(p)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                hypfun.float_params(p)
+        else:
+            assert vars(hypfun.float_params(p)) == want
+
+    def test_the_first_parameter_too_large_is_named(self):
+        big = Q(10**400)
+        for params, named in [(ParamsPsi2(big, big, big), "a"), (ParamsPsi2(1, big, big), "b"),
+                              (ParamsPsi2(1, 2, big), "c"), (Params1F1(1, big), "b")]:
+            with pytest.raises(ValueError, match=f"^parameter {named} is too large for a float$"):
+                hypfun.float_params(params)
 
 
 class TestCoefficients:

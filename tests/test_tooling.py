@@ -1,22 +1,25 @@
-"""The benchmark's uses of the package still exist in it, and the ``verify``
-command's options, config fields, scope table and flow coordinates agree.
+"""The benchmark's uses of the package still exist in it, the ``verify``
+command's options, config fields, scope table and flow coordinates agree,
+and the command option table is one both of its readers can read.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``LAYERS`` table
 and silently lists a missing one instead of failing, so a rename in
 ``hypersym`` would drop a layer from the traced run; its count hooks read
 series through ``terms`` alone, so that view must stay.  ``perfbench/pass_proc.py``
 builds the catalogues by name before each pass, so a rename there would fail
-every pass.  Both files are read from their syntax trees: nothing under
-``perfbench/`` is imported or wrapped.  The recorded references under
-``perfbench/refs/`` are read as JSON, and the command line of each still
-parses, so renaming a ``verify`` option fails here, not only in a benchmark
-run.
+every pass.  Both files are read from their syntax trees: they are not
+imported or wrapped.  The recorded references under ``perfbench/refs/``
+are read as JSON, and ``perfbench/workloads.py`` is loaded on its own to
+generate the command lines of three seeds; each of these parses directly,
+to argparse's namespace, so renaming an option fails here, not only in a
+benchmark run, and no benchmark pass builds the argparse parser.
 """
 
 import argparse
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -26,6 +29,7 @@ from hypersym import cli, hypfun, liealg
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 PASS_PROC = PERFBENCH / "pass_proc.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 REFS = sorted((PERFBENCH / "refs").glob("*.json"))
 
 
@@ -206,25 +210,59 @@ def test_float_sums_have_one_checked_entry():
         assert len(_callers(name)) == 1, (name, _callers(name))
 
 
-def _verify_parser():
-    parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices["verify"]
+def _verify_options():
+    return cli.COMMANDS["verify"][2]
 
 
 def test_every_config_field_is_one_verify_option():
     # --scope picks the runners and --config names the file; every other
     # option sets the RunConfig field of its name, and no two set the same
-    dests = [a.dest for a in _verify_parser()._actions
-             if a.dest not in ("help", "scope", "config")]
+    dests = [cli._dest(flag, keywords) for flag, keywords in _verify_options().items()]
+    dests = [dest for dest in dests if dest not in ("scope", "config")]
     assert len(dests) == len(set(dests))
     assert sorted(dests) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
 
 
 def test_scopes_are_the_runner_table_and_all():
     assert cli.SCOPES == (*cli.SCOPE_RUNNERS, "all")
-    scope = next(a for a in _verify_parser()._actions if a.dest == "scope")
-    assert tuple(scope.choices) == cli.SCOPES
+    assert tuple(_verify_options()["--scope"]["choices"]) == cli.SCOPES
+
+
+def test_built_parser_is_the_option_table():
+    """Each command's argparse options are its table entries, in order."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    for name, (run, _help, options) in cli.COMMANDS.items():
+        command = sub.choices[name]
+        assert command.get_default("func") is run
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert [a.option_strings for a in actions] == [[flag] for flag in options]
+        for action, (flag, keywords) in zip(actions, options.items()):
+            store_true = keywords.get("action") == "store_true"
+            assert type(action) is (argparse._StoreTrueAction if store_true
+                                    else argparse._StoreAction), flag
+            assert (action.dest, action.type, action.default, action.choices,
+                    action.required, action.help) == (
+                cli._dest(flag, keywords), keywords.get("type"),
+                keywords.get("default", False if store_true else None),
+                keywords.get("choices"), keywords.get("required", False),
+                keywords.get("help")), flag
+
+
+# The ``add_argument`` keywords and values the direct parse reads; an option
+# that needs any other (``nargs``, ``append``, a ``type`` that raises other
+# than ValueError) must be taught to it first.
+DIRECT_KEYWORDS = {"dest", "type", "default", "choices", "required", "action", "help"}
+
+
+def test_every_option_is_one_the_direct_parse_reads():
+    for _run, _help, options in cli.COMMANDS.values():
+        for flag, keywords in options.items():
+            assert flag.startswith("--") and "=" not in flag, flag
+            assert set(keywords) <= DIRECT_KEYWORDS, flag
+            assert keywords.get("action", "store_true") == "store_true", flag
+            assert keywords.get("type", int) in (int, float), flag
 
 
 def test_flow_coordinates_are_those_the_flows_read():
@@ -237,10 +275,40 @@ def test_flow_coordinates_are_those_the_flows_read():
     assert liealg.FLOW_COORDINATES == ("x", "y", "z", "u", "t")
 
 
+def _direct_parse_as_argparse(argv):
+    argv = cli._glue_negative_values(argv)
+    args = cli._parse_direct(argv)
+    assert args is not None, argv
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+    return args
+
+
 def test_every_reference_command_line_parses():
     assert len(REFS) >= 4
     for ref in REFS:
         argv = json.loads(ref.read_text())["argv"]
-        args = cli._build_parser().parse_args(cli._glue_negative_values(argv))
+        args = _direct_parse_as_argparse(argv)
         assert args.command == argv[0], ref.name
         cli._config_from(args)
+
+
+def test_every_benchmark_command_line_parses_directly(monkeypatch, tmp_path):
+    """The benchmark's passes never build the argparse parser.  Its mpmath
+    references are replaced by zeros: they draw nothing from the seed's
+    generator, so the command lines are those of a real run."""
+    import mpmath
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for module, name in ((mpmath, "hyp1f1"), (mpmath, "hyper2d"),
+                         (workloads, "psi2x3_mpmath"), (workloads, "psi2x3_exact")):
+        monkeypatch.setattr(module, name, lambda *args: 0.0)
+    count = 0
+    for workload in workloads.WORKLOADS.values():
+        for seed in range(3):
+            for argv in workload(seed, str(tmp_path)).argvs():
+                _direct_parse_as_argparse(argv)
+                count += 1
+    assert count > 600
