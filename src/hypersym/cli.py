@@ -8,15 +8,18 @@ dispatches, and formats.  ``eval`` reads its families from
 ``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs,
 then runs its scopes from one table, ``SCOPE_RUNNERS``.
 
-Each command's options are stated once, in ``COMMANDS``: an option string
-and the ``add_argument`` keywords it takes.  Two readers read that table.
-``_parse_direct`` parses a well-formed command line (the command, then only
-its exact long options with values that pass their ``type`` and
-``choices``, every required one given) to the namespace argparse would
-give.  Anything else goes to ``_build_parser``'s argparse parser, built
-from the same table, so ``--help``, ``--version``, abbreviations and every
-usage error keep argparse's output and exit codes; argparse is imported
-only then.
+Each command's options are in ``COMMANDS``, option strings with their
+``add_argument`` keywords; ``verify``'s, but ``--scope`` and ``--config``,
+are ``RunConfig``'s fields, typed by their defaults, with the ``help`` and
+``choices`` of their metadata, which ``validate`` checks a config file by.
+Two readers read that table.  ``_parse_direct`` parses a well-formed
+command line (the command, then only its exact long options with values
+that pass their ``type`` and ``choices``, every required one given) to the
+namespace argparse would give.  Anything else goes to ``_build_parser``'s
+argparse parser, built from the same table, so ``--help``, ``--version``,
+abbreviations and every usage error keep argparse's output and exit codes;
+argparse is imported only then.  ``--flag=--``, which argparse reads as no
+value, exits 2.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a non-finite tolerance, alpha or step, an
@@ -37,7 +40,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -81,21 +84,25 @@ COMMAND_ERRORS = (SystemExit2, ValueError, KeyError, DegenerateParameter, Singul
 
 @dataclass
 class RunConfig:
-    points: str = ";".join(",".join(p) for p in DEFAULT_PARAM_POINTS)
-    orders_f11: str = ",".join(map(str, DEFAULT_F11_ORDERS))
-    orders_psi2: str = ",".join(map(str, DEFAULT_PSI2_ORDERS))
+    points: str = field(default=";".join(",".join(p) for p in DEFAULT_PARAM_POINTS),
+                        metadata={"help": "semicolon-separated a,b,c rational triples"})
+    orders_f11: str = field(default=",".join(map(str, DEFAULT_F11_ORDERS)),
+                            metadata={"help": "N,M orders for one-argument records"})
+    orders_psi2: str = field(default=",".join(map(str, DEFAULT_PSI2_ORDERS)),
+                             metadata={"help": "N,M orders for two-argument records"})
     action_order: int = 12
     recursion_order: int = 12
-    mode: str = "formal"
-    chi: str = "0.1,0.25"
+    mode: str = field(default="formal", metadata={"choices": ("formal", "numeric", "both")})
+    chi: str = field(default="0.1,0.25", metadata={"help": "comma-separated chi grid"})
     tol: float = 1e-8
     flow_tol: float = 1e-8
     alpha: float = 0.1
     step: float = 1e-3
-    start: str = "x=1,y=2,z=3,u=1/2,t=1/3"
+    start: str = field(default="x=1,y=2,z=3,u=1/2,t=1/3",
+                       metadata={"help": "flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3"})
     seed: int = 42
-    out: str = "reports"
-    format: str = "both"
+    out: str = field(default="reports", metadata={"help": "report output directory"})
+    format: str = field(default="both", metadata={"choices": ("json", "md", "both")})
 
     def param_points(self) -> list[ParamsPsi2]:
         pts = []
@@ -164,10 +171,10 @@ class RunConfig:
         if self.step <= 0:
             raise ValueError("step must be positive")
         flow_steps(self.alpha, self.step)
-        if self.mode not in ("formal", "numeric", "both"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.format not in ("json", "md", "both"):
-            raise ValueError(f"unknown format {self.format!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ValueError(f"unknown {f.name} {value!r}")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -177,7 +184,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config must be a JSON object")
         for key, value in loaded.items():
-            if not hasattr(cfg, key):
+            if key not in vars(cfg):
                 raise ValueError(f"unknown config key {key!r}")
             want = type(getattr(cfg, key))
             if not (type(value) is want or want is float and type(value) is int):
@@ -229,7 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.exact and args.float:
         raise SystemExit2("--exact and --float exclude each other")
     fam = FAMILIES[args.fn]
-    names = [f.name for f in fields(fam.params)]
+    names = fam.params.__match_args__
     for name in ("c", "y", "z"):
         if getattr(args, name) is not None and name not in names and name not in fam.coords:
             raise SystemExit2(f"--{name} is not an option of {args.fn}")
@@ -404,24 +411,12 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
     "verify": (cmd_verify, "run a verification scope, write reports", {
         "--scope": {"default": "all", "choices": SCOPES},
         "--config": {"help": "flat JSON config file; flags override"},
-        "--points": {"default": None, "help": "semicolon-separated a,b,c rational triples"},
-        "--orders-f11": {"dest": "orders_f11", "default": None,
-                         "help": "N,M orders for one-argument records"},
-        "--orders-psi2": {"dest": "orders_psi2", "default": None,
-                          "help": "N,M orders for two-argument records"},
-        "--action-order": {"dest": "action_order", "type": int, "default": None},
-        "--recursion-order": {"dest": "recursion_order", "type": int, "default": None},
-        "--mode": {"default": None, "choices": ("formal", "numeric", "both")},
-        "--chi": {"default": None, "help": "comma-separated chi grid"},
-        "--tol": {"type": float, "default": None},
-        "--flow-tol": {"dest": "flow_tol", "type": float, "default": None},
-        "--alpha": {"type": float, "default": None},
-        "--step": {"type": float, "default": None},
-        "--start": {"default": None,
-                    "help": "flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3"},
-        "--seed": {"type": int, "default": None},
-        "--out": {"default": None, "help": "report output directory"},
-        "--format": {"default": None, "choices": ("json", "md", "both")},
+        # one option per RunConfig field; None leaves the file's or the field's value
+        **{"--" + f.name.replace("_", "-"): {
+            "default": None,
+            **({} if isinstance(f.default, str) else {"type": type(f.default)}),
+            **f.metadata,
+        } for f in fields(RunConfig)},
     }),
     "catalogue": (cmd_catalogue, "print identity and operator listings", {}),
 }
@@ -530,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help; keep its codes
             return exc.code if isinstance(exc.code, int) else 2
+        for flag, keywords in COMMANDS[args.command][2].items():
+            if getattr(args, _dest(flag, keywords)) == []:  # argparse 3.11 stores [] for --flag=--
+                print(f"error: argument {flag}: expected one argument", file=sys.stderr)
+                return 2
     try:
         return args.func(args)
     except COMMAND_ERRORS as exc:

@@ -6,6 +6,9 @@ Humbert series sums (a)_{m+n} x^m y^n / (m! n! (b)_m (c)_n), and its
 three-argument extension couples a third index into the same rising
 factorial, (a)_{l+m+n} x^m y^n z^l / (l! m! n! (b)_m (c)_n).
 
+``Params1F1`` (a; b) and ``ParamsPsi2`` (a; b, c) share one body, and every
+reader of a point walks its fields in order, ``__match_args__``.
+
 All three are Horn series: the ratio of neighbouring coefficients is a
 rational function of the indices.  Stepping one index k -> k+1 multiplies a
 coefficient by (a + total) / ((k+1) * prod(lower + k)), where total is the
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -86,51 +89,53 @@ class NoConvergence(ArithmeticError):
     """Floating summation failed to meet tolerance within the term cap."""
 
 
-def _check_denominator_param(name: str, value: Fraction) -> None:
-    if is_nonpositive_integer(value):
-        raise DegenerateParameter(
-            f"parameter {name} = {value} is zero or a negative integer"
-        )
+class _ParamPoint:
+    """The body of both parameter classes: every field becomes a Fraction, in
+    order, then each bottom parameter (every field after ``a``) is checked."""
+
+    def __post_init__(self):
+        values = vars(self)
+        names = self.__match_args__
+        for name in names:
+            if type(values[name]) is not Fraction:
+                values[name] = as_rational(values[name])
+        for name in names[1:]:
+            if is_nonpositive_integer(values[name]):
+                raise DegenerateParameter(f"parameter {name} = {values[name]} is zero or a "
+                                          "negative integer")
+
+    def shifted(self, *steps: int):
+        """The point moved by one integer step per field, in order; missing
+        steps are 0, and a field whose step is 0 is kept as it is."""
+        names = self.__match_args__
+        if len(steps) > len(names):
+            raise TypeError(f"{type(self).__name__}.shifted() takes from 1 to {len(names) + 1} "
+                            f"positional arguments but {len(steps) + 1} were given")
+        values = vars(self)
+        return type(self)(*[values[name] + step if step else values[name]
+                            for name, step in zip(names, steps + (0,) * len(names))])
 
 
 @dataclass(frozen=True)
-class Params1F1:
+class Params1F1(_ParamPoint):
     """Parameters (a; b); b must avoid zero and negative integers."""
 
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        _check_denominator_param("b", self.b)
-
-    def shifted(self, da: int = 0, db: int = 0) -> "Params1F1":
-        return Params1F1(self.a + da, self.b + db)
-
 
 @dataclass(frozen=True)
-class ParamsPsi2:
+class ParamsPsi2(_ParamPoint):
     """Parameters (a; b, c); b and c avoid zero and negative integers."""
 
     a: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        object.__setattr__(self, "c", as_rational(self.c))
-        _check_denominator_param("b", self.b)
-        _check_denominator_param("c", self.c)
-
-    def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "ParamsPsi2":
-        return ParamsPsi2(self.a + da, self.b + db, self.c + dc)
-
 
 def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
     """Parameters by name as exact rational strings, for reports."""
-    return {f.name: str(getattr(params, f.name)) for f in fields(params)}
+    return {name: str(getattr(params, name)) for name in params.__match_args__}
 
 
 def float_params(params: Params1F1 | ParamsPsi2) -> SimpleNamespace:
@@ -138,13 +143,9 @@ def float_params(params: Params1F1 | ParamsPsi2) -> SimpleNamespace:
     order; ValueError names the first one too large for a float."""
     floats = SimpleNamespace()
     try:
-        floats.a = float(params.a)
-        floats.b = float(params.b)
-        if isinstance(params, ParamsPsi2):
-            floats.c = float(params.c)
+        for name in params.__match_args__:
+            setattr(floats, name, float(getattr(params, name)))
     except OverflowError:
-        # the parameters made so far are set; the next one overflowed
-        name = "abc"[len(vars(floats))]
         raise ValueError(f"parameter {name} is too large for a float") from None
     return floats
 
@@ -178,7 +179,7 @@ class Family:
         if isinstance(params, self.params):
             return params
         try:
-            return self.params(*(getattr(params, f.name) for f in fields(self.params)))
+            return self.params(*(getattr(params, name) for name in self.params.__match_args__))
         except AttributeError:
             raise TypeError(f"family needs {self.params.__name__}") from None
 

@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -374,8 +374,7 @@ def realize(kind: str, params, order: int) -> Realized:
     handed to every later call with those; the prefactor is built afresh.
     """
     p = FAMILIES[kind].narrow(params)
-    names = zip(_PREFACTOR_VARIABLES[kind], fields(p))
-    prefactor = {v: getattr(p, f.name) for v, f in names}
+    prefactor = {v: getattr(p, n) for v, n in zip(_PREFACTOR_VARIABLES[kind], p.__match_args__)}
     return Realized(_kept(("realized", kind, p, order), FAMILIES[kind].series, p, order), prefactor)
 
 
@@ -839,7 +838,7 @@ def _operator_table() -> dict[str, _Entry]:
         return op_id, _Entry(op, rule, FlowSpec(op_id, op, closed))
 
     def maintenance(family: str) -> list[tuple[str, _Entry]]:
-        names = [f.name for f in fields(FAMILIES[family].params)]
+        names = FAMILIES[family].params.__match_args__
         zero = (0,) * len(names)
         entries = [(f"{family}.I_{p}", _Entry(DiffOperator.term(1, {v: 1}, v),
                                               ActionRule(zero, operator.attrgetter(p)), None))

@@ -463,6 +463,31 @@ class TestVerify:
         assert r.stderr == "error: config key 'alpha' is too large for a float\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [{"__dict__": {"tol": "x"}}, {"__dict__": {}},
+                                        {"validate": 1}, {"__class__": 1}])
+    def test_config_key_that_is_no_setting_exits_2(self, tmp_path, config, monkeypatch, capsys):
+        # only RunConfig's fields are config keys, not its other attributes
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--scope", "flows", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        key = next(iter(config))
+        assert capsys.readouterr() == ("", f"error: unknown config key {key!r}\n")
+        assert not out.exists() and not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("key", ["mode", "format"])
+    def test_config_value_outside_the_option_choices_exits_2(self, tmp_path, key, capsys):
+        # a config file's value is checked against the choices its flag takes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "x"}))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--scope", "flows", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: unknown {key} 'x'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ("--alpha", "1"),
         ("--start", "x=1,y=0,z=3,u=1/2,t=1/3"),
@@ -740,6 +765,49 @@ def test_argparse_path_output_is_unchanged(case, tmp_path):
     if case == "dash-value":
         assert sorted(p.name for p in (tmp_path / "-").iterdir()) == [
             "verify_flows.json", "verify_flows.md"]
+
+
+def _dash_value_cases():
+    """(argv, option named) for each value option of every command written
+    ``--flag=--`` after the command's required options, and the abbreviated
+    ``verify --ou=--``."""
+    for command, (_run, _help, options) in cli.COMMANDS.items():
+        required = {flag: "f11" if flag == "--fn" else "1"
+                    for flag, keywords in options.items() if keywords.get("required")}
+        for flag, keywords in options.items():
+            if keywords.get("action") != "store_true":
+                given = [token for other, value in required.items() if other != flag
+                         for token in (other, value)]
+                yield [command, *given, f"{flag}=--"], flag
+    yield ["verify", "--ou=--"], "--out"
+
+
+DASH_VALUE_CASES = list(_dash_value_cases())
+
+
+@pytest.mark.parametrize("argv, flag", DASH_VALUE_CASES,
+                         ids=[f"{argv[0]} {argv[-1]}" for argv, _flag in DASH_VALUE_CASES])
+def test_dash_value_is_a_usage_error(argv, flag, tmp_path, monkeypatch, capsys):
+    """argparse 3.11 reads ``--flag=--`` as an option given no value; the
+    command stops there, before it writes any report."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: argument {flag}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dash_value_cases_cover_every_value_option():
+    flags = {argv[0] + " " + flag for argv, flag in DASH_VALUE_CASES}
+    assert len(DASH_VALUE_CASES) == len(flags) + 1
+    assert {"eval --fn", "eval --b", "eval --x", "eval --terms", "verify --scope",
+            "verify --tol", "verify --out", "verify --points", "verify --mode",
+            "verify --config"} <= flags
+
+
+def test_dash_value_of_a_flag_keeps_the_argparse_error(capsys):
+    assert cli.main([*EVAL_F11, "--exact=--"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "hypersym eval: error: argument --exact: ignored explicit argument '--'\n")
 
 
 def test_valid_command_lines_neither_build_the_parser_nor_import_argparse(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import json
 import math
 import random
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from hypersym.exactnum import DegenerateParameter
 from hypersym.hypfun import Params1F1, ParamsPsi2
-from hypersym import hypfun, liealg, series
+from hypersym import cli, hypfun, liealg, series
 from hypersym.liealg import (
     ACTION_RULES,
     ActionRule,
@@ -929,6 +930,66 @@ class TestSpanBasis:
         counts["commutator"] = 0
         ref_commutator_suite(42)
         assert counts["commutator"] == 1028
+
+
+# The three algebra laws the commutator suite checks, by report flag.
+LAWS = ("antisymmetry_ok", "jacobi_ok", "bilinearity_ok")
+
+
+def _bracket_breaking(law):
+    """``commutator`` plus the identity operator I, which commutes with every
+    operator, on just the calls whose results ``law``'s check reads: the
+    first [B, A] of each pair A, B in basis order (antisymmetry), the outer
+    bracket [A, [B, C]] of a Jacobi sum, or the bracket of a combination
+    A + lam B with a basis element (bilinearity)."""
+    position = {}
+    for fam in ("f11", "psi2"):
+        for k, op_id in enumerate(family_operator_ids(fam)):
+            op = catalogue()[op_id]
+            assert id(op) not in position  # no operator object in both families
+            position[id(op)] = k
+    reversed_seen = set()
+    identity = DiffOperator.scalar(1)
+
+    def bracket(op1, op2):
+        i, j = position.get(id(op1)), position.get(id(op2))
+        if law == "antisymmetry_ok":
+            pair = (id(op1), id(op2))
+            wrong = i is not None and j is not None and i > j and pair not in reversed_seen
+            reversed_seen.add(pair)
+        elif law == "jacobi_ok":
+            wrong = i is not None and j is None
+        else:
+            wrong = i is None
+        result = commutator(op1, op2)
+        return result + identity if wrong else result
+
+    return bracket
+
+
+class TestCommutatorLawsFail:
+    """A bracket that breaks one law fails that law's check alone, and the
+    commutators scope and ``verify`` report it."""
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_broken_law_fails_alone(self, law, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(liealg, "commutator", _bracket_breaking(law))
+        result = liealg.commutator_suite()
+        assert {name: result[name] for name in LAWS} == {name: name != law for name in LAWS}
+
+        monkeypatch.setattr(liealg, "commutator", _bracket_breaking(law))
+        part, _sections, ok = cli.SCOPE_RUNNERS["commutators"](cli.RunConfig())
+        assert ok is False and part["ok"] is False
+        assert part["result"][law] is False
+
+        monkeypatch.setattr(liealg, "commutator", _bracket_breaking(law))
+        assert cli.main(["verify", "--scope", "commutators", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == ""
+        data = json.loads((tmp_path / "verify_commutators.json").read_text())
+        assert data["ok"] is False
+        assert data["scopes"]["commutators"]["ok"] is False
+        assert data["scopes"]["commutators"]["result"][law] is False
+        assert '"ok": false' in (tmp_path / "verify_commutators.json").read_text()
 
 
 class TestSharedRealizations:

@@ -210,6 +210,42 @@ def test_float_sums_have_one_checked_entry():
         assert len(_callers(name)) == 1, (name, _callers(name))
 
 
+# Module-level functions that nothing in the package calls, each kept for a
+# reason.
+UNREFERENCED_ALLOWED = {
+    "identities.get_record": "looks one record up by id, for library callers and tests",
+    "identities.report_to_json": "the JSON form of a suite report, beside report_to_markdown",
+    "identities.strip_timing": "drops the timing fields to compare reports byte for byte",
+}
+
+
+def _unreferenced_functions():
+    """``module.name`` of each module-level function of the package whose
+    name no code of the package reads outside the function itself."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(hypfun.__file__).parent.glob("*.py"))}
+    defined = [(module, node) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)]
+    unreferenced = set()
+    for module, fn in defined:
+        inside = {id(node) for node in ast.walk(fn)}
+        if not any(fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for tree in trees.values() for node in ast.walk(tree)
+                   if id(node) not in inside):
+            unreferenced.add(f"{module}.{fn.name}")
+    return unreferenced
+
+
+def test_every_helper_is_called_traced_or_kept_for_a_reason():
+    """ROADMAP's rule that helpers nothing calls are deleted, as a check: a
+    function the package never reads is a tracer target or on the list."""
+    traced = {target.replace(":", ".") for _layer, targets, _extras in _layers()
+              for target in targets}
+    unreferenced = _unreferenced_functions()
+    assert sorted(unreferenced - traced - set(UNREFERENCED_ALLOWED)) == []
+    assert all(_resolves(name.replace(".", ":", 1)) for name in UNREFERENCED_ALLOWED)
+
+
 def _verify_options():
     return cli.COMMANDS["verify"][2]
 
