@@ -6,7 +6,9 @@ reports), and ``catalogue`` (print the identity and operator listings).
 All math lives in the library modules; this file only parses arguments,
 dispatches, and formats.  ``eval`` reads its families from
 ``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs,
-then runs its scopes from one table, ``SCOPE_RUNNERS``.
+then runs its scopes from one table, ``SCOPE_RUNNERS``, each of which hands
+back plain data, and writes every JSON report through
+``identities.report_to_json``.
 
 Each command's options are in ``COMMANDS``, option strings with their
 ``add_argument`` keywords; ``verify``'s, but ``--scope`` and ``--config``,
@@ -22,15 +24,17 @@ argparse is imported only then.  ``--flag=--``, which argparse reads as no
 value, exits 2.
 
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
-configuration error, including a non-finite tolerance, alpha or step, an
-action or recursion order below 1, an ``eval`` option the family does not
-take, ``eval --exact`` with ``--float``, an ``eval --float`` coordinate that
-is not finite or ``--term-cap`` below 1, a ``--start`` value or a float-mode
-parameter or coordinate too large for a float, and flow settings that meet
-a singular flow denominator or whose run divides by zero or overflows.  A
-numeric identity row whose sides overflow ends as no convergence.  A
-``verify`` run that stops on such an error still writes the reports of the
-scopes it finished, marked ``"ok": false`` with the error text.
+configuration error, including a ``--config`` path that cannot be read
+(the empty one too), a non-finite tolerance, alpha or step, an action or
+recursion order below 1, an ``eval`` option the family does not take or
+leaves out, ``eval --exact`` with ``--float``, an ``eval --float``
+coordinate that is not finite or ``--term-cap`` below 1, a ``--start``
+value or a float-mode parameter or coordinate too large for a float, and
+flow settings that meet a singular flow denominator or whose run divides
+by zero or overflows.  A numeric identity row whose sides overflow ends as
+no convergence.  A ``verify`` run that stops on such an error still writes
+the reports of the scopes it finished, marked ``"ok": false`` with the
+error text.
 """
 
 from __future__ import annotations
@@ -47,14 +51,15 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
-from .exactnum import DegenerateParameter, parse_rational
+from .exactnum import parse_rational
 from .hypfun import DEFAULT_TERM_CAP, FAMILIES, NoConvergence, ParamsPsi2, recursion_suite
 from .identities import (
     DEFAULT_F11_ORDERS,
     DEFAULT_PARAM_POINTS,
     DEFAULT_PSI2_ORDERS,
     catalogue as identity_catalogue,
-    report_payload,
+    invariant_ok,
+    report_to_json,
     report_to_markdown,
     run_suite,
 )
@@ -74,12 +79,8 @@ if TYPE_CHECKING:
     import argparse
 
 
-class SystemExit2(Exception):
-    """Usage error carrying a message; mapped to exit code 2."""
-
-
 # Errors that end a command with one ``error:`` line and exit code 2.
-COMMAND_ERRORS = (SystemExit2, ValueError, KeyError, DegenerateParameter, SingularFlow, OSError)
+COMMAND_ERRORS = (ValueError, KeyError, SingularFlow, OSError)
 
 
 @dataclass
@@ -179,7 +180,7 @@ class RunConfig:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError("config must be a JSON object")
@@ -234,15 +235,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     and so is ``--exact`` with ``--float``.
     """
     if args.exact and args.float:
-        raise SystemExit2("--exact and --float exclude each other")
+        raise ValueError("--exact and --float exclude each other")
     fam = FAMILIES[args.fn]
     names = fam.params.__match_args__
     for name in ("c", "y", "z"):
         if getattr(args, name) is not None and name not in names and name not in fam.coords:
-            raise SystemExit2(f"--{name} is not an option of {args.fn}")
+            raise ValueError(f"--{name} is not an option of {args.fn}")
     for name in names:
         if getattr(args, name) is None:
-            raise SystemExit2(f"--{name} is required for {args.fn}")
+            raise ValueError(f"--{name} is required for {args.fn}")
     p = fam.params(*(parse_rational(getattr(args, name)) for name in names))
     coords = [getattr(args, v) if getattr(args, v) is not None else "0" for v in fam.coords]
     exact = args.exact or (not args.float and all(_is_exact_literal(c) for c in coords))
@@ -273,9 +274,7 @@ def _write_reports(cfg: RunConfig, scope: str, payload: dict, markdown: str) -> 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.format in ("json", "both"):
-        (out / f"verify_{scope}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        (out / f"verify_{scope}.json").write_text(report_to_json(payload))
     if cfg.format in ("md", "both"):
         (out / f"verify_{scope}.md").write_text(markdown)
 
@@ -291,7 +290,7 @@ def _rows_scope(title: str, rows: list[dict]) -> ScopeResult:
 
 def _identities(cfg: RunConfig) -> ScopeResult:
     report = run_suite(cfg.param_points(), cfg.orders(), cfg.mode, cfg.chi_grid(), cfg.tol)
-    return report_payload(report), [report_to_markdown(report)], report.invariant_ok()
+    return report, [report_to_markdown(report)], invariant_ok(report)
 
 
 def _actions(cfg: RunConfig) -> ScopeResult:

@@ -33,10 +33,14 @@ table of ``liealg``, read at y = z = 1; ``RECURSIONS`` names the operator.
 Exact paths stay exact, floating paths use a tail-domination stopping
 rule (terms can grow before they decay, so a single small term is not
 evidence of convergence).  The rule stops a sum once two consecutive terms
-are small and it has taken more than |arg| + |a + k| terms, so a sum's
-first floor(|arg| + |a + k|) - 1 terms, its run-up, are taken in a loop
-that tests nothing; the tested loop starts after them and stops where a
-loop tested from the first term would.  A 1F1 step s -> s+1 divides by
+are small, at most rel_tol * max(|partial sum|, 1e-300), and it has taken
+more than |arg| + |a + k| terms.  The 1F1 loop tests each next term
+against the partial sum before it and returns that sum without the tested
+term; an outer level tests each contribution against the partial sum that
+includes it and returns the sum with it.  A sum's first
+floor(|arg| + |a + k|) - 1 terms, its run-up, are taken in a loop that
+tests nothing; the tested loop starts after them and stops where a loop
+tested from the first term would.  A 1F1 step s -> s+1 divides by
 (s + 1) * (b + s); one nested sum keeps these step denominators in one list,
 extended as its inner sums need them, and every inner 1F1 reads it.  Every
 float is made by the same operations in the same order as in a loop that
@@ -299,10 +303,13 @@ def _float_sum(
     than ``term_cap`` and a slowly converging outer sum runs out before the
     sums inside it.  The inner 1F1(a + k; b; x) depends on k alone and is
     summed once per k, all of them on one list of step denominators.
-    Offsets are integers, so the loops make no ``Fraction``; the stopping
-    rule is ``_f11_sum``'s, and ``NoConvergence`` names the level's
-    coordinate; a level whose partial sum is no longer finite raises it at
-    once.
+    Offsets are integers, so the loops make no ``Fraction``.  A level stops
+    as ``_f11_sum`` does, after two consecutive small terms past its
+    run-up, but it tests each contribution against the partial sum that
+    already includes it and returns that sum, where ``_f11_sum`` tests each
+    next term against the partial sum before it and returns the sum without
+    the tested term.  ``NoConvergence`` names the level's coordinate; a
+    level whose partial sum is no longer finite raises it at once.
     """
     fam = FAMILIES[family]
     term_cap = _check_sum_args(fam.coords, point, rel_tol, term_cap)

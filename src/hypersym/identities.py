@@ -36,7 +36,9 @@ each of those records carries a corrected candidate in its field
 saying why, that the same machinery verifies.  The run-level invariant is:
 every as-stated mismatch must be paired with a verified corrected
 candidate, otherwise the suite fails; ``run_suite`` returns its report
-either way, and ``VerificationReport.invariant_ok`` is the verdict.
+either way, as a plain dict, and ``invariant_ok(report)`` is the verdict.
+``report_to_json`` writes the JSON text of every report file ``verify``
+writes, and ``report_to_markdown`` the Markdown of this one.
 """
 
 from __future__ import annotations
@@ -507,23 +509,8 @@ def verify_numeric(
 
 # -- suite runner -------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
-    scope: str
-    engine_version: str
-    rows: list[dict]
-    summary: dict
-    total_ms: float = 0.0
-
-    def invariant_ok(self) -> bool:
-        return self.summary.get("unresolved_failures", 1) == 0
-
-
 def default_param_points() -> list[ParamsPsi2]:
-    return [
-        ParamsPsi2(Fraction(a), Fraction(b), Fraction(c))
-        for a, b, c in DEFAULT_PARAM_POINTS
-    ]
+    return [ParamsPsi2(*point) for point in DEFAULT_PARAM_POINTS]
 
 
 def run_suite(
@@ -533,15 +520,18 @@ def run_suite(
     chi_grid: Sequence[float] = (0.1, 0.25),
     tol: float = 1e-8,
     records: Sequence[IdentityRecord] | None = None,
-) -> VerificationReport:
+) -> dict:
     """Verify every record x variant x parameter point (x chi for numeric).
 
     ``records`` (the catalogue by default) are verified as given, whatever
     their ids.
 
-    The report counts under ``unresolved_failures`` each as-stated mismatch
-    that lacks a verified corrected candidate for the same record, point
-    (and chi); ``invariant_ok()`` is false when there is one.
+    The report is a plain dict: ``scope``, ``engine_version``, ``summary``,
+    ``rows`` and ``total_ms``.  Its summary counts the rows by status and
+    variant, and counts under ``unresolved_failures`` each as-stated
+    mismatch that lacks a verified corrected candidate for the same record,
+    point, mode (and chi); ``invariant_ok(report)`` is false when there is
+    one.
 
     The rows share their converged float sums, the power ladders and Horn
     weights of their compositions and their chi-sum weights: a chi-sum
@@ -587,55 +577,40 @@ def run_suite(
                             rows.append(row)
     total_ms = (time.perf_counter() - t0) * 1000.0
 
-    unresolved = 0
-    verified_corrections = {
-        (r["id"], json.dumps(r["params"], sort_keys=True), r["mode"], r.get("chi"))
-        for r in rows
-        if r["variant"] == CORRECTED and r["status"] == "verified"
-    }
-    for r in rows:
-        if r["variant"] == AS_STATED and r["status"] == "mismatch":
-            key = (r["id"], json.dumps(r["params"], sort_keys=True), r["mode"], r.get("chi"))
-            if key not in verified_corrections:
-                unresolved += 1
+    def case(r: dict) -> tuple:
+        return r["id"], tuple(r["params"].items()), r["mode"], r.get("chi")
 
-    summary = {
-        "records": len(cat),
-        "rows": len(rows),
-        "verified": sum(1 for r in rows if r["status"] == "verified"),
-        "mismatched": sum(1 for r in rows if r["status"] == "mismatch"),
-        "as_stated_verified": sum(
-            1 for r in rows if r["variant"] == AS_STATED and r["status"] == "verified"
-        ),
-        "as_stated_mismatched": sum(
-            1 for r in rows if r["variant"] == AS_STATED and r["status"] == "mismatch"
-        ),
-        "unresolved_failures": unresolved,
+    resolved = {case(r) for r in rows if r["variant"] == CORRECTED and r["status"] == "verified"}
+    summary = {"records": len(cat), "rows": len(rows),
+               **dict.fromkeys(("verified", "mismatched", "as_stated_verified",
+                                "as_stated_mismatched", "unresolved_failures"), 0)}
+    for r in rows:
+        status = "verified" if r["status"] == "verified" else "mismatched"
+        summary[status] += 1
+        if r["variant"] == AS_STATED:
+            summary["as_stated_" + status] += 1
+            if status == "mismatched" and case(r) not in resolved:
+                summary["unresolved_failures"] += 1
+    return {
+        "scope": "identities",
+        "engine_version": ENGINE_VERSION,
+        "summary": summary,
+        "rows": rows,
+        "total_ms": total_ms,
     }
-    return VerificationReport(
-        scope="identities",
-        engine_version=ENGINE_VERSION,
-        rows=rows,
-        summary=summary,
-        total_ms=total_ms,
-    )
+
+
+def invariant_ok(report: Mapping) -> bool:
+    """The verdict of a ``run_suite`` report: every as-stated mismatch is
+    paired with a verified corrected candidate."""
+    return report["summary"]["unresolved_failures"] == 0
 
 
 # -- serialization -------------------------------------------------------------------
 
-def report_payload(report: VerificationReport) -> dict:
-    """The report as the dict that ``report_to_json`` dumps."""
-    return {
-        "scope": report.scope,
-        "engine_version": report.engine_version,
-        "summary": report.summary,
-        "rows": report.rows,
-        "total_ms": report.total_ms,
-    }
-
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n"
+def report_to_json(payload: Mapping) -> str:
+    """The JSON text of a report: every report file ``verify`` writes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 _TIMING_RE = re.compile(r'^\s*"(elapsed_ms|total_ms)": [0-9eE+.-]+,?$', re.M)
@@ -646,16 +621,16 @@ def strip_timing(text: str) -> str:
     return _TIMING_RE.sub("", text)
 
 
-def report_to_markdown(report: VerificationReport) -> str:
+def report_to_markdown(report: Mapping) -> str:
     lines = [
-        f"# Verification report: {report.scope}",
+        f"# Verification report: {report['scope']}",
         "",
-        f"engine version {report.engine_version}",
+        f"engine version {report['engine_version']}",
         "",
         "| id | variant | mode | params | status | witness |",
         "|---|---|---|---|---|---|",
     ]
-    for r in report.rows:
+    for r in report["rows"]:
         params = " ".join(f"{k}={v}" for k, v in r["params"].items())
         witness = ""
         if r["witness"]:
@@ -668,7 +643,7 @@ def report_to_markdown(report: VerificationReport) -> str:
     lines.append("")
     lines.append(
         "summary: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
+        + ", ".join(f"{k}={v}" for k, v in sorted(report["summary"].items()))
     )
     lines.append("")
     return "\n".join(lines)

@@ -114,6 +114,11 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr == "error: --exact and --float exclude each other\n"
 
+    def test_missing_parameter_exits_2(self, capsys):
+        argv = ["eval", "--fn", "psi2", "--a", "1/2", "--b", "4/3", "--x", "1/2", "--y", "1/3"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --c is required for psi2\n")
+
     @pytest.mark.parametrize("fn, rational, decimal", [
         ("f11", ["--x", "1/2"], ["--x", "0.5"]),
         ("psi2", ["--x", "0.5", "--y", "1/3"], ["--x", "0.5", "--y", repr(1 / 3)]),
@@ -476,6 +481,14 @@ class TestVerify:
         key = next(iter(config))
         assert capsys.readouterr() == ("", f"error: unknown config key {key!r}\n")
         assert not out.exists() and not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("flag", ["--config=", "--conf="], ids=["direct", "argparse"])
+    def test_empty_config_path_exits_2(self, tmp_path, flag, monkeypatch, capsys):
+        # an empty path is read like any other, and fails as a directory does
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--scope", "flows", flag]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: '.'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["mode", "format"])
     def test_config_value_outside_the_option_choices_exits_2(self, tmp_path, key, capsys):

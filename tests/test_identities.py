@@ -41,9 +41,9 @@ from hypersym.identities import (
     catalogue,
     default_param_points,
     get_record,
+    invariant_ok,
     lhs_series,
     lhs_value,
-    report_payload,
     report_to_json,
     report_to_markdown,
     run_suite,
@@ -243,7 +243,7 @@ class TestWitnessProbe:
             for rec in catalogue() for variant in _variants(rec) for point in P_ALL
         ]
         drop = ("elapsed_ms", "mode")
-        assert [{k: v for k, v in r.items() if k not in drop} for r in report.rows] == expected
+        assert [{k: v for k, v in r.items() if k not in drop} for r in report["rows"]] == expected
 
     def test_degenerate_shift_raises_although_the_probe_finds_the_witness(self):
         rec = get_record("I-F11-LOWER-B")
@@ -647,25 +647,25 @@ class TestSumSide:
 class TestRunSuite:
     def test_default_formal_suite(self):
         report = run_suite(mode="formal")
-        assert report.summary["records"] == 10
-        assert report.summary["rows"] == 39  # 30 as-stated + 9 corrected
-        assert report.summary["as_stated_verified"] == 21
-        assert report.summary["as_stated_mismatched"] == 9
-        assert report.summary["unresolved_failures"] == 0
-        assert report.invariant_ok()
+        assert report["summary"]["records"] == 10
+        assert report["summary"]["rows"] == 39  # 30 as-stated + 9 corrected
+        assert report["summary"]["as_stated_verified"] == 21
+        assert report["summary"]["as_stated_mismatched"] == 9
+        assert report["summary"]["unresolved_failures"] == 0
+        assert invariant_ok(report)
 
     def test_numeric_rows_per_record_and_chi(self):
         report = run_suite(mode="numeric", chi_grid=(0.1, 0.25, 0.5),
                            param_points=[P])
         # 13 record-variants x 1 point x 3 chi values
-        assert report.summary["rows"] == 13 * 3
-        assert report.invariant_ok()
+        assert report["summary"]["rows"] == 13 * 3
+        assert invariant_ok(report)
 
     def test_empty_catalogue_hook(self):
         report = run_suite(records=[])
-        assert report.rows == []
-        assert report.summary["rows"] == 0
-        assert report.summary["unresolved_failures"] == 0
+        assert report["rows"] == []
+        assert report["summary"]["rows"] == 0
+        assert report["summary"]["unresolved_failures"] == 0
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
@@ -675,8 +675,8 @@ class TestRunSuite:
         broken = get_record("I-F11-LOWER-B")
         stripped = dataclasses.replace(broken, corrected=None)
         report = run_suite(records=[stripped], param_points=[P])
-        assert not report.invariant_ok()
-        assert report.summary["unresolved_failures"] == 1
+        assert not invariant_ok(report)
+        assert report["summary"]["unresolved_failures"] == 1
 
     def test_given_records_are_the_ones_verified(self):
         # a record handed to run_suite is checked as given, not looked up by id
@@ -684,10 +684,10 @@ class TestRunSuite:
         doubled = dataclasses.replace(
             rec, lhs=lambda F, exp, p, x, y, chi: F(x + chi) + F(x + chi))
         report = run_suite(records=[doubled], param_points=[P], mode="both")
-        assert [r["status"] for r in report.rows] == ["mismatch"] * 3
+        assert [r["status"] for r in report["rows"]] == ["mismatch"] * 3
         renamed = dataclasses.replace(rec, rec_id="I-NEW")
         report = run_suite(records=[renamed], param_points=[P], mode="both")
-        assert [(r["id"], r["status"]) for r in report.rows] == [("I-NEW", "verified")] * 3
+        assert [(r["id"], r["status"]) for r in report["rows"]] == [("I-NEW", "verified")] * 3
 
     def test_deterministic_rows(self):
         r1 = run_suite(mode="formal", param_points=[P])
@@ -695,7 +695,7 @@ class TestRunSuite:
         strip = lambda rows: [
             {k: v for k, v in row.items() if k != "elapsed_ms"} for row in rows
         ]
-        assert strip(r1.rows) == strip(r2.rows)
+        assert strip(r1["rows"]) == strip(r2["rows"])
 
 
 def _count_f11_sums(monkeypatch) -> list:
@@ -730,7 +730,7 @@ class TestSuiteSharesFloatSums:
             for chi in self.CHI
         ]
         drop = ("elapsed_ms", "mode", "orders")
-        assert [{k: v for k, v in r.items() if k not in drop} for r in report.rows] == expected
+        assert [{k: v for k, v in r.items() if k not in drop} for r in report["rows"]] == expected
         if tol < 1e-16:
             assert sum(r["witness"] is not None for r in expected) > len(expected) // 2
 
@@ -884,7 +884,7 @@ class TestReportSerialization:
 
     def test_json_dumps_the_payload(self):
         report = run_suite(mode="formal", param_points=[P])
-        text = json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert report_to_json(report) == text
 
     def test_strip_timing_makes_bytes_stable(self):

@@ -22,6 +22,7 @@ import importlib
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from hypersym import cli, hypfun, liealg
@@ -210,38 +211,53 @@ def test_float_sums_have_one_checked_entry():
         assert len(_callers(name)) == 1, (name, _callers(name))
 
 
-# Module-level functions that nothing in the package calls, each kept for a
+# Functions and methods that nothing in the package calls, each kept for a
 # reason.
 UNREFERENCED_ALLOWED = {
     "identities.get_record": "looks one record up by id, for library callers and tests",
-    "identities.report_to_json": "the JSON form of a suite report, beside report_to_markdown",
     "identities.strip_timing": "drops the timing fields to compare reports byte for byte",
 }
 
 
-def _unreferenced_functions():
-    """``module.name`` of each module-level function of the package whose
-    name no code of the package reads outside the function itself."""
+def _unreferenced_definitions():
+    """``module.name`` of each module-level function, and ``module.Class.name``
+    of each method of a module-level class but the dunders, whose name no
+    code of the package reads outside the definition itself."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(hypfun.__file__).parent.glob("*.py"))}
-    defined = [(module, node) for module, tree in trees.items() for node in tree.body
-               if isinstance(node, ast.FunctionDef)]
-    unreferenced = set()
-    for module, fn in defined:
-        inside = {id(node) for node in ast.walk(fn)}
-        if not any(fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
-                   for tree in trees.values() for node in ast.walk(tree)
-                   if id(node) not in inside):
-            unreferenced.add(f"{module}.{fn.name}")
-    return unreferenced
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+    reads = sum(map(_names_read, trees.values()), Counter())
+    return {name for name, fn in defined if reads[fn.name] == _names_read(fn)[fn.name]}
+
+
+def _names_read(node):
+    """How often each name is read inside ``node``, as a name or as an
+    attribute."""
+    return Counter(getattr(sub, "id", None) or getattr(sub, "attr", None)
+                   for sub in ast.walk(node))
 
 
 def test_every_helper_is_called_traced_or_kept_for_a_reason():
     """ROADMAP's rule that helpers nothing calls are deleted, as a check: a
-    function the package never reads is a tracer target or on the list."""
+    function or method (not a dunder) the package never reads is a tracer
+    target or on the list.
+
+    A name counts as read wherever a name or an attribute of that name is
+    read, whatever it is read off.  So ``MultiSeries.evaluate`` and
+    ``MultiSeries.extend`` pass unflagged, though nothing in the package
+    calls them: ``Family.evaluate`` and ``list.extend`` are read under the
+    same names."""
     traced = {target.replace(":", ".") for _layer, targets, _extras in _layers()
               for target in targets}
-    unreferenced = _unreferenced_functions()
+    unreferenced = _unreferenced_definitions()
     assert sorted(unreferenced - traced - set(UNREFERENCED_ALLOWED)) == []
     assert all(_resolves(name.replace(".", ":", 1)) for name in UNREFERENCED_ALLOWED)
 
