@@ -5,10 +5,10 @@ floating), ``verify`` (run a verification scope and write JSON/Markdown
 reports), and ``catalogue`` (print the identity and operator listings).
 All math lives in the library modules; this file only parses arguments,
 dispatches, and formats.  ``eval`` reads its families from
-``hypfun.FAMILIES``; ``verify`` checks its whole config before any scope runs,
-then runs its scopes from one table, ``SCOPE_RUNNERS``, each of which hands
-back plain data, and writes every JSON report through
-``identities.report_to_json``.
+``hypfun.FAMILIES``; ``verify`` checks its whole config and makes its report
+directory before any scope runs, then runs its scopes from one table,
+``SCOPE_RUNNERS``, each of which hands back plain data, and writes every
+JSON report through ``identities.report_to_json``.
 
 Each command's options are in ``COMMANDS``, option strings with their
 ``add_argument`` keywords; ``verify``'s, but ``--scope`` and ``--config``,
@@ -29,12 +29,13 @@ configuration error, including a ``--config`` path that cannot be read
 recursion order below 1, an ``eval`` option the family does not take or
 leaves out, ``eval --exact`` with ``--float``, an ``eval --float``
 coordinate that is not finite or ``--term-cap`` below 1, a ``--start``
-value or a float-mode parameter or coordinate too large for a float, and
-flow settings that meet a singular flow denominator or whose run divides
-by zero or overflows.  A numeric identity row whose sides overflow ends as
-no convergence.  A ``verify`` run that stops on such an error still writes
-the reports of the scopes it finished, marked ``"ok": false`` with the
-error text.
+point that lacks a flow coordinate, a ``--start`` value or a float-mode
+parameter or coordinate too large for a float, an ``--out`` path where no
+directory can be made, and flow settings that meet a singular flow
+denominator or whose run divides by zero or overflows.  A numeric identity
+row whose sides overflow ends as no convergence.  A ``verify`` run that
+stops on such an error still writes the reports of the scopes it finished,
+marked ``"ok": false`` with the error text.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .liealg import (
     SingularFlow,
     action_suite,
     catalogue as operator_catalogue,
+    check_flow_start,
     commutator_suite,
     flow_steps,
     flow_suite,
@@ -154,6 +156,7 @@ class RunConfig:
                 float(point[name])
             except OverflowError:
                 raise ValueError(f"--start item {item!r} is too large for a float") from None
+        check_flow_start(point)
         return point
 
     def validate(self) -> None:
@@ -272,7 +275,6 @@ def _rows_markdown(title: str, rows: list[dict]) -> str:
 
 def _write_reports(cfg: RunConfig, scope: str, payload: dict, markdown: str) -> None:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.format in ("json", "both"):
         (out / f"verify_{scope}.json").write_text(report_to_json(payload))
     if cfg.format in ("md", "both"):
@@ -334,6 +336,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     the error text, and the error is raised again.
     """
     cfg = _config_from(args)
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
     scope = args.scope
     all_ok = True
     payload: dict = {"engine_version": __version__, "scope": scope, "scopes": {}}
@@ -405,7 +408,7 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
         "--terms": {"type": int, "default": 30, "help": "truncation order for exact mode"},
         "--tol": {"type": float, "default": 1e-12,
                   "help": "relative tolerance for floating mode"},
-        "--term-cap": {"dest": "term_cap", "type": int, "default": DEFAULT_TERM_CAP},
+        "--term-cap": {"type": int, "default": DEFAULT_TERM_CAP},
     }),
     "verify": (cmd_verify, "run a verification scope, write reports", {
         "--scope": {"default": "all", "choices": SCOPES},
@@ -421,9 +424,9 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
 }
 
 
-def _dest(flag: str, keywords: dict) -> str:
+def _dest(flag: str) -> str:
     """The attribute an option sets, by argparse's rule for long options."""
-    return keywords.get("dest", flag[2:].replace("-", "_"))
+    return flag[2:].replace("-", "_")
 
 
 @functools.cache
@@ -493,7 +496,7 @@ def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
         else:
             store_true = keywords.get("action") == "store_true"
             value = keywords.get("default", False if store_true else None)
-        setattr(args, _dest(flag, keywords), value)
+        setattr(args, _dest(flag), value)
     return args
 
 
@@ -524,8 +527,8 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help; keep its codes
             return exc.code if isinstance(exc.code, int) else 2
-        for flag, keywords in COMMANDS[args.command][2].items():
-            if getattr(args, _dest(flag, keywords)) == []:  # argparse 3.11 stores [] for --flag=--
+        for flag in COMMANDS[args.command][2]:
+            if getattr(args, _dest(flag)) == []:  # argparse 3.11 stores [] for --flag=--
                 print(f"error: argument {flag}: expected one argument", file=sys.stderr)
                 return 2
     try:

@@ -17,8 +17,9 @@ parameters ([b] for x, [c] for y, none for the third index).  ``FAMILIES``
 states each family once, keyed ``"f11"``, ``"psi2"`` and ``"psi2x3"``: its
 parameter class, its coordinates and their bottom parameters, its exact
 series at one order, its exact value, its composition and its float value.
-The exact series are ``series.horn_series`` calls, which walk the grid on
-integers over one common denominator; the exact values are
+The exact series are ``series.horn_series`` calls in the family's own
+coordinates (x; x, y; x, y, z), which walk the grid on integers over one
+common denominator; the exact values are
 ``series.horn_value`` calls, which sum each index once per offset; the
 compositions are ``series.horn_compose`` calls; all read the bottom
 parameters from the table.  ``f11_coeff`` and ``psi2_coeff`` keep the
@@ -216,17 +217,13 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _horn_series(
-    family: str, p, names: tuple[str, ...], caps: tuple[int, ...]
-) -> MultiSeries:
-    """The family's series, indices named and cut at ``caps``; exponent
-    tuples follow sorted names."""
+def _horn_series(family: str, p, caps: tuple[int, ...]) -> MultiSeries:
+    """The family's series in its coordinates, which are sorted, each index
+    cut at its entry of ``caps``."""
     if any(cap < 0 for cap in caps):
         raise ValueError("negative series order")
-    axes = dict(zip(names, zip(caps, FAMILIES[family].bottoms(p))))
-    names = tuple(sorted(axes))
-    return horn_series(names, tuple(axes[v][0] for v in names),
-                       [(p.a, [axes[v][1] for v in names], Fraction(1), ())])
+    fam = FAMILIES[family]
+    return horn_series(fam.coords, caps, [(p.a, fam.bottoms(p), Fraction(1), ())])
 
 
 def _check_sum_args(
@@ -392,8 +389,8 @@ def f11_coeff(p: Params1F1, s: int) -> Fraction:
     return pochhammer(p.a, s) / (factorial(s) * pochhammer(p.b, s))
 
 
-def f11_series(p: Params1F1, order: int, var: str = "x") -> MultiSeries:
-    return _horn_series("f11", p, (var,), (order,))
+def f11_series(p: Params1F1, order: int) -> MultiSeries:
+    return _horn_series("f11", p, (order,))
 
 
 def f11_eval_float(
@@ -484,17 +481,13 @@ def psi2_coeff(p: ParamsPsi2, m: int, n: int) -> Fraction:
     )
 
 
-def psi2_series(
-    p: ParamsPsi2, order_x: int, order_y: int, var_x: str = "x", var_y: str = "y"
-) -> MultiSeries:
-    return _horn_series("psi2", p, (var_x, var_y), (order_x, order_y))
+def psi2_series(p: ParamsPsi2, order_x: int, order_y: int) -> MultiSeries:
+    return _horn_series("psi2", p, (order_x, order_y))
 
 
-def psi2_3var_series(
-    p: ParamsPsi2, order_x: int, order_y: int, order_z: int, var_z: str = "z"
-) -> MultiSeries:
+def psi2_3var_series(p: ParamsPsi2, order_x: int, order_y: int, order_z: int) -> MultiSeries:
     """Triple series with the third index folded into the rising factorial."""
-    return _horn_series("psi2x3", p, ("x", "y", var_z), (order_x, order_y, order_z))
+    return _horn_series("psi2x3", p, (order_x, order_y, order_z))
 
 
 def psi2_eval_float(

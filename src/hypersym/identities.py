@@ -191,24 +191,20 @@ def _sum_series(
     return horn_series(variables, tuple(caps[v] for v in variables), grids)
 
 
-def _sum_float(
-    record: IdentityRecord,
-    p,
-    x: float,
-    y: float,
-    chi: float,
-    tol: float,
-    max_terms: int = 400,
-) -> float:
+# The most chi-sum terms ``_sum_float`` takes.
+_CHI_SUM_TERM_CAP = 400
+
+
+def _sum_float(record: IdentityRecord, p, x: float, y: float, chi: float, tol: float) -> float:
     """The record's chi-sum in floating point.  It stops after the first term
     l >= 6 that, like the term before it, is at most ``tol`` times the
     partial sum it ends (1e-300 at least), with no run-up of |arg| + |a|
-    terms as the series evaluators take; NoConvergence after ``max_terms``."""
+    terms as the series evaluators take; NoConvergence past the term cap."""
     fam = FAMILIES[record.family]
     point = (x, y)[: len(fam.coords)]
     total = 0.0
     small_streak = 0
-    for l, (w, q) in zip(range(max_terms), _weights(record, p)):
+    for l, (w, q) in zip(range(_CHI_SUM_TERM_CAP), _weights(record, p)):
         value, _ = fam.evaluate(q, *point, tol, DEFAULT_TERM_CAP)
         term = float(w) * value * chi**l
         total += term
@@ -218,7 +214,7 @@ def _sum_float(
             small_streak = 0
         if small_streak >= 2 and l >= 6:
             return total
-    raise NoConvergence(f"chi-sum not converged in {max_terms} terms at chi={chi}")
+    raise NoConvergence(f"chi-sum not converged in {_CHI_SUM_TERM_CAP} terms at chi={chi}")
 
 
 def _record_catalogue() -> list[IdentityRecord]:

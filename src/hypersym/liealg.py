@@ -340,19 +340,14 @@ def _subtract(vec: dict, factor: Fraction, row: Mapping) -> None:
         _bump(vec, key, -factor * c)
 
 
-def express_in_span(
-    op: DiffOperator, basis: SpanBasis | Mapping[str, DiffOperator]
-) -> SpanResult:
+def express_in_span(op: DiffOperator, basis: SpanBasis) -> SpanResult:
     """Exact rational solve of op = sum(c_i * basis_i) by pattern matching.
 
-    ``basis`` is a ``SpanBasis`` or a mapping of names to operators, which
-    is eliminated for this one solve; a caller that solves against one basis
-    many times eliminates it once.  Returns every basis name's coefficient
-    with zero residual, or a result with ``in_span`` false carrying the
-    canonical remainder after eliminating the span.
+    ``basis`` is eliminated once, when it is built, so every solve against
+    it only reduces ``op``.  Returns every basis name's coefficient with
+    zero residual, or a result with ``in_span`` false carrying the canonical
+    remainder after eliminating the span.
     """
-    if not isinstance(basis, SpanBasis):
-        basis = SpanBasis(basis)
     return basis.solve(op)
 
 
@@ -943,6 +938,13 @@ def flow_spec(op_id: str) -> FlowSpec:
         raise KeyError(f"no flow catalogued for {op_id!r}") from None
 
 
+def check_flow_start(start: Mapping[str, object]) -> None:
+    """ValueError naming the ``FLOW_COORDINATES`` that ``start`` lacks, in order."""
+    missing = [v for v in FLOW_COORDINATES if v not in start]
+    if missing:
+        raise ValueError(f"flow start point lacks coordinates {', '.join(missing)}")
+
+
 def flow_check(
     spec: FlowSpec,
     start: Mapping[str, object],
@@ -958,9 +960,9 @@ def flow_check(
     ``round(|alpha_max| / h)`` (at least one) equal steps.  Raises
     SingularFlow when any catalogued denominator comes within ``margin`` of
     zero on the grid, and ValueError unless ``alpha_max`` is finite, ``h``
-    finite and positive, ``margin`` finite and non-negative and the step
-    count at most ``MAX_FLOW_STEPS`` (``flow_steps``).  The run is the
-    spec's ``rk4_run``, compiled once from its field and closed forms.
+    finite and positive, ``margin`` finite and non-negative, the step count
+    at most ``MAX_FLOW_STEPS`` (``flow_steps``) and no start value too large
+    for a float, naming it.  The run is the spec's ``rk4_run``, compiled once.
     """
     if not math.isfinite(alpha_max):
         raise ValueError(f"flow alpha must be finite, got {alpha_max!r}")
@@ -968,7 +970,12 @@ def flow_check(
         raise ValueError(f"flow step must be finite and positive, got {h!r}")
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"flow margin must be finite and non-negative, got {margin!r}")
-    s0 = {v: float(as_rational(val)) for v, val in start.items()}
+    s0 = {}
+    for v, val in start.items():
+        try:
+            s0[v] = float(as_rational(val))
+        except OverflowError:
+            raise ValueError(f"flow start coordinate {v} is too large for a float") from None
     steps = flow_steps(alpha_max, h)
     return spec.rk4_run(s0, steps, alpha_max / steps, margin)
 
@@ -993,13 +1000,11 @@ def flow_suite(
 ) -> list[dict]:
     """One row per catalogued flow; PASS needs a finite deviation <= tol.
 
-    Raises ValueError when ``start`` lacks a flow coordinate, and
-    SingularFlow, naming the flow, when a flow meets a vanishing denominator
-    or its run divides by zero or overflows.
+    Raises ValueError when ``start`` lacks a flow coordinate or holds one
+    too large for a float, and SingularFlow, naming the flow, when a flow
+    meets a vanishing denominator or its run divides by zero or overflows.
     """
-    missing = [v for v in FLOW_COORDINATES if v not in start]
-    if missing:
-        raise ValueError(f"flow start point lacks coordinates {', '.join(missing)}")
+    check_flow_start(start)
     rows = []
     for op_id in FLOW_IDS:
         spec = flow_spec(op_id)

@@ -35,6 +35,7 @@ from hypersym.identities import (
 )
 from hypersym.liealg import (
     FLOW_IDS,
+    SpanBasis,
     action_suite,
     build_catalogue,
     commutator,
@@ -160,7 +161,7 @@ def test_criterion_5_commutator_algebra():
                 ok = False
     grading = commutator(cat["psi2.I_a"], cat["psi2.E_a"])
     span = express_in_span(
-        grading, {i: cat[i] for i in family_operator_ids("psi2")}
+        grading, SpanBasis({i: cat[i] for i in family_operator_ids("psi2")})
     )
     ok = ok and span.in_span and span.coefficients["psi2.E_a"] == 1
     ok = ok and all(

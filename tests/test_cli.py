@@ -650,6 +650,36 @@ class TestVerify:
         assert r.returncode == 2
         assert r.stderr.strip() == "error: flow start point lacks coordinates z, u, t"
 
+    @pytest.fixture
+    def no_scope_may_run(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a scope ran")
+
+        for name in cli.SCOPE_RUNNERS:
+            monkeypatch.setitem(cli.SCOPE_RUNNERS, name, refuse)
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_partial_start_exits_2_before_any_scope(self, tmp_path, capsys, no_scope_may_run, via):
+        out = tmp_path / "out"
+        if via == "flag":
+            given = ["--start", "x=1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"start": "x=1"}))
+            given = ["--config", str(config)]
+        assert cli.main(["verify", "--scope", "all", *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: flow start point lacks coordinates y, z, u, t\n"
+        assert not out.exists()
+
+    def test_out_path_that_is_a_file_exits_2_before_any_scope(self, tmp_path, capsys,
+                                                               no_scope_may_run):
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = ["verify", "--scope", "all", "--mode", "both", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+        assert out.read_text() == ""
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -69,10 +69,10 @@ class TestTermRatioKernel:
     @given(TOP, BOTTOM, st.integers(min_value=0, max_value=12))
     def test_f11_series(self, a, b, order):
         p = Params1F1(a, b)
-        s = f11_series(p, order, var="t")
-        assert s.cap_map() == {"t": order}
+        s = f11_series(p, order)
+        assert s.cap_map() == {"x": order}
         for k in range(order + 1):
-            assert s.coefficient({"t": k}) == f11_formula(p, k)
+            assert s.coefficient({"x": k}) == f11_formula(p, k)
 
     @KERNEL
     @given(TOP, BOTTOM, BOTTOM, ORDER, ORDER)
@@ -102,27 +102,6 @@ class TestTermRatioKernel:
         for (m, n, l), coeff in s.terms.items():
             assert coeff == psi2_formula(p, m, n, l)
         assert f11_series(Params1F1(0, Q(1, 2)), 5) == MultiSeries.constant(1, {"x": 5})
-
-    def test_swapped_variable_names(self):
-        # x-slot (parameter b, cap 3) named y; y-slot (parameter c, cap 5) named x
-        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
-        s = psi2_series(p, 3, 5, var_x="y", var_y="x")
-        assert s.variables == ("x", "y")
-        assert s.cap_map() == {"y": 3, "x": 5}
-        for m in range(4):
-            for n in range(6):
-                assert s.coefficient({"y": m, "x": n}) == psi2_formula(p, m, n)
-
-    def test_renamed_third_variable(self):
-        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
-        s = psi2_3var_series(p, 2, 3, 4, var_z="chi")
-        assert s.variables == ("chi", "x", "y")
-        assert s.cap_map() == {"x": 2, "y": 3, "chi": 4}
-        for l in range(5):
-            for m in range(3):
-                for n in range(4):
-                    got = s.coefficient({"x": m, "y": n, "chi": l})
-                    assert got == psi2_formula(p, m, n, l)
 
 
 class TestParams:
@@ -219,7 +198,7 @@ class TestFamilyValue:
     @staticmethod
     def oracle(family, p, point, order):
         fam = hypfun.FAMILIES[family]
-        s = hypfun._horn_series(family, p, fam.coords, (order,) * len(fam.coords))
+        s = hypfun._horn_series(family, p, (order,) * len(fam.coords))
         return s.evaluate(dict(zip(fam.coords, point)))
 
     @settings(max_examples=150, deadline=None)
@@ -349,7 +328,8 @@ class TestPsi2:
         p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
         q = ParamsPsi2(p.a, p.c, p.b)
         s = psi2_series(p, 5, 4)
-        swapped = psi2_series(q, 4, 5, var_x="y", var_y="x")
+        # q's first index (bottom q.b = c, cap 4) runs on y, its second (q.c = b, cap 5) on x
+        swapped = series.horn_series(("x", "y"), (5, 4), [(q.a, [(q.c,), (q.b,)], Q(1), ())])
         assert s == swapped
 
     def test_float_partial_sums_match_exact(self):

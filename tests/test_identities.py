@@ -11,7 +11,7 @@ from hypersym.exactnum import (
     factorial,
     pochhammer,
 )
-from hypersym import hypfun, identities, series
+from hypersym import hypfun, identities, liealg, series
 from hypersym.hypfun import (
     NoConvergence,
     Params1F1,
@@ -21,7 +21,6 @@ from hypersym.hypfun import (
     f11_series,
     psi2_coeff,
     psi2_3var_eval_float,
-    psi2_3var_series,
     psi2_series,
 )
 from hypersym.identities import (
@@ -118,7 +117,7 @@ class TestCatalogue:
         rec = get_record("I-F11-SHIFT")
         p1 = Params1F1(P.a, P.b)
         lhs = lhs_series(rec, AS_STATED, p1, {"x": 0, "chi": 6})
-        base = f11_series(p1, 6, var="chi").extend({"x": 0})
+        base = series.horn_series(("chi",), (6,), [(p1.a, [(p1.b,)], Q(1), ())]).extend({"x": 0})
         assert lhs == base
 
 
@@ -412,6 +411,48 @@ class TestOneLeftSide:
                 assert value == pytest.approx(exact, rel=1e-10), (rec.rec_id, name)
 
 
+def flow_left_side(record, p, caps):
+    """mu(chi) prod_v v(chi)^(p_v) F(flowed coordinates): the closed forms of
+    the record's operator flow (``liealg.flow_spec``) on exact series, from
+    the prefactor coordinates at 1 and the family coordinates at themselves,
+    with alpha the chi series; the multiplier's float default 1.0 is the
+    series 1."""
+    fam = hypfun.FAMILIES[record.family]
+    spec = liealg.flow_spec(record.op)
+    chi = MultiSeries.variable("chi", caps)
+    one = MultiSeries.constant(1, caps)
+    prefactor = liealg._PREFACTOR_VARIABLES[record.family]
+    s0 = {**dict.fromkeys(prefactor, one),
+          **{v: MultiSeries.variable(v, caps) for v in fam.coords}}
+    flowed = {v: spec.closed[v](s0, chi) if v in spec.closed else s0[v] for v in s0}
+    mu = spec.multiplier_closed(s0, chi)
+    if isinstance(mu, float):
+        assert mu == 1.0
+        mu = one
+    for v, name in zip(prefactor, p.__match_args__):
+        mu = mu * flowed[v] ** getattr(p, name)
+    return mu * fam.compose(p, *(flowed[v] for v in fam.coords))
+
+
+class TestLeftSidesAreStatedFlows:
+    """Each as-stated left side is its operator's catalogued flow applied to
+    y^a z^b F(x) (z^a u^b t^c F(x, y)) from the prefactor coordinates at 1,
+    an independent link between ``liealg``'s flow table and the records;
+    the corrected candidates are not."""
+
+    @pytest.mark.parametrize("point", [*P_ALL, ParamsPsi2(Q(-7, 3), Q(9, 4), Q(5, 7))],
+                             ids=lambda p: f"a={p.a}")
+    @pytest.mark.parametrize("rec_id", [rec.rec_id for rec in catalogue()])
+    def test_as_stated_left_side_is_the_flow(self, rec_id, point):
+        rec = get_record(rec_id)
+        p = _family_params(rec, point)
+        caps = _caps_for(rec, 5, 6)
+        flow = flow_left_side(rec, p, caps)
+        assert lhs_series(rec, AS_STATED, p, caps) == flow
+        if rec.corrected:
+            assert lhs_series(rec, CORRECTED, p, caps) != flow
+
+
 class TestVerifyNumeric:
     def test_raise_a_spec_point(self):
         row = verify_numeric(get_record("I-F11-RAISE-A"), AS_STATED, P, 0.3, 1e-10, x=0.25)
@@ -455,10 +496,11 @@ class TestVerifyNumeric:
         value = _sum_float(EXPONENTIAL, Params1F1(P.a, P.b), 0.0, 0.0, 0.5, 1e-12)
         assert abs(value - math.exp(0.5)) <= 1e-11
 
-    def test_chi_sum_raises_at_the_term_cap(self):
+    def test_chi_sum_raises_at_the_term_cap(self, monkeypatch):
         # the terms 30^l / l! still grow at l = 20
-        with pytest.raises(NoConvergence):
-            _sum_float(EXPONENTIAL, Params1F1(P.a, P.b), 0.0, 0.0, 30.0, 1e-12, max_terms=20)
+        monkeypatch.setattr(identities, "_CHI_SUM_TERM_CAP", 20)
+        with pytest.raises(NoConvergence, match="in 20 terms"):
+            _sum_float(EXPONENTIAL, Params1F1(P.a, P.b), 0.0, 0.0, 30.0, 1e-12)
 
 
 # exp(chi I) F = exp(chi) F: weight 1/l! at every l and an unshifted member
@@ -631,7 +673,9 @@ class TestSumSide:
     def test_reduction_sum_side_is_the_triple_series(self, point):
         n, m = DEFAULT_PSI2_ORDERS
         rec = get_record("I-PSI2-REDUCTION")
-        triple = psi2_3var_series(point, m, m, n, var_z="chi")
+        # the third index, bottomless, runs on chi, which sorts before x and y
+        triple = series.horn_series(("chi", "x", "y"), (n, m, m),
+                                    [(point.a, [(), (point.b,), (point.c,)], Q(1), ())])
         assert _sum_series(rec, _weights(rec, point), {"x": m, "y": m, "chi": n}) == triple
 
     @pytest.mark.parametrize("chi", [0.1, 0.25])

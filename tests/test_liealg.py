@@ -22,6 +22,7 @@ from hypersym.liealg import (
     PrefactorMismatch,
     Realized,
     SingularFlow,
+    SpanBasis,
     action_suite,
     build_catalogue,
     catalogue,
@@ -728,28 +729,28 @@ class TestCommutator:
 class TestSpan:
     def test_basis_member(self):
         basis = {i: CAT[i] for i in family_operator_ids("psi2")}
-        res = express_in_span(CAT["psi2.E_a"], basis)
+        res = express_in_span(CAT["psi2.E_a"], SpanBasis(basis))
         assert res.in_span
         assert res.coefficients["psi2.E_a"] == 1
         assert all(v == 0 for k, v in res.coefficients.items() if k != "psi2.E_a")
 
     def test_zero_operator(self):
         basis = {i: CAT[i] for i in family_operator_ids("f11")}
-        res = express_in_span(DiffOperator.zero(), basis)
+        res = express_in_span(DiffOperator.zero(), SpanBasis(basis))
         assert res.in_span
         assert all(v == 0 for v in res.coefficients.values())
 
     def test_graded_commutator_in_span(self):
         basis = {i: CAT[i] for i in family_operator_ids("psi2")}
         c = commutator(CAT["psi2.I_a"], CAT["psi2.E_a"])
-        res = express_in_span(c, basis)
+        res = express_in_span(c, SpanBasis(basis))
         assert res.in_span
         assert res.coefficients["psi2.E_a"] == 1
         assert sum(1 for v in res.coefficients.values() if v != 0) == 1
 
     def test_reconstruction_exact(self):
         basis = {i: CAT[i] for i in family_operator_ids("f11")}
-        res = express_in_span(commutator(CAT["f11.E_a"], CAT["f11.E_a'"]), basis)
+        res = express_in_span(commutator(CAT["f11.E_a"], CAT["f11.E_a'"]), SpanBasis(basis))
         assert res.in_span
         total = DiffOperator.zero()
         for name, coeff in res.coefficients.items():
@@ -759,13 +760,13 @@ class TestSpan:
     def test_f11_family_does_not_close(self):
         # the lone escaping pair: mixed inverse monomials fall outside the span
         basis = {i: CAT[i] for i in family_operator_ids("f11")}
-        res = express_in_span(commutator(CAT["f11.E_a'"], CAT["f11.E_b'"]), basis)
+        res = express_in_span(commutator(CAT["f11.E_a'"], CAT["f11.E_b'"]), SpanBasis(basis))
         assert not res.in_span
         assert res.residual is not None and not res.residual.is_zero()
 
     def test_psi2_family_closes(self):
-        basis = {i: CAT[i] for i in family_operator_ids("psi2")}
         ids = family_operator_ids("psi2")
+        basis = SpanBasis({i: CAT[i] for i in ids})
         for a, b in itertools.combinations(ids, 2):
             res = express_in_span(commutator(CAT[a], CAT[b]), basis)
             assert res.in_span, (a, b, res.residual and res.residual.pretty())
@@ -886,7 +887,6 @@ class TestSpanBasis:
                 op = op + random_operator(rng)
             expected = ref_express_in_span(op, basis)
             assert express_in_span(op, prepared) == expected
-            assert express_in_span(op, basis) == expected
 
     def test_dependent_and_random_bases_solve_as_before(self):
         # dependent elements leave no pivot row; which coefficients a solve
@@ -1249,8 +1249,7 @@ class TestFlows:
     @pytest.mark.parametrize("start, op_id, error", [
         ({**START, "z": Q(-1, 2000)}, "f11.E_b", ZeroDivisionError),
         ({**START, "y": 10**160}, "f11.E_a", OverflowError),
-        ({**START, "x": 10**400}, "f11.E_a", OverflowError),
-    ], ids=["stage-value-on-pole", "rate-overflows", "start-overflows"])
+    ], ids=["stage-value-on-pole", "rate-overflows"])
     def test_suite_names_the_flow_whose_run_raises(self, start, op_id, error):
         # flow_check itself raises the arithmetic error, as the interpreter does
         raised = outcome(flow_check, flow_spec(op_id), start, 0.1, 1e-3)
@@ -1259,6 +1258,14 @@ class TestFlows:
             flow_suite(start)
         assert str(exc.value) == f"{op_id}: the RK4 run raised {error.__name__}: {raised[1]}"
         assert type(exc.value.__cause__) is error
+
+    def test_start_too_large_for_a_float_is_a_value_error(self):
+        start = {**START, "x": 10**400}
+        message = "flow start coordinate x is too large for a float"
+        with pytest.raises(ValueError, match=message):
+            flow_check(flow_spec("f11.E_a"), start, 0.1, 1e-3)
+        with pytest.raises(ValueError, match=message):
+            flow_suite(start)
 
     def test_suite_applies_tolerance(self):
         # a coarse step leaves deviations near 1e-5 on some flows: finite,

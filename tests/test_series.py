@@ -891,8 +891,8 @@ class TestTrustedCaps:
     def test_horn_series(self, a):
         p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
         assert_clean(f11_series(Params1F1(a, Q(4, 3)), 6))
-        assert_clean(psi2_series(p, 4, 3, var_x="y", var_y="x"))
-        assert_clean(psi2_3var_series(p, 3, 2, 2, var_z="chi"))
+        assert_clean(psi2_series(p, 4, 3))
+        assert_clean(psi2_3var_series(p, 3, 2, 2))
 
     def test_horn_series_rejects_negative_order(self):
         with pytest.raises(ValueError):

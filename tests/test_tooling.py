@@ -219,23 +219,33 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _unreferenced_definitions():
-    """``module.name`` of each module-level function, and ``module.Class.name``
-    of each method of a module-level class but the dunders, whose name no
-    code of the package reads outside the definition itself."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(Path(hypfun.__file__).parent.glob("*.py"))}
-    defined = []
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(hypfun.__file__).parent.glob("*.py"))}
+
+
+def _definitions(trees):
+    """``(module.name, node, False)`` of each module-level function, and
+    ``(module.Class.name, node, True)`` of each method of a module-level
+    class but the dunders."""
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defined.append((f"{module}.{node.name}", node))
+                yield f"{module}.{node.name}", node, False
             elif isinstance(node, ast.ClassDef):
-                defined += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
-                            if isinstance(item, ast.FunctionDef)
-                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+                yield from ((f"{module}.{node.name}.{item.name}", item, True)
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def _unreferenced_definitions():
+    """``module.name`` of each function and ``module.Class.name`` of each
+    method of ``_definitions`` whose name no code of the package reads
+    outside the definition itself."""
+    trees = _package_trees()
     reads = sum(map(_names_read, trees.values()), Counter())
-    return {name for name, fn in defined if reads[fn.name] == _names_read(fn)[fn.name]}
+    return {name for name, fn, _method in _definitions(trees)
+            if reads[fn.name] == _names_read(fn)[fn.name]}
 
 
 def _names_read(node):
@@ -262,6 +272,73 @@ def test_every_helper_is_called_traced_or_kept_for_a_reason():
     assert all(_resolves(name.replace(".", ":", 1)) for name in UNREFERENCED_ALLOWED)
 
 
+# Parameters with a default that no call in the package passes, each kept
+# for a reason.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "cli.main.argv": "the console script calls main(); the benchmark and the tests pass argv",
+    "liealg.flow_check.margin": "tests reach the compiled run's division and overflow paths "
+                                "at margin 0",
+    "identities.run_suite.records": "tests substitute records",
+    "identities.verify_numeric.x": "the evaluation point of a numeric row, whose validity "
+                                   "domain reads x",
+    "identities.verify_numeric.y": "the evaluation point of a numeric row, with x",
+}
+
+
+def _defaulted_parameters(trees):
+    """``(callee name, qualified parameter name, positional index)`` of each
+    parameter with a default of the functions and methods of
+    ``_definitions``.  The index counts the arguments a call writes, so a
+    method's ``self`` or ``cls`` is not one; it is None for a keyword-only
+    parameter."""
+    for qualified, fn, method in _definitions(trees):
+        implicit = method and not any(getattr(d, "id", None) == "staticmethod"
+                                      for d in fn.decorator_list)
+        positional = fn.args.posonlyargs + fn.args.args
+        for index in range(len(positional) - len(fn.args.defaults), len(positional)):
+            yield fn.name, f"{qualified}.{positional[index].arg}", index - implicit
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, f"{qualified}.{arg.arg}", None
+
+
+def _passes(call, name, index):
+    """Whether ``call`` passes the parameter ``name`` at positional ``index``:
+    by position, by keyword, or through ``*`` or ``**``."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def _unpassed_defaults():
+    """The qualified names of the defaulted parameters no call passes."""
+    trees = _package_trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    return {qualified for callee, qualified, index in _defaulted_parameters(trees)
+            if not any(_passes(call, qualified.rpartition(".")[2], index)
+                       for call in calls.get(callee, ()))}
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
+    """A parameter with a default that no call in the package passes is a
+    setting only tests set; each such one is on the list.
+
+    A call counts when its callee's name is the function's, whatever it is
+    called on, as ``_names_read`` matches names.  So a call of another
+    function or method of the same name (``Family.evaluate`` and
+    ``MultiSeries.evaluate``, say) that passes as many positional arguments,
+    the keyword, ``*`` or ``**`` hides an unpassed parameter."""
+    unpassed = _unpassed_defaults()
+    assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == []
+    assert set(UNPASSED_DEFAULTS_ALLOWED) <= unpassed
+
+
 def _verify_options():
     return cli.COMMANDS["verify"][2]
 
@@ -269,7 +346,7 @@ def _verify_options():
 def test_every_config_field_is_one_verify_option():
     # --scope picks the runners and --config names the file; every other
     # option sets the RunConfig field of its name, and no two set the same
-    dests = [cli._dest(flag, keywords) for flag, keywords in _verify_options().items()]
+    dests = [cli._dest(flag) for flag in _verify_options()]
     dests = [dest for dest in dests if dest not in ("scope", "config")]
     assert len(dests) == len(set(dests))
     assert sorted(dests) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
@@ -296,7 +373,7 @@ def test_built_parser_is_the_option_table():
                                     else argparse._StoreAction), flag
             assert (action.dest, action.type, action.default, action.choices,
                     action.required, action.help) == (
-                cli._dest(flag, keywords), keywords.get("type"),
+                cli._dest(flag), keywords.get("type"),
                 keywords.get("default", False if store_true else None),
                 keywords.get("choices"), keywords.get("required", False),
                 keywords.get("help")), flag
@@ -305,7 +382,7 @@ def test_built_parser_is_the_option_table():
 # The ``add_argument`` keywords and values the direct parse reads; an option
 # that needs any other (``nargs``, ``append``, a ``type`` that raises other
 # than ValueError) must be taught to it first.
-DIRECT_KEYWORDS = {"dest", "type", "default", "choices", "required", "action", "help"}
+DIRECT_KEYWORDS = {"type", "default", "choices", "required", "action", "help"}
 
 
 def test_every_option_is_one_the_direct_parse_reads():
