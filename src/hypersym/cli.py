@@ -26,7 +26,9 @@ value, exits 2.
 Exit codes: 0 success, 1 verification failure / no convergence, 2 usage or
 configuration error, including a ``--config`` path that cannot be read
 (the empty one too), a non-finite tolerance, alpha or step, an action or
-recursion order below 1, an ``eval`` option the family does not take or
+recursion order below 1, a ``--chi`` value that is not finite or, when
+numeric identity rows run, lies outside a record's validity domain at the
+evaluation point, an ``eval`` option the family does not take or
 leaves out, ``eval --exact`` with ``--float``, an ``eval --float``
 coordinate that is not finite or ``--term-cap`` below 1, a ``--start``
 point that lacks a flow coordinate, a ``--start`` value or a float-mode
@@ -59,6 +61,7 @@ from .identities import (
     DEFAULT_PARAM_POINTS,
     DEFAULT_PSI2_ORDERS,
     catalogue as identity_catalogue,
+    check_domain,
     invariant_ok,
     report_to_json,
     report_to_markdown,
@@ -132,9 +135,13 @@ class RunConfig:
 
     def chi_grid(self) -> tuple[float, ...]:
         try:
-            return tuple(float(v) for v in self.chi.split(","))
+            grid = tuple(float(v) for v in self.chi.split(","))
         except ValueError:
             raise ValueError(f"--chi needs comma-separated numbers, got {self.chi!r}") from None
+        for chi in grid:
+            if not math.isfinite(chi):
+                raise ValueError(f"chi must be finite, got {chi!r}")
+        return grid
 
     def start_point(self) -> dict[str, Fraction]:
         point = {}
@@ -336,8 +343,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     the error text, and the error is raised again.
     """
     cfg = _config_from(args)
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
     scope = args.scope
+    if scope in ("identities", "all") and cfg.mode != "formal":
+        grid = cfg.chi_grid()
+        for record in identity_catalogue():
+            for chi in grid:
+                check_domain(record, chi)
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
     all_ok = True
     payload: dict = {"engine_version": __version__, "scope": scope, "scopes": {}}
     md_parts = [f"# Verification report: {scope}\n"]

@@ -410,6 +410,8 @@ class TestVerify:
         ("--step", "inf"),
         ("--step", "nan"),
         ("--tol", "nan"),
+        ("--chi", "nan"),
+        ("--chi", "inf"),
     ])
     def test_non_finite_setting_exits_2_before_any_scope(self, tmp_path, flag, value):
         out = tmp_path / "out"
@@ -670,6 +672,35 @@ class TestVerify:
         assert cli.main(["verify", "--scope", "all", *given, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: flow start point lacks coordinates y, z, u, t\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("mode, chi, error", [
+        ("both", "1", "I-F11-RAISE-A: chi=1.0 outside validity domain (|chi| < 1)"),
+        ("numeric", "0.1,-1.5", "I-F11-RAISE-A: chi=-1.5 outside validity domain (|chi| < 1)"),
+        ("numeric", "0.1,inf", "chi must be finite, got inf"),
+        ("formal", "nan", "chi must be finite, got nan"),
+    ], ids=["outside", "negative", "inf", "nan-formal"])
+    def test_bad_chi_grid_exits_2_before_any_scope(self, tmp_path, capsys, no_scope_may_run,
+                                                    via, mode, chi, error):
+        # the domain is checked in catalogue order, then grid order, where
+        # numeric identity rows run
+        out = tmp_path / "out"
+        if via == "flag":
+            given = ["--mode", mode, f"--chi={chi}"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"chi": chi, "mode": mode}))
+            given = ["--config", str(config)]
+        assert cli.main(["verify", "--scope", "all", *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scope, mode", [("identities", "formal"), ("actions", "both")])
+    def test_chi_outside_a_domain_is_no_error_without_numeric_identity_rows(self, tmp_path,
+                                                                           scope, mode):
+        argv = ["verify", "--scope", scope, "--mode", mode, "--chi", "1",
+                "--points", "1/2,4/3,5/7", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
 
     def test_out_path_that_is_a_file_exits_2_before_any_scope(self, tmp_path, capsys,
                                                                no_scope_may_run):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersym import hypfun, series
+from hypersym import hypfun, identities, series
 from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
 from hypersym.hypfun import (
     NoConvergence,
@@ -734,6 +734,23 @@ class TestFloatAgainstMpmath:
         with mpmath.workdps(30):
             ref = mpmath.hyp1f1(_mp(a), _mp(b), -40)
         assert _close(value, ref)
+
+    # The two tail defects below stop a sum after two small terms, with no
+    # bound on the tail, where the term ratio tends to rho: about
+    # term * rho / (1 - rho) is left out.
+    @pytest.mark.xfail(strict=True, reason="the triple sum drops its tail at z = 0.9")
+    def test_psi2_3var_tail_near_the_radius(self):
+        # at x = y = 0 the triple sum is (1 - z)^(-a); rho = z
+        value = psi2_3var_eval_float(ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7)), 0.0, 0.0, 0.9, 1e-10)
+        assert _close(value, 0.1 ** -0.5, 1e-10), value
+
+    @pytest.mark.xfail(strict=True, reason="the chi-sum drops its tail at chi = 0.5")
+    def test_chi_sum_tail(self):
+        # the left side is within 4e-11 of mpmath's 1.9298888333590252; rho = chi
+        row = identities.verify_numeric(identities.get_record("I-F11-LOWER-A"),
+                                        identities.CORRECTED,
+                                        ParamsPsi2(Q(3, 2), Q(7, 3), Q(11, 6)), 0.5, 1e-8)
+        assert row["status"] == "verified", row
 
 
 class TestRecursions:

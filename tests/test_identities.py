@@ -283,16 +283,32 @@ class TestWitnessProbe:
         assert row["status"] == "mismatch" and row["witness"]["monomial"] == "chi^1*x^0"
         assert built == [{"chi": 1, "x": 1}]
 
-    def test_verified_rows_build_the_probe_and_the_full_box(self, monkeypatch):
+    @pytest.mark.parametrize("rec_id, variant, caps", [
+        ("I-PSI2-SHIFT-X", AS_STATED, {"chi": 4, "x": 6, "y": 6}),
+        ("I-F11-RAISE-A", AS_STATED, {"chi": 4, "x": 6}),
+        ("I-F11-LOWER-A", CORRECTED, {"chi": 4, "x": 6}),
+    ])
+    def test_rows_the_invariant_cannot_excuse_build_one_full_box(self, rec_id, variant, caps,
+                                                                  monkeypatch):
         built = self._built_caps(monkeypatch)
-        verify_formal(get_record("I-PSI2-SHIFT-X"), AS_STATED, P, 4, 6)
-        assert built == [{"chi": 1, "x": 1, "y": 1}, {"chi": 4, "x": 6, "y": 6}]
+        row = verify_formal(get_record(rec_id), variant, P, 4, 6)
+        assert row["status"] == "verified"
+        assert built == [caps]
 
     @pytest.mark.parametrize("orders", [(1, 1), (0, 1), (0, 0)])
     def test_probe_that_is_the_full_box_is_built_once(self, orders, monkeypatch):
         built = self._built_caps(monkeypatch)
-        verify_formal(get_record("I-PSI2-SHIFT-X"), AS_STATED, P, *orders)
+        verify_formal(get_record("I-F11-LOWER-B"), AS_STATED, P, *orders)
         assert len(built) == 1
+
+    def test_mismatch_without_a_corrected_candidate_comes_from_the_full_box(self, monkeypatch):
+        # no corrected candidate can excuse the row, so it builds no probe
+        stripped = dataclasses.replace(get_record("I-F11-LOWER-B"), corrected=None)
+        built = self._built_caps(monkeypatch)
+        row = verify_formal(stripped, AS_STATED, P, 6, 12)
+        assert built == [{"chi": 6, "x": 12}]
+        assert row == ref_verify_formal(stripped, AS_STATED, P, 6, 12)
+        assert row["witness"]["monomial"] == "chi^1*x^0"
 
     def test_witness_past_the_probe_comes_from_the_full_box(self, monkeypatch):
         # a cap of 0 leaves the probe only degree 0 to decide; the chi^1
@@ -722,6 +738,16 @@ class TestRunSuite:
         assert not invariant_ok(report)
         assert report["summary"]["unresolved_failures"] == 1
 
+    def test_mismatched_corrected_candidate_fails_suite(self):
+        # the as-stated form verifies; a wrong candidate is still a failure
+        rec = dataclasses.replace(get_record("I-F11-SHIFT"),
+                                  corrected=lambda F, exp, p, x, y, chi: F(x + chi + chi))
+        report = run_suite(records=[rec], param_points=[P])
+        assert [(r["variant"], r["status"]) for r in report["rows"]] == \
+            [(AS_STATED, "verified"), (CORRECTED, "mismatch")]
+        assert report["summary"]["unresolved_failures"] == 1
+        assert not invariant_ok(report)
+
     def test_given_records_are_the_ones_verified(self):
         # a record handed to run_suite is checked as given, not looked up by id
         rec = get_record("I-F11-SHIFT")
@@ -913,7 +939,7 @@ class TestSuiteKeepsWalks:
         monkeypatch.setattr(series, "_kept", asking)
         monkeypatch.setattr(series, "_horn_numerators", walking)
         run_suite(mode="formal", orders={"f11": (8, 16), "psi2": (5, 8)})
-        assert (len(asked), len(set(asked)), len(walked)) == (165, 66, 66)
+        assert (len(asked), len(set(asked)), len(walked)) == (96, 46, 46)
 
 
 class TestReportSerialization:
