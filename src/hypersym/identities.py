@@ -67,9 +67,8 @@ from .hypfun import (
 from .liealg import ACTION_RULES
 from .series import (
     MultiSeries,
+    Mismatch,
     _kept,
-    _layout,
-    _least_mismatch,
     _shared_work,
     exp_series,
     first_mismatch,
@@ -405,11 +404,10 @@ def _caps_for(record: IdentityRecord, n_order: int, m_order: int) -> dict[str, i
     return {"chi": n_order, **dict.fromkeys(FAMILIES[record.family].coords, m_order)}
 
 
-def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
-    """The witness of ``series.first_mismatch``: the graded-lex least
-    monomial where the sides differ and both coefficients there, or None."""
-    found = first_mismatch(lhs, rhs)
-    return None if found is None else dict(zip(("monomial", "lhs", "rhs"), map(str, found)))
+def _witness(found: Mismatch | None) -> dict | None:
+    """A row's witness of a ``series.first_mismatch`` result, or None."""
+    return None if found is None else {"monomial": found.monomial, "lhs": str(found.lhs),
+                                       "rhs": str(found.rhs)}
 
 
 def _lhs(record: IdentityRecord, variant: str) -> Callable[..., object]:
@@ -466,16 +464,18 @@ def verify_formal(
     p = FAMILIES[record.family].narrow(params)
     caps = _caps_for(record, n_order, m_order)
     weights = list(itertools.islice(_weights(record, p), n_order + 1))
-    sides = None
+
+    def compare(box: dict[str, int]) -> Mismatch | None:
+        return first_mismatch(lhs_series(record, variant, p, box), _sum_series(record, weights, box))
+
     if variant == AS_STATED and record.corrected is not None:
         probe = {v: min(1, cap) for v, cap in caps.items()}
-        lhs, rhs = lhs_series(record, variant, p, probe), _sum_series(record, weights, probe)
-        key = _least_mismatch(lhs, rhs)
-        if probe == caps or key is not None and sum(_layout(lhs.caps)[key]) <= min(probe.values()):
-            sides = lhs, rhs
-    if sides is None:
-        sides = lhs_series(record, variant, p, caps), _sum_series(record, weights, caps)
-    witness = _first_mismatch(*sides)
+        found = compare(probe)
+        if not (probe == caps or found is not None and found.degree <= min(probe.values())):
+            found = compare(caps)
+    else:
+        found = compare(caps)
+    witness = _witness(found)
     return {
         "id": record.rec_id,
         "variant": variant,

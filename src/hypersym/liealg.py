@@ -425,9 +425,8 @@ def verify_action(op_id: str, params, order: int) -> dict:
         row["status"] = "PASS"
         row["witness"] = None
     else:
-        mono, lhs_coeff, rhs_coeff = found
         row["status"] = "FAIL"
-        row["witness"] = {"monomial": mono, "difference": str(lhs_coeff - rhs_coeff)}
+        row["witness"] = {"monomial": found.monomial, "difference": str(found.lhs - found.rhs)}
     return row
 
 
@@ -504,21 +503,21 @@ class FlowSpec:
 
         The grid check is read from the closed forms themselves: each of
         ``denominators``, ``multiplier_closed`` and ``closed`` is called once
-        on a traced start point and alpha, which turn ``+ - * /`` and unary
-        ``-`` into parenthesised source text in Python's evaluation order
-        (``s0["v"]`` a start value, int and float constants by ``repr``, an
-        int that is a float exactly as that float).  Any other operand or
-        operation raises TypeError naming the flow.  At each grid point
-        every denominator is checked in order, raising SingularFlow within
-        ``margin`` of 0; then the multiplier's deviation and each closed
-        form's, in ``closed``'s order, are folded into the point's deviation
-        as ``max`` would.  A subexpression that the check reaches twice is
-        computed where it is first reached and bound there with ``:=``, so
-        the order of operations, and the exception a pole raises, stay.  A
-        subexpression free of alpha is computed at alpha = 0 and read inside
-        the loop; a denominator free of alpha is checked only at alpha = 0,
-        and the deviation of a slot that never moves (mu without terms) from
-        a closed form free of alpha is the one found there.
+        on a traced start point and alpha, which record each ``+ - * /`` and
+        unary ``-`` (``s0["v"]`` a start value, int and float constants by
+        ``repr``, an int that is a float exactly as that float); any other
+        operand or operation raises TypeError naming the flow.  At each grid
+        point every denominator is checked in order, raising SingularFlow
+        within ``margin`` of 0; then the multiplier's deviation and each
+        closed form's, in ``closed``'s order, are folded into the point's
+        deviation as ``max`` would.  Each subexpression, interned by its
+        text, is one local, assigned on its own line where the check first
+        reaches it, after its operands: Python's own evaluation order, so
+        the exception a pole raises stays.  The check at alpha = 0 reaches
+        every subexpression, so one free of alpha keeps that value in the
+        loop; a denominator free of alpha is checked only at alpha = 0, and
+        the deviation of a slot that never moves (mu without terms) from a
+        closed form free of alpha is the one found there.
 
         Each float operation that runs is one of a term-by-term RK4 and of
         calling the closed forms at each grid point, on the same operands
@@ -537,11 +536,11 @@ def _constant_text(value: int | float) -> str:
 
 
 class _Traced:
-    """A float of a closed form, standing for its source text.  Start values,
-    ``alpha`` and int or float constants are leaves; every other value is
-    interned by its text in its ``_TracedStart``, so a subexpression that
-    a closed form writes again, or that several closed forms share, is one
-    node.  ``alpha`` says whether the value reads alpha; ``symbol`` and
+    """A float of a closed form, standing for the text that reads it.  Start
+    values, ``alpha`` and int or float constants are leaves; every other
+    value is interned by its operation's text in its ``_TracedStart`` and
+    read as a local, so a subexpression that a closed form writes again,
+    or that several closed forms share, is one node.  ``alpha`` says whether the value reads alpha; ``symbol`` and
     ``args`` are its operator and operands (none for a leaf)."""
 
     __slots__ = ("start", "text", "alpha", "symbol", "args")
@@ -584,7 +583,7 @@ class _Traced:
 class _TracedStart:
     """The start point of a traced closed form: ``s0["v"]`` is the local
     ``p<j>``, read once from the run's start point.  ``nodes`` holds every
-    interned subexpression by its text, in the order first built."""
+    interned subexpression by its operation's text; the n-th is ``t<n>``."""
 
     def __init__(self):
         self.reads: dict[str, str] = {}
@@ -599,13 +598,13 @@ class _TracedStart:
         node = self.nodes.get(text)
         if node is None:
             alpha = any(a.alpha for a in args)
-            node = self.nodes[text] = _Traced(self, text, alpha, symbol, args)
+            node = self.nodes[text] = _Traced(self, f"t{len(self.nodes)}", alpha, symbol, args)
         return node
 
 
 def _op_text(symbol: str, operands: list[str]) -> str:
-    """``(a symbol b)``, or ``(-a)`` of one operand."""
-    return f"({operands[0]} {symbol} {operands[1]})" if len(operands) == 2 else f"(-{operands[0]})"
+    """``a symbol b``, or ``-a`` of one operand."""
+    return f"{operands[0]} {symbol} {operands[1]}" if len(operands) == 2 else f"-{operands[0]}"
 
 
 def _compile_rk4_run(spec: FlowSpec):
@@ -674,54 +673,26 @@ def _rk4_source(spec: FlowSpec) -> str:
     # the deviation of a slot that never moves from a closed form free of alpha
     constant = {i for i, form in devs if i not in moving and not form.alpha}
 
-    def reached(roots: list[_Traced], in_loop: bool) -> dict[str, int]:
-        """How often each interned node is reached when ``roots`` are
-        evaluated in order, each node computed only where first reached; in
-        the loop a node free of alpha is read, never computed."""
-        count: dict[str, int] = {}
-
-        def visit(node: _Traced) -> None:
-            if node.args:
-                count[node.text] = count.get(node.text, 0) + 1
-                if count[node.text] == 1 and (node.alpha or not in_loop):
-                    for arg in node.args:
-                        visit(arg)
-
-        for root in roots:
-            visit(root)
-        return count
-
-    at_zero = reached(dens + [form for _, form in devs], False)
-    in_loop = reached([d for d in dens if d.alpha]
-                      + [form for i, form in devs if i not in constant], True)
-    shared = ({t for t, n in at_zero.items() if n > 1}
-              | {t for t, n in in_loop.items() if n > 1 or not start.nodes[t].alpha})
-    local = {t: f"t{n}" for n, t in enumerate(t for t in start.nodes if t in shared)}
-
     def grid_check(loop: bool) -> list[str]:
-        bound: set[str] = set()
+        lines: list[str] = []
+        assigned: set[str] = set()
 
-        def render(node: _Traced) -> str:
-            if not node.args:
-                return node.text
-            if node.text in bound or (loop and not node.alpha):
-                return local[node.text]
-            text = _op_text(node.symbol, [render(arg) for arg in node.args])
-            if node.text not in local:
-                return text
-            bound.add(node.text)
-            return f"({local[node.text]} := {text})"
+        def emit(node: _Traced) -> str:
+            if node.args and node.text not in assigned and (node.alpha or not loop):
+                operands = [emit(arg) for arg in node.args]
+                assigned.add(node.text)
+                lines.append(f"{node.text} = {_op_text(node.symbol, operands)}")
+            return node.text
 
-        lines = []
         for den in dens:
             if den.alpha or not loop:
-                lines += [f"if abs({render(den)}) < margin:",
+                lines += [f"if abs({emit(den)}) < margin:",
                           '    raise SingularFlow(f"{op_id}: denominator within margin at alpha={alpha}")']
         for n, (i, form) in enumerate(devs):
             if i not in constant:
-                value = f"abs(s{i} - {render(form)})"
+                value = f"abs(s{i} - {emit(form)})"
             else:
-                value = f"dev{i}" if loop else f"(dev{i} := abs(s{i} - {render(form)}))"
+                value = f"dev{i}" if loop else f"(dev{i} := abs(s{i} - {emit(form)}))"
             lines += [f"dev = {value}"] if n == 0 else [f"e = {value}", "if e > dev:", "    dev = e"]
         return lines
 

@@ -6,9 +6,10 @@ the represented function, and anything beyond a cap has been discarded.
 Ring operations (add, mul, integer/rational powers) preserve exactness at
 the caps; only :meth:`MultiSeries.derivative` genuinely loses the top order
 of the differentiated variable and therefore reduces its cap by one, which
-a variable cut at order 0 cannot give up.  A number on the left of ``+`` or
-``-`` is a constant series, ``s / t`` is ``s * pow_rational(t, -1)`` (so t
-needs constant term 1) and ``s ** g`` is ``pow_rational(s, g)``, so a
+a variable cut at order 0 cannot give up.  A rational number on either side
+of ``+ - * /`` is a constant series (a float raises TypeError), ``s / t`` is
+``s * pow_rational(t, -1)`` (so t needs constant term 1) and ``s ** g`` is
+``s.pow_int(g)`` for an int g >= 0, else ``pow_rational(s, g)``, so a
 closed form such as ``(1 - chi) ** -a * F(x / (1 - chi))`` reads the same
 on series as on floats.
 
@@ -94,7 +95,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .exactnum import Q, as_rational, is_nonpositive_integer
 
@@ -429,22 +430,26 @@ class MultiSeries:
                 del out[k]
         return self._with(d, out)
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        return self._combine(other, False)
+    def _series(self, other) -> "MultiSeries":
+        """``other`` if a series, else the constant series of a number."""
+        return other if isinstance(other, MultiSeries) else MultiSeries.constant(other, self.cap_map())
+
+    def __add__(self, other) -> "MultiSeries":
+        return self._combine(self._series(other), False)
 
     def __neg__(self) -> "MultiSeries":
         return MultiSeries._trusted(
             self.variables, self.caps, self.den, {k: -v for k, v in self.nums.items()}
         )
 
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self._combine(other, True)
+    def __sub__(self, other) -> "MultiSeries":
+        return self._combine(self._series(other), True)
 
     def __radd__(self, k) -> "MultiSeries":
-        return MultiSeries.constant(k, self.cap_map()) + self
+        return self._series(k) + self
 
     def __rsub__(self, k) -> "MultiSeries":
-        return MultiSeries.constant(k, self.cap_map()) - self
+        return self._series(k) - self
 
     def scale(self, k) -> "MultiSeries":
         """k times the series; at k = 1 the series itself (series are values)."""
@@ -456,24 +461,36 @@ class MultiSeries:
         p = k.numerator
         return self._with(self.den * k.denominator, {e: v * p for e, v in self.nums.items()})
 
-    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
+    def __mul__(self, other) -> "MultiSeries":
         """Truncated Cauchy product of the numerators over the product of the
-        denominators.
+        denominators; a number ``scale``s.
 
         ``_cauchy`` accumulates the pair products as integers on packed keys,
         skipping a pair whose packed sum sets a guard bit, that is, has an
         exponent past its cap; the result is reduced by its content once.
         """
+        if not isinstance(other, MultiSeries):
+            return self.scale(other)
         self._check_compatible(other)
         layout = _layout(self.caps)
         product = _cauchy(self.nums, other.nums, layout.guard, layout.offset)
         return self._with(self.den * other.den, product)
 
-    def __truediv__(self, other: "MultiSeries") -> "MultiSeries":
-        """self / other for a divisor with constant term 1."""
+    def __rmul__(self, k) -> "MultiSeries":
+        return self.scale(k)
+
+    def __truediv__(self, other) -> "MultiSeries":
+        """self / other for a divisor with constant term 1, or by a number."""
+        if not isinstance(other, MultiSeries):
+            return self.scale(1 / as_rational(other))
         return self * pow_rational(other, -1)
 
+    def __rtruediv__(self, k) -> "MultiSeries":
+        return pow_rational(self, -1).scale(k)
+
     def __pow__(self, gamma) -> "MultiSeries":
+        if isinstance(gamma, int) and gamma >= 0:
+            return self.pow_int(gamma)
         return pow_rational(self, gamma)
 
     def pow_int(self, n: int) -> "MultiSeries":
@@ -926,31 +943,35 @@ def _power_sum(
     return out
 
 
-def first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> tuple[str, Fraction, Fraction] | None:
+class Mismatch(NamedTuple):
+    """The witness of ``first_mismatch``."""
+
+    monomial: str
+    lhs: Fraction
+    rhs: Fraction
+    degree: int
+
+
+def first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> Mismatch | None:
     """The graded-lex least monomial where two series differ, or None.
 
-    Returns the monomial as text (``chi^1*x^0``, or ``1`` without variables)
-    and the two coefficients there.  Equal series have equal stored forms,
-    so those are compared first; otherwise the numerators are compared
-    crosswise over the two denominators, and no difference series is
-    formed.  Raises CapMismatch when their variables or caps differ.
+    Returns the monomial as text (``chi^1*x^0``, or ``1`` without
+    variables), the two coefficients there and its total degree.  Equal
+    series have equal stored forms, so those are compared first; otherwise
+    the numerators are compared crosswise over the two denominators, and no
+    difference series is formed.  Raises CapMismatch when their variables
+    or caps differ.
     """
-    key = _least_mismatch(lhs, rhs)
-    if key is None:
-        return None
-    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, _layout(lhs.caps)[key])) or "1"
-    return mono, Fraction(lhs.nums.get(key, 0), lhs.den), Fraction(rhs.nums.get(key, 0), rhs.den)
-
-
-def _least_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> int | None:
-    """The packed key of ``first_mismatch``'s monomial, or None."""
     lhs._check_compatible(rhs)
     a, b, da, db = lhs.nums, rhs.nums, lhs.den, rhs.den
     if da == db and a == b:
         return None
     layout = _layout(lhs.caps)
-    return min((k for k in a.keys() | b.keys() if a.get(k, 0) * db != b.get(k, 0) * da),
-               key=lambda k: (sum(layout[k]), layout[k]))
+    key = min((k for k in a.keys() | b.keys() if a.get(k, 0) * db != b.get(k, 0) * da),
+              key=lambda k: (sum(layout[k]), layout[k]))
+    exps = layout[key]
+    mono = "*".join(f"{v}^{e}" for v, e in zip(lhs.variables, exps)) or "1"
+    return Mismatch(mono, Fraction(a.get(key, 0), da), Fraction(b.get(key, 0), db), sum(exps))
 
 
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:

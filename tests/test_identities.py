@@ -33,10 +33,10 @@ from hypersym.identities import (
     DomainViolation,
     IdentityRecord,
     _caps_for,
-    _first_mismatch,
     _sum_float,
     _sum_series,
     _weights,
+    _witness,
     catalogue,
     default_param_points,
     get_record,
@@ -51,7 +51,7 @@ from hypersym.identities import (
     verify_numeric,
 )
 from hypersym.liealg import ACTION_RULES, ActionRule, catalogue as operator_catalogue
-from hypersym.series import CapMismatch, MultiSeries
+from hypersym.series import CapMismatch, MultiSeries, first_mismatch
 
 P = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
 P_ALL = default_param_points()
@@ -186,6 +186,11 @@ class TestVerifyFormal:
     def test_negative_orders_rejected(self):
         with pytest.raises(CapUnderflow):
             verify_formal(get_record("I-F11-RAISE-A"), AS_STATED, P, -1, 6)
+
+
+def _first_mismatch(lhs, rhs):
+    """The witness a row reports for two sides."""
+    return _witness(first_mismatch(lhs, rhs))
 
 
 def ref_verify_formal(record, variant, params, n_order, m_order):
@@ -368,6 +373,12 @@ class TestFirstMismatch:
     def test_constant_monomial_reads_one(self):
         lhs, rhs = MultiSeries({}, {(): Q(2)}), MultiSeries({}, {(): Q(3)})
         assert _first_mismatch(lhs, rhs) == {"monomial": "1", "lhs": "2", "rhs": "3"}
+
+    def test_degree_is_the_witness_total_degree(self):
+        found = first_mismatch(self.series({(2, 3): Q(1)}), self.series({(0, 3): Q(-1)}))
+        assert (found.monomial, found.degree) == ("chi^0*x^3", 3)
+        lhs, rhs = MultiSeries({}, {(): Q(2)}), MultiSeries({}, {(): Q(3)})
+        assert first_mismatch(lhs, rhs) == ("1", Q(2), Q(3), 0)
 
 
 class TestTaylorOracle:

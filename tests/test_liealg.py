@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import itertools
 import json
@@ -1378,10 +1379,23 @@ class TestFlowPinned:
         assert {row["flow"]: repr(row["max_deviation"]) for row in rows} == self.PINNED[h]
 
 
+# x' = x**2, whose closed form and guards share the product x y, free of
+# alpha, and have a guard free of alpha: none of the ten flows has either
+ALPHA_FREE = liealg.FlowSpec(
+    "test.alpha-free", DiffOperator.term(1, {"x": 2}, "x"),
+    closed={"x": lambda s0, a: s0["x"] * s0["y"] / (s0["y"] - a * (s0["x"] * s0["y"]))},
+    denominators=(lambda s0, a: s0["x"] * s0["y"], lambda s0, a: 1 - a * s0["x"]))
+SOURCES = [*FLOW_IDS, ALPHA_FREE.op_id]
+
+
+def _spec(op_id):
+    return ALPHA_FREE if op_id == ALPHA_FREE.op_id else flow_spec(op_id)
+
+
 def _flow_source(op_id):
     """The generated run of a flow, parsed: the statements of the alpha = 0
     check, the loop's RK4 step and the loop's grid check."""
-    run = ast.parse(liealg._rk4_source(flow_spec(op_id))).body[0]
+    run = ast.parse(liealg._rk4_source(_spec(op_id))).body[0]
     body = [ast.unparse(stmt) for stmt in run.body]
     loop = run.body[-2]
     assert isinstance(loop, ast.For)
@@ -1395,6 +1409,10 @@ def _names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _stored(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
 def _operations(stmts):
     return [n for stmt in stmts for n in ast.walk(stmt) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
 
@@ -1403,41 +1421,77 @@ class TestFlowSource:
     """The generated source computes each float of a step and a grid point
     once: read with ``ast``, flow by flow."""
 
-    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    @pytest.mark.parametrize("op_id", SOURCES)
     def test_no_subexpression_is_evaluated_twice_per_grid_point(self, op_id):
         _, at_zero, _, check = _flow_source(op_id)
         for stmts in (at_zero, check):
             texts = [ast.dump(op) for op in _operations(stmts)]
             assert len(texts) == len(set(texts)), ast.unparse(stmts)
 
-    @pytest.mark.parametrize("op_id", FLOW_IDS)
+    @pytest.mark.parametrize("op_id", SOURCES)
     def test_the_loop_recomputes_nothing_free_of_alpha(self, op_id):
-        # moving values: alpha, the state and the locals bound from them
+        # moving values: alpha, the state and the locals assigned from them
         _, _, _, check = _flow_source(op_id)
-        moving = {"alpha"} | {f"s{i}" for i in range(len(flow_spec(op_id).coords) + 1)}
+        moving = {"alpha"} | {f"s{i}" for i in range(len(_spec(op_id).coords) + 1)}
         for stmt in check:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.NamedExpr) and _names(node.value) & moving:
-                    moving.add(node.target.id)
+                if isinstance(node, (ast.Assign, ast.NamedExpr)) and _names(node.value) & moving:
+                    moving |= _stored(node)
         for op in _operations(check):
             assert _names(op) & moving, ast.unparse(op)
         for stmt in check:
             if isinstance(stmt, ast.If) and "margin" in _names(stmt.test):
                 assert _names(stmt.test) & moving, ast.unparse(stmt.test)
 
-    def test_shared_subexpressions_are_bound_where_first_evaluated(self):
+    def test_subexpressions_are_assigned_where_first_evaluated(self):
         # 1 - alpha * y is a denominator and both closed forms' divisor
         _, at_zero, _, check = _flow_source("f11.E_a")
         for stmts in (at_zero, check):
             source = "\n".join(ast.unparse(stmt) for stmt in stmts)
-            assert source.startswith("if abs((t0 := (1.0 - alpha * p0))) < margin:")
-            assert "s1 - p0 / t0" in source and "s0 - p1 / t0" in source
+            assert source.startswith("t0 = alpha * p0\nt1 = 1.0 - t0\nif abs(t1) < margin:")
+            assert "t2 = p0 / t1\ne = abs(s1 - t2)" in source
+            assert "t3 = p1 / t1\ne = abs(s0 - t3)" in source
         # y is a start value, so the denominator y of f11.E_b is checked at 0 only
         _, at_zero, _, check = _flow_source("f11.E_b")
         checked = [[ast.unparse(s.test) for s in stmts if isinstance(s, ast.If)][:2]
                    for stmts in (at_zero, check)]
-        assert checked == [["abs((t0 := (p0 + alpha))) < margin", "abs(p0) < margin"],
-                           ["abs((t0 := (p0 + alpha))) < margin", "e > dev"]]
+        assert checked == [["abs(t0) < margin", "abs(p0) < margin"], ["abs(t0) < margin", "e > dev"]]
+        assert [ast.unparse(stmts[0]) for stmts in (at_zero, check)] == ["t0 = p0 + alpha"] * 2
+
+    @pytest.mark.parametrize("op_id", SOURCES)
+    def test_the_loop_reads_only_names_bound_before_it_or_earlier_in_the_step(self, op_id):
+        # a local read before it is bound would raise UnboundLocalError; the
+        # only other names are builtins and those the run is compiled with
+        run, _, _, _ = _flow_source(op_id)
+        params = {a.arg for a in run.args.args}
+        known = set(vars(builtins)) | {"SingularFlow", "op_id", "inf", "nan"}
+
+        def unbound(stmts, bound):
+            missing = []
+            for stmt in stmts:
+                if isinstance(stmt, ast.For):
+                    missing += unbound(stmt.body, bound | _stored(stmt.target))
+                    continue
+                reads = {n.id for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                if isinstance(stmt, ast.AugAssign):
+                    reads.add(stmt.target.id)
+                missing += sorted(reads - bound - known)
+                # only the test of an ``if`` runs every time
+                bound = bound | _stored(stmt.test if isinstance(stmt, ast.If) else stmt)
+            return missing
+
+        assert unbound(run.body, params) == []
+
+    def test_a_subexpression_free_of_alpha_is_assigned_at_alpha_zero_only(self):
+        _, at_zero, _, check = _flow_source(ALPHA_FREE.op_id)
+        assert [ast.unparse(at_zero[0]), ast.unparse(at_zero[1].test)] == [
+            "t0 = p0 * p1", "abs(t0) < margin"]
+        assert "t0" not in set().union(*map(_stored, check))
+        assert "e = abs(s0 - t5)" in [ast.unparse(s) for s in check]
+        for alpha in (0.1, 2.0):
+            assert outcome(flow_check, ALPHA_FREE, START, alpha, 1e-3) == outcome(
+                interpreted_flow_check, ALPHA_FREE, START, alpha, 1e-3)
 
     @pytest.mark.parametrize("op_id", FLOW_IDS)
     def test_no_unit_coefficient_is_multiplied(self, op_id):
@@ -1482,5 +1536,5 @@ class TestFlowSource:
     def test_a_fixed_multiplier_deviation_is_found_once(self):
         # mu never moves under f11.E_a: its deviation is the one at alpha = 0
         _, at_zero, _, check = _flow_source("f11.E_a")
-        assert ast.unparse(at_zero[1]) == "dev = (dev2 := abs(s2 - 1.0))"
-        assert ast.unparse(check[1]) == "dev = dev2"
+        assert ast.unparse(at_zero[3]) == "dev = (dev2 := abs(s2 - 1.0))"
+        assert ast.unparse(check[3]) == "dev = dev2"

@@ -832,8 +832,8 @@ class TestTruncateOnPackedKeys:
 
 
 class TestClosedFormOperators:
-    """A number on the left of + and -, division and powers, as the closed
-    forms of the identity left sides use them."""
+    """A number on either side of + - * /, division and powers, as the
+    closed forms of the identity left sides use them."""
 
     @settings(max_examples=60, deadline=None)
     @given(series_pair(), SMALL_COEFF, SMALL_COEFF)
@@ -860,6 +860,27 @@ class TestClosedFormOperators:
         chi = MultiSeries.variable("chi", {"chi": 3})
         assert 1 - chi == ms({"chi": 3}, {(0,): 1, (1,): -1})
         assert (1 - chi) ** -1 == ms({"chi": 3}, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
+
+    def test_a_number_on_either_side(self):
+        caps = {"chi": 3}
+        chi = MultiSeries.variable("chi", caps)
+        assert chi * 2 == 2 * chi == chi + chi == chi.scale(2)
+        assert chi + 2 == 2 + chi == MultiSeries.constant(2, caps) + chi
+        assert chi - 2 == -(2 - chi)
+        assert chi / 2 == chi * Q(1, 2) == Q(1, 2) * chi
+        assert 2 / (1 - chi) == (1 - chi) ** -1 * 2
+        assert chi ** 2 == chi * chi == chi.pow_int(2)
+        assert chi ** 0 == MultiSeries.constant(1, caps)
+        with pytest.raises(ZeroDivisionError):
+            chi / 0
+
+    @pytest.mark.parametrize("form", [
+        lambda s: s * 2.0, lambda s: 2.0 * s, lambda s: s + 0.5, lambda s: 0.5 - s,
+        lambda s: s / 2.0, lambda s: 2.0 / (1 - s), lambda s: (1 - s) ** 2.0,
+    ], ids=["mul", "rmul", "add", "rsub", "div", "rdiv", "pow"])
+    def test_a_float_operand_is_a_type_error(self, form):
+        with pytest.raises(TypeError, match="exact rational expected, got float"):
+            form(MultiSeries.variable("chi", {"chi": 3}))
 
 
 class TestTrustedCaps:

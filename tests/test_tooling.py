@@ -272,6 +272,20 @@ def test_every_helper_is_called_traced_or_kept_for_a_reason():
     assert all(_resolves(name.replace(".", ":", 1)) for name in UNREFERENCED_ALLOWED)
 
 
+def test_series_keeps_its_packed_keys_to_itself():
+    """The only private names another module takes from ``series`` are the
+    memo accessors; packed keys, layouts and their readers stay inside it."""
+    taken = set()
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("series", "hypersym.series"):
+                taken |= {(module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "series":
+                taken.add((module, node.attr))
+    private = {name for module, name in taken if name.startswith("_") and module != "series"}
+    assert private == {"_kept", "_shared_work"}
+
+
 # Parameters with a default that no call in the package passes, each kept
 # for a reason.
 UNPASSED_DEFAULTS_ALLOWED = {
