@@ -4,7 +4,7 @@ Three commands: ``eval`` (evaluate a function at a point, exact or
 floating), ``verify`` (run a verification scope and write JSON/Markdown
 reports), and ``catalogue`` (print the identity and operator listings).
 All math lives in the library modules; this file only parses arguments,
-dispatches, and formats.  ``eval`` reads its families from
+dispatches, and formats.  ``eval`` reads its families and their options from
 ``hypfun.FAMILIES``; ``verify`` checks its whole config and makes its report
 directory before any scope runs, then runs its scopes from one table,
 ``SCOPE_RUNNERS``, each of which hands back plain data, and writes every
@@ -238,17 +238,24 @@ def _float_coordinate(name: str, text: str) -> float:
         raise ValueError(f"coordinate {name} is too large for a float") from None
 
 
+# ``eval``'s family options: every parameter of any family, in order, then
+# every coordinate.
+EVAL_NAMES = tuple(dict.fromkeys(
+    [name for fam in FAMILIES.values() for name in fam.params.__match_args__]
+    + [v for fam in FAMILIES.values() for v in fam.coords]))
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     """Evaluate the ``--fn`` family at a point whose omitted coordinates are 0.
 
-    ``--c``, ``--y`` and ``--z`` are usage errors for a family without them,
-    and so is ``--exact`` with ``--float``.
+    A parameter or coordinate option the family does not take is a usage
+    error, and so is ``--exact`` with ``--float``.
     """
     if args.exact and args.float:
         raise ValueError("--exact and --float exclude each other")
     fam = FAMILIES[args.fn]
     names = fam.params.__match_args__
-    for name in ("c", "y", "z"):
+    for name in EVAL_NAMES:
         if getattr(args, name) is not None and name not in names and name not in fam.coords:
             raise ValueError(f"--{name} is not an option of {args.fn}")
     for name in names:
@@ -409,12 +416,10 @@ def cmd_catalogue(_args: argparse.Namespace) -> int:
 COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
     "eval": (cmd_eval, "evaluate a function at a point", {
         "--fn": {"required": True, "choices": tuple(FAMILIES)},
-        "--a": {"required": True},
-        "--b": {"required": True},
-        "--c": {},
-        "--x": {"required": True},
-        "--y": {},
-        "--z": {},
+        # required when every family takes it
+        **{"--" + name: {"required": True} if all(
+            name in (*fam.params.__match_args__, *fam.coords) for fam in FAMILIES.values()
+        ) else {} for name in EVAL_NAMES},
         "--exact": {"action": "store_true", "help": "force exact mode"},
         "--float": {"action": "store_true", "help": "force floating mode"},
         "--terms": {"type": int, "default": 30, "help": "truncation order for exact mode"},

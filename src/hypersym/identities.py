@@ -384,16 +384,11 @@ def catalogue() -> tuple[IdentityRecord, ...]:
     return tuple(_record_catalogue())
 
 
-@functools.cache
-def _records_by_id() -> dict[str, IdentityRecord]:
-    return {rec.rec_id: rec for rec in catalogue()}
-
-
 def get_record(rec_id: str) -> IdentityRecord:
-    try:
-        return _records_by_id()[rec_id]
-    except KeyError:
-        raise KeyError(f"unknown identity {rec_id!r}") from None
+    for rec in catalogue():
+        if rec.rec_id == rec_id:
+            return rec
+    raise KeyError(f"unknown identity {rec_id!r}")
 
 
 # -- verification -----------------------------------------------------------------

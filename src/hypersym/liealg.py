@@ -109,10 +109,6 @@ class DiffOperator:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "DiffOperator":
-        return cls()
-
-    @classmethod
     def scalar(cls, value) -> "DiffOperator":
         return cls({((), None): as_rational(value)})
 
@@ -481,8 +477,10 @@ class FlowSpec:
     def rk4_run(self) -> Callable[[Mapping[str, float], int, float, float], float]:
         """``run(s0, steps, dt, margin)``: ``steps`` classical RK4 steps of
         size ``dt`` from the float start point ``s0``, with the grid check at
-        alpha = 0 and after every step; returns the maximum deviation.  The
-        whole run is compiled once into one loop over local variables.
+        alpha = 0 and after every step; returns the maximum deviation, or
+        ``inf`` when a state slot is not finite at the end (an overflowed
+        run, whose deviations are NaN, which the fold drops).  The whole run
+        is compiled once into one loop over local variables.
 
         Each step is straight-line code from the field's terms.  Each rate
         is ``0.0`` plus its terms left to right, each term its coefficient
@@ -609,7 +607,8 @@ def _op_text(symbol: str, operands: list[str]) -> str:
 
 def _compile_rk4_run(spec: FlowSpec):
     """``FlowSpec.rk4_run``: ``_rk4_source`` compiled."""
-    # ``inf`` and ``nan`` are the repr of a non-finite constant
+    # ``inf`` and ``nan`` are the repr of a non-finite constant; ``inf`` is
+    # also the result of a run whose final state is not finite
     namespace = {"SingularFlow": SingularFlow, "op_id": spec.op_id, "inf": math.inf, "nan": math.nan}
     exec(compile(_rk4_source(spec), f"<rk4 run of {spec.op_id}>", "exec"), namespace)
     return namespace["run"]
@@ -731,7 +730,8 @@ def _rk4_source(spec: FlowSpec) -> str:
              *(f"        {line}" for line in grid_check(True)),
              "        if dev > max_dev:",
              "            max_dev = dev",
-             "    return max_dev"]
+             # abs(s) < inf is False for an infinite or NaN slot
+             f"    return max_dev if {' and '.join(f'abs({s}) < inf' for s in state)} else inf"]
     return "\n".join(lines)
 
 
@@ -930,7 +930,8 @@ def flow_check(
     over all grid points: alpha = 0 and the end of each of the
     ``round(|alpha_max| / h)`` (at least one) equal steps.  Raises
     SingularFlow when any catalogued denominator comes within ``margin`` of
-    zero on the grid, and ValueError unless ``alpha_max`` is finite, ``h``
+    zero on the grid.  A run whose final state is not finite (it overflowed)
+    returns ``inf``.  Raises ValueError unless ``alpha_max`` is finite, ``h``
     finite and positive, ``margin`` finite and non-negative, the step count
     at most ``MAX_FLOW_STEPS`` (``flow_steps``) and no start value too large
     for a float, naming it.  The run is the spec's ``rk4_run``, compiled once.
@@ -1015,7 +1016,7 @@ def commutator_suite(seed: int = 42) -> dict:
     cat = catalogue()
     rng = random.Random(seed)
     report = {"families": {}, "antisymmetry_ok": True, "jacobi_ok": True, "bilinearity_ok": True}
-    for fam in ("f11", "psi2"):
+    for fam in dict.fromkeys(op_id.partition(".")[0] for op_id in cat):
         ids = family_operator_ids(fam)
         basis = {i: cat[i] for i in ids}
         span = SpanBasis(basis)

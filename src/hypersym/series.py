@@ -344,12 +344,6 @@ class MultiSeries:
     def cap_map(self) -> dict[str, int]:
         return dict(zip(self.variables, self.caps))
 
-    def cap(self, v: str) -> int:
-        try:
-            return self.caps[self.variables.index(v)]
-        except ValueError:
-            raise UnknownVariable(v) from None
-
     def _exponent_tuple(self, exponents: Mapping[str, int]) -> tuple[int, ...]:
         """The exponent tuple of a name -> exponent map, absent names at 0."""
         exps = [0] * len(self.variables)
@@ -368,9 +362,6 @@ class MultiSeries:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get(0, 0), self.den)
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         exps = self._exponent_tuple(exponents)
@@ -977,10 +968,11 @@ def first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> Mismatch | None:
 def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
     """Generalized binomial power s^gamma = sum_k (-gamma)_k/k! (1 - s)^k.
 
-    Requires constant term exactly 1, so that 1 - s has zero constant term.
+    Requires constant term ``s.coefficient({})`` exactly 1, so that 1 - s
+    has zero constant term.
     """
     gamma = as_rational(gamma)
-    if s.constant_term() != 1:
+    if s.coefficient({}) != 1:
         raise NonUnitConstantTerm("pow_rational needs constant term 1")
     return horn_compose(-gamma, [(1 - s, ())])
 

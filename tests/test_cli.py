@@ -744,7 +744,90 @@ class TestDeterminism:
         )
 
 
+# ``catalogue``'s output, byte for byte.
+CATALOGUE_OUTPUT = "\n".join([
+    'hypersym 0.1.0',
+    '',
+    'identity records:',
+    '  I-F11-RAISE-A      [f11] ',
+    '      (1-chi)^(-a) F(a;b;x/(1-chi)) = sum_l (a)_l/l! F(a+l;b;x) chi^l',
+    '      validity: |chi| < 1',
+    '  I-F11-RAISE-B      [f11] +corrected',
+    '      note: left side replaced by exp(-chi) F(a;b;x+chi): the right side is the '
+        'expansion of exp(chi (d/dx - 1)) applied to F, whose closed form shifts x and '
+        'multiplies by exp(-chi); the stated left side mixes two different deformation '
+        'variables',
+    '      F(a;b;x(1+chi)) (1+chi)^(b-1) = sum_l (b-a)_l/(l!(b)_l) F(a;b+l;x) '
+        '(-chi)^l',
+    '      validity: |chi| < 1',
+    '  I-F11-LOWER-A      [f11] +corrected',
+    "      note: left side rebuilt from the lowering operator's actual "
+        'characteristic system: argument x/(1-chi), prefactor (1-chi)^(a-b), and '
+        "multiplier exp(-x chi/(1-chi)); the stated flow does not solve the operator's "
+        'vector field',
+    '      F(a;b;x/(1-chi(1-x))) ((1-chi)/(1-chi(1-x)))^b (1-chi)^a = sum_l '
+        '(b-a)_l/l! F(a-l;b;x) chi^l',
+    '      validity: |chi| < 1 and |chi(1-x)| < 1',
+    '  I-F11-LOWER-B      [f11] +corrected',
+    '      note: left-side exponent b-1 instead of b: the lowering flow carries the '
+        'multiplier 1/(1+chi), which the stated form drops',
+    '      F(a;b;x(1+chi)) (1+chi)^b = sum_l (b-l)_l/l! F(a;b-l;x) chi^l',
+    '      validity: |chi| < 1',
+    '  I-F11-SHIFT        [f11] ',
+    '      F(a;b;x+chi) = sum_l (a)_l/(l!(b)_l) F(a+l;b+l;x) chi^l',
+    '      validity: entire in chi',
+    '  I-PSI2-REDUCTION   [psi2] ',
+    '      Psi(a;b,c;x,y,chi) [triple series] = (1-chi)^(-a) '
+        'Psi(a;b,c;x/(1-chi),y/(1-chi))',
+    '      validity: |chi| < 1',
+    '  I-PSI2-LOWER-B     [psi2] ',
+    '      Psi(a;b,c;x(1+chi),y) (1+chi)^(b-1) = sum_l (b-l)_l/l! Psi(a;b-l,c;x,y) '
+        'chi^l',
+    '      validity: |chi| < 1',
+    '  I-PSI2-LOWER-C     [psi2] ',
+    '      Psi(a;b,c;x,y(1+chi)) (1+chi)^(c-1) = sum_l (c-l)_l/l! Psi(a;b,c-l;x,y) '
+        'chi^l',
+    '      validity: |chi| < 1',
+    '  I-PSI2-SHIFT-X     [psi2] ',
+    '      Psi(a;b,c;x+chi,y) = sum_l (a)_l/(l!(b)_l) Psi(a+l;b+l,c;x,y) chi^l',
+    '      validity: entire in chi',
+    '  I-PSI2-SHIFT-Y     [psi2] ',
+    '      Psi(a;b,c;x,y+chi) = sum_l (a)_l/(l!(c)_l) Psi(a+l;b,c+l;x,y) chi^l',
+    '      validity: entire in chi',
+    '',
+    'operators:',
+    '  f11.E_a      x*y*d/dx + y^2*d/dy (see notes)',
+    "  f11.E_a'     -x*y^-1 + x*y^-1*d/dx - d/dy + y^-1*z*d/dz",
+    '  f11.E_b      -z + z*d/dx',
+    "  f11.E_b'     -z^-1 + x*z^-1*d/dx + d/dz",
+    '  f11.E_ab     y*z*d/dx',
+    '  f11.I_a      y*d/dy',
+    '  f11.I_b      z*d/dz',
+    '  f11.I        1',
+    '  psi2.E_a     x*z*d/dx + y*z*d/dy + z^2*d/dz',
+    '  psi2.E_b     -u^-1 + d/du + u^-1*x*d/dx',
+    '  psi2.E_c     -t^-1 + d/dt + t^-1*y*d/dy',
+    '  psi2.E_ab    u*z*d/dx',
+    '  psi2.E_ac    t*z*d/dy',
+    '  psi2.I_a     z*d/dz',
+    '  psi2.I_b     u*d/du',
+    '  psi2.I_c     t*d/dt',
+    '  psi2.I       1',
+    '',
+    "flows: f11.E_a, f11.E_b, f11.E_a', f11.E_b', f11.E_ab, psi2.E_a, psi2.E_b, "
+        'psi2.E_c, psi2.E_ab, psi2.E_ac',
+    'note [f11.E_a]: installed in the operative form y*(x d/dx + y d/dy); the '
+        'displayed variant y*(d/dx + y d/dy) does not reproduce the raising action and '
+        'is rejected by the exact series check',
+    "",
+])
+
+
 class TestCatalogueCommand:
+    def test_output_is_pinned(self):
+        r = run_cli("catalogue")
+        assert (r.returncode, r.stdout, r.stderr) == (0, CATALOGUE_OUTPUT, "")
+
     def test_listings(self):
         r = run_cli("catalogue")
         assert r.returncode == 0
@@ -804,6 +887,40 @@ options:
   --terms TERMS         truncation order for exact mode
   --tol TOL             relative tolerance for floating mode
   --term-cap TERM_CAP
+""", ""),
+    "verify-help": (("verify", "--help"), 0, """\
+usage: hypersym verify [-h]
+                       [--scope {identities,actions,recursions,flows,commutators,all}]
+                       [--config CONFIG] [--points POINTS]
+                       [--orders-f11 ORDERS_F11] [--orders-psi2 ORDERS_PSI2]
+                       [--action-order ACTION_ORDER]
+                       [--recursion-order RECURSION_ORDER]
+                       [--mode {formal,numeric,both}] [--chi CHI] [--tol TOL]
+                       [--flow-tol FLOW_TOL] [--alpha ALPHA] [--step STEP]
+                       [--start START] [--seed SEED] [--out OUT]
+                       [--format {json,md,both}]
+
+options:
+  -h, --help            show this help message and exit
+  --scope {identities,actions,recursions,flows,commutators,all}
+  --config CONFIG       flat JSON config file; flags override
+  --points POINTS       semicolon-separated a,b,c rational triples
+  --orders-f11 ORDERS_F11
+                        N,M orders for one-argument records
+  --orders-psi2 ORDERS_PSI2
+                        N,M orders for two-argument records
+  --action-order ACTION_ORDER
+  --recursion-order RECURSION_ORDER
+  --mode {formal,numeric,both}
+  --chi CHI             comma-separated chi grid
+  --tol TOL
+  --flow-tol FLOW_TOL
+  --alpha ALPHA
+  --step STEP
+  --start START         flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3
+  --seed SEED
+  --out OUT             report output directory
+  --format {json,md,both}
 """, ""),
     "version": (("--version",), 0, "0.1.0\n", ""),
     "abbreviation": ((*EVAL_F11, "--exa", "--terms", "5"), 0, "163/60\n", ""),

@@ -240,12 +240,26 @@ def _definitions(trees):
 
 def _unreferenced_definitions():
     """``module.name`` of each function and ``module.Class.name`` of each
-    method of ``_definitions`` whose name no code of the package reads
-    outside the definition itself."""
+    method of ``_definitions`` that no code of the package reads outside
+    the definition itself: a function where a name or an attribute of its
+    name is read, a method only where an attribute of its name is read off
+    anything but another package class by name."""
     trees = _package_trees()
-    reads = sum(map(_names_read, trees.values()), Counter())
-    return {name for name, fn, _method in _definitions(trees)
-            if reads[fn.name] == _names_read(fn)[fn.name]}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    names = sum(map(_names_read, trees.values()), Counter())
+    attributes = sum((_attributes_read(tree, classes) for tree in trees.values()), Counter())
+    unreferenced = set()
+    for qualified, fn, method in _definitions(trees):
+        if method:
+            inside = _attributes_read(fn, classes)
+            owner = qualified.split(".")[1]
+            read = any(attributes[fn.name, base] > inside[fn.name, base] for base in (None, owner))
+        else:
+            read = names[fn.name] > _names_read(fn)[fn.name]
+        if not read:
+            unreferenced.add(qualified)
+    return unreferenced
 
 
 def _names_read(node):
@@ -255,16 +269,27 @@ def _names_read(node):
                    for sub in ast.walk(node))
 
 
+def _attributes_read(node, classes):
+    """How often each attribute is read inside ``node``, keyed by its name
+    and the class of ``classes`` it is read off by name, else None."""
+    return Counter((sub.attr, sub.value.id if getattr(sub.value, "id", None) in classes else None)
+                   for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_every_helper_is_called_traced_or_kept_for_a_reason():
     """ROADMAP's rule that helpers nothing calls are deleted, as a check: a
     function or method (not a dunder) the package never reads is a tracer
     target or on the list.
 
-    A name counts as read wherever a name or an attribute of that name is
-    read, whatever it is read off.  So ``MultiSeries.evaluate`` and
-    ``MultiSeries.extend`` pass unflagged, though nothing in the package
-    calls them: ``Family.evaluate`` and ``list.extend`` are read under the
-    same names."""
+    A function counts as read wherever a name or an attribute of its name is
+    read.  A method counts as read only where an attribute of its name is
+    read, and not off another package class by name: a local ``cap`` does
+    not read ``MultiSeries.cap``, nor ``MultiSeries.zero`` ``DiffOperator.zero``.
+    An attribute read off anything else counts, whatever it is.  So
+    ``MultiSeries.evaluate`` and ``MultiSeries.extend`` pass unflagged,
+    though nothing in the package calls them: ``Family.evaluate`` and
+    ``list.extend`` are read under the same names.  Both are tracer
+    targets."""
     traced = {target.replace(":", ".") for _layer, targets, _extras in _layers()
               for target in targets}
     unreferenced = _unreferenced_definitions()
