@@ -62,10 +62,14 @@ which is on only while a suite runs (``identities.run_suite`` and
 also when the suite raises).  Inside it, each converged 1F1 sum, of
 ``f11_eval_float`` or inside a nested sum, is kept as (value, terms) under
 the tag ``"f11 sum"`` and the values its loop reads, (float(a), float(b),
-x, rel_tol); a nested sum is not kept whole, since its inner 1F1s are most
-of its work, and a failed sum is never kept.  A kept sum is what the loop
-would return, so every float is the same with or without the memo.  The
-recursion suite's realized members are kept there too (``liealg.realize``).
+x, rel_tol), and a failed sum is never kept.  A nested sum keeps no state
+of its own; the identity suite keeps each family member's value whole
+(``identities._member_value``, tag ``"member sum"``), since a chi-sum
+member recurs at every chi and in every record whose operator reaches it,
+and its outer levels are as much of its work as its inner 1F1s.  A kept
+sum is what the loop would return, so every float is the same with or
+without the memo.  The recursion suite's realized members are kept there
+too (``liealg.realize``).
 Outside it, ``eval`` calls among them, nothing is looked up or kept.
 """
 
@@ -109,6 +113,16 @@ class _ParamPoint:
                 raise DegenerateParameter(f"parameter {name} = {values[name]} is zero or a "
                                           "negative integer")
 
+    def __hash__(self) -> int:
+        """The hash of the fields in order, as a frozen dataclass's, made on
+        the first call and kept: points key the work a suite shares, and a
+        ``Fraction``'s hash is made afresh on each call."""
+        values = vars(self)
+        found = values.get("_hash")
+        if found is None:
+            found = values["_hash"] = hash(tuple([values[name] for name in self.__match_args__]))
+        return found
+
     def shifted(self, *steps: int):
         """The point moved by one integer step per field, in order; missing
         steps are 0, and a field whose step is 0 is kept as it is."""
@@ -125,6 +139,8 @@ class _ParamPoint:
 class Params1F1(_ParamPoint):
     """Parameters (a; b); b must avoid zero and negative integers."""
 
+    __hash__ = _ParamPoint.__hash__  # a dataclass keeps a __hash__ of its own body
+
     a: Fraction
     b: Fraction
 
@@ -132,6 +148,8 @@ class Params1F1(_ParamPoint):
 @dataclass(frozen=True)
 class ParamsPsi2(_ParamPoint):
     """Parameters (a; b, c); b and c avoid zero and negative integers."""
+
+    __hash__ = _ParamPoint.__hash__  # a dataclass keeps a __hash__ of its own body
 
     a: Fraction
     b: Fraction

@@ -204,6 +204,19 @@ def _sum_series(
     return horn_series(variables, tuple(caps[v] for v in variables), grids)
 
 
+def _member_value(family: str, q, point: tuple[float, ...], tol: float) -> float:
+    """The family member at q summed in floating point at ``point``.
+
+    Inside ``series._shared_work`` the converged sum is kept under
+    ("member sum", family, q, point, tol), so a member that another chi,
+    variant or record reads again is summed once; a sum that raises keeps
+    nothing.
+    """
+    evaluate = FAMILIES[family].evaluate
+    return _kept(("member sum", family, q, point, tol), evaluate, q, *point, tol,
+                 DEFAULT_TERM_CAP)[0]
+
+
 # The most chi-sum terms ``_sum_float`` takes.
 _CHI_SUM_TERM_CAP = 400
 
@@ -213,12 +226,11 @@ def _sum_float(record: IdentityRecord, p, x: float, y: float, chi: float, tol: f
     l >= 6 that, like the term before it, is at most ``tol`` times the
     partial sum it ends (1e-300 at least), with no run-up of |arg| + |a|
     terms as the series evaluators take; NoConvergence past the term cap."""
-    fam = FAMILIES[record.family]
-    point = (x, y)[: len(fam.coords)]
+    point = (x, y)[: len(FAMILIES[record.family].coords)]
     total = 0.0
     small_streak = 0
     for l, (w, q) in zip(range(_CHI_SUM_TERM_CAP), _weights(record, p)):
-        value, _ = fam.evaluate(q, *point, tol, DEFAULT_TERM_CAP)
+        value = _member_value(record.family, q, point, tol)
         term = float(w) * value * chi**l
         total += term
         if abs(term) <= tol * max(abs(total), 1e-300):
@@ -427,12 +439,11 @@ def lhs_value(
     record: IdentityRecord, variant: str, p, x: float, y: float, chi: float, tol: float,
 ) -> float:
     """The variant's left side in floating point at (x, y, chi); a parameter
-    too large for a float raises ``ValueError``."""
+    too large for a float raises ``ValueError``.  Each value of F is a
+    ``_member_value``, kept like the chi-sum's members."""
     lhs = _lhs(record, variant)
-    fam = FAMILIES[record.family]
     floats = float_params(p)
-    return lhs(lambda *u: fam.evaluate(p, *u, tol, DEFAULT_TERM_CAP)[0], math.exp, floats,
-               x, y, chi)
+    return lhs(lambda *u: _member_value(record.family, p, u, tol), math.exp, floats, x, y, chi)
 
 
 def verify_formal(
@@ -543,15 +554,18 @@ def run_suite(
     the rows ``verify_formal`` builds its probe box for.
 
     The rows share their converged float sums, the power ladders and Horn
-    weights of their compositions and their chi-sum weights: a chi-sum
-    member or a left-side value met again (another chi, variant or record,
-    or the inner 1F1 of a Humbert sum) is summed once per call, an argument
-    met again (another variant, record or point) is raised to its powers
-    once per call, and the weights and shifted points of one operator at
-    one point are walked once per call, as far as the furthest row reads
-    them (``series._shared_work``, on only for the call and dropped when it
-    returns or raises).  The rows are those of separate ``verify_formal``
-    and ``verify_numeric`` calls.
+    weights of their compositions and their chi-sum weights: a family
+    member at one parameter point and evaluation point, a chi-sum member or
+    a left-side value, met again (another chi, variant or record) is summed
+    once per call, whole, nested sums included (``_member_value``), and so
+    is an inner 1F1 of a Humbert sum met again; an argument met again
+    (another variant, record or point) is raised to its powers once per
+    call, and the weights and shifted points of one operator at one point
+    are walked once per call, as far as the furthest row reads them
+    (``series._shared_work``, on only for the call and dropped when it
+    returns or raises).  In a default numeric suite the Humbert members
+    and left sides are 344 reads of 200 distinct sums.  The rows are those
+    of separate ``verify_formal`` and ``verify_numeric`` calls.
     """
     if mode not in ("formal", "numeric", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -619,8 +633,91 @@ def invariant_ok(report: Mapping) -> bool:
 # -- serialization -------------------------------------------------------------------
 
 def report_to_json(payload: Mapping) -> str:
-    """The JSON text of a report: every report file ``verify`` writes."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON text of a report: every report file ``verify`` writes.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    written by one recursive pass that appends to one list: with ``indent``
+    set, ``json`` falls back to its pure-Python encoder, which costs about
+    twice as much.  Strings are escaped by ``json``'s own C
+    ``encode_basestring_ascii``, numbers are written as ``json`` writes
+    them, and a value of any other type raises ``TypeError``, as ``json``
+    does.  Dict keys are sorted, and a key that is not a ``str``, which
+    ``json`` would convert, raises ``TypeError``: no report has one.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str:
+    """The JSON text of a value that is not a list, tuple or dict, by
+    ``json``'s type tests in ``json``'s order."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# ``_json_scalar`` of a value of exactly one of these types, the common case.
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else _json_scalar(v),
+    bool: _json_scalar,
+    type(None): _json_scalar,
+}
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of ``value`` to ``out``; ``newline`` is
+    a newline and the indentation of the line ``value`` starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        items = [(_escape(k), v) for k, v in sorted(value.items())]
+        close = newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        items = [(None, v) for v in value]
+        close = newline + "]"
+    else:
+        out.append(_json_scalar(value))
+        return
+    for key, item in items:
+        if key is not None:
+            head = f"{head}{key}: "
+        text = _SCALAR_TEXT.get(type(item))
+        if text is not None:
+            out.append(head + text(item))
+        elif isinstance(item, (list, tuple, dict)):
+            out.append(head)
+            _write_json(item, inner, out)
+        else:
+            out.append(head + _json_scalar(item))
+        head = "," + inner
+    out.append(close)
 
 
 _TIMING_RE = re.compile(r'^\s*"(elapsed_ms|total_ms)": [0-9eE+.-]+,?$', re.M)

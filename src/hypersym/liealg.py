@@ -33,7 +33,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import Q, as_rational
 from .hypfun import FAMILIES, param_strs
-from .series import MultiSeries, UnknownVariable, _kept, _shared_work, first_mismatch
+from .series import MultiSeries, _kept, _shared_work, first_mismatch, operator_image
 
 Monomial = tuple[tuple[str, int], ...]
 Pattern = tuple[Monomial, str | None]
@@ -191,49 +191,40 @@ class DiffOperator:
         Each factor v^e of m then adds e to alpha_v, or multiplies the body
         by v^e.  The prefactor and body variables must be disjoint.
 
-        Every nonzero term must carry the prefactor of the first one
-        (PrefactorMismatch otherwise, whatever the term order); all start
-        from the input's keys, so a 0 exponent is kept.  Their bodies are
-        summed at the least caps of all terms, vanishing ones included (a
-        lower cap leaves the coefficients above it unknown).  With no
-        nonzero term the result is zero at those caps with prefactor ``{}``.
+        This method keeps the prefactor rule; the body of every term is one
+        ``series.operator_image`` call, one pass per term over the body's
+        packed numerators, summed at the least caps of all terms, vanishing
+        ones included (a lower cap leaves the coefficients above it
+        unknown).  Every term whose image at its own caps is nonzero must
+        carry the prefactor of the first such term (PrefactorMismatch
+        otherwise, whatever the term order); all start from the input's
+        keys, so a 0 exponent is kept.  With no such term the result is
+        zero at those caps with prefactor ``{}``.
         """
-        body_vars = f.body.variables
-        shared = f.prefactor.keys() & set(body_vars)
+        shared = f.prefactor.keys() & set(f.body.variables)
         if shared:
             raise ValueError(f"variables in both the body and the prefactor: {sorted(shared)}")
-        low = f.body.caps
-        results: list[Realized] = []
+        terms, prefactors = [], []
         for (mono, deriv), coeff in self._terms.items():
-            body, pf = f.body, dict(f.prefactor)
+            pf = dict(f.prefactor)
             if deriv in pf:
                 coeff = coeff * pf[deriv]
                 pf[deriv] -= 1
-            elif deriv in body_vars:
-                body = body.derivative(deriv)
-            elif deriv is not None:
-                raise UnknownVariable(deriv)
+                deriv = None
+            shifts = []
             for v, e in mono:
                 if v in pf:
                     pf[v] += e
-                elif v in body_vars:
-                    body = body.shift(v, e)
                 else:
-                    raise UnknownVariable(v)
-            low = tuple(map(min, low, body.caps))
-            body = body.scale(coeff)
-            if not body.is_zero():
-                results.append(Realized(body, pf))
-        caps = dict(zip(body_vars, low))
-        if not results:
-            return Realized(MultiSeries.zero(caps), {})
-        prefactor = results[0].prefactor
-        total = results[0].body.truncate(caps)
-        for r in results[1:]:
-            if r.prefactor != prefactor:
-                raise PrefactorMismatch(f"{prefactor} vs {r.prefactor}")
-            total = total + r.body.truncate(caps)
-        return Realized(total, prefactor)
+                    shifts.append((v, e))
+            terms.append((coeff, deriv, shifts))
+            prefactors.append(pf)
+        body, live = operator_image(f.body, terms)
+        carried = [pf for pf, on in zip(prefactors, live) if on]
+        for pf in carried[1:]:
+            if pf != carried[0]:
+                raise PrefactorMismatch(f"{carried[0]} vs {pf}")
+        return Realized(body, carried[0] if carried else {})
 
 
 def _bump(store: dict, key, value: Fraction) -> None:

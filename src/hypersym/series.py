@@ -30,10 +30,13 @@ the Cauchy sum of the numerators over the product of the denominators
 (``_cauchy``, the one product loop, which ``horn_compose`` uses too: per
 term pair one int add, one test of the guard bits, which is nonzero exactly
 when an exponent of the sum passes its cap, one int product and one dict
-update), ``shift`` moves keys within a bit field, ``truncate`` returns
-the series itself at its own caps, keeps the keys where every field keeps
-its width and repacks them only where one changes, and ``derivative`` and
-``extend`` repack keys for their new caps.
+update), ``operator_image`` sums the terms c v^k d/dw of a first-order
+operator applied to a series in one pass per term over its numerators,
+moving each kept key within its bit fields, and repacks the keys only where
+a field narrows (``shift`` and ``derivative`` are one-term calls of it),
+``truncate`` returns the series itself at its own caps, keeps the keys
+where every field keeps its width and repacks them only where one changes,
+and ``extend`` repacks keys for its new variables.
 ``MultiSeries.terms`` is a ``Fraction`` view keyed by exponent tuples,
 built on each read; ``render``, ``coefficient`` and the report witnesses of
 ``first_mismatch`` read reduced ``Fraction``s, and nothing else makes one
@@ -73,11 +76,12 @@ the argument's integer numerators, not on its denominator, the top
 parameter or the bottoms, and the same arguments (x/(1-chi), x(1+chi), ...)
 recur across the records, variants and parameter points of a suite; so do
 the Horn weights of a composition, the realized family members of the
-operator actions and the weights of a chi-sum.  Inside ``_shared_work()``,
-which each suite opens once, every such piece of work is built once and
-handed out again by the one accessor ``_kept(key, build, *args)``, whose
-key leads with a tag naming the kind of work (``"ladder"``,
-``"horn weights"``, ``"f11 sum"``, ``"realized"``, ``"chi weights"``).  The
+operator actions, the weights of a chi-sum and the float sums of its
+members.  Inside ``_shared_work()``, which each suite opens once, every
+such piece of work is built once and handed out again by the one accessor
+``_kept(key, build, *args)``, whose key leads with a tag naming the kind
+of work (``"ladder"``, ``"horn weights"``, ``"f11 sum"``, ``"member sum"``,
+``"realized"``, ``"chi weights"``).  The
 memo is dropped when the block ends, also when it raises, and outside it
 nothing is kept.  Kept work is shared, so no caller changes it:
 ``horn_compose`` scales a copy of a ladder by the denominator.
@@ -315,10 +319,6 @@ class MultiSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, caps: Mapping[str, int]) -> "MultiSeries":
-        return cls(caps)
-
-    @classmethod
     def constant(cls, value, caps: Mapping[str, int]) -> "MultiSeries":
         value = as_rational(value)
         s = cls(caps)
@@ -499,39 +499,17 @@ class MultiSeries:
     def shift(self, v: str, k: int = 1) -> "MultiSeries":
         """Multiply by the monomial v^k (k >= 0); overflowing terms drop.
 
-        A kept key moves by k within v's bit field."""
-        if v not in self.variables:
-            raise UnknownVariable(v)
-        if k < 0:
-            raise ValueError("negative monomial shift on a body series")
-        i = self.variables.index(v)
-        shift, mask = _layout(self.caps).fields[i]
-        room = self.caps[i] - k
-        step = k << shift
-        return self._with(self.den, {
-            key + step: c for key, c in self.nums.items() if key >> shift & mask <= room
-        })
+        One ``operator_image`` term: a kept key moves by k within v's bit
+        field."""
+        return operator_image(self, [(1, None, ((v, k),))])[0]
 
     def derivative(self, v: str) -> "MultiSeries":
         """Formal partial derivative; the cap of v drops by one because the
         top-order coefficient of the result would need information beyond
         the stored truncation.  Raises ValueError when v is cut at order 0:
-        no coefficient of the derivative is known there."""
-        if v not in self.variables:
-            raise UnknownVariable(v)
-        i = self.variables.index(v)
-        if self.caps[i] == 0:
-            raise ValueError(f"derivative in {v!r} of a series cut at order 0")
-        caps = self.caps[:i] + (self.caps[i] - 1,) + self.caps[i + 1:]
-        old, new = _layout(self.caps), _layout(caps)
-        unit = 1 << new.shifts[i]
-        out: dict[int, int] = {}
-        for key, c in self.nums.items():
-            exps = old[key]
-            e = exps[i]
-            if e:
-                out[new.key(exps) - unit] = c * e
-        return MultiSeries._trusted(self.variables, caps, *_reduce(self.den, out))
+        no coefficient of the derivative is known there.  One
+        ``operator_image`` term."""
+        return operator_image(self, [(1, v, ())])[0]
 
     # -- shape changes -----------------------------------------------------
 
@@ -639,6 +617,109 @@ class MultiSeries:
             else:
                 parts.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(parts)
+
+
+def operator_image(
+    s: MultiSeries, terms: Sequence[tuple[Fraction | int, str | None, Sequence[tuple[str, int]]]]
+) -> tuple[MultiSeries, list[bool]]:
+    """The sum over ``terms`` of c * prod v^k * d/dw s, and for each term
+    whether its image at its own caps is nonzero.
+
+    A term ``(c, w, ((v, k), ...))`` is a rational coefficient, the variable
+    w to differentiate in or None, and monomial shifts k >= 0.  Its image
+    has the caps of s, but one less for w; the sum is cut at the least caps
+    of all terms, vanishing ones included, since past a term's caps its
+    coefficients are unknown.  The terms are checked in order, w before its
+    shifts: a name that is not a variable raises ``UnknownVariable``, w cut
+    at order 0 and a negative shift ``ValueError``.
+
+    Each term is one pass over the numerators of s on its packed keys: with
+    l_i = k_i, less 1 for w, the term keeps a key whose exponent e_i is at
+    most cut_i - l_i for every i, one guard-bit test, and moves it by
+    sum l_i << shift_i, multiplying its numerator by e_w and the term's
+    share of one common denominator, den(s) times the lcm of the
+    coefficients' denominators.  The sum is reduced once, and its keys are
+    repacked only where a bit field of the cut is narrower than in s.
+    """
+    layout = _layout(s.caps)
+    fields, guard = layout.fields, layout.guard
+    cut = s.caps
+    plans = []
+    for coeff, w, shifts in terms:
+        own = list(s.caps)
+        lift = [0] * len(own)
+        d = None
+        if w is not None:
+            d = _index(s, w)
+            if not own[d]:
+                raise ValueError(f"derivative in {w!r} of a series cut at order 0")
+            own[d] -= 1
+            lift[d] = -1
+        for v, k in shifts:
+            i = _index(s, v)
+            if k < 0:
+                raise ValueError("negative monomial shift on a body series")
+            lift[i] += k
+        cut = tuple(map(min, cut, own))
+        plans.append((coeff, d, lift, own))
+    scale = math.lcm(*(coeff.denominator for coeff, *_ in plans if coeff))
+    out: dict[int, int] = {}
+    merged = False
+    live = []
+    for coeff, d, lift, own in plans:
+        part = {}
+        if coeff:
+            part = _term_part(s.nums, fields, guard, d, lift, cut,
+                              coeff.numerator * (scale // coeff.denominator))
+        if part and out:
+            get = out.get
+            for k, v in part.items():
+                out[k] = get(k, 0) + v
+            merged = True
+        elif part:
+            out = part
+        # a term cut away whole at the least caps may be nonzero at its own
+        live.append(bool(part or coeff and _term_part(s.nums, fields, guard, d, lift, own, 1)))
+    if merged:
+        out = {k: v for k, v in out.items() if v}
+    den, out = _reduce(s.den * scale, out)
+    new = _layout(cut)
+    if new.fields != fields:
+        out = {new.key(layout[k]): v for k, v in out.items()}
+    return MultiSeries._trusted(s.variables, cut, den, out), live
+
+
+def _index(s: MultiSeries, v: str) -> int:
+    """The position of variable v in s; ``UnknownVariable`` if it has none."""
+    if v not in s.variables:
+        raise UnknownVariable(v)
+    return s.variables.index(v)
+
+
+def _term_part(
+    nums: Mapping[int, int],
+    fields: tuple[tuple[int, int], ...],
+    guard: int,
+    d: int | None,
+    lift: Sequence[int],
+    cut: Sequence[int],
+    m: int,
+) -> dict[int, int]:
+    """One term of ``operator_image`` on the packed keys of ``nums``: every
+    key whose exponents e satisfy e + lift <= cut (and e_d >= 1), moved by
+    ``lift`` and with its numerator times m (and e_d)."""
+    bounds = list(map(operator.sub, cut, lift))
+    if any(bound < 0 for bound in bounds):
+        return {}
+    offset = move = 0
+    for (shift, mask), bound, l in zip(fields, bounds, lift):
+        offset |= (mask - bound) << shift
+        move += l << shift
+    if d is None:
+        return {key + move: n * m for key, n in nums.items() if not (key + offset) & guard}
+    shift, mask = fields[d]
+    return {key + move: n * e * m for key, n in nums.items()
+            if (e := key >> shift & mask) and not (key + offset) & guard}
 
 
 # -- Horn term-ratio kernel --------------------------------------------------

@@ -317,7 +317,7 @@ class TestPsi2:
         mx = my = 8
         direct = psi2_series(p, mx, my)
         caps = {"x": mx, "y": my}
-        assembled = MultiSeries.zero(caps)
+        assembled = MultiSeries(caps)
         for n in range(my + 1):
             outer = pochhammer(p.a, n) / (math.factorial(n) * pochhammer(p.c, n))
             inner = f11_series(Params1F1(p.a + n, p.b), mx).extend({"y": my})
@@ -390,7 +390,7 @@ class TestCompose:
     def test_f11_compose_matches_naive(self, a):
         p = Params1F1(a, Q(4, 3))
         caps, u, _ = self._arguments()
-        naive = MultiSeries.zero(caps)
+        naive = MultiSeries(caps)
         for s in range(sum(caps.values()) + 1):
             naive = naive + u.pow_int(s).scale(f11_formula(p, s))
         assert f11_compose(p, u) == naive
@@ -400,7 +400,7 @@ class TestCompose:
         p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
         caps, u, v = self._arguments()
         bound = sum(caps.values())
-        naive = MultiSeries.zero(caps)
+        naive = MultiSeries(caps)
         for m in range(bound + 1):
             for n in range(bound + 1):
                 term = u.pow_int(m) * v.pow_int(n)
@@ -420,7 +420,7 @@ class TestCompose:
         caps, u, v = self._arguments()
         one = MultiSeries.constant(1, caps)
         for w in (u, v):
-            naive = MultiSeries.zero(caps)
+            naive = MultiSeries(caps)
             binom = Q(1)
             for k in range(sum(caps.values()) + 1):
                 naive = naive + w.pow_int(k).scale(binom)
@@ -430,7 +430,7 @@ class TestCompose:
     def test_exp_series_matches_naive(self):
         caps, u, v = self._arguments()
         for w in (u, v):
-            naive = MultiSeries.zero(caps)
+            naive = MultiSeries(caps)
             for k in range(sum(caps.values()) + 1):
                 naive = naive + w.pow_int(k).scale(Q(1, factorial(k)))
             assert exp_series(w) == naive

@@ -5,13 +5,15 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersym.exactnum import (
     DegenerateParameter,
     factorial,
     pochhammer,
 )
-from hypersym import hypfun, identities, liealg, series
+from hypersym import cli, hypfun, identities, liealg, series
 from hypersym.hypfun import (
     NoConvergence,
     Params1F1,
@@ -361,7 +363,7 @@ class TestFirstMismatch:
 
     def test_equal_sides_give_none(self):
         assert _first_mismatch(self.series(), self.series()) is None
-        zero = MultiSeries.zero(self.CAPS)
+        zero = MultiSeries(self.CAPS)
         assert _first_mismatch(zero, zero) is None
 
     def test_differing_caps_raise(self):
@@ -821,6 +823,31 @@ class TestSuiteSharesFloatSums:
         keys = [args[:4] for args in summed]  # (a, b, x, rel_tol) without the cap
         assert len(keys) == len(set(keys))
 
+    def test_each_humbert_sum_is_summed_once(self, monkeypatch):
+        # a chi-sum member recurs at every chi and in every record whose
+        # operator shifts to it; each nested sum is summed once per suite
+        summed = []
+        inner = hypfun._float_sum
+
+        def counting(family, p, point, rel_tol, term_cap):
+            if family != "f11":
+                summed.append((family, p, point, rel_tol))
+            return inner(family, p, point, rel_tol, term_cap)
+
+        monkeypatch.setattr(hypfun, "_float_sum", counting)
+        report = run_suite(mode="numeric")
+        assert len(summed) == len(set(summed)) > 100
+        monkeypatch.undo()
+        expected = [
+            verify_numeric(rec, variant, point, chi, 1e-8)
+            for rec in catalogue()
+            for variant in _variants(rec)
+            for point in P_ALL
+            for chi in (0.1, 0.25)
+        ]
+        drop = ("elapsed_ms", "mode", "orders")
+        assert [{k: v for k, v in r.items() if k not in drop} for r in report["rows"]] == expected
+
     def test_ladders_are_shared_and_the_scope_ends_with_the_suite(self, monkeypatch):
         handed = {}
         calls = []
@@ -967,6 +994,54 @@ class TestReportSerialization:
         report = run_suite(mode="formal", param_points=[P])
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert report_to_json(report) == text
+
+    @pytest.mark.parametrize("mode", ["formal", "numeric", "both"])
+    def test_every_report_is_the_json_text(self, mode, monkeypatch, tmp_path, capsys):
+        payloads = []
+        monkeypatch.setattr(cli, "report_to_json",
+                            lambda payload: payloads.append(payload) or report_to_json(payload))
+        for scope in cli.SCOPES:
+            assert cli.main(["verify", "--scope", scope, "--mode", mode,
+                             "--out", str(tmp_path / scope), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(payloads) == len(cli.SCOPES)
+        for scope, payload in zip(cli.SCOPES, payloads):
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert report_to_json(payload) == text
+            assert (tmp_path / scope / f"verify_{scope}.json").read_text() == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text()
+        | st.integers(min_value=-2**80, max_value=2**80),
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=20,
+    ))
+    def test_any_payload_is_the_json_text(self, payload):
+        assert report_to_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_edge_values_are_the_json_text(self):
+        for payload in ([-0.0, math.inf, -math.inf, math.nan, 2**70, -2**70, True, False, None],
+                        {"\u00e9\x00\x1f\u2028\"\\": {"": [], "e": {}, "t": ()}},
+                        (), {}, [], "", 0, 1e300):
+            assert report_to_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"rows": [{1, 2}]}, {"x": Q(1, 2)}, [b"bytes"], object(),
+    ])
+    def test_a_value_that_is_not_json_is_a_type_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            report_to_json(payload)
+        assert str(got.value) == str(expected.value)
+
+    # ``json`` would write these keys as strings; no report has one
+    @pytest.mark.parametrize("key", [1, 2.5, True, None, (1, 2)])
+    def test_a_key_that_is_not_a_string_is_a_type_error(self, key):
+        with pytest.raises(TypeError, match="must be a string"):
+            report_to_json({"rows": [{key: "value"}]})
 
     def test_strip_timing_makes_bytes_stable(self):
         r1 = run_suite(mode="formal", param_points=[P])

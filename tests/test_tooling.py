@@ -311,6 +311,31 @@ def test_series_keeps_its_packed_keys_to_itself():
     assert private == {"_kept", "_shared_work"}
 
 
+def _kept_tags():
+    """The tag of every ``_kept`` key the package writes as a literal."""
+    tags = set()
+    for tree in _package_trees().values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kept"
+                    and isinstance(node.args[0], ast.Tuple)):
+                tags.add(ast.literal_eval(node.args[0].elts[0]))
+    return tags
+
+
+def test_every_kept_tag_is_documented():
+    """Each kind of shared work is named in the ``series`` docstring and is
+    a row of README's tag table, which lists no other tag."""
+    from hypersym import series
+
+    tags = _kept_tags()
+    assert len(tags) >= 6
+    assert sorted(t for t in tags if f'``"{t}"``' not in series.__doc__) == []
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {line.split("`")[1].strip('"') for line in readme.splitlines()
+            if line.startswith('| `"')}
+    assert rows == tags
+
+
 # Parameters with a default that no call in the package passes, each kept
 # for a reason.
 UNPASSED_DEFAULTS_ALLOWED = {
