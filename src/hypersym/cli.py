@@ -8,12 +8,15 @@ dispatches, and formats.  ``eval`` reads its families and their options from
 ``hypfun.FAMILIES``; ``verify`` checks its whole config and makes its report
 directory before any scope runs, then runs its scopes from one table,
 ``SCOPE_RUNNERS``, each of which hands back plain data, and writes every
-JSON report through ``identities.report_to_json``.
+JSON report through ``identities.report_to_json``.  ``identities`` and
+``liealg`` are imported by the ``verify`` and ``catalogue`` code that calls
+them, so ``eval`` loads neither.
 
 Each command's options are in ``COMMANDS``, option strings with their
 ``add_argument`` keywords; ``verify``'s, but ``--scope`` and ``--config``,
-are ``RunConfig``'s fields, typed by their defaults, with the ``help`` and
-``choices`` of their metadata, which ``validate`` checks a config file by.
+are the settings of ``CONFIG_FIELDS``, the attributes of a ``RunConfig``,
+typed by their defaults, with the ``help`` and ``choices`` of their
+keywords, which ``validate`` checks a config file by.
 Two readers read that table.  ``_parse_direct`` parses a well-formed
 command line (the command, then only its exact long options with values
 that pass their ``type`` and ``choices``, every required one given) to the
@@ -43,11 +46,9 @@ marked ``"ok": false`` with the error text.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,29 +56,16 @@ from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .exactnum import parse_rational
-from .hypfun import DEFAULT_TERM_CAP, FAMILIES, NoConvergence, ParamsPsi2, recursion_suite
-from .identities import (
+from .hypfun import (
     DEFAULT_F11_ORDERS,
     DEFAULT_PARAM_POINTS,
     DEFAULT_PSI2_ORDERS,
-    catalogue as identity_catalogue,
-    check_domain,
-    invariant_ok,
-    report_to_json,
-    report_to_markdown,
-    run_suite,
-)
-from .liealg import (
-    FLOW_COORDINATES,
-    FLOW_IDS,
-    OPERATOR_NOTES,
+    DEFAULT_TERM_CAP,
+    FAMILIES,
+    NoConvergence,
+    ParamsPsi2,
     SingularFlow,
-    action_suite,
-    catalogue as operator_catalogue,
-    check_flow_start,
-    commutator_suite,
-    flow_steps,
-    flow_suite,
+    recursion_suite,
 )
 
 if TYPE_CHECKING:
@@ -87,28 +75,38 @@ if TYPE_CHECKING:
 # Errors that end a command with one ``error:`` line and exit code 2.
 COMMAND_ERRORS = (ValueError, KeyError, SingularFlow, OSError)
 
+# ``verify``'s settings by name: the default, whose type is the option's
+# type (text takes none), and the option's ``help`` and ``choices``
+# keywords, the choices being what ``validate`` checks a setting by.
+CONFIG_FIELDS: dict[str, tuple[object, dict]] = {
+    "points": (";".join(",".join(p) for p in DEFAULT_PARAM_POINTS),
+               {"help": "semicolon-separated a,b,c rational triples"}),
+    "orders_f11": (",".join(map(str, DEFAULT_F11_ORDERS)),
+                   {"help": "N,M orders for one-argument records"}),
+    "orders_psi2": (",".join(map(str, DEFAULT_PSI2_ORDERS)),
+                    {"help": "N,M orders for two-argument records"}),
+    "action_order": (12, {}),
+    "recursion_order": (12, {}),
+    "mode": ("formal", {"choices": ("formal", "numeric", "both")}),
+    "chi": ("0.1,0.25", {"help": "comma-separated chi grid"}),
+    "tol": (1e-8, {}),
+    "flow_tol": (1e-8, {}),
+    "alpha": (0.1, {}),
+    "step": (1e-3, {}),
+    "start": ("x=1,y=2,z=3,u=1/2,t=1/3",
+              {"help": "flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3"}),
+    "seed": (42, {}),
+    "out": ("reports", {"help": "report output directory"}),
+    "format": ("both", {"choices": ("json", "md", "both")}),
+}
 
-@dataclass
+
 class RunConfig:
-    points: str = field(default=";".join(",".join(p) for p in DEFAULT_PARAM_POINTS),
-                        metadata={"help": "semicolon-separated a,b,c rational triples"})
-    orders_f11: str = field(default=",".join(map(str, DEFAULT_F11_ORDERS)),
-                            metadata={"help": "N,M orders for one-argument records"})
-    orders_psi2: str = field(default=",".join(map(str, DEFAULT_PSI2_ORDERS)),
-                             metadata={"help": "N,M orders for two-argument records"})
-    action_order: int = 12
-    recursion_order: int = 12
-    mode: str = field(default="formal", metadata={"choices": ("formal", "numeric", "both")})
-    chi: str = field(default="0.1,0.25", metadata={"help": "comma-separated chi grid"})
-    tol: float = 1e-8
-    flow_tol: float = 1e-8
-    alpha: float = 0.1
-    step: float = 1e-3
-    start: str = field(default="x=1,y=2,z=3,u=1/2,t=1/3",
-                       metadata={"help": "flow start point, e.g. x=1,y=2,z=3,u=1/2,t=1/3"})
-    seed: int = 42
-    out: str = field(default="reports", metadata={"help": "report output directory"})
-    format: str = field(default="both", metadata={"choices": ("json", "md", "both")})
+    """``verify``'s settings, one attribute per entry of ``CONFIG_FIELDS``,
+    each at its default until a config file or an option sets it."""
+
+    def __init__(self):
+        vars(self).update((name, default) for name, (default, _keywords) in CONFIG_FIELDS.items())
 
     def param_points(self) -> list[ParamsPsi2]:
         pts = []
@@ -144,6 +142,8 @@ class RunConfig:
         return grid
 
     def start_point(self) -> dict[str, Fraction]:
+        from .liealg import FLOW_COORDINATES, check_flow_start
+
         point = {}
         for item in self.start.split(","):
             name, eq, value = item.partition("=")
@@ -167,6 +167,8 @@ class RunConfig:
         return point
 
     def validate(self) -> None:
+        from .liealg import flow_steps
+
         self.param_points()
         self.orders()
         self.chi_grid()
@@ -182,22 +184,24 @@ class RunConfig:
         if self.step <= 0:
             raise ValueError("step must be positive")
         flow_steps(self.alpha, self.step)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if "choices" in f.metadata and value not in f.metadata["choices"]:
-                raise ValueError(f"unknown {f.name} {value!r}")
+        for name, (_default, keywords) in CONFIG_FIELDS.items():
+            value = getattr(self, name)
+            if "choices" in keywords and value not in keywords["choices"]:
+                raise ValueError(f"unknown {name} {value!r}")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
+    import json
+
     cfg = RunConfig()
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError("config must be a JSON object")
         for key, value in loaded.items():
-            if key not in vars(cfg):
+            if key not in CONFIG_FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            want = type(getattr(cfg, key))
+            want = type(CONFIG_FIELDS[key][0])
             if not (type(value) is want or want is float and type(value) is int):
                 raise ValueError(f"config key {key!r} needs a {want.__name__} value")
             if want is float:
@@ -206,7 +210,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                 except OverflowError:
                     raise ValueError(f"config key {key!r} is too large for a float") from None
             setattr(cfg, key, value)
-    for key in vars(cfg):
+    for key in CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -288,6 +292,8 @@ def _rows_markdown(title: str, rows: list[dict]) -> str:
 
 
 def _write_reports(cfg: RunConfig, scope: str, payload: dict, markdown: str) -> None:
+    from .identities import report_to_json
+
     out = Path(cfg.out)
     if cfg.format in ("json", "both"):
         (out / f"verify_{scope}.json").write_text(report_to_json(payload))
@@ -305,11 +311,15 @@ def _rows_scope(title: str, rows: list[dict]) -> ScopeResult:
 
 
 def _identities(cfg: RunConfig) -> ScopeResult:
+    from .identities import invariant_ok, report_to_markdown, run_suite
+
     report = run_suite(cfg.param_points(), cfg.orders(), cfg.mode, cfg.chi_grid(), cfg.tol)
     return report, [report_to_markdown(report)], invariant_ok(report)
 
 
 def _actions(cfg: RunConfig) -> ScopeResult:
+    from .liealg import action_suite
+
     return _rows_scope("Operator actions", action_suite(cfg.param_points(), cfg.action_order))
 
 
@@ -319,11 +329,15 @@ def _recursions(cfg: RunConfig) -> ScopeResult:
 
 
 def _flows(cfg: RunConfig) -> ScopeResult:
+    from .liealg import flow_suite
+
     rows = flow_suite(cfg.start_point(), cfg.alpha, cfg.step, cfg.flow_tol)
     return _rows_scope("One-parameter flows", rows)
 
 
 def _commutators(cfg: RunConfig) -> ScopeResult:
+    from .liealg import commutator_suite
+
     result = commutator_suite(cfg.seed)
     ok = result["antisymmetry_ok"] and result["jacobi_ok"] and result["bilinearity_ok"]
     sections = [_rows_markdown(f"Commutators ({fam})", rows)
@@ -349,6 +363,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scopes finished before it are still written, with ``"ok": false`` and
     the error text, and the error is raised again.
     """
+    from .identities import catalogue as identity_catalogue, check_domain
+
     cfg = _config_from(args)
     scope = args.scope
     if scope in ("identities", "all") and cfg.mode != "formal":
@@ -385,6 +401,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- catalogue ---------------------------------------------------------------------
 
 def cmd_catalogue(_args: argparse.Namespace) -> int:
+    from .identities import catalogue as identity_catalogue
+    from .liealg import FLOW_IDS, OPERATOR_NOTES, catalogue as operator_catalogue
+
     print(f"hypersym {__version__}")
     print()
     print("identity records:")
@@ -430,12 +449,12 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, dict]]] = {
     "verify": (cmd_verify, "run a verification scope, write reports", {
         "--scope": {"default": "all", "choices": SCOPES},
         "--config": {"help": "flat JSON config file; flags override"},
-        # one option per RunConfig field; None leaves the file's or the field's value
-        **{"--" + f.name.replace("_", "-"): {
+        # one option per setting; None leaves the file's or the default value
+        **{"--" + name.replace("_", "-"): {
             "default": None,
-            **({} if isinstance(f.default, str) else {"type": type(f.default)}),
-            **f.metadata,
-        } for f in fields(RunConfig)},
+            **({} if isinstance(default, str) else {"type": type(default)}),
+            **keywords,
+        } for name, (default, keywords) in CONFIG_FIELDS.items()},
     }),
     "catalogue": (cmd_catalogue, "print identity and operator listings", {}),
 }

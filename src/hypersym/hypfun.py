@@ -71,16 +71,19 @@ sum is what the loop would return, so every float is the same with or
 without the memo.  The recursion suite's realized members are kept there
 too (``liealg.realize``).
 Outside it, ``eval`` calls among them, nothing is looked up or kept.
+
+``verify``'s default points and orders and ``SingularFlow`` live here, not
+in ``identities`` and ``liealg``, which import them, so that the command
+front end can state its settings and errors without importing those two.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exactnum import (
     DegenerateParameter,
@@ -93,35 +96,72 @@ from .series import MultiSeries, _kept, _shared_work, horn_compose, horn_series,
 
 DEFAULT_TERM_CAP = 10000
 
+# ``verify``'s default parameter points and identity orders, read by
+# ``identities`` and by the settings table of ``cli``.
+DEFAULT_F11_ORDERS = (6, 12)   # (chi order N, inner order M)
+DEFAULT_PSI2_ORDERS = (4, 6)
+
+DEFAULT_PARAM_POINTS = (
+    ("1/2", "4/3", "5/7"),
+    ("3/2", "7/3", "11/6"),
+    ("2/5", "9/4", "5/7"),
+)
+
 
 class NoConvergence(ArithmeticError):
     """Floating summation failed to meet tolerance within the term cap."""
 
 
-class _ParamPoint:
-    """The body of both parameter classes: every field becomes a Fraction, in
-    order, then each bottom parameter (every field after ``a``) is checked."""
+class SingularFlow(ArithmeticError):
+    """A closed-form flow denominator came within the safety margin of 0, or
+    (from ``liealg.flow_suite``) a flow's run divided by zero or overflowed."""
 
-    def __post_init__(self):
+
+class _ParamPoint:
+    """The body of both parameter classes: immutable points whose fields,
+    ``__match_args__``, are Fractions.  Each class's ``__init__`` makes every
+    argument a Fraction, in order, then checks each bottom parameter (every
+    field after ``a``), calling ``_check`` only when one is on a pole.
+    ``_fields(point)`` is the tuple of the fields in order; equality, hash,
+    ``repr`` and ``shifted`` read it.  A point equals only a point of its
+    own class, never a tuple, since points key the work a suite shares."""
+
+    __match_args__: tuple[str, ...]
+    _fields: Callable[[object], tuple[Fraction, ...]]
+
+    def _check(self) -> None:
+        """DegenerateParameter naming the first bottom parameter that is zero
+        or a negative integer."""
         values = vars(self)
-        names = self.__match_args__
-        for name in names:
-            if type(values[name]) is not Fraction:
-                values[name] = as_rational(values[name])
-        for name in names[1:]:
+        for name in self.__match_args__[1:]:
             if is_nonpositive_integer(values[name]):
                 raise DegenerateParameter(f"parameter {name} = {values[name]} is zero or a "
                                           "negative integer")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
     def __hash__(self) -> int:
-        """The hash of the fields in order, as a frozen dataclass's, made on
-        the first call and kept: points key the work a suite shares, and a
-        ``Fraction``'s hash is made afresh on each call."""
+        """The hash of the tuple of the fields, made on the first call and
+        kept: points key the work a suite shares, and a ``Fraction``'s hash
+        is made afresh on each call."""
         values = vars(self)
         found = values.get("_hash")
         if found is None:
-            found = values["_hash"] = hash(tuple([values[name] for name in self.__match_args__]))
+            found = values["_hash"] = hash(self._fields(self))
         return found
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields(self)))
+        return f"{type(self).__name__}({fields})"
 
     def shifted(self, *steps: int):
         """The point moved by one integer step per field, in order; missing
@@ -130,30 +170,37 @@ class _ParamPoint:
         if len(steps) > len(names):
             raise TypeError(f"{type(self).__name__}.shifted() takes from 1 to {len(names) + 1} "
                             f"positional arguments but {len(steps) + 1} were given")
-        values = vars(self)
-        return type(self)(*[values[name] + step if step else values[name]
-                            for name, step in zip(names, steps + (0,) * len(names))])
+        return type(self)(*[value + step if step else value
+                            for value, step in zip(self._fields(self), steps + (0,) * len(names))])
 
 
-@dataclass(frozen=True)
 class Params1F1(_ParamPoint):
     """Parameters (a; b); b must avoid zero and negative integers."""
 
-    __hash__ = _ParamPoint.__hash__  # a dataclass keeps a __hash__ of its own body
+    __match_args__ = ("a", "b")
+    _fields = operator.attrgetter(*__match_args__)
 
-    a: Fraction
-    b: Fraction
+    def __init__(self, a, b):
+        values = vars(self)
+        values["a"] = a if type(a) is Fraction else as_rational(a)
+        values["b"] = b = b if type(b) is Fraction else as_rational(b)
+        if is_nonpositive_integer(b):
+            self._check()
 
 
-@dataclass(frozen=True)
 class ParamsPsi2(_ParamPoint):
     """Parameters (a; b, c); b and c avoid zero and negative integers."""
 
-    __hash__ = _ParamPoint.__hash__  # a dataclass keeps a __hash__ of its own body
+    __match_args__ = ("a", "b", "c")
+    _fields = operator.attrgetter(*__match_args__)
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    def __init__(self, a, b, c):
+        values = vars(self)
+        values["a"] = a if type(a) is Fraction else as_rational(a)
+        values["b"] = b = b if type(b) is Fraction else as_rational(b)
+        values["c"] = c = c if type(c) is Fraction else as_rational(c)
+        if is_nonpositive_integer(b) or is_nonpositive_integer(c):
+            self._check()
 
 
 def param_strs(params: Params1F1 | ParamsPsi2) -> dict[str, str]:
@@ -175,8 +222,7 @@ def float_params(params: Params1F1 | ParamsPsi2) -> SimpleNamespace:
 
 # -- Horn families -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One Horn family: top parameter ``p.a`` and, per coordinate, the bottom
     parameters ``bottoms(p)`` of that coordinate's index.
 

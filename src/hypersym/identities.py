@@ -51,12 +51,14 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__ as ENGINE_VERSION
 from .hypfun import (
+    DEFAULT_F11_ORDERS,
+    DEFAULT_PARAM_POINTS,
+    DEFAULT_PSI2_ORDERS,
     DEFAULT_TERM_CAP,
     FAMILIES,
     NoConvergence,
@@ -77,15 +79,6 @@ from .series import (
 
 AS_STATED = "as_stated"
 CORRECTED = "corrected_candidate"
-
-DEFAULT_F11_ORDERS = (6, 12)   # (chi order N, inner order M)
-DEFAULT_PSI2_ORDERS = (4, 6)
-
-DEFAULT_PARAM_POINTS = (
-    ("1/2", "4/3", "5/7"),
-    ("3/2", "7/3", "11/6"),
-    ("2/5", "9/4", "5/7"),
-)
 
 DEFAULT_EVAL_X = 0.25
 DEFAULT_EVAL_Y = 0.2
@@ -123,7 +116,6 @@ def check_domain(
 
 # -- record type -----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IdentityRecord:
     """One catalogued relation with its as-stated and optional corrected form.
 
@@ -143,17 +135,25 @@ class IdentityRecord:
     w_{l+1} = w_l c(params + l*shift) / (l + 1).
     """
 
-    rec_id: str
-    statement: str                 # human-readable as-stated formula
-    validity: str                  # a key of ``_DOMAINS``
-    op: str                        # operator id whose action gives the right side
-    lhs: Callable[..., object]
-    corrected: Callable[..., object] | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.validity not in _DOMAINS:
-            raise ValueError(f"{self.rec_id}: no domain for validity {self.validity!r}")
+    def __init__(
+        self,
+        rec_id: str,
+        statement: str,                 # human-readable as-stated formula
+        validity: str,                  # a key of ``_DOMAINS``
+        op: str,                        # operator id whose action gives the right side
+        lhs: Callable[..., object],
+        corrected: Callable[..., object] | None = None,
+        note: str = "",
+    ):
+        if validity not in _DOMAINS:
+            raise ValueError(f"{rec_id}: no domain for validity {validity!r}")
+        self.rec_id = rec_id
+        self.statement = statement
+        self.validity = validity
+        self.op = op
+        self.lhs = lhs
+        self.corrected = corrected
+        self.note = note
 
     @property
     def family(self) -> str:

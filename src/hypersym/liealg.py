@@ -26,22 +26,16 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import Q, as_rational
-from .hypfun import FAMILIES, param_strs
+from .hypfun import FAMILIES, SingularFlow, param_strs
 from .series import MultiSeries, _kept, _shared_work, first_mismatch, operator_image
 
 Monomial = tuple[tuple[str, int], ...]
 Pattern = tuple[Monomial, str | None]
-
-
-class SingularFlow(ArithmeticError):
-    """A closed-form flow denominator came within the safety margin of 0, or
-    (from ``flow_suite``) a flow's run divided by zero or overflowed."""
 
 
 class PrefactorMismatch(ValueError):
@@ -85,8 +79,7 @@ def _mono_deriv(m: Monomial, v: str) -> tuple[int, Monomial]:
     return e, tuple(sorted(d.items()))
 
 
-@dataclass(frozen=True)
-class OpTerm:
+class OpTerm(NamedTuple):
     coefficient: Fraction
     monomial: Monomial
     derivative: str | None
@@ -259,8 +252,7 @@ def commutator(op1: DiffOperator, op2: DiffOperator) -> DiffOperator:
 
 # -- span membership ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpanResult:
+class SpanResult(NamedTuple):
     in_span: bool
     coefficients: dict[str, Fraction] | None
     residual: DiffOperator | None
@@ -378,7 +370,7 @@ def action_sides(op_id: str, params, order: int) -> tuple[object, Fraction, Real
     shifted = rule.shifted(p)
     lhs = catalogue()[op_id].apply(realize(kind, p, order))
     target = realize(kind, shifted, order)
-    rhs = target.body.truncate(lhs.body.cap_map()).scale(coefficient)
+    rhs = target.body.truncate(lhs.body.cap_map(), coefficient)
     return p, coefficient, lhs, Realized(rhs, target.prefactor)
 
 
@@ -433,7 +425,6 @@ def action_suite(points: Sequence, order: int) -> list[dict]:
 
 # -- one-parameter flows --------------------------------------------------------
 
-@dataclass(frozen=True)
 class FlowSpec:
     """Characteristic ODE system and its closed-form flow for one operator.
 
@@ -448,13 +439,23 @@ class FlowSpec:
     are built from the spec on first use and cached on it.
     """
 
-    op_id: str
-    field: DiffOperator
-    closed: dict[str, Callable[[dict, float], float]]
-    denominators: tuple[Callable[[dict, float], float], ...] = ()
-    multiplier_closed: Callable[[dict, float], float] = lambda s0, a: 1.0
-    multiplier_text: str = "1"
-    notes: str = ""
+    def __init__(
+        self,
+        op_id: str,
+        field: DiffOperator,
+        closed: dict[str, Callable[[dict, float], float]],
+        denominators: tuple[Callable[[dict, float], float], ...] = (),
+        multiplier_closed: Callable[[dict, float], float] = lambda s0, a: 1.0,
+        multiplier_text: str = "1",
+        notes: str = "",
+    ):
+        self.op_id = op_id
+        self.field = field
+        self.closed = closed
+        self.denominators = denominators
+        self.multiplier_closed = multiplier_closed
+        self.multiplier_text = multiplier_text
+        self.notes = notes
 
     @functools.cached_property
     def coords(self) -> tuple[str, ...]:
@@ -728,8 +729,7 @@ def _rk4_source(spec: FlowSpec) -> str:
 
 # -- the operator table ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionRule:
+class ActionRule(NamedTuple):
     """E F(p) = coefficient(p) F(p + shift) for one catalogued operator E."""
 
     shift: tuple[int, ...]            # (da, db) or (da, db, dc)

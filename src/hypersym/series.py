@@ -513,38 +513,45 @@ class MultiSeries:
 
     # -- shape changes -----------------------------------------------------
 
-    def truncate(self, caps: Mapping[str, int]) -> "MultiSeries":
-        """Restrict to caps at or below the series' own; variable set must agree.
+    def truncate(self, caps: Mapping[str, int], k=1) -> "MultiSeries":
+        """k times the series restricted to caps at or below its own; variable
+        set must agree.
 
         A cap above the series' own raises ``CapMismatch`` (a ``ValueError``):
         the coefficients between the two caps are unknown, not zero.  At the
-        series' own caps the result is ``self`` (series are values:
+        series' own caps and k = 1 the result is ``self`` (series are values:
         no method changes one).  Where every bit field keeps its width the
         keys stay: a term drops exactly when its key plus the new layout's
-        offset sets a guard bit, and the content is divided out only if one
-        did.  Only a changed width unpacks and repacks every key.
+        offset sets a guard bit.  Only a changed width unpacks and repacks
+        every key.  The kept numerators are multiplied by k's in the same
+        pass, over the denominator times k's, and the content is divided out
+        once, only if a term dropped or k is not 1.
         """
         names, degs = _normalize_caps(caps)
         if names != self.variables:
             raise CapMismatch("truncate cannot change the variable set")
-        if degs == self.caps:
-            return self
         for name, cap, own in zip(names, degs, self.caps):
             if cap > own:
                 raise CapMismatch(f"truncate cannot raise the cap of {name!r} from {own} to {cap}")
+        k = as_rational(k)
+        if not k:
+            return MultiSeries._trusted(names, degs, 1, {})
+        if k == 1 and degs == self.caps:
+            return self
+        m = k.numerator
         old, new = _layout(self.caps), _layout(degs)
         if old.fields == new.fields:
             guard, offset = new.guard, new.offset
-            out = {k: c for k, c in self.nums.items() if not (k + offset) & guard}
-            if len(out) == len(self.nums):
+            out = {key: c * m for key, c in self.nums.items() if not (key + offset) & guard}
+            if k == 1 and len(out) == len(self.nums):
                 return MultiSeries._trusted(names, degs, self.den, out)
-            return MultiSeries._trusted(names, degs, *_reduce(self.den, out))
-        out: dict[int, int] = {}
-        for key, c in self.nums.items():
-            exps = old[key]
-            if all(map(operator.le, exps, degs)):
-                out[new.key(exps)] = c
-        return MultiSeries._trusted(names, degs, *_reduce(self.den, out))
+        else:
+            out = {}
+            for key, c in self.nums.items():
+                exps = old[key]
+                if all(map(operator.le, exps, degs)):
+                    out[new.key(exps)] = c * m
+        return MultiSeries._trusted(names, degs, *_reduce(self.den * k.denominator, out))
 
     def extend(self, extra_caps: Mapping[str, int]) -> "MultiSeries":
         """Embed into a larger variable set; new variables get degree 0."""

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -633,7 +632,7 @@ class TestVerify:
 
     def test_unpaired_mismatch_exits_1_with_its_report(self, tmp_path, monkeypatch, capsys):
         record = get_record("I-F11-LOWER-B")
-        stripped = dataclasses.replace(record, corrected=None)
+        stripped = identities.IdentityRecord(**{**vars(record), "corrected": None})
         monkeypatch.setattr(identities, "catalogue", lambda: (stripped,))
         argv = ["verify", "--scope", "identities", "--points", "1/2,4/3,5/7",
                 "--out", str(tmp_path)]

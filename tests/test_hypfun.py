@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -130,11 +129,11 @@ FLOAT_PARAM = st.one_of(
 def ref_float_params(params):
     """``float_params`` as it read the fields by name."""
     floats = {}
-    for f in dataclasses.fields(params):
+    for name in params.__match_args__:
         try:
-            floats[f.name] = float(getattr(params, f.name))
+            floats[name] = float(getattr(params, name))
         except OverflowError:
-            raise ValueError(f"parameter {f.name} is too large for a float") from None
+            raise ValueError(f"parameter {name} is too large for a float") from None
     return floats
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -310,7 +309,7 @@ class TestWitnessProbe:
 
     def test_mismatch_without_a_corrected_candidate_comes_from_the_full_box(self, monkeypatch):
         # no corrected candidate can excuse the row, so it builds no probe
-        stripped = dataclasses.replace(get_record("I-F11-LOWER-B"), corrected=None)
+        stripped = IdentityRecord(**{**vars(get_record("I-F11-LOWER-B")), "corrected": None})
         built = self._built_caps(monkeypatch)
         row = verify_formal(stripped, AS_STATED, P, 6, 12)
         assert built == [{"chi": 6, "x": 12}]
@@ -615,7 +614,7 @@ class TestRecordData:
 
     def test_unknown_validity_text_raises_at_construction(self):
         with pytest.raises(ValueError) as exc:
-            dataclasses.replace(EXPONENTIAL, validity="|chi| < 2")
+            IdentityRecord(**{**vars(EXPONENTIAL), "validity": "|chi| < 2"})
         assert str(exc.value) == "T-EXPONENTIAL: no domain for validity '|chi| < 2'"
 
     @pytest.mark.parametrize("chi, x", [(0.5, -1.5), (1.5, DEFAULT_EVAL_X), (-0.75, 2.5)])
@@ -746,15 +745,15 @@ class TestRunSuite:
 
     def test_unpaired_mismatch_fails_suite(self):
         broken = get_record("I-F11-LOWER-B")
-        stripped = dataclasses.replace(broken, corrected=None)
+        stripped = IdentityRecord(**{**vars(broken), "corrected": None})
         report = run_suite(records=[stripped], param_points=[P])
         assert not invariant_ok(report)
         assert report["summary"]["unresolved_failures"] == 1
 
     def test_mismatched_corrected_candidate_fails_suite(self):
         # the as-stated form verifies; a wrong candidate is still a failure
-        rec = dataclasses.replace(get_record("I-F11-SHIFT"),
-                                  corrected=lambda F, exp, p, x, y, chi: F(x + chi + chi))
+        rec = IdentityRecord(**{**vars(get_record("I-F11-SHIFT")),
+                                 "corrected": lambda F, exp, p, x, y, chi: F(x + chi + chi)})
         report = run_suite(records=[rec], param_points=[P])
         assert [(r["variant"], r["status"]) for r in report["rows"]] == \
             [(AS_STATED, "verified"), (CORRECTED, "mismatch")]
@@ -764,11 +763,11 @@ class TestRunSuite:
     def test_given_records_are_the_ones_verified(self):
         # a record handed to run_suite is checked as given, not looked up by id
         rec = get_record("I-F11-SHIFT")
-        doubled = dataclasses.replace(
-            rec, lhs=lambda F, exp, p, x, y, chi: F(x + chi) + F(x + chi))
+        doubled = IdentityRecord(
+            **{**vars(rec), "lhs": lambda F, exp, p, x, y, chi: F(x + chi) + F(x + chi)})
         report = run_suite(records=[doubled], param_points=[P], mode="both")
         assert [r["status"] for r in report["rows"]] == ["mismatch"] * 3
-        renamed = dataclasses.replace(rec, rec_id="I-NEW")
+        renamed = IdentityRecord(**{**vars(rec), "rec_id": "I-NEW"})
         report = run_suite(records=[renamed], param_points=[P], mode="both")
         assert [(r["id"], r["status"]) for r in report["rows"]] == [("I-NEW", "verified")] * 3
 
@@ -998,7 +997,7 @@ class TestReportSerialization:
     @pytest.mark.parametrize("mode", ["formal", "numeric", "both"])
     def test_every_report_is_the_json_text(self, mode, monkeypatch, tmp_path, capsys):
         payloads = []
-        monkeypatch.setattr(cli, "report_to_json",
+        monkeypatch.setattr(identities, "report_to_json",
                             lambda payload: payloads.append(payload) or report_to_json(payload))
         for scope in cli.SCOPES:
             assert cli.main(["verify", "--scope", scope, "--mode", mode,

@@ -193,3 +193,42 @@ class TestSharedBodyMatchesTheFullClasses:
             assert _outcome(lambda: new(*[1] * n).shifted(*too_long)) == (
                 TypeError, f"{old.__name__}.shifted() takes from 1 to {n + 1} positional "
                            f"arguments but {n + 2} were given")
+
+
+class TestValueBehaviour:
+    """Equality, hash, ``repr``, field order and immutability of the points,
+    as the frozen dataclasses of the oracle above give them."""
+
+    def test_not_equal_to_a_tuple_or_the_other_class(self):
+        # points key shared work, so a tuple or a point of the other class
+        # must not find their entries
+        f, p = hypfun.Params1F1(1, 2), hypfun.ParamsPsi2(1, 2, 3)
+        assert f != (Fraction(1), Fraction(2)) and p != (Fraction(1), Fraction(2), Fraction(3))
+        assert f != hypfun.ParamsPsi2(1, 2, 1) and p != hypfun.Params1F1(1, 2)
+        assert len({f: 1, (Fraction(1), Fraction(2)): 2}) == 2
+        assert f == hypfun.Params1F1("1", Fraction(2)) and p == hypfun.ParamsPsi2(1, 2, 3)
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for p in (hypfun.Params1F1("1/2", 4), hypfun.ParamsPsi2(Fraction(-7, 3), "4/3", 5)):
+            fields = tuple(getattr(p, name) for name in p.__match_args__)
+            assert hash(p) == hash(fields) == hash(p)
+
+    def test_repr_and_field_order(self):
+        # the oracle's reprs, recorded
+        assert repr(hypfun.Params1F1("1/2", 4)) == "Params1F1(a=Fraction(1, 2), b=Fraction(4, 1))"
+        assert repr(hypfun.ParamsPsi2(Fraction(-7, 3), "4/3", 5)) == (
+            "ParamsPsi2(a=Fraction(-7, 3), b=Fraction(4, 3), c=Fraction(5, 1))")
+        assert hypfun.Params1F1.__match_args__ == ("a", "b")
+        assert hypfun.ParamsPsi2.__match_args__ == ("a", "b", "c")
+
+    def test_fields_cannot_be_assigned(self):
+        p = hypfun.ParamsPsi2(1, 2, 3)
+        hash(p)
+        for name in ("a", "c", "d"):
+            try:
+                setattr(p, name, 5)
+            except AttributeError as exc:
+                assert str(exc) == f"cannot assign to field {name!r}"
+            else:
+                raise AssertionError(name)
+        assert p == hypfun.ParamsPsi2(1, 2, 3) and hash(p) == hash(hypfun.ParamsPsi2(1, 2, 3))

@@ -794,6 +794,19 @@ class TestTruncateOnPackedKeys:
         assert _layout(s.caps).fields != _layout(tuple(lower[v] for v in s.variables)).fields
         self.check(s, lower)
 
+    @settings(max_examples=150, deadline=None)
+    @given(truncation_case(same_width=True) | truncation_case(same_width=False),
+           st.sampled_from([0, 1, -1, 3, Q(1, 2)]) | st.fractions(max_denominator=30))
+    def test_cut_and_scaled_in_one_pass(self, case, k):
+        s, lower = case
+        cut = s.truncate(lower, k)
+        assert cut == reference_truncate(s, lower).scale(k) == s.truncate(lower).scale(k)
+        assert cut.caps == tuple(lower[v] for v in s.variables)
+        assert_clean(cut)
+        own = s.truncate(s.cap_map(), k)
+        assert own == s.scale(k)
+        assert_clean(own)
+
     def test_last_field_narrowed_far(self):
         # one variable: every layout has field shift 0, so only the widths
         # tell the layouts apart; 96 + the offset of cap 3 sets no guard bit

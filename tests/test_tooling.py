@@ -17,10 +17,11 @@ benchmark run, and no benchmark pass builds the argparse parser.
 
 import argparse
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -346,24 +347,40 @@ UNPASSED_DEFAULTS_ALLOWED = {
     "identities.verify_numeric.x": "the evaluation point of a numeric row, whose validity "
                                    "domain reads x",
     "identities.verify_numeric.y": "the evaluation point of a numeric row, with x",
+    "series.MultiSeries.__init__.terms": "a series from its terms, for library callers and "
+                                         "tests; the package builds series from packed "
+                                         "numerators",
 }
+
+
+def _constructors(trees):
+    """``(module.Class.__init__, node, True)`` of the ``__init__`` of each
+    module-level class that writes one, and the class's name."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        yield (f"{module}.{node.name}.__init__", item, True), node.name
 
 
 def _defaulted_parameters(trees):
     """``(callee name, qualified parameter name, positional index)`` of each
     parameter with a default of the functions and methods of
-    ``_definitions``.  The index counts the arguments a call writes, so a
-    method's ``self`` or ``cls`` is not one; it is None for a keyword-only
-    parameter."""
-    for qualified, fn, method in _definitions(trees):
+    ``_definitions`` and of the classes' ``__init__``s, which a call of the
+    class calls, so their callee name is the class's.  The index counts the
+    arguments a call writes, so a method's ``self`` or ``cls`` is not one; it
+    is None for a keyword-only parameter."""
+    definitions = [(definition, definition[1].name) for definition in _definitions(trees)]
+    for (qualified, fn, method), callee in definitions + list(_constructors(trees)):
         implicit = method and not any(getattr(d, "id", None) == "staticmethod"
                                       for d in fn.decorator_list)
         positional = fn.args.posonlyargs + fn.args.args
         for index in range(len(positional) - len(fn.args.defaults), len(positional)):
-            yield fn.name, f"{qualified}.{positional[index].arg}", index - implicit
+            yield callee, f"{qualified}.{positional[index].arg}", index - implicit
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
-                yield fn.name, f"{qualified}.{arg.arg}", None
+                yield callee, f"{qualified}.{arg.arg}", None
 
 
 def _passes(call, name, index):
@@ -413,7 +430,9 @@ def test_every_config_field_is_one_verify_option():
     dests = [cli._dest(flag) for flag in _verify_options()]
     dests = [dest for dest in dests if dest not in ("scope", "config")]
     assert len(dests) == len(set(dests))
-    assert sorted(dests) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
+    assert sorted(dests) == sorted(cli.CONFIG_FIELDS)
+    defaults = {name: default for name, (default, _keywords) in cli.CONFIG_FIELDS.items()}
+    assert vars(cli.RunConfig()) == defaults
 
 
 def test_scopes_are_the_runner_table_and_all():
@@ -505,3 +524,57 @@ def test_every_benchmark_command_line_parses_directly(monkeypatch, tmp_path):
                 _direct_parse_as_argparse(argv)
                 count += 1
     assert count > 600
+
+
+def _run_fresh(code):
+    """The stdout of ``code`` run in a fresh interpreter with the package's
+    source directory on the path."""
+    src = str(Path(hypfun.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert (r.returncode, r.stderr) == (0, "")
+    return r.stdout
+
+
+def test_importing_the_package_leaves_dataclasses_and_inspect_out():
+    """Every command pays for its imports: ``dataclasses`` brings in
+    ``inspect``, ``ast``, ``dis`` and ``copy``, and compiles each class's
+    methods, which no verdict needs."""
+    out = _run_fresh("import sys\n"
+                     "from hypersym import cli, identities, liealg\n"
+                     "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    assert out == "[]\n"
+
+
+def test_eval_imports_neither_identities_nor_liealg():
+    """``eval`` imports only what it runs; ``verify`` and ``catalogue``
+    import the identity and operator modules when they run."""
+    argvs = [
+        ["eval", "--fn", "f11", "--a", "1/2", "--b", "4/3", "--x", "1/3", "--exact"],
+        ["eval", "--fn", "psi2", "--a", "1/2", "--b", "4/3", "--c", "5/7", "--x", "0.3",
+         "--y", "0.2"],
+        ["eval", "--fn", "psi2x3", "--a", "1/2", "--b", "4/3", "--c", "5/7", "--x", "1/3",
+         "--y", "1/5", "--z", "1/7", "--terms", "5"],
+    ]
+    out = _run_fresh("import sys\n"
+                     "from hypersym import cli\n"
+                     "loaded = lambda: [m for m in ('hypersym.identities', 'hypersym.liealg') "
+                     "if m in sys.modules]\n"
+                     f"for argv in {argvs!r}:\n"
+                     "    assert cli.main(argv) == 0, argv\n"
+                     "after_eval = loaded()\n"
+                     "assert cli.main(['catalogue']) == 0\n"
+                     "print(after_eval, loaded())")
+    assert len(out.splitlines()) > 5
+    assert out.splitlines()[-1] == "[] ['hypersym.identities', 'hypersym.liealg']"
+
+
+def test_names_eval_needs_are_still_read_where_they_were():
+    """``SingularFlow`` and ``verify``'s defaults live in ``hypfun``, which
+    ``eval`` imports; ``liealg`` and ``identities`` still give them."""
+    from hypersym import identities
+
+    assert liealg.SingularFlow is hypfun.SingularFlow
+    assert cli.COMMAND_ERRORS.count(hypfun.SingularFlow) == 1
+    for name in ("DEFAULT_F11_ORDERS", "DEFAULT_PSI2_ORDERS", "DEFAULT_PARAM_POINTS"):
+        assert getattr(identities, name) is getattr(hypfun, name)
