@@ -50,7 +50,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
@@ -192,6 +191,7 @@ class RunConfig:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     import json
+    from pathlib import Path
 
     cfg = RunConfig()
     if args.config is not None:
@@ -292,6 +292,8 @@ def _rows_markdown(title: str, rows: list[dict]) -> str:
 
 
 def _write_reports(cfg: RunConfig, scope: str, payload: dict, markdown: str) -> None:
+    from pathlib import Path
+
     from .identities import report_to_json
 
     out = Path(cfg.out)
@@ -363,6 +365,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scopes finished before it are still written, with ``"ok": false`` and
     the error text, and the error is raised again.
     """
+    import time
+    from pathlib import Path
+
     from .identities import catalogue as identity_catalogue, check_domain
 
     cfg = _config_from(args)
@@ -380,7 +385,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     error = None
     try:
         for name in SCOPE_RUNNERS if scope == "all" else (scope,):
+            start = time.perf_counter()
             part, sections, ok = SCOPE_RUNNERS[name](cfg)
+            part["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
             all_ok &= ok
             payload["scopes"][name] = part
             md_parts += sections

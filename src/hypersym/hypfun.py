@@ -41,20 +41,22 @@ term; an outer level tests each contribution against the partial sum that
 includes it and returns the sum with it.  A sum's first
 floor(|arg| + |a + k|) - 1 terms, its run-up, are taken in a loop that
 tests nothing; the tested loop starts after them and stops where a loop
-tested from the first term would.  A 1F1 step s -> s+1 divides by
-(s + 1) * (b + s); one nested sum keeps these step denominators in one list,
-extended as its inner sums need them, and every inner 1F1 reads it.  Every
-float is made by the same operations in the same order as in a loop that
-tests every term and makes each denominator afresh.  The entry checks the
-arguments once, before the first term, and its docstring lists the checks;
-one rejects a bottom parameter whose float is zero or a negative integer,
-which the parameter classes accept when the exact value is off the pole.
-A nested sum raises ``NoConvergence`` soon after an
-outer partial sum stops being finite, since no later term can bring it
-back: the run-up tests the partial sum once per block of ``_RUN_UP_BLOCK``
-terms, and the tested loop only where the smallness test passes for the
-second time or fails after passing (an infinite partial sum passes it, and
-the NaN that follows one fails it), so a converging sum pays one test.
+tested from the first term would.  A step n -> n+1 divides by
+(n + 1) * prod(lower + n).  One nested sum keeps these step denominators in
+one list per level (``_extend_dens``), read by all its inner 1F1s or at
+every offset of its outer level, and its inner 1F1 values in one list
+indexed by offset.  Every float is made by the same operations in the
+same order as in a loop that tests every term and makes each denominator
+afresh.  The entry checks the arguments once, before the first term, and
+its docstring lists the checks; one rejects a bottom parameter whose float
+is zero or a negative integer, which the parameter classes accept when the
+exact value is off the pole.  A nested sum raises ``NoConvergence`` soon
+after an outer partial sum stops being finite, since no later term can
+bring it back: the run-up tests the partial sum once per block of
+``_RUN_UP_BLOCK`` terms, and the tested loop only where the smallness test
+passes for the second time or fails after passing (an infinite partial sum
+passes it, and the NaN that follows one fails it), so a converging sum pays
+one test.
 
 Everything here is stateless except the memo of ``series._shared_work()``,
 which is on only while a suite runs (``identities.run_suite`` and
@@ -339,6 +341,9 @@ def _run_up(threshold: float, cap: int) -> int:
 
 # Outer run-up terms summed between two tests of the partial sum.
 _RUN_UP_BLOCK = 32
+# Step denominators an outer level's tested loop makes at a time: few, since
+# short sums, which the numeric identities make by the hundred, end soon.
+_STEP_BLOCK = 8
 
 
 def _float_sum(
@@ -355,22 +360,24 @@ def _float_sum(
     (``_float_bottom``, ``DegenerateParameter``).
 
     ``_f11_sum``'s loop sums the x index innermost; each further coordinate
-    is one outer level, the last outermost, and the 1F1 sum is the case
-    with none: its sum that stops at a value that is not finite raises
+    is one outer level, the last outermost, and the 1F1 sum is the case with
+    none: its sum that stops at a value that is not finite raises
     ``NoConvergence``.  A level at top-parameter offset k (the sum of the
-    indices outside it) sums, for n < term_cap + k, (a+k)_n arg^n / (n!
-    prod (lower)_n) times the level inside at offset k + n: the stopping
-    rule needs more than |a + k| terms, so each sum may take k more terms
-    than ``term_cap`` and a slowly converging outer sum runs out before the
-    sums inside it.  The inner 1F1(a + k; b; x) depends on k alone and is
-    summed once per k, all of them on one list of step denominators.
-    Offsets are integers, so the loops make no ``Fraction``.  A level stops
-    as ``_f11_sum`` does, after two consecutive small terms past its
-    run-up, but it tests each contribution against the partial sum that
+    indices outside it) sums, for n < term_cap + k, (a+k)_n arg^n / (n! prod
+    (lower)_n) times the level inside at offset k + n: the stopping rule
+    needs more than |a + k| terms, so each sum may take k more terms than
+    ``term_cap`` and a slowly converging outer sum runs out before the sums
+    inside it.  The inner 1F1(a + k; b; x) depends on k alone: it is summed
+    once per k into a list indexed by k, which the innermost level reads,
+    and only a level with another level inside it calls the next.  Each level
+    keeps one list of step denominators for all its offsets, as the inner
+    1F1s do.  Offsets are integers, so the loops make no ``Fraction``.  A
+    level stops as ``_f11_sum`` does, after two consecutive small terms past
+    its run-up, but it tests each contribution against the partial sum that
     already includes it and returns that sum, where ``_f11_sum`` tests each
     next term against the partial sum before it and returns the sum without
-    the tested term.  ``NoConvergence`` names the level's coordinate; a
-    level whose partial sum is no longer finite raises it at once.
+    the tested term.  ``NoConvergence`` names the level's coordinate; a level
+    whose partial sum is no longer finite raises it at once.
     """
     fam = FAMILIES[family]
     term_cap = _check_sum_args(fam.coords, point, rel_tol, term_cap)
@@ -382,37 +389,44 @@ def _float_sum(
         if not math.isfinite(value):
             raise NoConvergence(f"partial sum not finite after {terms} terms at x={x}")
         return value, terms
-    levels = [(point[i], fam.coords[i], bottoms[i]) for i in range(len(point) - 1, 0, -1)]
+    levels = [(point[i], fam.coords[i], bottoms[i], []) for i in range(len(point) - 1, 0, -1)]
+    last = len(levels) - 1
     # float(a + k) is (num + k den) / den: a + k is already in lowest terms
     # and integer true division rounds correctly, as Fraction.__float__ does.
     num, den = p.a.numerator, p.a.denominator
     dens: list[float] = []
-    inner: dict[int, float] = {}
+    # values[k] is the inner 1F1(a + k; b; x).  Each level call reads its own offset
+    # first (n = 0), so offsets are first reached in increasing order with no gap.
+    values: list[float] = []
+
+    def within(depth: int, k: int) -> float:
+        """Level ``depth + 1`` at offset k, or the inner 1F1 for ``values[k]``."""
+        if depth < last:
+            return level(depth + 1, k)
+        values.append(_f11_kept((num + k * den) / den, b, x, rel_tol, term_cap + k, dens)[0])
+        return values[k]
 
     def level(depth: int, k: int) -> float:
         cap = term_cap + k
-        if depth == len(levels):
-            value = inner.get(k)
-            if value is None:
-                value = inner[k] = _f11_kept((num + k * den) / den, b, x, rel_tol, cap, dens)[0]
-            return value
-        arg, name, lowers = levels[depth]
+        arg, name, lowers, steps = levels[depth]
+        known = values if depth == last else ()  # () makes every term call ``within``
         af = (num + k * den) / den
         quiet = _run_up(abs(arg) + abs(af), cap)
+        if len(steps) < quiet:
+            _extend_dens(steps, lowers, quiet)
         total = 0.0
         outer = 1.0  # (a+k)_n arg^n / (n! prod (lower)_n)
         for start in range(0, quiet, _RUN_UP_BLOCK):
             for n in range(start, min(quiet, start + _RUN_UP_BLOCK)):
-                total += outer * level(depth + 1, k + n)
-                d = n + 1
-                for low in lowers:
-                    d *= low + n
-                outer *= (af + n) * arg / d
+                j = k + n
+                total += outer * (known[j] if j < len(known) else within(depth, j))
+                outer *= (af + n) * arg / steps[n]
             if total - total:
                 raise _not_finite(n, name, arg)
         small = False
         for n in range(quiet, cap):
-            contrib = outer * level(depth + 1, k + n)
+            j = k + n
+            contrib = outer * (known[j] if j < len(known) else within(depth, j))
             total += contrib
             # the smallness test of ``_f11_sum``, on this term
             bound = total if total >= 0.0 else -total
@@ -431,10 +445,9 @@ def _float_sum(
                 if total - total:
                     raise _not_finite(n, name, arg)
                 small = False
-            d = n + 1
-            for low in lowers:
-                d *= low + n
-            outer *= (af + n) * arg / d
+            if n == len(steps):
+                _extend_dens(steps, lowers, n + _STEP_BLOCK)
+            outer *= (af + n) * arg / steps[n]
         raise NoConvergence(f"no convergence in {cap} outer terms at {name}={arg}")
 
     return level(0, 0), None
@@ -490,8 +503,14 @@ def _f11_kept(
 _DENS_BLOCK = 32
 
 
-def _extend_dens(dens: list[float], b: float, stop: int) -> None:
-    dens.extend([(s + 1) * (b + s) for s in range(len(dens), stop)])
+def _extend_dens(dens: list[float], lowers: tuple[float, ...], stop: int) -> None:
+    """Extend ``dens`` to ``stop`` entries, entry n the step denominator
+    (n + 1) * prod(lower + n) of an index with bottom parameters ``lowers``."""
+    start = len(dens)
+    new = range(start + 1, stop + 1)
+    for low in lowers:
+        new = [d * (low + n) for n, d in enumerate(new, start)]
+    dens.extend(new)
 
 
 def _f11_sum(
@@ -502,12 +521,13 @@ def _f11_sum(
     ``dens`` holds the step denominators (s + 1) * (b + s) for the first
     len(dens) indices; it is extended in place, so sums that share b can
     share it.  The run-up takes its terms without testing them (``_run_up``);
-    the rest are tested in blocks of ``_DENS_BLOCK``, each extending
-    ``dens`` first.
+    the rest are tested in blocks that end at multiples of ``_DENS_BLOCK``,
+    each extending ``dens`` first, so the inner sums of a nested sum, whose
+    run-ups grow a term per offset, extend it once per block, not per sum.
     """
     quiet = _run_up(abs(x) + abs(a), term_cap)
     if len(dens) < quiet:
-        _extend_dens(dens, b, quiet)
+        _extend_dens(dens, (b,), quiet)
     total = 0.0
     term = 1.0
     for s in range(quiet):
@@ -516,9 +536,9 @@ def _f11_sum(
     small = False
     start = quiet
     while start < term_cap:
-        stop = min(term_cap, start + _DENS_BLOCK)
+        stop = min(term_cap, start - start % _DENS_BLOCK + _DENS_BLOCK)
         if len(dens) < stop:
-            _extend_dens(dens, b, stop)
+            _extend_dens(dens, (b,), stop)
         for s in range(start, stop):
             total += term
             term = term * (a + s) * x / dens[s]

@@ -720,12 +720,18 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     out.append(close)
 
 
+# Timing fields, each on a line of its own.  A row's ``elapsed_ms`` and a
+# suite's ``total_ms`` leave their line empty.  A ``verify`` scope's
+# ``elapsed_ms``, the first key of its part under ``scopes``, goes with its
+# line, so that a stripped report is the same whether its scopes are timed
+# or not.
 _TIMING_RE = re.compile(r'^\s*"(elapsed_ms|total_ms)": [0-9eE+.-]+,?$', re.M)
+_SCOPE_TIMING_RE = re.compile(r'^(    "\w+": \{\n)      "elapsed_ms": [0-9eE+.-]+,\n', re.M)
 
 
 def strip_timing(text: str) -> str:
     """Remove the isolated timing fields for byte-for-byte comparisons."""
-    return _TIMING_RE.sub("", text)
+    return _TIMING_RE.sub("", _SCOPE_TIMING_RE.sub(r"\1", text))
 
 
 def report_to_markdown(report: Mapping) -> str:

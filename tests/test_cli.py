@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -282,6 +283,14 @@ class TestVerify:
         rows = data["scopes"]["identities"]["rows"]
         assert len(rows) == 39
         assert (tmp_path / "verify_identities.md").exists()
+
+    def test_every_scope_is_timed(self, tmp_path, capsys):
+        assert cli.main(["verify", "--scope", "all", "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "verify_all.json").read_text())
+        assert sorted(data["scopes"]) == sorted(cli.SCOPE_RUNNERS)
+        for name, part in data["scopes"].items():
+            elapsed = part["elapsed_ms"]
+            assert type(elapsed) is float and math.isfinite(elapsed) and elapsed >= 0, name
 
     def test_commutators_scope_with_span(self, tmp_path):
         r = run_cli("verify", "--scope", "commutators", "--out", str(tmp_path))

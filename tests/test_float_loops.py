@@ -4,7 +4,9 @@ Every float sum enters through ``hypfun._float_sum``.  Its 1F1 loop,
 ``hypfun._f11_sum``, runs its first terms without testing them and reads its
 step denominators from a list that the inner sums of one nested sum share;
 its outer levels make their top parameters from integers instead of
-``Fraction``s.  None of that may change a float: every value, term count and
+``Fraction``s, each level reads its step denominators from its own list,
+shared by all its offsets, and the inner sums sit in one list indexed by
+offset.  None of that may change a float: every value, term count and
 exception text must be the one the loops below give.  They are the loops as
 they stood before those changes, kept here as reference oracles.  Four
 later checks part from them on purpose, each with its own test: a parameter
@@ -126,6 +128,10 @@ def _bottom(rng):
     return Q(rng.randint(-16, 16), rng.randint(1, 4)) + Q(1, 7)
 
 
+def _positive(rng):
+    return Q(rng.randint(0, 16), 4) + Q(1, 7)
+
+
 def _tol_cap(rng):
     return rng.choice(TOLS), rng.choice(CAPS) if rng.random() < 0.5 else DEFAULT_TERM_CAP
 
@@ -150,6 +156,24 @@ def grid(seed):
         p = ParamsPsi2(_top(rng), _bottom(rng), _bottom(rng))
         point = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-0.9, 0.9))
         tol, cap = _tol_cap(rng)
+        cases.append(((p, point, tol, cap),
+                      lambda a=(p, *point, tol, cap): psi2_3var_eval_float(*a),
+                      lambda a=(p, point, tol, cap): ref_nested_sum("psi2x3", *a)))
+    # z near the radius, where the z level takes a hundred terms or more; then
+    # caps of 1 to 10, which end inside the y level's run-up wherever
+    # |y| + |a + k| exceeds the cap at offset k by more than 1
+    for _ in range(3):
+        p = ParamsPsi2(Q(rng.randint(1, 4), 4), _positive(rng), _positive(rng))
+        point = (rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25),
+                 rng.choice((-1, 1)) * rng.uniform(0.9, 0.95))
+        tol, cap = rng.choice(TOLS[:3]), DEFAULT_TERM_CAP
+        cases.append(((p, point, tol, cap),
+                      lambda a=(p, *point, tol, cap): psi2_3var_eval_float(*a),
+                      lambda a=(p, point, tol, cap): ref_nested_sum("psi2x3", *a)))
+    for _ in range(30):
+        p = ParamsPsi2(Q(rng.randint(-8, 8), 4), 1 + _positive(rng), _bottom(rng))
+        point = (rng.uniform(-0.05, 0.05), rng.uniform(-14, 14), rng.uniform(-0.95, 0.95))
+        tol, cap = rng.choice(TOLS[:3]), rng.randint(1, 10)
         cases.append(((p, point, tol, cap),
                       lambda a=(p, *point, tol, cap): psi2_3var_eval_float(*a),
                       lambda a=(p, point, tol, cap): ref_nested_sum("psi2x3", *a)))
@@ -263,3 +287,47 @@ class TestBitIdentity:
         assert dens == [(s + 1) * (b + s) for s in range(len(dens))]
         # a second sum on the same list reads it and gives the loop's value
         assert hypfun._f11_sum(1.5, b, 3.0, 1e-14, 500, dens) == ref_f11_sum(1.5, b, 3.0, 1e-14, 500)
+
+    def test_triple_sum_sums_each_inner_1f1_once_in_offset_order(self, monkeypatch):
+        # the inner sums sit in a list indexed by offset, which holds only
+        # because offsets are first reached in increasing order with no gap
+        tops = []
+        inner = hypfun._f11_sum
+
+        def counting(a, *args):
+            tops.append(a)
+            return inner(a, *args)
+
+        monkeypatch.setattr(hypfun, "_f11_sum", counting)
+        for a in (Q(1, 2), Q(-7, 2)):
+            p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
+            tops.clear()
+            value = psi2_3var_eval_float(p, 1.5, -2.0, 0.6, 1e-12)
+            assert repr(value) == repr(ref_nested_sum("psi2x3", p, (1.5, -2.0, 0.6), 1e-12,
+                                                      DEFAULT_TERM_CAP))
+            assert len(tops) > 40
+            assert tops == [float(a + k) for k in range(len(tops))]
+
+    def test_each_level_keeps_its_steps_in_one_list(self, monkeypatch):
+        lists = {}
+        extend = hypfun._extend_dens
+
+        def recording(dens, lowers, stop):
+            lists[id(dens)] = dens, lowers
+            extend(dens, lowers, stop)
+
+        monkeypatch.setattr(hypfun, "_extend_dens", recording)
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        psi2_3var_eval_float(p, 1.5, -2.0, 0.6, 1e-12)
+        # one list for the inner sums (b) and one per outer level (c for y, none for z)
+        b, c = float(p.b), float(p.c)
+        assert sorted(lowers for _dens, lowers in lists.values()) == sorted([(b,), (c,), ()])
+        for dens, lowers in lists.values():
+            assert len(dens) > 30
+            steps = []
+            for n in range(len(dens)):
+                d = n + 1
+                for low in lowers:
+                    d *= low + n
+                steps.append(d)
+            assert list(map(repr, dens)) == list(map(repr, steps)), lowers

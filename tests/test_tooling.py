@@ -526,11 +526,11 @@ def test_every_benchmark_command_line_parses_directly(monkeypatch, tmp_path):
     assert count > 600
 
 
-def _run_fresh(code):
-    """The stdout of ``code`` run in a fresh interpreter with the package's
-    source directory on the path."""
+def _run_fresh(code, *flags):
+    """The stdout of ``code`` run in a fresh interpreter, started with the
+    interpreter ``flags``, with the package's source directory on the path."""
     src = str(Path(hypfun.__file__).resolve().parent.parent)
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    r = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": src})
     assert (r.returncode, r.stderr) == (0, "")
     return r.stdout
@@ -567,6 +567,26 @@ def test_eval_imports_neither_identities_nor_liealg():
                      "print(after_eval, loaded())")
     assert len(out.splitlines()) > 5
     assert out.splitlines()[-1] == "[] ['hypersym.identities', 'hypersym.liealg']"
+
+
+def test_eval_leaves_pathlib_out():
+    """Only ``verify`` reads or writes files, so only it imports ``pathlib``,
+    which brings ``urllib.parse``, ``ipaddress`` and ``fnmatch``.  ``-S``
+    keeps ``site`` from importing it first, as it may through a ``.pth``
+    file."""
+    argvs = [
+        ["eval", "--fn", "f11", "--a", "1/2", "--b", "4/3", "--x", "1/3", "--exact"],
+        ["eval", "--fn", "psi2", "--a", "1/2", "--b", "4/3", "--c", "5/7", "--x", "0.3",
+         "--y", "0.2", "--float"],
+        ["eval", "--fn", "psi2x3", "--a", "1/2", "--b", "4/3", "--c", "5/7", "--x", "0.3",
+         "--y", "0.2", "--z", "0.1", "--float"],
+    ]
+    out = _run_fresh("import sys\n"
+                     "from hypersym import cli\n"
+                     f"for argv in {argvs!r}:\n"
+                     "    assert cli.main(argv) == 0, argv\n"
+                     "print('pathlib' in sys.modules)", "-S")
+    assert out.splitlines()[-1] == "False"
 
 
 def test_names_eval_needs_are_still_read_where_they_were():
