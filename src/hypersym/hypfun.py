@@ -357,7 +357,11 @@ def _float_sum(
     below 1 and a coordinate that is not finite (``_check_sum_args``), a
     parameter too large for a float (``float_params``), all ``ValueError``;
     then a bottom parameter whose float is a pole, x's first
-    (``_float_bottom``, ``DegenerateParameter``).
+    (``_float_bottom``, ``DegenerateParameter``); then a coordinate whose
+    index has no bottom parameter (psi2x3's z) with |arg| > 1, outside the
+    series' radius, unless a is zero or a negative integer and the sum
+    terminates (``NoConvergence``).  |arg| = 1 is not rejected: the sum
+    runs and its stopping rule decides.
 
     ``_f11_sum``'s loop sums the x index innermost; each further coordinate
     is one outer level, the last outermost, and the 1F1 sum is the case with
@@ -383,6 +387,9 @@ def _float_sum(
     term_cap = _check_sum_args(fam.coords, point, rel_tol, term_cap)
     floats = float_params(p)
     bottoms = list(map(_float_bottom, fam.coords, fam.bottoms(p), fam.bottoms(floats)))
+    for name, lowers, arg in zip(fam.coords, bottoms, point):
+        if not lowers and abs(arg) > 1 and not is_nonpositive_integer(p.a):
+            raise NoConvergence(f"{name}={arg} is outside the radius of convergence |{name}| < 1")
     x, (b,) = point[0], bottoms[0]
     if len(point) == 1:
         value, terms = _f11_kept(floats.a, b, x, rel_tol, term_cap, [])

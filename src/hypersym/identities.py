@@ -52,7 +52,7 @@ import math
 import re
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from . import __version__ as ENGINE_VERSION
 from .hypfun import (
@@ -638,11 +638,14 @@ def report_to_json(payload: Mapping) -> str:
     The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
     written by one recursive pass that appends to one list: with ``indent``
     set, ``json`` falls back to its pure-Python encoder, which costs about
-    twice as much.  Strings are escaped by ``json``'s own C
-    ``encode_basestring_ascii``, numbers are written as ``json`` writes
-    them, and a value of any other type raises ``TypeError``, as ``json``
-    does.  Dict keys are sorted, and a key that is not a ``str``, which
-    ``json`` would convert, raises ``TypeError``: no report has one.
+    twice as much.  A value that is not a list, tuple or dict is written by
+    one lookup of its exact type in ``_SCALAR_TEXT``: strings are escaped by
+    ``json``'s own C ``encode_basestring_ascii``, and numbers, booleans and
+    None are written as ``json`` writes them.  A value of any other type
+    raises ``json``'s ``TypeError``, and so does a subclass of ``str``,
+    ``int`` or ``float``, which ``json`` would write: no report holds one.
+    Dict keys are sorted, and a key that is not a ``str``, which ``json``
+    would convert, raises ``TypeError``: no report has one either.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -653,33 +656,26 @@ def report_to_json(payload: Mapping) -> str:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _json_scalar(value) -> str:
-    """The JSON text of a value that is not a list, tuple or dict, by
-    ``json``'s type tests in ``json``'s order."""
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+def _float_text(value: float) -> str:
+    """A float as ``json`` writes it, ``NaN`` and the infinities included."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _not_json(value) -> NoReturn:
+    """Raise ``json``'s ``TypeError`` for a value it cannot write."""
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-# ``_json_scalar`` of a value of exactly one of these types, the common case.
+# The JSON text of a value that is not a list, tuple or dict, by its exact
+# type; any other type is ``_not_json``.
 _SCALAR_TEXT = {
     str: _escape,
     int: int.__repr__,
-    float: lambda v: float.__repr__(v) if math.isfinite(v) else _json_scalar(v),
-    bool: _json_scalar,
-    type(None): _json_scalar,
+    float: _float_text,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
 }
 
 
@@ -703,7 +699,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         items = [(None, v) for v in value]
         close = newline + "]"
     else:
-        out.append(_json_scalar(value))
+        out.append(_SCALAR_TEXT.get(type(value), _not_json)(value))
         return
     for key, item in items:
         if key is not None:
@@ -715,7 +711,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             out.append(head)
             _write_json(item, inner, out)
         else:
-            out.append(head + _json_scalar(item))
+            _not_json(item)
         head = "," + inner
     out.append(close)
 

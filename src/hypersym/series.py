@@ -30,24 +30,27 @@ the Cauchy sum of the numerators over the product of the denominators
 (``_cauchy``, the one product loop, which ``horn_compose`` uses too: per
 term pair one int add, one test of the guard bits, which is nonzero exactly
 when an exponent of the sum passes its cap, one int product and one dict
-update), ``operator_image`` sums the terms c v^k d/dw of a first-order
-operator applied to a series in one pass per term over its numerators,
-moving each kept key within its bit fields, and repacks the keys only where
-a field narrows (``shift`` and ``derivative`` are one-term calls of it),
-``truncate`` returns the series itself at its own caps, keeps the keys
-where every field keeps its width and repacks them only where one changes,
-and ``extend`` repacks keys for its new variables.
+update), and ``operator_image`` sums the terms c v^k d/dw of a
+first-order operator applied to a series in one pass per term over its
+numerators, moving each kept key within its bit fields, and repacks the
+keys only where a field of its cut narrows.  It is the one linear map on
+packed keys: ``scale``, negation, ``shift``, ``derivative`` and
+``truncate`` are one-term calls of it (``truncate`` passes its caps as the
+cut, and returns the series itself at its own caps and k = 1), so
+``_term_part`` is the only code that drops a key under a cut.
 ``MultiSeries.terms`` is a ``Fraction`` view keyed by exponent tuples,
 built on each read; ``render``, ``coefficient`` and the report witnesses of
-``first_mismatch`` read reduced ``Fraction``s, and nothing else makes one
-per term.
+``first_mismatch`` read reduced ``Fraction``s.  ``extend`` and ``evaluate``,
+which no command calls, read it too, and build their results with the
+public constructor or as a plain ``Fraction`` sum, so they share no
+packed-key arithmetic with the kernels the tests check against them.
 
 The public constructor ``MultiSeries(caps, terms)`` and
 ``MultiSeries.monomial`` are the entry points for outside input: they
 coerce every coefficient, take caps and exponents through
 ``operator.index``, reject negative caps, negative exponents and malformed
-tuples and drop zero and over-cap terms.
-Ring and reshape operations build their results with the private
+tuples and drop zero and over-cap terms.  Ring and reshape operations
+other than ``extend`` build their results with the private
 ``MultiSeries._trusted``, which takes a reduced stored form and checks
 nothing.
 
@@ -429,9 +432,8 @@ class MultiSeries:
         return self._combine(self._series(other), False)
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries._trusted(
-            self.variables, self.caps, self.den, {k: -v for k, v in self.nums.items()}
-        )
+        """-1 times the series: one ``operator_image`` term."""
+        return operator_image(self, [(-1, None, ())])[0]
 
     def __sub__(self, other) -> "MultiSeries":
         return self._combine(self._series(other), True)
@@ -443,14 +445,12 @@ class MultiSeries:
         return self._series(k) - self
 
     def scale(self, k) -> "MultiSeries":
-        """k times the series; at k = 1 the series itself (series are values)."""
+        """k times the series; at k = 1 the series itself (series are values),
+        else one ``operator_image`` term."""
         k = as_rational(k)
         if k == 1:
             return self
-        if not k:
-            return MultiSeries._trusted(self.variables, self.caps, 1, {})
-        p = k.numerator
-        return self._with(self.den * k.denominator, {e: v * p for e, v in self.nums.items()})
+        return operator_image(self, [(k, None, ())])[0]
 
     def __mul__(self, other) -> "MultiSeries":
         """Truncated Cauchy product of the numerators over the product of the
@@ -520,12 +520,8 @@ class MultiSeries:
         A cap above the series' own raises ``CapMismatch`` (a ``ValueError``):
         the coefficients between the two caps are unknown, not zero.  At the
         series' own caps and k = 1 the result is ``self`` (series are values:
-        no method changes one).  Where every bit field keeps its width the
-        keys stay: a term drops exactly when its key plus the new layout's
-        offset sets a guard bit.  Only a changed width unpacks and repacks
-        every key.  The kept numerators are multiplied by k's in the same
-        pass, over the denominator times k's, and the content is divided out
-        once, only if a term dropped or k is not 1.
+        no method changes one); otherwise it is one ``operator_image`` term
+        cut at ``caps``.
         """
         names, degs = _normalize_caps(caps)
         if names != self.variables:
@@ -534,74 +530,39 @@ class MultiSeries:
             if cap > own:
                 raise CapMismatch(f"truncate cannot raise the cap of {name!r} from {own} to {cap}")
         k = as_rational(k)
-        if not k:
-            return MultiSeries._trusted(names, degs, 1, {})
         if k == 1 and degs == self.caps:
             return self
-        m = k.numerator
-        old, new = _layout(self.caps), _layout(degs)
-        if old.fields == new.fields:
-            guard, offset = new.guard, new.offset
-            out = {key: c * m for key, c in self.nums.items() if not (key + offset) & guard}
-            if k == 1 and len(out) == len(self.nums):
-                return MultiSeries._trusted(names, degs, self.den, out)
-        else:
-            out = {}
-            for key, c in self.nums.items():
-                exps = old[key]
-                if all(map(operator.le, exps, degs)):
-                    out[new.key(exps)] = c * m
-        return MultiSeries._trusted(names, degs, *_reduce(self.den * k.denominator, out))
+        return operator_image(self, [(k, None, ())], degs)[0]
 
     def extend(self, extra_caps: Mapping[str, int]) -> "MultiSeries":
-        """Embed into a larger variable set; new variables get degree 0."""
-        caps = self.cap_map()
-        for name, c in extra_caps.items():
-            if name in caps:
-                if caps[name] != c:
-                    raise CapMismatch(f"conflicting cap for {name!r}")
-            else:
-                caps[name] = c
-        new_names, new_caps = _normalize_caps(caps)
-        new = _layout(new_caps)
-        shifts = [new.shifts[new_names.index(v)] for v in self.variables]
-        old = _layout(self.caps)
-        out = {sum(map(operator.lshift, old[k], shifts)): c for k, c in self.nums.items()}
-        return MultiSeries._trusted(new_names, new_caps, self.den, out)
+        """Embed into a larger variable set; new variables get degree 0.
+
+        Built from the ``terms`` view by the public constructor: no command
+        path calls it, and it shares no packed-key arithmetic with the
+        kernels it is used to check."""
+        caps = {**extra_caps, **self.cap_map()}
+        for name, c in zip(self.variables, self.caps):
+            if extra_caps.get(name, c) != c:
+                raise CapMismatch(f"conflicting cap for {name!r}")
+        names = sorted(caps)
+        terms = {}
+        for exps, c in self.terms.items():
+            at = dict(zip(self.variables, exps))
+            terms[tuple(at.get(v, 0) for v in names)] = c
+        return MultiSeries(caps, terms)
 
     # -- evaluation / rendering --------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation of the truncated polynomial at rational point.
+        """Exact evaluation of the truncated polynomial at rational point:
+        the sum over the ``terms`` view of c * prod v^e.
 
-        The sum runs over the integer numerators on one common denominator:
-        ``den`` times each coordinate's denominator raised to its cap.  Only
-        the final quotient is reduced.  No command path calls it: ``eval``
-        sums a family without building its series (``horn_value``), and the
-        tests keep this as that sum's reference value.
+        No command path calls it: ``eval`` sums a family without building
+        its series (``horn_value``), and the tests keep this plain sum as
+        that kernel's reference value.
         """
         vals = [as_rational(point[v]) for v in self.variables]
-        if not self.nums:
-            return Q(0)
-        denominator = self.den
-        # columns[i] = (shift, mask, row): row[e] = p^e * q^(cap - e) for the
-        # coordinate p/q of variable i, read off bit field i of a key
-        columns = []
-        for val, cap, (shift, mask) in zip(vals, self.caps, _layout(self.caps).fields):
-            p, q = val.numerator, val.denominator
-            p_pows = [1]
-            q_pows = [1]
-            for _ in range(cap):
-                p_pows.append(p_pows[-1] * p)
-                q_pows.append(q_pows[-1] * q)
-            columns.append((shift, mask, [p_pows[e] * q_pows[cap - e] for e in range(cap + 1)]))
-            denominator *= q_pows[cap]
-        total = 0
-        for key, term in self.nums.items():
-            for shift, mask, row in columns:
-                term *= row[key >> shift & mask]
-            total += term
-        return Fraction(total, denominator)
+        return sum((c * math.prod(map(pow, vals, exps)) for exps, c in self.terms.items()), Q(0))
 
     def render(self) -> str:
         """Canonical text form: graded-lex term order, exact rationals."""
@@ -627,19 +588,24 @@ class MultiSeries:
 
 
 def operator_image(
-    s: MultiSeries, terms: Sequence[tuple[Fraction | int, str | None, Sequence[tuple[str, int]]]]
+    s: MultiSeries,
+    terms: Sequence[tuple[Fraction | int, str | None, Sequence[tuple[str, int]]]],
+    cut: tuple[int, ...] | None = None,
 ) -> tuple[MultiSeries, list[bool]]:
-    """The sum over ``terms`` of c * prod v^k * d/dw s, and for each term
-    whether its image at its own caps is nonzero.
+    """The sum over ``terms`` of c * prod v^k * d/dw s, cut at ``cut``, and
+    for each term whether its image at its own caps is nonzero.
 
     A term ``(c, w, ((v, k), ...))`` is a rational coefficient, the variable
     w to differentiate in or None, and monomial shifts k >= 0.  Its image
-    has the caps of s, but one less for w; the sum is cut at the least caps
-    of all terms, vanishing ones included, since past a term's caps its
-    coefficients are unknown.  The terms are checked in order, w before its
+    has the caps of s, but one less for w.  ``cut`` defaults to the least
+    caps of all terms, vanishing ones included, since past a term's caps its
+    coefficients are unknown; a caller that passes one (``truncate``) keeps
+    it at or below those.  The terms are checked in order, w before its
     shifts: a name that is not a variable raises ``UnknownVariable``, w cut
     at order 0 and a negative shift ``ValueError``.
 
+    This is the one linear map on packed keys: ``scale``, negation,
+    ``shift``, ``derivative`` and ``truncate`` are one-term calls of it.
     Each term is one pass over the numerators of s on its packed keys: with
     l_i = k_i, less 1 for w, the term keeps a key whose exponent e_i is at
     most cut_i - l_i for every i, one guard-bit test, and moves it by
@@ -650,7 +616,8 @@ def operator_image(
     """
     layout = _layout(s.caps)
     fields, guard = layout.fields, layout.guard
-    cut = s.caps
+    least = s.caps
+    scale = 1
     plans = []
     for coeff, w, shifts in terms:
         own = list(s.caps)
@@ -667,9 +634,11 @@ def operator_image(
             if k < 0:
                 raise ValueError("negative monomial shift on a body series")
             lift[i] += k
-        cut = tuple(map(min, cut, own))
+        least = tuple(map(min, least, own))
+        scale = math.lcm(scale, coeff.denominator)
         plans.append((coeff, d, lift, own))
-    scale = math.lcm(*(coeff.denominator for coeff, *_ in plans if coeff))
+    if cut is None:
+        cut = least
     out: dict[int, int] = {}
     merged = False
     live = []
@@ -715,11 +684,11 @@ def _term_part(
     """One term of ``operator_image`` on the packed keys of ``nums``: every
     key whose exponents e satisfy e + lift <= cut (and e_d >= 1), moved by
     ``lift`` and with its numerator times m (and e_d)."""
-    bounds = list(map(operator.sub, cut, lift))
-    if any(bound < 0 for bound in bounds):
-        return {}
     offset = move = 0
-    for (shift, mask), bound, l in zip(fields, bounds, lift):
+    for (shift, mask), top, l in zip(fields, cut, lift):
+        bound = top - l
+        if bound < 0:
+            return {}
         offset |= (mask - bound) << shift
         move += l << shift
     if d is None:

@@ -202,6 +202,18 @@ class TestEval:
         assert r.stdout == ""
         assert r.stderr == "no convergence: partial sum not finite after 32 outer terms at y=1e+300\n"
 
+    def test_z_past_the_radius_fails_before_any_term(self):
+        # the triple sum ran until its partial sum overflowed: 4.6 s at
+        # z = 1.2 and 29 s at z = 1.05 before it exited 1
+        args = ("eval", "--fn", "psi2x3", "--b", "4/3", "--c", "5/7",
+                "--x", "0.3", "--y", "0.2", "--z", "1.2", "--float")
+        r = run_cli(*args, "--a", "1/2", timeout=20)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "no convergence: z=1.2 is outside the radius of convergence |z| < 1\n"
+        # a zero or negative integer a ends the sum, which is summed as before
+        r = run_cli(*args, "--a=-2", timeout=20)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "0.42959523809523814\n", "")
+
     def test_infinite_f11_sum_exits_1(self):
         # the partial sum overflows after 721 terms; before, inf was printed
         # as a converged value

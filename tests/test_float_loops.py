@@ -8,9 +8,10 @@ its outer levels make their top parameters from integers instead of
 shared by all its offsets, and the inner sums sit in one list indexed by
 offset.  None of that may change a float: every value, term count and
 exception text must be the one the loops below give.  They are the loops as
-they stood before those changes, kept here as reference oracles.  Four
+they stood before those changes, kept here as reference oracles.  Five
 later checks part from them on purpose, each with its own test: a parameter
-too large for a float and a bottom parameter whose float is a pole are
+too large for a float, a bottom parameter whose float is a pole and, unless
+the sum terminates, a z past the triple series' radius |z| < 1 are
 rejected before any term, a nested sum
 whose outer partial sum is not finite raises at once, and
 ``f11_eval_float`` raises where the sum it would return is not finite
@@ -252,7 +253,8 @@ class TestBitIdentity:
         ("psi2x3", (700.0, 0.5, 0.5), DEFAULT_TERM_CAP, "y", 3),
     ])
     def test_outer_partial_sum_that_is_not_finite_raises_at_once(self, family, point, cap, name, terms):
-        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        # a z past the radius is summed only where the sum terminates
+        p = ParamsPsi2(Q(-2) if name == "z" else Q(1, 2), Q(4, 3), Q(5, 7))
         arg = point[FAMILIES[family].coords.index(name)]
         # the reference returns a value that is not finite, or runs to its cap
         ref = outcome(lambda: ref_nested_sum(family, p, point, 1e-12, cap))
@@ -261,6 +263,37 @@ class TestBitIdentity:
         with pytest.raises(NoConvergence) as exc:
             hypfun._float_sum(family, p, point, 1e-12, cap)
         assert str(exc.value) == f"partial sum not finite after {terms} outer terms at {name}={arg}"
+
+    @pytest.mark.parametrize("z", [1.2, -1.05, 1 + 2**-52, 1e300])
+    def test_z_past_the_radius_raises_before_any_term(self, z, monkeypatch):
+        # z's index has no bottom parameter, so past |z| = 1 its terms grow
+        # without bound: the sum ran until its partial sum overflowed, some
+        # seconds at z = 1.2 and half a minute at z = 1.05
+        calls = []
+        inner = hypfun._f11_sum
+        monkeypatch.setattr(hypfun, "_f11_sum", lambda *args: calls.append(args) or inner(*args))
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        with pytest.raises(NoConvergence) as exc:
+            psi2_3var_eval_float(p, 0.3, 0.2, z)
+        assert str(exc.value) == f"z={z} is outside the radius of convergence |z| < 1"
+        assert calls == []
+
+    def test_z_past_the_radius_is_summed_where_the_sum_terminates_and_at_one(self, monkeypatch):
+        point = (0.3, 0.2, 1.2)
+        for a in (Q(-2), Q(0), Q(-50)):
+            p = ParamsPsi2(a, Q(4, 3), Q(5, 7))
+            assert outcome(lambda: psi2_3var_eval_float(p, *point)) == \
+                outcome(lambda: ref_nested_sum("psi2x3", p, point, 1e-12, DEFAULT_TERM_CAP))
+        # |z| = 1 is not rejected: its terms are summed until a cap stops them
+        calls = []
+        inner = hypfun._f11_sum
+        monkeypatch.setattr(hypfun, "_f11_sum", lambda *args: calls.append(args) or inner(*args))
+        p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+        for z in (1.0, -1.0):
+            calls.clear()
+            with pytest.raises(NoConvergence, match=r"^no convergence in 5 terms at x=0\.3$"):
+                hypfun._float_sum("psi2x3", p, (0.3, 0.2, z), 1e-12, 5)
+            assert calls
 
     def test_outer_partial_sum_that_is_nan_raises_at_once(self):
         # inf - inf: the NaN partial sum fails the smallness test, and the

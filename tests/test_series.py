@@ -844,6 +844,59 @@ class TestTruncateOnPackedKeys:
         assert s.terms == same.terms == before
 
 
+def reference_scale(s, k):
+    """k times the ``terms`` view, by the public constructor."""
+    return MultiSeries(s.cap_map(), {exps: k * c for exps, c in s.terms.items()})
+
+
+def reference_extend(s, extra_caps):
+    """The sum of the ``terms`` view's monomials over the joined caps, each
+    built by ``MultiSeries.monomial``."""
+    caps = {**extra_caps, **s.cap_map()}
+    out = MultiSeries(caps)
+    for exps, c in s.terms.items():
+        out = out + MultiSeries.monomial(c, dict(zip(s.variables, exps)), caps)
+    return out
+
+
+class TestLinearMapsOnPackedKeys:
+    """Negation, ``scale`` and ``extend`` against references built from the
+    ``terms`` view by the public constructor; negation and ``scale`` are
+    ``operator_image`` terms, and ``extend`` reads the ``terms`` view."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(truncation_case(same_width=True) | truncation_case(same_width=False),
+           st.sampled_from([0, 1, -1]) | st.fractions(max_denominator=30))
+    def test_scale_and_negation(self, case, k):
+        s, _lower = case
+        for got, want in ((s.scale(k), reference_scale(s, Q(k))), (-s, reference_scale(s, -1))):
+            assert got == want
+            assert got.caps == s.caps
+            assert_clean(got)
+        assert s.scale(1) is s
+        assert -(-s) == s
+
+    @settings(max_examples=150, deadline=None)
+    @given(truncation_case(same_width=True) | truncation_case(same_width=False), st.data())
+    def test_extend(self, case, data):
+        s, _lower = case
+        # "a" sorts before every variable of s, "w" among them, "zeta" after
+        extra = data.draw(st.dictionaries(st.sampled_from(["a", "w", "zeta"]),
+                                          st.integers(min_value=0, max_value=20), max_size=3))
+        for v in data.draw(st.sets(st.sampled_from(s.variables))):
+            extra[v] = s.cap_map()[v]
+        got = s.extend(extra)
+        assert got == reference_extend(s, extra)
+        assert got.cap_map() == {**extra, **s.cap_map()}
+        assert_clean(got)
+
+    def test_extend_keeps_a_shared_cap_and_rejects_another(self):
+        s = ms({"x": 3}, {(1,): Q(1, 2), (3,): 2})
+        assert s.extend({"x": 3}) == s
+        with pytest.raises(CapMismatch, match=r"^conflicting cap for 'x'$"):
+            s.extend({"w": 1, "x": 2})
+
+
 class TestClosedFormOperators:
     """A number on either side of + - * /, division and powers, as the
     closed forms of the identity left sides use them."""
