@@ -7,15 +7,19 @@ stores its coefficients as integer numerators over one reduced common
 denominator (``series.MultiSeries``), so equality checks downstream are
 exact.  Gamma functions are never evaluated: they only
 ever occur in ratios of parameter-shifted instances, which collapse to
-Pochhammer products.
+Pochhammer products; factorials are ``math.factorial``.
+
+Text goes both ways here: ``parse_rational`` reads an exact scalar, and
+``signed_text`` writes a signed sum of scalars times factor texts
+(``power_factors`` writes ``v^e``), the one writer behind
+``MultiSeries.render`` and ``DiffOperator.pretty``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Q = Fraction
+from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -63,11 +67,26 @@ def pochhammer(a, s: int) -> Fraction:
     return out
 
 
-def factorial(s: int) -> int:
-    if s < 0:
-        raise ValueError("factorial of negative integer")
-    out = 1
-    for k in range(2, s + 1):
-        out *= k
-    return out
+def power_factors(powers: Iterable[tuple[str, int]]) -> list[str]:
+    """The factor text ``v`` or ``v^e`` of each nonzero exponent, in order."""
+    return [v if e == 1 else f"{v}^{e}" for v, e in powers if e]
+
+
+def signed_text(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """A sum as text, the inverse of ``parse_rational`` on its scalars.
+
+    Each term is a nonzero coefficient with its factor texts, written as
+    ``|c|*f1*f2``, the magnitude left out at 1 when there is a factor.  The
+    first term carries a bare ``-`` when negative; later ones are joined
+    with ``+ `` or ``- ``.  No terms read ``0``.
+    """
+    chunks: list[str] = []
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if chunks:
+            chunks.append(("- " if c < 0 else "+ ") + body)
+        else:
+            chunks.append("-" + body if c < 0 else body)
+    return " ".join(chunks) if chunks else "0"
 

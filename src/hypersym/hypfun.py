@@ -87,13 +87,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
-from .exactnum import (
-    DegenerateParameter,
-    as_rational,
-    factorial,
-    is_nonpositive_integer,
-    pochhammer,
-)
+from .exactnum import DegenerateParameter, as_rational, is_nonpositive_integer, pochhammer
 from .series import MultiSeries, _kept, _shared_work, horn_compose, horn_series, horn_value
 
 DEFAULT_TERM_CAP = 10000
@@ -470,7 +464,7 @@ def _not_finite(n: int, name: str, arg: float) -> NoConvergence:
 
 def f11_coeff(p: Params1F1, s: int) -> Fraction:
     """Series coefficient (a)_s / (s! (b)_s)."""
-    return pochhammer(p.a, s) / (factorial(s) * pochhammer(p.b, s))
+    return pochhammer(p.a, s) / (math.factorial(s) * pochhammer(p.b, s))
 
 
 def f11_series(p: Params1F1, order: int) -> MultiSeries:
@@ -568,7 +562,7 @@ def _f11_sum(
 
 def psi2_coeff(p: ParamsPsi2, m: int, n: int) -> Fraction:
     return pochhammer(p.a, m + n) / (
-        factorial(m) * factorial(n) * pochhammer(p.b, m) * pochhammer(p.c, n)
+        math.factorial(m) * math.factorial(n) * pochhammer(p.b, m) * pochhammer(p.c, n)
     )
 
 

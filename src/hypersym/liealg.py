@@ -4,10 +4,11 @@ Covers the raising/lowering/maintenance operators of the two function
 families, their exact action on realized basis elements, commutators (the
 first-order vector-field bracket), exact span membership (a basis is
 eliminated once into a ``SpanBasis``, against which each solve reduces its
-target), and Runge-Kutta checks of the one-parameter flows against their
-closed forms.  A realized element (``Realized``) is a body series times a
-monomial prefactor with rational exponents; ``DiffOperator.apply`` holds the
-whole prefactor rule.
+target; both run the one row reduction ``_reduce_rows``), and Runge-Kutta
+checks of the one-parameter flows against their closed forms.  Operators
+are printed by ``exactnum.signed_text``.  A realized element
+(``Realized``) is a body series times a monomial prefactor with rational
+exponents; ``DiffOperator.apply`` holds the whole prefactor rule.
 One table, built once per process, holds each catalogued operator with its
 action rule E F(p) = c(p) F(p + shift) and its flow; ``build_catalogue``,
 ``ACTION_RULES`` and ``_flow_specs`` are its views.  ``action_sides`` builds
@@ -30,7 +31,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .exactnum import Q, as_rational
+from .exactnum import as_rational, power_factors, signed_text
 from .hypfun import FAMILIES, SingularFlow, param_strs
 from .series import MultiSeries, _kept, _shared_work, first_mismatch, operator_image
 
@@ -133,27 +134,9 @@ class DiffOperator:
 
     def pretty(self) -> str:
         """Canonical rendering: scalar terms first, then derivatives by name."""
-        if not self._terms:
-            return "0"
-        chunks = []
-        for t in self.terms:
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in t.monomial
-            )
-            parts = []
-            mag = abs(t.coefficient)
-            if mag != 1 or not (mono or t.derivative):
-                parts.append(str(mag))
-            if mono:
-                parts.append(mono)
-            if t.derivative:
-                parts.append(f"d/d{t.derivative}")
-            body = "*".join(parts)
-            if not chunks:
-                chunks.append(body if t.coefficient > 0 else f"-{body}")
-            else:
-                chunks.append(("+ " if t.coefficient > 0 else "- ") + body)
-        return " ".join(chunks)
+        return signed_text((t.coefficient, power_factors(t.monomial)
+                            + ([f"d/d{t.derivative}"] if t.derivative else []))
+                           for t in self.terms)
 
     # -- linear structure -------------------------------------------------
 
@@ -222,7 +205,7 @@ class DiffOperator:
 
 def _bump(store: dict, key, value: Fraction) -> None:
     """store[key] += value, dropping the key when the sum is zero."""
-    total = store.get(key, Q(0)) + value
+    total = store.get(key, Fraction(0)) + value
     if total == 0:
         store.pop(key, None)
     else:
@@ -268,55 +251,50 @@ class SpanBasis:
 
     Each basis element is a sparse vector over the patterns its terms use,
     with its combination over the basis names.  In basis order, each one is
-    reduced by the pivot rows before it at their pivot patterns, and a row
-    left nonzero becomes a pivot row at its least pattern in
-    ``_pattern_order``, scaled to 1 there; a dependent element leaves no
-    row.  ``solve`` reduces one target against the pivot rows, so a basis
-    that several solves share is eliminated once.
+    reduced by the pivot rows before it (``_reduce_rows``), and a row left
+    nonzero becomes a pivot row at its least pattern in ``_pattern_order``,
+    scaled to 1 there; a dependent element leaves no row.  Each
+    ``express_in_span`` only reduces its target against the pivot rows, so
+    a basis that several solves share is eliminated once.
     """
 
     __slots__ = ("names", "pivots")
 
     def __init__(self, basis: Mapping[str, DiffOperator]):
         self.names = list(basis)
-        # (pivot pattern, pattern -> entry, basis index -> combination), the
+        # (pivot pattern, pattern -> entry, basis name -> combination), the
         # entry at the pivot pattern 1
-        pivots: list[tuple[Pattern, dict[Pattern, Fraction], dict[int, Fraction]]] = []
-        for j, name in enumerate(self.names):
+        pivots: list[tuple[Pattern, dict[Pattern, Fraction], dict[str, Fraction]]] = []
+        for name in self.names:
             vec = dict(basis[name]._terms)
-            cmb = {j: Q(1)}
-            for col, pv, pc in pivots:
-                factor = vec.get(col)
-                if factor:
-                    _subtract(vec, factor, pv)
-                    _subtract(cmb, factor, pc)
+            taken = _reduce_rows(pivots, vec)
             if vec:
                 col = min(vec, key=_pattern_order)
                 lead = vec[col]
-                pivots.append((col, {p: c / lead for p, c in vec.items()},
-                               {i: c / lead for i, c in cmb.items()}))
+                cmb = {name: 1 / lead, **{n: -c / lead for n, c in taken.items()}}
+                pivots.append((col, {p: c / lead for p, c in vec.items()}, cmb))
         self.pivots = pivots
 
-    def solve(self, op: DiffOperator) -> SpanResult:
-        """``express_in_span`` of ``op`` over this basis."""
-        target = dict(op._terms)
-        coeffs: dict[int, Fraction] = {}
-        for col, pv, pc in self.pivots:
-            factor = target.get(col)
-            if factor:
-                _subtract(target, factor, pv)
-                _subtract(coeffs, -factor, pc)
-        if target:
-            residual = DiffOperator({p: target[p] for p in sorted(target, key=_pattern_order)})
-            return SpanResult(False, None, residual)
-        return SpanResult(True, {name: coeffs.get(i, Q(0)) for i, name in enumerate(self.names)},
-                          None)
 
+def _reduce_rows(pivots: Sequence, vec: dict[Pattern, Fraction]) -> dict[str, Fraction]:
+    """Subtract from ``vec``, in place and in order, each pivot row times
+    ``vec``'s entry at that row's pivot pattern, dropping the entries that
+    vanish; return those multiples summed over the rows' combinations.
 
-def _subtract(vec: dict, factor: Fraction, row: Mapping) -> None:
-    """vec -= factor * row in place, dropping the entries that vanish."""
-    for key, c in row.items():
-        _bump(vec, key, -factor * c)
+    So ``vec`` on entry equals ``vec`` on return plus the sum of the
+    returned coefficients times their basis elements: for a target in the
+    span these are its coefficients, and for a basis element that leaves
+    nothing, ``{name: 1}`` minus them is a null vector of the basis.
+    """
+    taken: dict[str, Fraction] = {}
+    for col, row, cmb in pivots:
+        factor = vec.get(col)
+        if factor:
+            for p, c in row.items():
+                _bump(vec, p, -factor * c)
+            for n, c in cmb.items():
+                _bump(taken, n, factor * c)
+    return taken
 
 
 def express_in_span(op: DiffOperator, basis: SpanBasis) -> SpanResult:
@@ -327,7 +305,12 @@ def express_in_span(op: DiffOperator, basis: SpanBasis) -> SpanResult:
     zero residual, or a result with ``in_span`` false carrying the canonical
     remainder after eliminating the span.
     """
-    return basis.solve(op)
+    target = dict(op._terms)
+    coeffs = _reduce_rows(basis.pivots, target)
+    if target:
+        return SpanResult(False, None,
+                          DiffOperator({p: target[p] for p in sorted(target, key=_pattern_order)}))
+    return SpanResult(True, {name: coeffs.get(name, Fraction(0)) for name in basis.names}, None)
 
 
 # -- realizations and actions ---------------------------------------------------
@@ -800,7 +783,7 @@ def _operator_table() -> dict[str, _Entry]:
         entries = [(f"{family}.I_{p}", _Entry(DiffOperator.term(1, {v: 1}, v),
                                               ActionRule(zero, operator.attrgetter(p)), None))
                    for v, p in zip(_PREFACTOR_VARIABLES[family], names)]
-        identity = _Entry(DiffOperator.scalar(1), ActionRule(zero, lambda p: Q(1)), None)
+        identity = _Entry(DiffOperator.scalar(1), ActionRule(zero, lambda p: Fraction(1)), None)
         return entries + [(f"{family}.I", identity)]
 
     return dict([
@@ -1039,7 +1022,7 @@ def commutator_suite(seed: int = 42) -> dict:
         ops = list(basis.values())
         for _ in range(10):
             a, b, c3 = (rng.choice(ops) for _ in range(3))
-            lam = Q(rng.randint(-9, 9), rng.randint(1, 9))
+            lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             lhs = commutator(a + b.scale(lam), c3)
             rhs = commutator(a, c3) + commutator(b, c3).scale(lam)
             if lhs != rhs:

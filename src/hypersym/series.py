@@ -39,11 +39,12 @@ packed keys: ``scale``, negation, ``shift``, ``derivative`` and
 cut, and returns the series itself at its own caps and k = 1), so
 ``_term_part`` is the only code that drops a key under a cut.
 ``MultiSeries.terms`` is a ``Fraction`` view keyed by exponent tuples,
-built on each read; ``render``, ``coefficient`` and the report witnesses of
-``first_mismatch`` read reduced ``Fraction``s.  ``extend`` and ``evaluate``,
-which no command calls, read it too, and build their results with the
-public constructor or as a plain ``Fraction`` sum, so they share no
-packed-key arithmetic with the kernels the tests check against them.
+built on each read; ``render`` (written by ``exactnum.signed_text``),
+``coefficient`` and the report witnesses of ``first_mismatch`` read reduced
+``Fraction``s.  ``extend`` and ``evaluate``, which no command calls, read
+it too, and build their results with the public constructor or as a plain
+``Fraction`` sum, so they share no packed-key arithmetic with the kernels
+the tests check against them.
 
 The public constructor ``MultiSeries(caps, terms)`` and
 ``MultiSeries.monomial`` are the entry points for outside input: they
@@ -104,7 +105,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .exactnum import Q, as_rational, is_nonpositive_integer
+from .exactnum import as_rational, is_nonpositive_integer, power_factors, signed_text
 
 T = TypeVar("T")
 
@@ -369,7 +370,7 @@ class MultiSeries:
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         exps = self._exponent_tuple(exponents)
         if not all(map(operator.le, exps, self.caps)):
-            return Q(0)
+            return Fraction(0)
         return Fraction(self.nums.get(_layout(self.caps).key(exps), 0), self.den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -562,29 +563,13 @@ class MultiSeries:
         that kernel's reference value.
         """
         vals = [as_rational(point[v]) for v in self.variables]
-        return sum((c * math.prod(map(pow, vals, exps)) for exps, c in self.terms.items()), Q(0))
+        return sum((c * math.prod(map(pow, vals, exps)) for exps, c in self.terms.items()),
+                   Fraction(0))
 
     def render(self) -> str:
         """Canonical text form: graded-lex term order, exact rationals."""
-        if not self.nums:
-            return "0"
-        parts: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, exps)
-                if e
-            )
-            mag = abs(coeff)
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        return signed_text((c, power_factors(zip(self.variables, exps)))
+                           for exps, c in self.sorted_terms())
 
 
 def operator_image(
@@ -1036,5 +1021,5 @@ def pow_rational(s: MultiSeries, gamma) -> MultiSeries:
 
 def exp_series(s: MultiSeries) -> MultiSeries:
     """Truncated exponential e^s = 1F1(1; 1; s) of a series with zero constant term."""
-    return horn_compose(Q(1), [(s, (Q(1),))])
+    return horn_compose(Fraction(1), [(s, (Fraction(1),))])
 

@@ -364,3 +364,21 @@ class TestBitIdentity:
                     d *= low + n
                 steps.append(d)
             assert list(map(repr, dens)) == list(map(repr, steps)), lowers
+
+
+class TestSmallnessFloor:
+    """A partial sum of exactly zero tests its terms against the 1e-300
+    floor, not against zero: a terminating sum whose value cancels to 0.0
+    still stops."""
+
+    def test_f11_sum_stops_at_a_zero_total(self):
+        # 1 - x/2 = 0 at x = 2, then zero terms
+        p = Params1F1(-1, 2)
+        assert f11_eval_float(p, 2.0) == (0.0, 4) == ref_f11_eval_float(p, 2.0)
+
+    def test_outer_level_stops_at_a_zero_total(self):
+        # 1 - x/2 - y/3 = 0 at x = 1, y = 1.5, then zero terms
+        p = ParamsPsi2(-1, 2, 3)
+        assert psi2_eval_float(p, 1.0, 1.5) == 0.0
+        assert repr(psi2_eval_float(p, 1.0, 1.5)) == repr(
+            ref_nested_sum("psi2", p, (1.0, 1.5), 1e-12, DEFAULT_TERM_CAP))

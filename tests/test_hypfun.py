@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import mpmath
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersym import hypfun, identities, series
-from hypersym.exactnum import DegenerateParameter, factorial, pochhammer
+from hypersym.exactnum import DegenerateParameter, pochhammer
 from hypersym.hypfun import (
     NoConvergence,
     Params1F1,

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from hypersym.exactnum import (
     DegenerateParameter,
-    factorial,
     pochhammer,
 )
 from hypersym import cli, hypfun, identities, liealg, series
@@ -717,6 +717,10 @@ class TestSumSide:
 
 
 class TestRunSuite:
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown mode 'x'$"):
+            run_suite(mode="x")
+
     def test_default_formal_suite(self):
         report = run_suite(mode="formal")
         assert report["summary"]["records"] == 10

@@ -1703,3 +1703,39 @@ class TestFlowSource:
         _, at_zero, _, check = _flow_source("f11.E_a")
         assert ast.unparse(at_zero[3]) == "dev = (dev2 := abs(s2 - 1.0))"
         assert ast.unparse(check[3]) == "dev = dev2"
+
+
+class TestRarelyRunPaths:
+    """Library paths the suites and reports do not reach."""
+
+    def test_unknown_flow_is_a_key_error(self):
+        with pytest.raises(KeyError, match="no flow catalogued for 'nope'"):
+            flow_spec("nope")
+
+    def test_difference_of_operators(self):
+        a = DiffOperator.term(2, {"x": 1}, "x")
+        b = DiffOperator.term(1, {"x": 1}, "x") + DiffOperator.scalar(3)
+        assert a - b == DiffOperator.term(1, {"x": 1}, "x") + DiffOperator.scalar(-3)
+        assert (a - b).pretty() == "-3 + x*d/dx"
+        assert (a - a).is_zero()
+
+    def test_an_operator_is_not_equal_to_a_number(self):
+        assert (DiffOperator.scalar(3) == 3) is False
+        assert (DiffOperator() == 0) is False
+
+    def test_unary_minus_in_a_closed_form_is_traced_and_compiled(self):
+        spec = liealg.FlowSpec("test.negated", DiffOperator.term(-1, {}, "x"),
+                               closed={"x": lambda s0, a: -(a - s0["x"])})
+        source = liealg._rk4_source(spec)
+        negations = [node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)]
+        assert negations, source
+        start = {"x": Q(3, 2)}
+        assert flow_check(spec, start, 0.1, 1e-3) == interpreted_flow_check(spec, start, 0.1, 1e-3)
+
+    def test_a_closed_form_that_branches_names_the_flow(self):
+        spec = liealg.FlowSpec("test.branch", DiffOperator.term(-1, {}, "x"),
+                               closed={"x": lambda s0, a: s0["x"] - a if a else s0["x"]})
+        with pytest.raises(TypeError, match=r"^test\.branch: a closed form may use only .*"
+                                            r"no truth value"):
+            flow_check(spec, {"x": 1}, 0.1, 1e-3)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,3 +233,9 @@ class TestValueBehaviour:
             else:
                 raise AssertionError(name)
         assert p == hypfun.ParamsPsi2(1, 2, 3) and hash(p) == hash(hypfun.ParamsPsi2(1, 2, 3))
+
+    def test_fields_cannot_be_deleted(self):
+        p = hypfun.Params1F1(1, 2)
+        with pytest.raises(AttributeError, match="^cannot delete field 'a'$"):
+            del p.a
+        assert p == hypfun.Params1F1(1, 2)

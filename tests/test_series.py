@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersym.exactnum import factorial, pochhammer
+from hypersym.exactnum import pochhammer
 from hypersym.hypfun import Params1F1, ParamsPsi2, f11_series, psi2_3var_series, psi2_series
 from hypersym import series
 from hypersym.liealg import DiffOperator, Realized
@@ -1036,3 +1037,33 @@ class TestPublicConstructor:
         s = MultiSeries({"x": 2}, {(0,): 0, (1,): "3/4", (3,): 5, (2,): 2})
         assert s.terms == {(1,): Q(3, 4), (2,): Q(2)}
         assert_clean(s)
+
+
+class TestRarelyRunPaths:
+    """``MultiSeries`` paths the suites and reports do not reach."""
+
+    def test_coefficient_above_a_cap_is_zero_and_an_unknown_variable_raises(self):
+        s = ms({"x": 2, "y": 1}, {(1, 0): 1, (2, 1): Q(1, 3)})
+        assert s.coefficient({"x": 3}) == 0
+        assert s.coefficient({"x": 2, "y": 2}) == 0
+        with pytest.raises(UnknownVariable):
+            s.coefficient({"z": 1})
+
+    def test_repr_shows_caps_and_terms(self):
+        s = ms({"x": 2, "y": 1}, {(1, 0): 1, (0, 1): Q(2, 3)})
+        assert repr(s) == "MultiSeries[x<=2, y<=1](2/3*y + x)"
+        assert repr(MultiSeries({"x": 0})) == "MultiSeries[x<=0](0)"
+
+    def test_negative_integer_power_raises(self):
+        with pytest.raises(ValueError, match="negative integer power"):
+            ms({"x": 2}, {(0,): 1, (1,): 1}).pow_int(-1)
+
+    def test_truncate_to_another_variable_set_raises(self):
+        s = ms({"x": 2, "y": 1}, {(1, 0): 1})
+        for caps in ({"x": 1}, {"x": 1, "z": 1}, {"x": 1, "y": 1, "z": 0}):
+            with pytest.raises(CapMismatch, match="cannot change the variable set"):
+                s.truncate(caps)
+
+    def test_a_series_is_not_equal_to_a_number(self):
+        assert (ms({"x": 0}, {(0,): 3}) == 3) is False
+        assert (MultiSeries({"x": 1}) == 0) is False

@@ -17,8 +17,10 @@ benchmark run, and no benchmark pass builds the argparse parser.
 
 import argparse
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -212,16 +214,20 @@ def test_float_sums_have_one_checked_entry():
         assert len(_callers(name)) == 1, (name, _callers(name))
 
 
-def _series_functions():
-    """Each top-level function and method of ``series`` by name, a method as
-    ``Class.name``."""
-    tree = ast.parse(Path(series.__file__).read_text())
+def _functions(tree):
+    """Each top-level function and method of a module's tree by name, a
+    method as ``Class.name``, dunders included."""
     out = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             out.update((f"{node.name}.{item.name}", item)
                        for item in node.body if isinstance(item, ast.FunctionDef))
     return out
+
+
+def _series_functions():
+    """``_functions`` of ``series``."""
+    return _functions(ast.parse(Path(series.__file__).read_text()))
 
 
 def test_packed_keys_are_cut_in_one_kernel():
@@ -239,6 +245,70 @@ def test_packed_keys_are_cut_in_one_kernel():
         assert not read & {"nums", "_layout", "_trusted", "_reduce"}, name
     for name in ("MultiSeries.evaluate", "MultiSeries.extend"):
         assert not set(_names_read(fns[name])) & {"nums", "_layout", "_Layout"}, name
+
+
+def _package_functions():
+    """``_functions`` of every module of the package, by ``module.name``."""
+    return {f"{module}.{name}": fn for module, tree in _package_trees().items()
+            for name, fn in _functions(tree).items()}
+
+
+def test_span_solves_share_one_row_reduction():
+    """The basis elimination and every solve reduce by the same routine, so
+    a later caller (a null space, a not-in-span certificate) cannot reduce
+    differently."""
+    fns = _package_functions()
+    readers = {name for name, fn in fns.items() if "_reduce_rows" in _names_read(fn)}
+    assert readers == {"liealg.SpanBasis.__init__", "liealg.express_in_span"}
+    assert not hasattr(liealg.SpanBasis, "solve")
+    assert not hasattr(liealg, "_subtract")
+
+
+def test_signed_sums_have_one_writer():
+    """``render`` and ``pretty`` are one call of ``exactnum.signed_text``
+    each and write no sign of their own."""
+    fns = _package_functions()
+    for name in ("series.MultiSeries.render", "liealg.DiffOperator.pretty"):
+        fn = fns[name]
+        assert _names_read(fn)["signed_text"] == 1, name
+        signs = [node.value for node in ast.walk(fn) if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) and ("+ " in node.value or "- " in node.value)]
+        assert signs == [], name
+
+
+def test_no_module_restates_factorial_or_renames_fraction():
+    """Factorials are ``math.factorial`` and rationals are written
+    ``Fraction``: no module defines ``factorial`` or binds ``Q``."""
+    found = []
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "factorial":
+                found.append((module, "def factorial"))
+            elif isinstance(node, ast.Name) and node.id == "Q" and isinstance(node.ctx, ast.Store):
+                found.append((module, "Q ="))
+            elif isinstance(node, ast.alias) and "Q" in (node.name, node.asname):
+                found.append((module, "import Q"))
+    assert found == []
+
+
+def _readme_examples():
+    """The Python blocks of README's ``## Example`` section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Example\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("\n```", 1)[0] for block in section.split("```python\n")[1:]]
+
+
+def test_readme_examples_run():
+    blocks = _readme_examples()
+    assert len(blocks) == 2
+    printed = []
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed.append(out.getvalue())
+    assert printed[0].startswith("{'records': 10, ") and "# Verification report" in printed[0]
+    assert printed[1] == "{'x': 4, 'y': 3} True\n"
 
 
 # Functions and methods that nothing in the package calls, each kept for a
