@@ -355,7 +355,9 @@ def _float_sum(
     index has no bottom parameter (psi2x3's z) with |arg| > 1, outside the
     series' radius, unless a is zero or a negative integer and the sum
     terminates (``NoConvergence``).  |arg| = 1 is not rejected: the sum
-    runs and its stopping rule decides.
+    runs and its stopping rule decides.  At the default term cap the rule
+    decides only at the cap: the y level at offset k runs at least its
+    run-up of about |y| + |a + k| terms, so the cost grows with every z term.
 
     ``_f11_sum``'s loop sums the x index innermost; each further coordinate
     is one outer level, the last outermost, and the 1F1 sum is the case with

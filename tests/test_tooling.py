@@ -13,11 +13,18 @@ are read as JSON, and ``perfbench/workloads.py`` is loaded on its own to
 generate the command lines of three seeds; each of these parses directly,
 to argparse's namespace, so renaming an option fails here, not only in a
 benchmark run, and no benchmark pass builds the argparse parser.
+
+The package's own functions and methods are read from one index of its
+syntax trees.  Each routine a module docstring calls the one place for a
+decision is read by exactly the definitions of its ``READERS`` row, and a
+helper or a defaulted parameter that nothing reads is on a list with its
+reason.
 """
 
 import argparse
 import ast
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -28,7 +35,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from hypersym import cli, hypfun, liealg, series
+import pytest
+
+from hypersym import cli, hypfun, liealg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -37,9 +46,13 @@ WORKLOADS = PERFBENCH / "workloads.py"
 REFS = sorted((PERFBENCH / "refs").glob("*.json"))
 
 
+@functools.cache
+def _tracer_tree():
+    return ast.parse(TRACER.read_text())
+
+
 def _layers():
-    tree = ast.parse(TRACER.read_text())
-    for node in tree.body:
+    for node in _tracer_tree().body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
         ):
@@ -64,8 +77,7 @@ def test_every_tracer_target_resolves():
 
 
 def _tracer_function(name):
-    tree = ast.parse(TRACER.read_text())
-    for node in tree.body:
+    for node in _tracer_tree().body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
     raise AssertionError(f"tracer.py defines no {name}")
@@ -191,85 +203,100 @@ def test_family_calls_reach_rebound_names(monkeypatch, capsys):
     assert calls["horn_value"] == 1
 
 
-def _callers(name):
-    """The top-level functions and methods of the package that call ``name``
-    or hand it on (to ``map``, say), as ``module.function``."""
-    callers = set()
-    for path in sorted(Path(hypfun.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defs += [item for node in tree.body if isinstance(node, ast.ClassDef)
-                 for item in node.body if isinstance(item, ast.FunctionDef)]
-        for fn in defs:
-            for node in ast.walk(fn):
-                if name in (getattr(node, "id", None), getattr(node, "attr", None)):
-                    callers.add(f"{path.stem}.{fn.name}")
-    return callers
+@functools.cache
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(hypfun.__file__).parent.glob("*.py"))}
 
 
-def test_float_sums_have_one_checked_entry():
-    """Every float sum checks its arguments in one function, so a second
-    front door to the loops cannot check them differently."""
-    for name in ("_check_sum_args", "_float_bottom"):
-        assert len(_callers(name)) == 1, (name, _callers(name))
+@functools.cache
+def _package_index():
+    """Each module-level function of the package as ``module.name`` and each
+    method of a module-level class as ``module.Class.name``, dunders
+    included, with its definition: the one collection of them."""
+    index = {}
+    for module, tree in _package_trees().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                index[f"{module}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                index.update((f"{module}.{node.name}.{item.name}", item)
+                             for item in node.body if isinstance(item, ast.FunctionDef))
+    return index
 
 
-def _functions(tree):
-    """Each top-level function and method of a module's tree by name, a
-    method as ``Class.name``, dunders included."""
-    out = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            out.update((f"{node.name}.{item.name}", item)
-                       for item in node.body if isinstance(item, ast.FunctionDef))
-    return out
+def _names_read(node):
+    """How often each name is read inside ``node``, as a name or as an
+    attribute."""
+    return Counter(getattr(sub, "id", None) or getattr(sub, "attr", None)
+                   for sub in ast.walk(node))
 
 
-def _series_functions():
-    """``_functions`` of ``series``."""
-    return _functions(ast.parse(Path(series.__file__).read_text()))
+def _readers(name):
+    """The index entries that read ``name`` as a name or an attribute: that
+    call it or hand it on (to ``map``, say)."""
+    return {qualified for qualified, fn in _package_index().items() if _names_read(fn)[name]}
+
+
+# Each routine a module docstring calls the one place for its decision, and
+# the functions and methods that read it, so a second reader, which could
+# decide differently, fails here.
+READERS = {
+    "_check_sum_args": {"hypfun._float_sum"},
+    "_float_bottom": {"hypfun._float_sum"},
+    "_float_sum": {"hypfun.f11_eval_float", "hypfun.psi2_eval_float",
+                   "hypfun.psi2_3var_eval_float"},
+    "_extend_dens": {"hypfun._f11_sum", "hypfun._float_sum"},
+    "_cauchy": {"series.MultiSeries.__mul__", "series._build_ladder", "series._power_sum"},
+    "operator_image": {"series.MultiSeries.truncate", "series.MultiSeries.scale",
+                       "series.MultiSeries.__neg__", "series.MultiSeries.shift",
+                       "series.MultiSeries.derivative", "liealg.DiffOperator.apply"},
+    "_term_part": {"series.operator_image"},
+    "_horn_steps": {"series._horn_numerators", "series.horn_value"},
+    "horn_compose": {"series.pow_rational", "series.exp_series", "hypfun.f11_compose",
+                     "hypfun.psi2_compose"},
+    "_reduce_rows": {"liealg.SpanBasis.__init__", "liealg.express_in_span"},
+    "signed_text": {"series.MultiSeries.render", "liealg.DiffOperator.pretty"},
+    "action_sides": {"liealg.verify_action", "hypfun.verify_recursion"},
+    "report_to_json": {"cli._write_reports"},
+}
+
+
+@pytest.mark.parametrize("routine", READERS)
+def test_each_shared_routine_has_its_readers(routine):
+    assert _readers(routine) == READERS[routine]
 
 
 def test_packed_keys_are_cut_in_one_kernel():
     """One kernel drops packed keys under a cut and one multiplies them, so
-    a second hand-written pass cannot cut them differently; the reference
-    methods the tests check the kernels against read no packed keys."""
-    fns = _series_functions()
+    a second hand-written pass cannot cut them differently; the methods
+    written as ``operator_image`` calls and the reference methods the tests
+    check the kernels against read no packed keys."""
+    fns = _package_index()
     guarded = {name for name, fn in fns.items() for node in ast.walk(fn)
                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
                and "guard" in _names_read(node)}
-    assert guarded == {"_cauchy", "_term_part"}
-    for name in ("MultiSeries.truncate", "MultiSeries.scale", "MultiSeries.__neg__"):
-        read = set(_names_read(fns[name]))
-        assert "operator_image" in read, name
-        assert not read & {"nums", "_layout", "_trusted", "_reduce"}, name
-    for name in ("MultiSeries.evaluate", "MultiSeries.extend"):
-        assert not set(_names_read(fns[name])) & {"nums", "_layout", "_Layout"}, name
-
-
-def _package_functions():
-    """``_functions`` of every module of the package, by ``module.name``."""
-    return {f"{module}.{name}": fn for module, tree in _package_trees().items()
-            for name, fn in _functions(tree).items()}
+    assert guarded == {"series._cauchy", "series._term_part"}
+    for name in ("truncate", "scale", "__neg__"):
+        read = _names_read(fns[f"series.MultiSeries.{name}"])
+        assert not set(read) & {"nums", "_layout", "_trusted", "_reduce"}, name
+    for name in ("evaluate", "extend"):
+        read = _names_read(fns[f"series.MultiSeries.{name}"])
+        assert not set(read) & {"nums", "_layout", "_Layout"}, name
 
 
 def test_span_solves_share_one_row_reduction():
-    """The basis elimination and every solve reduce by the same routine, so
-    a later caller (a null space, a not-in-span certificate) cannot reduce
-    differently."""
-    fns = _package_functions()
-    readers = {name for name, fn in fns.items() if "_reduce_rows" in _names_read(fn)}
-    assert readers == {"liealg.SpanBasis.__init__", "liealg.express_in_span"}
+    """The basis elimination and every solve reduce by ``_reduce_rows``
+    (its ``READERS`` row), and no second solve or subtraction stays."""
     assert not hasattr(liealg.SpanBasis, "solve")
     assert not hasattr(liealg, "_subtract")
 
 
 def test_signed_sums_have_one_writer():
-    """``render`` and ``pretty`` are one call of ``exactnum.signed_text``
-    each and write no sign of their own."""
-    fns = _package_functions()
-    for name in ("series.MultiSeries.render", "liealg.DiffOperator.pretty"):
-        fn = fns[name]
+    """``render`` and ``pretty``, the readers of ``exactnum.signed_text``,
+    are one call of it each and write no sign of their own."""
+    for name in READERS["signed_text"]:
+        fn = _package_index()[name]
         assert _names_read(fn)["signed_text"] == 1, name
         signs = [node.value for node in ast.walk(fn) if isinstance(node, ast.Constant)
                  and isinstance(node.value, str) and ("+ " in node.value or "- " in node.value)]
@@ -319,39 +346,22 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _package_trees():
-    return {path.stem: ast.parse(path.read_text())
-            for path in sorted(Path(hypfun.__file__).parent.glob("*.py"))}
-
-
-def _definitions(trees):
-    """``(module.name, node, False)`` of each module-level function, and
-    ``(module.Class.name, node, True)`` of each method of a module-level
-    class but the dunders."""
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                yield f"{module}.{node.name}", node, False
-            elif isinstance(node, ast.ClassDef):
-                yield from ((f"{module}.{node.name}.{item.name}", item, True)
-                            for item in node.body if isinstance(item, ast.FunctionDef)
-                            and not (item.name.startswith("__") and item.name.endswith("__")))
-
-
 def _unreferenced_definitions():
     """``module.name`` of each function and ``module.Class.name`` of each
-    method of ``_definitions`` that no code of the package reads outside
-    the definition itself: a function where a name or an attribute of its
-    name is read, a method only where an attribute of its name is read off
-    anything but another package class by name."""
+    method (not a dunder) of the index that no code of the package reads
+    outside the definition itself: a function where a name or an attribute
+    of its name is read, a method only where an attribute of its name is
+    read off anything but another package class by name."""
     trees = _package_trees()
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
     names = sum(map(_names_read, trees.values()), Counter())
     attributes = sum((_attributes_read(tree, classes) for tree in trees.values()), Counter())
     unreferenced = set()
-    for qualified, fn, method in _definitions(trees):
-        if method:
+    for qualified, fn in _package_index().items():
+        if fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        if qualified.count(".") == 2:
             inside = _attributes_read(fn, classes)
             owner = qualified.split(".")[1]
             read = any(attributes[fn.name, base] > inside[fn.name, base] for base in (None, owner))
@@ -360,13 +370,6 @@ def _unreferenced_definitions():
         if not read:
             unreferenced.add(qualified)
     return unreferenced
-
-
-def _names_read(node):
-    """How often each name is read inside ``node``, as a name or as an
-    attribute."""
-    return Counter(getattr(sub, "id", None) or getattr(sub, "attr", None)
-                   for sub in ast.walk(node))
 
 
 def _attributes_read(node, classes):
@@ -449,28 +452,19 @@ UNPASSED_DEFAULTS_ALLOWED = {
 }
 
 
-def _constructors(trees):
-    """``(module.Class.__init__, node, True)`` of the ``__init__`` of each
-    module-level class that writes one, and the class's name."""
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                        yield (f"{module}.{node.name}.__init__", item, True), node.name
-
-
-def _defaulted_parameters(trees):
+def _defaulted_parameters():
     """``(callee name, qualified parameter name, positional index)`` of each
-    parameter with a default of the functions and methods of
-    ``_definitions`` and of the classes' ``__init__``s, which a call of the
-    class calls, so their callee name is the class's.  The index counts the
+    parameter with a default of the index's functions and methods but the
+    dunders, and of the classes' ``__init__``s, which a call of the class
+    calls, so their callee name is the class's.  The index counts the
     arguments a call writes, so a method's ``self`` or ``cls`` is not one; it
     is None for a keyword-only parameter."""
-    definitions = [(definition, definition[1].name) for definition in _definitions(trees)]
-    for (qualified, fn, method), callee in definitions + list(_constructors(trees)):
-        implicit = method and not any(getattr(d, "id", None) == "staticmethod"
-                                      for d in fn.decorator_list)
+    for qualified, fn in _package_index().items():
+        callee = qualified.split(".")[1] if fn.name == "__init__" else fn.name
+        if callee.startswith("__") and callee.endswith("__"):
+            continue
+        implicit = qualified.count(".") == 2 and not any(
+            getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
         positional = fn.args.posonlyargs + fn.args.args
         for index in range(len(positional) - len(fn.args.defaults), len(positional)):
             yield callee, f"{qualified}.{positional[index].arg}", index - implicit
@@ -490,14 +484,13 @@ def _passes(call, name, index):
 
 def _unpassed_defaults():
     """The qualified names of the defaulted parameters no call passes."""
-    trees = _package_trees()
     calls = {}
-    for tree in trees.values():
+    for tree in _package_trees().values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(callee, []).append(node)
-    return {qualified for callee, qualified, index in _defaulted_parameters(trees)
+    return {qualified for callee, qualified, index in _defaulted_parameters()
             if not any(_passes(call, qualified.rpartition(".")[2], index)
                        for call in calls.get(callee, ()))}
 
