@@ -26,7 +26,19 @@ rows whose mismatch the run-level invariant below can excuse, the as-stated
 variants of the records with a corrected candidate, first compare the sides
 in a probe box, every cap cut to min(1, cap): caps are trusted orders, so a
 probe witness of total degree at most the least probe cap is the full box's
-witness too.  The rows it leaves undecided, and every row that must verify,
+witness too.  A row that must verify is first tried by its left side's
+transport equation A L_chi + B.grad L + C L = 0, derived from the formula
+once per formula (``_transport``), which checks that at chi = 0 F's
+arguments are the coordinates, every power base is 1, every exponential's
+argument is 0 and A is a nonzero constant: with the chain rule those prove
+the equation and L's chi^0 row F.  Where N >= 1 and every term of each B_v
+holds v, the chi-sum alone is built, each coordinate with B_v != 0 one order
+past its cap, and one ``liealg.DiffOperator.apply`` of the equation to it
+gives zero exactly when it is the left side on the box.  That decides
+I-F11-RAISE-A, the corrected I-F11-LOWER-A and -LOWER-B, I-PSI2-REDUCTION,
+-LOWER-B and -LOWER-C; the translation rows, whose B is a constant, would
+need the sum to cap M + N.  The rows the probe leaves undecided, and the
+rows the equation does not decide (no equation, a nonzero image, N = 0),
 build their two sides once, at the full caps.  ``run_suite``
 opens ``series._shared_work`` once, so the rows share the power ladders and
 Horn weights of their compositions, their converged float sums and, per
@@ -52,6 +64,7 @@ import math
 import re
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from . import __version__ as ENGINE_VERSION
@@ -66,7 +79,7 @@ from .hypfun import (
     float_params,
     param_strs,
 )
-from .liealg import ACTION_RULES
+from .liealg import ACTION_RULES, DiffOperator, Monomial, Pattern, Realized, _mono_deriv, _mono_mul
 from .series import (
     MultiSeries,
     Mismatch,
@@ -403,6 +416,251 @@ def get_record(rec_id: str) -> IdentityRecord:
     raise KeyError(f"unknown identity {rec_id!r}")
 
 
+# -- transport equations ------------------------------------------------------------
+
+# A polynomial in chi and the coordinates: monomial -> nonzero integer.
+Poly = dict[Monomial, int]
+_ONE: Poly = {(): 1}
+
+
+def _padd(*terms: tuple[int, Poly]) -> Poly:
+    """The sum of k * f over the pairs (k, f)."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out: Poly = {}
+    for k, f in terms:
+        for m, c in f.items():
+            out[m] = out.get(m, 0) + k * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _pmul(f: Poly, g: Poly) -> Poly:
+    if not f or g == _ONE:
+        return f
+    if f == _ONE:
+        return g
+    out: Poly = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pderiv(f: Poly, v: str) -> Poly:
+    out: Poly = {}
+    for m, c in f.items():
+        e, m = _mono_deriv(m, v)
+        if e:
+            out[m] = e * c
+    return out
+
+
+def _degree(m: Monomial) -> int:
+    return sum(e for _, e in m)
+
+
+def _pdiv(f: Poly, g: Poly) -> Poly:
+    """The exact quotient f / g of a g with constant term 1; TypeError where
+    g does not divide f.  Each step cancels a least monomial of the
+    remainder by total degree, which leaves only higher degrees."""
+    if g.get(()) != 1:
+        raise TypeError("a divisor without constant term 1")
+    top = max(map(_degree, f), default=0) - max(map(_degree, g))
+    quotient, rest = {}, dict(f)
+    while rest:
+        m = min(rest, key=_degree)
+        if _degree(m) > top:
+            raise TypeError("an inexact quotient")
+        c = quotient[m] = rest[m]
+        for mg, cg in g.items():
+            mm = _mono_mul(m, mg)
+            left = rest.get(mm, 0) - c * cg
+            if left:
+                rest[mm] = left
+            else:
+                del rest[mm]
+    return quotient
+
+
+def _at_chi0(f: Poly) -> Poly:
+    return {m: c for m, c in f.items() if "chi" not in dict(m)}
+
+
+class _Form(dict):
+    """A linear form in the parameters, traced: each parameter name, or None
+    for the constant, to its coefficient."""
+
+    def plus(self, other, k=1) -> "_Form":
+        """self + k * other, for a form or a rational ``other``."""
+        if isinstance(other, (int, Fraction)):
+            other = _Form({None: other})
+        if not isinstance(other, _Form):
+            return NotImplemented
+        out = _Form(self)
+        for n, c in other.items():
+            out[n] = out.get(n, 0) + k * c
+        return out
+
+    def __add__(self, other): return self.plus(other)
+    __radd__ = __add__
+    def __sub__(self, other): return self.plus(other, -1)
+    def __rsub__(self, other): return (-self).plus(other)
+    def __neg__(self): return _Form().plus(self, -1)
+
+    def value(self, p) -> Fraction:
+        return sum(c * (1 if n is None else getattr(p, n)) for n, c in self.items())
+
+
+def _rat(value) -> "_Rat | None":
+    """A rational or a ``_Rat`` as a ``_Rat``; None for anything else."""
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        return _Rat({(): value.numerator} if value else {}, {(): value.denominator})
+    return value if isinstance(value, _Rat) else None
+
+
+class _Rat:
+    """A rational function num / den of chi and the coordinates, traced;
+    neither side is reduced."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        o = _rat(other)
+        if o is None:
+            return NotImplemented
+        if o.den == self.den:
+            return _Rat(_padd((1, self.num), (1, o.num)), self.den)
+        return _Rat(_padd((1, _pmul(self.num, o.den)), (1, _pmul(o.num, self.den))),
+                    _pmul(self.den, o.den))
+
+    def __mul__(self, other):
+        o = _rat(other)
+        return NotImplemented if o is None else _Rat(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    def __truediv__(self, other):
+        # as on series, a divisor that is not a number needs constant term 1
+        if isinstance(other, _Rat) and other.num.get(()) != other.den.get(()):
+            raise TypeError("a divisor without constant term 1")
+        o = _rat(other)
+        return NotImplemented if o is None else _Rat(_pmul(self.num, o.den), _pmul(self.den, o.num))
+
+    __radd__, __rmul__ = __add__, __mul__
+    def __neg__(self): return _Rat(_padd((-1, self.num)), self.den)
+    def __rsub__(self, other): return -self + other
+
+    def __sub__(self, other):
+        o = _rat(other)
+        return NotImplemented if o is None else self + -o
+
+    def __pow__(self, e):
+        if isinstance(e, (int, Fraction)):
+            e = _Form({None: e})
+        return _Side([(self, e)]) if isinstance(e, _Form) else NotImplemented
+
+    def at_chi0_is(self, value: Poly) -> bool:
+        return _at_chi0(self.num) == _pmul(value, _at_chi0(self.den))
+
+    def derivative(self, d: Callable[[Poly], Poly]) -> Poly:
+        """The numerator d(num) den - num d(den) of d(num / den) over den^2,
+        for a derivation d of polynomials."""
+        return _padd((1, _pmul(d(self.num), self.den)), (-1, _pmul(self.num, d(self.den))))
+
+
+class _Side:
+    """A traced left side: a product of powers u^e, each (u, e), of
+    exponentials exp(v), each v, and of one F, whose arguments are ``args``."""
+
+    def __init__(self, powers=(), exps=(), args=None):
+        self.powers, self.exps, self.args = list(powers), list(exps), args
+
+    def __mul__(self, other):
+        if (u := _rat(other)) is not None:
+            other = _Side([(u, _Form({None: 1}))])
+        if not isinstance(other, _Side) or None not in (self.args, other.args):
+            return NotImplemented
+        return _Side(self.powers + other.powers, self.exps + other.exps,
+                     self.args if other.args is None else other.args)
+
+    __rmul__ = __mul__
+
+
+def _det(rows: list[list[Poly]]) -> Poly:
+    """The determinant of a square matrix of polynomials, by its first row."""
+    if not rows:
+        return _ONE
+    return _padd(*(((-1) ** j, _pmul(f, _det([r[:j] + r[j + 1:] for r in rows[1:]])))
+                   for j, f in enumerate(rows[0])))
+
+
+@functools.cache
+def _transport(lhs: Callable[..., object], family: str) -> dict[Pattern, _Form] | None:
+    """The first-order equation A L_chi + B.grad L + C L = 0 of a left side
+    L = mu F(X), derived from its formula, with A = 1 at chi = 0; None
+    where the formula cannot be traced or a check fails.
+
+    The formula is run on traced values: chi and the coordinates are
+    rational functions, the parameters linear forms; u ** e with e a form or
+    a rational is a power, ``exp(v)`` an exponential, F records its
+    arguments X, and anything else (a sum of products, a second F, a
+    parameter inside a base or an argument) is a TypeError.  (A, B) are the
+    signed maximal minors of X's Jacobian over (chi, coordinates), cleared
+    of denominators and of every traced base that divides them all, so
+    (A d/dchi + B.grad) X = 0; C = -sum e (A d/dchi + B.grad) u / u
+    - (A d/dchi + B.grad) v, each quotient exact.  Checked: X = the
+    coordinates, every base is 1 and every v is 0 at chi = 0, and A(0, .)
+    is a nonzero constant, divided out.  So L satisfies the equation and
+    its chi^0 row is F.  Patterns map to the coefficients as forms in p.
+    """
+    coords = FAMILIES[family].coords
+    names = ("chi",) + coords
+    var = {v: _Rat({((v, 1),): 1}, {(): 1}) for v in names}
+    params = SimpleNamespace(**{n: _Form({n: 1}) for n in FAMILIES[family].params.__match_args__})
+    try:
+        side = lhs(lambda *u: _Side(args=tuple(map(_rat, u))), lambda v: _Side(exps=[_rat(v)]),
+                   params, var["x"], var.get("y"), var["chi"])
+        if not isinstance(side, _Side) or len(side.args or ()) != len(coords) \
+                or None in side.args + tuple(side.exps):
+            raise TypeError("not one F times powers and exponentials")
+        if not all(X.at_chi0_is(var[v].num) for X, v in zip(side.args, coords)) \
+                or not all(u.at_chi0_is({(): 1}) for u, _ in side.powers) \
+                or not all(v.at_chi0_is({}) for v in side.exps):
+            raise TypeError("not the identity at chi = 0")
+        rows = [[X.derivative(functools.partial(_pderiv, v=v)) for v in names] for X in side.args]
+        field = [_padd(((-1) ** i, _det([r[:i] + r[i + 1:] for r in rows])))
+                 for i in range(len(names))]
+        if not any(field):
+            raise TypeError("arguments that do not depend on all coordinates")
+        for g in [X.den for X in side.args] + [f for u, _ in side.powers for f in (u.num, u.den)]:
+            while len(g) > 1:
+                try:
+                    field = [_pdiv(f, g) for f in field]
+                except TypeError:
+                    break
+        a0 = _at_chi0(field[0])
+        if list(a0) != [()]:
+            raise TypeError("A is not a constant at chi = 0")
+
+        def along(f: Poly) -> Poly:
+            return _padd(*((1, _pmul(comp, _pderiv(f, v))) for comp, v in zip(field, names)))
+
+        logs = [(e, _pdiv(u.derivative(along), _pmul(u.num, u.den))) for u, e in side.powers]
+        logs += [(_Form({None: 1}), _pdiv(v.derivative(along), _pmul(v.den, v.den)))
+                 for v in side.exps]
+    except (TypeError, AttributeError):
+        return None
+    equation = {(m, v): _Form({None: Fraction(c, a0[()])})
+                for comp, v in zip(field, names) for m, c in comp.items()}
+    for e, q in logs:
+        for m, c in q.items():
+            equation[(m, None)] = equation.get((m, None), _Form()).plus(e, -Fraction(c, a0[()]))
+    return equation
+
+
 # -- verification -----------------------------------------------------------------
 
 def _caps_for(record: IdentityRecord, n_order: int, m_order: int) -> dict[str, int]:
@@ -460,12 +718,24 @@ def verify_formal(
     orders, so the probe's coefficients are the full box's; when its least
     differing monomial has total degree d at most the least probe cap,
     every monomial of degree d or less lies in the probe, and it is the
-    full box's witness too.  Every other row, which must verify, and every
-    row the probe leaves undecided builds both sides once, at the full
-    caps, so an unexpected mismatch gets the full box's witness.  The
+    full box's witness too.
+
+    Every other row must verify.  When N >= 1 and the left side has a
+    transport equation A L_chi + B.grad L + C L = 0 (``_transport``) in
+    which every term of each B_v holds v, the row builds only the chi-sum
+    R, at chi cap N and each coordinate v at M + 1 where B_v != 0, else M,
+    and applies the equation to it in one ``DiffOperator.apply``.  A term
+    d/dv cuts one order, so the image is known for chi < N and every
+    coordinate up to M; since A = 1 at chi = 0 and no term lowers a
+    coordinate's degree, the equation fixes every chi row of its solution
+    on that box from the chi^0 row, which is F for both R and the left
+    side.  So a zero image verifies the row.  A nonzero image, no
+    equation, a B_v term free of v or N = 0 (no d/dchi at cap 0) goes on
+    as a row the probe leaves undecided: it builds both sides once, at the
+    full caps, so an unexpected mismatch gets the full box's witness.  The
     chi-sum's weights and shifted points are built once, up to the full
-    chi cap and before either box, also where w_l vanishes, so a
-    degenerate shift raises ``DegenerateParameter`` whichever box decides.
+    chi cap and before any box, also where w_l vanishes, so a degenerate
+    shift raises ``DegenerateParameter`` whichever way the row is decided.
     """
     p = FAMILIES[record.family].narrow(params)
     caps = _caps_for(record, n_order, m_order)
@@ -480,7 +750,15 @@ def verify_formal(
         if not (probe == caps or found is not None and found.degree <= min(probe.values())):
             found = compare(caps)
     else:
-        found = compare(caps)
+        equation = n_order and _transport(_lhs(record, variant), record.family)
+        coords = FAMILIES[record.family].coords
+        if equation and all(dict(m).get(v) for m, v in equation if v in coords):
+            wide = {v: caps[v] + 1 for _, v in equation if v in coords}
+            transport = DiffOperator({pattern: form.value(p) for pattern, form in equation.items()})
+            rhs = _sum_series(record, weights, {**caps, **wide})
+            found = None if transport.apply(Realized(rhs, {})).body.is_zero() else compare(caps)
+        else:
+            found = compare(caps)
     witness = _witness(found)
     return {
         "id": record.rec_id,

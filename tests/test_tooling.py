@@ -259,12 +259,49 @@ READERS = {
     "signed_text": {"series.MultiSeries.render", "liealg.DiffOperator.pretty"},
     "action_sides": {"liealg.verify_action", "hypfun.verify_recursion"},
     "report_to_json": {"cli._write_reports"},
+    "_transport": {"identities.verify_formal"},
 }
 
 
 @pytest.mark.parametrize("routine", READERS)
 def test_each_shared_routine_has_its_readers(routine):
     assert _readers(routine) == READERS[routine]
+
+
+def test_transport_rows_multiply_and_compose_nothing(monkeypatch):
+    """The rows ``verify_formal`` decides by their left side's transport
+    equation build only the chi-sum, by Horn walks, and apply the equation
+    to it: with every series product and composition made to raise, each
+    still verifies.  A translation row keeps building its left side."""
+    from fractions import Fraction as Q
+
+    from hypersym import series
+    from hypersym.hypfun import ParamsPsi2
+    from hypersym.identities import get_record, verify_formal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series product or composition")
+
+    for name in ("_cauchy", "horn_compose"):
+        orig = getattr(series, name)
+        for module_name, module in list(sys.modules.items()):
+            if module is not None and module_name.startswith("hypersym"):
+                for binding, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, binding, refuse)
+
+    p = ParamsPsi2(Q(1, 2), Q(4, 3), Q(5, 7))
+    orders = {"f11": (4, 6), "psi2": (3, 4)}
+    for rec_id, variant in [("I-F11-RAISE-A", "as_stated"),
+                            ("I-F11-LOWER-A", "corrected_candidate"),
+                            ("I-F11-LOWER-B", "corrected_candidate"),
+                            ("I-PSI2-REDUCTION", "as_stated"), ("I-PSI2-LOWER-B", "as_stated"),
+                            ("I-PSI2-LOWER-C", "as_stated")]:
+        record = get_record(rec_id)
+        row = verify_formal(record, variant, p, *orders[record.family])
+        assert row["status"] == "verified", rec_id
+    with pytest.raises(AssertionError, match="a series product or composition"):
+        verify_formal(get_record("I-PSI2-SHIFT-X"), "as_stated", p, *orders["psi2"])
 
 
 def test_packed_keys_are_cut_in_one_kernel():
